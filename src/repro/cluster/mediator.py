@@ -23,18 +23,19 @@ either way.
 from __future__ import annotations
 
 import contextvars
+import functools
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
+from repro.core.batch import BatchThresholdResult, check_batchable
 from repro.core.cache import SemanticCache
 from repro.core.executor import NodeExecutor
-from repro.core.limits import MAX_RESULT_POINTS, ThresholdTooLowError
-from repro.core.pointset import merge_sorted_runs
+from repro.core.limits import MAX_RESULT_POINTS
 from repro.core.query import (
     PdfQuery,
     PdfResult,
@@ -46,7 +47,7 @@ from repro.core.query import (
 from repro.cluster.node import DatabaseNode
 from repro.cluster.partition import MortonPartitioner
 from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
-from repro.costmodel.ledger import METER_IO_BYTES, METER_RESULT_POINTS
+from repro.costmodel.ledger import METER_IO_BYTES
 from repro.fields.derived import FieldRegistry, default_registry
 from repro.net.errors import (
     DeadlineExceededError,
@@ -55,6 +56,7 @@ from repro.net.errors import (
     UnsupportedRemoteOperationError,
 )
 from repro.net.frame import Deadline
+from repro.net.kinds import KINDS, Assembled, Gather, QueryKind
 from repro.net.transport import InProcessTransport, Transport
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
@@ -225,8 +227,7 @@ class Mediator:
         # family lock on every call, so the per-query observation code
         # uses these bound series instead.
         self._m_queries_by_kind = {
-            kind: self._m_queries.labels(kind=kind)
-            for kind in ("threshold", "batch_threshold", "pdf", "topk")
+            kind: self._m_queries.labels(kind=kind) for kind in KINDS
         }
         self._m_sim_by_category = {
             category.value: self._m_sim_seconds.labels(category=category.value)
@@ -309,30 +310,24 @@ class Mediator:
             )
 
     def _observe_query(
-        self,
-        kind: str,
-        ledger: CostLedger,
-        points: int,
-        fanout: int,
-        node_hits: int = 0,
-        node_misses: int = 0,
+        self, kind: str, ledger: CostLedger, done: Assembled
     ) -> None:
         """Fold one finished query into the metrics registry."""
         series = self._m_queries_by_kind.get(kind)
         (series if series is not None else self._m_queries.labels(kind=kind)).inc()
-        if points:
-            self._m_points.inc(points)
+        if done.points:
+            self._m_points.inc(done.points)
         io_bytes = ledger.meter(METER_IO_BYTES)
         if io_bytes:
             self._m_io_bytes.inc(io_bytes)
         for category, seconds in ledger.breakdown().items():
             if seconds:
                 self._m_sim_by_category[category].inc(seconds)
-        self._m_fanout.observe(fanout)
-        if node_hits:
-            self._m_cache_hits.inc(node_hits)
-        if node_misses:
-            self._m_cache_misses.inc(node_misses)
+        self._m_fanout.observe(done.fanout)
+        if done.node_hits:
+            self._m_cache_hits.inc(done.node_hits)
+        if done.node_misses:
+            self._m_cache_misses.inc(done.node_misses)
 
     # -- data loading ---------------------------------------------------------------
 
@@ -399,62 +394,11 @@ class Mediator:
         Raises:
             ThresholdTooLowError: when more than ``max_points`` match.
         """
-        query_id = tracing.new_trace_id()
-        with tracing.span(
-            "query.threshold", trace_id=query_id,
-            dataset=query.dataset, field=query.field,
-            timestep=query.timestep, threshold=query.threshold,
-        ) as root:
-            box = self._query_box(query.dataset, query.box)
-            node_results = self._scatter(
-                lambda node_id: self.transport.threshold_part(
-                    node_id,
-                    query,
-                    self.partitioner.query_boxes(node_id, box),
-                    use_cache=use_cache,
-                    processes=processes,
-                    io_only=io_only,
-                    timeout=timeout,
-                )
-            )
-            total = sum(len(r) for r in node_results)
-            if total > max_points:
-                raise ThresholdTooLowError(total, max_points)
-
-            ledger = CostLedger.parallel([r.ledger for r in node_results])
-            self._charge_networks(ledger, total)
-            ledger.count(METER_RESULT_POINTS, total)
-
-            # Nodes own disjoint curve spans gathered in node order, so
-            # this is a plain concatenation on the fast path.
-            zindexes, values = merge_sorted_runs(
-                [(r.zindexes, r.values) for r in node_results]
-            )
-            hits = sum(1 for r in node_results if r.cache_hit)
-            participating = sum(
-                1 for r in node_results
-                if len(r) or r.boxes_evaluated or r.cache_hit
-            )
-            self.statistics._record(
-                nodes=participating,
-                hits=hits,
-                points=total,
-                seconds=ledger.total,
-            )
-            self._observe_query(
-                "threshold", ledger, total, fanout=participating,
-                node_hits=hits, node_misses=participating - hits,
-            )
-            root.set("points", total)
-            root.attach_ledger(ledger)
-            return ThresholdResult(
-                zindexes,
-                values,
-                ledger,
-                cache_hits=hits,
-                nodes=self.node_count,
-                query_id=query_id,
-            )
+        return self._run(
+            KINDS["threshold"], query, self.transport.threshold_part,
+            max_points=max_points, timeout=timeout,
+            use_cache=use_cache, processes=processes, io_only=io_only,
+        )
 
     def batch_threshold(
         self,
@@ -463,7 +407,7 @@ class Mediator:
         use_cache: bool = True,
         max_points: int = MAX_RESULT_POINTS,
         timeout: float | None = None,
-    ):
+    ) -> BatchThresholdResult:
         """Evaluate several same-source threshold queries in one pass.
 
         Queries must share dataset, timestep, region, FD order and raw
@@ -478,73 +422,12 @@ class Mediator:
             ValueError: if the queries cannot share a scan.
             ThresholdTooLowError: when any query exceeds ``max_points``.
         """
-        from repro.core.batch import BatchThresholdResult, check_batchable
-
         check_batchable(queries, self.registry)
-        query_id = tracing.new_trace_id()
-        with tracing.span(
-            "query.batch_threshold", trace_id=query_id,
-            dataset=queries[0].dataset, queries=len(queries),
-        ) as root:
-            box = self._query_box(queries[0].dataset, queries[0].box)
-            node_results = self._scatter(
-                lambda node_id: self.transport.batch_part(
-                    node_id,
-                    queries,
-                    self.partitioner.query_boxes(node_id, box),
-                    use_cache=use_cache,
-                    processes=processes,
-                    timeout=timeout,
-                )
-            )
-            ledger = CostLedger.parallel(
-                [per_node[0].ledger for per_node in node_results]
-            )
-            results = []
-            total_points = 0
-            for i, query in enumerate(queries):
-                zindexes, values = merge_sorted_runs(
-                    [
-                        (per_node[i].zindexes, per_node[i].values)
-                        for per_node in node_results
-                    ]
-                )
-                if len(zindexes) > max_points:
-                    raise ThresholdTooLowError(len(zindexes), max_points)
-                total_points += len(zindexes)
-                results.append(
-                    ThresholdResult(
-                        zindexes, values, ledger,
-                        cache_hits=sum(
-                            1 for per_node in node_results if per_node[i].cache_hit
-                        ),
-                        nodes=self.node_count,
-                        query_id=query_id,
-                    )
-                )
-            self._charge_networks(ledger, total_points)
-            ledger.count(METER_RESULT_POINTS, total_points)
-            for i in range(len(queries)):
-                participating = sum(
-                    1
-                    for per_node in node_results
-                    if len(per_node[i])
-                    or per_node[i].boxes_evaluated
-                    or per_node[i].cache_hit
-                )
-                self.statistics._record(
-                    nodes=participating,
-                    hits=results[i].cache_hits,
-                    points=len(results[i]),
-                    seconds=ledger.total if i == 0 else 0.0,
-                )
-            self._observe_query(
-                "batch_threshold", ledger, total_points,
-                fanout=len(node_results),
-            )
-            root.set("points", total_points)
-            root.attach_ledger(ledger)
-            return BatchThresholdResult(results, ledger)
+        return self._run(
+            KINDS["batch_threshold"], queries, self.transport.batch_part,
+            max_points=max_points, timeout=timeout,
+            use_cache=use_cache, processes=processes,
+        )
 
     def pdf(
         self,
@@ -554,31 +437,10 @@ class Mediator:
         timeout: float | None = None,
     ) -> PdfResult:
         """Histogram a field's norm over an entire timestep (Fig. 2)."""
-        query_id = tracing.new_trace_id()
-        with tracing.span(
-            "query.pdf", trace_id=query_id,
-            dataset=query.dataset, field=query.field, timestep=query.timestep,
-        ) as root:
-            box = self._query_box(query.dataset, None)
-            node_results = self._scatter(
-                lambda node_id: self.transport.pdf_part(
-                    node_id,
-                    query,
-                    self.partitioner.query_boxes(node_id, box),
-                    use_cache=use_cache,
-                    processes=processes,
-                    timeout=timeout,
-                )
-            )
-            counts = sum(r.counts for r in node_results)
-            ledger = CostLedger.parallel([r.ledger for r in node_results])
-            # A PDF response is a handful of numbers; charge latency only.
-            self._charge_networks(ledger, result_points=0)
-            self._observe_query(
-                "pdf", ledger, points=0, fanout=len(node_results),
-            )
-            root.attach_ledger(ledger)
-            return PdfResult(counts, query.bin_edges, ledger, query_id=query_id)
+        return self._run(
+            KINDS["pdf"], query, self.transport.pdf_part, timeout=timeout,
+            use_cache=use_cache, processes=processes,
+        )
 
     def topk(
         self,
@@ -593,38 +455,63 @@ class Mediator:
         answers its share from the cache (see
         :func:`repro.core.topk.get_topk_on_node`).
         """
+        return self._run(
+            KINDS["topk"], query, self.transport.topk_part, timeout=timeout,
+            use_cache=use_cache, processes=processes,
+        )
+
+    def _run(
+        self,
+        kind: QueryKind,
+        request: Any,
+        part: Callable[..., Any] | None = None,
+        *,
+        max_points: int = MAX_RESULT_POINTS,
+        timeout: float | None = None,
+        **options: Any,
+    ) -> Any:
+        """Run one query of any kind: scatter its parts, assemble them.
+
+        The one path behind the four public query methods.  ``part`` is
+        the transport's part method to call per node — the public
+        wrappers pass their kind's typed ``*_part`` name; ``None`` uses
+        the generic :meth:`~repro.net.transport.Transport.part`, which
+        is all a kind outside the stock table needs.  ``options`` are
+        the kind's per-part options.
+        """
+        if part is None:
+            part = functools.partial(self.transport.part, kind)
         query_id = tracing.new_trace_id()
         with tracing.span(
-            "query.topk", trace_id=query_id,
-            dataset=query.dataset, field=query.field,
-            timestep=query.timestep, k=query.k,
+            f"query.{kind.name}", trace_id=query_id,
+            **kind.span_attributes(request),
         ) as root:
-            box = self._query_box(query.dataset, None)
-            node_results = self._scatter(
-                lambda node_id: self.transport.topk_part(
+            box = self._query_box(*kind.region(request))
+            parts = self._scatter(
+                lambda node_id: part(
                     node_id,
-                    query,
+                    request,
                     self.partitioner.query_boxes(node_id, box),
-                    use_cache=use_cache,
-                    processes=processes,
                     timeout=timeout,
+                    **options,
+                ),
+                kind.part_ledger,
+            )
+            ledger = CostLedger.parallel([kind.part_ledger(p) for p in parts])
+            done = kind.assemble(
+                Gather(query_id, self.node_count, self.spec, ledger, max_points),
+                request,
+                parts,
+            )
+            for i, (nodes, hits, points) in enumerate(done.served):
+                # Batched answers share one ledger: count its seconds once.
+                self.statistics._record(
+                    nodes, hits, points, ledger.total if i == 0 else 0.0
                 )
-            )
-            zindexes = np.concatenate([r.zindexes for r in node_results])
-            values = np.concatenate([r.values for r in node_results])
-            if len(values) > query.k:
-                keep = np.argpartition(values, -query.k)[-query.k :]
-                zindexes, values = zindexes[keep], values[keep]
-            order = np.argsort(values)[::-1]
-            ledger = CostLedger.parallel([r.ledger for r in node_results])
-            self._charge_networks(ledger, len(values))
-            self._observe_query(
-                "topk", ledger, len(values), fanout=len(node_results),
-            )
+            self._observe_query(kind.name, ledger, done)
+            root.set("points", done.points)
             root.attach_ledger(ledger)
-            return TopKResult(
-                zindexes[order], values[order], ledger, query_id=query_id
-            )
+            return done.result
 
     def get_field(
         self,
@@ -800,7 +687,11 @@ class Mediator:
             raise ValueError(f"query box {box} outside domain of side {side}")
         return box
 
-    def _scatter(self, task: Callable[[int], T]) -> list[T]:
+    def _scatter(
+        self,
+        task: Callable[[int], T],
+        ledger_of: Callable[[T], CostLedger],
+    ) -> list[T]:
         """Submit a per-node task asynchronously and gather the results.
 
         With ``sequential_scatter`` the node tasks run one after another
@@ -811,10 +702,18 @@ class Mediator:
         use this; interactive use keeps the asynchronous scheduling of
         the paper's mediator.
 
-        Each node part runs under its own trace span.  Pool workers do
-        not inherit the submitting thread's contextvars, so every submit
-        ships a copy of the current context — that is what parents the
-        part spans under the query's root span across threads.
+        Each node part runs under its own trace span carrying the
+        part's ledger (``ledger_of`` extracts it from a result).  Pool
+        workers do not inherit the submitting thread's contextvars, so
+        every submit ships a copy of the current context — that is what
+        parents the part spans under the query's root span across
+        threads.
+
+        Raises:
+            DeadlineExceededError: the gather outlived its budget, or a
+                part's own RPC deadline expired (a slow node).
+            PartialFailureError: a part failed with any other transport
+                error after its retries were exhausted (a dead node).
         """
         def run(node_id: int) -> T:
             with tracing.span("node.part", node=node_id) as part:
@@ -824,32 +723,22 @@ class Mediator:
                     # This node's subtree ends here — the trace shows an
                     # explicitly-marked orphan instead of silent loss.
                     tracing.mark_orphaned(part, type(error).__name__)
+                    if isinstance(error, NetError) and not isinstance(
+                        error, (DeadlineExceededError, PartialFailureError)
+                    ):
+                        raise self._part_failure(node_id, error) from error
                     raise
-                ledger = getattr(result, "ledger", None)
-                if ledger is not None:
-                    part.attach_ledger(ledger)
+                part.attach_ledger(ledger_of(result))
                 return result
 
         if self.sequential_scatter:
-            return [
-                self._run_part(run, node_id)
-                for node_id in range(self.node_count)
-            ]
+            return [run(node_id) for node_id in range(self.node_count)]
         pool = self._ensure_pool()
         futures = [
             pool.submit(contextvars.copy_context().run, run, node_id)
             for node_id in range(self.node_count)
         ]
         return self._gather(futures)
-
-    def _run_part(self, run: Callable[[int], T], node_id: int) -> T:
-        """One node part with the gather's error typing (sequential path)."""
-        try:
-            return run(node_id)
-        except (DeadlineExceededError, PartialFailureError):
-            raise
-        except NetError as error:
-            raise self._part_failure(node_id, error) from error
 
     def _part_failure(self, node_id: int, error: NetError) -> PartialFailureError:
         """A machine-readable part failure: which nodes, which curve spans.
@@ -878,10 +767,7 @@ class Mediator:
         and their exceptions consumed so none leaks to the pool.
 
         Raises:
-            DeadlineExceededError: the gather outlived its budget, or a
-                part's own RPC deadline expired (a slow node).
-            PartialFailureError: a part failed with any other transport
-                error after its retries were exhausted (a dead node).
+            DeadlineExceededError: the gather outlived its budget.
         """
         deadline = Deadline.after(self.scatter_timeout)
         results: list[T] = []
@@ -894,10 +780,6 @@ class Mediator:
                         f"scatter gather exceeded its {self.scatter_timeout}s "
                         f"budget waiting on node {node_id}"
                     ) from None
-                except (DeadlineExceededError, PartialFailureError):
-                    raise
-                except NetError as error:
-                    raise self._part_failure(node_id, error) from error
         except BaseException:
             self._drain(futures)
             raise
@@ -951,18 +833,6 @@ class Mediator:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    def _charge_networks(self, ledger: CostLedger, result_points: int) -> None:
-        result_bytes = result_points * self.spec.point_record_bytes
-        ledger.charge(
-            Category.MEDIATOR_DB,
-            self.spec.lan.transfer_time(
-                result_bytes, round_trips=self.node_count
-            ),
-        )
-        ledger.charge(
-            Category.MEDIATOR_USER, self.spec.wan.transfer_time(result_bytes)
-        )
 
 
 def build_cluster(

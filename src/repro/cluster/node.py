@@ -243,7 +243,11 @@ class DatabaseNode:
         """
         with tracing.span("node.halo", category="io") as halo_span:
             halo_span.set("server", self.node_id)
-            with self.db.transaction(None) as txn:
+            # Unbound: on a replicated cluster the requester may be this
+            # very node (it holds a copy of the peer's shard), mid-query
+            # on this thread and database; rebinding here would send the
+            # rest of that query's device charges nowhere.
+            with self.db.begin(None, bind=False) as txn:
                 atoms = self.read_atoms(
                     txn, dataset, field, timestep, ranges, charge=False
                 )

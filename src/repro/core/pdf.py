@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.costmodel import CostLedger
 from repro.core.executor import NodeExecutor
+from repro.core.pointset import pack_i64
 from repro.core.query import PdfQuery
 from repro.fields.derived import FieldRegistry
 from repro.grid import Box
@@ -57,13 +58,18 @@ def get_pdf_on_node(
         return NodePdfResult(np.zeros(len(query.bin_edges), np.int64), ledger)
     dataset_spec = node.dataset(query.dataset)
     derived = registry.get(query.field)
+    # Which share of the timestep this histogram covers: a replica may
+    # answer for more than one shard of the same query.
+    share = pack_i64(
+        np.array([box.as_corners() for box in boxes], dtype=np.int64)
+    )
     txn = node.db.begin(ledger)
     try:
         if pdf_cache is not None:
             with tracing.span("cache.lookup", category="cache_lookup") as probe:
                 cached = pdf_cache.lookup(
                     txn, query.dataset, query.field, query.timestep,
-                    query.fd_order, query.bin_edges,
+                    query.fd_order, query.bin_edges, share,
                 )
                 probe.set("hit", cached is not None)
             if cached is not None:
@@ -78,7 +84,7 @@ def get_pdf_on_node(
         if pdf_cache is not None:
             pdf_cache.store(
                 txn, query.dataset, query.field, query.timestep,
-                query.fd_order, query.bin_edges, evaluation.histogram,
+                query.fd_order, query.bin_edges, evaluation.histogram, share,
             )
         txn.commit()
     except SerializationConflictError:

@@ -7,9 +7,12 @@ queries are exactly such a type: they scan a full timestep, their result
 is a handful of numbers, and scientists re-examine the same distribution
 while choosing thresholds.
 
-Each node caches its own share's histogram, keyed by (dataset, field,
-timestep, FD order, bin edges); a probe must match the edges exactly.
-Entries live in one SSD table next to the threshold cache.
+Each node caches the histogram of a share it evaluated, keyed by
+(dataset, field, timestep, FD order, bin edges, share); a probe must
+match the edges exactly.  The share — the boxes the histogram covers —
+is part of the key because on a replicated cluster one node answers
+for several shards' shares of the same query.  Entries live in one SSD
+table next to the threshold cache.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ class PdfCache:
                     Column("timestep", ColumnType.INTEGER),
                     Column("fd_order", ColumnType.INTEGER),
                     Column("edges", ColumnType.BLOB),
+                    Column("share", ColumnType.BLOB),
                     Column("counts", ColumnType.BLOB),
                     Column("last_used", ColumnType.BIGINT),
                 ),
@@ -75,14 +79,19 @@ class PdfCache:
         timestep: int,
         fd_order: int,
         edges: tuple[float, ...],
+        share: bytes = b"",
     ) -> np.ndarray | None:
-        """The cached per-bin counts, or ``None`` on a miss."""
+        """The cached per-bin counts of ``share``, or ``None`` on a miss."""
         wanted = self._edges_blob(edges)
         rows = self._db.table("pdfCache").lookup(
             txn, "by_query", (dataset, field, timestep)
         )
         for row in rows:
-            if row["fd_order"] == fd_order and row["edges"] == wanted:
+            if (
+                row["fd_order"] == fd_order
+                and row["edges"] == wanted
+                and row["share"] == share
+            ):
                 # Recency is advisory: a concurrent bump of the same entry
                 # must not turn this hit into a failed query.
                 try:
@@ -105,8 +114,9 @@ class PdfCache:
         fd_order: int,
         edges: tuple[float, ...],
         counts: np.ndarray,
+        share: bytes = b"",
     ) -> int:
-        """Insert a histogram, evicting the LRU entry when full."""
+        """Insert ``share``'s histogram, evicting the LRU entry when full."""
         table = self._db.table("pdfCache")
         while table.count(txn) >= self.max_entries:
             victims = self._db.sql(
@@ -127,6 +137,7 @@ class PdfCache:
                 "timestep": timestep,
                 "fd_order": fd_order,
                 "edges": self._edges_blob(edges),
+                "share": share,
                 "counts": pack_i64(np.asarray(counts, dtype=np.int64)),
                 "last_used": next(self._recency),
             },

@@ -11,10 +11,11 @@ deployments.  Four cooperating pieces:
 * :mod:`repro.ha.router` — per-node health (heartbeat probes,
   consecutive-failure tracking) and EWMA latency, producing a best-
   replica-first routing order per shard;
-* :mod:`repro.ha.failover` — :class:`HaTcpTransport`, a drop-in
-  :class:`~repro.net.transport.TcpTransport` that retries a failed
-  shard part against surviving replicas mid-query, so a killed node
-  degrades a query's latency instead of its answer;
+* :mod:`repro.ha.failover` — :data:`HaTcpTransport`, which *is* the
+  cluster's one :class:`~repro.net.transport.TcpTransport`: handed a
+  replicated :class:`PlacementMap` it retries a failed shard part
+  against surviving replicas mid-query, so a killed node degrades a
+  query's latency instead of its answer;
 * :mod:`repro.ha.anti_entropy` — digest-based catch-up for a rejoining
   node: compare per-range chunk digests against a peer replica and
   bulk-fetch only the divergent atoms over the existing RPC path.

@@ -1,296 +1,12 @@
-"""Mid-query failover: a TcpTransport that routes shards over replicas.
+"""Mid-query failover — the names, at the path they have always had.
 
-:class:`HaTcpTransport` is a drop-in
-:class:`~repro.net.transport.TcpTransport` for replicated clusters.
-The mediator keeps addressing *shards* (its scatter is one part per
-Morton shard, exactly as before); this transport maps each shard call
-to the best live replica via a :class:`~repro.ha.router.ReplicaRouter`
-and, when the call dies with a connection-level failure, retries the
-*same part* against the next surviving replica:
-
-* only the lost shard's sub-ranges are re-scattered — the other parts
-  of the query never notice;
-* a streamed part's sink is reset at the start of every attempt (the
-  pool already guarantees this), so PARTIAL chunks received from the
-  dead node are discarded and the part restarts clean;
-* parts are gathered in shard order and merged with
-  ``merge_sorted_runs``, so the final answer is byte-identical to the
-  unreplicated cluster's no matter which replica served which part.
-
-Failover applies to idempotent reads only; non-idempotent calls
-(field registration) keep their fail-fast semantics.  When every
-replica of a shard is exhausted the transport raises
-:class:`~repro.net.errors.NoLiveReplicaError` carrying the shard and
-the attempted node ids.
+Replica routing and failover live in the cluster's one TCP transport
+(:class:`repro.net.transport.TcpTransport`): replication is a
+:class:`~repro.ha.placement.PlacementMap` handed to that class, and
+:data:`HaTcpTransport` *is* ``TcpTransport``.
 """
 
-from __future__ import annotations
+from repro.net.transport import TcpTransport as HaTcpTransport
+from repro.net.transport import failover_worthy
 
-import random
-from typing import Sequence
-
-from repro.costmodel import ClusterSpec
-from repro.ha.placement import PlacementMap
-from repro.ha.router import ReplicaRouter
-from repro.net.client import CallResult, RetryPolicy
-from repro.net.compress import CompressionConfig
-from repro.net.errors import (
-    ConnectionLostError,
-    DeadlineExceededError,
-    NetError,
-    NoLiveReplicaError,
-    NodeUnavailableError,
-    RemoteCallError,
-)
-from repro.net.frame import Buffer
-from repro.net.stream import PartialSink
-from repro.net.transport import DEFAULT_RPC_TIMEOUT, TcpTransport
-from repro.obs import clock, tracing
-from repro.obs.metrics import MetricsRegistry
-
-#: Error names (local types and remote halo failures surfaced as typed
-#: ERROR frames) that mean "this replica cannot answer right now" —
-#: the only failures worth retrying on a different replica.
-_FAILOVER_TYPES = frozenset(
-    {"ConnectionLostError", "DeadlineExceededError", "NodeUnavailableError"}
-)
-
-
-def failover_worthy(error: NetError) -> bool:
-    """Whether an error indicates a dead/unreachable replica.
-
-    Connection loss, node unavailability and a blown deadline all mean
-    the *replica* failed, not the request; a typed remote error whose
-    remote type is one of those names is a node that answered but could
-    not reach a dependency (its own halo peer died mid-query) — another
-    replica with a different halo topology may still succeed.
-    """
-    if isinstance(
-        error,
-        (ConnectionLostError, DeadlineExceededError, NodeUnavailableError),
-    ):
-        return True
-    return (
-        isinstance(error, RemoteCallError)
-        and error.remote_type in _FAILOVER_TYPES
-    )
-
-
-class HaTcpTransport(TcpTransport):
-    """A replica-routing, mid-query-failover TCP transport.
-
-    Args:
-        addresses: one ``"host:port"`` per *node* in node-id order.
-        placement: replica placement of the partitioner's shards onto
-            those nodes (``placement.nodes`` must match the address
-            count).
-        router: replica router; built from the placement when omitted.
-        heartbeat_interval: when set, starts the router's background
-            health probe at this period (seconds); ``None`` (default)
-            leaves health tracking to the calls themselves.
-        Remaining keyword arguments match
-        :class:`~repro.net.transport.TcpTransport`.
-    """
-
-    def __init__(
-        self,
-        addresses: Sequence["str | tuple[str, int]"],
-        *,
-        placement: PlacementMap,
-        router: ReplicaRouter | None = None,
-        heartbeat_interval: float | None = None,
-        timeout: float = DEFAULT_RPC_TIMEOUT,
-        connect_timeout: float = 2.0,
-        max_connections: int = 2,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        pipeline: bool = True,
-        compression: CompressionConfig | None = None,
-        shm: bool = False,
-    ) -> None:
-        super().__init__(
-            addresses,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-            max_connections=max_connections,
-            retry=retry,
-            rng=rng,
-            pipeline=pipeline,
-            compression=compression,
-            shm=shm,
-        )
-        if placement.nodes != len(self.pools):
-            raise ValueError(
-                f"placement spans {placement.nodes} nodes but "
-                f"{len(self.pools)} addresses were given"
-            )
-        self.placement = placement
-        self.router = router or ReplicaRouter(
-            placement,
-            probe=self._probe,
-            heartbeat_interval=heartbeat_interval or 5.0,
-        )
-        self._m_failovers = None
-        self._m_antientropy = None
-        if heartbeat_interval is not None:
-            self.router.start_heartbeat()
-
-    def _probe(self, node_id: int) -> float:
-        """Heartbeat ping with a budget far below the RPC timeout."""
-        return self.ping(node_id, timeout=min(2.0, self.timeout))
-
-    # -- instrumentation -------------------------------------------------------
-
-    def attach(self, metrics: MetricsRegistry, spec: ClusterSpec) -> None:
-        super().attach(metrics, spec)
-        self._m_failovers = metrics.counter(
-            "ha_failovers_total",
-            "Shard parts retried on another replica after a node failure",
-        )
-        self._m_antientropy = metrics.counter(
-            "ha_antientropy_chunks_fetched",
-            "Divergent atom chunks fetched by anti-entropy catch-up",
-        )
-        metrics.gauge_callback(
-            "ha_replica_unhealthy",
-            lambda: float(self.router.unhealthy_count()),
-            "Nodes currently over the router's failure threshold",
-        )
-
-    def record_antientropy(self, chunks: int) -> None:
-        """Fold a catch-up run's fetched chunk count into ``/stats``."""
-        if self._m_antientropy is not None and chunks:
-            self._m_antientropy.inc(chunks)
-
-    # -- shard routing ---------------------------------------------------------
-
-    def _node_call(
-        self,
-        physical_node: int,
-        method: str,
-        header: dict,
-        blobs: Sequence[Buffer] = (),
-        *,
-        idempotent: bool = True,
-        timeout: float | None = None,
-        sink: PartialSink | None = None,
-    ) -> CallResult:
-        """One RPC to a specific *node*, feeding the router's EWMA."""
-        start = clock.now()
-        try:
-            result = super()._call(
-                physical_node,
-                method,
-                header,
-                blobs,
-                idempotent=idempotent,
-                timeout=timeout,
-                sink=sink,
-            )
-        except NetError as error:
-            if failover_worthy(error):
-                self.router.record_failure(physical_node)
-            raise
-        self.router.record_success(physical_node, clock.now() - start)
-        return result
-
-    def _call(
-        self,
-        node_id: int,
-        method: str,
-        header: dict,
-        blobs: Sequence[Buffer] = (),
-        *,
-        idempotent: bool = True,
-        timeout: float | None = None,
-        sink: PartialSink | None = None,
-    ) -> CallResult:
-        """One shard call with automatic failover across its replicas.
-
-        ``node_id`` is a *shard* id here: the mediator's scatter (and
-        the base class's query-part methods) address shards, and this
-        override maps each attempt to a physical node via the router.
-        Failover applies to idempotent calls only; each attempt gets a
-        fresh sink state (the pool resets it), so a partially-streamed
-        part restarts clean on the next replica.
-        """
-        candidates = self.router.route(node_id)
-        attempted: list[int] = []
-        last_error: NetError | None = None
-        for replica in candidates:
-            if attempted:
-                # This is a failover retry: the previous replica died
-                # mid-part.  The span brackets the replacement attempt,
-                # so its duration is the part's failover-added latency.
-                if self._m_failovers is not None:
-                    self._m_failovers.inc()
-                with tracing.span(
-                    "ha.failover",
-                    shard=node_id,
-                    dead=attempted[-1],
-                    retry=replica,
-                    method=method,
-                ) as span:
-                    try:
-                        return self._node_call(
-                            replica,
-                            method,
-                            header,
-                            blobs,
-                            idempotent=idempotent,
-                            timeout=timeout,
-                            sink=sink,
-                        )
-                    except NetError as error:
-                        if not (idempotent and failover_worthy(error)):
-                            raise
-                        span.set("error", type(error).__name__)
-                        attempted.append(replica)
-                        last_error = error
-                continue
-            try:
-                return self._node_call(
-                    replica,
-                    method,
-                    header,
-                    blobs,
-                    idempotent=idempotent,
-                    timeout=timeout,
-                    sink=sink,
-                )
-            except NetError as error:
-                if not (idempotent and failover_worthy(error)):
-                    raise
-                attempted.append(replica)
-                last_error = error
-        raise NoLiveReplicaError(
-            node_id,
-            tuple(attempted),
-            f"shard {node_id}: no live replica (tried nodes "
-            f"{attempted}): {last_error}",
-        ) from last_error
-
-    # -- node-addressed control plane ------------------------------------------
-
-    def register_expression(
-        self, name: str, text: str, *, timeout: float | None = None
-    ) -> dict:
-        # Registration must reach every *node* (any replica may serve
-        # any of its shards later), not one node per shard — bypass the
-        # shard routing and broadcast, keeping the never-retried
-        # semantics of the base class.
-        description: dict = {}
-        for physical_node in range(len(self.pools)):
-            call = self._node_call(
-                physical_node,
-                "register_field",
-                {"name": name, "text": text},
-                idempotent=False,
-                timeout=timeout,
-            )
-            description = dict(call.header.get("field", {}))
-        return description
-
-    def close(self) -> None:
-        self.router.close()
-        super().close()
+__all__ = ["HaTcpTransport", "failover_worthy"]

@@ -8,7 +8,10 @@ stack with per-host connection pooling, mandatory deadlines and
 jittered retries (:mod:`repro.net.client`, :mod:`repro.net.pool`); and
 the :class:`~repro.net.transport.Transport` seam that lets the mediator
 run its per-node query parts either in-process (the seed behaviour,
-bit-for-bit) or against a real multi-process cluster.
+bit-for-bit) or against a real multi-process cluster (one
+replica-aware :class:`~repro.net.transport.TcpTransport`; its default
+placement is the unreplicated layout).  What differs between query
+kinds is one table, :mod:`repro.net.kinds`.
 
 The data plane is built for throughput: frames are assembled as lists
 of buffers and sent with vectored I/O (no full-payload concatenation),
@@ -44,16 +47,10 @@ from repro.net.errors import (
 )
 from repro.net.frame import Deadline, Frame, FrameType, PROTOCOL_VERSION
 from repro.net.pool import ConnectionPool
-from repro.net.stream import (
-    BatchStreamSink,
-    ByteStreamSink,
-    PartialSink,
-    ThresholdStreamSink,
-)
+from repro.net.stream import ByteStreamSink, PartialSink, PointStreamSink
 from repro.net.transport import InProcessTransport, TcpTransport, Transport
 
 __all__ = [
-    "BatchStreamSink",
     "ByteStreamSink",
     "CallResult",
     "CompressionConfig",
@@ -75,11 +72,11 @@ __all__ = [
     "PartialFailureError",
     "PartialSink",
     "PipelinedConnection",
+    "PointStreamSink",
     "ProtocolError",
     "RemoteCallError",
     "RetryPolicy",
     "TcpTransport",
-    "ThresholdStreamSink",
     "Transport",
     "UnsupportedRemoteOperationError",
     "negotiate",

@@ -11,9 +11,11 @@ Three subcommands cover the whole zero-to-cluster path::
 
 ``init`` writes the shared ``cluster.json`` description; each
 ``serve-node`` process regenerates the deterministic dataset, ingests
-only its own Morton shard, and serves the wire protocol; ``serve-http``
-runs a mediator over :class:`~repro.net.transport.TcpTransport` and
-puts the web service on an HTTP port.
+only its own Morton shard(s), and serves the wire protocol;
+``serve-http`` runs a mediator over
+:class:`~repro.net.transport.TcpTransport` — handed the cluster's
+replica placement, whatever its replication factor — and puts the web
+service on an HTTP port.
 """
 
 from __future__ import annotations
@@ -109,25 +111,20 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     from repro.cluster.mediator import Mediator
     from repro.cluster.partition import MortonPartitioner
     from repro.cluster.webservice import WebService
+    from repro.ha.placement import PlacementMap
     from repro.net.http import HttpFrontend
     from repro.net.transport import TcpTransport
     from repro.obs import tracing
 
     addresses = _split_addresses(args.nodes)
-    if args.replication_factor > 1:
-        from repro.ha import HaTcpTransport, PlacementMap
-
-        placement = PlacementMap(
+    transport = TcpTransport(
+        addresses,
+        placement=PlacementMap(
             len(addresses), len(addresses), args.replication_factor
-        )
-        transport: TcpTransport = HaTcpTransport(
-            addresses,
-            placement=placement,
-            heartbeat_interval=args.heartbeat_interval,
-            timeout=args.rpc_timeout,
-        )
-    else:
-        transport = TcpTransport(addresses, timeout=args.rpc_timeout)
+        ),
+        heartbeat_interval=args.heartbeat_interval,
+        timeout=args.rpc_timeout,
+    )
     names = transport.dataset_names()
     if not names:
         report("node servers expose no datasets; run init + serve-node first",

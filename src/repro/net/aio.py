@@ -129,6 +129,8 @@ class AsyncHttpFrontend:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Event | None = None
         self._queue: "asyncio.PriorityQueue[_Queued]" | None = None
+        #: Live keep-alive session tasks (touched on the loop thread only).
+        self._sessions: "set[asyncio.Task[None]]" = set()
         self._startup_error: BaseException | None = None
         metrics = service.metrics
         self._connections = metrics.gauge(
@@ -215,12 +217,21 @@ class AsyncHttpFrontend:
         ]
         self._ready.set()
         try:
-            async with server:
-                await self._stopping.wait()
+            await self._stopping.wait()
         finally:
-            for worker in workers:
-                worker.cancel()
-            await asyncio.gather(*workers, return_exceptions=True)
+            # Stop accepting first, then end what is still running: the
+            # dispatch slots and every keep-alive session a client left
+            # connected — cancelled and awaited here, while the loop is
+            # fully alive, not left to asyncio.run()'s teardown.
+            server.close()
+            running = [*workers, *self._sessions]
+            for task in running:
+                task.cancel()
+            await asyncio.gather(*running, return_exceptions=True)
+            try:
+                await asyncio.wait_for(server.wait_closed(), self._io_timeout)
+            except asyncio.TimeoutError:
+                pass  # the listener is closed; a straggler cannot hold us
             bridge.shutdown(wait=False)
 
     # -- connection handling -----------------------------------------------
@@ -229,6 +240,9 @@ class AsyncHttpFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One keep-alive session; never raises into the event loop."""
+        task = asyncio.current_task()
+        assert task is not None
+        self._sessions.add(task)
         self._connections.inc()
         try:
             await self._session(reader, writer)
@@ -238,7 +252,15 @@ class AsyncHttpFrontend:
             self.service.note_client_disconnect("async")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             self.service.note_client_disconnect("async")
+        except asyncio.CancelledError:
+            # Only _main's shutdown cancels a session, and all a session
+            # has to unwind is its socket (closed below): a clean close.
+            # Re-raising would hand the cancellation to the stream
+            # machinery's done-callback, which reports it to the loop's
+            # exception handler as an unhandled error.
+            pass
         finally:
+            self._sessions.discard(task)
             self._connections.dec()
             writer.close()
             try:

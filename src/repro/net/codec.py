@@ -57,6 +57,10 @@ TRACE_HEADER_KEY = "trace"
 #: Ceiling on blobs per message (a batch of 64 queries ships 128).
 MAX_BLOBS = 4096
 
+#: Point columns a stream sink accumulated from PARTIAL frames, keyed by
+#: the frames' ``"query"`` index (0 when absent).
+Runs = Mapping[int, tuple[np.ndarray, np.ndarray]]
+
 
 # -- message layer ----------------------------------------------------------
 
@@ -275,10 +279,17 @@ def threshold_result_to_wire(
 
 
 def threshold_result_from_wire(
-    header: dict, blobs: Sequence[Buffer]
+    header: dict,
+    blobs: Sequence[Buffer],
+    runs: Runs | None = None,
 ) -> NodeThresholdResult:
-    """Rebuild one node's threshold contribution from the wire."""
-    zindexes, values = _point_columns(blobs, 0)
+    """Rebuild one node's threshold contribution from the wire.
+
+    ``runs`` carries the accumulated point columns of a response that
+    streamed as PARTIAL frames (run 0); the final frame then ships the
+    header only.
+    """
+    zindexes, values = _result_columns(blobs, runs, 0)
     return NodeThresholdResult(
         zindexes,
         values,
@@ -319,11 +330,18 @@ def batch_results_to_wire(
 
 
 def batch_results_from_wire(
-    header: dict, blobs: Sequence[Buffer]
+    header: dict,
+    blobs: Sequence[Buffer],
+    runs: Runs | None = None,
 ) -> list[NodeThresholdResult]:
-    """Rebuild a node's batch contributions (one shared ledger)."""
+    """Rebuild a node's batch contributions (one shared ledger).
+
+    ``runs`` carries the point columns of a response that streamed as
+    PARTIAL frames, keyed by query index; queries that streamed no
+    points get empty columns.
+    """
     items = header["items"]
-    if len(blobs) != 2 * len(items):
+    if runs is None and len(blobs) != 2 * len(items):
         raise ProtocolError(
             f"batch response carries {len(blobs)} blobs for {len(items)} items"
         )
@@ -332,48 +350,7 @@ def batch_results_from_wire(
     ledger = ledger_from_wire(header["ledger"])
     results = []
     for i, item in enumerate(items):
-        zindexes, values = _point_columns(blobs, 2 * i)
-        results.append(
-            NodeThresholdResult(
-                zindexes,
-                values,
-                ledger,
-                cache_hit=bool(item["cache_hit"]),
-                boxes_evaluated=int(item["boxes_evaluated"]),
-                cache_stored=bool(item["cache_stored"]),
-            )
-        )
-    return results
-
-
-def threshold_result_from_stream(
-    header: dict, zindexes: np.ndarray, values: np.ndarray
-) -> NodeThresholdResult:
-    """Rebuild a threshold contribution whose points arrived as PARTIAL
-    frames: the final frame's header plus the accumulated columns."""
-    return NodeThresholdResult(
-        zindexes,
-        values,
-        ledger_from_wire(header["ledger"]),
-        cache_hit=bool(header["cache_hit"]),
-        boxes_evaluated=int(header["boxes_evaluated"]),
-        cache_stored=bool(header["cache_stored"]),
-    )
-
-
-def batch_results_from_stream(
-    header: dict, runs: Mapping[int, tuple[np.ndarray, np.ndarray]]
-) -> list[NodeThresholdResult]:
-    """Rebuild batch contributions whose points arrived as PARTIAL
-    frames keyed by query index (one shared ledger, like the wire form).
-    Queries that streamed no points get empty columns."""
-    items = header["items"]
-    ledger = ledger_from_wire(header["ledger"])
-    empty_z = np.empty(0, dtype=np.uint64)
-    empty_v = np.empty(0, dtype=np.float64)
-    results = []
-    for i, item in enumerate(items):
-        zindexes, values = runs.get(i, (empty_z, empty_v))
+        zindexes, values = _result_columns(blobs, runs, i)
         results.append(
             NodeThresholdResult(
                 zindexes,
@@ -459,6 +436,19 @@ def halo_atoms_from_wire(
         int(z): body[i * atom_bytes : (i + 1) * atom_bytes]
         for i, z in enumerate(zindexes)
     }
+
+
+def _result_columns(
+    blobs: Sequence[Buffer],
+    runs: Runs | None,
+    index: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Result ``index``'s columns: its streamed run, else its blob pair."""
+    if runs is None:
+        return _point_columns(blobs, 2 * index)
+    return runs.get(
+        index, (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
+    )
 
 
 def _point_columns(

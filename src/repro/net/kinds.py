@@ -1,0 +1,410 @@
+"""The query-kind table: the one place that knows how kinds differ.
+
+The mediator does the same thing for every request — split by spatial
+layout, submit each part to the node holding the data, assemble (paper
+§2) — and so does every layer under it.  What differs between a
+threshold, a batched threshold, a PDF and a top-k query is captured
+here once, as a :class:`QueryKind`: how the request and the per-node
+result cross the wire, which node function evaluates a part, which
+region the query scatters over, which ledger a part reports, and how
+the mediator assembles the parts into the public result.  The mediator,
+both transports, the node server and the stream sink each run one
+generic path over :data:`KINDS`.
+
+Adding a kind is one entry in that dict (see DESIGN.md, "Adding a
+query kind"); no other module of the scatter path names a kind.
+
+This module sits directly above :mod:`repro.core` and
+:mod:`repro.net.codec` and imports nothing higher.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+
+import numpy as np
+
+from repro.core.batch import BatchThresholdResult, get_batch_on_node
+from repro.core.cache import SemanticCache
+from repro.core.executor import NodeExecutor
+from repro.core.limits import ThresholdTooLowError
+from repro.core.pdf import NodePdfResult, get_pdf_on_node
+from repro.core.pointset import merge_sorted_runs
+from repro.core.query import (
+    PdfQuery,
+    PdfResult,
+    ThresholdQuery,
+    ThresholdResult,
+    TopKQuery,
+    TopKResult,
+)
+from repro.core.threshold import NodeThresholdResult, get_threshold_on_node
+from repro.core.topk import NodeTopKResult, get_topk_on_node
+from repro.costmodel import Category, ClusterSpec, CostLedger
+from repro.costmodel.ledger import METER_RESULT_POINTS
+from repro.fields.derived import FieldRegistry
+from repro.grid import Box
+from repro.net import codec
+from repro.net.frame import Buffer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.node import DatabaseNode
+    from repro.core.pdfcache import PdfCache
+
+#: The per-part options a request header may carry, with the value a
+#: node server assumes when the caller sent none.
+OPTION_DEFAULTS: Mapping[str, "bool | int"] = {
+    "use_cache": True,
+    "processes": 1,
+    "io_only": False,
+}
+
+#: One keyed point run of a streamed result: the PARTIAL header tag
+#: (``{}`` or ``{"query": index}``) and the Morton-sorted columns.
+TaggedRun = tuple[dict, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class NodeContext:
+    """One node's evaluation state, as every kind's node function sees it.
+
+    ``cache`` and ``pdf_cache`` are ``None`` on a cluster built without
+    caches; a kind's ``run`` additionally ignores them when the caller
+    passed ``use_cache=False``.
+    """
+
+    node: "DatabaseNode"
+    executor: NodeExecutor
+    cache: SemanticCache | None
+    pdf_cache: "PdfCache | None"
+    registry: FieldRegistry
+
+
+@dataclass(frozen=True)
+class Gather:
+    """The mediator's side of one query, handed to ``assemble``.
+
+    ``ledger`` is already the parallel roll-up of the part ledgers; the
+    assemble step adds the network phases and result meters to it.
+    """
+
+    query_id: str
+    node_count: int
+    spec: ClusterSpec
+    ledger: CostLedger
+    max_points: int
+
+    def charge_networks(self, result_points: int) -> None:
+        """Charge the mediator<->node (LAN) and mediator<->user (WAN,
+        XML-inflated) transfers of ``result_points`` result records."""
+        result_bytes = result_points * self.spec.point_record_bytes
+        self.ledger.charge(
+            Category.MEDIATOR_DB,
+            self.spec.lan.transfer_time(
+                result_bytes, round_trips=self.node_count
+            ),
+        )
+        self.ledger.charge(
+            Category.MEDIATOR_USER, self.spec.wan.transfer_time(result_bytes)
+        )
+
+
+@dataclass(frozen=True)
+class Assembled:
+    """An assembled query: the public result plus what the mediator
+    folds into its metrics and :class:`ServiceStatistics`.
+
+    ``served`` holds one ``(participating nodes, node cache hits,
+    points)`` row per threshold answer delivered — one for a threshold
+    query, one per query of a batch, none for kinds the service
+    statistics do not count.
+    """
+
+    result: Any
+    points: int
+    fanout: int
+    node_hits: int = 0
+    node_misses: int = 0
+    served: Sequence[tuple[int, int, int]] = ()
+
+
+@dataclass(frozen=True)
+class PointStream:
+    """How a kind's oversized results travel as PARTIAL chunk frames.
+
+    ``header`` is the result's control header without its columns (it
+    becomes the terminating RESPONSE); ``runs`` lists the result's keyed
+    point runs in the order they are streamed.
+    """
+
+    header: Callable[[Any], dict]
+    runs: Callable[[Any], list[TaggedRun]]
+
+
+@dataclass(frozen=True)
+class QueryKind:
+    """Everything that differs between query kinds, and nothing else.
+
+    Attributes:
+        name: the wire method name; also the ``queries_total{kind}``
+            label and the ``query.<name>`` span suffix.
+        request_key: header key the request travels under.
+        options: which of :data:`OPTION_DEFAULTS` a part takes, in
+            header order.
+        request_to_wire / request_from_wire: request <-> JSON value.
+        run: the node function, normalised to ``run(context, request,
+            boxes, **options)`` -> part (``use_cache=False`` hides the
+            context's caches from it).
+        result_to_wire: part -> monolithic ``(header, blobs)``.
+        result_from_wire: ``(header, blobs, runs)`` -> part; ``runs``
+            is ``None`` for a monolithic response, else the streamed
+            point runs that replace the column blobs.
+        region: request -> ``(dataset, box)`` the kind scatters over
+            (``None`` = the whole domain).
+        part_ledger: part -> the ledger that part reports.
+        span_attributes: request -> attributes of the root span.
+        assemble: ``(gather, request, parts)`` -> :class:`Assembled`.
+        stream: the chunked form, for kinds whose results can be large.
+    """
+
+    name: str
+    request_to_wire: Callable[[Any], Any]
+    request_from_wire: Callable[[Any], Any]
+    run: Callable[..., Any]
+    result_to_wire: Callable[[Any], tuple[dict, list[bytes]]]
+    result_from_wire: Callable[[dict, Sequence[Buffer], codec.Runs | None], Any]
+    region: Callable[[Any], tuple[str, Box | None]]
+    span_attributes: Callable[[Any], dict]
+    assemble: Callable[[Gather, Any, list], Assembled]
+    request_key: str = "query"
+    options: tuple[str, ...] = ("use_cache", "processes")
+    part_ledger: Callable[[Any], CostLedger] = attrgetter("ledger")
+    stream: PointStream | None = None
+
+    def request_header(
+        self, request: Any, boxes: Sequence[Box], options: Mapping[str, Any]
+    ) -> dict:
+        """The REQUEST header of one node part."""
+        return {
+            self.request_key: self.request_to_wire(request),
+            "boxes": codec.boxes_to_wire(boxes),
+            **{name: options[name] for name in self.options},
+        }
+
+    def parse_request(self, header: dict) -> tuple[Any, list[Box], dict]:
+        """``(request, boxes, options)`` from a REQUEST header."""
+        options = {
+            name: type(OPTION_DEFAULTS[name])(
+                header.get(name, OPTION_DEFAULTS[name])
+            )
+            for name in self.options
+        }
+        return (
+            self.request_from_wire(header[self.request_key]),
+            codec.boxes_from_wire(header["boxes"]),
+            options,
+        )
+
+
+# -- mediator-side assembly ---------------------------------------------------
+
+
+def _participating(parts: Sequence[NodeThresholdResult]) -> int:
+    """Node shares that did any work for a threshold answer."""
+    return sum(
+        1 for part in parts
+        if len(part) or part.boxes_evaluated or part.cache_hit
+    )
+
+
+def _merge_threshold(
+    gather: Gather, parts: Sequence[NodeThresholdResult]
+) -> ThresholdResult:
+    """One threshold answer from its per-node shares, limit enforced."""
+    total = sum(len(part) for part in parts)
+    if total > gather.max_points:
+        raise ThresholdTooLowError(total, gather.max_points)
+    # Nodes own disjoint curve spans gathered in node order, so this is
+    # a plain concatenation on the fast path.
+    zindexes, values = merge_sorted_runs(
+        [(part.zindexes, part.values) for part in parts]
+    )
+    return ThresholdResult(
+        zindexes, values, gather.ledger,
+        cache_hits=sum(1 for part in parts if part.cache_hit),
+        nodes=gather.node_count, query_id=gather.query_id,
+    )
+
+
+def _assemble_threshold(
+    gather: Gather, query: ThresholdQuery, parts: list[NodeThresholdResult]
+) -> Assembled:
+    result = _merge_threshold(gather, parts)
+    gather.charge_networks(len(result))
+    gather.ledger.count(METER_RESULT_POINTS, len(result))
+    participating, hits = _participating(parts), result.cache_hits
+    return Assembled(
+        result, len(result), fanout=participating,
+        node_hits=hits, node_misses=participating - hits,
+        served=[(participating, hits, len(result))],
+    )
+
+
+def _assemble_batch(
+    gather: Gather,
+    queries: list[ThresholdQuery],
+    parts: list[list[NodeThresholdResult]],
+) -> Assembled:
+    # Per query, the same merge as a lone threshold query over that
+    # query's share of every node's batch part.
+    shares = [[per_node[i] for per_node in parts] for i in range(len(queries))]
+    results = [_merge_threshold(gather, share) for share in shares]
+    total = sum(len(result) for result in results)
+    gather.charge_networks(total)
+    gather.ledger.count(METER_RESULT_POINTS, total)
+    return Assembled(
+        BatchThresholdResult(results, gather.ledger), total,
+        fanout=len(parts),
+        served=[
+            (_participating(share), result.cache_hits, len(result))
+            for share, result in zip(shares, results)
+        ],
+    )
+
+
+def _assemble_pdf(
+    gather: Gather, query: PdfQuery, parts: list[NodePdfResult]
+) -> Assembled:
+    counts = sum(part.counts for part in parts)
+    # A PDF response is a handful of numbers; charge latency only.
+    gather.charge_networks(0)
+    result = PdfResult(
+        counts, query.bin_edges, gather.ledger, query_id=gather.query_id
+    )
+    return Assembled(result, 0, fanout=len(parts))
+
+
+def _assemble_topk(
+    gather: Gather, query: TopKQuery, parts: list[NodeTopKResult]
+) -> Assembled:
+    zindexes = np.concatenate([part.zindexes for part in parts])
+    values = np.concatenate([part.values for part in parts])
+    if len(values) > query.k:
+        keep = np.argpartition(values, -query.k)[-query.k :]
+        zindexes, values = zindexes[keep], values[keep]
+    order = np.argsort(values)[::-1]
+    gather.charge_networks(len(values))
+    result = TopKResult(
+        zindexes[order], values[order], gather.ledger,
+        query_id=gather.query_id,
+    )
+    return Assembled(result, len(values), fanout=len(parts))
+
+
+# -- the table ----------------------------------------------------------------
+
+KINDS: dict[str, QueryKind] = {
+    kind.name: kind
+    for kind in (
+        QueryKind(
+            name="threshold",
+            options=("use_cache", "processes", "io_only"),
+            request_to_wire=codec.threshold_query_to_wire,
+            request_from_wire=codec.threshold_query_from_wire,
+            run=lambda ctx, query, boxes, *, use_cache, **options: (
+                get_threshold_on_node(
+                    ctx.node, ctx.executor, ctx.cache if use_cache else None,
+                    ctx.registry, query, boxes, **options,
+                )
+            ),
+            result_to_wire=codec.threshold_result_to_wire,
+            result_from_wire=codec.threshold_result_from_wire,
+            region=lambda query: (query.dataset, query.box),
+            span_attributes=lambda query: {
+                "dataset": query.dataset, "field": query.field,
+                "timestep": query.timestep, "threshold": query.threshold,
+            },
+            assemble=_assemble_threshold,
+            stream=PointStream(
+                header=codec.threshold_result_header,
+                runs=lambda part: [({}, part.zindexes, part.values)],
+            ),
+        ),
+        QueryKind(
+            name="batch_threshold",
+            request_key="queries",
+            request_to_wire=lambda queries: [
+                codec.threshold_query_to_wire(query) for query in queries
+            ],
+            request_from_wire=lambda records: [
+                codec.threshold_query_from_wire(record) for record in records
+            ],
+            run=lambda ctx, queries, boxes, *, use_cache, **options: (
+                get_batch_on_node(
+                    ctx.node, ctx.executor, ctx.cache if use_cache else None,
+                    ctx.registry, queries, boxes, **options,
+                )
+            ),
+            result_to_wire=codec.batch_results_to_wire,
+            result_from_wire=codec.batch_results_from_wire,
+            region=lambda queries: (queries[0].dataset, queries[0].box),
+            # One shared ledger across the batch: the first item's.
+            part_ledger=lambda parts: parts[0].ledger,
+            span_attributes=lambda queries: {
+                "dataset": queries[0].dataset, "queries": len(queries),
+            },
+            assemble=_assemble_batch,
+            stream=PointStream(
+                header=codec.batch_results_header,
+                runs=lambda parts: [
+                    ({"query": index}, item.zindexes, item.values)
+                    for index, item in enumerate(parts)
+                ],
+            ),
+        ),
+        QueryKind(
+            name="pdf",
+            request_to_wire=codec.pdf_query_to_wire,
+            request_from_wire=codec.pdf_query_from_wire,
+            run=lambda ctx, query, boxes, *, use_cache, **options: (
+                get_pdf_on_node(
+                    ctx.node, ctx.executor, ctx.registry, query, boxes,
+                    pdf_cache=ctx.pdf_cache if use_cache else None, **options,
+                )
+            ),
+            result_to_wire=codec.pdf_result_to_wire,
+            result_from_wire=lambda header, blobs, runs: (
+                codec.pdf_result_from_wire(header, blobs)
+            ),
+            region=lambda query: (query.dataset, None),
+            span_attributes=lambda query: {
+                "dataset": query.dataset, "field": query.field,
+                "timestep": query.timestep,
+            },
+            assemble=_assemble_pdf,
+        ),
+        QueryKind(
+            name="topk",
+            request_to_wire=codec.topk_query_to_wire,
+            request_from_wire=codec.topk_query_from_wire,
+            run=lambda ctx, query, boxes, *, use_cache, **options: (
+                get_topk_on_node(
+                    ctx.node, ctx.executor, ctx.registry, query, boxes,
+                    cache=ctx.cache if use_cache else None, **options,
+                )
+            ),
+            result_to_wire=codec.topk_result_to_wire,
+            result_from_wire=lambda header, blobs, runs: (
+                codec.topk_result_from_wire(header, blobs)
+            ),
+            region=lambda query: (query.dataset, None),
+            span_attributes=lambda query: {
+                "dataset": query.dataset, "field": query.field,
+                "timestep": query.timestep, "k": query.k,
+            },
+            assemble=_assemble_topk,
+        ),
+    )
+}

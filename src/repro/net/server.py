@@ -33,7 +33,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -41,11 +41,8 @@ from repro.cluster.node import DatabaseNode
 from repro.cluster.partition import MortonPartitioner
 from repro.core.cache import SemanticCache
 from repro.core.executor import HaloPeer, NodeExecutor
-from repro.core.pdf import get_pdf_on_node
 from repro.core.pdfcache import PdfCache
 from repro.core.pointset import pack_f64, pack_u64
-from repro.core.threshold import get_threshold_on_node
-from repro.core.topk import get_topk_on_node
 from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_HALO_BYTES, METER_HALO_SECONDS
 from repro.fields.derived import FieldRegistry, UnknownFieldError, default_registry
@@ -75,6 +72,7 @@ from repro.net.frame import (
     send_frame,
     send_shm_frame,
 )
+from repro.net.kinds import KINDS, NodeContext, QueryKind, TaggedRun
 from repro.net.pool import ConnectionPool
 from repro.net.shm import ShmWriter, host_token
 from repro.net.stream import STREAM_CHUNK_POINTS, iter_point_chunks
@@ -157,6 +155,10 @@ class StreamedResponse:
     partials: Iterable[tuple[dict, list[Buffer]]]
     header: dict
     blobs: list[Buffer]
+
+
+#: What a request handler returns: one message, or a chunk stream.
+Response = Union[tuple[dict, Sequence[Buffer]], StreamedResponse]
 
 
 class _ConnectionState:
@@ -493,6 +495,14 @@ class NodeServer:
         self._open_conns: set[socket.socket] = set()
         self._lock = threading.Lock()
         self._echo_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: The non-query RPCs, by wire method name.
+        self._control: dict[str, Callable[[dict, list[Buffer]], Response]] = {
+            "halo": self._serve_halo,
+            "digest": self._serve_digest,
+            "describe": self._serve_describe,
+            "register_field": self._serve_register_field,
+            "echo": self._serve_echo,
+        }
 
     def connect_peers(
         self, peer_addresses: "Sequence[str | tuple[str, int]]"
@@ -878,33 +888,23 @@ class NodeServer:
 
     # -- request dispatch --------------------------------------------------------
 
-    def _dispatch(
-        self, method: str, header: dict, blobs: list[Buffer]
-    ) -> "tuple[dict, list[Buffer]] | StreamedResponse":
-        """Run one RPC; returns ``(header, blobs)`` or a chunk stream."""
+    def _dispatch(self, method: str, header: dict, blobs: list[Buffer]) -> Response:
+        """Run one RPC; returns ``(header, blobs)`` or a chunk stream.
+
+        Query methods are the :data:`~repro.net.kinds.KINDS` table's
+        names; everything else is a control handler.
+        """
         with tracing.span("server.request", method=method, node=self.node_id):
-            if method == "threshold":
-                return self._serve_threshold(header)
-            if method == "batch_threshold":
-                return self._serve_batch(header)
-            if method == "pdf":
-                return self._serve_pdf(header)
-            if method == "topk":
-                return self._serve_topk(header)
-            if method == "halo":
-                return self._serve_halo(header)
-            if method == "digest":
-                return self._serve_digest(header)
-            if method == "describe":
-                return self._serve_describe()
-            if method == "register_field":
-                return self._serve_register_field(header)
-            if method == "echo":
-                return self._serve_echo(header, blobs)
-            raise ValueError(f"unknown RPC method {method!r}")
+            kind = KINDS.get(method)
+            if kind is not None:
+                return self._serve_query(kind, header)
+            control = self._control.get(method)
+            if control is None:
+                raise ValueError(f"unknown RPC method {method!r}")
+            return control(header, blobs)
 
     def _point_stream(
-        self, items: "Sequence[tuple[dict, np.ndarray, np.ndarray]]"
+        self, items: Sequence[TaggedRun]
     ) -> Iterable[tuple[dict, list[Buffer]]]:
         """PARTIAL messages for column pairs, chunked and tagged.
 
@@ -922,89 +922,33 @@ class NodeServer:
                     [_column_view(z_chunk, "<u8"), _column_view(v_chunk, "<f8")],
                 )
 
-    def _serve_threshold(
-        self, header: dict
-    ) -> "tuple[dict, list[Buffer]] | StreamedResponse":
-        query = codec.threshold_query_from_wire(header["query"])
-        result = get_threshold_on_node(
+    def _serve_query(self, kind: QueryKind, header: dict) -> Response:
+        """One node part of any query kind: decode, evaluate, encode.
+
+        A kind that streams ships a result of more than
+        :attr:`stream_chunk_points` points as PARTIAL chunks plus a
+        column-less final header; everything else is one frame.
+        """
+        request, boxes, options = kind.parse_request(header)
+        context = NodeContext(
             self.node,
             self._require_executor(),
-            self.cache if header.get("use_cache", True) else None,
+            self.cache,
+            self.pdf_cache,
             self.registry,
-            query,
-            codec.boxes_from_wire(header["boxes"]),
-            processes=int(header.get("processes", 1)),
-            io_only=bool(header.get("io_only", False)),
         )
-        if len(result.zindexes) > self.stream_chunk_points:
-            return StreamedResponse(
-                self._point_stream([({}, result.zindexes, result.values)]),
-                {**codec.threshold_result_header(result), "streamed": True},
-                [],
-            )
-        return codec.threshold_result_to_wire(result)
+        result = kind.run(context, request, boxes, **options)
+        if kind.stream is not None:
+            runs = kind.stream.runs(result)
+            if sum(len(z) for _tag, z, _v in runs) > self.stream_chunk_points:
+                return StreamedResponse(
+                    self._point_stream(runs),
+                    {**kind.stream.header(result), "streamed": True},
+                    [],
+                )
+        return kind.result_to_wire(result)
 
-    def _serve_batch(
-        self, header: dict
-    ) -> "tuple[dict, list[Buffer]] | StreamedResponse":
-        from repro.core.batch import get_batch_on_node
-
-        queries = [
-            codec.threshold_query_from_wire(record)
-            for record in header["queries"]
-        ]
-        results = get_batch_on_node(
-            self.node,
-            self._require_executor(),
-            self.cache if header.get("use_cache", True) else None,
-            self.registry,
-            queries,
-            codec.boxes_from_wire(header["boxes"]),
-            processes=int(header.get("processes", 1)),
-        )
-        total_points = sum(len(item.zindexes) for item in results)
-        if total_points > self.stream_chunk_points:
-            return StreamedResponse(
-                self._point_stream(
-                    [
-                        ({"query": index}, item.zindexes, item.values)
-                        for index, item in enumerate(results)
-                    ]
-                ),
-                {**codec.batch_results_header(results), "streamed": True},
-                [],
-            )
-        return codec.batch_results_to_wire(results)
-
-    def _serve_pdf(self, header: dict) -> tuple[dict, list[bytes]]:
-        query = codec.pdf_query_from_wire(header["query"])
-        result = get_pdf_on_node(
-            self.node,
-            self._require_executor(),
-            self.registry,
-            query,
-            codec.boxes_from_wire(header["boxes"]),
-            processes=int(header.get("processes", 1)),
-            pdf_cache=(
-                self.pdf_cache if header.get("use_cache", True) else None
-            ),
-        )
-        return codec.pdf_result_to_wire(result)
-
-    def _serve_topk(self, header: dict) -> tuple[dict, list[bytes]]:
-        query = codec.topk_query_from_wire(header["query"])
-        result = get_topk_on_node(
-            self.node,
-            self._require_executor(),
-            self.registry,
-            query,
-            codec.boxes_from_wire(header["boxes"]),
-            processes=int(header.get("processes", 1)),
-            cache=self.cache if header.get("use_cache", True) else None,
-        )
-        return codec.topk_result_to_wire(result)
-
-    def _serve_halo(self, header: dict) -> tuple[dict, list[bytes]]:
+    def _serve_halo(self, header: dict, blobs: list[Buffer]) -> Response:
         # ledger=None: the requesting side charges the transfer (see
         # RemoteHaloPeer), mirroring the in-process charging split.
         atoms = self.node.serve_halo(
@@ -1016,7 +960,7 @@ class NodeServer:
         )
         return codec.halo_atoms_to_wire(atoms)
 
-    def _serve_digest(self, header: dict) -> tuple[dict, list[bytes]]:
+    def _serve_digest(self, header: dict, blobs: list[Buffer]) -> Response:
         """Per-atom content digests over Morton ranges (anti-entropy).
 
         A rejoining replica compares this map against its own copy and
@@ -1045,7 +989,7 @@ class NodeServer:
             [],
         )
 
-    def _serve_describe(self) -> tuple[dict, list[bytes]]:
+    def _serve_describe(self, header: dict, blobs: list[Buffer]) -> Response:
         datasets = []
         for name in self.node.dataset_names:
             spec = self.node.dataset(name)
@@ -1066,15 +1010,13 @@ class NodeServer:
             [],
         )
 
-    def _serve_register_field(self, header: dict) -> tuple[dict, list[bytes]]:
+    def _serve_register_field(self, header: dict, blobs: list[Buffer]) -> Response:
         derived = self.registry.register_expression(
             str(header["name"]), str(header["text"])
         )
         return {"field": field_description(derived)}, []
 
-    def _serve_echo(
-        self, header: dict, blobs: list[Buffer]
-    ) -> "tuple[dict, list[Buffer]] | StreamedResponse":
+    def _serve_echo(self, header: dict, blobs: list[Buffer]) -> Response:
         """Diagnostic transfer RPC for benchmarks and wire tests.
 
         With ``{"points": n}`` the server synthesizes a deterministic

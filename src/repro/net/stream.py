@@ -1,6 +1,6 @@
 """Streamed partial results: chunked point columns over PARTIAL frames.
 
-Large threshold/batch responses do not ship as one monolithic frame.
+Large point-set responses do not ship as one monolithic frame.
 The node server slices its Morton-sorted result columns into bounded
 chunks (:func:`iter_point_chunks`) and emits one ``PARTIAL`` frame per
 chunk, terminated by a final ``RESPONSE`` frame that carries the ledger
@@ -105,34 +105,13 @@ class PointRunAccumulator:
         return self._zindexes, self._values
 
 
-class ThresholdStreamSink:
-    """:class:`PartialSink` for a streamed threshold response."""
+class PointStreamSink:
+    """:class:`PartialSink` for a streamed point-set response.
 
-    def __init__(self) -> None:
-        self._run = PointRunAccumulator()
-        self.partial_frames = 0
-
-    def reset(self) -> None:
-        """Drop accumulated chunks (the pool retries the whole call)."""
-        self._run.reset()
-        self.partial_frames = 0
-
-    def feed(self, header: dict, blobs: Sequence[Buffer]) -> None:
-        """Merge one chunk's packed point columns as it arrives."""
-        zindexes, values = _point_columns(blobs, 0)
-        self._run.extend(zindexes, values)
-        self.partial_frames += 1
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The fully merged ``(zindexes, values)`` columns."""
-        return self._run.columns()
-
-
-class BatchStreamSink:
-    """:class:`PartialSink` for a streamed batch-threshold response.
-
-    Chunks carry a ``"query"`` index in their header; each query gets
-    its own accumulator so per-query results keep their Morton order.
+    Chunks carry their run's ``"query"`` index in the PARTIAL header
+    (absent = run 0, the single run of a threshold response; a batch
+    streams one run per query); each run gets its own accumulator so
+    its points keep their Morton order.
     """
 
     def __init__(self) -> None:
@@ -140,22 +119,22 @@ class BatchStreamSink:
         self.partial_frames = 0
 
     def reset(self) -> None:
-        """Drop every query's accumulated chunks."""
+        """Drop every run's accumulated chunks (the pool retries the
+        whole call)."""
         self._runs.clear()
         self.partial_frames = 0
 
     def feed(self, header: dict, blobs: Sequence[Buffer]) -> None:
-        """Route one chunk to its query's accumulator."""
-        query = int(header["query"])
+        """Merge one chunk's packed point columns into its run."""
         zindexes, values = _point_columns(blobs, 0)
-        self._runs.setdefault(query, PointRunAccumulator()).extend(
-            zindexes, values
-        )
+        self._runs.setdefault(
+            int(header.get("query", 0)), PointRunAccumulator()
+        ).extend(zindexes, values)
         self.partial_frames += 1
 
     def runs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Merged columns per query index."""
-        return {query: run.columns() for query, run in self._runs.items()}
+        """The fully merged ``(zindexes, values)`` columns per run."""
+        return {index: run.columns() for index, run in self._runs.items()}
 
 
 class ByteStreamSink:

@@ -21,11 +21,17 @@ per node, and large threshold/batch responses arrive as PARTIAL chunk
 streams that are merged incrementally via ``merge_sorted_runs`` while
 the remaining chunks are still in flight.
 
-``TcpTransport`` assumes shard ``node_id`` *is* physical node
-``node_id`` — the unreplicated layout.  On a replicated cluster use
-:class:`repro.ha.HaTcpTransport`, which subclasses this transport and
-re-routes each per-shard call across the shard's replicas with health/
-latency awareness and mid-query failover.
+Every transport implements the part path once — :meth:`Transport.part`,
+driven by the :class:`~repro.net.kinds.QueryKind` table — and the four
+public ``*_part`` names are typed one-liners over it.
+
+Replication is data, not a second transport: ``TcpTransport`` routes
+each *shard* call over the shard's replicas in a
+:class:`~repro.ha.placement.PlacementMap` with health/latency awareness
+and mid-query failover.  With no placement given it builds the
+replication-factor-1 map, which sends shard *i* to node *i* — the
+unreplicated layout, answer for answer and error for error.
+:data:`repro.ha.HaTcpTransport` is this same class.
 """
 
 from __future__ import annotations
@@ -33,32 +39,69 @@ from __future__ import annotations
 import abc
 import random
 import threading
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.pdf import NodePdfResult, get_pdf_on_node
+from repro.core.pdf import NodePdfResult
 from repro.core.query import PdfQuery, ThresholdQuery, TopKQuery
-from repro.core.threshold import NodeThresholdResult, get_threshold_on_node
-from repro.core.topk import NodeTopKResult, get_topk_on_node
+from repro.core.threshold import NodeThresholdResult
+from repro.core.topk import NodeTopKResult
 from repro.costmodel import ClusterSpec
 from repro.costmodel.ledger import METER_WIRE_BYTES
 from repro.grid import Box
-from repro.net import codec
 from repro.net.client import CallResult, RetryPolicy
 from repro.net.compress import CompressionConfig
-from repro.net.errors import ProtocolError
+from repro.net.errors import (
+    ConnectionLostError,
+    DeadlineExceededError,
+    NetError,
+    NoLiveReplicaError,
+    NodeUnavailableError,
+    ProtocolError,
+    RemoteCallError,
+)
 from repro.net.frame import Buffer
+from repro.net.kinds import KINDS, NodeContext, QueryKind
 from repro.net.pool import ConnectionPool
-from repro.net.stream import BatchStreamSink, PartialSink, ThresholdStreamSink
+from repro.net.stream import PartialSink, PointStreamSink
 from repro.obs import clock, tracing
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.mediator import Mediator
+    from repro.ha.placement import PlacementMap
+    from repro.ha.router import ReplicaRouter
 
 #: Default per-RPC budget: generous enough for a cold full-domain scan
 #: on CI hardware, small enough that a hung node fails the query rather
 #: than the session.
 DEFAULT_RPC_TIMEOUT = 60.0
+
+#: Error names (local types and remote halo failures surfaced as typed
+#: ERROR frames) that mean "this replica cannot answer right now" —
+#: the only failures worth retrying on a different replica.
+_FAILOVER_TYPES = frozenset(
+    {"ConnectionLostError", "DeadlineExceededError", "NodeUnavailableError"}
+)
+
+
+def failover_worthy(error: NetError) -> bool:
+    """Whether an error indicates a dead/unreachable replica.
+
+    Connection loss, node unavailability and a blown deadline all mean
+    the *replica* failed, not the request; a typed remote error whose
+    remote type is one of those names is a node that answered but could
+    not reach a dependency (its own halo peer died mid-query) — another
+    replica with a different halo topology may still succeed.
+    """
+    if isinstance(
+        error,
+        (ConnectionLostError, DeadlineExceededError, NodeUnavailableError),
+    ):
+        return True
+    return (
+        isinstance(error, RemoteCallError)
+        and error.remote_type in _FAILOVER_TYPES
+    )
 
 
 class Transport(abc.ABC):
@@ -70,6 +113,24 @@ class Transport(abc.ABC):
         """How many nodes answer queries through this transport."""
 
     @abc.abstractmethod
+    def part(
+        self,
+        kind: QueryKind,
+        node_id: int,
+        request: Any,
+        boxes: list[Box],
+        *,
+        timeout: float | None = None,
+        **options: Any,
+    ) -> Any:
+        """One node's share of a query of any kind — the one part path.
+
+        ``options`` are the kind's per-part options (``kind.options``).
+        ``timeout`` bounds the part in wall seconds on networked
+        transports (``None`` uses the transport's configured default);
+        in-process parts run inline and ignore it.
+        """
+
     def threshold_part(
         self,
         node_id: int,
@@ -81,14 +142,12 @@ class Transport(abc.ABC):
         io_only: bool,
         timeout: float | None = None,
     ) -> NodeThresholdResult:
-        """One node's share of a threshold query.
+        """One node's share of a threshold query."""
+        return self.part(
+            KINDS["threshold"], node_id, query, boxes, timeout=timeout,
+            use_cache=use_cache, processes=processes, io_only=io_only,
+        )
 
-        ``timeout`` bounds the part in wall seconds on networked
-        transports (``None`` uses the transport's configured default);
-        in-process parts run inline and ignore it.
-        """
-
-    @abc.abstractmethod
     def batch_part(
         self,
         node_id: int,
@@ -100,8 +159,11 @@ class Transport(abc.ABC):
         timeout: float | None = None,
     ) -> list[NodeThresholdResult]:
         """One node's share of a batched threshold query."""
+        return self.part(
+            KINDS["batch_threshold"], node_id, queries, boxes,
+            timeout=timeout, use_cache=use_cache, processes=processes,
+        )
 
-    @abc.abstractmethod
     def pdf_part(
         self,
         node_id: int,
@@ -113,8 +175,11 @@ class Transport(abc.ABC):
         timeout: float | None = None,
     ) -> NodePdfResult:
         """One node's share of a PDF query."""
+        return self.part(
+            KINDS["pdf"], node_id, query, boxes, timeout=timeout,
+            use_cache=use_cache, processes=processes,
+        )
 
-    @abc.abstractmethod
     def topk_part(
         self,
         node_id: int,
@@ -126,6 +191,10 @@ class Transport(abc.ABC):
         timeout: float | None = None,
     ) -> NodeTopKResult:
         """One node's share of a top-k query."""
+        return self.part(
+            KINDS["topk"], node_id, query, boxes, timeout=timeout,
+            use_cache=use_cache, processes=processes,
+        )
 
     @abc.abstractmethod
     def dataset_side(self, dataset: str) -> int:
@@ -167,95 +236,27 @@ class InProcessTransport(Transport):
     def node_count(self) -> int:
         return len(self._mediator.nodes)
 
-    def threshold_part(
+    def part(
         self,
+        kind: QueryKind,
         node_id: int,
-        query: ThresholdQuery,
+        request: Any,
         boxes: list[Box],
         *,
-        use_cache: bool,
-        processes: int,
-        io_only: bool,
         timeout: float | None = None,
-    ) -> NodeThresholdResult:
+        **options: Any,
+    ) -> Any:
         # ``timeout`` is part of the transport contract but has nothing
         # to arm here: in-process parts never touch a socket.
         m = self._mediator
-        return get_threshold_on_node(
+        context = NodeContext(
             m.nodes[node_id],
             m.executors[node_id],
-            m.caches[node_id] if use_cache else None,
+            m.caches[node_id],
+            m.pdf_caches[node_id],
             m.registry,
-            query,
-            boxes,
-            processes=processes,
-            io_only=io_only,
         )
-
-    def batch_part(
-        self,
-        node_id: int,
-        queries: list[ThresholdQuery],
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> list[NodeThresholdResult]:
-        from repro.core.batch import get_batch_on_node
-
-        m = self._mediator
-        return get_batch_on_node(
-            m.nodes[node_id],
-            m.executors[node_id],
-            m.caches[node_id] if use_cache else None,
-            m.registry,
-            queries,
-            boxes,
-            processes=processes,
-        )
-
-    def pdf_part(
-        self,
-        node_id: int,
-        query: PdfQuery,
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> NodePdfResult:
-        m = self._mediator
-        return get_pdf_on_node(
-            m.nodes[node_id],
-            m.executors[node_id],
-            m.registry,
-            query,
-            boxes,
-            processes=processes,
-            pdf_cache=m.pdf_caches[node_id] if use_cache else None,
-        )
-
-    def topk_part(
-        self,
-        node_id: int,
-        query: TopKQuery,
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> NodeTopKResult:
-        m = self._mediator
-        return get_topk_on_node(
-            m.nodes[node_id],
-            m.executors[node_id],
-            m.registry,
-            query,
-            boxes,
-            processes=processes,
-            cache=m.caches[node_id] if use_cache else None,
-        )
+        return kind.run(context, request, boxes, **options)
 
     def dataset_side(self, dataset: str) -> int:
         return self._mediator.nodes[0].dataset(dataset).side
@@ -298,22 +299,51 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
 
 
 class TcpTransport(Transport):
-    """Parts run as RPCs to ``serve-node`` processes.
+    """Parts run as RPCs to ``serve-node`` processes, routed over replicas.
+
+    The mediator keeps addressing *shards* (its scatter is one part per
+    Morton shard); this transport maps each shard call to the best live
+    replica via a :class:`~repro.ha.router.ReplicaRouter` and, when the
+    call dies with a connection-level failure, retries the *same part*
+    against the next surviving replica:
+
+    * only the lost shard's sub-ranges are re-scattered — the other
+      parts of the query never notice;
+    * a streamed part's sink is reset at the start of every attempt (the
+      pool guarantees this), so PARTIAL chunks received from the dead
+      node are discarded and the part restarts clean;
+    * parts are gathered in shard order and merged with
+      ``merge_sorted_runs``, so the final answer is byte-identical no
+      matter which replica served which part.
+
+    Failover applies to idempotent reads only; non-idempotent calls
+    (field registration) keep their fail-fast semantics.  A shard with
+    one replica has nowhere to fail over to, so its node's own error
+    propagates; otherwise exhausting the replicas raises
+    :class:`~repro.net.errors.NoLiveReplicaError` carrying the shard and
+    the attempted node ids.
 
     Args:
         addresses: one ``"host:port"`` (or pair) per node, in node-id
             order matching the cluster's partitioner.
+        placement: replica placement of the partitioner's shards onto
+            those nodes; defaults to replication factor 1 (shard *i* on
+            node *i*, the unreplicated layout).
+        router: replica router; built from the placement when omitted.
+        heartbeat_interval: when set on a replicated placement, starts
+            the router's background health probe at this period
+            (seconds), so a dead replica is demoted between queries;
+            ``None`` (default) leaves health tracking to the calls
+            themselves.  An unreplicated placement never probes: its
+            shards have no other replica to prefer.
         timeout: per-RPC deadline in wall seconds.  Retries of a failed
             idempotent call share this one budget.
         connect_timeout: per-attempt TCP connect + handshake budget.
-        max_connections: pooled sockets per node.  With pipelining on
-            (the default) each socket multiplexes many in-flight
-            requests, so the whole scatter to one node rides one or two
-            connections.
+        max_connections: pooled sockets per node.  Each socket
+            multiplexes many in-flight requests, so the whole scatter
+            to one node rides one or two connections.
         retry: backoff policy for idempotent reads.
         rng: jitter source, seedable for deterministic tests.
-        pipeline: multiplex requests over shared connections (default)
-            instead of checking one out per call.
         compression: codecs advertised during the handshake; defaults
             to the stock zlib configuration.  Pass
             :data:`~repro.net.compress.NO_COMPRESSION` to force raw
@@ -328,15 +358,23 @@ class TcpTransport(Transport):
         self,
         addresses: Sequence["str | tuple[str, int]"],
         *,
+        placement: "PlacementMap | None" = None,
+        router: "ReplicaRouter | None" = None,
+        heartbeat_interval: float | None = None,
         timeout: float = DEFAULT_RPC_TIMEOUT,
         connect_timeout: float = 2.0,
         max_connections: int = 2,
         retry: RetryPolicy | None = None,
         rng: random.Random | None = None,
-        pipeline: bool = True,
         compression: CompressionConfig | None = None,
         shm: bool = False,
     ) -> None:
+        # Imported here, not at module top: repro.ha's package import
+        # reaches back into this module (anti-entropy uses
+        # parse_address, and repro.ha.HaTcpTransport is this class).
+        from repro.ha.placement import PlacementMap
+        from repro.ha.router import ReplicaRouter
+
         if not addresses:
             raise ValueError("a TCP transport needs at least one node address")
         if timeout <= 0:
@@ -352,13 +390,25 @@ class TcpTransport(Transport):
                 retry=retry,
                 rng=self._rng,
                 on_retry=self._observe_retry,
-                pipeline=pipeline,
                 compression=compression,
                 on_ratio=self._observe_ratio,
                 shm=shm,
             )
             for host, port in map(parse_address, addresses)
         ]
+        if placement is None:
+            placement = PlacementMap(len(self.pools), len(self.pools), 1)
+        elif placement.nodes != len(self.pools):
+            raise ValueError(
+                f"placement spans {placement.nodes} nodes but "
+                f"{len(self.pools)} addresses were given"
+            )
+        self.placement = placement
+        self.router = router or ReplicaRouter(
+            placement,
+            probe=self._probe,
+            heartbeat_interval=heartbeat_interval or 5.0,
+        )
         self._describe_lock = threading.Lock()
         self._datasets: list[dict] | None = None
         self._m_requests = None
@@ -369,6 +419,14 @@ class TcpTransport(Transport):
         self._m_ratio = None
         self._m_partials = None
         self._m_shm = None
+        self._m_failovers = None
+        self._m_antientropy = None
+        if heartbeat_interval is not None and placement.replication_factor > 1:
+            self.router.start_heartbeat()
+
+    def _probe(self, node_id: int) -> float:
+        """Heartbeat ping with a budget far below the RPC timeout."""
+        return self.ping(node_id, timeout=min(2.0, self.timeout))
 
     # -- instrumentation -------------------------------------------------------
 
@@ -405,6 +463,24 @@ class TcpTransport(Transport):
             "rpc_shm_bytes_total",
             "Payload bytes passed via shared memory instead of TCP",
         )
+        self._m_failovers = metrics.counter(
+            "ha_failovers_total",
+            "Shard parts retried on another replica after a node failure",
+        )
+        self._m_antientropy = metrics.counter(
+            "ha_antientropy_chunks_fetched",
+            "Divergent atom chunks fetched by anti-entropy catch-up",
+        )
+        metrics.gauge_callback(
+            "ha_replica_unhealthy",
+            lambda: float(self.router.unhealthy_count()),
+            "Nodes currently over the router's failure threshold",
+        )
+
+    def record_antientropy(self, chunks: int) -> None:
+        """Fold a catch-up run's fetched chunk count into ``/stats``."""
+        if self._m_antientropy is not None and chunks:
+            self._m_antientropy.inc(chunks)
 
     def _observe_retry(self) -> None:
         if self._m_retries is not None:
@@ -414,7 +490,9 @@ class TcpTransport(Transport):
         if self._m_ratio is not None:
             self._m_ratio.observe(ratio)
 
-    def _call(
+    # -- calls -----------------------------------------------------------------
+
+    def _node_call(
         self,
         node_id: int,
         method: str,
@@ -425,6 +503,11 @@ class TcpTransport(Transport):
         timeout: float | None = None,
         sink: PartialSink | None = None,
     ) -> CallResult:
+        """One instrumented RPC to a specific *node*.
+
+        Feeds the ``rpc_*`` metrics, the ``net.rpc`` span and the
+        router's health/EWMA record for that node.
+        """
         pool = self.pools[node_id]
         start = clock.now()
         status = "ok"
@@ -447,16 +530,20 @@ class TcpTransport(Transport):
                 # spans never shipped back, so whatever subtree hangs
                 # under this RPC is explicitly an orphan, not a gap.
                 tracing.mark_orphaned(span, status)
+                if isinstance(error, NetError) and failover_worthy(error):
+                    self.router.record_failure(node_id)
                 raise
             finally:
+                elapsed = clock.now() - start
                 if self._m_requests is not None:
                     self._m_requests.labels(method=method, status=status).inc()
                 if self._m_latency is not None:
                     # The exemplar ties this latency observation back to
                     # the trace that produced it (p99 bucket -> trace id).
                     self._m_latency.observe(
-                        clock.now() - start, exemplar=span.trace_id or None
+                        elapsed, exemplar=span.trace_id or None
                     )
+            self.router.record_success(node_id, elapsed)
             span.set("bytes_sent", result.bytes_sent)
             span.set("bytes_received", result.bytes_received)
             if result.shm_bytes:
@@ -470,18 +557,62 @@ class TcpTransport(Transport):
             self._m_shm.inc(result.shm_bytes)
         return result
 
-    @staticmethod
-    def _reconcile(result, call: CallResult):
-        """Record the RPC's real wire bytes on the part's ledger.
+    def _call(
+        self,
+        shard: int,
+        method: str,
+        header: dict,
+        blobs: Sequence[Buffer] = (),
+        *,
+        idempotent: bool = True,
+        timeout: float | None = None,
+        sink: PartialSink | None = None,
+    ) -> CallResult:
+        """One *shard* call, failing over across the shard's replicas.
 
-        The mediator separately *models* the mediator<->node transfer
-        (``Category.MEDIATOR_DB``, from the spec's LAN); this meter is
-        the measured footprint the model is reconciled against.
+        Each attempt gets a fresh sink state (the pool resets it), so a
+        partially-streamed part restarts clean on the next replica.
         """
-        result.ledger.count(
-            METER_WIRE_BYTES, call.bytes_sent + call.bytes_received
-        )
-        return result
+        def attempt(replica: int) -> CallResult:
+            return self._node_call(
+                replica, method, header, blobs,
+                idempotent=idempotent, timeout=timeout, sink=sink,
+            )
+
+        candidates = self.router.route(shard)
+        attempted: list[int] = []
+        last_error: NetError | None = None
+        for replica in candidates:
+            try:
+                if not attempted:
+                    return attempt(replica)
+                # A failover retry: the previous replica died mid-part.
+                # The span brackets the replacement attempt, so its
+                # duration is the part's failover-added latency.
+                if self._m_failovers is not None:
+                    self._m_failovers.inc()
+                with tracing.span(
+                    "ha.failover", shard=shard, dead=attempted[-1],
+                    retry=replica, method=method,
+                ) as span:
+                    try:
+                        return attempt(replica)
+                    except NetError as error:
+                        span.set("error", type(error).__name__)
+                        raise
+            except NetError as error:
+                if len(candidates) == 1 or not (
+                    idempotent and failover_worthy(error)
+                ):
+                    raise
+                attempted.append(replica)
+                last_error = error
+        raise NoLiveReplicaError(
+            shard,
+            tuple(attempted),
+            f"shard {shard}: no live replica (tried nodes "
+            f"{attempted}): {last_error}",
+        ) from last_error
 
     # -- query parts -----------------------------------------------------------
 
@@ -489,128 +620,42 @@ class TcpTransport(Transport):
     def node_count(self) -> int:
         return len(self.pools)
 
-    def threshold_part(
+    def part(
         self,
+        kind: QueryKind,
         node_id: int,
-        query: ThresholdQuery,
+        request: Any,
         boxes: list[Box],
         *,
-        use_cache: bool,
-        processes: int,
-        io_only: bool,
         timeout: float | None = None,
-    ) -> NodeThresholdResult:
-        sink = ThresholdStreamSink()
+        **options: Any,
+    ) -> Any:
+        sink = PointStreamSink() if kind.stream is not None else None
         call = self._call(
             node_id,
-            "threshold",
-            {
-                "query": codec.threshold_query_to_wire(query),
-                "boxes": codec.boxes_to_wire(boxes),
-                "use_cache": use_cache,
-                "processes": processes,
-                "io_only": io_only,
-            },
+            kind.name,
+            kind.request_header(request, boxes, options),
             timeout=timeout,
             sink=sink,
         )
-        if call.header.get("streamed"):
+        runs = None
+        if sink is not None and call.header.get("streamed"):
             # Large result: the point columns arrived as PARTIAL chunks
             # and were merged incrementally while still in flight.
-            zindexes, values = sink.columns()
-            result = codec.threshold_result_from_stream(
-                call.header, zindexes, values
-            )
-        else:
-            result = codec.threshold_result_from_wire(call.header, call.blobs)
-        return self._reconcile(result, call)
-
-    def batch_part(
-        self,
-        node_id: int,
-        queries: list[ThresholdQuery],
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> list[NodeThresholdResult]:
-        sink = BatchStreamSink()
-        call = self._call(
-            node_id,
-            "batch_threshold",
-            {
-                "queries": [codec.threshold_query_to_wire(q) for q in queries],
-                "boxes": codec.boxes_to_wire(boxes),
-                "use_cache": use_cache,
-                "processes": processes,
-            },
-            timeout=timeout,
-            sink=sink,
+            runs = sink.runs()
+        result = kind.result_from_wire(call.header, call.blobs, runs)
+        # The mediator separately *models* the mediator<->node transfer
+        # (``Category.MEDIATOR_DB``, from the spec's LAN); this meter is
+        # the measured footprint the model is reconciled against.
+        kind.part_ledger(result).count(
+            METER_WIRE_BYTES, call.bytes_sent + call.bytes_received
         )
-        if call.header.get("streamed"):
-            results = codec.batch_results_from_stream(call.header, sink.runs())
-        else:
-            results = codec.batch_results_from_wire(call.header, call.blobs)
-        if results:
-            # One shared ledger across the batch: meter the wire once.
-            self._reconcile(results[0], call)
-        return results
-
-    def pdf_part(
-        self,
-        node_id: int,
-        query: PdfQuery,
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> NodePdfResult:
-        call = self._call(
-            node_id,
-            "pdf",
-            {
-                "query": codec.pdf_query_to_wire(query),
-                "boxes": codec.boxes_to_wire(boxes),
-                "use_cache": use_cache,
-                "processes": processes,
-            },
-            timeout=timeout,
-        )
-        return self._reconcile(
-            codec.pdf_result_from_wire(call.header, call.blobs), call
-        )
-
-    def topk_part(
-        self,
-        node_id: int,
-        query: TopKQuery,
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> NodeTopKResult:
-        call = self._call(
-            node_id,
-            "topk",
-            {
-                "query": codec.topk_query_to_wire(query),
-                "boxes": codec.boxes_to_wire(boxes),
-                "use_cache": use_cache,
-                "processes": processes,
-            },
-            timeout=timeout,
-        )
-        return self._reconcile(
-            codec.topk_result_from_wire(call.header, call.blobs), call
-        )
+        return result
 
     # -- catalogue and control -------------------------------------------------
 
     def _describe(self, timeout: float | None = None) -> list[dict]:
-        """Node 0's dataset catalogue, fetched once and cached."""
+        """Shard 0's dataset catalogue, fetched once and cached."""
         with self._describe_lock:
             if self._datasets is not None:
                 return self._datasets
@@ -642,10 +687,12 @@ class TcpTransport(Transport):
         self, name: str, text: str, *, timeout: float | None = None
     ) -> dict:
         # Registration mutates node state: never retried (a replayed
-        # request would see "already registered" from its own first try).
+        # request would see "already registered" from its own first
+        # try), and it must reach every *node* — any replica may serve
+        # any of its shards later — so it bypasses the shard routing.
         description: dict = {}
         for node_id in range(len(self.pools)):
-            call = self._call(
+            call = self._node_call(
                 node_id,
                 "register_field",
                 {"name": name, "text": text},
@@ -662,6 +709,7 @@ class TcpTransport(Transport):
         )
 
     def close(self) -> None:
+        self.router.close()
         for pool in self.pools:
             pool.close()
 

@@ -189,20 +189,26 @@ class Database:
 
     # -- transactions ---------------------------------------------------------------
 
-    def begin(self, ledger: CostLedger | None = None) -> Transaction:
+    def begin(
+        self, ledger: CostLedger | None = None, *, bind: bool = True
+    ) -> Transaction:
         """Start a snapshot-isolation transaction.
 
         While the transaction runs, pages this *thread* touches on any of
         this database's devices charge into ``ledger`` (bindings are
         thread-local, so concurrent queries account independently).
+        ``bind=False`` leaves the thread's binding alone: an uncharged
+        read nested inside a query running on this same thread and
+        database must not redirect that query's later charges.
 
         Raises:
             TransactionError: on a database already :meth:`close`-d.
         """
         if self._closed:
             raise TransactionError(f"database {self.name!r} is closed")
-        for device in self._devices.values():
-            device.bind_ledger(ledger)
+        if bind:
+            for device in self._devices.values():
+                device.bind_ledger(ledger)
         return self._manager.begin(ledger, wal=self.wal)
 
     def transaction(self, ledger: CostLedger | None = None) -> Transaction:

@@ -149,6 +149,27 @@ class TestKeepAlive:
             conn.close()
 
 
+    def test_shutdown_with_a_client_still_connected_is_clean(self, service):
+        # A keep-alive client that never hangs up must not turn the
+        # door's shutdown into an unhandled CancelledError in the loop.
+        door = open_async_door(service)
+        unhandled = []
+        door._loop.call_soon_threadsafe(
+            door._loop.set_exception_handler,
+            lambda loop, context: unhandled.append(context),
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", door.port, timeout=15)
+        try:
+            status, _, _ = post(conn, {"method": "ListFields"})
+            assert status == 200
+            door.shutdown()
+            assert conn.sock.recv(1) == b""  # the session was closed
+        finally:
+            conn.close()
+            door.shutdown()
+        assert unhandled == []
+
+
 class TestOverload:
     def test_flood_past_admission_limit(self, service):
         """Every flooded client gets a correct answer or a typed shed."""

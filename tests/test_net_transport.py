@@ -1,4 +1,4 @@
-"""Transport-tier tests: TCP parity with in-process, pooling, faults.
+"""Transport-tier tests: catalogue, metrics, pooling, faults.
 
 The cluster here runs entirely in-thread (NodeServer instances on
 loopback), so these tests exercise the full wire path — framing, codec,
@@ -10,13 +10,12 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.cluster.mediator import Mediator, build_cluster
+from repro.cluster.mediator import Mediator
 from repro.cluster.partition import MortonPartitioner
 from repro.cluster.webservice import WebService
-from repro.core import PdfQuery, ThresholdQuery, TopKQuery
+from repro.core import ThresholdQuery
 from repro.fields.expressions import ExpressionError
 from repro.net import codec
 from repro.net.client import RetryPolicy
@@ -75,68 +74,8 @@ def tcp_cluster():
         server.shutdown()
 
 
-@pytest.fixture(scope="module")
-def reference():
-    mediator = build_cluster(
-        mhd_dataset(side=SIDE, timesteps=TIMESTEPS, seed=11), nodes=NODES
-    )
-    yield mediator
-    mediator.close()
-
-
-# -- parity with the in-process cluster ------------------------------------------
-
-
-def test_threshold_matches_in_process_point_for_point(tcp_cluster, reference):
-    query = ThresholdQuery(
-        dataset="mhd", field="vorticity", timestep=0, threshold=1.0
-    )
-    over_tcp = tcp_cluster.threshold(query)
-    in_process = reference.threshold(query)
-    assert len(over_tcp) == len(in_process) > 0
-    assert np.array_equal(
-        np.sort(over_tcp.zindexes), np.sort(in_process.zindexes)
-    )
-    order_tcp = np.argsort(over_tcp.zindexes)
-    order_ref = np.argsort(in_process.zindexes)
-    assert np.array_equal(
-        over_tcp.values[order_tcp], in_process.values[order_ref]
-    )
-
-
-def test_pdf_matches_in_process(tcp_cluster, reference):
-    query = PdfQuery(
-        dataset="mhd",
-        field="pressure",
-        timestep=1,
-        bin_edges=tuple(float(x) for x in np.linspace(-3, 3, 17)),
-    )
-    assert list(tcp_cluster.pdf(query).counts) == list(
-        reference.pdf(query).counts
-    )
-
-
-def test_topk_matches_in_process(tcp_cluster, reference):
-    query = TopKQuery(dataset="mhd", field="velocity", timestep=0, k=25)
-    over_tcp = tcp_cluster.topk(query)
-    in_process = reference.topk(query)
-    assert np.array_equal(over_tcp.values, in_process.values)
-    assert np.array_equal(over_tcp.zindexes, in_process.zindexes)
-
-
-def test_batch_threshold_matches_in_process(tcp_cluster, reference):
-    queries = [
-        ThresholdQuery(
-            dataset="mhd", field="vorticity", timestep=0, threshold=t
-        )
-        for t in (0.8, 1.2, 2.0)
-    ]
-    batch_tcp = tcp_cluster.batch_threshold(queries)
-    batch_ref = reference.batch_threshold(queries)
-    for over_tcp, in_process in zip(batch_tcp.results, batch_ref.results):
-        assert np.array_equal(
-            np.sort(over_tcp.zindexes), np.sort(in_process.zindexes)
-        )
+# Parity with the in-process cluster, kind by kind and path by path, is
+# tests/test_query_kinds.py.
 
 
 def test_catalogue_over_tcp(tcp_cluster):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import ThresholdQuery
+from repro.core import PdfQuery, ThresholdQuery, TopKQuery
+from repro.net.kinds import KINDS
 from repro.obs import tracing
 from repro.obs.tracing import Span, TraceCollector, Tracer
 
@@ -81,6 +82,34 @@ class TestTracedQuery:
         # The scatter pool really ran parts on worker threads, and the
         # contextvars copy carried the root span across to them.
         assert len({s.thread for s in spans}) > 1
+
+    def test_every_part_of_every_kind_carries_its_ledger(
+        self, collector, mhd_cluster
+    ):
+        # render_tree shows simulated seconds per node only where the
+        # node.part span has a breakdown — including batch parts, whose
+        # result is a list sharing one ledger.
+        vorticity = ThresholdQuery("mhd", "vorticity", 0, 10.0)
+        q_criterion = ThresholdQuery("mhd", "q_criterion", 0, 50.0)
+        query_ids = {
+            "threshold": mhd_cluster.threshold(vorticity).query_id,
+            "batch_threshold": mhd_cluster.batch_threshold(
+                [vorticity, q_criterion]
+            ).results[0].query_id,
+            "pdf": mhd_cluster.pdf(
+                PdfQuery("mhd", "vorticity", 0, (0.0, 5.0, 10.0))
+            ).query_id,
+            "topk": mhd_cluster.topk(
+                TopKQuery("mhd", "vorticity", 0, 5)
+            ).query_id,
+        }
+        assert set(query_ids) == set(KINDS)
+        for kind, query_id in query_ids.items():
+            spans = collector.trace(query_id)
+            assert spans[0].name == f"query.{kind}"
+            parts = [s for s in spans if s.name == "node.part"]
+            assert len(parts) == len(mhd_cluster.nodes), kind
+            assert all(p.breakdown is not None for p in parts), kind
 
     def test_trace_totals_equal_the_query_ledger(
         self, collector, mhd_cluster, small_mhd

@@ -51,6 +51,21 @@ class TestPdfCacheUnit:
         with db.transaction() as txn:
             assert cache.lookup(txn, "mhd", "vorticity", 0, 8, (0.0, 1.0)) is None
 
+    def test_share_part_of_key(self):
+        # One replica answers for two shards' shares of the same query.
+        db = make_host()
+        cache = PdfCache(db)
+        with db.transaction() as txn:
+            cache.store(txn, "mhd", "vorticity", 0, 4, (0.0, 1.0),
+                        np.array([1], np.int64), share=b"shard0")
+        with db.transaction() as txn:
+            assert cache.lookup(
+                txn, "mhd", "vorticity", 0, 4, (0.0, 1.0), share=b"shard1"
+            ) is None
+            assert cache.lookup(
+                txn, "mhd", "vorticity", 0, 4, (0.0, 1.0), share=b"shard0"
+            ) is not None
+
     def test_lru_eviction_at_capacity(self):
         db = make_host()
         cache = PdfCache(db, max_entries=2)
