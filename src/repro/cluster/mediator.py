@@ -541,7 +541,7 @@ class Mediator:
                     executor = self.executors[node_id]
                     block = executor._fetch_block(
                         txn, node_ledger, node.dataset(dataset), derived,
-                        timestep, piece, fd_order,
+                        timestep, piece, derived.halo(fd_order),
                     )
                     norm = derived.norm(block, node.dataset(dataset).spacing, fd_order)
                     node_ledger.charge(
@@ -598,8 +598,7 @@ class Mediator:
                     executor = self.executors[node_id]
                     block = executor._fetch_block(
                         txn, node_ledger, node.dataset(dataset), derived,
-                        timestep, piece, fd_order,
-                        halo=kernel_half_width(fd_order),
+                        timestep, piece, kernel_half_width(fd_order),
                     )
                     tensor = gradient_tensor_interior(
                         block, node.dataset(dataset).spacing, fd_order,

@@ -282,6 +282,7 @@ class WebService:
                     threshold=float(
                         self._require(spec, "threshold", (int, float))
                     ),
+                    box=self._optional_box(spec),
                     fd_order=int(spec.get("fd_order", 4)),
                 )
             )

@@ -12,23 +12,19 @@ the kernels' compute time multiplies.
 For a batch of k fields sharing a source, I/O drops from k scans to one;
 with I/O roughly half the total (paper Fig. 8), a vorticity+Q batch runs
 ~25 % faster than back-to-back queries.
+
+The per-node driver is Algorithm 1 itself,
+:func:`repro.core.threshold.get_batch_on_node`; this module holds the
+batch's admission check and its result type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.cache import SemanticCache
-from repro.core.executor import NodeExecutor
-from repro.core.pointset import merge_sorted_runs
 from repro.core.query import ThresholdQuery, ThresholdResult
-from repro.core.threshold import NodeThresholdResult
 from repro.costmodel import CostLedger
 from repro.fields.derived import FieldRegistry
-from repro.grid import Box
-from repro.storage import SerializationConflictError, Transaction
 
 
 @dataclass
@@ -75,101 +71,3 @@ def check_batchable(queries: list[ThresholdQuery], registry: FieldRegistry) -> s
                 f"({registry.get(query.field).source} != {source})"
             )
     return source
-
-
-def get_batch_on_node(
-    node,
-    executor: NodeExecutor,
-    cache: SemanticCache | None,
-    registry: FieldRegistry,
-    queries: list[ThresholdQuery],
-    boxes: list[Box],
-    processes: int = 1,
-) -> list[NodeThresholdResult]:
-    """Evaluate a batch on one node, reading each box's atoms once.
-
-    Per box: probe the cache for every query; the queries that miss are
-    evaluated together from a single assembled block (widest halo wins),
-    and each fresh result is stored back under its own cache entry.
-    """
-    ledger = CostLedger()
-    dataset_spec = node.dataset(queries[0].dataset)
-    deriveds = [registry.get(query.field) for query in queries]
-
-    per_query_z: list[list[np.ndarray]] = [[] for _ in queries]
-    per_query_v: list[list[np.ndarray]] = [[] for _ in queries]
-    hits = [0] * len(queries)
-    evaluated = [0] * len(queries)
-    stored = True
-
-    txn = node.db.begin(ledger)
-    try:
-        for box in boxes:
-            missed: list[int] = []
-            lookups: dict[int, object] = {}
-            for i, query in enumerate(queries):
-                if cache is not None:
-                    lookup = cache.lookup(
-                        txn, query.dataset, query.field, query.timestep,
-                        box, query.threshold,
-                    )
-                    if lookup.hit:
-                        hits[i] += 1
-                        per_query_z[i].append(lookup.zindexes)
-                        per_query_v[i].append(lookup.values)
-                        continue
-                    lookups[i] = lookup
-                missed.append(i)
-            if not missed:
-                continue
-            evaluations = executor.evaluate_batch(
-                txn, ledger, dataset_spec,
-                [deriveds[i] for i in missed],
-                queries[0].timestep, [box],
-                [queries[i].threshold for i in missed],
-                queries[0].fd_order, processes=processes,
-            )
-            for i, evaluation in zip(missed, evaluations):
-                evaluated[i] += 1
-                per_query_z[i].append(evaluation.zindexes)
-                per_query_v[i].append(evaluation.values)
-                if cache is not None:
-                    lookup = lookups.get(i)
-                    try:
-                        cache.store(
-                            txn, queries[i].dataset, queries[i].field,
-                            queries[i].timestep, box, queries[i].threshold,
-                            evaluation.zindexes, evaluation.values,
-                            replace_ordinal=(
-                                lookup.stale_ordinal if lookup else None
-                            ),
-                        )
-                    except SerializationConflictError:
-                        # A concurrent query refreshed this entry first;
-                        # keep the computed points and finish the batch
-                        # under a fresh snapshot rather than truncating.
-                        txn.abort()
-                        stored = False
-                        txn = node.db.begin(ledger)
-        txn.commit()
-    except SerializationConflictError:
-        txn.abort()
-        stored = False
-    except Exception:
-        txn.abort()
-        raise
-
-    out = []
-    for i in range(len(queries)):
-        zindexes, values = merge_sorted_runs(
-            list(zip(per_query_z[i], per_query_v[i]))
-        )
-        out.append(
-            NodeThresholdResult(
-                zindexes, values, ledger,
-                cache_hit=bool(boxes) and hits[i] == len(boxes),
-                boxes_evaluated=evaluated[i],
-                cache_stored=stored and evaluated[i] > 0,
-            )
-        )
-    return out

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
@@ -145,52 +146,128 @@ class NodeExecutor:
             a :class:`RawEvaluation` with matching points (empty when
             ``io_only``) and the histogram when requested.
         """
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
-        chains = self._assign_slabs(boxes, processes)
-        chain_compute = [0.0] * len(chains)
-        all_z: list[np.ndarray] = []
-        all_v: list[np.ndarray] = []
         histogram = (
             np.zeros(len(bin_edges), dtype=np.int64)
             if bin_edges is not None
             else None
         )
 
-        halo = derived.halo(fd_order)
+        def reduce(norm: np.ndarray, slab: Box) -> tuple[np.ndarray, np.ndarray]:
+            if histogram is not None:
+                histogram[:] += _histogram_open_ended(norm, bin_edges)
+            if topk is not None:
+                return _topk_scan(norm, slab, topk)
+            return _threshold_scan(norm, slab, threshold)
+
+        ((zindexes, values),) = self._scan(
+            txn, ledger, dataset_spec, [derived], timestep, boxes, [reduce],
+            fd_order, processes, io_only, prefetched,
+        )
+        if topk is not None and len(values) > topk:
+            keep = np.argpartition(values, -topk)[-topk:]
+            keep.sort()  # restore Morton order after the selection
+            zindexes, values = zindexes[keep], values[keep]
+        return RawEvaluation(zindexes, values, histogram)
+
+    def evaluate_batch(
+        self,
+        txn: Transaction,
+        ledger: CostLedger,
+        dataset_spec: DatasetSpec,
+        deriveds: list[DerivedField],
+        timestep: int,
+        boxes: list[Box],
+        thresholds: list[float],
+        fd_order: int,
+        processes: int = 1,
+        io_only: bool = False,
+        prefetched: dict[int, bytes] | None = None,
+    ) -> list[RawEvaluation]:
+        """Evaluate several same-source fields from one shared scan.
+
+        The atoms covering each slab (plus the *widest* field's halo) are
+        read once; every field's kernel then runs on the same in-memory
+        block.  Fields must share their raw source field; ``io_only`` and
+        ``prefetched`` are as for :meth:`evaluate`.
+
+        Returns one :class:`RawEvaluation` per (derived, threshold) pair,
+        in order.
+        """
+        if len(deriveds) != len(thresholds):
+            raise ValueError("deriveds and thresholds must align")
+        if not deriveds:
+            return []
+        if any(d.source != deriveds[0].source for d in deriveds):
+            raise ValueError("batched fields must share one source field")
+        runs = self._scan(
+            txn, ledger, dataset_spec, deriveds, timestep, boxes,
+            [partial(_threshold_scan, threshold=t) for t in thresholds],
+            fd_order, processes, io_only, prefetched,
+        )
+        return [RawEvaluation(zindexes, values) for zindexes, values in runs]
+
+    def _scan(
+        self,
+        txn: Transaction,
+        ledger: CostLedger,
+        dataset_spec: DatasetSpec,
+        deriveds: list[DerivedField],
+        timestep: int,
+        boxes: list[Box],
+        reducers: "list[Callable[[np.ndarray, Box], tuple[np.ndarray, np.ndarray]]]",
+        fd_order: int,
+        processes: int,
+        io_only: bool,
+        prefetched: dict[int, bytes] | None,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The chain/slab loop: one block per slab, one reducer per field.
+
+        Each slab's block is read once with the widest field's halo;
+        every field's kernel runs on (a trimmed view of) it and its
+        reducer turns the norm into a Morton-sorted ``(zindexes,
+        values)`` run.  Returns one merged run per field.
+        """
+        if processes < 1:
+            raise ValueError("processes must be >= 1")
+        widest = max(deriveds, key=lambda d: d.halo(fd_order))
+        halo = widest.halo(fd_order)
+        chains = self._assign_slabs(boxes, processes)
+        chain_compute = [0.0] * len(chains)
+        runs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in deriveds]
+
         for chain_id, slabs in enumerate(chains):
             chain_atoms = (
                 prefetched
                 if prefetched is not None
-                else self._prefetch_halo(
-                    ledger, dataset_spec, derived.source, timestep, slabs, halo
+                else self.prefetch_halo(
+                    ledger, dataset_spec, widest, timestep, slabs, fd_order
                 )
             )
             for slab in slabs:
                 with tracing.span("node.io", category="io"):
                     block = self._fetch_block(
-                        txn, ledger, dataset_spec, derived, timestep, slab,
-                        fd_order, halo=halo, prefetched=chain_atoms,
+                        txn, ledger, dataset_spec, widest, timestep, slab,
+                        halo, chain_atoms,
                     )
                 if io_only:
                     continue
-                with tracing.span("node.kernel", category="compute") as kernel_span:
-                    kernel_span.set("field", derived.name)
-                    norm = derived.norm(block, dataset_spec.spacing, fd_order)
-                    units = slab.volume * derived.units_per_point
-                    chain_compute[chain_id] += self._node.spec.cpu.compute_time(
-                        slab.volume, derived.units_per_point
-                    )
-                    ledger.count(METER_COMPUTE_UNITS, units)
-                    if histogram is not None:
-                        histogram += _histogram_open_ended(norm, bin_edges)
-                    if topk is not None:
-                        zidx, vals = _topk_scan(norm, slab, topk)
-                    else:
-                        zidx, vals = _threshold_scan(norm, slab, threshold)
-                if len(zidx):
-                    all_z.append(zidx)
-                    all_v.append(vals)
+                for derived, reduce, field_runs in zip(deriveds, reducers, runs):
+                    with tracing.span(
+                        "node.kernel", category="compute", field=derived.name
+                    ):
+                        trim = halo - derived.halo(fd_order)
+                        view = block if trim == 0 else block[
+                            (slice(trim, -trim),) * 3
+                        ]
+                        norm = derived.norm(view, dataset_spec.spacing, fd_order)
+                        chain_compute[chain_id] += self._node.spec.cpu.compute_time(
+                            slab.volume, derived.units_per_point
+                        )
+                        ledger.count(
+                            METER_COMPUTE_UNITS,
+                            slab.volume * derived.units_per_point,
+                        )
+                        field_runs.append(reduce(norm, slab))
 
         # Parallel-time composition (see module docstring).  Compute is
         # *charged* (not overwritten) so that several evaluate() calls on
@@ -210,100 +287,7 @@ class NodeExecutor:
 
         # Slab results are Morton-sorted runs; disjoint slabs in curve
         # order merge by concatenation, interleaved ones by one argsort.
-        zindexes, values = merge_sorted_runs(list(zip(all_z, all_v)))
-        if topk is not None and len(values) > topk:
-            keep = np.argpartition(values, -topk)[-topk:]
-            keep.sort()  # restore Morton order after the selection
-            zindexes, values = zindexes[keep], values[keep]
-        return RawEvaluation(zindexes, values, histogram)
-
-    def evaluate_batch(
-        self,
-        txn: Transaction,
-        ledger: CostLedger,
-        dataset_spec: DatasetSpec,
-        deriveds: list[DerivedField],
-        timestep: int,
-        boxes: list[Box],
-        thresholds: list[float],
-        fd_order: int,
-        processes: int = 1,
-    ) -> list[RawEvaluation]:
-        """Evaluate several same-source fields from one shared scan.
-
-        The atoms covering each slab (plus the *widest* field's halo) are
-        read once; every field's kernel then runs on the same in-memory
-        block.  Fields must share their raw source field.
-
-        Returns one :class:`RawEvaluation` per (derived, threshold) pair,
-        in order.
-        """
-        if len(deriveds) != len(thresholds):
-            raise ValueError("deriveds and thresholds must align")
-        if not deriveds:
-            return []
-        source = deriveds[0].source
-        if any(d.source != source for d in deriveds):
-            raise ValueError("batched fields must share one source field")
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
-
-        halo = max(d.halo(fd_order) for d in deriveds)
-        chains = self._assign_slabs(boxes, processes)
-        chain_compute = [0.0] * len(chains)
-        collected_z: list[list[np.ndarray]] = [[] for _ in deriveds]
-        collected_v: list[list[np.ndarray]] = [[] for _ in deriveds]
-
-        for chain_id, slabs in enumerate(chains):
-            prefetched = self._prefetch_halo(
-                ledger, dataset_spec, source, timestep, slabs, halo
-            )
-            for slab in slabs:
-                block = self._fetch_block(
-                    txn, ledger, dataset_spec, deriveds[0], timestep, slab,
-                    fd_order, halo=halo, prefetched=prefetched,
-                )
-                for i, (derived, threshold) in enumerate(
-                    zip(deriveds, thresholds)
-                ):
-                    own_halo = derived.halo(fd_order)
-                    trim = halo - own_halo
-                    view = block if trim == 0 else block[
-                        (slice(trim, -trim),) * 3
-                    ]
-                    norm = derived.norm(view, dataset_spec.spacing, fd_order)
-                    chain_compute[chain_id] += self._node.spec.cpu.compute_time(
-                        slab.volume, derived.units_per_point
-                    )
-                    ledger.count(
-                        METER_COMPUTE_UNITS,
-                        slab.volume * derived.units_per_point,
-                    )
-                    zidx, vals = _threshold_scan(norm, slab, threshold)
-                    if len(zidx):
-                        collected_z[i].append(zidx)
-                        collected_v[i].append(vals)
-
-        ledger.charge(Category.COMPUTE, max(chain_compute, default=0.0))
-        io_bytes = ledger.meter(METER_IO_BYTES)
-        io_seeks = ledger.meter(METER_IO_SEEKS)
-        if io_bytes or io_seeks:
-            ledger.set_category(
-                Category.IO,
-                self._node.spec.hdd.read_time(
-                    int(io_bytes), seeks=int(io_seeks), streams=processes
-                )
-                + ledger.meter(METER_HALO_SECONDS),
-            )
-
-        out = []
-        for z_parts, v_parts in zip(collected_z, collected_v):
-            if z_parts:
-                zindexes, values = merge_sorted_runs(list(zip(z_parts, v_parts)))
-                out.append(RawEvaluation(zindexes, values))
-            else:
-                out.append(RawEvaluation.empty())
-        return out
+        return [merge_sorted_runs(field_runs) for field_runs in runs]
 
     # -- internals ---------------------------------------------------------------
 
@@ -323,13 +307,10 @@ class NodeExecutor:
         derived: DerivedField,
         timestep: int,
         slab: Box,
-        fd_order: int,
-        halo: int | None = None,
+        halo: int,
         prefetched: dict[int, bytes] | None = None,
     ) -> np.ndarray:
-        """Read and assemble ``slab`` plus its halo into one array."""
-        if halo is None:
-            halo = derived.halo(fd_order)
+        """Read and assemble ``slab`` plus ``halo`` cells into one array."""
         expanded = slab.expand(halo)
         side = dataset_spec.side
         ncomp = derived.source_components
@@ -338,9 +319,9 @@ class NodeExecutor:
             # (single-node clusters on small grids): read the whole
             # domain once and index it periodically.
             domain = Box.cube(side)
-            atoms = self._fetch_atoms(
-                txn, ledger, dataset_spec, derived.source, timestep, domain,
-                prefetched=prefetched,
+            atoms = self._fetch_ranges(
+                txn, ledger, dataset_spec, derived.source, timestep,
+                atom_ranges_covering(domain, side), prefetched=prefetched,
             )
             full = array_from_atoms(domain, atoms, ncomp)
             # Periodic extension by pad-and-slice: np.pad's wrap mode
@@ -362,18 +343,10 @@ class NodeExecutor:
         pieces = list(expanded.wrap_periodic(side))
         # One combined fetch for every wrapped piece: all ranges owned
         # by one peer travel in a single halo RPC instead of one RPC
-        # per piece, which is what makes remote boundary reads cheap
-        # (atoms straddling a piece boundary are also deduplicated).
-        seen: set[tuple[int, int]] = set()
-        ranges: list[MortonRange] = []
-        for piece, _offset in pieces:
-            for rng in atom_ranges_covering(piece, side):
-                key = (rng.start, rng.stop)
-                if key not in seen:
-                    seen.add(key)
-                    ranges.append(rng)
+        # per piece, which is what makes remote boundary reads cheap.
         atoms = self._fetch_ranges(
-            txn, ledger, dataset_spec, derived.source, timestep, ranges,
+            txn, ledger, dataset_spec, derived.source, timestep,
+            _covering_ranges([piece for piece, _ in pieces], side),
             prefetched=prefetched,
         )
         for piece, offset in pieces:
@@ -383,23 +356,6 @@ class NodeExecutor:
             )
             block[dst] = sub
         return block
-
-    def _fetch_atoms(
-        self,
-        txn: Transaction,
-        ledger: CostLedger,
-        dataset_spec: DatasetSpec,
-        source_field: str,
-        timestep: int,
-        piece: Box,
-        prefetched: dict[int, bytes] | None = None,
-    ) -> dict[int, bytes]:
-        """Atoms covering an in-domain piece, locally or from peers."""
-        ranges = atom_ranges_covering(piece, dataset_spec.side)
-        return self._fetch_ranges(
-            txn, ledger, dataset_spec, source_field, timestep, ranges,
-            prefetched=prefetched,
-        )
 
     def _fetch_ranges(
         self,
@@ -413,11 +369,11 @@ class NodeExecutor:
     ) -> dict[int, bytes]:
         """Atoms covering ``ranges``, read locally and from peer nodes.
 
-        With ``prefetched`` atoms (a chain-level boundary prefetch, see
-        :meth:`_prefetch_halo`) no RPC is issued at all — the remote
-        share is served from the prefetch and only the local ranges
-        touch the transaction.  Otherwise each peer gets all of its
-        ranges in one ``serve_halo`` call via :meth:`_fetch_remote`.
+        With ``prefetched`` atoms (a chain- or query-level boundary
+        prefetch, see :meth:`prefetch_halo`) no RPC is issued at all —
+        the remote share is served from the prefetch and only the local
+        ranges touch the transaction.  Otherwise each peer gets all of
+        its ranges in one ``serve_halo`` call via :meth:`_fetch_remote`.
         """
         by_node = self._split_ranges_by_node(ranges)
         atoms: dict[int, bytes] = {}
@@ -428,15 +384,12 @@ class NodeExecutor:
                     txn, dataset_spec.name, source_field, timestep, own
                 )
             )
-        if prefetched is not None:
-            atoms.update(prefetched)
-            return atoms
-        atoms.update(
-            self._fetch_remote(
+        if prefetched is None:
+            prefetched = self._fetch_remote(
                 ledger, dataset_spec.name, source_field, timestep,
                 list(by_node.items()),
             )
-        )
+        atoms.update(prefetched)
         return atoms
 
     def _fetch_remote(
@@ -457,30 +410,38 @@ class NodeExecutor:
         so the *simulated* time is identical to a serial exchange
         regardless of the real-world overlap.
         """
+        if not remote:
+            return {}
         atoms: dict[int, bytes] = {}
-        if len(remote) > 1:
-            scratch = [CostLedger() for _ in remote]
-            with ThreadPoolExecutor(
-                max_workers=len(remote), thread_name_prefix="halo-fetch"
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._peers[node_id].serve_halo,
-                        dataset, source_field, timestep, node_ranges, part,
+        # The requester's wait for its peers; the span carries no ledger
+        # (the transfer is already charged to ``ledger`` by the peers).
+        with tracing.span(
+            "node.halo_fetch", category="io", peers=len(remote)
+        ) as fetch_span:
+            if len(remote) > 1:
+                scratch = [CostLedger() for _ in remote]
+                with ThreadPoolExecutor(
+                    max_workers=len(remote), thread_name_prefix="halo-fetch"
+                ) as pool:
+                    futures = [
+                        pool.submit(
+                            self._peers[node_id].serve_halo,
+                            dataset, source_field, timestep, node_ranges, part,
+                        )
+                        for (node_id, node_ranges), part in zip(remote, scratch)
+                    ]
+                    for future in futures:
+                        atoms.update(future.result())
+                for part in scratch:
+                    ledger.add(part)
+            else:
+                ((node_id, node_ranges),) = remote
+                atoms.update(
+                    self._peers[node_id].serve_halo(
+                        dataset, source_field, timestep, node_ranges, ledger,
                     )
-                    for (node_id, node_ranges), part in zip(remote, scratch)
-                ]
-                for future in futures:
-                    atoms.update(future.result())
-            for part in scratch:
-                ledger.add(part)
-            return atoms
-        for node_id, node_ranges in remote:
-            atoms.update(
-                self._peers[node_id].serve_halo(
-                    dataset, source_field, timestep, node_ranges, ledger,
                 )
-            )
+            fetch_span.set("bytes", sum(len(blob) for blob in atoms.values()))
         return atoms
 
     def prefetch_halo(
@@ -492,72 +453,46 @@ class NodeExecutor:
         boxes: "list[Box]",
         fd_order: int,
     ) -> dict[int, bytes] | None:
-        """Combined remote boundary fetch for a whole node query.
+        """One combined remote boundary fetch for ``boxes``.
 
-        Query drivers that evaluate box by box (the semantic cache
-        stores each box separately) call this once for every box they
-        are about to evaluate, then pass the result to
+        Collects every remote atom range the boxes' expanded blocks
+        will need and fetches each peer's share in a *single*
+        ``serve_halo`` RPC before any block is computed — the dominant
+        win of the pipelined data plane for halo exchange (one round
+        trip per peer instead of one per block).  Atoms shared by
+        adjacent blocks are fetched once.
+
+        The slab loop calls this once per *chain*, so the paper's
+        observation that halo reads are redundant across process chains
+        keeps holding.  Query drivers that evaluate box by box (the
+        semantic cache stores each box separately) call it once for
+        every box they are about to evaluate, then pass the result to
         :meth:`evaluate` as ``prefetched`` — turning one halo RPC per
         box into one per peer per query.  The remote ranges of a box's
         slabs equal those of the box itself (interior slab seams stay
         on the owning node), so prefetching at box granularity is
-        exact.  Only meaningful for single-chain evaluation; with
-        ``processes > 1`` callers should let each chain fetch its own
-        redundant boundary, as the paper's parallelism model assumes.
+        exact.  That is only meaningful for single-chain evaluation;
+        with ``processes > 1`` drivers should let each chain fetch its
+        own redundant boundary, as the paper's parallelism model assumes.
 
-        Returns ``{}``-able atoms keyed by zindex, or ``None`` when no
-        remote atoms are needed at all.
-        """
-        return self._prefetch_halo(
-            ledger, dataset_spec, derived.source, timestep, boxes,
-            derived.halo(fd_order),
-        )
-
-    def _prefetch_halo(
-        self,
-        ledger: CostLedger,
-        dataset_spec: DatasetSpec,
-        source_field: str,
-        timestep: int,
-        slabs: "list[Box]",
-        halo: int,
-    ) -> dict[int, bytes] | None:
-        """One combined boundary fetch for a whole chain of slabs.
-
-        Collects every remote atom range the chain's expanded blocks
-        will need and fetches each peer's share in a *single*
-        ``serve_halo`` RPC before the chain starts computing — the
-        dominant win of the pipelined data plane for halo exchange
-        (one round trip per peer per chain instead of one per block).
-        Atoms shared by adjacent blocks are fetched once.  Prefetching
-        stays per *chain* so the paper's observation that halo reads
-        are redundant across process chains keeps holding.
-
-        Returns ``None`` when the chain needs no remote atoms (single
-        node clusters, interior slabs) so callers fall back to the
-        per-block path unchanged.
+        Returns atoms keyed by zindex, or ``None`` when no remote atoms
+        are needed at all (single node clusters, interior slabs).
         """
         side = dataset_spec.side
-        seen: set[tuple[int, int]] = set()
-        ranges: list[MortonRange] = []
-        for slab in slabs:
-            expanded = slab.expand(halo)
+        halo = derived.halo(fd_order)
+        pieces: list[Box] = []
+        for box in boxes:
+            expanded = box.expand(halo)
             if any(n > side for n in expanded.shape):
-                pieces = [Box.cube(side)]
+                pieces.append(Box.cube(side))
             else:
-                pieces = [piece for piece, _ in expanded.wrap_periodic(side)]
-            for piece in pieces:
-                for rng in atom_ranges_covering(piece, side):
-                    key = (rng.start, rng.stop)
-                    if key not in seen:
-                        seen.add(key)
-                        ranges.append(rng)
-        by_node = self._split_ranges_by_node(ranges)
+                pieces.extend(piece for piece, _ in expanded.wrap_periodic(side))
+        by_node = self._split_ranges_by_node(_covering_ranges(pieces, side))
         by_node.pop(self._node.node_id, None)
         if not by_node:
             return None
         return self._fetch_remote(
-            ledger, dataset_spec.name, source_field, timestep,
+            ledger, dataset_spec.name, derived.source, timestep,
             list(by_node.items()),
         )
 
@@ -576,6 +511,14 @@ class NodeExecutor:
             for node_id, span in self._partitioner.node_spans(rng):
                 by_node.setdefault(node_id, []).append(span)
         return by_node
+
+
+def _covering_ranges(pieces: "list[Box]", side: int) -> list[MortonRange]:
+    """Atom ranges covering in-domain ``pieces``, each range once (atoms
+    straddling a piece boundary are deduplicated), in first-seen order."""
+    return list(dict.fromkeys(
+        rng for piece in pieces for rng in atom_ranges_covering(piece, side)
+    ))
 
 
 def _threshold_scan(

@@ -7,6 +7,10 @@ whose threshold is higher than requested), evaluate from the raw data
 via the :class:`~repro.core.executor.NodeExecutor` and store the fresh
 result back — replacing a stale entry when one was found.
 
+There is one driver, :func:`get_batch_on_node`: it answers a batch of
+same-source queries from one shared scan (:mod:`repro.core.batch`), and
+a lone threshold query is a batch of one.
+
 A concurrent cache refresh of the same entry surfaces as a
 snapshot-isolation write conflict; the computation's result is still
 returned to the user, only the cache update is skipped (the winning
@@ -22,7 +26,7 @@ import numpy as np
 
 from repro.costmodel import CostLedger
 from repro.core.cache import SemanticCache
-from repro.core.executor import NodeExecutor, RawEvaluation
+from repro.core.executor import NodeExecutor
 from repro.core.pointset import merge_sorted_runs
 from repro.core.query import ThresholdQuery
 from repro.fields.derived import FieldRegistry
@@ -49,17 +53,23 @@ class NodeThresholdResult:
         return len(self.zindexes)
 
 
-def get_threshold_on_node(
+def get_batch_on_node(
     node: "DatabaseNode",
     executor: NodeExecutor,
     cache: SemanticCache | None,
     registry: FieldRegistry,
-    query: ThresholdQuery,
+    queries: list[ThresholdQuery],
     boxes: list[Box],
     processes: int = 1,
     io_only: bool = False,
-) -> NodeThresholdResult:
-    """Run Algorithm 1 for this node's ``boxes`` of the query region.
+) -> list[NodeThresholdResult]:
+    """Run Algorithm 1 for this node's ``boxes`` of a batch's region.
+
+    The queries share dataset, timestep, region, FD order and raw source
+    field (:func:`repro.core.batch.check_batchable`).  Per box, the
+    cache is probed for every query; the queries that miss are evaluated
+    together from a single assembled block (widest halo wins), and each
+    fresh result is stored back under its own cache entry.
 
     Args:
         cache: the node's semantic cache, or ``None`` to bypass caching
@@ -69,35 +79,46 @@ def get_threshold_on_node(
             re-evaluate only the missing pieces.
         io_only: perform only the raw-data reads (Fig. 8's I/O-only mode;
             implies no caching and returns no points).
+
+    Returns one result per query, in order, all carrying the *same*
+    ledger (the queries were answered by one pass).
     """
     ledger = CostLedger()
-    dataset_spec = node.dataset(query.dataset)
-    derived = registry.get(query.field)
-
+    first = queries[0]
     if not boxes:
-        return NodeThresholdResult(
-            np.empty(0, np.uint64), np.empty(0, np.float64),
-            ledger, cache_hit=False, boxes_evaluated=0, cache_stored=False,
-        )
+        return [
+            NodeThresholdResult(
+                np.empty(0, np.uint64), np.empty(0, np.float64),
+                ledger, cache_hit=False, boxes_evaluated=0, cache_stored=False,
+            )
+            for _ in queries
+        ]
+    if io_only:
+        cache = None
+    dataset_spec = node.dataset(first.dataset)
+    deriveds = [registry.get(query.field) for query in queries]
 
-    all_z: list[np.ndarray] = []
-    all_v: list[np.ndarray] = []
-    hits = 0
-    evaluated = 0
+    runs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in queries]
+    hits = [0] * len(queries)
+    evaluated = [0] * len(queries)
     stored = True
 
     # Remote boundary atoms for every box still to be evaluated are
     # fetched in one RPC per peer at the first cache miss (a warm cache
-    # never pays for it); each per-box evaluate() then runs without any
-    # halo round trip of its own.  Only single-chain evaluation may
-    # share the prefetch — with processes > 1 each chain fetches its
-    # own redundant boundary, as the paper's parallelism model assumes.
+    # never pays for it), with the widest halo among the batch's fields;
+    # each per-box evaluation then runs without any halo round trip of
+    # its own.  Only single-chain evaluation may share the prefetch —
+    # with processes > 1 each chain fetches its own redundant boundary,
+    # as the paper's parallelism model assumes.
     prefetched: dict[int, bytes] | None = None
     txn = node.db.begin(ledger)
     try:
         for index, box in enumerate(boxes):
-            lookup = None
-            if cache is not None and not io_only:
+            missed: dict[int, int | None] = {}  # query -> stale ordinal
+            for i, query in enumerate(queries):
+                if cache is None:
+                    missed[i] = None
+                    continue
                 with tracing.span("cache.lookup", category="cache_lookup") as probe:
                     lookup = cache.lookup(
                         txn, query.dataset, query.field, query.timestep,
@@ -105,40 +126,49 @@ def get_threshold_on_node(
                     )
                     probe.set("hit", lookup.hit)
                 if lookup.hit:
-                    hits += 1
-                    all_z.append(lookup.zindexes)
-                    all_v.append(lookup.values)
-                    continue
+                    hits[i] += 1
+                    runs[i].append((lookup.zindexes, lookup.values))
+                else:
+                    missed[i] = lookup.stale_ordinal
+            if not missed:
+                continue
             if processes == 1 and prefetched is None:
+                widest = max(deriveds, key=lambda d: d.halo(first.fd_order))
                 prefetched = executor.prefetch_halo(
-                    ledger, dataset_spec, derived, query.timestep,
-                    boxes[index:], query.fd_order,
+                    ledger, dataset_spec, widest, first.timestep,
+                    boxes[index:], first.fd_order,
                 ) or {}
             with tracing.span("node.evaluate") as evaluation_span:
-                evaluation = executor.evaluate(
-                    txn, ledger, dataset_spec, derived, query.timestep,
-                    [box], query.threshold, query.fd_order,
+                evaluations = executor.evaluate_batch(
+                    txn, ledger, dataset_spec,
+                    [deriveds[i] for i in missed], first.timestep, [box],
+                    [queries[i].threshold for i in missed], first.fd_order,
                     processes=processes, io_only=io_only,
                     prefetched=prefetched,
                 )
-                evaluation_span.set("points", len(evaluation.zindexes))
-            evaluated += 1
-            all_z.append(evaluation.zindexes)
-            all_v.append(evaluation.values)
-            if cache is not None and not io_only:
+                evaluation_span.set(
+                    "points", sum(len(e.zindexes) for e in evaluations)
+                )
+            for (i, stale_ordinal), evaluation in zip(missed.items(), evaluations):
+                query = queries[i]
+                evaluated[i] += 1
+                runs[i].append((evaluation.zindexes, evaluation.values))
+                if cache is None:
+                    continue
                 try:
                     with tracing.span("cache.store", category="cache_lookup"):
                         cache.store(
                             txn, query.dataset, query.field, query.timestep,
                             box, query.threshold,
                             evaluation.zindexes, evaluation.values,
-                            replace_ordinal=lookup.stale_ordinal if lookup else None,
+                            replace_ordinal=stale_ordinal,
                         )
                 except SerializationConflictError:
                     # A concurrent query refreshed the same entry first;
                     # keep the computed points, skip our cache update and
-                    # evaluate the REMAINING boxes under a fresh snapshot
-                    # (aborting mid-loop must not truncate the result).
+                    # finish the REMAINING stores and boxes under a fresh
+                    # snapshot (aborting mid-loop must not truncate the
+                    # result).
                     txn.abort()
                     stored = False
                     txn = node.db.begin(ledger)
@@ -151,12 +181,31 @@ def get_threshold_on_node(
         raise
 
     # Per-box runs interleave on the curve; merge them so every node
-    # hands the mediator one Morton-sorted run (gather is then a
-    # concatenation across the nodes' disjoint spans).
-    zindexes, values = merge_sorted_runs(list(zip(all_z, all_v)))
-    return NodeThresholdResult(
-        zindexes, values, ledger,
-        cache_hit=bool(boxes) and hits == len(boxes),
-        boxes_evaluated=evaluated,
-        cache_stored=stored and evaluated > 0,
-    )
+    # hands the mediator one Morton-sorted run per query (gather is then
+    # a concatenation across the nodes' disjoint spans).
+    return [
+        NodeThresholdResult(
+            *merge_sorted_runs(runs[i]), ledger,
+            cache_hit=hits[i] == len(boxes),
+            boxes_evaluated=evaluated[i],
+            cache_stored=stored and evaluated[i] > 0,
+        )
+        for i in range(len(queries))
+    ]
+
+
+def get_threshold_on_node(
+    node: "DatabaseNode",
+    executor: NodeExecutor,
+    cache: SemanticCache | None,
+    registry: FieldRegistry,
+    query: ThresholdQuery,
+    boxes: list[Box],
+    processes: int = 1,
+    io_only: bool = False,
+) -> NodeThresholdResult:
+    """Algorithm 1 for one query: a batch of one (see
+    :func:`get_batch_on_node` for the arguments)."""
+    return get_batch_on_node(
+        node, executor, cache, registry, [query], boxes, processes, io_only
+    )[0]

@@ -345,8 +345,9 @@ def batch_results_from_wire(
         raise ProtocolError(
             f"batch response carries {len(blobs)} blobs for {len(items)} items"
         )
-    # One shared ledger instance, mirroring get_batch_on_node's contract
-    # (the queries were answered by one pass; costs are not separable).
+    # One shared ledger instance, mirroring the contract of
+    # repro.core.threshold.get_batch_on_node (the queries were answered
+    # by one pass; costs are not separable).
     ledger = ledger_from_wire(header["ledger"])
     results = []
     for i, item in enumerate(items):

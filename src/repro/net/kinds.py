@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.batch import BatchThresholdResult, get_batch_on_node
+from repro.core.batch import BatchThresholdResult
 from repro.core.cache import SemanticCache
 from repro.core.executor import NodeExecutor
 from repro.core.limits import ThresholdTooLowError
@@ -40,7 +40,11 @@ from repro.core.query import (
     TopKQuery,
     TopKResult,
 )
-from repro.core.threshold import NodeThresholdResult, get_threshold_on_node
+from repro.core.threshold import (
+    NodeThresholdResult,
+    get_batch_on_node,
+    get_threshold_on_node,
+)
 from repro.core.topk import NodeTopKResult, get_topk_on_node
 from repro.costmodel import Category, ClusterSpec, CostLedger
 from repro.costmodel.ledger import METER_RESULT_POINTS

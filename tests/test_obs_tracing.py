@@ -120,13 +120,58 @@ class TestTracedQuery:
         spans = collector.trace(result.query_id)
         assert tracing.category_totals(spans) == result.ledger.breakdown()
 
-    def test_phase_spans_cover_every_tier(
-        self, collector, mhd_cluster, small_mhd
-    ):
-        result = run_threshold(mhd_cluster, small_mhd)
-        names = {s.name for s in collector.trace(result.query_id)}
-        assert {"query.threshold", "node.part", "cache.lookup",
-                "node.io", "node.kernel"} <= names
+    def test_phase_spans_cover_every_tier(self, collector, mhd_cluster):
+        # One cold query per kind, each on a field no earlier one has
+        # cached: every node's part must show its read and kernel
+        # phases, and the two threshold kinds their cache probe and
+        # store as well.
+        query_ids = {
+            "threshold": mhd_cluster.threshold(
+                ThresholdQuery("mhd", "vorticity", 0, 10.0)
+            ).query_id,
+            "batch_threshold": mhd_cluster.batch_threshold(
+                [
+                    ThresholdQuery("mhd", "q_criterion", 0, 50.0),
+                    ThresholdQuery("mhd", "velocity", 0, 1.0),
+                ]
+            ).results[0].query_id,
+            "pdf": mhd_cluster.pdf(
+                PdfQuery("mhd", "magnetic", 0, (0.0, 0.5, 1.0))
+            ).query_id,
+            "topk": mhd_cluster.topk(
+                TopKQuery("mhd", "pressure", 0, 5)
+            ).query_id,
+        }
+        assert set(query_ids) == set(KINDS)
+        for kind, query_id in query_ids.items():
+            spans = collector.trace(query_id)
+            assert spans[0].name == f"query.{kind}"
+            by_id = {s.span_id: s for s in spans}
+            parts = [s for s in spans if s.name == "node.part"]
+            assert len(parts) == len(mhd_cluster.nodes), kind
+            for part in parts:
+                under = set()
+                for span in spans:
+                    ancestor = by_id.get(span.parent_id)
+                    while ancestor is not None and ancestor is not part:
+                        ancestor = by_id.get(ancestor.parent_id)
+                    if ancestor is part:
+                        under.add(span.name)
+                expected = {"node.io", "node.kernel"}
+                if kind in ("threshold", "batch_threshold"):
+                    expected |= {"cache.lookup", "node.evaluate", "cache.store"}
+                assert expected <= under, (kind, expected - under)
+        # Vorticity has a halo: each node's wait for its peers' boundary
+        # atoms is a span of its own, sized by what came back.
+        fetches = [
+            s for s in collector.trace(query_ids["threshold"])
+            if s.name == "node.halo_fetch"
+        ]
+        assert len(fetches) >= len(mhd_cluster.nodes)
+        assert all(
+            s.attributes["peers"] >= 1 and s.attributes["bytes"] > 0
+            for s in fetches
+        )
 
 
 class TestExports:

@@ -21,6 +21,7 @@ from repro.cluster.partition import MortonPartitioner
 from repro.core import PdfQuery, ThresholdQuery, TopKQuery
 from repro.core.threshold import get_threshold_on_node
 from repro.costmodel import CostLedger
+from repro.costmodel.ledger import METER_WIRE_BYTES
 from repro.grid import Box
 from repro.ha import PlacementMap, ReplicaRouter
 from repro.net import codec
@@ -95,16 +96,16 @@ def run_all(mediator: Mediator) -> dict:
     }
 
 
-def start_servers(replication_factor=1, stream_chunk_points=None):
+def start_servers(replication_factor=1, stream_chunk_points=None, nodes=NODES):
     """In-thread node servers over loopback, wired and loaded."""
     config = ClusterConfig(
-        dataset="mhd", side=SIDE, timesteps=1, seed=SEED, nodes=NODES,
+        dataset="mhd", side=SIDE, timesteps=1, seed=SEED, nodes=nodes,
         replication_factor=replication_factor,
     )
     kwargs = {}
     if stream_chunk_points is not None:
         kwargs["stream_chunk_points"] = stream_chunk_points
-    servers = [NodeServer(i, config, **kwargs) for i in range(NODES)]
+    servers = [NodeServer(i, config, **kwargs) for i in range(nodes)]
     addresses = [f"127.0.0.1:{server.port}" for server in servers]
     for server in servers:
         server.connect_peers(addresses)
@@ -114,13 +115,14 @@ def start_servers(replication_factor=1, stream_chunk_points=None):
 
 
 def tcp_mediator(addresses, replication_factor=1, prefer=None) -> Mediator:
+    nodes = len(addresses)
     # Sequential scatter everywhere: simulated seconds are then bit-for-
     # bit reproducible (no buffer-pool races between halo reads), which
     # is what lets ledgers be compared with ``==``.
-    placement = PlacementMap(NODES, NODES, replication_factor)
+    placement = PlacementMap(nodes, nodes, replication_factor)
     return Mediator(
         nodes=[],
-        partitioner=MortonPartitioner(SIDE, NODES),
+        partitioner=MortonPartitioner(SIDE, nodes),
         transport=TcpTransport(
             addresses,
             placement=placement,
@@ -131,10 +133,10 @@ def tcp_mediator(addresses, replication_factor=1, prefer=None) -> Mediator:
     )
 
 
-def in_process_mediator() -> Mediator:
+def in_process_mediator(nodes=NODES) -> Mediator:
     return build_cluster(
         mhd_dataset(side=SIDE, timesteps=1, seed=SEED),
-        nodes=NODES,
+        nodes=nodes,
         sequential_scatter=True,
     )
 
@@ -222,6 +224,61 @@ def test_the_streamed_leg_streamed_and_the_others_did_not(answers):
         assert partial_frames[path] == 0
     # Threshold and both batch runs span several chunks on each node.
     assert partial_frames["tcp_streamed"] > 3 * NODES
+
+
+# -- a threshold query is a batch of one -----------------------------------------
+
+
+def _cache_legs(nodes, ask):
+    """``ask(query, **options)`` with no cache, a missing cache and a
+    warm one, at one chain and at four; the four-chain query's lower
+    threshold finds the stored entry stale, so it misses and replaces."""
+    legs = []
+    for processes, threshold in ((1, 0.5), (4, 0.4)):
+        query = dataclasses.replace(VORTICITY, threshold=threshold)
+        for use_cache, hits in ((False, 0), (True, 0), (True, nodes)):
+            answer = ask(query, use_cache=use_cache, processes=processes)
+            assert answer.cache_hits == hits
+            legs.append(answer)
+    return legs
+
+
+def _engine_meters(ledger: CostLedger) -> dict:
+    """Every meter but the frame bytes: the two kinds' wire messages
+    legitimately differ in their headers."""
+    meters = ledger.meters()
+    meters.pop(METER_WIRE_BYTES, None)
+    return meters
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("nodes", [2, 4])
+def test_a_batch_of_one_is_the_lone_query(nodes, transport):
+    # One driver (Algorithm 1) and one slab loop serve both kinds, so
+    # on identical fresh clusters the two must agree point for point
+    # and charge for charge, halo prefetch included.
+    def answers_of(ask_with):
+        if transport == "in_process":
+            with in_process_mediator(nodes) as mediator:
+                return _cache_legs(nodes, ask_with(mediator))
+        servers, addresses = start_servers(nodes=nodes)
+        try:
+            with tcp_mediator(addresses) as mediator:
+                return _cache_legs(nodes, ask_with(mediator))
+        finally:
+            for server in servers:
+                server.shutdown()
+
+    lone = answers_of(lambda mediator: mediator.threshold)
+    batched = answers_of(
+        lambda mediator: lambda query, **options: (
+            mediator.batch_threshold([query], **options).results[0]
+        )
+    )
+    assert len(lone[0]) > 0
+    assert_same(batched, lone, f"{transport} x{nodes}")
+    for ours, reference in zip(batched, lone):
+        assert _engine_meters(ours.ledger) == _engine_meters(reference.ledger)
 
 
 # -- wire round-trips, per table entry -----------------------------------------

@@ -165,6 +165,40 @@ class TestBatchAndRegistration:
         )
         assert response["code"] == "bad_request"
 
+    def test_batch_honours_each_query_box(self, small_mhd, service):
+        vorticity = threshold_request(small_mhd)
+        del vorticity["method"]
+        region = {"box": [0, 0, 0, 8, 8, 8]}
+        batch = service.handle(
+            {
+                "method": "GetBatchThreshold",
+                "queries": [
+                    {**vorticity, **region},
+                    {**vorticity, **region, "field": "q_criterion"},
+                ],
+            }
+        )
+        lone = service.handle(
+            {"method": "GetThreshold", **vorticity, **region}
+        )
+        full = service.handle({"method": "GetThreshold", **vorticity})
+        assert batch["status"] == "ok"
+        assert batch["results"][0]["count"] == lone["count"] < full["count"]
+        mismatched = service.handle(
+            {
+                "method": "GetBatchThreshold",
+                "queries": [{**vorticity, **region}, vorticity],
+            }
+        )
+        assert mismatched["code"] == "bad_request"
+
+    def test_batch_rejects_malformed_box(self, small_mhd, service):
+        vorticity = threshold_request(small_mhd, box="garbage")
+        response = service.handle(
+            {"method": "GetBatchThreshold", "queries": [vorticity]}
+        )
+        assert response["code"] == "bad_request"
+
     def test_register_field_then_query(self, small_mhd, mhd_cluster):
         service = WebService(mhd_cluster)
         registered = service.handle(
