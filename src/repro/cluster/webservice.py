@@ -13,7 +13,7 @@ low" (§4).
 from __future__ import annotations
 
 import json
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -30,8 +30,59 @@ from repro.net.errors import DeadlineExceededError, NetError
 from repro.obs import clock, tracing
 from repro.obs.metrics import MetricsRegistry
 
+_R = TypeVar("_R")
+
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4"
+
+#: One point as ``json.dumps`` writes its dict; ``_BLOCK`` of them per ``%``.
+_POINT_JSON = '{"x": %d, "y": %d, "z": %d, "value": %r}'
+_BLOCK = 4096
+
+
+class _Points:
+    """A point answer as columns: ``(n, 3)`` coordinates beside values."""
+
+    def __init__(self, coordinates: np.ndarray, values: np.ndarray) -> None:
+        self._columns = [*coordinates.T.tolist(), values.tolist()]
+        self._finite = bool(np.isfinite(values).all())
+
+    def dicts(self) -> list[dict]:
+        """The response's ``points`` list: one dict per point."""
+        return [
+            {"x": x, "y": y, "z": z, "value": v}
+            for x, y, z, v in zip(*self._columns)
+        ]
+
+    def json(self) -> str:
+        """``json.dumps(self.dicts())`` with no per-point object."""
+        if not self._finite:  # json spells these Infinity / NaN, repr does not
+            return json.dumps(self.dicts())
+        flat: list = [None] * (4 * len(self._columns[3]))
+        for offset, column in enumerate(self._columns):
+            flat[offset::4] = column
+        blocks = []
+        for start in range(0, len(flat), 4 * _BLOCK):
+            block = tuple(flat[start:start + 4 * _BLOCK])
+            blocks.append(", ".join([_POINT_JSON] * (len(block) // 4)) % block)
+        return f"[{', '.join(blocks)}]"
+
+
+def _with_point_dicts(response: dict) -> dict:
+    if isinstance(response.get("points"), _Points):  # the dict reference
+        response["points"] = response["points"].dicts()
+    return response
+
+
+def _encoded(response: dict) -> tuple[dict, bytes]:
+    """``(response minus points, json.dumps(response) as bytes)``."""
+    points = response.get("points")
+    if not isinstance(points, _Points):
+        return response, json.dumps(response).encode("utf-8")
+    # An empty list holds the key's place; no JSON string value can spell it.
+    head, _, tail = json.dumps({**response, "points": []}).partition('"points": []')
+    del response["points"]
+    return response, f'{head}"points": {points.json()}{tail}'.encode("utf-8")
 
 
 class WebServiceError(Exception):
@@ -108,6 +159,17 @@ class WebService:
         ``{"status": "ok", ...}`` or ``{"status": "error", "code",
         "message"}``.
         """
+        return self._handle(request, _with_point_dicts)
+
+    def handle_json(self, request: dict) -> tuple[dict, bytes]:
+        """:meth:`handle` for a door: ``(head, body)``, serialised once.
+
+        ``body`` is ``json.dumps(self.handle(request)).encode("utf-8")`` byte
+        for byte, straight from the result columns; ``head`` lacks ``points``.
+        """
+        return self._handle(request, _encoded)
+
+    def _handle(self, request: dict, render: Callable[[dict], _R]) -> _R:
         method_name = request.get("method")
         # Unknown method names share one label value so a client spraying
         # garbage cannot blow the latency family's cardinality cap.
@@ -121,7 +183,7 @@ class WebService:
         response: dict | None = None
         try:
             response = self._dispatch(request)
-            return response
+            return render(response)
         finally:
             # Timed by hand rather than via ``timed``: a successful
             # query response carries its query id, which becomes the
@@ -209,15 +271,9 @@ class WebService:
             processes=int(request.get("processes", 4)),
             max_points=self._max_points,
         )
-        coordinates = result.coordinates()
         return {
             "status": "ok",
-            "points": [
-                {"x": int(x), "y": int(y), "z": int(z), "value": float(v)}
-                for (x, y, z), v in zip(
-                    coordinates.tolist(), result.values.tolist()
-                )
-            ],
+            "points": _Points(result.coordinates(), result.values),
             "count": len(result),
             "cache_hits": result.cache_hits,
             "elapsed_seconds": result.elapsed,
@@ -251,15 +307,9 @@ class WebService:
             fd_order=int(request.get("fd_order", 4)),
         )
         result = self._mediator.topk(query)
-        coordinates = result.coordinates()
         return {
             "status": "ok",
-            "points": [
-                {"x": int(x), "y": int(y), "z": int(z), "value": float(v)}
-                for (x, y, z), v in zip(
-                    coordinates.tolist(), result.values.tolist()
-                )
-            ],
+            "points": _Points(result.coordinates(), result.values),
             "elapsed_seconds": result.ledger.total,
             "query_id": result.query_id,
         }

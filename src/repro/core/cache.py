@@ -271,7 +271,7 @@ class SemanticCache:
             )
             if not cached_box.contains_box(box):
                 continue
-            if entry["threshold"] > threshold:
+            if not (entry["threshold"] <= threshold):  # NaN never dominates
                 stale_ordinal = entry["ordinal"]
                 stale_box = cached_box
                 continue

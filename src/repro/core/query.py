@@ -36,9 +36,9 @@ class ThresholdQuery:
         fd_coefficients(self.fd_order)
         if self.timestep < 0:
             raise ValueError("timestep must be non-negative")
-        if self.threshold < 0:
+        if not 0 <= self.threshold < np.inf:  # NaN fails both comparisons
             raise ValueError(
-                "threshold must be non-negative (norms are non-negative)"
+                "threshold must be finite and non-negative (norms are non-negative)"
             )
 
 

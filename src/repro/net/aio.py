@@ -16,11 +16,11 @@ tier on one ``asyncio`` event loop:
   (``ListFields``, ``GetStats``…) overtakes heavy query traffic, so
   dashboards stay live during overload;
 * a **bounded bridge** into the existing threaded tier — admitted
-  requests run ``WebService.handle`` on a fixed-size executor
-  (``max_inflight`` threads doubling as the dispatch semaphore), so
-  mediator and node-side semantics stay byte-identical to the threaded
-  door and the in-process path: the JSON body answered for a request
-  is exactly ``json.dumps(service.handle(request))`` on all three.
+  requests run ``WebService.handle_json`` on a fixed-size executor
+  (``max_inflight`` threads doubling as the dispatch semaphore), so the
+  loop thread never serialises a query answer: both doors send
+  ``handle_json``'s body, byte for byte ``json.dumps`` of the dict
+  reference ``service.handle(request)`` that in-process callers get.
 
 The split keeps each tier doing what it is good at: the event loop
 multiplexes sockets and sheds load; the mediator's scatter pool and the
@@ -77,7 +77,12 @@ class _Queued:
     seq: int
     ticket: Ticket = field(compare=False)
     request: dict = field(compare=False)
-    future: "asyncio.Future[dict]" = field(compare=False)
+    future: "asyncio.Future[tuple[dict, bytes]]" = field(compare=False)
+
+
+def _body(payload: dict) -> bytes:
+    """The JSON body of a response the door made itself (error, shed)."""
+    return json.dumps(payload).encode("utf-8")
 
 
 class AsyncHttpFrontend:
@@ -405,9 +410,9 @@ class AsyncHttpFrontend:
             )
             return True
         tenant = headers.get("x-tenant", "public")
-        status, response, retry_after = await self._dispatch(tenant, request)
-        await self._reply_json(
-            writer, status, response,
+        status, body, retry_after = await self._dispatch(tenant, request)
+        await self._reply(
+            writer, status, "application/json", body,
             keep_alive=keep_alive, retry_after=retry_after,
         )
         return True
@@ -416,10 +421,10 @@ class AsyncHttpFrontend:
 
     async def _dispatch(
         self, tenant: str, request: dict
-    ) -> tuple[int, dict, float | None]:
+    ) -> tuple[int, bytes, float | None]:
         """Admission-controlled dispatch of one dictionary request.
 
-        Returns ``(http status, response dict, retry-after hint)``.
+        Returns ``(http status, response body, retry-after hint)``.
         Every path answers — sheds become typed 429/503 bodies, and an
         admitted request that outlives the end-to-end budget gets a
         typed 503 rather than a hang.
@@ -434,7 +439,7 @@ class AsyncHttpFrontend:
             )
         except ShedError as shed:
             self._requests.labels(outcome="shed").inc()
-            return shed.http_status, shed.to_response(), shed.retry_after_s
+            return shed.http_status, _body(shed.to_response()), shed.retry_after_s
         item = _Queued(
             priority=ticket.priority,
             seq=ticket.seq,
@@ -444,7 +449,7 @@ class AsyncHttpFrontend:
         )
         queue.put_nowait(item)
         try:
-            response = await asyncio.wait_for(
+            response, body = await asyncio.wait_for(
                 item.future, self._request_timeout
             )
         except asyncio.TimeoutError:
@@ -456,7 +461,7 @@ class AsyncHttpFrontend:
                 retry_after_s=self.admission.max_queue_wait,
             )
             self._requests.labels(outcome="timeout").inc()
-            return shed.http_status, shed.to_response(), shed.retry_after_s
+            return shed.http_status, _body(shed.to_response()), shed.retry_after_s
         outcome = "ok" if response.get("status") == "ok" else "error"
         if response.get("code") in ("queue_timeout", "overloaded"):
             outcome = "shed"
@@ -464,9 +469,8 @@ class AsyncHttpFrontend:
         retry = response.get("retry_after_s")
         status = 200 if response.get("status") == "ok" else 400
         if isinstance(retry, (int, float)):
-            status = 503
-            return status, response, float(retry)
-        return status, response, None
+            return 503, body, float(retry)
+        return status, body, None
 
     async def _worker(self, bridge: ThreadPoolExecutor) -> None:
         """One dispatch slot: dequeue, age-check, bridge, resolve."""
@@ -483,11 +487,11 @@ class AsyncHttpFrontend:
             try:
                 waited = self.admission.start(item.ticket)
             except ShedError as shed:
-                self._resolve(item, shed.to_response())
+                self._resolve(item, shed.to_response(), _body(shed.to_response()))
                 continue
             started = clock.now()
-            response = await loop.run_in_executor(
-                bridge, self.service.handle, item.request
+            response, body = await loop.run_in_executor(
+                bridge, self.service.handle_json, item.request
             )
             exemplar = response.get("query_id")
             self.admission.finish(
@@ -496,11 +500,11 @@ class AsyncHttpFrontend:
                 clock.now() - started,
                 exemplar=exemplar if isinstance(exemplar, str) else None,
             )
-            self._resolve(item, response)
+            self._resolve(item, response, body)
 
-    def _resolve(self, item: _Queued, response: dict) -> None:
+    def _resolve(self, item: _Queued, head: dict, body: bytes) -> None:
         if not item.future.done():
-            item.future.set_result(response)
+            item.future.set_result((head, body))
 
     # -- response writing --------------------------------------------------
 
@@ -517,7 +521,7 @@ class AsyncHttpFrontend:
             writer,
             status,
             "application/json",
-            json.dumps(payload).encode("utf-8"),
+            _body(payload),
             keep_alive=keep_alive,
             retry_after=retry_after,
         )

@@ -44,8 +44,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(404, {"status": "error", "code": "not_found",
                                    "message": f"POST only to /, not {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body cannot be framed
             self._reply_json(400, {"status": "error", "code": "bad_request",
                                    "message": "missing or oversized body"})
             return
@@ -60,8 +64,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(400, {"status": "error", "code": "bad_request",
                                    "message": "body must be a JSON object"})
             return
-        response = self.service.handle(request)
-        self._reply_json(200 if response.get("status") == "ok" else 400, response)
+        head, body = self.service.handle_json(request)
+        self._reply(200 if head.get("status") == "ok" else 400, "application/json", body)
 
     def _reply_json(self, status: int, payload: dict) -> None:
         self._reply(status, "application/json", json.dumps(payload).encode("utf-8"))
@@ -71,6 +75,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):

@@ -72,6 +72,20 @@ class TestLookupSemantics:
         assert not lookup.hit
         assert lookup.stale_ordinal == ordinal
 
+    def test_unordered_threshold_never_dominates(self):
+        # NaN compares false both ways: an entry stored under it (empty,
+        # since nothing is >= NaN) must read as stale, not as an answer.
+        db, cache = make_cache()
+        empty = np.array([], dtype=np.uint64), np.array([], dtype=np.float32)
+        with db.transaction() as txn:
+            ordinal = cache.store(
+                txn, "mhd", "vorticity", 0, BOX, float("nan"), *empty
+            )
+        with db.transaction() as txn:
+            lookup = cache.lookup(txn, "mhd", "vorticity", 0, BOX, 8.0)
+        assert not lookup.hit
+        assert lookup.stale_ordinal == ordinal
+
     def test_contained_region_hits_and_clips(self):
         db, cache = make_cache()
         zindexes, values = points_in_box(BOX, 200, seed=3)

@@ -1,23 +1,26 @@
 """Integration tests for the asyncio front door (:mod:`repro.net.aio`).
 
-The contract under test: the async door answers the same dictionary
-protocol byte-identically to the threaded door and the in-process path,
-keeps connections alive across requests, and under overload every
-client gets either a correct answer or a well-formed typed shed — no
-hangs, no resets, no partial JSON.
+The contract under test: both doors send ``WebService.handle_json``'s
+body, byte-identical to ``json.dumps`` of the in-process
+``WebService.handle`` dict; the async door encodes it on a bridge
+thread, keeps connections alive across requests, and under overload
+every client gets either a correct answer or a well-formed typed shed —
+no hangs, no resets, no partial JSON.
 """
 
 import http.client
 import json
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, webservice
 from repro.cluster.admission import AdmissionController
 from repro.cluster.webservice import WebService
+from repro.net import aio
 from repro.net.aio import AsyncHttpFrontend
 from repro.net.http import MAX_BODY_BYTES, HttpFrontend, _Handler
 
@@ -72,15 +75,27 @@ class TestEquivalence:
         THRESHOLD_QUERY,
         {"method": "GetPdf", "dataset": "mhd", "field": "vorticity",
          "timestep": 0, "bins": 16},
+        {"method": "GetPdf", "dataset": "mhd", "field": "vorticity",
+         "timestep": 0, "bin_edges": [0.0, 5.0, 10.0, 20.0]},
         {"method": "GetTopK", "dataset": "mhd", "field": "vorticity",
          "timestep": 0, "k": 5},
+        {"method": "GetBatchThreshold", "queries": [
+            {"dataset": "mhd", "field": "vorticity", "timestep": 0,
+             "threshold": 15.0}]},
+        {**THRESHOLD_QUERY, "threshold": float("nan")},
+        {"method": "GetStatistics"},
         {"method": "ListFields"},
         {"method": "ListDatasets"},
         {"method": "NoSuchMethod"},
         {"method": "GetThreshold", "dataset": "mhd"},  # missing keys
     ]
 
-    def test_async_threaded_and_direct_paths_agree(self, service):
+    def test_async_threaded_and_direct_paths_agree(self, service, monkeypatch):
+        from repro.obs import tracing
+
+        # Repeated executions of one request then differ in nothing: the
+        # first (direct) one warms the caches, and simulated cost repeats.
+        monkeypatch.setattr(tracing, "new_trace_id", lambda: "q777777")
         with HttpFrontend(service) as threaded, open_async_door(service) as door:
             threaded.start()
             t_conn = http.client.HTTPConnection(
@@ -90,7 +105,10 @@ class TestEquivalence:
                 "127.0.0.1", door.port, timeout=30
             )
             for request in self.REQUESTS:
+                service.handle(dict(request))
                 direct = service.handle(dict(request))
+                reference = json.dumps(direct).encode("utf-8")
+                assert service.handle_json(dict(request))[1] == reference
                 t_status, t_body, _ = post(t_conn, request)
                 a_status, a_body, _ = post(a_conn, request)
                 assert a_status == t_status, request
@@ -100,12 +118,42 @@ class TestEquivalence:
                 assert normalize(json.loads(a_body)) == normalize(
                     direct
                 ), request
-                if direct.get("status") != "ok":
-                    # Error bodies carry no volatile fields, so the two
-                    # doors must agree to the byte.
-                    assert a_body == t_body, request
+                # What a door sends is handle_json's body, and that is
+                # the dumped dict reference, byte for byte.
+                assert a_body == reference, request
+                assert t_body == reference, request
             t_conn.close()
             a_conn.close()
+
+    def test_query_answers_are_encoded_on_a_bridge_thread(
+        self, service, monkeypatch
+    ):
+        # The loop thread multiplexes every connection: it must never be
+        # the one serialising an answer (a fat one stalled it for ~67 ms).
+        encoders, door_made = [], []
+        encode, body_of = webservice._encoded, aio._body
+
+        def watched_encode(response):
+            encoders.append(threading.current_thread().name)
+            return encode(response)
+
+        def watched_body(payload):
+            door_made.append(payload)
+            return body_of(payload)
+
+        monkeypatch.setattr(webservice, "_encoded", watched_encode)
+        monkeypatch.setattr(aio, "_body", watched_body)
+        with open_async_door(service) as door:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", door.port, timeout=30
+            )
+            for request in (THRESHOLD_QUERY, {"method": "NoSuchMethod"}):
+                _, body, _ = post(conn, request)
+                assert json.loads(body)["status"] in ("ok", "error")
+            conn.close()
+        assert len(encoders) == 2
+        assert all(name.startswith("aio-bridge") for name in encoders)
+        assert door_made == []  # the loop's own json.dumps never ran
 
     def test_get_stats_bypasses_the_queue(self, service):
         with open_async_door(service) as door:
@@ -263,6 +311,30 @@ class TestProtocolAbuse:
                 raw = self.recv_all(sock)
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b"oversized" in raw
+
+    def test_unparseable_content_length_gets_400_and_close_on_both_doors(
+        self, service, capfd
+    ):
+        # The threaded door used to die in int("abc"): a traceback on
+        # stderr and a dropped connection instead of a typed answer.
+        bodies = []
+        with HttpFrontend(service) as threaded, open_async_door(service) as door:
+            threaded.start()
+            for port in (threaded.port, door.port):
+                with socket.create_connection(
+                    ("127.0.0.1", port), timeout=15
+                ) as sock:
+                    sock.sendall(
+                        b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}"
+                    )
+                    raw = self.recv_all(sock)  # returns: the door closed
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), raw
+                assert b"connection: close" in head.lower()
+                assert json.loads(body)["code"] == "bad_request"
+                bodies.append(body)
+        assert bodies[0] == bodies[1]
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_mid_body_disconnect_is_counted_not_crashed(self, service):
         counter = service.metrics.get("http_client_disconnects")

@@ -1,11 +1,17 @@
 """Tests for the web-service request/response tier."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import build_cluster, webservice
 from repro.cluster.webservice import WebService
+from repro.core import ThresholdResult
+from repro.costmodel import CostLedger
 from tests.test_core_threshold import ground_truth_norm
 
 
@@ -79,6 +85,26 @@ class TestGetThreshold:
     def test_malformed_box(self, small_mhd, service):
         response = service.handle(threshold_request(small_mhd, box=[1, 2, 3]))
         assert response["code"] == "bad_request"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_threshold_is_a_bad_request(self, small_mhd, service, bad):
+        # json.loads accepts NaN and Infinity, so the door can deliver them.
+        single = threshold_request(small_mhd, threshold=bad)
+        assert service.handle(single)["code"] == "bad_request"
+        del single["method"]
+        batch = {"method": "GetBatchThreshold", "queries": [single]}
+        assert service.handle(batch)["code"] == "bad_request"
+
+    def test_nan_threshold_does_not_poison_the_cache(self, small_mhd):
+        # A NaN query used to scan, store an empty entry, and "dominate"
+        # every later query on its region: 8.0 then answered 0 points.
+        request = threshold_request(small_mhd, threshold=8.0)
+        fresh = WebService(build_cluster(small_mhd, nodes=2)).handle(request)
+        service = WebService(build_cluster(small_mhd, nodes=2))
+        service.handle(threshold_request(small_mhd, threshold=float("nan")))
+        after = service.handle(request)
+        assert fresh["count"] > 0 and after["cache_hits"] == 0
+        assert after["points"] == fresh["points"]
 
 
 class TestOtherMethods:
@@ -349,3 +375,187 @@ class TestDispatch:
         for garbage in ({"method": 42}, {"method": "GetPdf"}, {"method": "GetThreshold", "dataset": 1}):
             response = service.handle(garbage)
             assert response["status"] == "error"
+
+
+def point_dicts(coordinates, values):
+    """The point list spelled independently of the writer under test."""
+    return [
+        {"x": int(x), "y": int(y), "z": int(z), "value": float(v)}
+        for (x, y, z), v in zip(coordinates.tolist(), values.tolist())
+    ]
+
+
+def canned_threshold(monkeypatch, service, values, query_id="q000042"):
+    """Make the service's mediator answer every GetThreshold with ``values``."""
+    result = ThresholdResult(
+        zindexes=np.arange(len(values), dtype=np.uint64),
+        values=values,
+        ledger=CostLedger(),
+        query_id=query_id,
+    )
+    monkeypatch.setattr(
+        service._mediator, "threshold", lambda query, **options: result
+    )
+
+
+class TestHandleJson:
+    """``handle_json`` is what the doors send; ``handle`` is its reference."""
+
+    def assert_body_is_the_reference(self, service, request):
+        head, body = service.handle_json(dict(request))
+        reference = service.handle(dict(request))
+        assert body == json.dumps(reference).encode("utf-8"), request
+        assert head == {k: v for k, v in reference.items() if k != "points"}
+        return reference
+
+    def test_all_ten_methods_and_errors_byte_for_byte(
+        self, small_mhd, service, monkeypatch
+    ):
+        from repro.obs import tracing
+
+        collector = tracing.install()
+        try:
+            query = threshold_request(small_mhd)
+            traced = service.handle(query)["query_id"]  # warms the cache too
+            # Two executions of one request differ only in the query id.
+            monkeypatch.setattr(tracing, "new_trace_id", lambda: "q424242")
+            topk = {"method": "GetTopK", "dataset": "mhd",
+                    "field": "vorticity", "timestep": 0, "k": 7}
+            spec = {k: v for k, v in query.items() if k != "method"}
+            stable = [
+                query,
+                {**query, "box": [0, 0, 0, 16, 16, 16]},
+                {**query, "threshold": 1e9},  # zero points
+                topk,
+                {"method": "GetPdf", "dataset": "mhd", "field": "vorticity",
+                 "timestep": 0, "bin_edges": [0.0, 2.0, 4.0]},
+                {"method": "GetBatchThreshold", "queries": [spec]},
+                {"method": "ListFields"},
+                {"method": "ListDatasets"},
+                {"method": "GetStatistics"},
+                {"method": "GetTrace", "query_id": traced},
+                {"method": "GetTrace", "query_id": "q999999"},
+                {"method": "RegisterField", "name": "vorticity",
+                 "expression": "norm(curl(velocity))"},  # duplicate_field
+                {"method": "GetStats", "format": "xml"},
+                {"method": "NoSuchMethod"},
+                {"method": "GetThreshold", "dataset": "mhd"},
+                {**query, "threshold": float("nan")},
+                {**query, "field": "enstrophy"},
+                {},
+            ]
+            for request in stable:
+                service.handle(dict(request))  # cold and warm differ in cost
+            for request in stable:
+                self.assert_body_is_the_reference(service, request)
+            points = self.assert_body_is_the_reference(service, query)["points"]
+            assert type(points) is list and type(points[0]) is dict
+            # Answers that change the state they report: the body is still
+            # exactly the dumped response, which carries no points.
+            for request in (
+                {"method": "GetStats"},
+                {"method": "GetStats", "format": "prometheus"},
+                {"method": "RegisterField", "name": "ws_json",
+                 "expression": "norm(curl(magnetic))"},
+            ):
+                head, body = service.handle_json(request)
+                assert head["status"] == "ok", head
+                assert body == json.dumps(head).encode("utf-8")
+        finally:
+            tracing.uninstall()
+
+    def test_non_finite_values_take_json_dumps_spelling(
+        self, small_mhd, service, monkeypatch
+    ):
+        values = np.array([1.5, np.inf, -np.inf, np.nan, 2.5], dtype=np.float32)
+        canned_threshold(monkeypatch, service, values)
+        reference = self.assert_body_is_the_reference(
+            service, threshold_request(small_mhd)
+        )
+        _, body = service.handle_json(threshold_request(small_mhd))
+        assert b" Infinity" in body and b"-Infinity" in body and b"NaN" in body
+        assert [p["value"] for p in reference["points"][:3]] == [
+            1.5, float("inf"), float("-inf")
+        ]
+
+    def test_fat_answer_allocates_no_per_point_objects(
+        self, small_mhd, service, monkeypatch
+    ):
+        # The guard on the gain, without a stopwatch: 50k point dicts
+        # (plus 50k [x, y, z] lists, as the parent built them) force well
+        # over 100 generation-0 collections; the column writer forces none.
+        rng = np.random.default_rng(5)
+        values = (rng.random(50_000) * 20).astype(np.float32)
+        canned_threshold(monkeypatch, service, values)
+        request = threshold_request(small_mhd)
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        def collections(call) -> int:
+            passes.clear()
+            gc.callbacks.append(count)
+            try:
+                call(dict(request))
+            finally:
+                gc.callbacks.remove(count)
+            return len(passes)
+
+        assert collections(service.handle_json) < 10
+        assert collections(service.handle) > 50  # the counter does count
+
+
+SPECIALS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.999e-5, 1e-4,
+    1e16, 9999999999999998.0, 1.7976931348623157e308, 0.1, 1 / 3,
+    float("inf"), float("-inf"), float("nan"),
+]
+
+
+class TestPointWriter:
+    """The column writer alone, against ``json.dumps`` of the dict form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from(
+            [0, 1, webservice._BLOCK - 1, webservice._BLOCK, webservice._BLOCK + 1]
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        palette=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+            | st.floats(width=32, allow_subnormal=True)
+            | st.sampled_from(SPECIALS),
+            min_size=1, max_size=12,
+        ),
+        finite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=webservice._BLOCK + 1, dtype=np.float32, palette=SPECIALS,
+             finite=True, seed=0)
+    @example(n=webservice._BLOCK + 1, dtype=np.float64, palette=SPECIALS,
+             finite=False, seed=1)
+    def test_writer_equals_json_dumps_and_round_trips(
+        self, n, dtype, palette, finite, seed
+    ):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):
+            palette = np.array(palette, dtype=np.float64).astype(dtype)
+        if finite:  # the fast path; otherwise (usually) the slow one
+            palette = np.where(np.isfinite(palette), palette, dtype(1e-7))
+        values = rng.choice(palette, size=n)
+        coordinates = rng.integers(0, 2**21, size=(n, 3), dtype=np.int64)
+        reference = point_dicts(coordinates, values)
+        points = webservice._Points(coordinates, values)
+        text = points.json()
+        assert text == json.dumps(reference)
+        assert json.dumps(points.dicts()) == text
+        parsed = json.loads(text)
+        assert [[p["x"], p["y"], p["z"]] for p in parsed] == coordinates.tolist()
+        assert np.array_equal(
+            np.array([p["value"] for p in parsed], dtype=np.float64),
+            values.astype(np.float64),
+            equal_nan=True,
+        )
+        assert all(list(point) == ["x", "y", "z", "value"] for point in parsed)
