@@ -24,6 +24,7 @@ from repro.core import (
     ThresholdTooLowError,
     TopKQuery,
 )
+from repro.core.limits import MAX_PROCESSES
 from repro.fields.derived import UnknownFieldError
 from repro.grid import Box
 from repro.net.errors import DeadlineExceededError, NetError
@@ -268,7 +269,7 @@ class WebService:
         )
         result = self._mediator.threshold(
             query,
-            processes=int(request.get("processes", 4)),
+            processes=self._processes(request),
             max_points=self._max_points,
         )
         return {
@@ -338,7 +339,7 @@ class WebService:
             )
         batch = self._mediator.batch_threshold(
             queries,
-            processes=int(request.get("processes", 4)),
+            processes=self._processes(request),
             max_points=self._max_points,
         )
         return {
@@ -450,6 +451,15 @@ class WebService:
         if not isinstance(value, types) or isinstance(value, bool):
             raise WebServiceError(
                 "bad_request", f"parameter {key!r} has the wrong type"
+            )
+        return value
+
+    @staticmethod
+    def _processes(request: dict) -> int:
+        value = request.get("processes", 4)
+        if type(value) is not int or not 1 <= value <= MAX_PROCESSES:
+            raise WebServiceError(
+                "bad_request", f"processes must be an integer in 1..{MAX_PROCESSES}"
             )
         return value
 

@@ -3,36 +3,45 @@
 On a cache miss the node evaluates its share of the query from the raw
 data (paper §4): its share of the spatial region is split into slabs —
 one chain per worker process — and each slab's evaluation reads the
-covering atoms plus a kernel-half-width halo (fetching boundary atoms
-from the owning peer node when necessary), assembles them into an array,
-runs the derived field's kernel, and scans the interior against the
-threshold.
+covering atoms plus a kernel-half-width halo (boundary atoms come from
+the owning peer node), assembles them into an array, runs the derived
+field's kernel, and scans the interior against the threshold.
 
-Simulated time follows the paper's parallelism analysis (§5.3):
+That is the system the :class:`~repro.costmodel.CostLedger` *models*;
+the wall clock is ours.  :meth:`NodeExecutor._scan` walks the chains and
+slabs only to charge them, following the paper's parallelism analysis
+(§5.3):
 
 * compute parallelises perfectly across the process chains — the
   COMPUTE category is set to the busiest chain;
 * I/O does not — all chains read from the same disk arrays, so the IO
   category is re-derived from the total bytes and seeks through the HDD
   contention model at ``streams = processes``;
-* halo reads are *redundant* across chains (each fetches its own
+* halo reads are *redundant* across chains (each is charged its own
   boundary), so I/O work genuinely grows with the process count,
   exactly as the paper observes.
+
+The work itself happens once per node query whatever ``processes`` is:
+one boundary fetch per peer, one block and one kernel per box — the
+answer does not depend on the slab cut.
 """
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
+from repro.core.limits import MAX_PROCESSES
 from repro.core.pointset import merge_sorted_runs
 from repro.costmodel import Category, CostLedger
 from repro.costmodel.ledger import (
     METER_COMPUTE_UNITS,
+    METER_HALO_BYTES,
     METER_HALO_SECONDS,
     METER_IO_BYTES,
     METER_IO_SEEKS,
@@ -40,8 +49,9 @@ from repro.costmodel.ledger import (
 from repro.fields.derived import DerivedField
 from repro.grid import Box, split_slabs
 from repro.obs import tracing
-from repro.grid.atoms import atom_ranges_covering
+from repro.grid.atoms import ATOM_VOLUME, atom_ranges_covering
 from repro.morton import MortonRange, encode_array
+from repro.morton.ranges import merge_ranges
 from repro.simulation.datasets import DatasetSpec
 from repro.simulation.ingest import array_from_atoms
 from repro.storage import Transaction
@@ -51,6 +61,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.cluster.node import DatabaseNode
     from repro.cluster.partition import MortonPartitioner
+
+#: Scan geometries (:meth:`NodeExecutor._geometry`) remembered per
+#: executor.  A node's share of a full-domain query never changes, so
+#: the steady state is one entry per (halo, processes) in use; zoom
+#: boxes of an exploration session take the rest, least recent out.
+GEOMETRY_ENTRIES = 512
+
+#: ``(peer node id, its atom ranges as an (n, 2) array)`` in first-seen
+#: order — the order the peers are charged in.
+_Remote = tuple[tuple[int, np.ndarray], ...]
+#: One chain: per slab its ``(volume, own atom ranges)``, and its boundary.
+_Chain = tuple[tuple[tuple[int, np.ndarray], ...], _Remote]
 
 
 class HaloPeer(Protocol):
@@ -107,6 +129,7 @@ class NodeExecutor:
         self._node = node
         self._peers = peers
         self._partitioner = partitioner
+        self._geometry = lru_cache(maxsize=GEOMETRY_ENTRIES)(self._resolve_geometry)
 
     def evaluate(
         self,
@@ -130,7 +153,8 @@ class NodeExecutor:
             txn: the node-query transaction (its ledger is ``ledger``).
             ledger: cost ledger of the node query.
             boxes: this node's rectangular pieces of the query region.
-            processes: worker processes per node (slab chains).
+            processes: worker processes per node — the slab chains the
+                ledger is charged for, not threads that run.
             io_only: read the data but skip kernels and thresholding
                 (the paper's Fig. 8 I/O-only mode).
             bin_edges: when given, also histogram the norms (PDF query);
@@ -140,7 +164,8 @@ class NodeExecutor:
                 is ignored).
             prefetched: remote boundary atoms already fetched by the
                 caller (see :meth:`prefetch_halo`); when given, no halo
-                RPC is issued here at all.
+                RPC is issued here at all.  Without them the boundary of
+                ``boxes`` is fetched here, once per peer.
 
         Returns:
             a :class:`RawEvaluation` with matching points (empty when
@@ -220,54 +245,64 @@ class NodeExecutor:
         io_only: bool,
         prefetched: dict[int, bytes] | None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The chain/slab loop: one block per slab, one reducer per field.
+        """Charge the chain/slab walk, then do its work once per box.
 
-        Each slab's block is read once with the widest field's halo;
-        every field's kernel runs on (a trimmed view of) it and its
-        reducer turns the norm into a Morton-sorted ``(zindexes,
-        values)`` run.  Returns one merged run per field.
+        **The model**: every chain is charged the transfer of its own
+        boundary (:meth:`_charge_halo`), every slab reads its own atoms
+        plus the widest field's halo through the buffer pool, every
+        (slab, field) adds its kernel time to its chain.  **The work**:
+        one block per box from the atoms those reads returned anyway,
+        every field's kernel on (a trimmed view of) it, its reducer
+        turning the norm into a ``(zindexes, values)`` run.  Returns
+        one merged run per field.
         """
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
+        if not 1 <= processes <= MAX_PROCESSES:
+            raise ValueError(f"processes must be in 1..{MAX_PROCESSES}")
         widest = max(deriveds, key=lambda d: d.halo(fd_order))
         halo = widest.halo(fd_order)
-        chains = self._assign_slabs(boxes, processes)
+        name, source, side = dataset_spec.name, widest.source, dataset_spec.side
+        chains, boundary = self._geometry(tuple(boxes), halo, side, processes)
+        # A single chain's caller has charged its prefetch already (the
+        # union over all its boxes, see get_batch_on_node).
+        charge_chains = prefetched is None or processes > 1
+        if prefetched is None:
+            prefetched = self._fetch_remote(None, name, source, timestep, boundary)
+        atoms = dict(prefetched)
+        cpu = self._node.spec.cpu
         chain_compute = [0.0] * len(chains)
-        runs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in deriveds]
-
-        for chain_id, slabs in enumerate(chains):
-            chain_atoms = (
-                prefetched
-                if prefetched is not None
-                else self.prefetch_halo(
-                    ledger, dataset_spec, widest, timestep, slabs, fd_order
-                )
-            )
-            for slab in slabs:
+        for chain_id, (slabs, remote) in enumerate(chains):
+            if charge_chains:
+                self._charge_halo(ledger, remote, atoms)
+            for volume, own in slabs:
                 with tracing.span("node.io", category="io"):
-                    block = self._fetch_block(
-                        txn, ledger, dataset_spec, widest, timestep, slab,
-                        halo, chain_atoms,
-                    )
+                    atoms.update(self._node.read_atoms(
+                        txn, name, source, timestep, _ranges(own)
+                    ))
                 if io_only:
                     continue
-                for derived, reduce, field_runs in zip(deriveds, reducers, runs):
-                    with tracing.span(
-                        "node.kernel", category="compute", field=derived.name
-                    ):
-                        trim = halo - derived.halo(fd_order)
-                        view = block if trim == 0 else block[
-                            (slice(trim, -trim),) * 3
-                        ]
-                        norm = derived.norm(view, dataset_spec.spacing, fd_order)
-                        chain_compute[chain_id] += self._node.spec.cpu.compute_time(
-                            slab.volume, derived.units_per_point
-                        )
-                        ledger.count(
-                            METER_COMPUTE_UNITS,
-                            slab.volume * derived.units_per_point,
-                        )
-                        field_runs.append(reduce(norm, slab))
+                for derived in deriveds:
+                    units = derived.units_per_point
+                    chain_compute[chain_id] += cpu.compute_time(volume, units)
+                    ledger.count(METER_COMPUTE_UNITS, volume * units)
+
+        runs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in deriveds]
+        for box in boxes:
+            with tracing.span("node.io", category="io"):
+                block = _assemble(
+                    box.expand(halo), side, atoms, widest.source_components
+                )
+            if io_only:
+                continue
+            for derived, reduce, field_runs in zip(deriveds, reducers, runs):
+                with tracing.span(
+                    "node.kernel", category="compute", field=derived.name
+                ):
+                    trim = halo - derived.halo(fd_order)
+                    view = block if trim == 0 else block[
+                        (slice(trim, -trim),) * 3
+                    ]
+                    norm = derived.norm(view, dataset_spec.spacing, fd_order)
+                    field_runs.append(reduce(norm, box))
 
         # Parallel-time composition (see module docstring).  Compute is
         # *charged* (not overwritten) so that several evaluate() calls on
@@ -285,19 +320,63 @@ class NodeExecutor:
                 + ledger.meter(METER_HALO_SECONDS),
             )
 
-        # Slab results are Morton-sorted runs; disjoint slabs in curve
-        # order merge by concatenation, interleaved ones by one argsort.
+        # Box results merge into one Morton-sorted run whatever the cut:
+        # disjoint runs in curve order by concatenation, interleaved or
+        # coordinate-ordered ones by one argsort.
         return [merge_sorted_runs(field_runs) for field_runs in runs]
 
     # -- internals ---------------------------------------------------------------
 
-    def _assign_slabs(self, boxes: list[Box], processes: int) -> list[list[Box]]:
-        """Split each box into per-process slabs; chain p gets slab p of each."""
-        chains: list[list[Box]] = [[] for _ in range(processes)]
+    def _resolve_geometry(
+        self, boxes: tuple[Box, ...], halo: int, side: int, processes: int
+    ) -> tuple[tuple[_Chain, ...], _Remote]:
+        """What a scan of ``boxes`` touches: pure geometry, memoised.
+
+        Each box is split into per-process slabs and chain p gets slab
+        p of each.  Returns ``(chains, boundary)``: per chain, its
+        slabs' volumes each with the atom ranges this node owns of the
+        slab plus halo, and the chain's remote ranges per peer (its own
+        redundant boundary, atoms shared by its slabs counted once);
+        then the union of the chains' remote ranges per peer.  Ranges
+        are kept as ``(n, 2)`` integer arrays — a fraction of the size
+        of as many :class:`MortonRange` objects.
+        """
+        slabs_of: list[list[Box]] = [[] for _ in range(processes)]
         for box in boxes:
-            for i, slab in enumerate(split_slabs(box, processes)):
-                chains[i % processes].append(slab)
-        return [chain for chain in chains if chain] or [[]]
+            for chain, slab in zip(slabs_of, split_slabs(box, processes)):
+                chain.append(slab)
+        chains = []
+        union: dict[int, list[MortonRange]] = {}
+        for slabs in filter(None, slabs_of):
+            reads = []
+            remote: dict[int, list[MortonRange]] = {}
+            for slab in slabs:
+                by_node = self._split_ranges_by_node(_halo_cover(slab, halo, side))
+                own = by_node.pop(self._node.node_id, [])
+                reads.append((slab.volume, _compact(own)))
+                for node_id, ranges in by_node.items():
+                    remote.setdefault(node_id, []).extend(ranges)
+                    union.setdefault(node_id, []).extend(ranges)
+            chains.append((tuple(reads), _boundary(remote)))
+        return tuple(chains), _boundary(union)
+
+    def _charge_halo(
+        self, ledger: CostLedger, remote: _Remote, atoms: dict[int, bytes]
+    ) -> None:
+        """Charge one boundary fetch without making it: peer by peer,
+        what :meth:`HaloPeer.serve_halo` would charge for ``remote`` —
+        the interconnect transfer of the atoms those ranges hold, all
+        of which are in ``atoms`` already."""
+        for _node_id, ranges in remote:
+            nbytes = sum(
+                len(atoms.get(code, b""))
+                for start, stop in ranges.tolist()
+                for code in range(start, stop, ATOM_VOLUME)
+            )
+            seconds = self._node.spec.interconnect.transfer_time(nbytes)
+            ledger.charge(Category.IO, seconds)
+            ledger.count(METER_HALO_SECONDS, seconds)
+            ledger.count(METER_HALO_BYTES, nbytes)
 
     def _fetch_block(
         self,
@@ -308,97 +387,27 @@ class NodeExecutor:
         timestep: int,
         slab: Box,
         halo: int,
-        prefetched: dict[int, bytes] | None = None,
     ) -> np.ndarray:
         """Read and assemble ``slab`` plus ``halo`` cells into one array."""
-        expanded = slab.expand(halo)
         side = dataset_spec.side
-        ncomp = derived.source_components
-        if any(n > side for n in expanded.shape):
-            # The slab plus halo wraps all the way around the domain
-            # (single-node clusters on small grids): read the whole
-            # domain once and index it periodically.
-            domain = Box.cube(side)
-            atoms = self._fetch_ranges(
-                txn, ledger, dataset_spec, derived.source, timestep,
-                atom_ranges_covering(domain, side), prefetched=prefetched,
-            )
-            full = array_from_atoms(domain, atoms, ncomp)
-            # Periodic extension by pad-and-slice: np.pad's wrap mode
-            # copies whole contiguous faces, an order of magnitude
-            # faster than the equivalent np.ix_ fancy-index gather.
-            margins = [
-                (max(0, -lo), max(0, hi - side))
-                for lo, hi in zip(expanded.lo, expanded.hi)
-            ]
-            padded = np.pad(full, [*margins, (0, 0)], mode="wrap")
-            trim = tuple(
-                slice(lo + before, hi + before)
-                for (lo, hi), (before, _after) in zip(
-                    zip(expanded.lo, expanded.hi), margins
-                )
-            )
-            return np.ascontiguousarray(padded[trim])
-        block = np.empty(expanded.shape + (ncomp,), dtype=np.float32)
-        pieces = list(expanded.wrap_periodic(side))
-        # One combined fetch for every wrapped piece: all ranges owned
-        # by one peer travel in a single halo RPC instead of one RPC
-        # per piece, which is what makes remote boundary reads cheap.
-        atoms = self._fetch_ranges(
-            txn, ledger, dataset_spec, derived.source, timestep,
-            _covering_ranges([piece for piece, _ in pieces], side),
-            prefetched=prefetched,
+        by_node = self._split_ranges_by_node(_halo_cover(slab, halo, side))
+        atoms = self._node.read_atoms(
+            txn, dataset_spec.name, derived.source, timestep,
+            by_node.pop(self._node.node_id, []),
         )
-        for piece, offset in pieces:
-            sub = array_from_atoms(piece, atoms, ncomp)
-            dst = tuple(
-                slice(o, o + n) for o, n in zip(offset, piece.shape)
-            )
-            block[dst] = sub
-        return block
-
-    def _fetch_ranges(
-        self,
-        txn: Transaction,
-        ledger: CostLedger,
-        dataset_spec: DatasetSpec,
-        source_field: str,
-        timestep: int,
-        ranges: "list[MortonRange]",
-        prefetched: dict[int, bytes] | None = None,
-    ) -> dict[int, bytes]:
-        """Atoms covering ``ranges``, read locally and from peer nodes.
-
-        With ``prefetched`` atoms (a chain- or query-level boundary
-        prefetch, see :meth:`prefetch_halo`) no RPC is issued at all —
-        the remote share is served from the prefetch and only the local
-        ranges touch the transaction.  Otherwise each peer gets all of
-        its ranges in one ``serve_halo`` call via :meth:`_fetch_remote`.
-        """
-        by_node = self._split_ranges_by_node(ranges)
-        atoms: dict[int, bytes] = {}
-        own = by_node.pop(self._node.node_id, None)
-        if own:
-            atoms.update(
-                self._node.read_atoms(
-                    txn, dataset_spec.name, source_field, timestep, own
-                )
-            )
-        if prefetched is None:
-            prefetched = self._fetch_remote(
-                ledger, dataset_spec.name, source_field, timestep,
-                list(by_node.items()),
-            )
-        atoms.update(prefetched)
-        return atoms
+        atoms.update(self._fetch_remote(
+            ledger, dataset_spec.name, derived.source, timestep,
+            _boundary(by_node),
+        ))
+        return _assemble(slab.expand(halo), side, atoms, derived.source_components)
 
     def _fetch_remote(
         self,
-        ledger: CostLedger,
+        ledger: CostLedger | None,
         dataset: str,
         source_field: str,
         timestep: int,
-        remote: "list[tuple[int, list[MortonRange]]]",
+        remote: _Remote,
     ) -> dict[int, bytes]:
         """Boundary atoms from peer nodes, one RPC per peer.
 
@@ -408,13 +417,13 @@ class NodeExecutor:
         one per peer.  Every concurrent fetch charges a scratch
         :class:`CostLedger` that is folded back in deterministic order,
         so the *simulated* time is identical to a serial exchange
-        regardless of the real-world overlap.
+        regardless of the real-world overlap.  No ``ledger``, no charge.
         """
         if not remote:
             return {}
         atoms: dict[int, bytes] = {}
         # The requester's wait for its peers; the span carries no ledger
-        # (the transfer is already charged to ``ledger`` by the peers).
+        # (the transfer is charged by the peers, or chain by chain).
         with tracing.span(
             "node.halo_fetch", category="io", peers=len(remote)
         ) as fetch_span:
@@ -423,22 +432,26 @@ class NodeExecutor:
                 with ThreadPoolExecutor(
                     max_workers=len(remote), thread_name_prefix="halo-fetch"
                 ) as pool:
+                    # In a copy of this thread's context, so each node.halo
+                    # span (or traced RPC) parents under node.halo_fetch.
                     futures = [
                         pool.submit(
+                            contextvars.copy_context().run,
                             self._peers[node_id].serve_halo,
-                            dataset, source_field, timestep, node_ranges, part,
+                            dataset, source_field, timestep, _ranges(ranges), part,
                         )
-                        for (node_id, node_ranges), part in zip(remote, scratch)
+                        for (node_id, ranges), part in zip(remote, scratch)
                     ]
                     for future in futures:
                         atoms.update(future.result())
-                for part in scratch:
-                    ledger.add(part)
+                if ledger is not None:
+                    for part in scratch:
+                        ledger.add(part)
             else:
-                ((node_id, node_ranges),) = remote
+                ((node_id, ranges),) = remote
                 atoms.update(
                     self._peers[node_id].serve_halo(
-                        dataset, source_field, timestep, node_ranges, ledger,
+                        dataset, source_field, timestep, _ranges(ranges), ledger,
                     )
                 )
             fetch_span.set("bytes", sum(len(blob) for blob in atoms.values()))
@@ -446,7 +459,7 @@ class NodeExecutor:
 
     def prefetch_halo(
         self,
-        ledger: CostLedger,
+        ledger: CostLedger | None,
         dataset_spec: DatasetSpec,
         derived: DerivedField,
         timestep: int,
@@ -455,45 +468,31 @@ class NodeExecutor:
     ) -> dict[int, bytes] | None:
         """One combined remote boundary fetch for ``boxes``.
 
-        Collects every remote atom range the boxes' expanded blocks
-        will need and fetches each peer's share in a *single*
-        ``serve_halo`` RPC before any block is computed — the dominant
-        win of the pipelined data plane for halo exchange (one round
-        trip per peer instead of one per block).  Atoms shared by
-        adjacent blocks are fetched once.
+        Fetches every remote atom the boxes' expanded blocks will need,
+        each peer's share in a *single* ``serve_halo`` RPC; atoms shared
+        by adjacent blocks are fetched once.
 
-        The slab loop calls this once per *chain*, so the paper's
-        observation that halo reads are redundant across process chains
-        keeps holding.  Query drivers that evaluate box by box (the
-        semantic cache stores each box separately) call it once for
-        every box they are about to evaluate, then pass the result to
-        :meth:`evaluate` as ``prefetched`` — turning one halo RPC per
-        box into one per peer per query.  The remote ranges of a box's
-        slabs equal those of the box itself (interior slab seams stay
-        on the owning node), so prefetching at box granularity is
-        exact.  That is only meaningful for single-chain evaluation;
-        with ``processes > 1`` drivers should let each chain fetch its
-        own redundant boundary, as the paper's parallelism model assumes.
+        Query drivers that evaluate box by box (the semantic cache
+        stores each box separately) call it once for every box they are
+        about to evaluate, then pass the result to :meth:`evaluate` as
+        ``prefetched`` — one halo RPC per peer per query.  The remote
+        atoms of a box's slabs are among those of the box itself
+        (interior slab seams stay on the owning node), so the prefetch
+        serves any ``processes``.  The transfer is charged to ``ledger``
+        — what a single chain owes; a driver of several chains passes
+        ``None`` and :meth:`evaluate` charges each chain its own
+        redundant boundary, as the paper's parallelism model assumes.
 
         Returns atoms keyed by zindex, or ``None`` when no remote atoms
-        are needed at all (single node clusters, interior slabs).
+        are needed at all (single node clusters, interior boxes).
         """
-        side = dataset_spec.side
-        halo = derived.halo(fd_order)
-        pieces: list[Box] = []
-        for box in boxes:
-            expanded = box.expand(halo)
-            if any(n > side for n in expanded.shape):
-                pieces.append(Box.cube(side))
-            else:
-                pieces.extend(piece for piece, _ in expanded.wrap_periodic(side))
-        by_node = self._split_ranges_by_node(_covering_ranges(pieces, side))
-        by_node.pop(self._node.node_id, None)
-        if not by_node:
+        _chains, boundary = self._geometry(
+            tuple(boxes), derived.halo(fd_order), dataset_spec.side, 1
+        )
+        if not boundary:
             return None
         return self._fetch_remote(
-            ledger, dataset_spec.name, derived.source, timestep,
-            list(by_node.items()),
+            ledger, dataset_spec.name, derived.source, timestep, boundary
         )
 
     def _split_ranges_by_node(
@@ -513,12 +512,67 @@ class NodeExecutor:
         return by_node
 
 
-def _covering_ranges(pieces: "list[Box]", side: int) -> list[MortonRange]:
-    """Atom ranges covering in-domain ``pieces``, each range once (atoms
-    straddling a piece boundary are deduplicated), in first-seen order."""
+def _halo_cover(box: Box, halo: int, side: int) -> list[MortonRange]:
+    """Atom ranges covering ``box`` plus ``halo`` cells on the periodic
+    domain, each range once (atoms straddling a wrapped piece's boundary
+    are deduplicated), in first-seen order."""
+    expanded = box.expand(halo)
+    if any(n > side for n in expanded.shape):
+        # Wraps all the way around (single-node clusters on small
+        # grids): the whole domain, read once and indexed periodically.
+        return atom_ranges_covering(Box.cube(side), side)
     return list(dict.fromkeys(
-        rng for piece in pieces for rng in atom_ranges_covering(piece, side)
+        rng
+        for piece, _offset in expanded.wrap_periodic(side)
+        for rng in atom_ranges_covering(piece, side)
     ))
+
+
+def _compact(ranges: list[MortonRange]) -> np.ndarray:
+    """Ranges as an ``(n, 2)`` array; :func:`_ranges` is the way back."""
+    return np.array(
+        [(rng.start, rng.stop) for rng in ranges], dtype=np.int64
+    ).reshape(-1, 2)
+
+
+def _ranges(compact: np.ndarray) -> list[MortonRange]:
+    return [MortonRange(start, stop) for start, stop in compact.tolist()]
+
+
+def _boundary(by_node: dict[int, list[MortonRange]]) -> _Remote:
+    """Each peer's ranges as a sorted union of disjoint ranges, so the
+    atoms they hold can be counted range by range."""
+    return tuple(
+        (node_id, _compact(merge_ranges(sorted(ranges))))
+        for node_id, ranges in by_node.items()
+    )
+
+
+def _assemble(
+    expanded: Box, side: int, atoms: dict[int, bytes], ncomp: int
+) -> np.ndarray:
+    """The block ``expanded`` of the periodic domain, from atoms covering it."""
+    # An axis along which the block is wider than the domain wraps all
+    # the way around (small grids): assemble that axis once, whole, and
+    # extend it periodically.  np.pad's wrap mode copies whole
+    # contiguous faces, an order of magnitude faster than the
+    # equivalent np.ix_ fancy-index gather.
+    around = [n > side for n in expanded.shape]
+    core = Box(
+        tuple(0 if a else lo for a, lo in zip(around, expanded.lo)),
+        tuple(side if a else hi for a, hi in zip(around, expanded.hi)),
+    )
+    block = np.empty(core.shape + (ncomp,), dtype=np.float32)
+    for piece, offset in core.wrap_periodic(side):
+        dst = tuple(slice(o, o + n) for o, n in zip(offset, piece.shape))
+        block[dst] = array_from_atoms(piece, atoms, ncomp)
+    if core == expanded:
+        return block
+    margins = [
+        (c_lo - lo, hi - c_hi)
+        for c_lo, lo, hi, c_hi in zip(core.lo, expanded.lo, expanded.hi, core.hi)
+    ]
+    return np.pad(block, [*margins, (0, 0)], mode="wrap")
 
 
 def _threshold_scan(

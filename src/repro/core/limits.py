@@ -12,6 +12,10 @@ from __future__ import annotations
 #: Maximum number of points a threshold query may return (paper §4).
 MAX_RESULT_POINTS = 1_000_000
 
+#: Most worker processes per node a query may ask to be charged for
+#: (the paper uses 1-8); the slab split allocates per process.
+MAX_PROCESSES = 64
+
 
 class ThresholdTooLowError(Exception):
     """The query matched more points than the configured limit.

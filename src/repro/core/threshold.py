@@ -107,9 +107,9 @@ def get_batch_on_node(
     # fetched in one RPC per peer at the first cache miss (a warm cache
     # never pays for it), with the widest halo among the batch's fields;
     # each per-box evaluation then runs without any halo round trip of
-    # its own.  Only single-chain evaluation may share the prefetch —
-    # with processes > 1 each chain fetches its own redundant boundary,
-    # as the paper's parallelism model assumes.
+    # its own.  Only a single chain is charged for that shared fetch —
+    # with processes > 1 the executor charges each chain its own
+    # redundant boundary, as the paper's parallelism model assumes.
     prefetched: dict[int, bytes] | None = None
     txn = node.db.begin(ledger)
     try:
@@ -132,11 +132,11 @@ def get_batch_on_node(
                     missed[i] = lookup.stale_ordinal
             if not missed:
                 continue
-            if processes == 1 and prefetched is None:
+            if prefetched is None:
                 widest = max(deriveds, key=lambda d: d.halo(first.fd_order))
                 prefetched = executor.prefetch_halo(
-                    ledger, dataset_spec, widest, first.timestep,
-                    boxes[index:], first.fd_order,
+                    ledger if processes == 1 else None, dataset_spec, widest,
+                    first.timestep, boxes[index:], first.fd_order,
                 ) or {}
             with tracing.span("node.evaluate") as evaluation_span:
                 evaluations = executor.evaluate_batch(

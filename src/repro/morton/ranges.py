@@ -52,7 +52,7 @@ class MortonRange:
         return MortonRange(start, stop)
 
 
-def _merge(ranges: list[MortonRange]) -> list[MortonRange]:
+def merge_ranges(ranges: list[MortonRange]) -> list[MortonRange]:
     """Merge sorted, possibly-adjacent ranges into a minimal list."""
     merged: list[MortonRange] = []
     for rng in ranges:
@@ -144,7 +144,7 @@ def box_to_ranges(
     out: list[MortonRange] = []
     _cover(lo, hi, (0, 0, 0), domain_side, out)
     out.sort()
-    return _merge(out)
+    return merge_ranges(out)
 
 
 def split_curve(domain_side: int, parts: int) -> list[MortonRange]:

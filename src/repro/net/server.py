@@ -107,6 +107,11 @@ REQUEST_WORKERS = 4
 #: halo exchange dominates the RPC itself.
 INLINE_METHODS = frozenset({"halo", "describe"})
 
+#: Methods whose RESPONSE ships raw whatever HELLO negotiated.  The
+#: probe lets shuffle-zlib at halo atoms for a 1.14x smaller frame that
+#: costs 29.6 ms per 768 KiB band to deflate and inflate, 3.9 ms raw.
+RAW_REPLY_METHODS = frozenset({"halo"})
+
 _DATASET_FACTORIES = {
     "mhd": mhd_dataset,
     "isotropic": isotropic_dataset,
@@ -184,6 +189,7 @@ class _ConnectionState:
         frame_type: FrameType,
         request_id: int,
         payload: "Buffer | Sequence[Buffer]",
+        raw: bool = False,
     ) -> None:
         # Holding the per-connection lock across the write is the point:
         # responses from the worker pool must not interleave on the
@@ -195,7 +201,8 @@ class _ConnectionState:
                 request_id,
                 payload,
                 Deadline.after(RESPONSE_TIMEOUT),
-                codec=self.codec,
+                # Codec flags 0 (raw) is legal on every connection.
+                codec=None if raw else self.codec,
             )
 
     def send_partial(
@@ -880,6 +887,7 @@ class NodeServer:
                 FrameType.RESPONSE,
                 request_id,
                 codec.encode_message_parts(final_header, final_blobs),
+                raw=method in RAW_REPLY_METHODS,
             )
         except (NetError, OSError):
             # The client went away mid-answer; the reader loop notices

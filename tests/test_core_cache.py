@@ -248,3 +248,32 @@ class TestMaintenance:
         db, cache = make_cache()
         info = db.table("cacheInfo")
         assert info._device.category is Category.CACHE_LOOKUP
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="nothing on the serving path calls Database.vacuum(), so every "
+    "recency touch and stale-entry replacement leaves a dead MVCC version "
+    "(ROADMAP 'the fat answer' (c)): 800 cold queries on two nodes held "
+    "6,400 cacheInfo versions for 64 live rows and ran 97.5 ms against "
+    "56.6 ms at the start; a safe policy needs Database to track the "
+    "oldest open snapshot",
+)
+def test_replacing_queries_leave_no_dead_versions_behind():
+    db, cache = make_cache()
+    zindexes, values = points_in_box(BOX, 50)
+    threshold = 5.0
+    for _ in range(200):
+        threshold *= 0.999  # a hair lower: the stored entry is stale
+        with db.transaction() as txn:
+            lookup = cache.lookup(txn, "mhd", "vorticity", 0, BOX, threshold)
+            assert not lookup.hit
+            cache.store(
+                txn, "mhd", "vorticity", 0, BOX, threshold, zindexes, values,
+                replace_ordinal=lookup.stale_ordinal,
+            )
+    for name in ("cacheInfo", "cacheData"):
+        chains = [chain for _key, chain in db.table(name)._clustered.items()]
+        live = sum(any(v.committed_live for v in c.versions) for c in chains)
+        assert live >= 1
+        assert sum(len(c.versions) for c in chains) <= 2 * live, name

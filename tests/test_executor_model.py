@@ -1,0 +1,278 @@
+"""The executor's two halves, each guarded without a stopwatch.
+
+``NodeExecutor._scan`` *charges* the paper's per-process chains to the
+``CostLedger`` and *does* the work once per node query.  The counting
+tests below fail when the work is done more than once (the wall-clock
+gain is lost); the pinned test fails when the model moves.
+
+The pinned literals live in ``tests/fixtures/executor_model_pinned.json``
+and were captured at the parent commit of the PR that split the two
+(674dc86, where every chain still ran for real) with::
+
+    PYTHONPATH=<parent checkout>/src python tests/test_executor_model.py \\
+        > tests/fixtures/executor_model_pinned.json
+
+Re-capturing is a statement that the cost model changed on purpose.
+"""
+
+import dataclasses
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from repro.cluster import build_cluster
+from repro.cluster.webservice import WebService
+from repro.core import PdfQuery, ThresholdQuery, TopKQuery, executor
+from repro.fields.derived import FieldRegistry, default_registry
+from repro.grid import Box
+from repro.simulation import mhd_dataset
+
+PINNED = pathlib.Path(__file__).parent / "fixtures" / "executor_model_pinned.json"
+SIDE = 32
+NODE_COUNTS = (1, 2, 4, 8)
+PROCESS_COUNTS = (1, 2, 4, 8)
+POOL_PAGES = 12
+
+VORTICITY = ThresholdQuery("mhd", "vorticity", 0, 6.0)
+WIDE = Box((1, 7, 3), (31, 20, 27))
+EDGES = tuple(float(x) for x in np.linspace(0.0, 12.0, 7))
+
+
+def _pin(ledger, **extra) -> dict:
+    return {
+        "total": ledger.total,
+        "breakdown": ledger.breakdown(),
+        "meters": ledger.meters(),
+        **extra,
+    }
+
+
+def model_answers(dataset, nodes: int, processes: int) -> dict:
+    """One fixed script of queries on a fresh cluster; what each was
+    charged, by name.  Order matters: the cache and the buffer pools
+    carry state from one query to the next, as on a live node."""
+    pinned = {}
+    # Sequential scatter and a pool far smaller than a node's share:
+    # pages are evicted and re-read, so every seek count depends on the
+    # order of the reads and is reproducible to the last bit.
+    with build_cluster(
+        dataset, nodes=nodes, buffer_pages=POOL_PAGES, sequential_scatter=True
+    ) as mediator:
+
+        def threshold(name, query, **options):
+            result = mediator.threshold(query, processes=processes, **options)
+            pinned[name] = _pin(
+                result.ledger, points=len(result), cache_hits=result.cache_hits
+            )
+
+        threshold(
+            "off_atom_box",
+            dataclasses.replace(VORTICITY, box=Box((3, 5, 2), (29, 21, 30))),
+        )
+        # Wider than the domain along x once its halo is on.
+        threshold(
+            "wrapping_box",
+            dataclasses.replace(VORTICITY, box=WIDE, timestep=1),
+            use_cache=False,
+        )
+        threshold("full_domain", VORTICITY)
+        threshold("dominated_repeat", dataclasses.replace(VORTICITY, threshold=7.5))
+        threshold("replacing_repeat", dataclasses.replace(VORTICITY, threshold=4.5))
+        threshold("no_cache", VORTICITY, use_cache=False)
+        threshold(
+            "fd_order_8",
+            dataclasses.replace(VORTICITY, timestep=1, fd_order=8),
+        )
+        threshold("raw_field", ThresholdQuery("mhd", "magnetic", 1, 1.0))
+
+        fields = (("vorticity", 5.0), ("q_criterion", 8.0), ("velocity", 1.2))
+        response = WebService(mediator).handle({
+            "method": "GetBatchThreshold",
+            "processes": processes,
+            "queries": [
+                {"dataset": "mhd", "field": field, "timestep": 1, "threshold": t}
+                for field, t in fields
+            ],
+        })
+        assert response["status"] == "ok", response
+        pinned["batch_of_three"] = response
+
+        for use_cache in (True, False):
+            pdf = mediator.pdf(
+                PdfQuery("mhd", "electric_current", 0, EDGES),
+                processes=processes, use_cache=use_cache,
+            )
+            pinned[f"pdf_cache_{use_cache}"] = _pin(
+                pdf.ledger, counts=[int(c) for c in pdf.counts]
+            )
+            topk = mediator.topk(
+                TopKQuery("mhd", "q_criterion", 0, 40),
+                processes=processes, use_cache=use_cache,
+            )
+            pinned[f"topk_cache_{use_cache}"] = _pin(
+                topk.ledger, top=float(topk.values[0]), points=len(topk)
+            )
+    return pinned
+
+
+def capture() -> dict:
+    dataset = mhd_dataset(side=SIDE, timesteps=2)
+    return {
+        f"nodes={nodes},processes={processes}": model_answers(
+            dataset, nodes, processes
+        )
+        for nodes in NODE_COUNTS
+        for processes in PROCESS_COUNTS
+    }
+
+
+@pytest.mark.parametrize("processes", PROCESS_COUNTS)
+@pytest.mark.parametrize("nodes", NODE_COUNTS)
+def test_the_model_is_pinned(small_mhd, nodes, processes):
+    expected = json.loads(PINNED.read_text())[
+        f"nodes={nodes},processes={processes}"
+    ]
+    ours = model_answers(small_mhd, nodes, processes)
+    assert sorted(ours) == sorted(expected)
+    for name, answer in expected.items():
+        # Through JSON and back: floats survive repr exactly, tuples
+        # become lists on both sides.
+        assert json.loads(json.dumps(ours[name])) == answer, name
+
+
+# -- the work happens once -----------------------------------------------------
+
+
+class CountingPeer:
+    """A :class:`~repro.core.executor.HaloPeer` that logs who was asked."""
+
+    def __init__(self, peer, asked: list):
+        self._peer, self._asked = peer, asked
+
+    def serve_halo(self, *args):
+        self._asked.append(self._peer.node_id)
+        return self._peer.serve_halo(*args)
+
+
+def count_halo_reads(mediator) -> list[list[int]]:
+    """Per node, the (growing) list of peers its executor asked."""
+    asked = [[] for _ in mediator.executors]
+    for node_executor, log in zip(mediator.executors, asked):
+        node_executor._peers = [CountingPeer(p, log) for p in node_executor._peers]
+    return asked
+
+
+BATCH = [VORTICITY, ThresholdQuery("mhd", "q_criterion", 0, 8.0)]
+
+
+@pytest.mark.parametrize("processes", [1, 4, 8])
+@pytest.mark.parametrize("nodes", [2, 4])
+def test_one_halo_read_per_peer_per_node_query(small_mhd, nodes, processes):
+    # Every chain is *charged* its own boundary; the parent also fetched
+    # each one: 16 reads a node at processes=4 on two nodes.
+    others = [[p for p in range(nodes) if p != n] for n in range(nodes)]
+    with build_cluster(small_mhd, nodes=nodes, sequential_scatter=True) as mediator:
+        asked = count_halo_reads(mediator)
+        requests = [
+            lambda: mediator.batch_threshold(BATCH, processes=processes),
+            lambda: mediator.pdf(
+                PdfQuery("mhd", "electric_current", 0, EDGES), processes=processes
+            ),
+            lambda: mediator.topk(
+                TopKQuery("mhd", "r_invariant", 1, 40), processes=processes
+            ),
+        ]
+        for request in requests:
+            request()
+            assert [sorted(log) for log in asked] == others
+            for log in asked:
+                log.clear()
+
+
+@pytest.mark.parametrize("processes", [1, 4, 8])
+def test_one_kernel_per_box_and_field(small_mhd, processes):
+    kernels = []
+    registry, stock = FieldRegistry(), default_registry()
+    for name in stock.names():
+        field = stock.get(name)
+
+        def norm(block, spacing, order, field=field):
+            kernels.append(field.name)
+            return field.norm(block, spacing, order)
+
+        registry.register(dataclasses.replace(field, norm=norm))
+    with build_cluster(small_mhd, nodes=2, registry=registry) as mediator:
+        boxes = sum(
+            len(mediator.partitioner.query_boxes(n, Box.cube(SIDE))) for n in range(2)
+        )
+        mediator.batch_threshold(BATCH, processes=processes)
+    assert sorted(kernels) == sorted([q.field for q in BATCH] * boxes)
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_the_answer_does_not_depend_on_the_slab_cut(small_mhd, nodes):
+    # With its halo this box is wider than the domain along x only: the
+    # box wraps all the way around while its slabs (cut along x) do not,
+    # so the block is assembled from less than the whole domain.
+    wide = dataclasses.replace(VORTICITY, box=WIDE)
+    with build_cluster(small_mhd, nodes=nodes) as mediator:
+        answers = [
+            mediator.threshold(wide, processes=processes, use_cache=False)
+            for processes in (1, 2, 3, 8)
+        ]
+    assert len(answers[0]) > 0
+    for answer in answers[1:]:
+        assert np.array_equal(answer.zindexes, answers[0].zindexes)
+        assert np.array_equal(answer.values, answers[0].values)
+
+
+def test_a_repeated_box_set_computes_no_morton_cover(small_mhd, monkeypatch):
+    covers = []
+
+    def covering(box, side):
+        covers.append(box)
+        return atom_ranges_covering(box, side)
+
+    atom_ranges_covering = executor.atom_ranges_covering
+    monkeypatch.setattr(executor, "atom_ranges_covering", covering)
+    with build_cluster(small_mhd, nodes=2) as mediator:
+        mediator.threshold(VORTICITY, processes=4, use_cache=False)
+        assert covers
+        covers.clear()
+        # A node's share of a full-domain query never changes.
+        mediator.threshold(VORTICITY, processes=4, use_cache=False)
+        assert covers == []
+
+
+def test_the_geometry_memo_is_bounded(small_mhd):
+    with build_cluster(small_mhd, nodes=2) as mediator:
+        node_executor = mediator.executors[0]
+        spec = mediator.nodes[0].dataset("mhd")
+        vorticity = mediator.registry.get("vorticity")
+        zooms = [
+            Box((x, y, z), (x + 8, y + 8, z + 8))
+            for x in range(9) for y in range(9) for z in range(9)
+        ]
+        assert len(zooms) > executor.GEOMETRY_ENTRIES
+        for zoom in zooms:
+            node_executor.prefetch_halo(None, spec, vorticity, 0, [zoom], 4)
+        info = node_executor._geometry.cache_info()
+        assert info.misses == len(zooms)
+        assert info.currsize == info.maxsize == executor.GEOMETRY_ENTRIES
+
+
+if __name__ == "__main__":
+    # One line per answer, so a re-capture diffs answer by answer.
+    cases = ",\n".join(
+        f' "{case}": {{\n'
+        + ",\n".join(
+            f'  "{name}": {json.dumps(answer, sort_keys=True)}'
+            for name, answer in answers.items()
+        )
+        + "\n }"
+        for case, answers in capture().items()
+    )
+    sys.stdout.write(f"{{\n{cases}\n}}\n")

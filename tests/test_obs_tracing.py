@@ -9,6 +9,12 @@ from repro.obs import tracing
 from repro.obs.tracing import Span, TraceCollector, Tracer
 
 from tests.test_core_threshold import ground_truth_norm
+from tests.test_query_kinds import (
+    VORTICITY,
+    in_process_mediator,
+    start_servers,
+    tcp_mediator,
+)
 
 
 @pytest.fixture()
@@ -172,6 +178,42 @@ class TestTracedQuery:
             s.attributes["peers"] >= 1 and s.attributes["bytes"] > 0
             for s in fetches
         )
+
+
+    @pytest.mark.parametrize("transport", ["in_process", "tcp"])
+    def test_a_multi_peer_halo_fetch_keeps_its_reads_in_the_trace(
+        self, collector, transport
+    ):
+        # Four nodes: every node's boundary has three peers, whose
+        # reads run on pool threads.  Without the caller's context
+        # there they had no current span — in-process the node.halo
+        # spans vanished, over TCP the RPC had no trace to carry and
+        # the peer's server.request subtree was lost.
+        nodes, servers = 4, []
+        if transport == "tcp":
+            servers, addresses = start_servers(nodes=nodes)
+        try:
+            with (
+                tcp_mediator(addresses) if servers else in_process_mediator(nodes)
+            ) as mediator:
+                result = mediator.threshold(VORTICITY, processes=4)
+                spans = collector.trace(result.query_id)
+        finally:
+            for server in servers:
+                server.shutdown()
+        by_id = {s.span_id: s for s in spans}
+        reads = [s for s in spans if s.name == "node.halo"]
+        assert len(reads) == nodes * (nodes - 1)
+        for read in reads:
+            lineage = []
+            ancestor = by_id.get(read.parent_id)
+            while ancestor is not None:
+                lineage.append(ancestor.name)
+                ancestor = by_id.get(ancestor.parent_id)
+            assert "node.halo_fetch" in lineage
+            if servers:
+                assert lineage[:2] == ["server.request", "node.halo_fetch"]
+        assert tracing.category_totals(spans) == result.ledger.breakdown()
 
 
 class TestExports:

@@ -281,6 +281,22 @@ def test_a_batch_of_one_is_the_lone_query(nodes, transport):
         assert _engine_meters(ours.ledger) == _engine_meters(reference.ledger)
 
 
+@pytest.mark.parametrize("processes", [0, 65, 2_000_000_000])
+def test_a_node_refuses_processes_outside_the_limit_with_a_typed_error(processes):
+    # A mediator (or anyone else on the wire) that skipped the web
+    # service's validation gets the node's own ValueError back in an
+    # ERROR frame, before a slab list is allocated per process.
+    servers, addresses = start_servers()
+    try:
+        with tcp_mediator(addresses) as mediator:
+            with pytest.raises(ValueError, match="processes must be in 1..64"):
+                mediator.threshold(VORTICITY, processes=processes, use_cache=False)
+            assert len(mediator.threshold(VORTICITY, processes=64)) > 0
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
 # -- wire round-trips, per table entry -----------------------------------------
 
 

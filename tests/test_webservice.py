@@ -95,6 +95,29 @@ class TestGetThreshold:
         batch = {"method": "GetBatchThreshold", "queries": [single]}
         assert service.handle(batch)["code"] == "bad_request"
 
+    @pytest.mark.parametrize("bad", [0, -3, 65, 10**9, True, 2.5, "4"])
+    @pytest.mark.parametrize("method", ["GetThreshold", "GetBatchThreshold"])
+    def test_processes_outside_the_limit_is_a_bad_request(
+        self, small_mhd, mhd_cluster, monkeypatch, method, bad
+    ):
+        # The slab split allocates per process: 10**9 of them used to be
+        # an allocation no node survives, True and 2.5 ran as 1 and 2.
+        def scattered(*args, **kwargs):
+            raise AssertionError("scattered before validating")
+
+        monkeypatch.setattr(mhd_cluster, "_scatter", scattered)
+        request = threshold_request(small_mhd)
+        if method == "GetBatchThreshold":
+            del request["method"]
+            request = {"method": method, "queries": [request]}
+        response = WebService(mhd_cluster).handle({**request, "processes": bad})
+        assert response["code"] == "bad_request"
+        assert "processes" in response["message"]
+
+    def test_the_largest_processes_is_served(self, small_mhd, service):
+        response = service.handle(threshold_request(small_mhd, processes=64))
+        assert response["status"] == "ok" and response["count"] > 0
+
     def test_nan_threshold_does_not_poison_the_cache(self, small_mhd):
         # A NaN query used to scan, store an empty entry, and "dominate"
         # every later query on its region: 8.0 then answered 0 points.
