@@ -553,10 +553,9 @@ def _assemble(
 ) -> np.ndarray:
     """The block ``expanded`` of the periodic domain, from atoms covering it."""
     # An axis along which the block is wider than the domain wraps all
-    # the way around (small grids): assemble that axis once, whole, and
-    # extend it periodically.  np.pad's wrap mode copies whole
-    # contiguous faces, an order of magnitude faster than the
-    # equivalent np.ix_ fancy-index gather.
+    # the way around (one node, small grids): assemble that axis once,
+    # whole, then gather it periodically — the block may overhang the
+    # domain on one side of that axis only, or on both.
     around = [n > side for n in expanded.shape]
     core = Box(
         tuple(0 if a else lo for a, lo in zip(around, expanded.lo)),
@@ -566,13 +565,10 @@ def _assemble(
     for piece, offset in core.wrap_periodic(side):
         dst = tuple(slice(o, o + n) for o, n in zip(offset, piece.shape))
         block[dst] = array_from_atoms(piece, atoms, ncomp)
-    if core == expanded:
-        return block
-    margins = [
-        (c_lo - lo, hi - c_hi)
-        for c_lo, lo, hi, c_hi in zip(core.lo, expanded.lo, expanded.hi, core.hi)
-    ]
-    return np.pad(block, [*margins, (0, 0)], mode="wrap")
+    for axis, (a, lo, hi) in enumerate(zip(around, expanded.lo, expanded.hi)):
+        if a:
+            block = block.take(np.arange(lo, hi), axis=axis, mode="wrap")
+    return block
 
 
 def _threshold_scan(

@@ -28,6 +28,8 @@ from repro.cluster.webservice import WebService
 from repro.core import PdfQuery, ThresholdQuery, TopKQuery, executor
 from repro.fields.derived import FieldRegistry, default_registry
 from repro.grid import Box
+from repro.harness.common import ground_truth_norm
+from repro.morton import encode_array
 from repro.simulation import mhd_dataset
 
 PINNED = pathlib.Path(__file__).parent / "fixtures" / "executor_model_pinned.json"
@@ -38,6 +40,14 @@ POOL_PAGES = 12
 
 VORTICITY = ThresholdQuery("mhd", "vorticity", 0, 6.0)
 WIDE = Box((1, 7, 3), (31, 20, 27))
+# Wider than the domain with their halo on, but overhanging it on one
+# side only: x past the top, x below the bottom, then x and z past the
+# top with y below the bottom.
+LOPSIDED = (
+    Box((3, 7, 3), (32, 20, 27)),
+    Box((0, 7, 3), (29, 20, 27)),
+    Box((3, 0, 2), (32, 29, 32)),
+)
 EDGES = tuple(float(x) for x in np.linspace(0.0, 12.0, 7))
 
 
@@ -114,6 +124,13 @@ def model_answers(dataset, nodes: int, processes: int) -> dict:
             )
             pinned[f"topk_cache_{use_cache}"] = _pin(
                 topk.ledger, top=float(topk.values[0]), points=len(topk)
+            )
+
+        for i, box in enumerate(LOPSIDED):
+            threshold(
+                f"lopsided_box_{i}",
+                dataclasses.replace(VORTICITY, box=box),
+                use_cache=False,
             )
     return pinned
 
@@ -212,20 +229,28 @@ def test_one_kernel_per_box_and_field(small_mhd, processes):
     assert sorted(kernels) == sorted([q.field for q in BATCH] * boxes)
 
 
+@pytest.mark.parametrize("box", [WIDE, *LOPSIDED], ids=str)
 @pytest.mark.parametrize("nodes", [1, 2])
-def test_the_answer_does_not_depend_on_the_slab_cut(small_mhd, nodes):
-    # With its halo this box is wider than the domain along x only: the
-    # box wraps all the way around while its slabs (cut along x) do not,
-    # so the block is assembled from less than the whole domain.
-    wide = dataclasses.replace(VORTICITY, box=WIDE)
+def test_the_answer_does_not_depend_on_the_slab_cut(small_mhd, nodes, box):
+    # With its halo each box is wider than the domain along x at least:
+    # the box wraps all the way around while its slabs (cut along x) do
+    # not, so the block is assembled from less than the whole domain.
+    # On one node a node box is the user's box, overhang and all.
+    norm = ground_truth_norm(small_mhd, "vorticity", 0)
+    truth = norm[tuple(slice(lo, hi) for lo, hi in zip(box.lo, box.hi))]
+    ix, iy, iz = np.nonzero(truth >= VORTICITY.threshold)
+    matching = np.sort(encode_array(*(i + lo for i, lo in zip((ix, iy, iz), box.lo))))
+    assert len(matching) > 0
+    query = dataclasses.replace(VORTICITY, box=box)
     with build_cluster(small_mhd, nodes=nodes) as mediator:
         answers = [
-            mediator.threshold(wide, processes=processes, use_cache=False)
+            mediator.threshold(query, processes=processes, use_cache=False)
             for processes in (1, 2, 3, 8)
         ]
-    assert len(answers[0]) > 0
-    for answer in answers[1:]:
-        assert np.array_equal(answer.zindexes, answers[0].zindexes)
+        field, _ledger = mediator.get_field("mhd", "vorticity", 0, box)
+    assert np.allclose(field, truth, atol=1e-4)
+    for answer in answers:
+        assert np.array_equal(answer.zindexes, matching)
         assert np.array_equal(answer.values, answers[0].values)
 
 
