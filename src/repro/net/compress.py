@@ -18,19 +18,19 @@ id   name           payload encoding
 0    ``none``       raw bytes
 1    ``zlib``       zlib stream (level from the config, default 1)
 2    ``shuffle-zlib``  blocked byte-shuffle of 8-byte lanes, then zlib
-3    ``delta-zlib``  per-blob u64 wraparound delta + byte-shuffle
-                     inside a tiny length container, then zlib
 ===  =============  ====================================================
 
-The two pre-transforms exploit the shape of simulation columns.
-Pointset payloads are dominated by little-endian ``uint64`` Morton keys
-and ``float64`` values; byte-shuffle groups the k-th byte of every word
+Id 3 was ``delta-zlib`` (a per-blob u64 delta under the shuffle).  It
+is retired and never reused: a u64 delta helps the sorted Morton-key
+column only, half of every point frame is ``float64`` values it cannot
+touch, and on whole frames it never beat ``shuffle-zlib``.  A frame
+carrying it is an unknown codec id like any other.
+
+The pre-transform exploits the shape of simulation columns.  Pointset
+payloads are dominated by little-endian ``uint64`` Morton keys and
+``float64`` values; byte-shuffle groups the k-th byte of every word
 together, turning slowly-varying high-order bytes into long runs that
-zlib's LZ77 window actually catches.  Morton keys are additionally
-*sorted*, so their word-wise wraparound deltas are tiny integers whose
-shuffled high lanes are almost all zero — that is the ``delta-zlib``
-transform, applied per column blob (the message container records blob
-lengths so the inverse is exact).
+zlib's LZ77 window actually catches.
 
 Compression is applied per frame by :func:`repro.net.frame.send_frame`:
 payloads below the configured threshold ship raw (small control frames
@@ -46,7 +46,6 @@ histogram.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,14 +58,12 @@ from repro.net.errors import FrameError
 CODEC_NONE = 0
 CODEC_ZLIB = 1
 CODEC_SHUFFLE_ZLIB = 2
-CODEC_DELTA_ZLIB = 3
 
 #: Wire codec name -> flags byte value.
 CODEC_IDS = {
     "none": CODEC_NONE,
     "zlib": CODEC_ZLIB,
     "shuffle-zlib": CODEC_SHUFFLE_ZLIB,
-    "delta-zlib": CODEC_DELTA_ZLIB,
 }
 #: Flags byte value -> wire codec name.
 CODEC_NAMES = {value: name for name, value in CODEC_IDS.items()}
@@ -81,15 +78,6 @@ PROBE_BYTES = 4096
 #: The sample must shrink below this fraction of its size, or the whole
 #: frame ships raw without paying for a full compression pass.
 PROBE_KEEP = 0.9
-
-#: A blob must be 8-aligned and at least this long for the u64 delta
-#: transform; shorter or ragged blobs pass through the delta container
-#: untransformed.
-_DELTA_MIN_BYTES = 64
-#: Sanity cap on the blob count a delta container may declare.
-_DELTA_MAX_PARTS = 1 << 20
-
-_U32 = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -109,7 +97,7 @@ class CompressionConfig:
             headers would often *grow* them.
     """
 
-    codecs: tuple[str, ...] = ("zlib", "shuffle-zlib", "delta-zlib")
+    codecs: tuple[str, ...] = ("zlib", "shuffle-zlib")
     level: int = 1
     min_payload_bytes: int = 4096
 
@@ -124,7 +112,7 @@ class CompressionConfig:
 
 
 #: The stock configuration: zlib primary (wire-compatible with older
-#: peers) plus the shuffle/delta pre-transforms for peers that know them.
+#: peers) plus the shuffle pre-transform for peers that know it.
 DEFAULT_COMPRESSION = CompressionConfig()
 
 #: A configuration that advertises nothing and never compresses.
@@ -154,7 +142,7 @@ def shared_codecs(
 #: Blosc-style — so the transpose's working set stays cache-resident;
 #: a whole-payload transpose costs over twice as much in strided
 #: traffic and the per-block runs already exceed deflate's 32 KiB
-#: window.  Part of the codec id 2/3 wire format: both peers must
+#: window.  Part of the codec id 2 wire format: both peers must
 #: agree on it, so changing it means a new codec id.
 _SHUFFLE_BLOCK = 1 << 16
 
@@ -206,32 +194,6 @@ def _unshuffle_lanes(flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _delta_eligible(nbytes: int) -> bool:
-    return nbytes >= _DELTA_MIN_BYTES and nbytes % 8 == 0
-
-
-def _delta_forward_span(src: np.ndarray) -> np.ndarray:
-    """u64 wraparound delta of one blob, byte-shuffled."""
-    words = np.ascontiguousarray(src).view(np.uint64)
-    deltas = np.empty_like(words)
-    deltas[0] = words[0]
-    np.subtract(words[1:], words[:-1], out=deltas[1:])
-    return _shuffle_lanes(deltas.view(np.uint8))
-
-
-def _delta_inverse_span(src: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_delta_forward_span`."""
-    deltas = np.ascontiguousarray(_unshuffle_lanes(src)).view(np.uint64)
-    return np.cumsum(deltas, dtype=np.uint64).view(np.uint8)
-
-
-def _as_flat_u8(part: "bytes | bytearray | memoryview") -> np.ndarray:
-    source = memoryview(part)
-    if source.itemsize != 1:
-        source = source.cast("B")
-    return np.frombuffer(source, dtype=np.uint8)
-
-
 def _stack_parts(
     parts: "Sequence[bytes | bytearray | memoryview]", total: int
 ) -> np.ndarray:
@@ -243,73 +205,12 @@ def _stack_parts(
     stacked = np.empty(total, dtype=np.uint8)
     offset = 0
     for part in parts:
-        span = len(part)
-        if span:
-            stacked[offset : offset + span] = _as_flat_u8(part)
-        offset += span
-    return stacked
-
-
-def _delta_forward(
-    parts: "Sequence[bytes | bytearray | memoryview]", total: int
-) -> np.ndarray:
-    """Container + per-blob delta/shuffle transform of a whole payload."""
-    meta = np.empty(1 + len(parts), dtype=np.uint32)
-    meta[0] = len(parts)
-    scratch = np.empty(meta.nbytes + total, dtype=np.uint8)
-    offset = meta.nbytes
-    for index, part in enumerate(parts):
-        span = len(part)
-        meta[1 + index] = span
-        if not span:
-            continue
-        src = _as_flat_u8(part)
-        if _delta_eligible(span):
-            scratch[offset : offset + span] = _delta_forward_span(src)
-        else:
-            scratch[offset : offset + span] = src
-        offset += span
-    scratch[: meta.nbytes] = meta.view(np.uint8)
-    return scratch
-
-
-def _delta_inverse(container: np.ndarray) -> np.ndarray:
-    """Undo :func:`_delta_forward`; returns the original flat payload.
-
-    Raises:
-        FrameError: malformed container (bad counts or lengths).
-    """
-    if len(container) < 4:
-        raise FrameError("delta-compressed frame shorter than its header")
-    nparts = int(_U32.unpack_from(container)[0])
-    if not 0 <= nparts <= _DELTA_MAX_PARTS:
-        raise FrameError(f"delta container declares {nparts} blobs")
-    meta_bytes = 4 * (1 + nparts)
-    if len(container) < meta_bytes:
-        raise FrameError("delta container truncated in its length table")
-    lens = (
-        np.ascontiguousarray(container[4:meta_bytes])
-        .view(np.uint32)
-        .astype(np.int64)
-    )
-    total = int(lens.sum())
-    if meta_bytes + total != len(container):
-        raise FrameError(
-            f"delta container declares {total} payload bytes but "
-            f"carries {len(container) - meta_bytes}"
+        view = memoryview(part).cast("B")
+        stacked[offset : offset + len(view)] = np.frombuffer(
+            view, dtype=np.uint8
         )
-    out = np.empty(total, dtype=np.uint8)
-    offset_in = meta_bytes
-    offset_out = 0
-    for span in lens.tolist():
-        src = container[offset_in : offset_in + span]
-        if _delta_eligible(span):
-            out[offset_out : offset_out + span] = _delta_inverse_span(src)
-        else:
-            out[offset_out : offset_out + span] = src
-        offset_in += span
-        offset_out += span
-    return out
+        offset += len(view)
+    return stacked
 
 
 class FrameCodec:
@@ -395,10 +296,6 @@ class FrameCodec:
         if name == "shuffle-zlib":
             lanes = _shuffle_lanes(_stack_parts(parts, total))
             return zlib.compress(lanes, self.config.level)
-        if name == "delta-zlib":
-            return zlib.compress(
-                _delta_forward(parts, total), self.config.level
-            )
         raise FrameError(f"unknown wire codec {name!r}")  # pragma: no cover
 
     def _probe(
@@ -426,14 +323,9 @@ class FrameCodec:
         best: str | None = None
         best_size = PROBE_KEEP * len(sample)
         for name in self.allowed:
-            if name == "shuffle-zlib":
-                trial: "bytes | np.ndarray" = _shuffle_lanes(flat)
-            elif name == "delta-zlib" and _delta_eligible(len(sample)):
-                trial = _delta_forward_span(flat)
-            elif name == "delta-zlib":
-                trial = flat
-            else:
-                trial = sample
+            trial: "bytes | np.ndarray" = (
+                _shuffle_lanes(flat) if name == "shuffle-zlib" else sample
+            )
             size = len(zlib.compress(trial, 1))
             if size < best_size:
                 best, best_size = name, size
@@ -446,8 +338,8 @@ class FrameCodec:
 
         Raises:
             FrameError: unknown codec id, a codec this endpoint never
-                advertised, corrupt compressed bytes, or a malformed
-                delta container.
+                advertised, corrupt or truncated compressed bytes, or a
+                payload that inflates past :data:`MAX_DECOMPRESSED`.
         """
         if codec_id == CODEC_NONE:
             return payload
@@ -459,27 +351,29 @@ class FrameCodec:
                 f"peer sent a {name}-compressed frame this endpoint "
                 f"never advertised"
             )
+        # Inflate against the ceiling, never past it: the payload comes
+        # from a peer, and a few hundred KiB of zeros deflate from GiBs.
+        inflater = zlib.decompressobj()
         try:
-            plain = zlib.decompress(
-                payload, bufsize=max(len(payload), 1 << 16)
-            )
+            plain = inflater.decompress(payload, MAX_DECOMPRESSED + 1)
         except zlib.error as error:
             raise FrameError(
                 f"corrupt {name}-compressed frame payload: {error}"
             ) from None
-        if len(plain) > MAX_DECOMPRESSED:
+        if len(plain) > MAX_DECOMPRESSED or inflater.unconsumed_tail:
             raise FrameError(
-                f"frame decompressed to {len(plain)} bytes, over the "
+                f"frame decompresses to more than the "
                 f"{MAX_DECOMPRESSED}-byte ceiling"
+            )
+        if not inflater.eof:
+            raise FrameError(
+                f"corrupt {name}-compressed frame payload: the stream "
+                f"ends before its end marker"
             )
         raw: "bytes | memoryview"
         if name == "shuffle-zlib":
             raw = memoryview(
                 _unshuffle_lanes(np.frombuffer(plain, dtype=np.uint8))
-            ).cast("B")
-        elif name == "delta-zlib":
-            raw = memoryview(
-                _delta_inverse(np.frombuffer(plain, dtype=np.uint8))
             ).cast("B")
         else:
             raw = plain

@@ -1,18 +1,19 @@
-"""Codec-layer tests: shuffle/delta pre-transforms, probe edges, negotiation."""
+"""Codec-layer tests: the shuffle pre-transform, probe edges, negotiation."""
+
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.net import compress
 from repro.net.compress import (
-    CODEC_DELTA_ZLIB,
     CODEC_IDS,
     CODEC_NONE,
     CODEC_SHUFFLE_ZLIB,
     CODEC_ZLIB,
     CompressionConfig,
     FrameCodec,
-    _delta_forward,
-    _delta_inverse,
     _SHUFFLE_BLOCK,
     _shuffle_lanes,
     _unshuffle_lanes,
@@ -73,9 +74,9 @@ def test_shuffle_groups_lanes():
     assert np.array_equal(shuffled[7 * lane :], flat[7::8])
 
 
-@pytest.mark.parametrize("codec_name", ["shuffle-zlib", "delta-zlib"])
+@pytest.mark.parametrize("codec_name", ["zlib", "shuffle-zlib"])
 def test_codec_round_trips_pointset_columns(codec_name):
-    """Sorted keys + float values survive each pre-transform codec."""
+    """Sorted keys + float values survive each codec."""
     rng = np.random.default_rng(7)
     zindexes = np.cumsum(
         rng.integers(1, 64, size=50_000, dtype=np.uint64)
@@ -84,9 +85,9 @@ def test_codec_round_trips_pointset_columns(codec_name):
     _round_trip(codec_name, [zindexes.tobytes(), values.tobytes()])
 
 
-@pytest.mark.parametrize("codec_name", ["shuffle-zlib", "delta-zlib"])
+@pytest.mark.parametrize("codec_name", ["zlib", "shuffle-zlib"])
 def test_codec_round_trips_ragged_parts(codec_name):
-    """Empty, short and 8-misaligned parts survive the transforms."""
+    """Empty, short and 8-misaligned parts survive each codec."""
     rng = np.random.default_rng(13)
     parts = [
         b"",
@@ -96,44 +97,6 @@ def test_codec_round_trips_ragged_parts(codec_name):
         b"x" * 8191,
     ]
     _round_trip(codec_name, parts)
-
-
-def test_delta_shrinks_sorted_keys_more_than_plain_zlib():
-    """The whole point: sorted Morton keys delta down to almost nothing."""
-    import zlib
-
-    keys = np.cumsum(
-        np.random.default_rng(3).integers(
-            1, 16, size=100_000, dtype=np.uint64
-        )
-    )
-    payload = keys.tobytes()
-    plain = len(zlib.compress(payload, 1))
-    container = _delta_forward([payload], len(payload))
-    delta = len(zlib.compress(container, 1))
-    assert delta < plain / 2
-
-
-# -- delta container hardening ---------------------------------------------------
-
-
-def test_delta_container_truncated_header():
-    with pytest.raises(FrameError, match="shorter than its header"):
-        _delta_inverse(np.frombuffer(b"\x01", dtype=np.uint8))
-
-
-def test_delta_container_absurd_part_count():
-    bad = np.frombuffer(b"\xff\xff\xff\xff", dtype=np.uint8)
-    with pytest.raises(FrameError, match="declares"):
-        _delta_inverse(bad)
-
-
-def test_delta_container_length_mismatch():
-    container = np.array(
-        _delta_forward([b"A" * 64], 64), dtype=np.uint8
-    ).copy()
-    with pytest.raises(FrameError, match="declares"):
-        _delta_inverse(container[:-8])
 
 
 # -- encode/probe edge cases -----------------------------------------------------
@@ -174,6 +137,25 @@ def test_incompressible_probe_sample_skips_a_compressible_body():
     assert total < len(body)
 
 
+def test_default_probe_picks_shuffle_for_a_point_frame():
+    """A point frame is two differently-typed columns — sorted Morton
+    keys, then float values.  The probe samples the keys (the largest
+    part, first on a tie) and must pick the transform that serves both
+    columns, on every link the default configuration negotiates."""
+    rng = np.random.default_rng(11)
+    keys = np.sort(rng.choice(1 << 18, size=25_000, replace=False)).astype("<u8")
+    values = rng.normal(1.0, 0.3, size=25_000)
+    parts = [keys.tobytes(), values.tobytes()]
+    config = CompressionConfig()
+    tx = FrameCodec(config, codec="zlib", allowed=config.codecs)
+    raw_total = sum(len(part) for part in parts)
+    codec_id, wire_parts, total = tx.encode(parts, raw_total)
+    assert codec_id == CODEC_SHUFFLE_ZLIB
+    assert total < raw_total
+    rx = FrameCodec(config, codec="zlib", allowed=config.codecs)
+    assert bytes(rx.decode(codec_id, bytes(wire_parts[0]))) == b"".join(parts)
+
+
 def test_unknown_codec_id_is_a_frame_error():
     config = CompressionConfig()
     rx = FrameCodec(config, codec="zlib")
@@ -186,7 +168,7 @@ def test_unadvertised_codec_id_is_a_frame_error():
     config = CompressionConfig(codecs=("zlib",))
     rx = FrameCodec(config, codec="zlib")
     with pytest.raises(FrameError, match="never advertised"):
-        rx.decode(CODEC_DELTA_ZLIB, b"anything")
+        rx.decode(CODEC_SHUFFLE_ZLIB, b"anything")
 
 
 def test_corrupt_compressed_payload_is_a_frame_error():
@@ -194,6 +176,33 @@ def test_corrupt_compressed_payload_is_a_frame_error():
     rx = FrameCodec(config, codec="zlib")
     with pytest.raises(FrameError, match="corrupt"):
         rx.decode(CODEC_SHUFFLE_ZLIB, b"not a zlib stream")
+
+
+def test_truncated_compressed_payload_is_a_frame_error():
+    config = CompressionConfig()
+    rx = FrameCodec(config, codec="zlib")
+    whole = zlib.compress(b"abcdefgh" * 4096, 1)
+    with pytest.raises(FrameError, match="corrupt"):
+        rx.decode(CODEC_ZLIB, whole[:-8])
+
+
+def test_inflate_is_bounded_by_the_ceiling_not_by_the_peer(monkeypatch):
+    """A frame that would inflate far past ``MAX_DECOMPRESSED`` is
+    refused after allocating about the ceiling, not the peer's figure."""
+    monkeypatch.setattr(compress, "MAX_DECOMPRESSED", 1 << 20)
+    bomb = zlib.compress(bytes(64 << 20), 1)
+    rx = FrameCodec(CompressionConfig(), codec="zlib")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameError, match="ceiling"):
+            rx.decode(CODEC_ZLIB, bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    # A payload of exactly the ceiling still decodes.
+    exact = bytes(1 << 20)
+    assert rx.decode(CODEC_ZLIB, zlib.compress(exact, 1)) == exact
 
 
 # -- negotiation -----------------------------------------------------------------
@@ -224,17 +233,18 @@ def test_peers_sharing_only_the_shuffle_codec():
 
 
 def test_shared_codecs_keeps_local_preference_order():
+    # A name this build does not know (an older peer's ``delta-zlib``)
+    # is dropped by the intersection, not an error.
     assert shared_codecs(
-        ("zlib", "shuffle-zlib", "delta-zlib"),
-        ("delta-zlib", "zlib"),
-    ) == ("zlib", "delta-zlib")
+        ("zlib", "shuffle-zlib"),
+        ("delta-zlib", "shuffle-zlib", "zlib"),
+    ) == ("zlib", "shuffle-zlib")
 
 
 def test_codec_ids_are_stable():
-    """The flags-byte table is wire format — ids must never move."""
-    assert CODEC_IDS == {
-        "none": 0,
-        "zlib": 1,
-        "shuffle-zlib": 2,
-        "delta-zlib": 3,
-    }
+    """The flags-byte table is wire format — ids must never move, and
+    the retired id 3 (``delta-zlib``) is never handed out again."""
+    assert CODEC_IDS == {"none": 0, "zlib": 1, "shuffle-zlib": 2}
+    rx = FrameCodec(CompressionConfig(), codec="zlib")
+    with pytest.raises(FrameError, match="unknown frame codec id 3"):
+        rx.decode(3, b"anything")
