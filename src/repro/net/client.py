@@ -453,9 +453,6 @@ class PipelinedConnection:
         self._next_request_id = 1
         self._dead: Exception | None = None
         self._closed = False
-        #: When a request was last issued here; the pool's idle-TTL
-        #: eviction compares against this stamp.
-        self.last_used = clock.now()
         self.node_id: int | None = None
         self._ring = _make_ring(shm)
         try:
@@ -545,7 +542,6 @@ class PipelinedConnection:
                 )
             request_id = self._next_request_id
             self._next_request_id += 1
-            self.last_used = clock.now()
             waiter = _Waiter()
             self._waiters[request_id] = waiter
             return request_id, waiter

@@ -54,6 +54,12 @@ from repro.obs import clock, tracing
 #: reuse (pipelined connections detect death via their reader loop).
 HEALTH_CHECK_IDLE_SECONDS = 30.0
 
+#: Consecutive :meth:`ConnectionPool.ping` failures after which every
+#: pooled connection is evicted — a node that stops answering health
+#: probes gets a clean slate of dials rather than a pile of half-dead
+#: sockets.
+MAX_PROBE_FAILURES = 3
+
 
 class _PooledConnection:
     """A serial client plus the bookkeeping the pool needs."""
@@ -88,15 +94,6 @@ class ConnectionPool:
         shm: offer servers a shared-memory payload ring on each new
             connection (same-host fast path; declined grants fall back
             to TCP transparently).
-        idle_ttl: seconds a connection may sit with nothing in flight
-            before the pool evicts it instead of handing it out again
-            (``None``, the default, keeps connections forever).  Long-
-            lived mediators pointed at a replicated cluster use this so
-            sockets to a demoted replica do not linger for hours.
-        max_probe_failures: consecutive :meth:`ping` failures after
-            which every pooled connection is evicted — a node that
-            stops answering health probes gets a clean slate of dials
-            rather than a pile of half-dead sockets.
     """
 
     def __init__(
@@ -113,15 +110,9 @@ class ConnectionPool:
         compression: CompressionConfig | None = None,
         on_ratio: Callable[[float], None] | None = None,
         shm: bool = False,
-        idle_ttl: float | None = None,
-        max_probe_failures: int = 3,
     ) -> None:
         if max_connections < 1:
             raise ValueError("a pool needs at least one connection")
-        if idle_ttl is not None and idle_ttl <= 0:
-            raise ValueError("idle_ttl must be positive when set")
-        if max_probe_failures < 1:
-            raise ValueError("max_probe_failures must be positive")
         self.host = host
         self.port = port
         self.address = f"{host}:{port}"
@@ -134,8 +125,6 @@ class ConnectionPool:
         )
         self._on_ratio = on_ratio
         self.shm = shm
-        self.idle_ttl = idle_ttl
-        self.max_probe_failures = max_probe_failures
         self.probe_failures = 0
         self._rng = rng or random.Random()
         self._on_retry = on_retry
@@ -226,9 +215,9 @@ class ConnectionPool:
     def ping(self, timeout: float) -> float:
         """Round-trip a health-check frame; returns wall seconds.
 
-        Consecutive failures are counted; at ``max_probe_failures`` the
-        pool evicts every connection it holds (see :meth:`__init__`).
-        One success resets the count.
+        Consecutive failures are counted; at :data:`MAX_PROBE_FAILURES`
+        the pool evicts every connection it holds.  One success resets
+        the count.
         """
         try:
             rtt = self._ping_once(timeout)
@@ -261,7 +250,7 @@ class ConnectionPool:
         """Count one failed probe; evict everything at the threshold."""
         with self._available:
             self.probe_failures += 1
-            if self.probe_failures < self.max_probe_failures:
+            if self.probe_failures < MAX_PROBE_FAILURES:
                 return
             self.probe_failures = 0
             idle, self._idle = self._idle, []
@@ -340,42 +329,20 @@ class ConnectionPool:
 
         A new connection is dialled only when every live one already has
         requests in flight — the scatter's whole fan-out to one node
-        typically rides one or two sockets.  With ``idle_ttl`` set,
-        connections idle past it are evicted here instead of reused.
+        typically rides one or two sockets.
         """
-        evicted: list[PipelinedConnection] = []
-        chosen: PipelinedConnection | None = None
         with self._lock:
             if self._closed:
                 raise ConnectionLostError(f"pool for {self.address} is closed")
-            live: list[PipelinedConnection] = []
-            now = clock.now()
-            for pipe in self._pipes:
-                if not pipe.usable:
-                    continue
-                if (
-                    self.idle_ttl is not None
-                    and pipe.in_flight == 0
-                    and now - pipe.last_used > self.idle_ttl
-                ):
-                    evicted.append(pipe)
-                    continue
-                live.append(pipe)
-            self._pipes = live
+            self._pipes = [pipe for pipe in self._pipes if pipe.usable]
             if self._pipes:
                 best = min(self._pipes, key=lambda pipe: pipe.in_flight)
                 if (
                     best.in_flight == 0
                     or len(self._pipes) >= self.max_connections
                 ):
-                    chosen = best
+                    return best
             budget = min(self.connect_timeout, deadline.remaining())
-        # close() joins the evicted connection's reader thread; never
-        # do that while holding the pool lock.
-        for pipe in evicted:
-            pipe.close()
-        if chosen is not None:
-            return chosen
         # Dial with the pool unlocked: the TCP connect plus handshake can
         # take the whole connect budget, and holding the lock meanwhile
         # would stall every other caller fanning out to this node.
@@ -422,17 +389,6 @@ class ConnectionPool:
                     raise ConnectionLostError(
                         f"pool for {self.address} is closed"
                     )
-                if self.idle_ttl is not None and self._idle:
-                    now = clock.now()
-                    keep: list[_PooledConnection] = []
-                    for pooled in self._idle:
-                        if now - pooled.last_used > self.idle_ttl:
-                            # A serial client's close is a plain fd
-                            # close — safe under the pool lock.
-                            pooled.client.close()
-                        else:
-                            keep.append(pooled)
-                    self._idle = keep
                 if self._idle:
                     conn = self._idle.pop()
                     self._checked_out += 1

@@ -27,9 +27,8 @@ from repro.net.errors import (
     ProtocolError,
     RemoteCallError,
 )
-from repro.net.pool import ConnectionPool
+from repro.net.pool import MAX_PROBE_FAILURES, ConnectionPool
 from repro.net.server import ClusterConfig, NodeServer, ReplicatedHaloPeer
-from repro.obs import clock
 
 
 # -- placement -----------------------------------------------------------------
@@ -217,9 +216,7 @@ def test_partial_failure_error_carries_blast_radius():
 class _StubPipe:
     """Just enough of PipelinedConnection for eviction bookkeeping."""
 
-    def __init__(self, last_used: float, in_flight: int = 0) -> None:
-        self.last_used = last_used
-        self.in_flight = in_flight
+    def __init__(self) -> None:
         self.usable = True
         self.closed = False
 
@@ -230,17 +227,16 @@ class _StubPipe:
 
 def test_pool_validates_hygiene_options():
     with pytest.raises(ValueError):
-        ConnectionPool("127.0.0.1", 1, idle_ttl=0.0)
-    with pytest.raises(ValueError):
-        ConnectionPool("127.0.0.1", 1, max_probe_failures=0)
+        ConnectionPool("127.0.0.1", 1, max_connections=0)
 
 
 def test_pool_probe_failures_evict_everything():
-    pool = ConnectionPool("127.0.0.1", 1, max_probe_failures=2)
-    pipe = _StubPipe(clock.now())
+    pool = ConnectionPool("127.0.0.1", 1)
+    pipe = _StubPipe()
     pool._pipes = [pipe]
-    pool._record_probe_failure()
-    assert not pipe.closed and pool.probe_failures == 1
+    for failures in range(1, MAX_PROBE_FAILURES):
+        pool._record_probe_failure()
+        assert not pipe.closed and pool.probe_failures == failures
     pool._record_probe_failure()
     assert pipe.closed
     assert pool._pipes == []
@@ -248,31 +244,11 @@ def test_pool_probe_failures_evict_everything():
 
 
 def test_pool_ping_success_resets_probe_failures():
-    pool = ConnectionPool("127.0.0.1", 1, max_probe_failures=3)
+    pool = ConnectionPool("127.0.0.1", 1)
     pool._ping_once = lambda timeout: 0.001
     pool.probe_failures = 2
     assert pool.ping(1.0) == 0.001
     assert pool.probe_failures == 0
-
-
-def test_pool_idle_ttl_evicts_stale_pipes(monkeypatch):
-    pool = ConnectionPool("127.0.0.1", 1, idle_ttl=10.0)
-    now = clock.now()
-    stale = _StubPipe(last_used=now - 60.0)
-    busy = _StubPipe(last_used=now - 60.0, in_flight=3)
-    fresh = _StubPipe(last_used=now)
-    pool._pipes = [stale, busy, fresh]
-
-    from repro.net.frame import Deadline
-
-    chosen = pool._pipe(Deadline.after(5.0))
-    # The idle-stale pipe is gone; the busy one is exempt (something is
-    # still in flight on it) and the fresh one gets the work.
-    assert stale.closed
-    assert not busy.closed and not fresh.closed
-    assert chosen is fresh
-    assert stale not in pool._pipes
-    pool.close()
 
 
 # -- replicated halo reads -----------------------------------------------------
