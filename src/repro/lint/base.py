@@ -15,11 +15,11 @@ class Checker:
     """One invariant checker.
 
     A checker instance lives for a whole lint run: :meth:`check` is
-    called once per in-scope file, and :meth:`finish` once at the end
-    (for cross-file analyses such as the lock-order graph).  Checkers
-    that set ``whole_program`` additionally receive the turbscan
+    called once per in-scope file.  Checkers that set ``whole_program``
+    additionally receive the turbscan
     :class:`~repro.lint.program.Program` model — built once per run over
-    *every* scanned file — via :meth:`check_program`.  Reported
+    *every* scanned file — via :meth:`check_program` (cross-file
+    analyses such as the lock-order graph live there).  Reported
     diagnostics are filtered against the file's suppressions before they
     reach the caller.
     """
@@ -37,10 +37,6 @@ class Checker:
 
     def check(self, source: SourceFile) -> list[Diagnostic]:
         """Diagnostics for one file (already scoped via :meth:`applies`)."""
-        return []
-
-    def finish(self) -> list[Diagnostic]:
-        """Diagnostics requiring whole-run state (default: none)."""
         return []
 
     def check_program(self, program: Program) -> list[Diagnostic]:

@@ -6,7 +6,6 @@ from repro.lint.checkers.cost01 import CostAccounting
 from repro.lint.checkers.dl01 import DeadlinePropagation
 from repro.lint.checkers.err01 import ErrorTaxonomy
 from repro.lint.checkers.halo01 import HaloConsistency
-from repro.lint.checkers.lock01 import LockHygiene
 from repro.lint.checkers.lock02 import LockOrderWholeProgram
 from repro.lint.checkers.net01 import NetDeadlines
 from repro.lint.checkers.net02 import NetZeroCopy
@@ -20,7 +19,6 @@ ALL_CHECKERS = (
     TxnDiscipline,
     CostAccounting,
     HaloConsistency,
-    LockHygiene,
     LockOrderWholeProgram,
     DeadlinePropagation,
     ResourceOwnership,
@@ -37,7 +35,6 @@ __all__ = [
     "DeadlinePropagation",
     "ErrorTaxonomy",
     "HaloConsistency",
-    "LockHygiene",
     "LockOrderWholeProgram",
     "NetDeadlines",
     "NetZeroCopy",

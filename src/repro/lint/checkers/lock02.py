@@ -1,13 +1,15 @@
-"""LOCK02 — whole-program lock-order graph and locks held across I/O.
+"""LOCK02 — whole-program lock discipline.
 
-LOCK01 sees one class at a time and propagates acquisitions one call
-level deep; real deadlock cycles in this codebase cross layers (pool ->
-client, server -> storage, mediator -> pool).  LOCK02 rebuilds the
-acquisition analysis on the turbscan :class:`~repro.lint.program.Program`:
+The mediator scatters one task per data node across a thread pool
+(paper §5: queries are "executed in parallel on the data nodes"), and
+real deadlock cycles in this codebase cross layers (pool -> client,
+server -> storage, mediator -> pool).  LOCK02 analyses lock use on the
+turbscan :class:`~repro.lint.program.Program`:
 
 * every ``with self.lock`` / ``with obj.lock`` block is resolved to a
-  lock identity ``Class.attr`` (a ``Condition`` wrapping another lock is
-  an alias of the wrapped lock, not a new one);
+  lock identity ``Class.attr`` through the receiver's inferred type (a
+  ``Condition`` wrapping another lock is an alias of the wrapped lock,
+  not a new one);
 * per-function summaries record which locks a function acquires and
   which calls it makes while holding them; acquisition sets are closed
   transitively over *synchronous* call edges (spawned work starts with a
@@ -15,7 +17,13 @@ acquisition analysis on the turbscan :class:`~repro.lint.program.Program`:
 * the resulting global graph must be acyclic, and no lock may be held
   across a call that transitively reaches a raw socket operation (the
   held-across-blocking check; deliberate cases carry a justified
-  suppression).
+  suppression);
+* a plain ``threading.Lock`` must not be re-acquired through the same
+  receiver while it is held — an immediate self-deadlock;
+* a field that is mutated under one of its object's own locks somewhere
+  must not also be mutated without one in a *public* method (private
+  helpers are assumed to be called with the lock held — a documented
+  heuristic matching this codebase's convention).
 
 The runtime sanitizer (``repro.sanitize``) records the *witnessed* edge
 set while the concurrency suites run; pass it via ``--witness`` (or the
@@ -23,10 +31,12 @@ set while the concurrency suites run; pass it via ``--witness`` (or the
 each edge as runtime-confirmed or never witnessed, separating live
 deadlock risk from static over-approximation.
 
-Like LOCK01, lock identity is syntactic: one lock object shared by two
-classes appears as two nodes, which under-reports but never invents
-edges.  Same-identity edges (two instances of the same class) are
-skipped rather than reported as self-cycles.
+Lock identity is syntactic: a lock is known where a class creates it
+(``self.x = threading.Lock()``), so one lock object shared by two
+classes appears as two nodes and a lock handed in from outside is not
+a node at all, which under-reports but never invents edges.
+Same-identity edges (two instances of the same class) are skipped
+rather than reported as self-cycles.
 """
 
 from __future__ import annotations
@@ -36,15 +46,29 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.lint.base import Checker, dotted_name
 from repro.lint.checkers.dl01 import socket_sink_functions
-from repro.lint.checkers.lock01 import LOCK_FACTORIES, find_cycles
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.program import FunctionInfo, Program
 
 #: Environment variable naming a witness file (CI convenience).
 WITNESS_ENV = "REPRO_LINT_WITNESS"
+
+#: threading factory names; plain Lock is the non-reentrant one.
+LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+
+
+class _Held(NamedTuple):
+    """One entry of a function's ``with`` stack."""
+
+    #: Lock identity, ``Class.attr``.
+    lock: str
+    #: Dotted receiver the lock was taken through (``self``), when the
+    #: receiver is a plain name chain: the same identity through the
+    #: same receiver is the same lock *object*.
+    via: str | None
 
 
 @dataclass
@@ -58,15 +82,22 @@ class _Summary:
     )
     #: direct nested-with edges (held -> taken, line).
     edges: list[tuple[str, str, int]] = field(default_factory=list)
+    #: (lock id, line) of a plain Lock taken again while already held.
+    reacquired: list[tuple[str, int]] = field(default_factory=list)
+    #: (attr, line, one of self's locks held) per store to ``self.attr``.
+    mutations: list[tuple[str, int, bool]] = field(default_factory=list)
 
 
 class LockOrderWholeProgram(Checker):
-    """Global lock acquisition graph: acyclic, never held across I/O."""
+    """Global lock acquisition graph: acyclic, never held across I/O;
+    no self-deadlock; guarded fields mutated only under their lock."""
 
     code = "LOCK02"
     description = (
-        "the whole-program lock acquisition graph must stay acyclic "
-        "and no lock may be held across a blocking network call"
+        "the whole-program lock acquisition graph must stay acyclic, "
+        "no lock may be held across a blocking network call or taken "
+        "twice, and fields guarded by a lock must not be mutated "
+        "outside it in public methods"
     )
     whole_program = True
 
@@ -87,18 +118,31 @@ class LockOrderWholeProgram(Checker):
 
     def _collect_locks(
         self, program: Program
-    ) -> dict[str, dict[str, str]]:
-        """Per class qualname: attr -> canonical lock attr.
+    ) -> tuple[dict[str, dict[str, str]], set[str]]:
+        """Per class qualname: attr -> canonical lock attr, and the ids
+        of the plain (non-reentrant) ``threading.Lock`` instances.
 
         ``threading.Condition(self._lock)`` makes the condition attr an
         alias of ``_lock`` so condition use never fabricates a second
-        node for the same underlying mutex.
+        node for the same underlying mutex.  A dataclass field is a
+        lock by its annotation (``_lock: threading.Lock = field(...)``).
         """
         table: dict[str, dict[str, str]] = {}
+        plain: set[str] = set()
         for info in program.classes.values():
             if not info.module.startswith("repro."):
                 continue
             attrs: dict[str, str] = {}
+            for stmt in info.node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name
+                ):
+                    annotated = dotted_name(stmt.annotation) or ""
+                    factory = annotated.split(".")[-1]
+                    if factory in LOCK_FACTORIES:
+                        attrs[stmt.target.id] = stmt.target.id
+                        if factory == "Lock":
+                            plain.add(f"{info.name}.{stmt.target.id}")
             for node in ast.walk(info.node):
                 if not isinstance(node, ast.Assign):
                     continue
@@ -109,31 +153,34 @@ class LockOrderWholeProgram(Checker):
                         and target.value.id == "self"
                     ):
                         continue
-                    canonical = self._lock_canonical(
+                    created = self._lock_canonical(
                         target.attr, node.value, attrs
                     )
-                    if canonical is not None:
-                        attrs[target.attr] = canonical
+                    if created is not None:
+                        attrs[target.attr], factory = created
+                        if factory == "Lock":
+                            plain.add(f"{info.name}.{target.attr}")
             if attrs:
                 table[info.qualname] = attrs
-        return table
+        return table, plain
 
     @staticmethod
     def _lock_canonical(
         attr: str, value: ast.expr, known: dict[str, str]
-    ) -> str | None:
+    ) -> tuple[str, str] | None:
+        """``(canonical attr, factory)`` when ``value`` creates a lock."""
         if not isinstance(value, ast.Call):
             return None
         dotted = dotted_name(value.func)
-        factory = dotted.split(".")[-1] if dotted else None
+        factory = dotted.split(".")[-1] if dotted else ""
         if factory not in LOCK_FACTORIES:
             return None
         if factory == "Condition" and value.args:
             wrapped = dotted_name(value.args[0])
             if wrapped and wrapped.startswith("self."):
                 inner = wrapped[len("self.") :]
-                return known.get(inner, inner)
-        return attr
+                return known.get(inner, inner), factory
+        return attr, factory
 
     # -- per-function summaries --------------------------------------------
 
@@ -142,10 +189,12 @@ class LockOrderWholeProgram(Checker):
         program: Program,
         fn: FunctionInfo,
         locks: dict[str, dict[str, str]],
+        plain: set[str],
     ) -> _Summary:
         summary = _Summary()
+        own_locks = locks.get(fn.cls or "", {})
 
-        def lock_id(expr: ast.expr) -> str | None:
+        def lock_id(expr: ast.expr) -> _Held | None:
             if not isinstance(expr, ast.Attribute):
                 return None
             receiver = program.expr_type(fn, expr.value)
@@ -155,16 +204,22 @@ class LockOrderWholeProgram(Checker):
             if canonical is None:
                 return None
             cls_name = program.classes[receiver].name
-            return f"{cls_name}.{canonical}"
+            return _Held(f"{cls_name}.{canonical}", dotted_name(expr.value))
 
-        def record_calls(node: ast.AST, stack: list[str]) -> None:
+        def record_calls(node: ast.AST, stack: list[_Held]) -> None:
             if not stack:
                 return
-            held = frozenset(stack)
+            held = frozenset(entry.lock for entry in stack)
             for call in _expr_calls(node):
                 summary.held_calls.append((held, call.lineno))
 
-        def walk(stmts: list[ast.stmt], stack: list[str], deferred: bool) -> None:
+        def record_stores(stmt: ast.stmt, stack: list[_Held]) -> None:
+            guarded = any(entry.via == "self" for entry in stack)
+            for attr in _self_stores(stmt):
+                if attr not in own_locks:
+                    summary.mutations.append((attr, stmt.lineno, guarded))
+
+        def walk(stmts: list[ast.stmt], stack: list[_Held], deferred: bool) -> None:
             for stmt in stmts:
                 if isinstance(stmt, (ast.With, ast.AsyncWith)):
                     inner = list(stack)
@@ -173,13 +228,20 @@ class LockOrderWholeProgram(Checker):
                         taken = lock_id(item.context_expr)
                         if taken is None:
                             continue
+                        line = item.context_expr.lineno
+                        if (
+                            taken.via is not None
+                            and taken in inner
+                            and taken.lock in plain
+                        ):
+                            summary.reacquired.append((taken.lock, line))
                         for held in inner:
-                            if held != taken:
+                            if held.lock != taken.lock:
                                 summary.edges.append(
-                                    (held, taken, item.context_expr.lineno)
+                                    (held.lock, taken.lock, line)
                                 )
                         if not deferred:
-                            summary.acquires.add(taken)
+                            summary.acquires.add(taken.lock)
                         inner.append(taken)
                     walk(stmt.body, inner, deferred)
                     continue
@@ -189,6 +251,8 @@ class LockOrderWholeProgram(Checker):
                     walk(stmt.body, [], True)
                     continue
                 record_calls(stmt, stack)
+                if own_locks:
+                    record_stores(stmt, stack)
                 for attr in ("body", "orelse", "finalbody"):
                     nested = getattr(stmt, attr, None)
                     if nested and isinstance(nested, list) and nested and isinstance(nested[0], ast.stmt):
@@ -202,12 +266,12 @@ class LockOrderWholeProgram(Checker):
     # -- the whole-program pass --------------------------------------------
 
     def check_program(self, program: Program) -> list[Diagnostic]:
-        """Build the global acquisition graph and check both invariants."""
-        locks = self._collect_locks(program)
+        """Build the global acquisition graph and check every invariant."""
+        locks, plain = self._collect_locks(program)
         if not locks:
             return []
         summaries = {
-            fn.qualname: self._summarize(program, fn, locks)
+            fn.qualname: self._summarize(program, fn, locks, plain)
             for fn in program.functions.values()
             if fn.module.startswith("repro.")
         }
@@ -217,6 +281,8 @@ class LockOrderWholeProgram(Checker):
         diags.extend(
             self._blocking_diagnostics(program, summaries, closure)
         )
+        diags.extend(self._reacquire_diagnostics(program, summaries))
+        diags.extend(self._mutation_diagnostics(program, summaries))
         return diags
 
     def _transitive_acquisitions(
@@ -331,6 +397,54 @@ class LockOrderWholeProgram(Checker):
         return diags
 
 
+    def _reacquire_diagnostics(
+        self, program: Program, summaries: dict[str, _Summary]
+    ) -> list[Diagnostic]:
+        return [
+            Diagnostic(
+                self.code,
+                f"re-acquiring non-reentrant lock {lock} while already "
+                "holding it — self-deadlock",
+                program.functions[name].path,
+                line,
+            )
+            for name, summary in summaries.items()
+            for lock, line in summary.reacquired
+        ]
+
+    def _mutation_diagnostics(
+        self, program: Program, summaries: dict[str, _Summary]
+    ) -> list[Diagnostic]:
+        """Stores to a field some method guards, made unguarded in a
+        public method of the same class."""
+        guarded: set[tuple[str | None, str]] = {
+            (program.functions[name].cls, attr)
+            for name, summary in summaries.items()
+            for attr, _line, locked in summary.mutations
+            if locked
+        }
+        diags = []
+        for name, summary in summaries.items():
+            fn = program.functions[name]
+            if fn.name.startswith("_"):
+                continue
+            for attr, line, locked in summary.mutations:
+                if locked or (fn.cls, attr) not in guarded:
+                    continue
+                owner = program.classes[fn.cls or ""].name
+                diags.append(
+                    Diagnostic(
+                        self.code,
+                        f"field self.{attr} is mutated under {owner}'s "
+                        "lock elsewhere but without it in public method "
+                        f"{fn.name}() — racy update",
+                        fn.path,
+                        line,
+                    )
+                )
+        return diags
+
+
 def _tail(qualname: str) -> str:
     return ".".join(qualname.split(".")[-2:])
 
@@ -360,3 +474,58 @@ def _expr_calls(node: ast.AST) -> list[ast.Call]:
 
     rec(node)
     return out
+
+
+def _self_stores(stmt: ast.stmt) -> list[str]:
+    """Attributes of ``self`` a statement assigns (or assigns into)."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        targets = [stmt.target]
+    else:
+        return []
+    stores = []
+    for target in targets:
+        node = target.value if isinstance(target, ast.Subscript) else target
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            stores.append(node.attr)
+    return stores
+
+
+def find_cycles(graph: dict[str, list[str]]) -> list[list[str]]:
+    """Canonicalised elementary cycles of a directed graph.
+
+    Each cycle is returned once as ``[a, b, ..., a]``, rotated so the
+    lexicographically smallest node leads.
+    """
+    seen_cycles: set[tuple[str, ...]] = set()
+    cycles: list[list[str]] = []
+    state: dict[str, int] = {}  # 1 = on stack, 2 = done
+
+    def visit(node: str, path: list[str]) -> None:
+        state[node] = 1
+        path.append(node)
+        for succ in graph.get(node, ()):
+            if state.get(succ) == 1:
+                start = path.index(succ)
+                cycle = path[start:] + [succ]
+                lowest = min(range(len(cycle) - 1), key=cycle.__getitem__)
+                canonical = tuple(
+                    cycle[lowest:-1] + cycle[:lowest] + [cycle[lowest]]
+                )
+                if canonical not in seen_cycles:
+                    seen_cycles.add(canonical)
+                    cycles.append(list(canonical))
+            elif state.get(succ) is None:
+                visit(succ, path)
+        path.pop()
+        state[node] = 2
+
+    for node in sorted(graph):
+        if state.get(node) is None:
+            visit(node, [])
+    return cycles

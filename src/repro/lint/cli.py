@@ -114,14 +114,6 @@ def run_paths(
                 ):
                     continue
                 diagnostics.append(diag)
-    for checker in checkers:
-        for diag in checker.finish():
-            source = sources.get(diag.path)
-            if source is not None and source.suppressed(
-                diag.code, diag.line
-            ):
-                continue
-            diagnostics.append(diag)
     active = {c.code for c in checkers} - {"SUP01"}
     if any(c.code == "SUP01" for c in checkers):
         diagnostics.extend(

@@ -5,7 +5,7 @@ Every checker reports :class:`Diagnostic` records against a
 comments extracted from the raw text.  Suppressions use the syntax::
 
     do_risky_thing()  # turblint: disable=TXN01
-    # turblint: disable-file=LOCK01     (anywhere in the file)
+    # turblint: disable-file=LOCK02     (anywhere in the file)
 
 ``disable=all`` silences every checker for the line (or file).
 """

@@ -23,7 +23,7 @@ def load(name: str, module: str) -> SourceFile:
 def run_checker(
     checker: Checker, *sources: SourceFile
 ) -> list[Diagnostic]:
-    """Run one checker over the sources, including its finish() pass."""
+    """Run one per-file checker over the sources."""
     diagnostics: list[Diagnostic] = []
     for source in sources:
         assert checker.applies(source.module), (
@@ -35,7 +35,6 @@ def run_checker(
             for diag in checker.check(source)
             if not source.suppressed(diag.code, diag.line)
         )
-    diagnostics.extend(checker.finish())
     return diagnostics
 
 

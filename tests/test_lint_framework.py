@@ -40,11 +40,11 @@ def test_file_suppression_and_all():
         "mem.py",
         "repro.cluster.mem",
         text=(
-            "# turblint: disable-file=LOCK01\n"
+            "# turblint: disable-file=LOCK02\n"
             "x = 1  # turblint: disable=all\n"
         ),
     )
-    assert source.suppressed("LOCK01", 99)
+    assert source.suppressed("LOCK02", 99)
     assert source.suppressed("ERR01", 2)  # disable=all on line 2
     assert not source.suppressed("ERR01", 1)
 
@@ -163,7 +163,7 @@ def test_main_list_checkers(capsys):
 
 def test_checker_codes_are_unique():
     codes = [cls.code for cls in ALL_CHECKERS]
-    assert len(codes) == len(set(codes)) == 12
+    assert len(codes) == len(set(codes)) == 11
 
 
 # -- the repo itself must be clean ----------------------------------------------
