@@ -24,11 +24,11 @@ measures:
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_ha.py
+    python benchmarks/gate.py ha BENCH_ha.json
 
-Results land in ``BENCH_ha.json`` and are gated against
-``benchmarks/ha_floor.json`` (plain keys are minimums; ``_max`` keys
-are ceilings), exiting non-zero on a violation — the CI chaos leg
-relies on that exit code.
+Results land in ``BENCH_ha.json``; the bounds are the ``ha`` section of
+``benchmarks/targets.json``.  ``benchmarks/e2e`` probes replication at
+R = 1 only, so none of these numbers has a twin there.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.simulation.datasets import mhd_dataset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_ha.json"
-FLOOR_PATH = Path(__file__).resolve().parent / "ha_floor.json"
 
 SCHEMA_VERSION = 1
 
@@ -195,41 +194,10 @@ def run() -> dict[str, object]:
     return report
 
 
-def check_floor(report: dict[str, object]) -> list[str]:
-    """Plain keys are minimums; a ``_max`` suffix marks a ceiling."""
-    floor = json.loads(FLOOR_PATH.read_text())
-    failures = []
-    for key, bound in floor.items():
-        if key.endswith("_max"):
-            got = float(report[key[: -len("_max")]])  # type: ignore[arg-type]
-            if got > bound:
-                failures.append(f"{key[:-4]}: {got:.3f} > ceiling {bound}")
-        else:
-            got = float(report[key])  # type: ignore[arg-type]
-            if got < bound:
-                failures.append(f"{key}: {got:.3f} < floor {bound}")
-    return failures
-
-
 def main() -> int:
     report = run()
     OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    summary = {
-        key: round(float(report[key]), 3)  # type: ignore[arg-type]
-        for key in (
-            "healthy_threshold_s",
-            "post_kill_threshold_s",
-            "failover_added_s",
-            "steady_after_failover_s",
-            "antientropy_atoms_per_s",
-            "antientropy_catchup_s",
-        )
-    }
-    sys.stderr.write(f"bench_ha: {summary} -> {OUT_PATH}\n")
-    failures = check_floor(report)
-    if failures:
-        sys.stderr.write("FLOOR VIOLATIONS: " + "; ".join(failures) + "\n")
-        return 1
+    sys.stderr.write(f"bench_ha -> {OUT_PATH}\n")
     return 0
 
 

@@ -1,40 +1,33 @@
-"""Network data-plane benchmark: throughput, latency, and TCP overhead.
+"""Streamed-transfer benchmark: PARTIAL frames over raw TCP and the ring.
 
 Stands up a real two-node cluster in-thread (NodeServer instances over
-loopback TCP) plus an identical in-process reference, and measures:
+loopback TCP) plus an identical in-process reference, and measures what
+``benchmarks/e2e`` cannot reach — no end-to-end answer is as large as
+``STREAM_CHUNK_POINTS`` and the e2e probes have no shm leg:
 
-* ``ping_rtt_ms`` — median health-check round trip, the wire floor;
 * a **payload sweep** — 64 KiB / 1 MiB / 16 MiB point-set transfers via
-  the server's ``echo`` RPC, one leg per data-plane configuration:
-  ``raw`` (no codec), ``zlib`` (plain zlib, the PR-5 baseline),
-  ``shuffle`` (byte-shuffle + zlib) and ``shm`` (same-host
-  shared-memory ring, no codec) — recording MiB/s plus p50/p90
-  latency.  Throughput is *raw* point-set bytes over wall time, so the
-  codec rows show what each transform buys on top of the zero-copy
-  framing, and the two headline ratios (``shm_speedup_vs_raw``,
-  ``shuffle_speedup_vs_zlib``) are gated in the floor file;
-* ``threshold_tcp_s`` / ``threshold_inprocess_s`` — a threshold query
-  over each transport, and the resulting ``tcp_overhead_ratio``;
-* per-query ``wire_bytes`` — the real (post-compression) footprint the
-  TcpTransport reconciles against the cost model's MEDIATOR_DB
-  transfer.
+  the server's ``echo`` RPC, streamed as PARTIAL frames over ``raw``
+  TCP (no codec) and over ``shm`` (same-host shared-memory ring, no
+  codec) — recording MiB/s plus p50/p90 latency, and the headline
+  ``shm_speedup_vs_raw``;
+* a threshold query over a connection that negotiated the ring, equal
+  point for point to the in-process answer, with its ``wire_bytes``.
+
+Everything else this file used to time (ping, the zlib / shuffle echo
+legs, TCP against in-process) is an e2e probe now: ``net.transport.*``,
+``net.compress.*``, ``core.threshold.node_ms.*``.
 
 Run as a script::
 
-    PYTHONPATH=src python benchmarks/bench_net.py [--transport tcp|shm]
+    PYTHONPATH=src python benchmarks/bench_net.py
+    python benchmarks/gate.py net_shm BENCH_net_shm.json
 
-``--transport`` picks the connection flavour for the threshold-equality
-leg (the payload sweep always runs every leg): ``shm`` routes streamed
-partials through the shared-memory ring and writes
-``BENCH_net_shm.json`` instead of ``BENCH_net.json``.  Results are
-gated against ``benchmarks/net_floor.json`` (plain keys are minimums;
-keys with a ``_max`` suffix are ceilings), exiting non-zero on a
-violation — the CI net-cluster job relies on that exit code.
+The first writes ``BENCH_net_shm.json``; the bounds are the ``net_shm``
+section of ``benchmarks/targets.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import sys
@@ -45,7 +38,7 @@ import numpy as np
 from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
 from repro.core import ThresholdQuery
-from repro.net.compress import CompressionConfig, NO_COMPRESSION
+from repro.net.compress import NO_COMPRESSION
 from repro.net.server import ClusterConfig, NodeServer
 from repro.net.stream import ByteStreamSink
 from repro.net.transport import TcpTransport
@@ -53,20 +46,15 @@ from repro.obs.clock import Stopwatch, unix_now
 from repro.simulation.datasets import mhd_dataset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-OUT_PATH = REPO_ROOT / "BENCH_net.json"
-SHM_OUT_PATH = REPO_ROOT / "BENCH_net_shm.json"
-FLOOR_PATH = Path(__file__).resolve().parent / "net_floor.json"
+OUT_PATH = REPO_ROOT / "BENCH_net_shm.json"
 
 #: Version of the report's key set; bump when keys are added, renamed
 #: or removed so downstream dashboards can detect layout changes.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 SIDE = 16
 TIMESTEPS = 2
 NODES = 2
-PINGS = 50
-#: Alternating TCP/in-process threshold reps; the ratio uses medians.
-THRESHOLD_REPS = 5
 #: Payload sweep sizes (raw packed point-set bytes; 16 bytes/point).
 SWEEP_SIZES = (
     (64 * 1024, "64KiB"),
@@ -102,17 +90,6 @@ def make_mediator(addresses: list[str], **transport_kwargs) -> Mediator:
     )
 
 
-def bench_ping(mediator: Mediator) -> dict[str, float]:
-    rtts = []
-    for _ in range(PINGS):
-        for node_id in range(NODES):
-            rtts.append(mediator.transport.ping(node_id))
-    return {
-        "ping_rtt_ms_median": statistics.median(rtts) * 1e3,
-        "ping_rtt_ms_p90": sorted(rtts)[int(len(rtts) * 0.9)] * 1e3,
-    }
-
-
 def _echo_once(transport: TcpTransport, points: int, raw_bytes: int) -> float:
     """One timed echo transfer; verifies every raw byte arrived."""
     sink = ByteStreamSink()
@@ -136,7 +113,7 @@ def bench_payload_sweep(
     Throughput derives from the *minimum* time (the ``timeit``
     convention: on a small box the lowest observation is the least
     scheduler-disturbed estimate of the path's real capability, and the
-    gated codec/transport ratios need that stability); p50/p90 stay as
+    gated transport ratio needs that stability); p50/p90 stay as
     latency diagnostics, where the jitter itself is the information.
     """
     out: dict[str, float] = {}
@@ -155,146 +132,64 @@ def bench_payload_sweep(
             out[f"{prefix}_mib_per_s"] = raw_bytes / times[0] / (1024 * 1024)
             out[f"{prefix}_p50_ms"] = p50 * 1e3
             out[f"{prefix}_p90_ms"] = p90 * 1e3
-    # Headline: the 16 MiB transfer on the default (negotiated) path,
-    # plus the two ratios the floor file gates.
-    out["pointset_mib_per_s"] = out["echo_16MiB_zlib_mib_per_s"]
-    out["pointset_raw_mib_per_s"] = out["echo_16MiB_raw_mib_per_s"]
     out["shm_speedup_vs_raw"] = (
         out["echo_16MiB_shm_mib_per_s"] / out["echo_16MiB_raw_mib_per_s"]
-    )
-    out["shuffle_speedup_vs_zlib"] = (
-        out["echo_16MiB_shuffle_mib_per_s"] / out["echo_16MiB_zlib_mib_per_s"]
     )
     return out
 
 
-def bench_threshold(tcp: Mediator, in_process: Mediator) -> dict[str, float]:
-    # Warm both paths once so buffer-pool state matches.
-    tcp.threshold(QUERY, use_cache=False)
-    in_process.threshold(QUERY, use_cache=False)
-
-    tcp_times, local_times = [], []
-    wire_bytes = 0.0
-    for _ in range(THRESHOLD_REPS):
-        with Stopwatch() as tcp_watch:
-            over_tcp = tcp.threshold(QUERY, use_cache=False)
-        with Stopwatch() as local_watch:
-            local = in_process.threshold(QUERY, use_cache=False)
-        tcp_times.append(tcp_watch.elapsed)
-        local_times.append(local_watch.elapsed)
-        wire_bytes = float(over_tcp.ledger.meters().get("wire_bytes", 0.0))
-        assert np.array_equal(
-            np.sort(over_tcp.zindexes), np.sort(local.zindexes)
-        )
-    tcp_s = statistics.median(tcp_times)
-    local_s = statistics.median(local_times)
+def bench_threshold(shm: Mediator, in_process: Mediator) -> dict[str, float]:
+    """One threshold query over a ring-negotiated connection, checked
+    point for point against the in-process answer."""
+    over_shm = shm.threshold(QUERY, use_cache=False)
+    local = in_process.threshold(QUERY, use_cache=False)
+    if not (
+        np.array_equal(over_shm.zindexes, local.zindexes)
+        and np.array_equal(over_shm.values, local.values)
+    ):
+        raise AssertionError("the answer over shm differs from in-process")
     return {
-        "threshold_points": float(len(over_tcp)),
-        "threshold_tcp_s": tcp_s,
-        "threshold_inprocess_s": local_s,
-        "tcp_overhead_ratio": tcp_s / local_s,
-        "threshold_wire_bytes": wire_bytes,
+        "threshold_points": float(len(over_shm)),
+        "threshold_wire_bytes": float(
+            over_shm.ledger.meters().get("wire_bytes", 0.0)
+        ),
     }
 
 
-def run(transport_kind: str = "tcp") -> dict[str, object]:
+def run() -> dict[str, object]:
     servers, addresses = start_cluster()
-    tcp = make_mediator(addresses)
     raw_tcp = make_mediator(addresses, compression=NO_COMPRESSION)
-    zlib_tcp = make_mediator(
-        addresses, compression=CompressionConfig(codecs=("zlib",))
-    )
-    shuffle_tcp = make_mediator(
-        addresses, compression=CompressionConfig(codecs=("shuffle-zlib",))
-    )
     shm_tcp = make_mediator(addresses, compression=NO_COMPRESSION, shm=True)
     in_process = build_cluster(
         mhd_dataset(side=SIDE, timesteps=TIMESTEPS, seed=11), nodes=NODES
     )
-    threshold_mediator = shm_tcp if transport_kind == "shm" else tcp
     try:
         report: dict[str, object] = {
-            "benchmark": "net",
+            "benchmark": "net_shm",
             "schema_version": SCHEMA_VERSION,
             "generated_unix": unix_now(),
             "side": SIDE,
             "nodes": NODES,
-            "transport": transport_kind,
         }
-        report.update(bench_ping(tcp))
         report.update(
             bench_payload_sweep(
-                [
-                    ("raw", raw_tcp.transport),
-                    ("zlib", zlib_tcp.transport),
-                    ("shuffle", shuffle_tcp.transport),
-                    ("shm", shm_tcp.transport),
-                ]
+                [("raw", raw_tcp.transport), ("shm", shm_tcp.transport)]
             )
         )
-        report.update(bench_threshold(threshold_mediator, in_process))
+        report.update(bench_threshold(shm_tcp, in_process))
         return report
     finally:
-        tcp.close()
         raw_tcp.close()
-        zlib_tcp.close()
-        shuffle_tcp.close()
         shm_tcp.close()
         in_process.close()
         for server in servers:
             server.shutdown()
 
 
-def check_floor(report: dict[str, object]) -> list[str]:
-    """Compare the report against the floor file.
-
-    Plain keys are minimums; a ``_max`` suffix marks a ceiling (used
-    for ratios where smaller is better).
-    """
-    floor = json.loads(FLOOR_PATH.read_text())
-    failures = []
-    for key, bound in floor.items():
-        if key.endswith("_max"):
-            got = float(report[key[: -len("_max")]])  # type: ignore[arg-type]
-            if got > bound:
-                failures.append(f"{key[:-4]}: {got:.3f} > ceiling {bound}")
-        else:
-            got = float(report[key])  # type: ignore[arg-type]
-            if got < bound:
-                failures.append(f"{key}: {got:.3f} < floor {bound}")
-    return failures
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--transport",
-        choices=("tcp", "shm"),
-        default="tcp",
-        help="connection flavour for the threshold-equality leg",
-    )
-    opts = parser.parse_args(argv)
-    report = run(opts.transport)
-    out_path = SHM_OUT_PATH if opts.transport == "shm" else OUT_PATH
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    summary = {
-        key: round(float(report[key]), 3)  # type: ignore[arg-type]
-        for key in (
-            "ping_rtt_ms_median",
-            "pointset_mib_per_s",
-            "pointset_raw_mib_per_s",
-            "shm_speedup_vs_raw",
-            "shuffle_speedup_vs_zlib",
-            "threshold_tcp_s",
-            "threshold_inprocess_s",
-            "tcp_overhead_ratio",
-        )
-    }
-    sys.stderr.write(f"bench_net: {summary} -> {out_path}\n")
-    failures = check_floor(report)
-    if failures:
-        sys.stderr.write("FLOOR VIOLATIONS: " + "; ".join(failures) + "\n")
-        return 1
+def main() -> int:
+    report = run()
+    OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write(f"bench_net -> {OUT_PATH}\n")
     return 0
 
 

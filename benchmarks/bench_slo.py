@@ -1,7 +1,7 @@
-"""SLO benchmark: open-loop mixed traffic, latency percentiles, gates.
+"""SLO benchmark: open-loop mixed traffic, latency percentiles.
 
-Two profiles, selected with ``--profile`` and gated against their own
-section of ``benchmarks/slo_floor.json``:
+Two profiles, selected with ``--profile``, each bounded by its own
+section (``slo.default`` / ``slo.scale``) of ``benchmarks/targets.json``:
 
 ``default``
     The original mediator-level check.  Stands up the same two-node
@@ -12,7 +12,7 @@ section of ``benchmarks/slo_floor.json``:
     hidden by back-pressure) mixing threshold, top-k and PDF traffic;
     **p50/p99 wall latency per query class** plus the overall error
     rate; the **span-category breakdown** of the traced load; and the
-    **continuous-profiling overhead**, gated below 5%.
+    **continuous-profiling overhead**, bounded below 5%.
 
 ``scale``
     The front-door check.  Puts :class:`repro.net.aio.AsyncHttpFrontend`
@@ -28,14 +28,12 @@ section of ``benchmarks/slo_floor.json``:
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_slo.py [--profile default|scale]
-        [--arrival-rate R] [--requests N] [--clients C] [--duration S]
+    python benchmarks/gate.py slo.default BENCH_slo.json
+    python benchmarks/gate.py slo.scale BENCH_slo_scale.json
 
-Both profiles merge their keys into ``BENCH_slo.json`` at the repo root
-(CI runs them back to back and uploads one artifact).  The default
-profile also writes the stitched traces to ``slo_trace.jsonl`` and the
-span-keyed collapsed-stack profile to ``slo_profile.txt``.  Within a
-floor section, plain keys are minimums and ``_max`` keys are ceilings;
-any violation exits non-zero.
+The default profile also writes the stitched traces to
+``slo_trace.jsonl`` and the span-keyed collapsed-stack profile to
+``slo_profile.txt``.
 """
 
 from __future__ import annotations
@@ -61,16 +59,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_net import SIDE, make_mediator, start_cluster  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-OUT_PATH = REPO_ROOT / "BENCH_slo.json"
+OUT_PATHS = {
+    "default": REPO_ROOT / "BENCH_slo.json",
+    "scale": REPO_ROOT / "BENCH_slo_scale.json",
+}
 TRACE_PATH = REPO_ROOT / "slo_trace.jsonl"
 PROFILE_PATH = REPO_ROOT / "slo_profile.txt"
-FLOOR_PATH = Path(__file__).resolve().parent / "slo_floor.json"
 
 #: Version of the report's key set; bump when keys are added,
 #: renamed or removed so downstream dashboards can detect layout
-#: changes.  v3: profile-keyed floor sheet, ``scale_*`` front-door
-#: keys, and the active target sheet embedded in the report.
-SCHEMA_VERSION = 3
+#: changes.  v4: one report per profile; the target sheet is
+#: ``benchmarks/targets.json``, no longer embedded in the report.
+SCHEMA_VERSION = 4
 
 #: Open-loop arrival rate (requests per second) and request count of
 #: the default (mediator-level) profile.
@@ -253,11 +253,7 @@ def run(arrival_rate: float, requests: int) -> dict[str, object]:
     mediator = make_mediator(addresses)
     collector = tracing.install(tracing.TraceCollector(max_traces=1024))
     try:
-        report: dict[str, object] = {
-            "benchmark": "slo",
-            "side": SIDE,
-            "nodes": len(servers),
-        }
+        report: dict[str, object] = {"side": SIDE, "nodes": len(servers)}
         report.update(
             bench_open_loop(mediator, collector, arrival_rate, requests)
         )
@@ -456,129 +452,32 @@ def run_scale(
     return out
 
 
-def check_floor(report: dict[str, object], profile: str) -> list[str]:
-    """Gate ``report`` against one profile's floor section.
-
-    Within a section, plain keys are minimums; ``_max``-suffixed keys
-    are ceilings.
-    """
-    floor = json.loads(FLOOR_PATH.read_text())[profile]
-    failures = []
-    for key, bound in floor.items():
-        if key.endswith("_max"):
-            got = float(report[key[: -len("_max")]])  # type: ignore[arg-type]
-            if got > bound:
-                failures.append(f"{key[:-4]}: {got:.3f} > ceiling {bound}")
-        else:
-            got = float(report[key])  # type: ignore[arg-type]
-            if got < bound:
-                failures.append(f"{key}: {got:.3f} < floor {bound}")
-    return failures
-
-
-def parse_args(argv: list[str] | None) -> argparse.Namespace:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--profile",
-        choices=("default", "scale"),
+        choices=tuple(OUT_PATHS),
         default="default",
         help="default: mediator-level open loop; scale: the asyncio "
         "front door under thousands of keep-alive clients",
     )
-    parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        help="open-loop arrival rate in requests/second "
-        f"(default {ARRIVAL_RATE:g} / {SCALE_ARRIVAL_RATE:g} by profile)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=REQUESTS,
-        help="request count of the default profile "
-        f"(default {REQUESTS})",
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=SCALE_CLIENTS,
-        help="concurrent keep-alive clients of the scale profile "
-        f"(default {SCALE_CLIENTS})",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=SCALE_DURATION_S,
-        help="run length in seconds of the scale profile "
-        f"(default {SCALE_DURATION_S:g})",
-    )
-    return parser.parse_args(argv)
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = parse_args(argv)
-    if args.profile == "scale":
-        arrival = (
-            SCALE_ARRIVAL_RATE
-            if args.arrival_rate is None
-            else args.arrival_rate
-        )
-        report = run_scale(args.clients, arrival, args.duration)
-        summary_keys = (
-            "scale_requests",
-            "scale_shed_rate",
-            "scale_admitted_error_rate",
-            "scale_light_p99_ms",
-            "scale_query_p99_ms",
-        )
+    profile = parser.parse_args(argv).profile
+    if profile == "scale":
+        report = run_scale(SCALE_CLIENTS, SCALE_ARRIVAL_RATE, SCALE_DURATION_S)
     else:
-        arrival = ARRIVAL_RATE if args.arrival_rate is None else args.arrival_rate
-        report = run(arrival, args.requests)
-        summary_keys = (
-            "error_rate",
-            "threshold_p50_ms",
-            "threshold_p99_ms",
-            "topk_p99_ms",
-            "pdf_p99_ms",
-            "profiler_overhead_ratio",
-        )
-    target_sheet = json.loads(FLOOR_PATH.read_text())[args.profile]
-    report[f"target_sheet_{args.profile}"] = target_sheet
+        report = run(ARRIVAL_RATE, REQUESTS)
+    report["benchmark"] = "slo"
+    report["profile"] = profile
     report["generated_unix"] = unix_now()
     report["schema_version"] = SCHEMA_VERSION
-
-    # The two profiles share one artifact: merge over whatever the
-    # other profile already wrote, when its schema still matches.
-    merged: dict[str, object] = {"benchmark": "slo"}
-    if OUT_PATH.exists():
-        previous = json.loads(OUT_PATH.read_text())
-        if previous.get("schema_version") == SCHEMA_VERSION:
-            merged.update(previous)
-    merged.update(report)
-    profiles = sorted(
-        set(merged.get("profiles", []))  # type: ignore[arg-type]
-        | {args.profile}
+    OUT_PATHS[profile].write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    merged["profiles"] = profiles
-    OUT_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-    summary = {
-        key: round(float(report[key]), 3)  # type: ignore[arg-type]
-        for key in summary_keys
-        if key in report
-    }
-    sys.stderr.write(
-        f"bench_slo[{args.profile}]: {summary} -> {OUT_PATH}\n"
-    )
-    if args.profile == "default":
+    sys.stderr.write(f"bench_slo[{profile}] -> {OUT_PATHS[profile]}\n")
+    if profile == "default":
         sys.stderr.write(
             f"bench_slo: traces -> {TRACE_PATH}, profile -> {PROFILE_PATH}\n"
         )
-    failures = check_floor(merged, args.profile)
-    if failures:
-        sys.stderr.write("FLOOR VIOLATIONS: " + "; ".join(failures) + "\n")
-        return 1
     return 0
 
 

@@ -5,8 +5,8 @@ stack via ``sys._current_frames()`` from a dedicated daemon thread — no
 ``sys.setprofile``/``sys.settrace`` hooks, so the profiled code runs at
 full speed between samples and the steady-state overhead is the cost of
 one stack walk per thread every ``interval`` seconds (well under 5 % at
-the default 5 ms period; ``benchmarks/bench_slo.py`` measures and gates
-this).
+the default 5 ms period; ``benchmarks/bench_slo.py`` measures it and
+``benchmarks/targets.json`` bounds it, ``profiler_overhead_ratio``).
 
 Output is the collapsed-stack format flamegraph tooling eats
 (``frame;frame;frame count`` per line).  When span tracking is on, each
