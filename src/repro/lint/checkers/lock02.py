@@ -396,7 +396,6 @@ class LockOrderWholeProgram(Checker):
                 )
         return diags
 
-
     def _reacquire_diagnostics(
         self, program: Program, summaries: dict[str, _Summary]
     ) -> list[Diagnostic]:
