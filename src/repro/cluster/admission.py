@@ -6,8 +6,7 @@ survives that load only when overload has *defined* behaviour: every
 request is either admitted — and then finishes with a correct answer —
 or shed *early* with a typed, well-formed response telling the client
 when to retry.  This module is that decision layer, kept free of any
-transport so it can be unit-tested exhaustively and shared by future
-doors:
+transport so it can be unit-tested exhaustively:
 
 * :class:`TokenBucket` — per-tenant request quotas (rate + burst);
 * :class:`AdmissionController` — the queue-accounting state machine:
@@ -178,7 +177,6 @@ class AdmissionController:
             hard age-out at dequeue.
         workers: dispatch concurrency of the owning door, used to
             convert queue depth into projected wait.
-        tenant_overrides: per-tenant ``(rate, burst)`` exceptions.
     """
 
     def __init__(
@@ -190,7 +188,6 @@ class AdmissionController:
         max_queue_depth: int = 512,
         max_queue_wait: float = 2.0,
         workers: int = 8,
-        tenant_overrides: dict[str, tuple[float, float]] | None = None,
     ) -> None:
         self._lock = threading.Lock()
         self._tenant_rate = float(tenant_rate)
@@ -198,7 +195,6 @@ class AdmissionController:
         self._max_queue_depth = int(max_queue_depth)
         self._max_queue_wait = float(max_queue_wait)
         self._workers = max(1, int(workers))
-        self._overrides = dict(tenant_overrides or {})
         self._buckets: dict[str, TokenBucket] = {}
         self._depth = 0
         self._seq = 0
@@ -242,10 +238,9 @@ class AdmissionController:
         with self._lock:
             bucket = self._buckets.get(tenant)
             if bucket is None:
-                rate, burst = self._overrides.get(
-                    tenant, (self._tenant_rate, self._tenant_burst)
+                bucket = TokenBucket(
+                    self._tenant_rate, self._tenant_burst, now=stamp
                 )
-                bucket = TokenBucket(rate, burst, now=stamp)
                 self._buckets[tenant] = bucket
             wait = bucket.take(stamp)
             if wait > 0.0:

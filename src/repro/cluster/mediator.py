@@ -48,7 +48,7 @@ from repro.cluster.node import DatabaseNode
 from repro.cluster.partition import MortonPartitioner
 from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_IO_BYTES
-from repro.fields.derived import FieldRegistry, default_registry
+from repro.fields.derived import DerivedField, FieldRegistry, default_registry
 from repro.net.errors import (
     DeadlineExceededError,
     NetError,
@@ -195,6 +195,9 @@ class Mediator:
         :meth:`_observe_query`); engine-internal statistics the hot paths
         keep as plain integers are exposed through export-time sampling
         callbacks, so an idle (unscraped) cluster pays nothing for them.
+        The samplers read the nodes this mediator owns; one that fronts
+        remote nodes registers none rather than export zeros for a
+        cluster that is busy.
         """
         self._m_queries = self.metrics.counter(
             "queries_total", "Queries served, by kind", labelnames=["kind"]
@@ -233,6 +236,8 @@ class Mediator:
             category.value: self._m_sim_seconds.labels(category=category.value)
             for category in Category
         }
+        if not self.nodes:
+            return
 
         storage_keys = (
             "bufferpool_hits", "bufferpool_misses", "btree_splits",
@@ -529,42 +534,11 @@ class Mediator:
         """
         self._require_local("get_field")
         derived = self.registry.get(field)
-        ledger = CostLedger()
-        out = np.empty(box.shape, dtype=np.float64)
-        for node_id, node in enumerate(self.nodes):
-            pieces = self.partitioner.query_boxes(node_id, box)
-            if not pieces:
-                continue
-            node_ledger = CostLedger()
-            with node.db.transaction(node_ledger) as txn:
-                for piece in pieces:
-                    executor = self.executors[node_id]
-                    block = executor._fetch_block(
-                        txn, node_ledger, node.dataset(dataset), derived,
-                        timestep, piece, derived.halo(fd_order),
-                    )
-                    norm = derived.norm(block, node.dataset(dataset).spacing, fd_order)
-                    node_ledger.charge(
-                        Category.COMPUTE,
-                        self.spec.cpu.compute_time(
-                            piece.volume, derived.units_per_point
-                        ),
-                    )
-                    dst = tuple(
-                        slice(p - b, q - b)
-                        for p, q, b in zip(piece.lo, piece.hi, box.lo)
-                    )
-                    out[dst] = norm
-            ledger = CostLedger.parallel([ledger, node_ledger])
-        payload = out.size * 4  # float32 on the wire
-        ledger.charge(
-            Category.MEDIATOR_DB,
-            self.spec.lan.transfer_time(payload, round_trips=len(self.nodes)),
+        return self._dense_scatter(
+            dataset, derived, timestep, box, derived.halo(fd_order),
+            lambda block, spacing: derived.norm(block, spacing, fd_order),
+            derived.units_per_point, (),
         )
-        ledger.charge(
-            Category.MEDIATOR_USER, self.spec.wan.transfer_time(payload)
-        )
-        return out, ledger
 
     def get_gradient(
         self,
@@ -586,35 +560,60 @@ class Mediator:
 
         self._require_local("get_gradient")
         derived = self.registry.get(field)
+        half = kernel_half_width(fd_order)
+        return self._dense_scatter(
+            dataset, derived, timestep, box, half,
+            lambda block, spacing: gradient_tensor_interior(
+                block, spacing, fd_order, half
+            ),
+            1.0, (3, 3),
+        )
+
+    def _dense_scatter(
+        self,
+        dataset: str,
+        derived: DerivedField,
+        timestep: int,
+        box: Box,
+        halo: int,
+        kernel: Callable[[np.ndarray, float], np.ndarray],
+        units_per_point: float,
+        trailing: tuple[int, ...],
+    ) -> tuple[np.ndarray, CostLedger]:
+        """Evaluate ``kernel`` densely over ``box``, node by node.
+
+        Per node, per piece: fetch the block with ``halo`` cells, run
+        ``kernel(block, spacing)``, charge ``units_per_point`` of compute
+        and place the values; the float32 payload is then charged once
+        over the LAN and once over the WAN.  Returns ``(array, ledger)``
+        with array shape ``box.shape + trailing``.
+        """
         ledger = CostLedger()
-        out = np.empty(box.shape + (3, 3), dtype=np.float64)
+        out = np.empty(box.shape + trailing, dtype=np.float64)
         for node_id, node in enumerate(self.nodes):
             pieces = self.partitioner.query_boxes(node_id, box)
             if not pieces:
                 continue
+            dataset_spec = node.dataset(dataset)
             node_ledger = CostLedger()
             with node.db.transaction(node_ledger) as txn:
                 for piece in pieces:
-                    executor = self.executors[node_id]
-                    block = executor._fetch_block(
-                        txn, node_ledger, node.dataset(dataset), derived,
-                        timestep, piece, kernel_half_width(fd_order),
+                    block = self.executors[node_id].fetch_block(
+                        txn, node_ledger, dataset_spec, derived,
+                        timestep, piece, halo,
                     )
-                    tensor = gradient_tensor_interior(
-                        block, node.dataset(dataset).spacing, fd_order,
-                        kernel_half_width(fd_order),
-                    )
+                    values = kernel(block, dataset_spec.spacing)
                     node_ledger.charge(
                         Category.COMPUTE,
-                        self.spec.cpu.compute_time(piece.volume, 1.0),
+                        self.spec.cpu.compute_time(piece.volume, units_per_point),
                     )
                     dst = tuple(
                         slice(p - b, q - b)
                         for p, q, b in zip(piece.lo, piece.hi, box.lo)
                     )
-                    out[dst] = tensor
+                    out[dst] = values
             ledger = CostLedger.parallel([ledger, node_ledger])
-        payload = out.size * 4  # float32 on the wire, 9 components/point
+        payload = out.size * 4  # float32 on the wire
         ledger.charge(
             Category.MEDIATOR_DB,
             self.spec.lan.transfer_time(payload, round_trips=len(self.nodes)),

@@ -133,25 +133,24 @@ class WebService:
         )
         self._client_disconnects = mediator.metrics.counter(
             "http_client_disconnects",
-            "Client connections dropped before the reply landed, by door",
-            labelnames=["door"],
+            "Client connections dropped before the reply landed",
         )
 
     @property
     def metrics(self) -> "MetricsRegistry":
-        """The mediator's metrics registry (the doors' instrument home)."""
+        """The mediator's metrics registry (the door's instrument home)."""
         return self._mediator.metrics
 
-    def note_client_disconnect(self, door: str) -> None:
-        """Count a client that hung up mid-exchange on ``door``.
+    def note_client_disconnect(self) -> None:
+        """Count a client that hung up mid-exchange.
 
         A public front door sees disconnects constantly; they are
         traffic weather, not errors — counted here so overload
         investigations can correlate them with shed rates, and
-        swallowed by the doors so a vanished client never kills a
-        handler thread or poisons the event loop.
+        swallowed by the door so a vanished client never poisons the
+        event loop.
         """
-        self._client_disconnects.labels(door=door).inc()
+        self._client_disconnects.inc()
 
     def handle(self, request: dict) -> dict:
         """Process one request; never raises, always answers.

@@ -378,7 +378,7 @@ class NodeExecutor:
             ledger.count(METER_HALO_SECONDS, seconds)
             ledger.count(METER_HALO_BYTES, nbytes)
 
-    def _fetch_block(
+    def fetch_block(
         self,
         txn: Transaction,
         ledger: CostLedger,

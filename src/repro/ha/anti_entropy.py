@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.grid.atoms import ATOM_VOLUME
 from repro.morton import MortonRange
 from repro.net import codec
 from repro.net.pool import ConnectionPool
-from repro.net.transport import parse_address
+from repro.net.transport import DEFAULT_RPC_TIMEOUT, parse_address
 from repro.obs import tracing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,20 +98,13 @@ class CatchUpReport:
     bytes_fetched: int
 
 
-def catch_up(
-    server: "NodeServer",
-    *,
-    timeout: float = 60.0,
-    on_chunks: Callable[[int], None] | None = None,
-) -> CatchUpReport:
+def catch_up(server: "NodeServer") -> CatchUpReport:
     """Bring every shard this server owns in sync with a peer replica.
 
     For each owned shard with at least one other replica, the digest
     map of the shard's full Morton range is compared per (dataset,
     field, timestep) against that peer, and only the divergent atoms
-    are fetched and upserted.  ``on_chunks`` is called with each
-    fetch's chunk count (the HA transport wires its
-    ``ha_antientropy_chunks_fetched`` counter here).
+    are fetched and upserted.
 
     Returns a :class:`CatchUpReport`; raises
     :class:`~repro.net.errors.NetError` if a chosen peer cannot answer.
@@ -166,14 +159,11 @@ def catch_up(
                                 field,
                                 timestep,
                                 shard_range,
-                                timeout,
                             )
                             ranges_checked += 1
                             atoms_checked += checked
                             chunks_fetched += fetched
                             bytes_fetched += nbytes
-                            if on_chunks is not None and fetched:
-                                on_chunks(fetched)
         finally:
             for pool in pools.values():
                 pool.close()
@@ -196,7 +186,6 @@ def _sync_range(
     field: str,
     timestep: int,
     shard_range: MortonRange,
-    timeout: float,
 ) -> tuple[int, int, int]:
     """Sync one (dataset, field, timestep, range); returns
     ``(atoms_checked, chunks_fetched, bytes_fetched)``."""
@@ -210,7 +199,7 @@ def _sync_range(
             "ranges": wire_ranges,
         },
         (),
-        timeout=timeout,
+        timeout=DEFAULT_RPC_TIMEOUT,
         idempotent=True,
     )
     remote = {
@@ -233,7 +222,7 @@ def _sync_range(
             "ranges": codec.ranges_to_wire(coalesce_atoms(stale)),
         },
         (),
-        timeout=timeout,
+        timeout=DEFAULT_RPC_TIMEOUT,
         idempotent=True,
     )
     atoms = codec.halo_atoms_from_wire(fetch.header, fetch.blobs)

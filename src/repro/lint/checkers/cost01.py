@@ -1,60 +1,36 @@
-"""COST01 — cost-accounting completeness and determinism.
+"""COST01 — cost-accounting completeness.
 
 The evaluation in the paper compares strategies by *modelled* cost
-(bytes read, seconds of simulated I/O and compute), so the engine's
-results must be deterministic and every expensive operation must be
-charged to a :class:`~repro.costmodel.ledger.CostLedger`.  Two things
-break that contract:
+(bytes read, seconds of simulated I/O and compute), so every expensive
+operation must be charged to a
+:class:`~repro.costmodel.ledger.CostLedger`.  Computing a simulated
+device time (``read_time``/``write_time``/``compute_time``/
+``transfer_time``) and discarding the result breaks that contract — the
+cost was modelled but never charged, silently understating a
+strategy's cost.
 
-* reading the wall clock (``time.time``, ``perf_counter``,
-  ``datetime.now``…) inside engine code — timings would vary run to
-  run, so wall-clock reads are only allowed in the benchmark harness
-  and in ``repro.obs`` (the observability layer measures real elapsed
-  time by design; it never feeds it back into query results);
-* computing a simulated device time (``read_time``/``write_time``/
-  ``compute_time``/``transfer_time``) and discarding the result — the
-  cost was modelled but never charged, silently understating a
-  strategy's cost.
+The other half of determinism — no wall-clock reads outside
+``repro.obs`` — is OBS01's rule, whose scope contains this one's.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.base import Checker, dotted_name, module_in
+from repro.lint.base import Checker, module_in
 from repro.lint.diagnostics import Diagnostic, SourceFile
 
-#: (module, attribute) pairs that read the wall clock.
-WALL_CLOCK = {
-    ("time", "time"),
-    ("time", "perf_counter"),
-    ("time", "perf_counter_ns"),
-    ("time", "monotonic"),
-    ("time", "monotonic_ns"),
-    ("time", "process_time"),
-    ("datetime", "now"),
-    ("datetime", "utcnow"),
-}
-#: Names importable from ``time`` that read the wall clock.
-WALL_CLOCK_IMPORTS = {
-    "time",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-}
 #: Device-model methods whose return value is a simulated duration.
 DEVICE_TIME = {"compute_time", "read_time", "write_time", "transfer_time"}
 
 
 class CostAccounting(Checker):
-    """No wall-clock reads; no discarded simulated device times."""
+    """No discarded simulated device times."""
 
     code = "COST01"
     description = (
-        "engine code must not read the wall clock, and simulated device "
-        "times must be charged to a CostLedger, not discarded"
+        "simulated device times must be charged to a CostLedger, not "
+        "discarded"
     )
 
     def applies(self, module: str) -> bool:
@@ -65,64 +41,18 @@ class CostAccounting(Checker):
         )
 
     def check(self, source: SourceFile) -> list[Diagnostic]:
-        diags: list[Diagnostic] = []
         parents = source.parents()
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ImportFrom):
-                diags.extend(self._check_import(source, node))
-            elif isinstance(node, ast.Call):
-                diags.extend(self._check_call(source, node, parents))
-        return diags
-
-    def _check_import(
-        self, source: SourceFile, node: ast.ImportFrom
-    ) -> list[Diagnostic]:
-        if node.module != "time":
-            return []
         return [
             self.report(
                 source,
                 node,
-                f"wall-clock import 'from time import {alias.name}' — "
-                "engine timings must come from the simulated cost model, "
-                "not the host clock",
+                f"simulated device time {node.func.attr}() computed but "
+                "discarded — charge it to the CostLedger or do not "
+                "model it",
             )
-            for alias in node.names
-            if alias.name in WALL_CLOCK_IMPORTS
-        ]
-
-    def _check_call(
-        self,
-        source: SourceFile,
-        node: ast.Call,
-        parents: dict[ast.AST, ast.AST],
-    ) -> list[Diagnostic]:
-        diags: list[Diagnostic] = []
-        dotted = dotted_name(node.func)
-        if dotted is not None:
-            parts = dotted.split(".")
-            if len(parts) >= 2 and (parts[-2], parts[-1]) in WALL_CLOCK:
-                diags.append(
-                    self.report(
-                        source,
-                        node,
-                        f"wall-clock read {dotted}() — engine timings must "
-                        "come from the simulated cost model; only the "
-                        "benchmark harness may touch the host clock",
-                    )
-                )
-        if (
-            isinstance(node.func, ast.Attribute)
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
             and node.func.attr in DEVICE_TIME
             and isinstance(parents.get(node), ast.Expr)
-        ):
-            diags.append(
-                self.report(
-                    source,
-                    node,
-                    f"simulated device time {node.func.attr}() computed but "
-                    "discarded — charge it to the CostLedger or do not "
-                    "model it",
-                )
-            )
-        return diags
+        ]

@@ -6,13 +6,13 @@ the invariant is that a blocking socket operation can never run with an
 Two checks, both over the turbscan call graph:
 
 1. **Unbudgeted path**: from any service entry point (public methods of
-   ``Mediator``/``WebService``/``NodeServer``/``HttpFrontend`` plus the
-   HTTP ``do_*`` handlers) there must be *no* call path to a raw socket
-   operation that avoids every *deadline origin* — a function that
-   constructs a ``Deadline``, reads a configured timeout attribute or
-   constant, or arms a socket with a constant ``settimeout``.  A
-   function that merely *receives* a deadline parameter threads a
-   budget but does not originate one, so it does not break a path.
+   ``Mediator``/``WebService``/``NodeServer``/``AsyncHttpFrontend``)
+   there must be *no* call path to a raw socket operation that avoids
+   every *deadline origin* — a function that constructs a ``Deadline``,
+   reads a configured timeout attribute or constant, or arms a socket
+   with a constant ``settimeout``.  A function that merely *receives* a
+   deadline parameter threads a budget but does not originate one, so
+   it does not break a path.
 2. **Caller budget**: request-plane entry points (public ``Mediator``
    methods and ``WebService.handle``) that can reach a socket must
    accept a caller-controllable deadline — a ``timeout``/``deadline``
@@ -49,7 +49,6 @@ _ENTRY_CLASSES = {
     "Mediator",
     "WebService",
     "NodeServer",
-    "HttpFrontend",
     "AsyncHttpFrontend",
 }
 
@@ -258,11 +257,10 @@ class DeadlinePropagation(Checker):
         for info in program.classes.values():
             if not info.module.startswith(("repro.cluster.", "repro.net.")):
                 continue
-            is_entry_class = info.name in _ENTRY_CLASSES
+            if info.name not in _ENTRY_CLASSES:
+                continue
             for name, fqual in sorted(info.methods.items()):
-                if name.startswith("do_"):
-                    entries.append((fqual, False))
-                elif is_entry_class and not name.startswith("_"):
+                if not name.startswith("_"):
                     entries.append(
                         (fqual, info.name in _BUDGET_CLASSES)
                     )

@@ -22,11 +22,9 @@ Three habits reintroduce the copy:
   that must outlive the view copy only what they keep, under a
   non-wire name.
 
-The checker is scoped to ``repro.net.`` minus ``repro.net.http``: the
-HTTP sidecar speaks a text protocol for humans and dashboards, where a
-join of a few hundred bytes is the idiomatic choice.  Control-plane
-sites inside the scope (tiny handshake or halo messages) carry an
-explicit ``# turblint: disable=NET02`` with a justification.
+The checker is scoped to ``repro.net.``.  Control-plane sites inside
+the scope (tiny handshake or halo messages) carry an explicit
+``# turblint: disable=NET02`` with a justification.
 """
 
 from __future__ import annotations
@@ -68,8 +66,6 @@ class NetZeroCopy(Checker):
     )
 
     def applies(self, module: str) -> bool:
-        if module_in(module, "repro.net.http."):
-            return False
         return module_in(module, "repro.net.")
 
     def check(self, source: SourceFile) -> list[Diagnostic]:

@@ -6,9 +6,9 @@ console output goes through ``repro.obs.report``, and tracing spans are
 recorded by ``repro.obs.tracing``.  Three habits defeat that design:
 
 * importing or calling ``time`` directly — timings escape the
-  observability layer and (inside the engine proper) break COST01's
-  determinism contract as well; use ``repro.obs.clock`` /
-  ``Stopwatch``;
+  observability layer and (inside the engine proper) make results
+  vary run to run, where the evaluation compares *modelled* cost; use
+  ``repro.obs.clock`` / ``Stopwatch``;
 * calling ``print`` or writing to ``sys.stdout``/``sys.stderr`` — output
   cannot be redirected or silenced by tests and services that must keep
   stdout clean; use ``repro.obs.report``;
@@ -23,9 +23,8 @@ in scope: a node server's reader loop and the mediator's scatter are
 exactly where stray ``time.time()`` timings and debugging ``print``
 calls tend to accrete, and where they are least visible.
 
-Unlike COST01, this checker covers the harness and the lint CLI too:
-*everything* outside ``repro.obs`` itself reports and times through the
-observability layer.
+The harness and the lint CLI are in scope too: *everything* outside
+``repro.obs`` itself reports and times through the observability layer.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ only its own Morton shard(s), and serves the wire protocol;
 ``serve-http`` runs a mediator over
 :class:`~repro.net.transport.TcpTransport` — handed the cluster's
 replica placement, whatever its replication factor — and puts the web
-service on an HTTP port.
+service on an HTTP port behind the asyncio front door
+(:mod:`repro.net.aio`) and its admission controller.
 """
 
 from __future__ import annotations
@@ -108,11 +109,12 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
 
 def _cmd_serve_http(args: argparse.Namespace) -> int:
     """Run a TCP-transport mediator plus the HTTP front door until ^C."""
+    from repro.cluster.admission import AdmissionController
     from repro.cluster.mediator import Mediator
     from repro.cluster.partition import MortonPartitioner
     from repro.cluster.webservice import WebService
     from repro.ha.placement import PlacementMap
-    from repro.net.http import HttpFrontend
+    from repro.net.aio import AsyncHttpFrontend
     from repro.net.transport import TcpTransport
     from repro.obs import tracing
 
@@ -138,34 +140,25 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         nodes=[], partitioner=partitioner, transport=transport
     )
     service = WebService(mediator)
-    frontend: "HttpFrontend | AsyncHttpFrontend"
-    if args.asyncio:
-        from repro.cluster.admission import AdmissionController
-        from repro.net.aio import AsyncHttpFrontend
-
-        admission = AdmissionController(
+    frontend = AsyncHttpFrontend(
+        service,
+        host=args.host,
+        port=args.port,
+        admission=AdmissionController(
             service.metrics,
             tenant_rate=args.tenant_quota,
             tenant_burst=args.tenant_quota * 2.0,
             max_queue_depth=args.max_queue_depth,
             max_queue_wait=args.max_queue_wait,
             workers=args.max_inflight,
-        )
-        frontend = AsyncHttpFrontend(
-            service,
-            host=args.host,
-            port=args.port,
-            admission=admission,
-            max_inflight=args.max_inflight,
-        )
-        flavour = (f"asyncio door, {args.max_inflight} bridge slots, "
-                   f"{args.tenant_quota:g} req/s/tenant")
-    else:
-        frontend = HttpFrontend(service, host=args.host, port=args.port)
-        flavour = "threaded door"
+        ),
+        max_inflight=args.max_inflight,
+    )
     report(f"mediator over {len(addresses)} node(s) "
            f"({', '.join(addresses)}); datasets: {', '.join(names)}")
-    report(f"HTTP ({flavour}) on http://{frontend.host}:{args.port} — "
+    report(f"HTTP ({args.max_inflight} bridge slots, "
+           f"{args.tenant_quota:g} req/s/tenant) on "
+           f"http://{frontend.host}:{args.port} — "
            "POST / for queries, GET /stats, GET /trace/<query_id>")
     try:
         frontend.serve_forever()
@@ -248,31 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat-interval", type=float, default=5.0,
         help="seconds between replica health probes (replicated mode)",
     )
+    # Accepted and ignored: there is one door, and callers written when
+    # it was opt-in (benchmarks/e2e/system.py) still pass the flag.
     serve_http.add_argument(
-        "--async", dest="asyncio", action="store_true",
-        help="serve on the asyncio front door (repro.net.aio): keep-alive "
-             "at thousands-of-clients scale with admission control and "
-             "typed 429/503 load shedding",
+        "--async", action="store_true", help=argparse.SUPPRESS
     )
     serve_http.add_argument(
         "--max-inflight", type=int, default=8,
-        help="async door: bridge threads into the mediator — the "
-             "dispatch concurrency bound (default 8)",
+        help="bridge threads into the mediator — the dispatch "
+             "concurrency bound (default 8)",
     )
     serve_http.add_argument(
         "--tenant-quota", type=float, default=100.0,
-        help="async door: per-tenant sustained requests/second (burst is "
-             "2x; tenants come from the X-Tenant header, default 100)",
+        help="per-tenant sustained requests/second (burst is 2x; "
+             "tenants come from the X-Tenant header, default 100)",
     )
     serve_http.add_argument(
         "--max-queue-depth", type=int, default=512,
-        help="async door: admitted requests that may queue before the "
-             "door sheds with 503 queue_full (default 512)",
+        help="admitted requests that may queue before the door sheds "
+             "with 503 queue_full (default 512)",
     )
     serve_http.add_argument(
         "--max-queue-wait", type=float, default=2.0,
-        help="async door: seconds a request may wait for a bridge slot "
-             "before being shed (default 2.0)",
+        help="seconds a request may wait for a bridge slot before "
+             "being shed (default 2.0)",
     )
     serve_http.set_defaults(run=_cmd_serve_http)
     return parser

@@ -1,9 +1,13 @@
-"""Asyncio front door: the event-loop request tier.
+"""HTTP front door for the web-service tier, on one ``asyncio`` loop.
 
-The threaded door (:mod:`repro.net.http`) spends one OS thread per
-connection, so concurrent-client capacity caps at thread-pool scale and
-overload simply piles threads up.  This module rebuilds the request
-tier on one ``asyncio`` event loop:
+Puts :class:`~repro.cluster.webservice.WebService` on a real port:
+``POST /`` takes one JSON request body and answers with the service's
+JSON response; ``GET /stats`` (Prometheus text) and ``GET /trace/<id>``
+(a query's span tree) are routed through
+:meth:`~repro.cluster.webservice.WebService.handle_http`.  The door adds
+no semantics of its own: what it sends is ``WebService.handle_json``'s
+body, byte for byte ``json.dumps`` of the dict reference
+``service.handle(request)`` that in-process callers get.
 
 * **zero threads per idle connection** — thousands of keep-alive
   clients cost one file descriptor each, parsed by a small HTTP/1.1
@@ -15,12 +19,10 @@ tier on one ``asyncio`` event loop:
 * a **prioritized request queue** — light introspection traffic
   (``ListFields``, ``GetStats``…) overtakes heavy query traffic, so
   dashboards stay live during overload;
-* a **bounded bridge** into the existing threaded tier — admitted
+* a **bounded bridge** into the threaded tier below — admitted
   requests run ``WebService.handle_json`` on a fixed-size executor
   (``max_inflight`` threads doubling as the dispatch semaphore), so the
-  loop thread never serialises a query answer: both doors send
-  ``handle_json``'s body, byte for byte ``json.dumps`` of the dict
-  reference ``service.handle(request)`` that in-process callers get.
+  loop thread never serialises a query answer.
 
 The split keeps each tier doing what it is good at: the event loop
 multiplexes sockets and sheds load; the mediator's scatter pool and the
@@ -38,8 +40,11 @@ from dataclasses import dataclass, field
 
 from repro.cluster.admission import AdmissionController, ShedError, Ticket
 from repro.cluster.webservice import WebService
-from repro.net.http import MAX_BODY_BYTES
 from repro.obs import clock
+
+#: Largest accepted request body; queries are small dictionaries, so
+#: anything bigger is a client error, not a bigger buffer.
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Longest a connection may sit idle between requests before the door
 #: closes it; bounds the fd cost of abandoned keep-alive clients.
@@ -88,12 +93,6 @@ def _body(payload: dict) -> bytes:
 class AsyncHttpFrontend:
     """An event-loop HTTP server wrapping one :class:`WebService`.
 
-    Drop-in peer of :class:`~repro.net.http.HttpFrontend`: same
-    constructor shape, same ``start``/``serve_forever``/``shutdown``
-    lifecycle, same dictionary protocol on ``POST /`` and introspection
-    on ``GET /stats`` / ``GET /trace/<id>`` — plus admission control
-    and keep-alive at thousands-of-clients scale.
-
     Args:
         service: the web service to expose.
         host: bind address.
@@ -102,9 +101,6 @@ class AsyncHttpFrontend:
             is built against the service's metrics registry if omitted.
         max_inflight: bridge threads into the blocking service tier —
             the dispatch concurrency bound.
-        request_timeout: seconds an admitted request may take end to
-            end before the client gets a typed 503.
-        idle_timeout: keep-alive idle budget per connection.
     """
 
     def __init__(
@@ -115,17 +111,11 @@ class AsyncHttpFrontend:
         *,
         admission: AdmissionController | None = None,
         max_inflight: int = 8,
-        request_timeout: float = REQUEST_TIMEOUT_S,
-        idle_timeout: float = IDLE_TIMEOUT_S,
-        io_timeout: float = IO_TIMEOUT_S,
     ) -> None:
         self.service = service
         self.host = host
         self.port = int(port)
         self._max_inflight = max(1, int(max_inflight))
-        self._request_timeout = float(request_timeout)
-        self._idle_timeout = float(idle_timeout)
-        self._io_timeout = float(io_timeout)
         self.admission = admission or AdmissionController(
             service.metrics, workers=self._max_inflight
         )
@@ -234,7 +224,7 @@ class AsyncHttpFrontend:
                 task.cancel()
             await asyncio.gather(*running, return_exceptions=True)
             try:
-                await asyncio.wait_for(server.wait_closed(), self._io_timeout)
+                await asyncio.wait_for(server.wait_closed(), IO_TIMEOUT_S)
             except asyncio.TimeoutError:
                 pass  # the listener is closed; a straggler cannot hold us
             bridge.shutdown(wait=False)
@@ -251,12 +241,17 @@ class AsyncHttpFrontend:
         self._connections.inc()
         try:
             await self._session(reader, writer)
-        except (OSError, TimeoutError, asyncio.TimeoutError):
-            # Covers BrokenPipeError/ConnectionResetError plus a peer
-            # stalling past an I/O deadline mid-request.
-            self.service.note_client_disconnect("async")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            self.service.note_client_disconnect("async")
+        except (
+            OSError,
+            TimeoutError,
+            asyncio.TimeoutError,
+            asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,
+        ):
+            # Covers BrokenPipeError/ConnectionResetError, a peer
+            # stalling past an I/O deadline mid-request, and one that
+            # hangs up or overruns the reader mid-line.
+            self.service.note_client_disconnect()
         except asyncio.CancelledError:
             # Only _main's shutdown cancels a session, and all a session
             # has to unwind is its socket (closed below): a clean close.
@@ -269,7 +264,7 @@ class AsyncHttpFrontend:
             self._connections.dec()
             writer.close()
             try:
-                await asyncio.wait_for(writer.wait_closed(), self._io_timeout)
+                await asyncio.wait_for(writer.wait_closed(), IO_TIMEOUT_S)
             except (OSError, asyncio.TimeoutError):
                 pass  # peer already gone; the fd is released either way
 
@@ -281,7 +276,7 @@ class AsyncHttpFrontend:
         while not stopping.is_set():
             try:
                 head = await asyncio.wait_for(
-                    reader.readline(), self._idle_timeout
+                    reader.readline(), IDLE_TIMEOUT_S
                 )
             except asyncio.TimeoutError:
                 return  # idle keep-alive client; close quietly
@@ -321,7 +316,7 @@ class AsyncHttpFrontend:
         """Parse the header block; ``None`` on a truncated request."""
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            line = await asyncio.wait_for(reader.readline(), self._io_timeout)
+            line = await asyncio.wait_for(reader.readline(), IO_TIMEOUT_S)
             if line in (b"\r\n", b"\n"):
                 return headers
             if not line:
@@ -378,7 +373,7 @@ class AsyncHttpFrontend:
             )
             return False
         body = await asyncio.wait_for(
-            reader.readexactly(length), self._io_timeout
+            reader.readexactly(length), IO_TIMEOUT_S
         )
         if path not in ("/", ""):
             self._requests.labels(outcome="rejected").inc()
@@ -450,13 +445,13 @@ class AsyncHttpFrontend:
         queue.put_nowait(item)
         try:
             response, body = await asyncio.wait_for(
-                item.future, self._request_timeout
+                item.future, REQUEST_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             # The worker (or bridge) is still grinding; the depth slot
             # is released by whichever side touches the ticket last.
             shed = ShedError(
-                f"request exceeded the door's {self._request_timeout:g}s "
+                f"request exceeded the door's {REQUEST_TIMEOUT_S:g}s "
                 "budget",
                 retry_after_s=self.admission.max_queue_wait,
             )
@@ -547,4 +542,4 @@ class AsyncHttpFrontend:
             head.append(f"Retry-After: {max(1, round(retry_after))}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
         writer.write(body)
-        await asyncio.wait_for(writer.drain(), self._io_timeout)
+        await asyncio.wait_for(writer.drain(), IO_TIMEOUT_S)

@@ -83,30 +83,25 @@ READER_FRAME_TIMEOUT = 600.0
 class RetryPolicy:
     """Exponential backoff with jitter for idempotent reads.
 
-    ``delay(attempt)`` for attempt 0, 1, 2... is
-    ``base * multiplier^attempt`` capped at ``max_delay``, widened by a
-    uniform jitter of ``+-jitter`` (fractional) so a restarted node is
-    not hit by every client in lockstep.
+    ``delay(attempt)`` for attempt 0, 1, 2... is ``base * 2^attempt``
+    capped at ``max_delay``, widened by a uniform jitter of ±25 % so a
+    restarted node is not hit by every client in lockstep.
     """
 
     attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("a retry policy needs at least one attempt")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be non-negative")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be a fraction in [0, 1]")
 
-    def delay(self, attempt: int, rng: random.Random) -> float:
+    def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (0-based)."""
-        raw = min(self.base_delay * self.multiplier**attempt, self.max_delay)
-        return raw * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        raw = min(self.base_delay * 2.0**attempt, self.max_delay)
+        return raw * (1.0 + 0.25 * (2.0 * random.random() - 1.0))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ mid-flight failure are never double-counted.
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import Callable, Sequence
 
@@ -49,6 +48,10 @@ from repro.net.errors import (
 from repro.net.frame import Buffer, Deadline
 from repro.net.stream import PartialSink
 from repro.obs import clock, tracing
+
+#: Per-attempt budget for TCP connect + handshake (always additionally
+#: capped by the request deadline).
+CONNECT_TIMEOUT_S = 2.0
 
 #: Idle seconds after which a serial pooled connection is pinged before
 #: reuse (pipelined connections detect death via their reader loop).
@@ -81,10 +84,7 @@ class ConnectionPool:
             connection only when all live ones have requests in flight;
             serial mode makes further callers wait (within their
             deadline) for a checkout.
-        connect_timeout: per-attempt budget for TCP connect + handshake
-            (always additionally capped by the request deadline).
         retry: backoff policy for idempotent calls.
-        rng: jitter source (seedable for deterministic tests).
         on_retry: called once per retry, for the transport's metrics.
         pipeline: multiplex requests over shared connections (default)
             or check connections out serially.
@@ -102,9 +102,7 @@ class ConnectionPool:
         port: int,
         *,
         max_connections: int = 4,
-        connect_timeout: float = 2.0,
         retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
         on_retry: Callable[[], None] | None = None,
         pipeline: bool = True,
         compression: CompressionConfig | None = None,
@@ -117,7 +115,6 @@ class ConnectionPool:
         self.port = port
         self.address = f"{host}:{port}"
         self.max_connections = max_connections
-        self.connect_timeout = connect_timeout
         self.retry = retry or RetryPolicy()
         self.pipeline = pipeline
         self.compression = (
@@ -126,7 +123,6 @@ class ConnectionPool:
         self._on_ratio = on_ratio
         self.shm = shm
         self.probe_failures = 0
-        self._rng = rng or random.Random()
         self._on_retry = on_retry
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
@@ -190,7 +186,7 @@ class ConnectionPool:
                 # Back off inside the request budget; if the sleep eats
                 # the rest of it the next attempt raises DeadlineExceeded.
                 pause = min(
-                    self.retry.delay(attempt - 1, self._rng),
+                    self.retry.delay(attempt - 1),
                     deadline.remaining(),
                 )
                 if pause > 0:
@@ -342,7 +338,7 @@ class ConnectionPool:
                     or len(self._pipes) >= self.max_connections
                 ):
                     return best
-            budget = min(self.connect_timeout, deadline.remaining())
+            budget = min(CONNECT_TIMEOUT_S, deadline.remaining())
         # Dial with the pool unlocked: the TCP connect plus handshake can
         # take the whole connect budget, and holding the lock meanwhile
         # would stall every other caller fanning out to this node.
@@ -413,7 +409,7 @@ class ConnectionPool:
             return conn
 
     def _connect(self, deadline: Deadline) -> NodeClient:
-        budget = min(self.connect_timeout, deadline.remaining())
+        budget = min(CONNECT_TIMEOUT_S, deadline.remaining())
         connect_deadline = Deadline(clock.now() + budget)
         return NodeClient(
             self.host,

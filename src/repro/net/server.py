@@ -76,7 +76,11 @@ from repro.net.kinds import KINDS, NodeContext, QueryKind, TaggedRun
 from repro.net.pool import ConnectionPool
 from repro.net.shm import ShmWriter, host_token
 from repro.net.stream import STREAM_CHUNK_POINTS, iter_point_chunks
-from repro.net.transport import field_description, parse_address
+from repro.net.transport import (
+    DEFAULT_RPC_TIMEOUT,
+    field_description,
+    parse_address,
+)
 from repro.obs import clock, tracing
 from repro.simulation.datasets import (
     SyntheticDataset,
@@ -425,7 +429,6 @@ class NodeServer:
             bind ephemeral ports (tests) can pass ``None`` here and call
             :meth:`connect_peers` once every node's port is known.
         spec: hardware spec (defaults to the paper-calibrated cluster).
-        rpc_timeout: deadline for outgoing peer halo RPCs.
         registry: derived-field registry (defaults to the stock one).
         compression: frame codecs this server offers during HELLO
             negotiation (defaults to the stock zlib configuration).
@@ -445,7 +448,6 @@ class NodeServer:
         port: int = 0,
         peer_addresses: "Sequence[str | tuple[str, int]] | None" = None,
         spec: ClusterSpec | None = None,
-        rpc_timeout: float = 60.0,
         registry: FieldRegistry | None = None,
         compression: CompressionConfig | None = None,
         stream_chunk_points: int = STREAM_CHUNK_POINTS,
@@ -461,7 +463,6 @@ class NodeServer:
         self.config = config
         self.spec = spec or paper_cluster()
         self.registry = registry or default_registry()
-        self.rpc_timeout = rpc_timeout
         self.compression = (
             compression if compression is not None else DEFAULT_COMPRESSION
         )
@@ -555,7 +556,7 @@ class NodeServer:
                 peers.append(self.node)
                 continue
             replicas = [
-                RemoteHaloPeer(pool_for(peer_id), self.spec, self.rpc_timeout)
+                RemoteHaloPeer(pool_for(peer_id), self.spec, DEFAULT_RPC_TIMEOUT)
                 for peer_id in self.placement.replicas_of(shard)
             ]
             # One replica (the unreplicated layout) keeps the seed's

@@ -37,7 +37,6 @@ unreplicated layout, answer for answer and error for error.
 from __future__ import annotations
 
 import abc
-import random
 import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -338,12 +337,7 @@ class TcpTransport(Transport):
             shards have no other replica to prefer.
         timeout: per-RPC deadline in wall seconds.  Retries of a failed
             idempotent call share this one budget.
-        connect_timeout: per-attempt TCP connect + handshake budget.
-        max_connections: pooled sockets per node.  Each socket
-            multiplexes many in-flight requests, so the whole scatter
-            to one node rides one or two connections.
         retry: backoff policy for idempotent reads.
-        rng: jitter source, seedable for deterministic tests.
         compression: codecs advertised during the handshake; defaults
             to the stock zlib configuration.  Pass
             :data:`~repro.net.compress.NO_COMPRESSION` to force raw
@@ -362,10 +356,7 @@ class TcpTransport(Transport):
         router: "ReplicaRouter | None" = None,
         heartbeat_interval: float | None = None,
         timeout: float = DEFAULT_RPC_TIMEOUT,
-        connect_timeout: float = 2.0,
-        max_connections: int = 2,
         retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
         compression: CompressionConfig | None = None,
         shm: bool = False,
     ) -> None:
@@ -380,15 +371,14 @@ class TcpTransport(Transport):
         if timeout <= 0:
             raise ValueError("the RPC timeout must be positive")
         self.timeout = timeout
-        self._rng = rng or random.Random()
         self.pools = [
             ConnectionPool(
                 host,
                 port,
-                max_connections=max_connections,
-                connect_timeout=connect_timeout,
+                # Each socket multiplexes many in-flight requests, so
+                # the whole scatter to one node rides two connections.
+                max_connections=2,
                 retry=retry,
-                rng=self._rng,
                 on_retry=self._observe_retry,
                 compression=compression,
                 on_ratio=self._observe_ratio,
@@ -420,7 +410,6 @@ class TcpTransport(Transport):
         self._m_partials = None
         self._m_shm = None
         self._m_failovers = None
-        self._m_antientropy = None
         if heartbeat_interval is not None and placement.replication_factor > 1:
             self.router.start_heartbeat()
 
@@ -467,20 +456,11 @@ class TcpTransport(Transport):
             "ha_failovers_total",
             "Shard parts retried on another replica after a node failure",
         )
-        self._m_antientropy = metrics.counter(
-            "ha_antientropy_chunks_fetched",
-            "Divergent atom chunks fetched by anti-entropy catch-up",
-        )
         metrics.gauge_callback(
             "ha_replica_unhealthy",
             lambda: float(self.router.unhealthy_count()),
             "Nodes currently over the router's failure threshold",
         )
-
-    def record_antientropy(self, chunks: int) -> None:
-        """Fold a catch-up run's fetched chunk count into ``/stats``."""
-        if self._m_antientropy is not None and chunks:
-            self._m_antientropy.inc(chunks)
 
     def _observe_retry(self) -> None:
         if self._m_retries is not None:

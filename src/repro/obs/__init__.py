@@ -11,7 +11,7 @@ Three pillars, one package:
   goes through.
 
 This package is also the engine's *sanctioned wall-clock boundary*:
-turblint's COST01 and OBS01 checkers ban ``time.*`` and ``print``
+turblint's OBS01 checker bans ``time.*`` and ``print``
 everywhere else under ``repro.``, so every real-clock read and every
 console write is auditable here (:mod:`repro.obs.clock`).
 

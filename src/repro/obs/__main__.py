@@ -5,26 +5,14 @@ Render a trace export::
     python -m repro.obs trace.jsonl                 # every trace, as trees
     python -m repro.obs trace.jsonl --trace-id q000001
     python -m repro.obs trace.jsonl --totals        # Figure-9 breakdown only
-
-Self-test (used by CI)::
-
-    python -m repro.obs --selftest
-
-The self-test stands up a small in-process cluster, traces a threshold
-query end to end, and verifies the tentpole invariants: span trees
-propagate across the mediator's scatter threads, the root span's
-simulated-time breakdown equals the query's returned ledger, the
-semantic-cache hit counter moves on a repeated query, and the JSON-lines
-export round-trips.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.obs.report import report
 
 
@@ -52,166 +40,14 @@ def _render_file(path: Path, trace_id: str | None, totals_only: bool) -> int:
     return 0
 
 
-def _selftest() -> int:
-    failures: list[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        if condition:
-            report(f"  ok: {label}")
-        else:
-            failures.append(label)
-
-    report("repro.obs selftest")
-
-    # -- metrics ------------------------------------------------------------
-    registry = metrics.MetricsRegistry()
-    queries = registry.counter("queries_total", labelnames=["kind"])
-    queries.labels(kind="threshold").inc()
-    queries.labels(kind="threshold").inc(2)
-    latency = registry.histogram("latency_seconds", buckets=[0.1, 1.0])
-    latency.observe(0.05)
-    latency.observe(5.0)
-    text = registry.render_prometheus()
-    check(queries.labels(kind="threshold").value == 3.0, "counter arithmetic")
-    check('queries_total{kind="threshold"} 3.0' in text, "prometheus counter line")
-    check('latency_seconds_bucket{le="+Inf"} 2' in text, "prometheus +Inf bucket")
-    check("latency_seconds" in registry.to_dict(), "JSON export")
-
-    # -- histogram exemplars -------------------------------------------------
-    latency.observe(0.5, exemplar="q000042")
-    sample = registry.render_prometheus()
-    check(
-        'trace_id="q000042"' in sample,
-        "exemplar renders on its bucket line",
-    )
-    recorded = latency.exemplars().get("1.0")
-    check(
-        recorded is not None and recorded[0] == "q000042",
-        "exemplar lookup by bucket",
-    )
-
-    # -- tracing, no collector: spans must be inert no-ops ------------------
-    tracing.uninstall()
-    with tracing.span("noop.root") as outer:
-        with tracing.span("noop.child") as inner:
-            pass
-    check(outer is inner, "no-op spans are the shared singleton")
-    check(tracing.collector() is None, "no collector installed by default")
-
-    # -- remote capture and stitching ---------------------------------------
-    context = tracing.SpanContext("q_remote", 7, True)
-    with tracing.remote_request(context) as capture:
-        with tracing.span("server.request", method="threshold"):
-            with tracing.span("executor.scan"):
-                pass
-    shipped = capture.to_wire() if capture is not None else []
-    check(len(shipped) == 2, "remote request captures spans without a collector")
-    collector = tracing.install(tracing.TraceCollector())
-    try:
-        with tracing.span("net.rpc", trace_id="q_local") as rpc:
-            grafted = tracing.graft_spans(
-                shipped, parent=rpc, origin="node0"
-            )
-        stitched = collector.trace("q_local")
-        check(
-            len(stitched) == 1 + len(grafted)
-            and all(s.trace_id == "q_local" for s in stitched),
-            "grafted spans join the local trace under the rpc span",
-        )
-        names = {s.name for s in stitched}
-        check(
-            {"server.request", "executor.scan"} <= names,
-            "remote span names survive the stitch",
-        )
-    finally:
-        tracing.uninstall()
-
-    # -- sampling profiler ---------------------------------------------------
-    from repro.obs.profile import SamplingProfiler
-
-    collector = tracing.install(tracing.TraceCollector())
-    try:
-        from repro.obs import clock
-
-        with SamplingProfiler(interval=0.001) as profiler:
-            with tracing.span("profiled.burn", trace_id="q_profile"):
-                started = clock.now()
-                while clock.now() - started < 0.05:
-                    pass
-        check(profiler.samples > 0, "profiler collects stack samples")
-        collapsed = profiler.render_collapsed()
-        check(
-            ";" in collapsed and collapsed.strip().split()[-1].isdigit(),
-            "collapsed-stack output is well-formed",
-        )
-        check(
-            bool(profiler.for_trace("q_profile")),
-            "samples keyed to the traced span",
-        )
-    finally:
-        tracing.uninstall()
-
-    # -- traced threshold query on a live cluster ---------------------------
-    from repro.cluster.mediator import build_cluster
-    from repro.core.query import ThresholdQuery
-    from repro.simulation.datasets import mhd_dataset
-
-    mediator = build_cluster(
-        mhd_dataset(side=32, timesteps=1), nodes=2, buffer_pages=64
-    )
-    collector = tracing.install(tracing.TraceCollector())
-    try:
-        query = ThresholdQuery("mhd", "vorticity", 0, 1e9)
-        first = mediator.threshold(query)
-        second = mediator.threshold(query)
-
-        check(bool(first.query_id), "query carries a query_id")
-        check(first.query_id != second.query_id, "query ids are unique")
-        spans = collector.trace(second.query_id or "")
-        check(len(spans) > 1, "trace holds the root and node-part spans")
-        threads = {span.thread for span in spans}
-        check(len(threads) > 1, "spans cross the scatter-pool threads")
-        totals = tracing.category_totals(spans)
-        check(
-            totals == second.ledger.breakdown(),
-            "root-span category totals equal the returned CostLedger",
-        )
-        hits = mediator.metrics.get("semantic_cache_hits_total").value
-        check(hits > 0, "repeated query registers semantic-cache hits")
-
-        exported = collector.to_jsonl(second.query_id)
-        reparsed = tracing.TraceCollector.from_jsonl(exported)
-        check(len(reparsed) == len(spans), "JSON-lines export round-trips")
-        check(
-            tracing.category_totals(reparsed) == totals,
-            "round-tripped breakdown is intact",
-        )
-        report()
-        report(tracing.render_tree(spans))
-    finally:
-        tracing.uninstall()
-        mediator.close()
-
-    if failures:
-        report()
-        for failure in failures:
-            report(f"  FAIL: {failure}")
-        report(f"selftest FAILED ({len(failures)} checks)")
-        return 1
-    report()
-    report("selftest passed")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.obs``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Render trace exports; run the observability selftest.",
+        description="Render trace exports.",
     )
     parser.add_argument(
-        "path", nargs="?", type=Path,
-        help="JSON-lines trace export to render",
+        "path", type=Path, help="JSON-lines trace export to render"
     )
     parser.add_argument(
         "--trace-id", help="render only this trace (e.g. q000001)"
@@ -220,17 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         "--totals", action="store_true",
         help="print only the per-category simulated-time totals",
     )
-    parser.add_argument(
-        "--selftest", action="store_true",
-        help="trace a query on an in-process cluster and verify invariants",
-    )
     args = parser.parse_args(argv)
 
-    if args.selftest:
-        return _selftest()
-    if args.path is None:
-        parser.print_help(file=sys.stderr)
-        return 2
     if not args.path.exists():
         report(f"no such file: {args.path}")
         return 2

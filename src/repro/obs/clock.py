@@ -1,6 +1,6 @@
 """The engine's only sanctioned wall-clock boundary.
 
-Engine invariant COST01/OBS01: simulated timings come from the cost
+Engine invariant OBS01: simulated timings come from the cost
 model, and *wall-clock* reads — needed by the observability layer for
 span durations and latency histograms — live only inside ``repro.obs``.
 Everything else in the engine measures wall time through the helpers

@@ -512,7 +512,7 @@ class timed:
     """Context manager observing its body's wall time into a histogram.
 
     The wall-clock read happens here, inside ``repro.obs`` — call sites
-    elsewhere in the engine stay clean under COST01/OBS01::
+    elsewhere in the engine stay clean under OBS01::
 
         with timed(latency.labels(method="GetThreshold")):
             handle(request)

@@ -1,13 +1,7 @@
-# Three COST01 violations: wall-clock import, wall-clock call,
-# discarded device time.
-import time
-from time import perf_counter
+# Two COST01 violations: simulated device times computed and dropped.
 
 
-def stamp():
-    return time.time()
-
-
-def discarded(spec):
+def discarded(spec, payload):
     spec.read_time(4096)
-    return perf_counter
+    spec.lan.transfer_time(payload, round_trips=2)
+    return payload

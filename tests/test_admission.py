@@ -90,19 +90,6 @@ class TestQuota:
             ctl.admit("alice", "GetThreshold", now=0.0)
         ctl.admit("bob", "GetThreshold", now=0.0)  # bob's bucket is full
 
-    def test_tenant_overrides_beat_the_default(self):
-        ctl = controller(
-            tenant_rate=1.0,
-            tenant_burst=1.0,
-            max_queue_depth=100,
-            tenant_overrides={"vip": (100.0, 10.0)},
-        )
-        for _ in range(10):
-            ctl.admit("vip", "GetThreshold", now=0.0)
-        ctl.admit("pleb", "GetThreshold", now=0.0)
-        with pytest.raises(QuotaExceededError):
-            ctl.admit("pleb", "GetThreshold", now=0.0)
-
 
 class TestBackpressure:
     def test_depth_cap_sheds_with_503(self):

@@ -96,7 +96,7 @@ def test_cli_exit_codes(sheet, tmp_path, capsys):
 
 def test_sections_of_the_sheet():
     assert set(TARGETS) == {f"e2e.{name}" for name in WORKLOADS} | {
-        "layers", "net_shm", "slo.default", "slo.scale", "ha",
+        "layers", "net_shm", "slo.default", "slo.scale", "ha", "size",
     }
     per_layer = {row["name"] for row in CATALOGUE["per_layer"]}
     assert set(TARGETS["layers"]) <= per_layer
@@ -107,6 +107,15 @@ def test_sections_of_the_sheet():
             assert set(target) <= {"min", "max", "what"}, (section, name)
             assert set(target) & {"min", "max"}, (section, name)
             assert target["what"] and "\n" not in target["what"], (section, name)
+
+
+def test_src_repro_stays_inside_its_line_bound():
+    """``find src/repro -name '*.py' -exec cat {} + | wc -l``, as CI prints it."""
+    lines = sum(
+        path.read_bytes().count(b"\n")
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+    )
+    assert gate.check("size", {"src_repro_lines": lines}) == []
 
 
 def test_every_history_line_is_whole():

@@ -111,7 +111,8 @@ def test_run_paths_reports_scoped_violation(tmp_path):
 def test_run_paths_select_restricts_checkers(tmp_path):
     path = _write_engine_file(
         tmp_path,
-        "import time\n\n\ndef f(db):\n    db.begin()\n    return time.time()\n",
+        "import time\n\n\ndef f(db):\n    db.begin()\n"
+        "    db.read_time(4096)\n    return time.time()\n",
     )
     all_codes = {d.code for d in run_paths([path])[0]}
     assert all_codes == {"COST01", "TXN01", "OBS01"}

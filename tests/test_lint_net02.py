@@ -29,12 +29,12 @@ def test_bad_fixture_reports_each_violation():
     assert all(d.code == "NET02" for d in diags)
 
 
-def test_scope_excludes_the_http_sidecar():
+def test_scope_is_the_net_package():
     checker = NetZeroCopy()
     assert checker.applies("repro.net.frame")
     assert checker.applies("repro.net.codec")
     assert checker.applies("repro.net.server")
-    assert not checker.applies("repro.net.http")
+    assert checker.applies("repro.net.aio")
     assert not checker.applies("repro.cluster.mediator")
     assert not checker.applies("repro.core.pointset")
 

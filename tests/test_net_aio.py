@@ -1,11 +1,11 @@
 """Integration tests for the asyncio front door (:mod:`repro.net.aio`).
 
-The contract under test: both doors send ``WebService.handle_json``'s
+The contract under test: the door sends ``WebService.handle_json``'s
 body, byte-identical to ``json.dumps`` of the in-process
-``WebService.handle`` dict; the async door encodes it on a bridge
-thread, keeps connections alive across requests, and under overload
-every client gets either a correct answer or a well-formed typed shed —
-no hangs, no resets, no partial JSON.
+``WebService.handle`` dict; it encodes it on a bridge thread, keeps
+connections alive across requests, and under overload every client gets
+either a correct answer or a well-formed typed shed — no hangs, no
+resets, no partial JSON.
 """
 
 import http.client
@@ -21,8 +21,7 @@ from repro.cluster import build_cluster, webservice
 from repro.cluster.admission import AdmissionController
 from repro.cluster.webservice import WebService
 from repro.net import aio
-from repro.net.aio import AsyncHttpFrontend
-from repro.net.http import MAX_BODY_BYTES, HttpFrontend, _Handler
+from repro.net.aio import MAX_BODY_BYTES, AsyncHttpFrontend
 
 #: Fields that legitimately differ between two executions of the same
 #: request (fresh query ids, wall-clock timings, cache warmth).
@@ -90,18 +89,14 @@ class TestEquivalence:
         {"method": "GetThreshold", "dataset": "mhd"},  # missing keys
     ]
 
-    def test_async_threaded_and_direct_paths_agree(self, service, monkeypatch):
+    def test_door_and_direct_paths_agree(self, service, monkeypatch):
         from repro.obs import tracing
 
         # Repeated executions of one request then differ in nothing: the
         # first (direct) one warms the caches, and simulated cost repeats.
         monkeypatch.setattr(tracing, "new_trace_id", lambda: "q777777")
-        with HttpFrontend(service) as threaded, open_async_door(service) as door:
-            threaded.start()
-            t_conn = http.client.HTTPConnection(
-                "127.0.0.1", threaded.port, timeout=30
-            )
-            a_conn = http.client.HTTPConnection(
+        with open_async_door(service) as door:
+            conn = http.client.HTTPConnection(
                 "127.0.0.1", door.port, timeout=30
             )
             for request in self.REQUESTS:
@@ -109,21 +104,12 @@ class TestEquivalence:
                 direct = service.handle(dict(request))
                 reference = json.dumps(direct).encode("utf-8")
                 assert service.handle_json(dict(request))[1] == reference
-                t_status, t_body, _ = post(t_conn, request)
-                a_status, a_body, _ = post(a_conn, request)
-                assert a_status == t_status, request
-                assert normalize(json.loads(a_body)) == normalize(
-                    json.loads(t_body)
-                ), request
-                assert normalize(json.loads(a_body)) == normalize(
-                    direct
-                ), request
-                # What a door sends is handle_json's body, and that is
+                status, body, _ = post(conn, request)
+                assert status == (200 if direct["status"] == "ok" else 400)
+                # What the door sends is handle_json's body, and that is
                 # the dumped dict reference, byte for byte.
-                assert a_body == reference, request
-                assert t_body == reference, request
-            t_conn.close()
-            a_conn.close()
+                assert body == reference, request
+            conn.close()
 
     def test_query_answers_are_encoded_on_a_bridge_thread(
         self, service, monkeypatch
@@ -312,33 +298,26 @@ class TestProtocolAbuse:
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b"oversized" in raw
 
-    def test_unparseable_content_length_gets_400_and_close_on_both_doors(
+    def test_unparseable_content_length_gets_400_and_close(
         self, service, capfd
     ):
-        # The threaded door used to die in int("abc"): a traceback on
-        # stderr and a dropped connection instead of a typed answer.
-        bodies = []
-        with HttpFrontend(service) as threaded, open_async_door(service) as door:
-            threaded.start()
-            for port in (threaded.port, door.port):
-                with socket.create_connection(
-                    ("127.0.0.1", port), timeout=15
-                ) as sock:
-                    sock.sendall(
-                        b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}"
-                    )
-                    raw = self.recv_all(sock)  # returns: the door closed
-                head, _, body = raw.partition(b"\r\n\r\n")
-                assert head.startswith(b"HTTP/1.1 400 "), raw
-                assert b"connection: close" in head.lower()
-                assert json.loads(body)["code"] == "bad_request"
-                bodies.append(body)
-        assert bodies[0] == bodies[1]
+        with open_async_door(service) as door:
+            with socket.create_connection(
+                ("127.0.0.1", door.port), timeout=15
+            ) as sock:
+                sock.sendall(
+                    b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}"
+                )
+                raw = self.recv_all(sock)  # returns: the door closed
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), raw
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["code"] == "bad_request"
         assert "Traceback" not in capfd.readouterr().err
 
     def test_mid_body_disconnect_is_counted_not_crashed(self, service):
         counter = service.metrics.get("http_client_disconnects")
-        before = counter.labels(door="async").value
+        before = counter.value
         with open_async_door(service) as door:
             sock = socket.create_connection(
                 ("127.0.0.1", door.port), timeout=15
@@ -348,30 +327,8 @@ class TestProtocolAbuse:
             )
             sock.close()
             for _ in range(100):
-                if counter.labels(door="async").value > before:
+                if counter.value > before:
                     break
                 time.sleep(0.05)
-            assert counter.labels(door="async").value > before
+            assert counter.value > before
 
-
-class TestThreadedDoorHardening:
-    def test_reply_swallows_broken_pipe_and_counts_it(self, service):
-        counter = service.metrics.get("http_client_disconnects")
-        before = counter.labels(door="threaded").value
-
-        class DeadPipe:
-            def write(self, data):
-                raise BrokenPipeError("peer vanished")
-
-            def flush(self):
-                raise BrokenPipeError("peer vanished")
-
-        handler = _Handler.__new__(_Handler)
-        handler.service = service
-        handler.wfile = DeadPipe()
-        handler.requestline = "POST / HTTP/1.1"
-        handler.request_version = "HTTP/1.1"
-        handler.close_connection = False
-        handler._reply(200, "application/json", b"{}")
-        assert handler.close_connection is True
-        assert counter.labels(door="threaded").value == before + 1

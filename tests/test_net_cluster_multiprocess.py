@@ -7,6 +7,7 @@ point-for-point, and killing a node must surface as a typed repro.net
 error within the deadline budget — not a hang.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -203,13 +204,18 @@ def test_pdf_across_processes_matches_in_process(tcp_mediator, reference):
     )
 
 
-def test_http_front_door(cluster):
-    ports, _ = cluster
+@contextlib.contextmanager
+def serve_http(ports, *flags: str):
+    """A ``serve-http`` process over the cluster.
+
+    Yields ``(base_url, stats_text)`` once ``GET /stats`` answers.
+    """
     http_port = free_port()
     frontend = spawn_cli(
         "serve-http",
         "--nodes", ",".join(f"127.0.0.1:{p}" for p in ports),
         "--port", str(http_port),
+        *flags,
     )
     base = f"http://127.0.0.1:{http_port}"
     try:
@@ -227,23 +233,41 @@ def test_http_front_door(cluster):
             except (urllib.error.URLError, ConnectionError, OSError):
                 time.sleep(0.25)
         assert stats is not None, "HTTP front door never came up"
-        assert "rpc_requests_total" in stats
+        yield base, stats
+    finally:
+        if frontend.poll() is None:
+            frontend.send_signal(signal.SIGTERM)
+        _drain(frontend)
 
-        body = json.dumps(
-            {
-                "method": "GetThreshold",
-                "dataset": "mhd",
-                "field": "pressure",
-                "timestep": 0,
-                "threshold": 0.5,
-            }
-        ).encode()
-        request = urllib.request.Request(
-            f"{base}/", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=60) as r:
-            response = json.loads(r.read())
+
+def post_threshold(base: str) -> bytes:
+    body = json.dumps(
+        {
+            "method": "GetThreshold",
+            "dataset": "mhd",
+            "field": "pressure",
+            "timestep": 0,
+            "threshold": 0.5,
+        }
+    ).encode()
+    request = urllib.request.Request(
+        f"{base}/", data=body,
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=60) as r:
+        return r.read()
+
+
+def test_http_front_door(cluster):
+    ports, _ = cluster
+    with serve_http(ports) as (base, stats):
+        assert "rpc_requests_total" in stats
+        assert "aio_connections_open" in stats
+        # The mediator owns no node here: series sampled from owned
+        # nodes would read 0.0 for a cluster that is busy.
+        assert "storage_bufferpool_hits" not in stats
+
+        response = json.loads(post_threshold(base))
         assert response["status"] == "ok"
         assert response["count"] == len(response["points"]) > 0
 
@@ -256,10 +280,22 @@ def test_http_front_door(cluster):
         assert any(
             span["name"] == "net.rpc" for span in trace["spans"]
         )
-    finally:
-        if frontend.poll() is None:
-            frontend.send_signal(signal.SIGTERM)
-        _drain(frontend)
+
+
+def test_async_flag_is_accepted_and_selects_nothing(cluster):
+    """``--async`` predates the single door; both spellings start it."""
+    ports, _ = cluster
+    assert "--async" not in run_cli("serve-http", "--help")
+    answers = []
+    for flags in ((), ("--async",)):
+        with serve_http(ports, *flags) as (base, stats):
+            assert "aio_connections_open" in stats
+            post_threshold(base)  # the nodes' caches are warm after this
+            answer = json.loads(post_threshold(base))
+            assert answer.pop("query_id")
+            answers.append(answer)
+    assert answers[0] == answers[1]
+    assert answers[0]["status"] == "ok" and answers[0]["count"] > 0
 
 
 def test_distributed_trace_attributes_node_side_work(tcp_mediator):

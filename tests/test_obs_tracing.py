@@ -239,6 +239,22 @@ class TestExports:
     def test_render_tree_empty(self):
         assert tracing.render_tree([]) == "(empty trace)"
 
+    def test_cli_renders_an_export(
+        self, collector, mhd_cluster, small_mhd, tmp_path, capsys
+    ):
+        from repro.obs.__main__ import main
+
+        result = run_threshold(mhd_cluster, small_mhd)
+        export = tmp_path / "trace.jsonl"
+        export.write_text(collector.to_jsonl(result.query_id))
+        assert main([str(export)]) == 0
+        rendered = capsys.readouterr().out
+        assert f"trace {result.query_id}" in rendered
+        assert "query.threshold" in rendered
+        assert "simulated seconds by category" in rendered
+        assert main([str(export), "--trace-id", "q_absent"]) == 1
+        assert main([str(tmp_path / "missing.jsonl")]) == 2
+
 
 class TestTraceCollector:
     def _span(self, trace_id, span_id):

@@ -352,6 +352,10 @@ class TestIntrospection:
         assert status == 200
         assert content_type.startswith("text/plain")
         assert "queries_total" in body
+        # A mediator that owns its nodes samples them at export.
+        assert "storage_bufferpool_hits" in body
+        assert "semantic_cache_probe_hits" in body
+        assert "pdf_cache_hits" in body
 
     def test_http_trace_route(self, small_mhd, service, traced):
         ok = service.handle(threshold_request(small_mhd))
