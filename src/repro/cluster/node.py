@@ -10,13 +10,19 @@ behalf of neighbouring nodes.
 
 from __future__ import annotations
 
+from typing import cast
+
+import numpy as np
+
 from repro.costmodel import Category, ClusterSpec, CostLedger
 from repro.costmodel.ledger import METER_HALO_BYTES, METER_HALO_SECONDS
 from repro.grid import Box
 from repro.grid.atoms import atom_ranges_covering
 from repro.morton import MortonRange
+from repro.morton.ranges import merge_ranges
 from repro.obs import tracing
 from repro.simulation.datasets import DatasetSpec
+from repro.simulation.ingest import AtomRun
 from repro.storage import (
     Column,
     ColumnType,
@@ -180,32 +186,64 @@ class DatabaseNode:
         timestep: int,
         ranges: list[MortonRange],
         charge: bool = True,
-    ) -> dict[int, bytes]:
-        """Clustered range scans returning ``zindex -> blob`` for atoms.
+    ) -> AtomRun:
+        """The atoms of ``ranges`` as one columnar run, from one scan.
 
         Each :class:`MortonRange` is in grid-point codes (as produced by
         :func:`repro.grid.atoms.atom_ranges_covering`); one range is one
-        sequential extent on disk.  ``charge`` False reads without buffer-
-        pool side effects (halo service for a peer).
+        sequential extent on disk.  Their sorted union is read in a
+        single clustered scan call, which leaves no trace in the buffer
+        pool; the read is then charged for ``ranges`` as given
+        (:meth:`charge_read`) unless ``charge`` is False — halo service
+        for a peer, or the executor, which charges slab by slab.
         """
         table = self.db.table(_atom_table_name(dataset, field))
-        out: dict[int, bytes] = {}
-        # Ranges arrive sorted along the curve, so the disk visits them in
-        # elevator order: only the first range pays a full seek, later
-        # ranges are forward skips served by read-ahead (SQL Server's
-        # sequential scan behaviour the paper's I/O numbers reflect).
-        # The columnar scan hands back (zindex, blob) column batches, so
-        # no per-row dict is ever materialised on this path.
-        first_range = True
-        for rng in ranges:
-            for zcol, bcol in table.scan_column_batches(
-                txn, ["zindex", "blob"],
-                (timestep, rng.start), (timestep, rng.stop),
-                sequential=not first_range, charge=charge,
-            ):
-                out.update(zip(zcol, bcol))  # type: ignore[arg-type]
-            first_range = False
-        return out
+        (zindexes, blobs), pages = table.scan_columns(
+            txn, ["zindex", "blob"],
+            [
+                ((timestep, rng.start), (timestep, rng.stop))
+                for rng in merge_ranges(sorted(ranges))
+            ],
+        )
+        run = AtomRun(
+            np.array(zindexes, dtype=np.uint64), cast("list[bytes]", blobs), pages
+        )
+        if charge:
+            self.charge_read(
+                dataset, field, run, [(rng.start, rng.stop) for rng in ranges]
+            )
+        return run
+
+    def charge_read(
+        self,
+        dataset: str,
+        field: str,
+        run: AtomRun,
+        bounds: list[tuple[int, int]] | np.ndarray,
+    ) -> None:
+        """Charge a read of the ``[start, stop)`` ranges ``bounds`` by
+        replaying the pages ``run`` recorded through the buffer pool.
+
+        The ranges do not arrive sorted along the curve: a halo cover
+        hands them over in the order its wrapped pieces first saw them,
+        and the disk visits them in that order.  Every atom of a range
+        touches its page; only the first atom of the first range pays a
+        full seek, later ranges are forward skips served by read-ahead
+        (SQL Server's sequential scan behaviour the paper's I/O numbers
+        reflect).  ``run`` is a local read of a superset of ``bounds``
+        under the charged transaction: atoms that transaction cannot
+        see are not in it, and touch nothing.
+        """
+        assert run.pages is not None, "only a local read records its pages"
+        cuts = np.searchsorted(
+            run.zindexes, np.asarray(bounds, dtype=np.uint64).reshape(-1, 2)
+        ).tolist()
+        pages: list[int] = []
+        for start, stop in cuts:
+            pages += run.pages[start:stop]
+        self.db.table(_atom_table_name(dataset, field)).touch_pages(
+            pages, sequential=not cuts or cuts[0][0] == cuts[0][1]
+        )
 
     def read_atoms_for_box(
         self,
@@ -215,11 +253,13 @@ class DatabaseNode:
         timestep: int,
         box: Box,
     ) -> dict[int, bytes]:
-        """Atoms covering an in-domain box (local data only)."""
+        """Atoms covering an in-domain box (local data only), as a dict
+        built from the run's two columns."""
         side = self.dataset(dataset).side
-        return self.read_atoms(
+        run = self.read_atoms(
             txn, dataset, field, timestep, atom_ranges_covering(box, side)
         )
+        return dict(zip(run.zindexes.tolist(), run.tiles))
 
     def serve_halo(
         self,
@@ -228,7 +268,7 @@ class DatabaseNode:
         timestep: int,
         ranges: list[MortonRange],
         ledger: CostLedger | None,
-    ) -> dict[int, bytes]:
+    ) -> AtomRun:
         """Serve a boundary read for a peer node.
 
         The atoms a node serves as halo are part of its *own* share of
@@ -252,7 +292,7 @@ class DatabaseNode:
                     txn, dataset, field, timestep, ranges, charge=False
                 )
             if ledger is not None:
-                nbytes = sum(len(blob) for blob in atoms.values())
+                nbytes = atoms.nbytes
                 seconds = self.spec.interconnect.transfer_time(nbytes)
                 ledger.charge(Category.IO, seconds)
                 ledger.count(METER_HALO_SECONDS, seconds)

@@ -49,11 +49,11 @@ from repro.costmodel.ledger import (
 from repro.fields.derived import DerivedField
 from repro.grid import Box, split_slabs
 from repro.obs import tracing
-from repro.grid.atoms import ATOM_VOLUME, atom_ranges_covering
+from repro.grid.atoms import atom_ranges_covering
 from repro.morton import MortonRange, encode_array
 from repro.morton.ranges import merge_ranges
 from repro.simulation.datasets import DatasetSpec
-from repro.simulation.ingest import array_from_atoms
+from repro.simulation.ingest import AtomRun, gather_box, tile_codes
 from repro.storage import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,6 +73,10 @@ GEOMETRY_ENTRIES = 512
 _Remote = tuple[tuple[int, np.ndarray], ...]
 #: One chain: per slab its ``(volume, own atom ranges)``, and its boundary.
 _Chain = tuple[tuple[tuple[int, np.ndarray], ...], _Remote]
+#: What a scan of some boxes touches (:meth:`NodeExecutor._resolve_geometry`).
+_Geometry = tuple[tuple[_Chain, ...], _Remote, np.ndarray, tuple[np.ndarray, ...]]
+#: Boundary atoms in hand: each peer's reply, by its node id.
+Prefetched = dict[int, AtomRun]
 
 
 class HaloPeer(Protocol):
@@ -91,7 +95,7 @@ class HaloPeer(Protocol):
         timestep: int,
         ranges: "list[MortonRange]",
         ledger: CostLedger | None,
-    ) -> dict[int, bytes]:
+    ) -> AtomRun:
         """Atoms of ``ranges``; transfer time charged to ``ledger``."""
         ...
 
@@ -145,7 +149,7 @@ class NodeExecutor:
         io_only: bool = False,
         bin_edges: tuple[float, ...] | None = None,
         topk: int | None = None,
-        prefetched: dict[int, bytes] | None = None,
+        prefetched: Prefetched | None = None,
     ) -> RawEvaluation:
         """Evaluate ``derived`` over ``boxes`` against ``threshold``.
 
@@ -206,7 +210,7 @@ class NodeExecutor:
         fd_order: int,
         processes: int = 1,
         io_only: bool = False,
-        prefetched: dict[int, bytes] | None = None,
+        prefetched: Prefetched | None = None,
     ) -> list[RawEvaluation]:
         """Evaluate several same-source fields from one shared scan.
 
@@ -243,53 +247,60 @@ class NodeExecutor:
         fd_order: int,
         processes: int,
         io_only: bool,
-        prefetched: dict[int, bytes] | None,
+        prefetched: Prefetched | None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Charge the chain/slab walk, then do its work once per box.
+        """Read once, charge the chain/slab walk, assemble once per box.
 
-        **The model**: every chain is charged the transfer of its own
-        boundary (:meth:`_charge_halo`), every slab reads its own atoms
-        plus the widest field's halo through the buffer pool, every
-        (slab, field) adds its kernel time to its chain.  **The work**:
-        one block per box from the atoms those reads returned anyway,
-        every field's kernel on (a trimmed view of) it, its reducer
-        turning the norm into a ``(zindexes, values)`` run.  Returns
-        one merged run per field.
+        **The work**: one read of every atom this node owns of the
+        call's boxes plus halo — uncharged, one visibility check per
+        atom — then one block per box gathered from that run and the
+        prefetched ones, every field's kernel on (a trimmed view of)
+        it, its reducer turning the norm into a ``(zindexes, values)``
+        run.  **The model**: every chain is charged the transfer of its
+        own boundary (:meth:`_charge_halo`), every slab replays, through
+        the buffer pool, the pages of its own atoms plus the widest
+        field's halo as that one read recorded them, every (slab,
+        field) adds its kernel time to its chain.  Returns one merged
+        run per field.
         """
         if not 1 <= processes <= MAX_PROCESSES:
             raise ValueError(f"processes must be in 1..{MAX_PROCESSES}")
         widest = max(deriveds, key=lambda d: d.halo(fd_order))
         halo = widest.halo(fd_order)
         name, source, side = dataset_spec.name, widest.source, dataset_spec.side
-        chains, boundary = self._geometry(tuple(boxes), halo, side, processes)
+        chains, boundary, reads, tiles = self._geometry(
+            tuple(boxes), halo, side, processes
+        )
         # A single chain's caller has charged its prefetch already (the
         # union over all its boxes, see get_batch_on_node).
         charge_chains = prefetched is None or processes > 1
         if prefetched is None:
             prefetched = self._fetch_remote(None, name, source, timestep, boundary)
-        atoms = dict(prefetched)
+        with tracing.span("node.io", category="io"):
+            own = self._node.read_atoms(
+                txn, name, source, timestep, _ranges(reads), charge=False
+            )
         cpu = self._node.spec.cpu
         chain_compute = [0.0] * len(chains)
-        for chain_id, (slabs, remote) in enumerate(chains):
-            if charge_chains:
-                self._charge_halo(ledger, remote, atoms)
-            for volume, own in slabs:
-                with tracing.span("node.io", category="io"):
-                    atoms.update(self._node.read_atoms(
-                        txn, name, source, timestep, _ranges(own)
-                    ))
-                if io_only:
-                    continue
-                for derived in deriveds:
-                    units = derived.units_per_point
-                    chain_compute[chain_id] += cpu.compute_time(volume, units)
-                    ledger.count(METER_COMPUTE_UNITS, volume * units)
+        with tracing.span("node.io", category="io"):
+            for chain_id, (slabs, remote) in enumerate(chains):
+                if charge_chains:
+                    self._charge_halo(ledger, remote, prefetched)
+                for volume, bounds in slabs:
+                    self._node.charge_read(name, source, own, bounds)
+                    if io_only:
+                        continue
+                    for derived in deriveds:
+                        units = derived.units_per_point
+                        chain_compute[chain_id] += cpu.compute_time(volume, units)
+                        ledger.count(METER_COMPUTE_UNITS, volume * units)
 
+        atoms = [*prefetched.values(), own]
         runs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in deriveds]
-        for box in boxes:
+        for box, codes in zip(boxes, tiles):
             with tracing.span("node.io", category="io"):
-                block = _assemble(
-                    box.expand(halo), side, atoms, widest.source_components
+                block = gather_box(
+                    box.expand(halo), codes, atoms, widest.source_components
                 )
             if io_only:
                 continue
@@ -329,17 +340,21 @@ class NodeExecutor:
 
     def _resolve_geometry(
         self, boxes: tuple[Box, ...], halo: int, side: int, processes: int
-    ) -> tuple[tuple[_Chain, ...], _Remote]:
+    ) -> _Geometry:
         """What a scan of ``boxes`` touches: pure geometry, memoised.
 
         Each box is split into per-process slabs and chain p gets slab
-        p of each.  Returns ``(chains, boundary)``: per chain, its
-        slabs' volumes each with the atom ranges this node owns of the
-        slab plus halo, and the chain's remote ranges per peer (its own
-        redundant boundary, atoms shared by its slabs counted once);
-        then the union of the chains' remote ranges per peer.  Ranges
-        are kept as ``(n, 2)`` integer arrays — a fraction of the size
-        of as many :class:`MortonRange` objects.
+        p of each.  Returns ``(chains, boundary, reads, tiles)``: per
+        chain, its slabs' volumes each with the atom ranges this node
+        owns of the slab plus halo (in first-seen order, the order the
+        model's disk visits them in), and the chain's remote ranges per
+        peer (its own redundant boundary, atoms shared by its slabs
+        counted once); the union of the chains' remote ranges per peer;
+        the sorted union of the slabs' own ranges, which one scan reads;
+        and per box the corner codes of its expanded block's atom grid
+        on the periodic domain (:func:`tile_codes`).  Ranges are kept as
+        ``(n, 2)`` integer arrays — a fraction of the size of as many
+        :class:`MortonRange` objects.
         """
         slabs_of: list[list[Box]] = [[] for _ in range(processes)]
         for box in boxes:
@@ -347,32 +362,35 @@ class NodeExecutor:
                 chain.append(slab)
         chains = []
         union: dict[int, list[MortonRange]] = {}
+        reads: list[MortonRange] = []
         for slabs in filter(None, slabs_of):
-            reads = []
+            slab_reads = []
             remote: dict[int, list[MortonRange]] = {}
             for slab in slabs:
                 by_node = self._split_ranges_by_node(_halo_cover(slab, halo, side))
                 own = by_node.pop(self._node.node_id, [])
-                reads.append((slab.volume, _compact(own)))
+                slab_reads.append((slab.volume, _compact(own)))
+                reads.extend(own)
                 for node_id, ranges in by_node.items():
                     remote.setdefault(node_id, []).extend(ranges)
                     union.setdefault(node_id, []).extend(ranges)
-            chains.append((tuple(reads), _boundary(remote)))
-        return tuple(chains), _boundary(union)
+            chains.append((tuple(slab_reads), _boundary(remote)))
+        return (
+            tuple(chains),
+            _boundary(union),
+            _compact(merge_ranges(sorted(reads))),
+            tuple(tile_codes(box.expand(halo), side) for box in boxes),
+        )
 
     def _charge_halo(
-        self, ledger: CostLedger, remote: _Remote, atoms: dict[int, bytes]
+        self, ledger: CostLedger, remote: _Remote, prefetched: Prefetched
     ) -> None:
         """Charge one boundary fetch without making it: peer by peer,
         what :meth:`HaloPeer.serve_halo` would charge for ``remote`` —
         the interconnect transfer of the atoms those ranges hold, all
-        of which are in ``atoms`` already."""
-        for _node_id, ranges in remote:
-            nbytes = sum(
-                len(atoms.get(code, b""))
-                for start, stop in ranges.tolist()
-                for code in range(start, stop, ATOM_VOLUME)
-            )
+        of which are in the peer's ``prefetched`` run already."""
+        for node_id, ranges in remote:
+            nbytes = prefetched[node_id].nbytes_in(ranges)
             seconds = self._node.spec.interconnect.transfer_time(nbytes)
             ledger.charge(Category.IO, seconds)
             ledger.count(METER_HALO_SECONDS, seconds)
@@ -391,15 +409,18 @@ class NodeExecutor:
         """Read and assemble ``slab`` plus ``halo`` cells into one array."""
         side = dataset_spec.side
         by_node = self._split_ranges_by_node(_halo_cover(slab, halo, side))
-        atoms = self._node.read_atoms(
+        own = self._node.read_atoms(
             txn, dataset_spec.name, derived.source, timestep,
             by_node.pop(self._node.node_id, []),
         )
-        atoms.update(self._fetch_remote(
+        remote = self._fetch_remote(
             ledger, dataset_spec.name, derived.source, timestep,
             _boundary(by_node),
-        ))
-        return _assemble(slab.expand(halo), side, atoms, derived.source_components)
+        )
+        return _assemble(
+            slab.expand(halo), side, [*remote.values(), own],
+            derived.source_components,
+        )
 
     def _fetch_remote(
         self,
@@ -408,8 +429,8 @@ class NodeExecutor:
         source_field: str,
         timestep: int,
         remote: _Remote,
-    ) -> dict[int, bytes]:
-        """Boundary atoms from peer nodes, one RPC per peer.
+    ) -> Prefetched:
+        """Boundary atoms from peer nodes, one RPC and one run per peer.
 
         When several peers are involved their calls run concurrently on
         short-lived threads — the peers' pipelined connection pools
@@ -421,7 +442,6 @@ class NodeExecutor:
         """
         if not remote:
             return {}
-        atoms: dict[int, bytes] = {}
         # The requester's wait for its peers; the span carries no ledger
         # (the transfer is charged by the peers, or chain by chain).
         with tracing.span(
@@ -442,20 +462,19 @@ class NodeExecutor:
                         )
                         for (node_id, ranges), part in zip(remote, scratch)
                     ]
-                    for future in futures:
-                        atoms.update(future.result())
+                    runs = [future.result() for future in futures]
                 if ledger is not None:
                     for part in scratch:
                         ledger.add(part)
             else:
                 ((node_id, ranges),) = remote
-                atoms.update(
+                runs = [
                     self._peers[node_id].serve_halo(
                         dataset, source_field, timestep, _ranges(ranges), ledger,
                     )
-                )
-            fetch_span.set("bytes", sum(len(blob) for blob in atoms.values()))
-        return atoms
+                ]
+            fetch_span.set("bytes", sum(run.nbytes for run in runs))
+        return {node_id: run for (node_id, _), run in zip(remote, runs)}
 
     def prefetch_halo(
         self,
@@ -465,7 +484,7 @@ class NodeExecutor:
         timestep: int,
         boxes: "list[Box]",
         fd_order: int,
-    ) -> dict[int, bytes] | None:
+    ) -> Prefetched | None:
         """One combined remote boundary fetch for ``boxes``.
 
         Fetches every remote atom the boxes' expanded blocks will need,
@@ -483,12 +502,12 @@ class NodeExecutor:
         ``None`` and :meth:`evaluate` charges each chain its own
         redundant boundary, as the paper's parallelism model assumes.
 
-        Returns atoms keyed by zindex, or ``None`` when no remote atoms
-        are needed at all (single node clusters, interior boxes).
+        Returns each peer's atoms as a run, or ``None`` when no remote
+        atoms are needed at all (single node clusters, interior boxes).
         """
-        _chains, boundary = self._geometry(
+        boundary = self._geometry(
             tuple(boxes), derived.halo(fd_order), dataset_spec.side, 1
-        )
+        )[1]
         if not boundary:
             return None
         return self._fetch_remote(
@@ -531,7 +550,7 @@ def _halo_cover(box: Box, halo: int, side: int) -> list[MortonRange]:
 def _compact(ranges: list[MortonRange]) -> np.ndarray:
     """Ranges as an ``(n, 2)`` array; :func:`_ranges` is the way back."""
     return np.array(
-        [(rng.start, rng.stop) for rng in ranges], dtype=np.int64
+        [(rng.start, rng.stop) for rng in ranges], dtype=np.uint64
     ).reshape(-1, 2)
 
 
@@ -549,26 +568,11 @@ def _boundary(by_node: dict[int, list[MortonRange]]) -> _Remote:
 
 
 def _assemble(
-    expanded: Box, side: int, atoms: dict[int, bytes], ncomp: int
+    expanded: Box, side: int, atoms: "Sequence[AtomRun]", ncomp: int
 ) -> np.ndarray:
-    """The block ``expanded`` of the periodic domain, from atoms covering it."""
-    # An axis along which the block is wider than the domain wraps all
-    # the way around (one node, small grids): assemble that axis once,
-    # whole, then gather it periodically — the block may overhang the
-    # domain on one side of that axis only, or on both.
-    around = [n > side for n in expanded.shape]
-    core = Box(
-        tuple(0 if a else lo for a, lo in zip(around, expanded.lo)),
-        tuple(side if a else hi for a, hi in zip(around, expanded.hi)),
-    )
-    block = np.empty(core.shape + (ncomp,), dtype=np.float32)
-    for piece, offset in core.wrap_periodic(side):
-        dst = tuple(slice(o, o + n) for o, n in zip(offset, piece.shape))
-        block[dst] = array_from_atoms(piece, atoms, ncomp)
-    for axis, (a, lo, hi) in enumerate(zip(around, expanded.lo, expanded.hi)):
-        if a:
-            block = block.take(np.arange(lo, hi), axis=axis, mode="wrap")
-    return block
+    """The block ``expanded`` of the periodic domain, from runs covering
+    it: one modular gather, however far the block overhangs the domain."""
+    return gather_box(expanded, tile_codes(expanded, side), atoms, ncomp)
 
 
 def _threshold_scan(

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.costmodel import CostLedger
 from repro.core.cache import SemanticCache
-from repro.core.executor import NodeExecutor
+from repro.core.executor import NodeExecutor, Prefetched
 from repro.core.pointset import merge_sorted_runs
 from repro.core.query import ThresholdQuery
 from repro.fields.derived import FieldRegistry
@@ -110,7 +110,7 @@ def get_batch_on_node(
     # its own.  Only a single chain is charged for that shared fetch —
     # with processes > 1 the executor charges each chain its own
     # redundant boundary, as the paper's parallelism model assumes.
-    prefetched: dict[int, bytes] | None = None
+    prefetched: Prefetched | None = None
     txn = node.db.begin(ledger)
     try:
         for index, box in enumerate(boxes):

@@ -42,10 +42,12 @@ from repro.core.topk import NodeTopKResult
 from repro.core.pointset import pack_f64, pack_i64, pack_u64, unpack_f64, unpack_i64, unpack_u64
 from repro.costmodel import Category, CostLedger
 from repro.grid import Box
+from repro.grid.atoms import ATOM_VOLUME
 from repro.morton import MortonRange
 from repro.net.errors import ProtocolError
 from repro.net.frame import Buffer
 from repro.obs.tracing import SpanContext
+from repro.simulation.ingest import AtomRun
 
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
@@ -401,42 +403,39 @@ def topk_result_from_wire(
     return NodeTopKResult(zindexes, values, ledger_from_wire(header["ledger"]))
 
 
-def halo_atoms_to_wire(atoms: dict[int, bytes]) -> tuple[dict, list[bytes]]:
-    """A halo read's ``zindex -> blob`` map as two column blobs.
+def halo_atoms_to_wire(atoms: AtomRun) -> tuple[dict, list[Buffer]]:
+    """A halo read's run as its two column blobs.
 
     Atom blobs of one (dataset, field) share a size, so the payload is
-    the sorted zindex column plus one concatenation in the same order.
+    the zindex column plus the tile column end to end in the same order.
     """
-    zindexes = np.array(sorted(atoms), dtype=np.uint64)
-    sizes = {len(blob) for blob in atoms.values()}
+    sizes = set(map(len, atoms.tiles))
     if len(sizes) > 1:
         raise ProtocolError("halo atoms have unequal blob sizes")
-    atom_bytes = sizes.pop() if sizes else 0
-    # Halo atoms are small per-read control traffic, not the pointset
-    # data plane; one join beats 2x the iovec bookkeeping here.
-    body = b"".join(  # turblint: disable=NET02 - halo atoms, not hot path
-        bytes(atoms[int(z)]) for z in zindexes
-    )
-    header = {"count": int(len(zindexes)), "atom_bytes": atom_bytes}
-    return header, [pack_u64(zindexes), body]
+    header = {"count": len(atoms), "atom_bytes": sizes.pop() if sizes else 0}
+    return header, [pack_u64(atoms.zindexes), atoms.tile_bytes()]
 
 
-def halo_atoms_from_wire(
-    header: dict, blobs: Sequence[Buffer]
-) -> dict[int, bytes]:
-    """Rebuild the ``zindex -> blob`` halo map from the wire."""
+def halo_atoms_from_wire(header: dict, blobs: Sequence[Buffer]) -> AtomRun:
+    """The halo run of a reply: zero-copy views of its two blobs.
+
+    The run is searched by bisection, so the zindex column is checked
+    here: a reply that is not strictly increasing along the atom
+    lattice would assemble the wrong tile without an error.
+    """
     if len(blobs) != 2:
         raise ProtocolError(f"halo response carries {len(blobs)} blobs, not 2")
     zindexes = unpack_u64(blobs[0])
     count = int(header["count"])
     atom_bytes = int(header["atom_bytes"])
-    body = blobs[1]
-    if len(zindexes) != count or len(body) != count * atom_bytes:
+    body = np.frombuffer(blobs[1], dtype=np.uint8)
+    if len(zindexes) != count or atom_bytes < 0 or len(body) != count * atom_bytes:
         raise ProtocolError("halo response columns disagree with its header")
-    return {
-        int(z): body[i * atom_bytes : (i + 1) * atom_bytes]
-        for i, z in enumerate(zindexes)
-    }
+    if (zindexes % ATOM_VOLUME).any() or not (zindexes[1:] > zindexes[:-1]).all():
+        raise ProtocolError(
+            "halo response zindexes are not strictly increasing atom corners"
+        )
+    return AtomRun(zindexes, body.reshape(count, atom_bytes))
 
 
 def _result_columns(

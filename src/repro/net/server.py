@@ -88,7 +88,7 @@ from repro.simulation.datasets import (
     isotropic_dataset,
     mhd_dataset,
 )
-from repro.simulation.ingest import atomize
+from repro.simulation.ingest import AtomRun, atomize
 from repro.storage.errors import StorageError
 
 #: Name of the cluster description file inside ``--db`` directories.
@@ -347,7 +347,7 @@ class RemoteHaloPeer:
         timestep: int,
         ranges: list[MortonRange],
         ledger: CostLedger | None,
-    ) -> dict[int, bytes]:
+    ) -> AtomRun:
         """Fetch boundary atoms from the peer over one RPC."""
         call = self._pool.call(
             "halo",
@@ -363,7 +363,7 @@ class RemoteHaloPeer:
         )
         atoms = codec.halo_atoms_from_wire(call.header, call.blobs)
         if ledger is not None:
-            nbytes = sum(len(blob) for blob in atoms.values())
+            nbytes = atoms.nbytes
             seconds = self._spec.interconnect.transfer_time(nbytes)
             ledger.charge(Category.IO, seconds)
             ledger.count(METER_HALO_SECONDS, seconds)
@@ -394,7 +394,7 @@ class ReplicatedHaloPeer:
         timestep: int,
         ranges: list[MortonRange],
         ledger: CostLedger | None,
-    ) -> dict[int, bytes]:
+    ) -> AtomRun:
         """Fetch boundary atoms from the first replica that answers."""
         last_error: NetError | None = None
         for peer in self._peers:

@@ -2,13 +2,16 @@
 
 Each timestep is "spatially subdivided into database atoms of size 8^3
 ... indexed by the time-step and the Morton code of its lower left
-corner" (paper §2).  :func:`atomize` produces exactly those records;
-:func:`array_from_atoms` reassembles any box from a set of atom blobs.
+corner" (paper §2).  :func:`atomize` produces exactly those records; a
+read hands them back as an :class:`AtomRun` — columns, not per-atom
+objects — and :func:`gather_box` reassembles any box from such runs
+(:func:`array_from_atoms` from a plain mapping).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+import bisect
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -79,55 +82,168 @@ def blob_to_array(blob: bytes, ncomp: int) -> np.ndarray:
     )
 
 
-def array_from_atoms(
-    box: Box, atoms: Mapping[int, bytes] | Iterable[tuple[int, bytes]], ncomp: int
+#: One atom's blob: the stored ``bytes`` or a view of a received body.
+Tile = Union[bytes, memoryview]
+
+
+class AtomRun(Mapping[int, Tile]):
+    """The atoms of one read, as columns.
+
+    Attributes:
+        zindexes: the atoms' corner codes, strictly increasing (uint64).
+        tiles: their blobs in the same order — the list of the stored
+            ``bytes`` objects of a local scan, held by reference, or a
+            ``(count, atom_bytes)`` uint8 view of a halo reply's body.
+        pages: for a local read, the heap page each atom came from (what
+            the executor's model replays); ``None`` otherwise.
+
+    Assembly bisects the code column (:func:`gather_box`); for callers
+    that want single atoms the run also reads as a read-only
+    ``zindex -> blob`` mapping.
+    """
+
+    __slots__ = ("zindexes", "tiles", "pages")
+
+    def __init__(
+        self,
+        zindexes: np.ndarray,
+        tiles: list[bytes] | np.ndarray,
+        pages: list[int] | None = None,
+    ) -> None:
+        self.zindexes = zindexes
+        self.tiles = tiles
+        self.pages = pages
+
+    @property
+    def nbytes(self) -> int:
+        """Total size of the tile column."""
+        if isinstance(self.tiles, np.ndarray):
+            return self.tiles.nbytes
+        return sum(map(len, self.tiles))
+
+    def nbytes_in(self, bounds: np.ndarray) -> int:
+        """Size of the tiles whose codes fall in the disjoint ``[start,
+        stop)`` rows of ``bounds``, found by bisecting the bounds."""
+        cuts = np.searchsorted(self.zindexes, bounds)
+        if isinstance(self.tiles, np.ndarray):
+            return int((cuts[:, 1] - cuts[:, 0]).sum()) * self.tiles.shape[1]
+        return sum(
+            sum(map(len, self.tiles[start:stop])) for start, stop in cuts.tolist()
+        )
+
+    def tile_bytes(self) -> Tile:
+        """The tile column end to end, as one flat byte buffer."""
+        if isinstance(self.tiles, np.ndarray):
+            return memoryview(self.tiles).cast("B")
+        return b"".join(self.tiles)
+
+    def find(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where ``codes`` sit in the run: ``(positions, found)``; a
+        position is only meaningful where ``found``."""
+        at = np.searchsorted(self.zindexes, codes)
+        found = at < len(self.zindexes)
+        found[found] = self.zindexes[at[found]] == codes[found]
+        return at, found
+
+    def __getitem__(self, zindex: int) -> Tile:
+        at = bisect.bisect_left(self.zindexes, zindex)
+        if at == len(self.zindexes) or self.zindexes[at] != zindex:
+            raise KeyError(zindex)
+        tile = self.tiles[at]
+        return tile if isinstance(tile, bytes) else memoryview(tile)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.zindexes.tolist())
+
+    def __len__(self) -> int:
+        return len(self.zindexes)
+
+
+def tile_codes(box: Box, side: int | None = None) -> np.ndarray:
+    """Corner codes of the atom grid under ``box``, in the grid's C order.
+
+    On a periodic domain of ``side`` the corners are taken modulo it, so
+    a box overhanging the domain — or wider than it — names the atoms it
+    wraps onto, the same atom as often as it repeats.
+    """
+    snapped = snap_to_atoms(box)
+    axes = [
+        np.arange(lo, hi, ATOM_SIDE) for lo, hi in zip(snapped.lo, snapped.hi)
+    ]
+    if side is not None:
+        axes = [axis % side for axis in axes]
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    return encode_array(gx.ravel(), gy.ravel(), gz.ravel())
+
+
+def gather_box(
+    box: Box, codes: np.ndarray, runs: Sequence[AtomRun], ncomp: int
 ) -> np.ndarray:
-    """Assemble the exact region ``box`` from atom records.
+    """Assemble the exact region ``box`` from the runs holding its atoms.
 
-    ``atoms`` maps the zindex of each atom intersecting ``box`` to its
-    blob.  Atoms that only partially overlap the box are trimmed;
-    surplus atoms that miss the box entirely are ignored.
-
-    The assembly is vectorised over the whole *atom-aligned* region:
-    the corner codes of every tile come from one
-    :func:`~repro.morton.encode_array` call, their blobs are joined
-    into a single float32 buffer, and one reshape/transpose interleaves
-    the ``(tiles, cells)`` layout back into grid order — the requested
-    box is then a plain slice.  No per-atom Python in the hot path.
+    ``codes`` is :func:`tile_codes` of ``box``; each is looked up in
+    ``runs`` by bisection (an atom in several runs comes from the last)
+    and the tiles, in grid order, go through the one :func:`_interleave`.
+    Surplus atoms are never looked at.
 
     Raises:
         ValueError: if any grid point of ``box`` is not covered, or a
             blob's size does not match ``ncomp``.
     """
+    tiles: list[Any] = [None] * len(codes)
+    covered = np.zeros(len(codes), dtype=bool)
+    for run in runs:
+        at, found = run.find(codes)
+        column = run.tiles
+        for slot, i in zip(np.flatnonzero(found).tolist(), at[found].tolist()):
+            tiles[slot] = column[i]
+        covered |= found
+    if not covered.all():
+        raise ValueError("assembled region has uncovered grid points")
+    return _interleave(box, tiles, ncomp)
+
+
+def array_from_atoms(
+    box: Box, atoms: Mapping[int, Tile] | Iterable[tuple[int, Tile]], ncomp: int
+) -> np.ndarray:
+    """Assemble the in-domain region ``box`` from atom records.
+
+    ``atoms`` maps the zindex of each atom intersecting ``box`` to its
+    blob (or iterates such pairs); the same assembly as
+    :func:`gather_box`, the tiles looked up by key.
+    """
     if not isinstance(atoms, Mapping):
         atoms = dict(atoms)
-    snapped = snap_to_atoms(box)
-    nax, nay, naz = (span // ATOM_SIDE for span in snapped.shape)
-    grid = np.meshgrid(
-        np.arange(snapped.lo[0], snapped.hi[0], ATOM_SIDE),
-        np.arange(snapped.lo[1], snapped.hi[1], ATOM_SIDE),
-        np.arange(snapped.lo[2], snapped.hi[2], ATOM_SIDE),
-        indexing="ij",
-    )
-    codes = encode_array(grid[0].ravel(), grid[1].ravel(), grid[2].ravel())
     try:
-        tiles = [atoms[code] for code in codes.tolist()]
+        tiles = [atoms[code] for code in tile_codes(box).tolist()]
     except KeyError:
         raise ValueError("assembled region has uncovered grid points") from None
-    tile_bytes = ATOM_SIDE**3 * ncomp * 4
-    for tile in tiles:
-        if len(tile) != tile_bytes:
-            raise ValueError(
-                f"blob of {len(tile)} bytes does not hold "
-                f"{ncomp}-component atom"
-            )
-    stacked = np.frombuffer(b"".join(tiles), dtype=np.float32).reshape(
-        nax, nay, naz, ATOM_SIDE, ATOM_SIDE, ATOM_SIDE, ncomp
-    )
+    return _interleave(box, tiles, ncomp)
+
+
+def _interleave(box: Box, tiles: Sequence[Any], ncomp: int) -> np.ndarray:
+    """``box`` from the tiles of its atom grid, in the grid's C order.
+
+    Every tile is copied once, into tile order; one reshape/transpose
+    interleaves the ``(tiles, cells)`` layout back into grid order; the
+    requested box is a plain slice of that (atoms that only partially
+    overlap it are trimmed).
+    """
+    odd_sizes = set(map(len, tiles)) - {ATOM_SIDE**3 * ncomp * 4}
+    if odd_sizes:
+        raise ValueError(
+            f"blob of {odd_sizes.pop()} bytes does not hold "
+            f"{ncomp}-component atom"
+        )
+    snapped = snap_to_atoms(box)
+    nax, nay, naz = (span // ATOM_SIDE for span in snapped.shape)
     # (tx, ty, tz, A, A, A, c) -> (tx, A, ty, A, tz, A, c): undo the
     # per-atom C order back into grid order, then slice the exact box.
+    # The tile-ordered buffer is not named: it is freed before the trim.
     assembled = np.ascontiguousarray(
-        stacked.transpose(0, 3, 1, 4, 2, 5, 6)
+        np.frombuffer(b"".join(tiles), dtype=np.float32)
+        .reshape(nax, nay, naz, ATOM_SIDE, ATOM_SIDE, ATOM_SIDE, ncomp)
+        .transpose(0, 3, 1, 4, 2, 5, 6)
     ).reshape(snapped.shape + (ncomp,))
     trim = tuple(
         slice(b - a, b2 - a)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.storage.heap import PAGE_SIZE
 
@@ -48,29 +48,45 @@ class BufferPool:
         dirty: bool = False,
         sequential: bool = False,
     ) -> None:
-        """Touch a page, charging a device read when it is not resident.
+        """Touch one page: :meth:`access_run` of a one-page extent."""
+        self.access_run(device, file_id, (page_no,), dirty, sequential)
+
+    def access_run(
+        self,
+        device: "StorageDevice",
+        file_id: int,
+        pages: Iterable[int],
+        dirty: bool = False,
+        sequential: bool = False,
+    ) -> None:
+        """Touch ``pages`` in order as one extent, under one lock
+        acquisition, charging a device read for each that is not resident.
 
         Args:
-            device: the device (and ledger hook) owning the page's file.
+            device: the device (and ledger hook) owning the pages' file.
             file_id: identifies the heap file within its database.
-            page_no: page number within the file.
-            dirty: mark the frame dirty (write-back charged on eviction
+            pages: page numbers within the file, in the order read.
+            dirty: mark the frames dirty (write-back charged on eviction
                 or :meth:`flush`).
-            sequential: suppress the per-page seek charge (the page is
-                part of an already-seeked sequential extent).
+            sequential: suppress the first page's seek charge (the extent
+                continues an already-seeked one); the pages after the
+                first never pay one.
         """
-        key = (file_id, page_no)
+        frames = self._frames
         with self._lock:
-            if key in self._frames:
-                self.hits += 1
-                dirty = dirty or self._frames[key]
-                self._frames.move_to_end(key)
-                self._frames[key] = dirty
-                return
-            self.misses += 1
-            device.charge_read(PAGE_SIZE, seeks=0 if sequential else 1)
-            self._frames[key] = dirty
-            self._evict_if_needed(device)
+            for page_no in pages:
+                key = (file_id, page_no)
+                if key in frames:
+                    self.hits += 1
+                    frames.move_to_end(key)
+                    if dirty:
+                        frames[key] = True
+                else:
+                    self.misses += 1
+                    device.charge_read(PAGE_SIZE, seeks=0 if sequential else 1)
+                    frames[key] = dirty
+                    self._evict_if_needed(device)
+                sequential = True
 
     def _evict_if_needed(self, device: "StorageDevice") -> None:
         while len(self._frames) > self._capacity:

@@ -10,7 +10,7 @@ tables.  All access happens inside a :class:`~repro.storage.mvcc.Transaction`.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.storage.btree import BPlusTree
 from repro.storage.bufferpool import BufferPool
@@ -84,8 +84,26 @@ class Table:
             version = chain.visible(txn)
             if version is None:
                 return None
-            self._touch(txn, version, sequential=False)
+            self.touch_pages([version.rowid.page])
             return dict(version.row)
+
+    def _visible(
+        self,
+        txn: Transaction,
+        bounds: Iterable[tuple[tuple | None, tuple | None]],
+        include_hi: bool = False,
+    ) -> list[Version]:
+        """The versions ``txn`` sees in the key ranges ``bounds``, range
+        by range in key order — all walked under one latch acquisition,
+        so a concurrent commit cannot rebalance the B+-tree mid-scan."""
+        txn.require_active()
+        with self._latch:
+            return [
+                version
+                for lo, hi in bounds
+                for _, chain in self._clustered.scan(lo, hi, include_hi)
+                if (version := chain.visible(txn)) is not None
+            ]
 
     def scan(
         self,
@@ -101,35 +119,18 @@ class Table:
         The first page of the scan pays a seek (unless ``sequential``
         marks the scan as a forward continuation of a previous one);
         subsequent pages are charged as sequential reads.  ``charge``
-        False reads without touching the buffer pool at all — used when
-        a node serves halo bands to a peer, whose cost is accounted as
-        interconnect transfer rather than local I/O.
-
-        Rows are materialised under the database latch so a concurrent
-        commit cannot rebalance the B+-tree mid-scan; every caller
-        consumes the scan fully, so the charges are identical.
+        False reads without touching the buffer pool at all.  The rows
+        are materialised before the first is handed out, so the charges
+        do not depend on how far the caller iterates.
         """
-        txn.require_active()
-        with self._latch:
-            rows: list[dict[str, object]] = []
-            first = not sequential
-            for _, chain in self._clustered.scan(lo, hi, include_hi):
-                version = chain.visible(txn)
-                if version is None:
-                    continue
-                if charge:
-                    self._touch(txn, version, sequential=not first)
-                first = False
-                rows.append(dict(version.row))
-        return iter(rows)
+        versions = self._visible(txn, [(lo, hi)], include_hi)
+        if charge:
+            self.touch_pages([v.rowid.page for v in versions], sequential)
+        return iter([dict(version.row) for version in versions])
 
     def count(self, txn: Transaction) -> int:
         """Number of rows visible to ``txn`` (full scan, uncharged)."""
-        txn.require_active()
-        with self._latch:
-            return sum(
-                1 for _, chain in self._clustered.items() if chain.visible(txn)
-            )
+        return len(self._visible(txn, [(None, None)]))
 
     def lookup(
         self, txn: Transaction, index: str, key: tuple
@@ -146,52 +147,60 @@ class Table:
                     rows.append(row)
         return iter(rows)
 
+    def scan_columns(
+        self,
+        txn: Transaction,
+        columns: list[str],
+        bounds: Iterable[tuple[tuple | None, tuple | None]],
+    ) -> tuple[list[list[object]], list[int]]:
+        """One clustered scan over several ``[lo, hi)`` key ranges.
+
+        Returns one value list per requested column over the visible
+        rows, in the order scanned, and the heap page of each row.  The
+        scan itself charges nothing: :meth:`touch_pages` replays those
+        pages through the buffer pool, at once or — the executor's
+        model — slab by slab.
+        """
+        for name in columns:
+            if name not in self.schema.column_names:
+                raise SchemaError(f"{self.schema.name} has no column {name!r}")
+        versions = self._visible(txn, bounds)
+        return (
+            [[version.row[name] for version in versions] for name in columns],
+            [version.rowid.page for version in versions],
+        )
+
+    def touch_pages(self, pages: Iterable[int], sequential: bool = False) -> None:
+        """Charge the read of heap ``pages``, in order, as one extent: the
+        first pays a seek unless ``sequential``, the rest never do."""
+        self._pool.access_run(
+            self._device, self._file_id, pages, sequential=sequential
+        )
+
     def scan_column_batches(
         self,
         txn: Transaction,
         columns: list[str],
         lo: tuple | None = None,
         hi: tuple | None = None,
-        include_hi: bool = False,
         sequential: bool = False,
         charge: bool = True,
         batch_rows: int = 4096,
     ) -> Iterator[tuple[list[object], ...]]:
-        """Columnar fast-path scan: batches of per-column value lists.
+        """Columnar scan of one key range: batches of per-column lists.
 
-        Same visibility, ordering and buffer-pool charging as
-        :meth:`scan`, but yields tuples of column lists (one list per
-        requested column, up to ``batch_rows`` rows each) instead of a
-        dict per row — the atom read path consumes millions of rows and
-        the per-row dict materialisation dominates it otherwise.
+        The one-range case of :meth:`scan_columns`, with :meth:`scan`'s
+        ordering and buffer-pool charging, yielding tuples of column
+        lists (one list per requested column, up to ``batch_rows`` rows
+        each) instead of a dict per row.
         """
-        txn.require_active()
-        for name in columns:
-            if name not in self.schema.column_names:
-                raise SchemaError(f"{self.schema.name} has no column {name!r}")
-        with self._latch:
-            batches: list[tuple[list[object], ...]] = []
-            cols: list[list[object]] = [[] for _ in columns]
-            filled = 0
-            first = not sequential
-            for _, chain in self._clustered.scan(lo, hi, include_hi):
-                version = chain.visible(txn)
-                if version is None:
-                    continue
-                if charge:
-                    self._touch(txn, version, sequential=not first)
-                first = False
-                row = version.row
-                for out, name in zip(cols, columns):
-                    out.append(row[name])
-                filled += 1
-                if filled >= batch_rows:
-                    batches.append(tuple(cols))
-                    cols = [[] for _ in columns]
-                    filled = 0
-            if filled:
-                batches.append(tuple(cols))
-        return iter(batches)
+        cols, pages = self.scan_columns(txn, columns, [(lo, hi)])
+        if charge:
+            self.touch_pages(pages, sequential)
+        return iter([
+            tuple(col[start : start + batch_rows] for col in cols)
+            for start in range(0, len(pages), batch_rows)
+        ])
 
     # -- writes ----------------------------------------------------------------
 
@@ -407,11 +416,6 @@ class Table:
         from repro.storage.wal import WalKind
 
         txn.log(WalKind(kind_name), self.schema.name, payload)
-
-    def _touch(self, txn: Transaction, version: Version, sequential: bool) -> None:
-        self._pool.access(
-            self._device, self._file_id, version.rowid.page, sequential=sequential
-        )
 
     def _index(self, name: str) -> BPlusTree:
         try:

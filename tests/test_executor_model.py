@@ -26,11 +26,15 @@ import pytest
 from repro.cluster import build_cluster
 from repro.cluster.webservice import WebService
 from repro.core import PdfQuery, ThresholdQuery, TopKQuery, executor
+from repro.core.threshold import get_threshold_on_node
 from repro.fields.derived import FieldRegistry, default_registry
 from repro.grid import Box
 from repro.harness.common import ground_truth_norm
 from repro.morton import encode_array
 from repro.simulation import mhd_dataset
+from repro.storage.btree import BPlusTree
+from repro.storage.bufferpool import BufferPool
+from repro.storage.table import Table
 
 PINNED = pathlib.Path(__file__).parent / "fixtures" / "executor_model_pinned.json"
 SIDE = 32
@@ -207,6 +211,56 @@ def test_one_halo_read_per_peer_per_node_query(small_mhd, nodes, processes):
             assert [sorted(log) for log in asked] == others
             for log in asked:
                 log.clear()
+
+
+def test_a_cold_node_query_reads_once_and_replays_its_slabs(monkeypatch):
+    # Node 0 of a two-node 64^3 cluster, processes=4, counted on node 0
+    # plus its peer's halo service.  While every slab read for itself
+    # this made 569 atom-table scan calls (each its own B-tree descent)
+    # and touched 1,152 pages, and every box was assembled in 8 pieces.
+    calls = {"scans": 0, "descents": 0, "replays": 0, "gathers": 0}
+
+    def counted(owner, name, key):
+        inner = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    side, processes = 64, 4
+    dataset = mhd_dataset(side=side, timesteps=1)
+    with build_cluster(dataset, nodes=2, load=False) as mediator:
+        mediator.load_dataset(dataset, timesteps=[0], fields=["velocity"])
+        node, node_executor = mediator.nodes[0], mediator.executors[0]
+        boxes = mediator.partitioner.query_boxes(0, Box.cube(side))
+        pools = [n.db.table("atoms_mhd_velocity")._pool for n in mediator.nodes]
+        loaded = sum(pool.hits + pool.misses for pool in pools)
+        counted(Table, "scan_columns", "scans")
+        counted(BPlusTree, "_find_leaf", "descents")
+        counted(BufferPool, "access_run", "replays")
+        counted(executor, "gather_box", "gathers")
+        get_threshold_on_node(
+            node, node_executor, None, mediator.registry, VORTICITY, boxes,
+            processes=processes,
+        )
+        touched = sum(pool.hits + pool.misses for pool in pools) - loaded
+        halo = mediator.registry.get("vorticity").halo(VORTICITY.fd_order)
+        # Algorithm 1 evaluates box by box: one read each, one for the
+        # boundary served; a descent per merged range of those reads.
+        geometries = [
+            node_executor._geometry((box,), halo, side, processes) for box in boxes
+        ]
+        boundary = node_executor._geometry(tuple(boxes), halo, side, 1)[1]
+    merged = sum(len(reads) for _, _, reads, _ in geometries) + sum(
+        len(ranges) for _, ranges in boundary
+    )
+    assert calls["scans"] == len(boxes) + 1 <= 5
+    assert calls["descents"] <= merged < 300
+    assert touched == 1152
+    assert calls["replays"] <= len(boxes) * processes
+    assert calls["gathers"] == len(boxes)
 
 
 @pytest.mark.parametrize("processes", [1, 4, 8])

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.pointset import pack_u64
 from repro.core.query import PdfQuery, ThresholdQuery, TopKQuery
 from repro.core.threshold import NodeThresholdResult
 from repro.costmodel import Category, CostLedger
@@ -30,6 +31,7 @@ from repro.net.frame import (
     recv_frame,
     send_frame,
 )
+from repro.simulation.ingest import AtomRun
 
 
 def _pair():
@@ -364,14 +366,51 @@ def test_threshold_result_round_trip_preserves_ledger():
     assert rebuilt.ledger.meters() == ledger.meters()
 
 
+def run_of(atoms: dict) -> AtomRun:
+    zindexes = sorted(atoms)
+    return AtomRun(np.array(zindexes, dtype=np.uint64), [atoms[z] for z in zindexes])
+
+
 def test_halo_atoms_round_trip():
     rng = random.Random(99)
-    atoms = {z: rng.randbytes(64) for z in (0, 7, 4096, 2**40)}
-    rebuilt = codec.halo_atoms_from_wire(*codec.halo_atoms_to_wire(atoms))
+    atoms = {z: rng.randbytes(64) for z in (0, 512, 4096, 2**40)}
+    header, blobs = codec.halo_atoms_to_wire(run_of(atoms))
+    rebuilt = codec.halo_atoms_from_wire(header, blobs)
     assert rebuilt == atoms
-    assert codec.halo_atoms_from_wire(*codec.halo_atoms_to_wire({})) == {}
+    assert codec.halo_atoms_from_wire(*codec.halo_atoms_to_wire(run_of({}))) == {}
+    # A run off the wire holds its tiles as a 2-D view of the body; shipped
+    # again, the frame layer gets it flat (it advances by len(), which on a
+    # 2-D view counts rows) and the peer the same bytes.
+    left, right = _pair()
+    try:
+        parts = codec.encode_message_parts(*codec.halo_atoms_to_wire(rebuilt))
+        send_frame(left, FrameType.RESPONSE, 4, parts, Deadline.after(5))
+        reply = codec.decode_message(recv_frame(right, Deadline.after(5)).payload)
+    finally:
+        left.close()
+        right.close()
+    assert reply[0] == header
+    assert codec.halo_atoms_from_wire(*reply) == atoms
 
 
 def test_halo_atoms_unequal_sizes_are_rejected():
     with pytest.raises(ProtocolError, match="unequal"):
-        codec.halo_atoms_to_wire({1: b"abc", 2: b"toolong"})
+        codec.halo_atoms_to_wire(run_of({512: b"abc", 1024: b"toolong"}))
+
+
+@pytest.mark.parametrize(
+    "zindexes",
+    [(512, 0), (0, 512, 512), (0, 7), (1024, 512, 2048)],
+    ids=["unsorted", "repeated", "off-lattice", "dip"],
+)
+def test_a_halo_zindex_column_is_not_trusted(zindexes):
+    # A run is searched by bisection: out of order, repeated or off the
+    # atom lattice it would assemble the wrong tile without an error.
+    header = {"count": len(zindexes), "atom_bytes": 4}
+    blobs = [pack_u64(np.array(zindexes, np.uint64)), b"tile" * len(zindexes)]
+    with pytest.raises(ProtocolError, match="strictly increasing atom corners"):
+        codec.halo_atoms_from_wire(header, blobs)
+    with pytest.raises(ProtocolError, match="disagree"):
+        codec.halo_atoms_from_wire({**header, "atom_bytes": 5}, blobs)
+    with pytest.raises(ProtocolError, match="disagree"):
+        codec.halo_atoms_from_wire({"count": 0, "atom_bytes": -4}, [b"", b""])

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.executor import _assemble
 from repro.grid import ATOM_SIDE, Box
 from repro.morton import encode
 from repro.simulation import (
@@ -16,6 +19,7 @@ from repro.simulation import (
     solenoidal_field,
     von_karman_spectrum,
 )
+from repro.simulation.ingest import AtomRun
 
 
 class TestSpectral:
@@ -242,3 +246,82 @@ class TestArrayFromAtoms:
         field = np.ones((8, 8, 8), dtype=np.float32)
         out = array_from_atoms(Box.cube(8), atomize(field), 1)
         assert out.shape == (8, 8, 8, 1)
+
+
+# -- the one assembly, against np.pad(mode="wrap") -----------------------------
+
+FIELDS = {
+    (side, ncomp): np.random.default_rng(side + ncomp)
+    .normal(size=(side,) * 3 + (ncomp,))
+    .astype(np.float32)
+    for side in (16, 32)
+    for ncomp in (1, 3)
+}
+
+
+def two_runs(atoms: dict, cut: int) -> list[AtomRun]:
+    """``atoms`` as the two kinds of run an executor holds: the first
+    ``cut`` along the curve as a wire reply's 2-D view, the rest as a
+    local scan's list of the stored blobs."""
+    zindexes = np.array(sorted(atoms), dtype=np.uint64)
+    tiles = [atoms[z] for z in zindexes.tolist()]
+    body = np.frombuffer(b"".join(tiles[:cut]), dtype=np.uint8)
+    return [
+        AtomRun(zindexes[:cut], body.reshape(cut, len(tiles[0]))),
+        AtomRun(zindexes[cut:], tiles[cut:]),
+    ]
+
+
+@st.composite
+def blocks(draw):
+    side = draw(st.sampled_from((16, 32)))
+    lo = draw(st.tuples(*[st.integers(0, side - 1)] * 3))
+    shape = draw(st.tuples(*[st.integers(1, side)] * 3))
+    box = Box(lo, tuple(min(l + n, side) for l, n in zip(lo, shape)))
+    atoms = (side // ATOM_SIDE) ** 3
+    return (
+        side, draw(st.sampled_from((1, 3))), draw(st.integers(0, 4)), box,
+        draw(st.integers(0, atoms)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks())
+# Every overhang of test_executor_model.LOPSIDED (one side only, the
+# block wider than the domain along x; x and z with y the other way).
+@example((32, 3, 4, Box((3, 7, 3), (32, 20, 27)), 20))
+@example((32, 3, 4, Box((0, 7, 3), (29, 20, 27)), 0))
+@example((32, 3, 4, Box((3, 0, 2), (32, 29, 32)), 64))
+# Wider than the domain on one, two and three axes; no halo at all.
+@example((16, 1, 2, Box((0, 3, 5), (16, 9, 6)), 3))
+@example((16, 3, 1, Box((0, 0, 5), (16, 16, 11)), 7))
+@example((16, 3, 4, Box.cube(16), 8))
+@example((32, 1, 0, Box.cube(32), 11))
+# Inside one atom, with and without a halo that leaves it.
+@example((16, 3, 0, Box((9, 10, 11), (12, 11, 14)), 5))
+@example((16, 1, 3, Box((9, 10, 11), (12, 11, 14)), 3))
+def test_a_block_is_the_matching_slice_of_the_wrapped_field(block):
+    side, ncomp, halo, box, cut = block
+    field = FIELDS[side, ncomp]
+    atoms = dict(atomize(field))
+    wrapped = np.pad(field, [(halo, halo)] * 3 + [(0, 0)], mode="wrap")
+    expected = wrapped[
+        tuple(slice(lo, hi + 2 * halo) for lo, hi in zip(box.lo, box.hi))
+    ]
+    runs = two_runs(atoms, cut)
+    assert np.array_equal(_assemble(box.expand(halo), side, runs, ncomp), expected)
+    inner = tuple(slice(halo, halo + n) for n in box.shape)
+    assert np.array_equal(array_from_atoms(box, atoms, ncomp), expected[inner])
+
+    # An atom the transaction cannot see is simply not in its run.
+    corner = tuple(lo // ATOM_SIDE * ATOM_SIDE for lo in box.lo)
+    needed = encode(*corner)
+    for run in runs:
+        keep = run.zindexes != needed
+        run.zindexes, run.tiles = run.zindexes[keep], [
+            tile for tile, kept in zip(run.tiles, keep) if kept
+        ]
+    with pytest.raises(ValueError, match="uncovered grid points"):
+        _assemble(box.expand(halo), side, runs, ncomp)
+    with pytest.raises(ValueError, match="does not hold"):
+        array_from_atoms(box, {**atoms, needed: atoms[needed][:-4]}, ncomp)

@@ -2,8 +2,9 @@
 
 Covers :meth:`Table.insert_many` (all-or-nothing validation, single
 WAL record, crash recovery, abort rollback),
-:meth:`Table.scan_column_batches` (equivalence with :meth:`Table.scan`,
-charging), and :meth:`BPlusTree.insert_sorted_run`.
+:meth:`Table.scan_column_batches` and :meth:`Table.scan_columns`
+(equivalence with :meth:`Table.scan`, charging), and
+:meth:`BPlusTree.insert_sorted_run`.
 """
 
 import random
@@ -252,6 +253,30 @@ class TestScanColumnBatches:
             for _ in db.table("data").scan(txn):
                 pass
         assert charged.total == pytest.approx(reference.total)
+
+
+    def test_several_ranges_in_one_scan_replay_like_scans_of_each(self):
+        db = self.make_filled()
+        table = db.table("data")
+        # Out of key order, one of them empty: the order given is the
+        # order read, and only its first row may pay a seek.
+        bounds = [((1, 200), (1, 260)), ((1, 10), (1, 40)), ((1, 40), (1, 40))]
+        reference, replayed = CostLedger(), CostLedger()
+        db.drop_page_cache()
+        with db.transaction(reference) as txn:
+            expect = [
+                row["seq"]
+                for i, (lo, hi) in enumerate(bounds)
+                for row in table.scan(txn, lo, hi, sequential=i > 0)
+            ]
+        db.drop_page_cache()
+        with db.transaction(replayed) as txn:
+            (seqs,), pages = table.scan_columns(txn, ["seq"], bounds)
+            assert replayed.total == 0.0
+            table.touch_pages(pages)
+        assert seqs == expect and len(pages) == len(seqs)
+        assert replayed.total == reference.total > 0.0
+        assert replayed.meters() == reference.meters()
 
 
 class TestInsertSortedRun:
