@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.mediator import Mediator
+from repro.core.executor import threshold_scan
+from repro.core.pointset import merge_sorted_runs
 from repro.costmodel import Category, CostLedger
+from repro.fields.operators import CURL_TERMS, vector_norm
 from repro.grid import Box
-from repro.morton import encode_array
 
 
 @dataclass
@@ -68,8 +70,7 @@ def local_threshold_evaluation(
     if side % chunk_side:
         raise ValueError(f"chunk side {chunk_side} does not divide domain {side}")
     ledger = CostLedger()
-    all_z: list[np.ndarray] = []
-    all_v: list[np.ndarray] = []
+    runs: list[tuple[np.ndarray, np.ndarray]] = []
     subqueries = 0
     bytes_downloaded = 0
     for x0 in range(0, side, chunk_side):
@@ -89,31 +90,15 @@ def local_threshold_evaluation(
                 bytes_downloaded += tensor.size * 4
                 # Client-side vorticity from the gradient tensor:
                 # w_i = eps_ijk A_kj  ->  (A21-A12, A02-A20, A10-A01).
-                vorticity = np.stack(
-                    [
-                        tensor[..., 2, 1] - tensor[..., 1, 2],
-                        tensor[..., 0, 2] - tensor[..., 2, 0],
-                        tensor[..., 1, 0] - tensor[..., 0, 1],
-                    ],
-                    axis=-1,
+                norm = vector_norm(
+                    tensor[..., i, j] - tensor[..., k, m] for (i, j), (k, m) in CURL_TERMS
                 )
-                norm = np.linalg.norm(vorticity, axis=-1)
                 # The local thresholding itself is "reasonably fast"; its
                 # cost is charged as client compute at the server's rate.
                 ledger.charge(
                     Category.COMPUTE,
                     mediator.spec.cpu.compute_time(box.volume, 0.1),
                 )
-                mask = norm >= threshold
-                if mask.any():
-                    ix, iy, iz = np.nonzero(mask)
-                    all_z.append(encode_array(ix + x0, iy + y0, iz + z0))
-                    all_v.append(norm[mask])
-    zindexes = (
-        np.concatenate(all_z) if all_z else np.empty(0, np.uint64)
-    )
-    values = np.concatenate(all_v) if all_v else np.empty(0, np.float64)
-    order = np.argsort(zindexes, kind="stable")
-    return LocalEvaluation(
-        zindexes[order], values[order], ledger, subqueries, bytes_downloaded
-    )
+                runs.append(threshold_scan(norm, box, threshold))
+    zindexes, values = merge_sorted_runs(runs)
+    return LocalEvaluation(zindexes, values, ledger, subqueries, bytes_downloaded)

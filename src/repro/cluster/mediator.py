@@ -48,6 +48,7 @@ from repro.cluster.node import DatabaseNode
 from repro.cluster.partition import MortonPartitioner
 from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_IO_BYTES
+from repro.fields import gradient_tensor_interior, kernel_half_width
 from repro.fields.derived import DerivedField, FieldRegistry, default_registry
 from repro.net.errors import (
     DeadlineExceededError,
@@ -555,17 +556,12 @@ class Mediator:
         stored vector field, and it crosses the WAN wrapped in XML.
         Returns ``(tensor, ledger)`` with tensor shape ``box.shape + (3, 3)``.
         """
-        from repro.fields.finite_difference import kernel_half_width
-        from repro.fields.operators import gradient_tensor_interior
-
         self._require_local("get_gradient")
         derived = self.registry.get(field)
         half = kernel_half_width(fd_order)
         return self._dense_scatter(
             dataset, derived, timestep, box, half,
-            lambda block, spacing: gradient_tensor_interior(
-                block, spacing, fd_order, half
-            ),
+            lambda block, spacing: gradient_tensor_interior(block, spacing, fd_order, half),
             1.0, (3, 3),
         )
 

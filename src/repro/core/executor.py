@@ -47,6 +47,7 @@ from repro.costmodel.ledger import (
     METER_IO_SEEKS,
 )
 from repro.fields.derived import DerivedField
+from repro.fields.finite_difference import Derivatives
 from repro.grid import Box, split_slabs
 from repro.obs import tracing
 from repro.grid.atoms import atom_ranges_covering
@@ -186,7 +187,7 @@ class NodeExecutor:
                 histogram[:] += _histogram_open_ended(norm, bin_edges)
             if topk is not None:
                 return _topk_scan(norm, slab, topk)
-            return _threshold_scan(norm, slab, threshold)
+            return threshold_scan(norm, slab, threshold)
 
         ((zindexes, values),) = self._scan(
             txn, ledger, dataset_spec, [derived], timestep, boxes, [reduce],
@@ -230,7 +231,7 @@ class NodeExecutor:
             raise ValueError("batched fields must share one source field")
         runs = self._scan(
             txn, ledger, dataset_spec, deriveds, timestep, boxes,
-            [partial(_threshold_scan, threshold=t) for t in thresholds],
+            [partial(threshold_scan, threshold=t) for t in thresholds],
             fd_order, processes, io_only, prefetched,
         )
         return [RawEvaluation(zindexes, values) for zindexes, values in runs]
@@ -254,14 +255,14 @@ class NodeExecutor:
         **The work**: one read of every atom this node owns of the
         call's boxes plus halo — uncharged, one visibility check per
         atom — then one block per box gathered from that run and the
-        prefetched ones, every field's kernel on (a trimmed view of)
-        it, its reducer turning the norm into a ``(zindexes, values)``
-        run.  **The model**: every chain is charged the transfer of its
-        own boundary (:meth:`_charge_halo`), every slab replays, through
-        the buffer pool, the pages of its own atoms plus the widest
-        field's halo as that one read recorded them, every (slab,
-        field) adds its kernel time to its chain.  Returns one merged
-        run per field.
+        prefetched ones, every field's kernel on that block's one
+        :class:`Derivatives`, its reducer turning the norm into a
+        ``(zindexes, values)`` run.  **The model**: every chain is
+        charged the transfer of its own boundary (:meth:`_charge_halo`),
+        every slab replays, through the buffer pool, the pages of its
+        own atoms plus the widest field's halo as that one read recorded
+        them, every (slab, field) adds its kernel time to its chain.
+        Returns one merged run per field.
         """
         if not 1 <= processes <= MAX_PROCESSES:
             raise ValueError(f"processes must be in 1..{MAX_PROCESSES}")
@@ -304,16 +305,16 @@ class NodeExecutor:
                 )
             if io_only:
                 continue
+            stencil = Derivatives(block, dataset_spec.spacing, fd_order, halo)
             for derived, reduce, field_runs in zip(deriveds, reducers, runs):
-                with tracing.span(
-                    "node.kernel", category="compute", field=derived.name
-                ):
-                    trim = halo - derived.halo(fd_order)
-                    view = block if trim == 0 else block[
-                        (slice(trim, -trim),) * 3
-                    ]
-                    norm = derived.norm(view, dataset_spec.spacing, fd_order)
+                with tracing.span("node.kernel", category="compute", field=derived.name) as span:
+                    # The last reader takes each derivative for good.
+                    stencil.retain = derived is not deriveds[-1]
+                    computed = stencil.computed
+                    norm = derived.norm(stencil, dataset_spec.spacing, fd_order)
+                    span.set("derivatives", stencil.computed - computed)
                     field_runs.append(reduce(norm, box))
+            del stencil  # the float64 block and what is left of the memo die with the box
 
         # Parallel-time composition (see module docstring).  Compute is
         # *charged* (not overwritten) so that several evaluate() calls on
@@ -575,17 +576,13 @@ def _assemble(
     return gather_box(expanded, tile_codes(expanded, side), atoms, ncomp)
 
 
-def _threshold_scan(
-    norm: np.ndarray, slab: Box, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
+def threshold_scan(norm: np.ndarray, slab: Box, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of norm >= threshold, in global Morton codes."""
     mask = norm >= threshold
     if not mask.any():
         return np.empty(0, np.uint64), np.empty(0, np.float64)
     ix, iy, iz = np.nonzero(mask)
-    zindexes = encode_array(
-        ix + slab.lo[0], iy + slab.lo[1], iz + slab.lo[2]
-    )
+    zindexes = encode_array(ix + slab.lo[0], iy + slab.lo[1], iz + slab.lo[2])
     return zindexes, norm[mask].astype(np.float64)
 
 

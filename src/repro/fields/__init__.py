@@ -6,8 +6,8 @@ the Q and R velocity-gradient invariants, the electric current — are
 *derived* on demand through kernel computations with local support
 (paper §3, §4).  This package provides:
 
-* central finite differences of order 2/4/6/8
-  (:mod:`~repro.fields.finite_difference`),
+* central finite differences of order 2/4/6/8, one primitive for every
+  kernel (:mod:`~repro.fields.finite_difference`),
 * differential operators built on them — gradient, curl, divergence,
   the velocity-gradient tensor (:mod:`~repro.fields.operators`),
 * the derived-field registry mapping field names to their source field,
@@ -17,6 +17,7 @@ the Q and R velocity-gradient invariants, the electric current — are
 
 from repro.fields.finite_difference import (
     SUPPORTED_ORDERS,
+    Derivatives,
     derivative_interior,
     derivative_periodic,
     fd_coefficients,
@@ -38,6 +39,7 @@ from repro.fields.derived import (
 
 __all__ = [
     "SUPPORTED_ORDERS",
+    "Derivatives",
     "DerivedField",
     "FieldRegistry",
     "UnknownFieldError",

@@ -19,13 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.fields.finite_difference import kernel_half_width
+from repro.fields.finite_difference import Derivatives, kernel_half_width
 from repro.fields.operators import (
-    curl_interior,
-    gradient_tensor_interior,
+    curl_components,
     q_criterion_from_gradient,
     r_invariant_from_gradient,
+    vector_norm,
 )
+
+#: A kernel's block: an array with the field's halo, or :class:`Derivatives` with at least it.
+Block = np.ndarray | Derivatives
 
 
 class UnknownFieldError(KeyError):
@@ -57,7 +60,7 @@ class DerivedField:
     source_components: int
     differential: bool
     units_per_point: float
-    norm: Callable[[np.ndarray, float, int], np.ndarray]
+    norm: Callable[[Block, float, int], np.ndarray]
     halo_depth: int = 1
 
     def halo(self, order: int) -> int:
@@ -67,33 +70,42 @@ class DerivedField:
         return self.halo_depth * kernel_half_width(order)
 
 
-def _vector_norm(field: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(field, dtype=np.float64), axis=-1))
+def derivatives_of(block: Block, spacing: float, order: int) -> Derivatives:
+    """``block`` itself if it is one, else those of an array with one half-width of halo."""
+    return block if isinstance(block, Derivatives) else Derivatives(block, spacing, order)
 
 
-def _curl_norm(block: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    margin = kernel_half_width(order)
-    return _vector_norm(curl_interior(block, spacing, order, margin))
+def trim_halo(array: np.ndarray, trim: int) -> np.ndarray:
+    """``array`` less ``trim`` points on every face of its first three axes."""
+    return array[(slice(trim, -trim or None),) * 3]
 
 
-def _q_norm(block: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    margin = kernel_half_width(order)
-    gradient = gradient_tensor_interior(block, spacing, order, margin)
-    return np.abs(q_criterion_from_gradient(gradient))
+def source_array(block: Block, margin: int) -> np.ndarray:
+    """The array a kernel was handed, cut to ``margin`` points of halo."""
+    if isinstance(block, Derivatives):
+        return trim_halo(block.block, block.margin - margin)
+    return block
 
 
-def _r_norm(block: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    margin = kernel_half_width(order)
-    gradient = gradient_tensor_interior(block, spacing, order, margin)
-    return np.abs(r_invariant_from_gradient(gradient))
+def _curl_norm(block: Block, spacing: float, order: int) -> np.ndarray:
+    stencil = derivatives_of(block, spacing, order)
+    return vector_norm(curl_components(stencil), stencil.scratch)
 
 
-def _raw_vector_norm(block: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    return _vector_norm(block)
+def _q_norm(block: Block, spacing: float, order: int) -> np.ndarray:
+    return np.abs(q_criterion_from_gradient(derivatives_of(block, spacing, order)))
 
 
-def _raw_scalar_norm(block: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    return np.abs(block[..., 0].astype(np.float64))
+def _r_norm(block: Block, spacing: float, order: int) -> np.ndarray:
+    return np.abs(r_invariant_from_gradient(derivatives_of(block, spacing, order)))
+
+
+def _raw_vector_norm(block: Block, spacing: float, order: int) -> np.ndarray:
+    return vector_norm(np.moveaxis(source_array(block, 0), 3, 0))
+
+
+def _raw_scalar_norm(block: Block, spacing: float, order: int) -> np.ndarray:
+    return np.abs(source_array(block, 0)[..., 0].astype(np.float64))
 
 
 class FieldRegistry:
@@ -164,25 +176,11 @@ def default_registry() -> FieldRegistry:
     * ``pressure`` — raw stored scalar.
     """
     registry = FieldRegistry()
-    registry.register(
-        DerivedField("vorticity", "velocity", 3, True, 1.0, _curl_norm)
-    )
-    registry.register(
-        DerivedField("q_criterion", "velocity", 3, True, 1.8, _q_norm)
-    )
-    registry.register(
-        DerivedField("r_invariant", "velocity", 3, True, 2.4, _r_norm)
-    )
-    registry.register(
-        DerivedField("electric_current", "magnetic", 3, True, 1.0, _curl_norm)
-    )
-    registry.register(
-        DerivedField("magnetic", "magnetic", 3, False, 0.02, _raw_vector_norm)
-    )
-    registry.register(
-        DerivedField("velocity", "velocity", 3, False, 0.02, _raw_vector_norm)
-    )
-    registry.register(
-        DerivedField("pressure", "pressure", 1, False, 0.02, _raw_scalar_norm)
-    )
+    registry.register(DerivedField("vorticity", "velocity", 3, True, 1.0, _curl_norm))
+    registry.register(DerivedField("q_criterion", "velocity", 3, True, 1.8, _q_norm))
+    registry.register(DerivedField("r_invariant", "velocity", 3, True, 2.4, _r_norm))
+    registry.register(DerivedField("electric_current", "magnetic", 3, True, 1.0, _curl_norm))
+    registry.register(DerivedField("magnetic", "magnetic", 3, False, 0.02, _raw_vector_norm))
+    registry.register(DerivedField("velocity", "velocity", 3, False, 0.02, _raw_vector_norm))
+    registry.register(DerivedField("pressure", "pressure", 1, False, 0.02, _raw_scalar_norm))
     return registry

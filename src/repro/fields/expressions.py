@@ -40,13 +40,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.fields.derived import DerivedField
-from repro.fields.finite_difference import derivative_interior, kernel_half_width
+from repro.fields.derived import Block, DerivedField, source_array, trim_halo
+from repro.fields.finite_difference import Derivatives, kernel_half_width
 from repro.fields.operators import (
     curl_interior,
-    gradient_tensor_interior,
     q_criterion_from_gradient,
     r_invariant_from_gradient,
+    vector_norm,
 )
 
 
@@ -204,12 +204,11 @@ class FieldExpression:
         """Wrap as a :class:`DerivedField` registrable in a registry."""
         root, depth = self.root, self.depth
 
-        def norm(block: np.ndarray, spacing: float, order: int) -> np.ndarray:
+        def norm(block: Block, spacing: float, order: int) -> np.ndarray:
             margin = depth * kernel_half_width(order)
-            value, remaining = _evaluate(root, block, spacing, order, margin)
-            out = _trim(value, remaining)
-            if out.ndim == 4:  # scalar carried with a trailing axis
-                out = out[..., 0]
+            array = source_array(block, margin)
+            value, remaining = _evaluate(root, array, spacing, order, margin)
+            out = trim_halo(value, remaining)[..., 0]  # scalars carry a trailing axis
             return np.abs(out.astype(np.float64))
 
         return DerivedField(
@@ -311,19 +310,6 @@ def compile_expression(
 # -- evaluation -------------------------------------------------------------------
 
 
-def _trim(array: np.ndarray, margin: int) -> np.ndarray:
-    if margin == 0:
-        return array
-    sl = (slice(margin, -margin),) * 3
-    return array[sl]
-
-
-def _align(a: np.ndarray, am: int, b: np.ndarray, bm: int):
-    """Trim two operands to the smaller margin."""
-    margin = min(am, bm)
-    return _trim(a, am - margin), _trim(b, bm - margin), margin
-
-
 def _evaluate(
     node: _Node, block: np.ndarray, spacing: float, order: int, margin: int
 ):
@@ -342,44 +328,27 @@ def _evaluate(
         name = node.value
         if name == "curl":
             return curl_interior(value, spacing, order, half), m - half
-        if name == "div":
-            out = sum(
-                derivative_interior(value[..., c], c, spacing, order, half)
-                for c in range(3)
-            )
-            return out[..., None], m - half
-        if name == "grad":
-            scalar = value[..., 0]
-            out = np.stack(
-                [
-                    derivative_interior(scalar, axis, spacing, order, half)
-                    for axis in range(3)
-                ],
-                axis=-1,
-            )
-            return out, m - half
-        if name in ("q", "r"):
-            tensor = gradient_tensor_interior(value, spacing, order, half)
-            fn = (
-                q_criterion_from_gradient
-                if name == "q"
-                else r_invariant_from_gradient
-            )
-            return fn(tensor)[..., None], m - half
         if name == "norm":
-            return np.sqrt(
-                np.sum(np.square(value, dtype=np.float64), axis=-1)
-            )[..., None], m
-        # abs
-        return np.abs(value), m
+            return vector_norm(np.moveaxis(value, 3, 0))[..., None], m
+        if name == "abs":
+            return np.abs(value), m
+        stencil = Derivatives(value, spacing, order, half)
+        if name == "div":
+            out = stencil.take(0, 0) + stencil.take(1, 1) + stencil.take(2, 2)
+        elif name == "grad":  # the parent node reads a (..., 3) vector
+            return np.stack([stencil.take(0, a) for a in range(3)], axis=-1), m - half
+        else:
+            out = (q_criterion_from_gradient if name == "q" else r_invariant_from_gradient)(stencil)
+        return out[..., None], m - half
 
     left, lm = _evaluate(node.children[0], block, spacing, order, margin)
     right, rm = _evaluate(node.children[1], block, spacing, order, margin)
     if isinstance(left, float) or isinstance(right, float):
         m = rm if isinstance(left, float) else lm
         a, b = left, right
-    else:
-        a, b, m = _align(left, lm, right, rm)
+    else:  # trim both operands to the smaller margin
+        m = min(lm, rm)
+        a, b = trim_halo(left, lm - m), trim_halo(right, rm - m)
     if node.kind == "+":
         return a + b, m
     if node.kind == "-":

@@ -10,12 +10,14 @@ Two evaluation modes are provided:
 
 * :func:`derivative_periodic` differentiates a whole periodic domain
   (ground truth for tests and for client-side baselines);
-* :func:`derivative_interior` differentiates the interior of a block
-  that carries a halo of ``margin`` points on every face, which is how
-  the per-node executor works on assembled atom data.
+* :class:`Derivatives` (:func:`derivative_interior` is one call of it)
+  differentiates the interior of a block that carries a halo of ``margin``
+  points on every face: the per-node executor's assembled atom data.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -70,57 +72,84 @@ def derivative_periodic(
     return out / spacing
 
 
+class Derivatives:
+    """``∂_axis f_comp`` on the interior of one halo-padded block: the
+    one stencil loop, each derivative computed at most once.
+
+    ``block`` is ``(nx, ny, nz, ...)`` of any dtype with a halo of
+    ``margin`` points (default: the kernel half-width) on every face of
+    its first three axes; derivatives have the interior ``shape`` and
+    ``computed`` counts them.  While ``retain`` is set :meth:`take`
+    keeps each for the block's later readers, else hands it out for good.
+
+    Raises:
+        ValueError: unsupported order, or a block thinner than its halo.
+    """
+
+    def __init__(
+        self, block: np.ndarray, spacing: float, order: int = 4, margin: int | None = None
+    ) -> None:
+        self._coefficients = fd_coefficients(order)
+        self.block, self.spacing = block, spacing
+        self.margin = margin = order // 2 if margin is None else margin
+        for ax, n in enumerate(block.shape[:3]):
+            if n < 2 * margin + 1:
+                raise ValueError(f"block axis {ax} of size {n} thinner than halo")
+        self.shape = tuple(n - 2 * margin for n in block.shape[:3])
+        self.scratch = np.empty(self.shape)
+        self.retain, self.computed = False, 0
+        self._memo: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """The block as contiguous float64 ``(ncomp, nx, ny, nz)``: converted
+        once, so every shifted view is unit-stride and nothing is cast again."""
+        cells = self.block.reshape(self.block.shape[:3] + (-1,))
+        return np.ascontiguousarray(np.moveaxis(cells, 3, 0), dtype=np.float64)
+
+    def take(self, comp: int, axis: int) -> np.ndarray:
+        """``∂_axis`` of component ``comp``, read-only to the caller: per
+        point ``Σ_k c_k (f₊ₖ − f₋ₖ)`` in coefficient order, then ``/ spacing``.
+
+        Raises:
+            ValueError: bad axis or spacing, or a halo thinner than the stencil.
+        """
+        _check_axis_spacing(axis, self.spacing)
+        half, margin = len(self._coefficients), self.margin
+        if margin < half:
+            raise ValueError(f"margin {margin} too small for order {2 * half} (needs {half})")
+        key = (comp, axis)
+        if key not in self._memo:
+            field = self.components[comp]
+            window = [slice(margin, n - margin) for n in field.shape]
+            stop = field.shape[axis] - margin
+            out = self._memo[key] = np.empty(self.shape)
+            for k, coeff in enumerate(self._coefficients, start=1):
+                term = out if k == 1 else self.scratch  # no temporaries
+                window[axis] = slice(margin + k, stop + k)
+                plus = field[tuple(window)]
+                window[axis] = slice(margin - k, stop - k)
+                np.subtract(plus, field[tuple(window)], out=term)
+                term *= coeff
+                if k > 1:
+                    out += term
+            out /= self.spacing
+            self.computed += 1
+        return self._memo[key] if self.retain else self._memo.pop(key)
+
+
 def derivative_interior(
     block: np.ndarray, axis: int, spacing: float, order: int = 4, margin: int | None = None
 ) -> np.ndarray:
-    """First derivative on the interior of a halo-padded block.
-
-    ``block`` holds the region of interest plus a halo of ``margin``
-    points on every face of the first three axes (``margin`` defaults to
-    the kernel half-width).  The result has the interior shape
-    ``(nx - 2*margin, ny - 2*margin, nz - 2*margin, ...)``.
+    """First derivative along ``axis`` on the interior of a halo-padded
+    block (see :class:`Derivatives`), trailing component axes kept.
 
     Raises:
         ValueError: if the halo is thinner than the stencil needs.
     """
-    _check_axis_spacing(axis, spacing)
-    half = kernel_half_width(order)
-    if margin is None:
-        margin = half
-    if margin < half:
-        raise ValueError(f"margin {margin} too small for order {order} (needs {half})")
-    for ax in range(3):
-        if block.shape[ax] < 2 * margin + 1:
-            raise ValueError(
-                f"block axis {ax} of size {block.shape[ax]} thinner than halo"
-            )
-    out = np.zeros(_interior_shape(block.shape, margin), dtype=np.float64)
-    for k, coeff in enumerate(fd_coefficients(order), start=1):
-        plus = _interior_view(block, margin, axis, +k)
-        minus = _interior_view(block, margin, axis, -k)
-        out += coeff * (plus.astype(np.float64) - minus)
-    return out / spacing
-
-
-def _interior_shape(shape: tuple[int, ...], margin: int) -> tuple[int, ...]:
-    return tuple(
-        n - 2 * margin if ax < 3 else n for ax, n in enumerate(shape)
-    )
-
-
-def _interior_view(
-    block: np.ndarray, margin: int, axis: int, offset: int
-) -> np.ndarray:
-    """The interior of ``block`` shifted by ``offset`` along ``axis``."""
-    slices = []
-    for ax in range(block.ndim):
-        if ax >= 3:
-            slices.append(slice(None))
-            continue
-        start = margin + (offset if ax == axis else 0)
-        stop = block.shape[ax] - margin + (offset if ax == axis else 0)
-        slices.append(slice(start, stop))
-    return block[tuple(slices)]
+    stencil = Derivatives(block, spacing, order, margin)
+    parts = [stencil.take(comp, axis) for comp in range(len(stencil.components))]
+    return np.moveaxis(np.array(parts), 0, -1).reshape(stencil.shape + block.shape[3:])
 
 
 def _check_axis_spacing(axis: int, spacing: float) -> None:

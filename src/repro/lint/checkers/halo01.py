@@ -29,20 +29,24 @@ from repro.lint.diagnostics import Diagnostic, SourceFile
 
 #: Interior stencil operators and the positional index of ``margin``.
 INTERIOR_OPS = {
+    "Derivatives": 3,
     "curl_interior": 3,
     "gradient_tensor_interior": 3,
     "derivative_interior": 4,
 }
 #: Operators whose margin may be omitted (they default it safely).
-MARGIN_OPTIONAL = {"derivative_interior"}
-HALF_WIDTH_FN = "kernel_half_width"
+MARGIN_OPTIONAL = {"Derivatives", "derivative_interior"}
+#: What applies a stencil (H3): the above, or the ``Derivatives`` a norm is handed.
+STENCIL_OPS = {*INTERIOR_OPS, "derivatives_of"}
+#: The half-width, and ``DerivedField.halo(order)``: a whole number of them.
+HALF_WIDTH_FNS = {"kernel_half_width", "halo"}
 
 
 def _calls_half_width(node: ast.AST) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             dotted = dotted_name(sub.func)
-            if dotted is not None and dotted.split(".")[-1] == HALF_WIDTH_FN:
+            if dotted is not None and dotted.split(".")[-1] in HALF_WIDTH_FNS:
                 return True
     return False
 
@@ -273,7 +277,7 @@ class HaloConsistency(Checker):
                 dotted = dotted_name(node.func)
                 if (
                     dotted is not None
-                    and dotted.split(".")[-1] in INTERIOR_OPS
+                    and dotted.split(".")[-1] in STENCIL_OPS
                 ):
                     return True
         return False

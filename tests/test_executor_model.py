@@ -31,6 +31,7 @@ from repro.fields.derived import FieldRegistry, default_registry
 from repro.grid import Box
 from repro.harness.common import ground_truth_norm
 from repro.morton import encode_array
+from repro.obs import tracing
 from repro.simulation import mhd_dataset
 from repro.storage.btree import BPlusTree
 from repro.storage.bufferpool import BufferPool
@@ -281,6 +282,58 @@ def test_one_kernel_per_box_and_field(small_mhd, processes):
         )
         mediator.batch_threshold(BATCH, processes=processes)
     assert sorted(kernels) == sorted([q.field for q in BATCH] * boxes)
+
+
+Q_CRITERION, R_INVARIANT = (
+    ThresholdQuery("mhd", name, 0, 8.0) for name in ("q_criterion", "r_invariant")
+)
+
+
+@pytest.mark.parametrize("processes", [1, 4, 8])
+@pytest.mark.parametrize(
+    "queries, per_field",
+    [
+        ([VORTICITY], [6]),
+        ([Q_CRITERION], [9]),
+        ([R_INVARIANT], [9]),
+        # Nine distinct derivatives exist, not 6 + 9 + 9: the field that
+        # fills the block's memo pays, the later ones find them there.
+        ([VORTICITY, Q_CRITERION, R_INVARIANT], [6, 3, 0]),
+        ([R_INVARIANT, VORTICITY, Q_CRITERION], [9, 0, 0]),
+    ],
+    ids=["vorticity", "q", "r", "vorticity+q+r", "r+vorticity+q"],
+)
+def test_a_block_is_differentiated_once_per_batch(
+    small_mhd, monkeypatch, processes, queries, per_field
+):
+    blocks = []
+
+    class Counted(executor.Derivatives):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    monkeypatch.setattr(executor, "Derivatives", Counted)
+    collector = tracing.install(tracing.TraceCollector())
+    try:
+        with build_cluster(small_mhd, nodes=2) as mediator:
+            boxes = sum(
+                len(mediator.partitioner.query_boxes(n, Box.cube(SIDE)))
+                for n in range(2)
+            )
+            mediator.batch_threshold(queries, processes=processes)
+    finally:
+        tracing.uninstall()
+    assert [block.computed for block in blocks] == [sum(per_field)] * boxes
+    # The trace says who paid.
+    kernels = [
+        (span.attributes["field"], span.attributes["derivatives"])
+        for trace_id in collector.trace_ids()
+        for span in collector.trace(trace_id)
+        if span.name == "node.kernel"
+    ]
+    paid = [(query.field, count) for query, count in zip(queries, per_field)]
+    assert sorted(kernels) == sorted(paid * boxes)
 
 
 @pytest.mark.parametrize("box", [WIDE, *LOPSIDED], ids=str)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fields import (
     SUPPORTED_ORDERS,
+    Derivatives,
     curl_interior,
     curl_periodic,
     derivative_interior,
@@ -15,6 +18,8 @@ from repro.fields import (
     gradient_tensor_periodic,
     kernel_half_width,
 )
+from repro.fields.derived import default_registry
+from repro.fields.expressions import compile_expression
 from repro.fields.operators import (
     q_criterion_from_gradient,
     r_invariant_from_gradient,
@@ -198,10 +203,13 @@ class TestGradientTensorAndInvariants:
         assert np.all(q < 0)
 
     def test_r_invariant_is_negative_determinant(self):
+        # The cofactor expansion is the one value the single-primitive
+        # kernel moved: no pivoting, so not LAPACK's last bits.
         rng = np.random.default_rng(2)
         tensor = rng.normal(size=(3, 3, 3, 3, 3))
         r = r_invariant_from_gradient(tensor)
-        assert np.allclose(r, -np.linalg.det(tensor))
+        expected = -np.linalg.det(tensor)
+        assert np.max(np.abs(r - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestDivergence:
@@ -212,3 +220,201 @@ class TestDivergence:
         div = divergence_periodic(field, SPACING, 8)
         scale = np.sqrt(np.mean(np.sum(field**2, axis=-1)))
         assert np.max(np.abs(div)) / scale < 0.35  # FD residual of spectral solenoidality
+
+
+# -- the seed's formulas, kept as the reference --------------------------------
+#
+# What ``repro.fields`` computed before every kernel moved onto one
+# derivative primitive: a cast, a difference, a scaled temporary and an
+# ``out +=`` per coefficient, stacked tensors, ``einsum`` and ``det``.
+
+
+def seed_derivative(block, axis, spacing, order, margin):
+    def shifted(offset):
+        return block[tuple(
+            slice(margin + (offset if ax == axis else 0),
+                  n - margin + (offset if ax == axis else 0))
+            for ax, n in enumerate(block.shape[:3])
+        )]
+
+    out = np.zeros(shifted(0).shape, dtype=np.float64)
+    for k, coeff in enumerate(fd_coefficients(order), start=1):
+        out += coeff * (shifted(+k).astype(np.float64) - shifted(-k))
+    return out / spacing
+
+
+def seed_curl(block, spacing, order, margin):
+    def d(comp, axis):
+        return seed_derivative(block[..., comp], axis, spacing, order, margin)
+
+    return np.stack(
+        [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1
+    )
+
+
+def seed_gradient(block, spacing, order, margin):
+    rows = [
+        np.stack(
+            [
+                seed_derivative(block[..., i], j, spacing, order, margin)
+                for j in range(3)
+            ],
+            axis=-1,
+        )
+        for i in range(3)
+    ]
+    return np.stack(rows, axis=-2)
+
+
+def seed_vector_norm(field):
+    return np.sqrt(np.sum(np.square(field, dtype=np.float64), axis=-1))
+
+
+def seed_q(gradient):
+    return -0.5 * np.einsum("...ij,...ji->...", gradient, gradient)
+
+
+@st.composite
+def halo_blocks(draw, depth=1):
+    """``(block, spacing, order, margin)``: a vector block as the executor
+    hands it over — a trimmed, non-contiguous view as often as not —
+    cubic or lopsided, down to one interior point an axis."""
+    order = draw(st.sampled_from(SUPPORTED_ORDERS))
+    margin = depth * kernel_half_width(order) + draw(st.integers(0, 2))
+    interior = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    trim = draw(st.integers(0, 2))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.normal(size=tuple(n + 2 * (margin + trim) for n in interior) + (3,))
+    block = full.astype(dtype)[(slice(trim, -trim or None),) * 3]
+    return block, draw(st.sampled_from([1.0, 0.1, 2 * np.pi / 64])), order, margin
+
+
+class TestOnePrimitiveIsBitIdenticalToTheSeed:
+    @settings(max_examples=60, deadline=None)
+    @given(halo_blocks(), st.integers(0, 2))
+    def test_operators(self, drawn, axis):
+        block, spacing, order, margin = drawn
+        for view in (block, block[..., :1], block[..., 1]):  # ncomp 3, 1, none
+            assert np.array_equal(
+                derivative_interior(view, axis, spacing, order, margin),
+                seed_derivative(view, axis, spacing, order, margin),
+            )
+        assert np.array_equal(
+            curl_interior(block, spacing, order, margin),
+            seed_curl(block, spacing, order, margin),
+        )
+        assert np.array_equal(
+            gradient_tensor_interior(block, spacing, order, margin),
+            seed_gradient(block, spacing, order, margin),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(halo_blocks())
+    def test_registry_norms(self, drawn):
+        block, spacing, order, margin = drawn
+        registry = default_registry()
+        # A halo of exactly one half-width goes in as the array (the
+        # benchmark's probe, get_field); a wider one as the executor
+        # hands it over, shared by every field of the batch.
+        handed = block
+        if margin > kernel_half_width(order):
+            handed = Derivatives(block, spacing, order, margin)
+            handed.retain = True
+        curl = seed_vector_norm(seed_curl(block, spacing, order, margin))
+        gradient = seed_gradient(block, spacing, order, margin)
+        for name in ("vorticity", "electric_current"):
+            norm = registry.get(name).norm(handed, spacing, order)
+            assert np.array_equal(norm, curl)
+        q = registry.get("q_criterion").norm(handed, spacing, order)
+        assert np.array_equal(q, np.abs(seed_q(gradient)))
+        # R is the one value that moved: cofactors, not a pivoted LU.
+        r = registry.get("r_invariant").norm(handed, spacing, order)
+        expected = np.abs(np.linalg.det(gradient))
+        assert np.max(np.abs(r - expected)) <= 1e-14 * np.max(expected)
+        # A raw field has no halo: its array is the interior itself.
+        interior = block[(slice(margin, -margin),) * 3]
+        raw = registry.get("velocity").norm
+        assert np.array_equal(
+            raw(interior if handed is block else handed, spacing, order),
+            seed_vector_norm(interior),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(halo_blocks(depth=2))
+    def test_compiled_expressions(self, drawn):
+        block, spacing, order, margin = drawn
+        half = kernel_half_width(order)
+        shared = Derivatives(block, spacing, order, margin)
+
+        def compiled(text, depth):
+            """The norm from an array with exactly the halo the expression
+            asks for and from the wider block a batch shares (one answer),
+            and that array."""
+            field = compile_expression(text).as_derived_field("compiled")
+            assert field.halo(order) == depth * half
+            trim = margin - depth * half
+            array = block[(slice(trim, -trim or None),) * 3]
+            norm = field.norm(array, spacing, order)
+            assert np.array_equal(field.norm(shared, spacing, order), norm)
+            return norm, array
+
+        def seed_divergence(array):
+            return sum(
+                seed_derivative(array[..., c], c, spacing, order, half)
+                for c in range(3)
+            )
+
+        norm, array = compiled("norm(curl(curl(velocity)))", 2)
+        inner = seed_curl(array, spacing, order, half)
+        assert np.array_equal(
+            norm, seed_vector_norm(seed_curl(inner, spacing, order, half))
+        )
+        norm, array = compiled("abs(div(velocity))", 1)
+        assert np.array_equal(norm, np.abs(seed_divergence(array)))
+        norm, array = compiled("norm(grad(div(velocity)))", 2)
+        divergence = seed_divergence(array)
+        gradient = np.stack(
+            [
+                seed_derivative(divergence, axis, spacing, order, half)
+                for axis in range(3)
+            ],
+            axis=-1,
+        )
+        assert np.array_equal(norm, seed_vector_norm(gradient))
+        norm, array = compiled("abs(q(velocity))", 1)
+        assert np.array_equal(
+            norm, np.abs(seed_q(seed_gradient(array, spacing, order, half)))
+        )
+
+    def test_a_point_has_one_r_whatever_box_holds_it(self):
+        # Cache containment serves a 16^3 box from the 32^3 one around it.
+        rng = np.random.default_rng(7)
+        field = rng.normal(size=(32, 32, 32, 3)).astype(np.float32)
+        r_norm, halo = default_registry().get("r_invariant").norm, kernel_half_width(4)
+        padded = np.pad(field, [(halo, halo)] * 3 + [(0, 0)], mode="wrap")
+        outer = r_norm(padded, 0.1, 4)
+        inner = r_norm(padded[8:24 + 2 * halo, 4:20 + 2 * halo, 16:32 + 2 * halo], 0.1, 4)
+        assert np.array_equal(inner, outer[8:24, 4:20, 16:32])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: derivative_interior(np.zeros((9, 9, 9)), 3, 1.0), "axis must be 0, 1 or 2, got 3"),
+        (lambda: derivative_interior(np.zeros((9, 9, 9)), 0, 0.0), "spacing must be positive, got 0.0"),
+        (lambda: curl_interior(np.zeros((9, 9, 9, 3)), -1.0), "spacing must be positive, got -1.0"),
+        (lambda: derivative_interior(np.zeros((9, 9, 9)), 0, 1.0, 5), "order 5 unsupported"),
+        (
+            lambda: derivative_interior(np.zeros((10, 10, 10)), 0, 1.0, 8, margin=1),
+            r"margin 1 too small for order 8 \(needs 4\)",
+        ),
+        (
+            lambda: gradient_tensor_interior(np.zeros((9, 4, 9, 3)), 1.0, 4),
+            "block axis 1 of size 4 thinner than halo",
+        ),
+        (
+            lambda: curl_interior(np.zeros((9, 9, 9, 2)), 1.0),
+            r"expected \(nx, ny, nz, 3\) vector field, got \(9, 9, 9, 2\)",
+        ),
+    ])
+    def test_the_errors_keep_their_messages(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
