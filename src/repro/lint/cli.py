@@ -1,10 +1,8 @@
 """Command-line front end: ``python -m repro.lint src/``.
 
 Besides the human-readable report, the CLI speaks CI: ``--format json``
-emits a machine-readable payload, ``--baseline FILE`` filters findings
-already recorded with ``--write-baseline`` (so a gate only fails on
-*new* issues mid-migration), and ``--witness FILE`` feeds the sanitizer's
-runtime lock-order edge set into LOCK02.
+emits a machine-readable payload and ``--witness FILE`` feeds the
+sanitizer's runtime lock-order edge set into LOCK02.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ def module_name_for(path: Path) -> str:
     ``src/repro/storage/wal.py`` -> ``repro.storage.wal``;
     ``.../repro/lint/__init__.py`` -> ``repro.lint``.  Files outside any
     recognised root fall back to their stem, which keeps them out of the
-    scoped checkers (only COST01/HALO01 apply everywhere under
-    ``repro.``).
+    scoped checkers.
     """
     parts = list(path.resolve().with_suffix("").parts)
     module: list[str]
@@ -162,8 +159,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m repro.lint",
         description=(
             "turblint: AST invariant checkers for the threshold-query "
-            "engine (transaction discipline, cost accounting, halo "
-            "consistency, lock hygiene, error taxonomy)"
+            "engine (transaction discipline, lock hygiene, deadlines, "
+            "error taxonomy, wire and observability discipline)"
         ),
     )
     parser.add_argument(
@@ -185,16 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=("text", "json"),
         default="text",
         help="output format (json is one machine-readable object)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record current findings as the baseline and exit clean",
     )
     parser.add_argument(
         "--witness",
@@ -235,72 +222,30 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             return EXIT_USAGE
 
-    if options.baseline and not Path(options.baseline).exists():
-        report(f"no such baseline file: {options.baseline}", error=True)
-        return EXIT_USAGE
-
     diagnostics, file_count = run_paths(
         options.paths, options.select, witness=options.witness
     )
-
-    if options.write_baseline:
-        payload = {
-            "version": 1,
-            "fingerprints": sorted(
-                {baseline_fingerprint(d) for d in diagnostics}
-            ),
-        }
-        Path(options.write_baseline).write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-        report(
-            f"turblint: wrote baseline with {len(diagnostics)} "
-            f"finding(s) to {options.write_baseline}"
-        )
-        return EXIT_CLEAN
-
-    known_fps: set[str] = set()
-    if options.baseline:
-        data = json.loads(Path(options.baseline).read_text())
-        known_fps = set(data.get("fingerprints", []))
-    fresh = [
-        d for d in diagnostics if baseline_fingerprint(d) not in known_fps
-    ]
-    filtered = len(diagnostics) - len(fresh)
 
     if options.format == "json":
         report(
             json.dumps(
                 {
                     "files": file_count,
-                    "count": len(fresh),
-                    "baseline_filtered": filtered,
-                    "diagnostics": [asdict(d) for d in fresh],
+                    "count": len(diagnostics),
+                    "diagnostics": [asdict(d) for d in diagnostics],
                 }
             )
         )
     else:
-        for diag in fresh:
+        for diag in diagnostics:
             report(diag.render())
-        summary = (
+        report(
             f"turblint: {file_count} file(s) checked, "
-            f"{len(fresh)} issue(s) found"
+            f"{len(diagnostics)} issue(s) found"
         )
-        if filtered:
-            summary += f" ({filtered} suppressed by baseline)"
-        report(summary)
-    return EXIT_VIOLATIONS if fresh else EXIT_CLEAN
+    return EXIT_VIOLATIONS if diagnostics else EXIT_CLEAN
 
 
 def console_main() -> None:
     """``repro-lint`` console-script entry point."""
     raise SystemExit(main())
-
-
-def baseline_fingerprint(diag: Diagnostic) -> str:
-    """Stable identity of a finding for baseline matching.
-
-    Deliberately excludes line/column so unrelated edits shifting a
-    known finding do not resurrect it.
-    """
-    return f"{diag.code}|{diag.path}|{diag.message}"

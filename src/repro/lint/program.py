@@ -1,10 +1,9 @@
 """turbscan whole-program model: symbol table, call graph, reachability.
 
 The per-file checkers see one AST at a time; the rules added with
-turbscan (LOCK02, DL01, RES01) need to reason about *paths through the
+turbscan (LOCK02, DL01) need to reason about *paths through the
 project* — which locks a transitively-called function acquires, whether
-a mediator entry point can reach a socket without a deadline, where a
-pooled connection created in one method is released in another.  This
+a mediator entry point can reach a socket without a deadline.  This
 module builds the shared substrate once per lint run:
 
 * a **symbol table**: every module, class, function and method under
@@ -118,16 +117,6 @@ class CallEdge:
     line: int
 
 
-@dataclass(frozen=True)
-class Instantiation:
-    """A resolved constructor call site (used by RES01)."""
-
-    function: str
-    cls: str
-    node: ast.Call
-    path: str
-
-
 class Program:
     """Project-wide symbol table and call graph over parsed sources."""
 
@@ -140,7 +129,6 @@ class Program:
         self.imports: dict[str, dict[str, str]] = {}
         self.subclasses: dict[str, set[str]] = {}
         self.edges: list[CallEdge] = []
-        self.instantiations: list[Instantiation] = []
         self._out: dict[str, list[CallEdge]] = {}
         self._in: dict[str, list[CallEdge]] = {}
         self._site_calls: dict[tuple[str, int], set[str]] = {}
@@ -597,9 +585,6 @@ class Program:
         line = call.lineno
         for target in self._callee_symbols(fn, call):
             if target in self.classes:
-                self.instantiations.append(
-                    Instantiation(fn.qualname, target, call, fn.path)
-                )
                 for init in self.resolve_method(
                     target, "__init__", virtual=False
                 ):
@@ -647,26 +632,6 @@ class Program:
     def callees_at(self, function: str, line: int) -> set[str]:
         """Synchronous callees resolved for a call site."""
         return self._site_calls.get((function, line), set())
-
-    def out_edges(self, function: str) -> list[CallEdge]:
-        """Edges leaving ``function``."""
-        return self._out.get(function, [])
-
-    def reachable(
-        self, starts: Iterable[str], *, spawn: bool = True
-    ) -> set[str]:
-        """Functions reachable from ``starts`` along call/spawn edges."""
-        seen = set(starts)
-        frontier = list(seen)
-        while frontier:
-            current = frontier.pop()
-            for edge in self._out.get(current, ()):
-                if edge.kind == "spawn" and not spawn:
-                    continue
-                if edge.callee not in seen:
-                    seen.add(edge.callee)
-                    frontier.append(edge.callee)
-        return seen
 
     def reverse_reachable(
         self, targets: Iterable[str], *, spawn: bool = True

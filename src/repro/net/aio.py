@@ -179,9 +179,6 @@ class AsyncHttpFrontend:
             self._thread.join(timeout=10.0)
             self._thread = None
 
-    #: RES01 alias — the door is a closeable like every other server.
-    close = shutdown
-
     def __enter__(self) -> "AsyncHttpFrontend":
         return self
 

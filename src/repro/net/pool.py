@@ -40,7 +40,6 @@ from repro.net.codec import TRACE_HEADER_KEY, trace_context_to_wire
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION
 from repro.net.errors import (
     ConnectionLostError,
-    DeadlineExceededError,
     NetError,
     NodeUnavailableError,
     ProtocolError,
@@ -330,15 +329,25 @@ class ConnectionPool:
         with self._lock:
             if self._closed:
                 raise ConnectionLostError(f"pool for {self.address} is closed")
-            self._pipes = [pipe for pipe in self._pipes if pipe.usable]
-            if self._pipes:
-                best = min(self._pipes, key=lambda pipe: pipe.in_flight)
-                if (
-                    best.in_flight == 0
-                    or len(self._pipes) >= self.max_connections
-                ):
-                    return best
+            dead = [pipe for pipe in self._pipes if not pipe.usable]
+            self._pipes = [pipe for pipe in self._pipes if pipe not in dead]
+            best = min(
+                self._pipes, key=lambda pipe: pipe.in_flight, default=None
+            )
+            if (
+                best is not None
+                and best.in_flight
+                and len(self._pipes) < self.max_connections
+            ):
+                best = None
             budget = min(CONNECT_TIMEOUT_S, deadline.remaining())
+        # A connection whose node died while it sat idle is found here and
+        # nowhere else (no call was in flight to discard it): close it, with
+        # the pool unlocked, or its sockets and shm ring outlive the node.
+        for pipe in dead:
+            pipe.close()
+        if best is not None:
+            return best
         # Dial with the pool unlocked: the TCP connect plus handshake can
         # take the whole connect budget, and holding the lock meanwhile
         # would stall every other caller fanning out to this node.
@@ -403,10 +412,15 @@ class ConnectionPool:
                 with self._lock:
                     self.connections_created += 1
                 return conn
-            if not self._healthy(conn, deadline):
-                self._return_slot()
-                continue
-            return conn
+            try:
+                if self._healthy(conn, deadline):
+                    return conn
+            except BaseException:
+                # A health ping that ran out of budget (or failed in any
+                # way `_healthy` does not judge) must not keep the slot.
+                self._discard(conn)
+                raise
+            self._return_slot()
 
     def _connect(self, deadline: Deadline) -> NodeClient:
         budget = min(CONNECT_TIMEOUT_S, deadline.remaining())
@@ -426,9 +440,6 @@ class ConnectionPool:
             return True
         try:
             conn.client.ping(deadline)
-        except DeadlineExceededError:
-            conn.client.close()
-            raise
         except (ConnectionLostError, NodeUnavailableError, OSError):
             conn.client.close()
             return False

@@ -31,12 +31,13 @@ reads.  The TCP locator frame itself is the happens-before edge for the
 payload bytes: the writer finishes the slot copy before sending the
 locator, and both sides cross a syscall in between.
 
-Lifecycle (RES01): the *client* owns the segment — it creates it,
-advertises it, and ``close()`` both unmaps and unlinks it when the
-connection goes away.  The *server* only attaches; its ``close()``
-unmaps without unlinking.  Unlinking while the server still holds a
-mapping is safe (POSIX keeps the mapping alive), so neither side ever
-waits on the other to tear down.
+Lifecycle: the *client* owns the segment — it creates it, advertises
+it, and ``close()`` both unmaps and unlinks it when the connection goes
+away (the test session's closing audit of ``/dev/shm`` fails on one
+left behind).  The *server* only attaches; its ``close()`` unmaps
+without unlinking.  Unlinking while the server still holds a mapping is
+safe (POSIX keeps the mapping alive), so neither side ever waits on the
+other to tear down.
 """
 
 from __future__ import annotations

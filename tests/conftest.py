@@ -5,9 +5,19 @@ installs :mod:`repro.sanitize` for the whole session, exports the
 witnessed lock-order edge set (``REPRO_SANITIZE_WITNESS``, default
 ``lock-witness.json``) at session end, and fails the run if any lock
 inversion was witnessed.
+
+And the session-end half of the leak gate (the per-test half is the
+``filterwarnings`` of ``pyproject.toml``): when the last test is done no
+thread but main may be alive and ``/dev/shm`` may hold no ``psm_*``
+segment that was not there at the start.  File descriptors are not
+counted — an unclosed one is what ``ResourceWarning`` already reports.
 """
 
+import gc
+import glob
 import os
+import threading
+import time
 
 import pytest
 
@@ -21,8 +31,40 @@ def _sanitize_enabled() -> bool:
     return os.environ.get(SANITIZE_ENV) == "1"
 
 
+_SHM_AT_START = pytest.StashKey[set]()
+_LEAKS = pytest.StashKey[list]()
+
+#: Seconds the threads that are already shutting down get to finish.
+THREAD_GRACE_S = 2.0
+
+
+def _shm_segments() -> set:
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def _leaks(shm_at_start: set) -> list:
+    """What the session left behind, one line per thread or segment."""
+    found = []
+    # A scatter pool nobody closed winds its workers down when it is
+    # collected; what is left after that is pinned by a thread of its own.
+    gc.collect()
+    give_up = time.monotonic() + THREAD_GRACE_S
+    for thread in threading.enumerate():
+        if thread is threading.main_thread():
+            continue
+        thread.join(timeout=max(0.0, give_up - time.monotonic()))
+        if thread.is_alive():
+            found.append(f"thread {thread.name!r} is still alive")
+    found.extend(
+        f"shared-memory segment {path} was never unlinked"
+        for path in sorted(_shm_segments() - shm_at_start)
+    )
+    return found
+
+
 def pytest_sessionstart(session):
-    """Install the lock sanitizer before any test module runs."""
+    """Note ``/dev/shm``; install the lock sanitizer before any test runs."""
+    session.config.stash[_SHM_AT_START] = _shm_segments()
     if _sanitize_enabled():
         from repro import sanitize
 
@@ -30,7 +72,11 @@ def pytest_sessionstart(session):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Export the lock-order witness and fail on witnessed inversions."""
+    """Fail on leaked threads / segments and on witnessed inversions."""
+    leaks = _leaks(session.config.stash[_SHM_AT_START])
+    session.config.stash[_LEAKS] = leaks
+    if leaks and session.exitstatus == 0:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
     if not _sanitize_enabled():
         return
     from repro import sanitize
@@ -44,7 +90,9 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 def pytest_terminal_summary(terminalreporter):
-    """One line of sanitizer accounting at the end of the run."""
+    """The leak audit's findings, then one line of sanitizer accounting."""
+    for leak in terminalreporter.config.stash.get(_LEAKS, []):
+        terminalreporter.write_line(f"leak audit: {leak}")
     if not _sanitize_enabled():
         return
     from repro import sanitize

@@ -1,4 +1,4 @@
-"""Property-based tests for the cost ledger (COST01's runtime counterpart).
+"""Property-based tests for the cost ledger.
 
 The lint suite forbids wall-clock reads because every reported time must
 come from the simulated ledger; these properties pin down the algebra the

@@ -1,4 +1,4 @@
-"""CLI surface added with turbscan: JSON output, baselines, SUP01.
+"""CLI surface added with turbscan: JSON output, SUP01, the witness flag.
 
 The framework basics (exit codes, --select, --list-checkers) live in
 ``test_lint_framework.py``; these tests cover the CI-facing additions.
@@ -8,7 +8,6 @@ import json
 
 from repro.lint.cli import (
     EXIT_CLEAN,
-    EXIT_USAGE,
     EXIT_VIOLATIONS,
     main,
     run_paths,
@@ -37,36 +36,6 @@ def test_json_format_is_machine_readable(tmp_path, capsys):
     assert diag["code"] == "OBS01"
     assert diag["path"] == str(bad)
     assert isinstance(diag["line"], int)
-
-
-def test_baseline_roundtrip_suppresses_known_findings(tmp_path, capsys):
-    bad = _violating_file(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main([str(bad), "--write-baseline", str(baseline)]) == EXIT_CLEAN
-    )
-    capsys.readouterr()
-    assert main([str(bad), "--baseline", str(baseline)]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "suppressed by baseline" in out
-    # A brand-new class of finding in the same file still fails the
-    # gate (a second identical print would share the old fingerprint —
-    # baseline identity is deliberately line-independent).
-    bad.write_text(
-        bad.read_text() + '\n\ndef now():\n    """Now."""\n'
-        "    import time\n"
-        "    return time.time()\n"
-    )
-    assert main([str(bad), "--baseline", str(baseline)]) == EXIT_VIOLATIONS
-
-
-def test_missing_baseline_is_a_usage_error(tmp_path, capsys):
-    bad = _violating_file(tmp_path)
-    assert (
-        main([str(bad), "--baseline", str(tmp_path / "nope.json")])
-        == EXIT_USAGE
-    )
-    assert "no such baseline" in capsys.readouterr().err
 
 
 def test_sup01_flags_stale_suppression(tmp_path):
@@ -114,7 +83,7 @@ def test_sup01_not_judged_for_unrun_checkers(tmp_path):
         '"""Fixture."""\n\nVALUE = 1  # turblint: disable=OBS01\n'
     )
     # OBS01 never ran, so its directive cannot be judged stale.
-    diagnostics, _ = run_paths([path], select=["SUP01", "COST01"])
+    diagnostics, _ = run_paths([path], select=["SUP01", "TXN01"])
     assert diagnostics == []
 
 

@@ -217,21 +217,3 @@ def test_callees_at_indexes_call_sites():
     assert program.callees_at("repro.alpha.caller", 7) == {
         "repro.alpha.helper"
     }
-
-
-def test_instantiations_recorded():
-    source = make(
-        "repro.alpha",
-        '"""A."""\n\n'
-        "class Widget:\n"
-        '    """W."""\n\n'
-        "    def close(self):\n"
-        "        pass\n\n"
-        "def build():\n"
-        "    return Widget()\n",
-    )
-    program = Program([source])
-    sites = {
-        (site.function, site.cls) for site in program.instantiations
-    }
-    assert ("repro.alpha.build", "repro.alpha.Widget") in sites

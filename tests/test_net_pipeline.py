@@ -13,8 +13,10 @@ Covers the contract the fast path rests on:
   monolithic path.
 """
 
+import pathlib
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.net.compress import (
 )
 from repro.net.errors import (
     ConnectionLostError,
+    DeadlineExceededError,
     FrameError,
     NodeUnavailableError,
 )
@@ -45,7 +48,7 @@ from repro.net.frame import (
     recv_frame,
     send_frame,
 )
-from repro.net.pool import ConnectionPool
+from repro.net.pool import ConnectionPool, HEALTH_CHECK_IDLE_SECONDS
 from repro.net.server import ClusterConfig, NodeServer
 from repro.net.transport import TcpTransport
 
@@ -307,6 +310,67 @@ def test_pool_discards_a_dead_pipelined_connection():
     finally:
         pool.close()
         server.close()
+
+
+@pytest.mark.parametrize("shm", [False, True], ids=["tcp", "shm"])
+def test_pool_closes_a_connection_that_died_idle(shm):
+    """A node that dies with no call in flight: nothing runs
+    ``_discard_pipe``, so the next caller's sweep must close the carcass
+    (both socket handles and, over shm, the ring in ``/dev/shm``)."""
+    server = start_node()
+    pool = ConnectionPool(
+        "127.0.0.1", server.port, retry=FAST_RETRY, shm=shm
+    )
+    try:
+        pool.ping(5.0)
+        (pipe,) = pool._pipes
+        assert pipe.shm_active is shm
+        backing = (
+            pathlib.Path("/dev/shm") / pipe._ring.name.lstrip("/")
+            if shm else None
+        )
+        server.shutdown()
+        give_up = time.monotonic() + 5.0
+        while pipe.usable and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert not pipe.usable and not pipe.closed  # dead, still open
+        with pytest.raises(NodeUnavailableError):
+            pool.call("echo", {}, (), timeout=5.0, idempotent=True)
+        assert pool._pipes == []
+        assert pipe.closed
+        assert backing is None or not backing.exists()
+    finally:
+        pool.close()
+        server.shutdown()
+
+
+def test_a_timed_out_health_ping_gives_its_slot_back(monkeypatch):
+    """Serial mode: a stale connection whose health ping runs out of
+    budget is closed, and its checkout slot returns to the pool."""
+    server = start_node()
+    pool = ConnectionPool(
+        "127.0.0.1", server.port, max_connections=2, pipeline=False
+    )
+
+    def timed_out(deadline):
+        raise DeadlineExceededError("health ping timed out")
+
+    try:
+        for _ in range(2):
+            pool.ping(5.0)
+            (conn,) = pool._idle
+            conn.last_used -= 2 * HEALTH_CHECK_IDLE_SECONDS
+            monkeypatch.setattr(conn.client, "ping", timed_out)
+            with pytest.raises(DeadlineExceededError):
+                pool.call("echo", {}, (), timeout=5.0, idempotent=True)
+            assert conn.client.closed
+            assert pool._checked_out == 0
+        result = pool.call("echo", {}, [b"x"], timeout=1.0, idempotent=True)
+        assert bytes(result.blobs[0]) == b"x"
+        assert pool._checked_out == 0
+    finally:
+        pool.close()
+        server.shutdown()
 
 
 def test_concurrent_calls_multiplex_on_one_socket():

@@ -104,7 +104,8 @@ def test_writer_rejects_mismatched_geometry():
 
 
 def test_ring_close_unlinks_the_segment():
-    """RES01: the owner's close removes the backing file."""
+    """The owner's close removes the backing file (what the session-end
+    leak audit of ``tests/conftest.py`` holds every other test to)."""
     ring = ShmRing(slots=1, slot_bytes=64)
     name = ring.name
     backing = pathlib.Path("/dev/shm") / name.lstrip("/")
@@ -269,7 +270,7 @@ def test_threshold_results_identical_tcp_shm_inprocess(cluster):
 
 
 def test_shm_transport_closes_its_rings(cluster):
-    """RES01 end-to-end: no ring segment survives transport close."""
+    """The leak gate's direct check: no ring segment survives transport close."""
     transport = _transport(cluster, compression=NO_COMPRESSION, shm=True)
     sink = _CollectSink()
     transport._call(0, "echo", {"points": 1 << 20}, sink=sink, timeout=60.0)
