@@ -256,11 +256,8 @@ class SemanticCache:
         stored threshold is at or below ``threshold``; the returned
         points are filtered to ``box`` and ``threshold``.
         """
-        entries = self._db.sql(
-            txn,
-            "SELECT * FROM cacheInfo WHERE dataset = ? AND field = ?"
-            " AND timestep = ?",
-            [dataset, field, timestep],
+        entries = self._db.table("cacheInfo").lookup(
+            txn, "by_query", (dataset, field, timestep)
         )
         stale_ordinal = None
         stale_box = None
@@ -304,13 +301,8 @@ class SemanticCache:
         individual rows; chunks are stored in global Morton order, so
         the concatenated result is already sorted.
         """
-        rows = sorted(
-            self._db.sql(
-                txn,
-                "SELECT * FROM cacheData WHERE cacheInfoOrdinal = ?",
-                [ordinal],
-            ),
-            key=lambda r: r["chunkSeq"],
+        rows = list(
+            self._db.table("cacheData").lookup(txn, "by_info", (ordinal,))
         )
         if not rows:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
@@ -438,40 +430,28 @@ class SemanticCache:
         """Eviction "across all quantities" (paper §4): LRU, or FIFO
         (insertion order) under the ablation policy."""
         victim_order = "last_used" if self.policy == "lru" else "ordinal"
+        info = self._db.table("cacheInfo")
         while self.used_bytes(txn) + new_bytes > self.capacity_bytes:
-            victims = self._db.sql(
-                txn,
-                f"SELECT ordinal FROM cacheInfo ORDER BY {victim_order} ASC"
-                " LIMIT 1",
-            )
-            if not victims:
-                return
-            self._db.table("cacheInfo").delete(txn, (victims[0]["ordinal"],))
+            victim = min(info.scan(txn), key=lambda r: r[victim_order])
+            info.delete(txn, (victim["ordinal"],))
             self.stats.record_eviction()
 
     # -- introspection ----------------------------------------------------------
 
     def used_bytes(self, txn: Transaction) -> int:
         """Bytes currently accounted to cached entries."""
-        total = self._db.sql(txn, "SELECT SUM(byte_size) FROM cacheInfo")
-        return int(total or 0)
+        return sum(r["byte_size"] for r in self._db.table("cacheInfo").scan(txn))
 
     def data_point_count(self, txn: Transaction) -> int:
         """Total points across all stored chunks (visible to ``txn``)."""
-        total = self._db.sql(txn, "SELECT SUM(pointCount) FROM cacheData")
-        return int(total or 0)
+        return sum(r["pointCount"] for r in self._db.table("cacheData").scan(txn))
 
     def entry_points(
         self, txn: Transaction, ordinal: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Decode every point of one entry, unfiltered, in Morton order."""
-        rows = sorted(
-            self._db.sql(
-                txn,
-                "SELECT * FROM cacheData WHERE cacheInfoOrdinal = ?",
-                [ordinal],
-            ),
-            key=lambda r: r["chunkSeq"],
+        rows = list(
+            self._db.table("cacheData").lookup(txn, "by_info", (ordinal,))
         )
         parts = [pointset.chunk_arrays(r["zBlob"], r["vBlob"]) for r in rows]
         return pointset.merge_sorted_runs(parts)
@@ -487,15 +467,13 @@ class SemanticCache:
         the particular time-step queried were dropped before each run",
         paper §5.2).  Returns the number of entries removed.
         """
+        info = self._db.table("cacheInfo")
         with self._db.transaction() as txn:
-            return self._db.sql(
-                txn,
-                "DELETE FROM cacheInfo WHERE dataset = ? AND field = ?"
-                " AND timestep = ?",
-                [dataset, field, timestep],
-            )
+            entries = info.lookup(txn, "by_query", (dataset, field, timestep))
+            return sum(info.delete(txn, (e["ordinal"],)) for e in entries)
 
     def clear(self) -> int:
         """Drop every entry; returns how many were removed."""
+        info = self._db.table("cacheInfo")
         with self._db.transaction() as txn:
-            return self._db.sql(txn, "DELETE FROM cacheInfo")
+            return sum(info.delete(txn, (e["ordinal"],)) for e in info.scan(txn))

@@ -119,13 +119,8 @@ class PdfCache:
         """Insert ``share``'s histogram, evicting the LRU entry when full."""
         table = self._db.table("pdfCache")
         while table.count(txn) >= self.max_entries:
-            victims = self._db.sql(
-                txn,
-                "SELECT ordinal FROM pdfCache ORDER BY last_used ASC LIMIT 1",
-            )
-            if not victims:
-                break
-            table.delete(txn, (victims[0]["ordinal"],))
+            victim = min(table.scan(txn), key=lambda r: r["last_used"])
+            table.delete(txn, (victim["ordinal"],))
             self.stats.record_eviction()
         ordinal = next(self._ordinals)
         table.insert(
@@ -152,5 +147,6 @@ class PdfCache:
 
     def clear(self) -> int:
         """Drop every cached histogram; returns how many were removed."""
+        table = self._db.table("pdfCache")
         with self._db.transaction() as txn:
-            return self._db.sql(txn, "DELETE FROM pdfCache")
+            return sum(table.delete(txn, (r["ordinal"],)) for r in table.scan(txn))

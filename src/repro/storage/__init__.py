@@ -15,11 +15,14 @@ that substrate from scratch:
 * an LRU buffer pool charging simulated device time
   (:mod:`~repro.storage.bufferpool`),
 * multi-version concurrency control with snapshot isolation and
-  first-updater-wins conflict detection (:mod:`~repro.storage.mvcc`),
+  first-updater-wins conflict detection (:mod:`~repro.storage.mvcc`), and
 * tables and a database catalog (:mod:`~repro.storage.table`,
-  :mod:`~repro.storage.database`), and
-* a small SQL dialect (SELECT/INSERT/UPDATE/DELETE with parameters)
-  (:mod:`~repro.storage.sql`).
+  :mod:`~repro.storage.database`).
+
+There is no SQL text layer: the paper's ``SELECT`` / ``DELETE``
+statements on ``cacheInfo`` / ``cacheData`` are written as the
+:class:`~repro.storage.table.Table` calls they resolve to (index lookup,
+charged scan, delete by key) — DESIGN.md §4 has the table.
 """
 
 from repro.storage.errors import (
@@ -27,7 +30,6 @@ from repro.storage.errors import (
     ForeignKeyError,
     SchemaError,
     SerializationConflictError,
-    SqlError,
     StorageError,
     TableNotFoundError,
     TransactionError,
@@ -47,7 +49,6 @@ __all__ = [
     "ForeignKeyError",
     "SchemaError",
     "SerializationConflictError",
-    "SqlError",
     "StorageDevice",
     "StorageError",
     "TableNotFoundError",

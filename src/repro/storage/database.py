@@ -1,4 +1,4 @@
-"""The database: catalog, devices, transactions and SQL entry point.
+"""The database: catalog, devices and transactions.
 
 A :class:`Database` is what one cluster node hosts.  Tables are created
 on a named :class:`StorageDevice` — data tables on the node's HDD arrays,
@@ -20,7 +20,7 @@ from repro.costmodel.ledger import (
     METER_IO_SEEKS,
 )
 from repro.storage.bufferpool import BufferPool
-from repro.storage.errors import SchemaError, TableNotFoundError
+from repro.storage.errors import SchemaError, TableNotFoundError, TransactionError
 from repro.storage.mvcc import Transaction, TransactionManager
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
@@ -214,12 +214,6 @@ class Database:
     def transaction(self, ledger: CostLedger | None = None) -> Transaction:
         """Alias of :meth:`begin`, reads nicely in ``with`` statements."""
         return self.begin(ledger)
-
-    def sql(self, txn: Transaction, text: str, params: Iterable[object] = ()):
-        """Execute a SQL statement; see :mod:`repro.storage.sql`."""
-        from repro.storage.sql import execute
-
-        return execute(self, txn, text, list(params))
 
     def vacuum(self) -> int:
         """Vacuum every table; returns total versions reclaimed."""

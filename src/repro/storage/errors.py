@@ -34,7 +34,3 @@ class SerializationConflictError(TransactionError):
     row being written was modified by a transaction that committed after
     this transaction's snapshot, or is locked by a concurrent writer.
     """
-
-
-class SqlError(StorageError):
-    """Malformed SQL text or unsupported construct."""

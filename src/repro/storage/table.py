@@ -135,15 +135,21 @@ class Table:
     def lookup(
         self, txn: Transaction, index: str, key: tuple
     ) -> Iterator[dict[str, object]]:
-        """Visible rows whose ``index`` columns equal ``key``."""
+        """Visible rows whose ``index`` columns equal ``key``, in
+        primary-key order.
+
+        Every primary key the index holds under ``key`` is read by
+        :meth:`get` (one page, one seek); an entry left behind by an
+        update that moved the row to another key is read and dropped.
+        """
         txn.require_active()
         with self._latch:
-            tree = self._index(index)
-            pks: set[tuple] = tree.get(key) or set()
+            pks: set[tuple] = self._index(index).get(key) or set()
+            columns = self.schema.indexes[index]
             rows = []
             for pk in sorted(pks):
                 row = self.get(txn, pk)
-                if row is not None:
+                if row is not None and tuple(row[c] for c in columns) == key:
                     rows.append(row)
         return iter(rows)
 
@@ -235,10 +241,7 @@ class Table:
             chain.push(version)
             txn.record_create(chain, version)
             self._log(txn, "insert", row)
-            for name, columns in self.schema.indexes.items():
-                index_key = tuple(row[c] for c in columns)
-                self._index_add(name, index_key, key)
-                txn.on_abort(lambda n=name, ik=index_key, pk=key: self._index_remove(n, ik, pk))
+            self._index_row(txn, row, key)
 
     def insert_many(self, txn: Transaction, rows: list[dict[str, object]]) -> int:
         """Insert a batch of rows under one latch acquisition.
@@ -301,12 +304,7 @@ class Table:
                 version = Version(row, rowid, creator=txn)
                 chain.push(version)
                 txn.record_create(chain, version)
-                for name, columns in self.schema.indexes.items():
-                    index_key = tuple(row[c] for c in columns)
-                    self._index_add(name, index_key, key)
-                    txn.on_abort(
-                        lambda n=name, ik=index_key, pk=key: self._index_remove(n, ik, pk)
-                    )
+                self._index_row(txn, row, key)
             txn.on_commit(lambda: self._pool.flush(self._device))
             self._log(txn, "insert_many", [dict(row) for row in validated])
             self.bulk_insert_rows += len(validated)
@@ -364,10 +362,7 @@ class Table:
             new_version = Version(new_row, rowid, creator=txn)
             chain.push(new_version)
             txn.record_create(chain, new_version)
-            for name, columns in self.schema.indexes.items():
-                index_key = tuple(new_row[c] for c in columns)
-                self._index_add(name, index_key, key)
-                txn.on_abort(lambda n=name, ik=index_key, pk=key: self._index_remove(n, ik, pk))
+            self._index_row(txn, new_row, key)
             self._log(txn, "update", (key, dict(changes)))
             return True
 
@@ -423,13 +418,25 @@ class Table:
         except KeyError:
             raise StorageError(f"{self.schema.name} has no index {name!r}") from None
 
-    def _index_add(self, name: str, index_key: tuple, pk: tuple) -> None:
-        tree = self._indexes[name]
-        pks = tree.get(index_key)
-        if pks is None:
-            tree.insert(index_key, {pk})
-        else:
-            pks.add(pk)
+    def _index_row(self, txn: Transaction, row: dict[str, object], pk: tuple) -> None:
+        """Enter a new version of ``pk`` into every secondary index.
+
+        Only an entry this call creates is ``txn``'s to take back on
+        abort: one that was already there (an update that left the
+        indexed columns alone, a re-insert of a deleted key) belongs to a
+        version some snapshot may still see.
+        """
+        for name, columns in self.schema.indexes.items():
+            index_key = tuple(row[c] for c in columns)
+            tree = self._indexes[name]
+            pks = tree.get(index_key)
+            if pks is None:
+                tree.insert(index_key, {pk})
+            elif pk not in pks:
+                pks.add(pk)
+            else:
+                continue
+            txn.on_abort(lambda n=name, ik=index_key: self._index_remove(n, ik, pk))
 
     def _index_remove(self, name: str, index_key: tuple, pk: tuple) -> None:
         tree = self._indexes[name]

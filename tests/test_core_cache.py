@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.cache import CacheLookup, SemanticCache
-from repro.costmodel import Category, paper_cluster
+from repro.core.pdfcache import PdfCache
+from repro.costmodel import Category, CostLedger, paper_cluster
 from repro.costmodel.devices import HddArraySpec, SsdSpec
 from repro.grid import Box
-from repro.morton import encode_array
+from repro.morton import decode_array, encode_array
 from repro.storage import Database, StorageDevice
 
 
@@ -132,6 +133,23 @@ class TestLookupSemantics:
         with db.transaction() as txn:
             lookup = cache.lookup(txn, "mhd", "vorticity", 0, BOX, 5.0)
         assert (np.diff(lookup.zindexes.astype(np.int64)) > 0).all()
+
+
+    def test_an_aborted_hit_leaves_the_entry_findable(self):
+        # get_batch_on_node runs a node part's boxes in one transaction:
+        # a hit on one box, then an abort on a later one, used to strip
+        # the entry that hit from `by_query` for good (the recency touch
+        # is an update) — still counted by used_bytes, never hit again.
+        db, cache = make_cache()
+        zindexes, values = points_in_box(BOX, 50)
+        with db.transaction() as txn:
+            cache.store(txn, "mhd", "vorticity", 0, BOX, 5.0, zindexes, values)
+        txn = db.begin()
+        assert cache.lookup(txn, "mhd", "vorticity", 0, BOX, 5.0).hit
+        txn.abort()
+        with db.transaction() as txn:
+            assert cache.lookup(txn, "mhd", "vorticity", 0, BOX, 5.0).hit
+            assert cache.entry_count(txn) == 1
 
 
 class TestStoreAndReplace:
@@ -277,3 +295,182 @@ def test_replacing_queries_leave_no_dead_versions_behind():
         live = sum(any(v.committed_live for v in c.versions) for c in chains)
         assert live >= 1
         assert sum(len(c.versions) for c in chains) <= 2 * live, name
+
+
+# -- what each operation charges ---------------------------------------------
+#
+# The literals below were captured at commit 9d7f54d, where every probe,
+# victim pick, SUM and DELETE went through the SQL dialect; the `Table`
+# calls that replaced it must take the same access paths, so every
+# simulated charge stays bit-identical.  Each step starts from a cold
+# page cache (so reads are charged, seeks included) and records the
+# operation's return value, the non-zero categories of its ledger, the
+# ledger's meters and the buffer pool's (hits, misses) — the only trace
+# of `drop_timestep` / `clear`, which run unledgered.
+
+
+class _Script:
+    def __init__(self, db):
+        self.db = db
+        self.log = []
+
+    def _pool(self):
+        stats = self.db.storage_stats()
+        return int(stats["bufferpool_hits"]), int(stats["bufferpool_misses"])
+
+    def step(self, name, op, own_txn=False):
+        self.db.drop_page_cache()
+        hits, misses = self._pool()
+        ledger = CostLedger()
+        if own_txn:
+            result = op()
+        else:
+            with self.db.transaction(ledger) as txn:
+                result = op(txn)
+        if isinstance(result, CacheLookup):
+            count = None if result.zindexes is None else len(result.zindexes)
+            result = (result.hit, count, result.stale_ordinal)
+        elif isinstance(result, np.ndarray):
+            result = result.tolist()
+        after = self._pool()
+        self.log.append((
+            name,
+            result,
+            {k: v for k, v in ledger.breakdown().items() if v},
+            ledger.meters(),
+            (after[0] - hits, after[1] - misses),
+        ))
+
+
+_A = Box((0, 0, 0), (32, 32, 32))
+_B = Box((32, 0, 0), (64, 32, 32))  # same (dataset, field, timestep) as _A
+_C = _A  # at timestep 1
+
+
+def _three_chunk_points(box):
+    """9,000 points of ``box`` (three packed chunks), values 5.0-14.0."""
+    local = np.arange(9000, dtype=np.uint64) * np.uint64(3)
+    x, y, z = decode_array(local)
+    zindexes = encode_array(x + box.lo[0], y + box.lo[1], z + box.lo[2])
+    return zindexes, 5.0 + np.arange(9000) / 1000.0
+
+
+def _run_threshold_script(policy, full):
+    db = Database("cachehost")
+    db.add_device(StorageDevice("ssd", SsdSpec(), Category.CACHE_LOOKUP))
+    cache = SemanticCache(db, capacity_bytes=400_000, policy=policy)
+    script = _Script(db)
+    args = ("mhd", "vorticity")
+    script.step("store A", lambda t: cache.store(
+        t, *args, 0, _A, 5.0, *_three_chunk_points(_A)))
+    script.step("store B", lambda t: cache.store(
+        t, *args, 0, _B, 5.0, *_three_chunk_points(_B)))
+    script.step("hit A", lambda t: cache.lookup(t, *args, 0, _A, 5.0))
+    script.step("store C evicts", lambda t: cache.store(
+        t, *args, 1, _C, 5.0, *_three_chunk_points(_C)))
+    script.step("probe A", lambda t: cache.lookup(t, *args, 0, _A, 5.0))
+    script.step("probe B", lambda t: cache.lookup(t, *args, 0, _B, 5.0))
+    if not full:
+        return script.log, cache.stats.snapshot()
+    script.step("contained hit C", lambda t: cache.lookup(
+        t, *args, 1, Box((0, 0, 0), (16, 16, 16)), 6.0))
+    script.step("stale probe C", lambda t: cache.lookup(t, *args, 1, _C, 4.0))
+    stale = script.log[-1][1][2]
+    script.step("stale replace C", lambda t: cache.store(
+        t, *args, 1, _C, 4.0, *_three_chunk_points(_C), replace_ordinal=stale))
+    script.step("used_bytes", cache.used_bytes)
+    script.step("data_point_count", cache.data_point_count)
+    script.step("entry_points", lambda t: len(cache.entry_points(t, 4)[0]))
+    script.step("drop_timestep", lambda: cache.drop_timestep(*args, 1), True)
+    script.step("clear", cache.clear, True)
+
+    pdf = PdfCache(db, max_entries=2)
+    edges = (0.0, 1.0, 2.0)
+    for t in range(2):
+        script.step(f"pdf store {t}", lambda txn, t=t: pdf.store(
+            txn, *args, t, 4, edges, np.array([t, 7], np.int64)))
+    script.step("pdf hit 0", lambda txn: pdf.lookup(txn, *args, 0, 4, edges))
+    script.step("pdf store 2 evicts", lambda txn: pdf.store(
+        txn, *args, 2, 4, edges, np.array([2, 7], np.int64)))
+    script.step("pdf probe 1", lambda txn: pdf.lookup(txn, *args, 1, 4, edges))
+    script.step("pdf probe 0", lambda txn: pdf.lookup(txn, *args, 0, 4, edges))
+    script.step("pdf clear", pdf.clear, True)
+    return script.log, (cache.stats.snapshot(), pdf.stats.snapshot())
+
+
+_EXPECTED_LRU = ([('store A', 1, {'cache_lookup': 0.0006812500000000002},
+   {'cache_bytes': 65536.0}, (0, 4)),
+  ('store B', 2, {'cache_lookup': 0.0006812500000000002},
+   {'cache_bytes': 65536.0}, (1, 4)),
+  ('hit A', (True, 9000, None), {'cache_lookup': 0.0005640625000000001},
+   {'cache_bytes': 40960.0}, (2, 4)),
+  ('store C evicts', 3, {'cache_lookup': 0.0011921875000000005},
+   {'cache_bytes': 114688.0}, (9, 7)),
+  ('probe A', (True, 9000, None), {'cache_lookup': 0.0005640625000000001},
+   {'cache_bytes': 40960.0}, (1, 4)),
+  ('probe B', (False, None, None), {'cache_lookup': 0.00013125000000000002},
+   {'cache_bytes': 8192.0}, (0, 1)),
+  ('contained hit C', (True, 366, None),
+   {'cache_lookup': 0.0005640625000000001}, {'cache_bytes': 40960.0}, (1, 4)),
+  ('stale probe C', (False, None, 3), {'cache_lookup': 0.00013125000000000002},
+   {'cache_bytes': 8192.0}, (0, 1)),
+  ('stale replace C', 4, {'cache_lookup': 0.0011921875000000005},
+   {'cache_bytes': 114688.0}, (5, 7)),
+  ('used_bytes', 360000, {'cache_lookup': 0.00013125000000000002},
+   {'cache_bytes': 8192.0}, (1, 1)),
+  ('data_point_count', 18000, {'cache_lookup': 0.0002875},
+   {'cache_bytes': 49152.0}, (0, 6)),
+  ('entry_points', 9000, {'cache_lookup': 0.00039375000000000006},
+   {'cache_bytes': 24576.0}, (0, 3)),
+  ('drop_timestep', 1, {}, {}, (4, 4)), ('clear', 1, {}, {}, (4, 4)),
+  ('pdf store 0', 1, {'cache_lookup': 0.00017031250000000003},
+   {'cache_bytes': 16384.0}, (0, 1)),
+  ('pdf store 1', 2, {'cache_lookup': 0.00017031250000000003},
+   {'cache_bytes': 16384.0}, (0, 1)),
+  ('pdf hit 0', [0, 7], {'cache_lookup': 0.00017031250000000003},
+   {'cache_bytes': 16384.0}, (1, 1)),
+  ('pdf store 2 evicts', 3, {'cache_lookup': 0.00017031250000000003},
+   {'cache_bytes': 16384.0}, (3, 1)),
+  ('pdf probe 1', None, {}, {}, (0, 0)),
+  ('pdf probe 0', [0, 7], {'cache_lookup': 0.00017031250000000003},
+   {'cache_bytes': 16384.0}, (1, 1)),
+  ('pdf clear', 2, {}, {}, (3, 1))],
+ ({'hits': 3,
+   'misses': 2,
+   'dominance_rejections': 1,
+   'evictions': 1,
+   'stored_points': 36000,
+   'stored_bytes': 720000,
+   'chunks_pruned': 2},
+  {'hits': 2,
+   'misses': 1,
+   'dominance_rejections': 0,
+   'evictions': 1,
+   'stored_points': 6,
+   'stored_bytes': 48,
+   'chunks_pruned': 0}))
+
+_EXPECTED_FIFO = ([('store A', 1, {'cache_lookup': 0.0006812500000000002},
+   {'cache_bytes': 65536.0}, (0, 4)),
+  ('store B', 2, {'cache_lookup': 0.0006812500000000002},
+   {'cache_bytes': 65536.0}, (1, 4)),
+  ('hit A', (True, 9000, None), {'cache_lookup': 0.0005640625000000001},
+   {'cache_bytes': 40960.0}, (2, 4)),
+  ('store C evicts', 3, {'cache_lookup': 0.0011921875000000005},
+   {'cache_bytes': 114688.0}, (9, 7)),
+  ('probe A', (False, None, None), {'cache_lookup': 0.00013125000000000002},
+   {'cache_bytes': 8192.0}, (0, 1)),
+  ('probe B', (True, 9000, None), {'cache_lookup': 0.0005640625000000001},
+   {'cache_bytes': 40960.0}, (1, 4))],
+ {'hits': 2,
+  'misses': 1,
+  'dominance_rejections': 0,
+  'evictions': 1,
+  'stored_points': 27000,
+  'stored_bytes': 540000,
+  'chunks_pruned': 0})
+
+
+def test_cache_operations_charge_what_they_did():
+    assert _run_threshold_script("lru", full=True) == _EXPECTED_LRU
+    assert _run_threshold_script("fifo", full=False) == _EXPECTED_FIFO

@@ -9,7 +9,10 @@ snapshot-isolation semantics:
 * writing a key last written by a transaction that committed after the
   snapshot — or currently being written by another live transaction —
   raises a serialization conflict (first-updater-wins);
-* abort restores everything.
+* abort restores everything, the secondary indexes included: whatever a
+  transaction sees through an index lookup is what it sees by scanning
+  and filtering on that index's columns (``g`` never changes, so an
+  update leaves ``by_g`` alone; ``v`` changes on almost every update).
 """
 
 import pytest
@@ -17,8 +20,8 @@ from hypothesis import settings
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
+    consumes,
     invariant,
-    precondition,
     rule,
 )
 from hypothesis import strategies as st
@@ -64,8 +67,10 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
                 (
                     Column("k", ColumnType.INTEGER),
                     Column("v", ColumnType.INTEGER),
+                    Column("g", ColumnType.INTEGER),
                 ),
                 primary_key=("k",),
+                indexes={"by_g": ("g",), "by_v": ("v",)},
             ),
             device="ssd",
         )
@@ -92,31 +97,25 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
             return False
         return True
 
-    @precondition(lambda self: self.open)
     @rule(model=txns, key=st.sampled_from(KEYS), value=st.integers(0, 99))
     def upsert(self, model, key, value):
-        if model not in self.open:
-            return
         exists = model.visible(key) is not None
         if not self._write_allowed(model, key):
             with pytest.raises(SerializationConflictError):
                 if exists:
                     self.table.update(model.txn, (key,), {"v": value})
                 else:
-                    self.table.insert(model.txn, {"k": key, "v": value})
+                    self.table.insert(model.txn, {"k": key, "v": value, "g": key % 2})
             return
         if exists:
             assert self.table.update(model.txn, (key,), {"v": value})
         else:
-            self.table.insert(model.txn, {"k": key, "v": value})
+            self.table.insert(model.txn, {"k": key, "v": value, "g": key % 2})
         model.writes[key] = value
         self.writer[key] = model
 
-    @precondition(lambda self: self.open)
     @rule(model=txns, key=st.sampled_from(KEYS))
     def delete(self, model, key):
-        if model not in self.open:
-            return
         exists = model.visible(key) is not None
         if not exists:
             # Invisible rows are a no-op delete, never a conflict check
@@ -135,11 +134,8 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
         model.writes[key] = None
         self.writer[key] = model
 
-    @precondition(lambda self: self.open)
-    @rule(model=txns)
+    @rule(model=consumes(txns))
     def commit(self, model):
-        if model not in self.open:
-            return
         model.txn.commit()
         self.clock += 1
         for key, value in model.writes.items():
@@ -152,11 +148,8 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
                 del self.writer[key]
         self.open.remove(model)
 
-    @precondition(lambda self: self.open)
-    @rule(model=txns)
+    @rule(model=consumes(txns))
     def abort(self, model):
-        if model not in self.open:
-            return
         model.txn.abort()
         for key in model.writes:
             if self.writer.get(key) is model:
@@ -178,7 +171,25 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
         # A fresh reader sees exactly the committed state.
         with self.db.transaction() as reader:
             rows = {r["k"]: r["v"] for r in self.table.scan(reader)}
+            self._indexes_match_scan(reader)
         assert rows == self.committed
+
+    def _indexes_match_scan(self, txn):
+        rows = list(self.table.scan(txn))
+        for name, columns in self.table.schema.indexes.items():
+            # Every key a row has and every key the index holds (stale
+            # entries included): neither side may know one the other lacks.
+            held = {key for key, _ in self.table._indexes[name].items()}
+            for key in held | {tuple(r[c] for c in columns) for r in rows}:
+                expected = [r for r in rows if tuple(r[c] for c in columns) == key]
+                assert list(self.table.lookup(txn, name, key)) == expected, (
+                    f"txn {txn.txn_id} index {name} key {key}"
+                )
+
+    @invariant()
+    def index_lookups_match_scans(self):
+        for model in self.open:
+            self._indexes_match_scan(model.txn)
 
     def teardown(self):
         for model in list(self.open):
@@ -186,6 +197,6 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
 
 
 SnapshotIsolationMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
+    max_examples=100, stateful_step_count=30, deadline=None
 )
 TestSnapshotIsolation = SnapshotIsolationMachine.TestCase

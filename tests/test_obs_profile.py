@@ -6,16 +6,29 @@ from repro.obs import clock, tracing
 from repro.obs.profile import SamplingProfiler
 
 
-def burn(seconds: float) -> None:
+def spin(seconds: float) -> None:
     deadline = clock.now() + seconds
     while clock.now() < deadline:
+        pass
+
+
+def burn(profiler: SamplingProfiler) -> None:
+    """Spin until ``profiler`` has taken three more samples.
+
+    A fixed 50 ms spin is no promise of one: on a loaded two-core box the
+    1 ms sampler thread can fail to win the GIL inside it.  The deadline
+    only bounds a profiler that never samples at all.
+    """
+    target = profiler.samples + 3
+    deadline = clock.now() + 10.0
+    while profiler.samples < target and clock.now() < deadline:
         pass
 
 
 class TestSampling:
     def test_collects_samples_while_running(self):
         with SamplingProfiler(interval=0.001, track_spans=False) as profiler:
-            burn(0.05)
+            burn(profiler)
         assert profiler.samples > 0
         collapsed = profiler.collapsed()
         assert collapsed
@@ -24,7 +37,7 @@ class TestSampling:
 
     def test_burn_frame_appears_in_stacks(self):
         with SamplingProfiler(interval=0.001, track_spans=False) as profiler:
-            burn(0.05)
+            burn(profiler)
         assert any(
             "test_obs_profile:burn" in stack
             for stack in profiler.collapsed()
@@ -33,20 +46,20 @@ class TestSampling:
     def test_stop_is_idempotent_and_restartable(self):
         profiler = SamplingProfiler(interval=0.001, track_spans=False)
         profiler.start().start()
-        burn(0.02)
+        spin(0.02)
         profiler.stop()
         profiler.stop()
         assert not profiler.running
         count = profiler.samples
         profiler.start()
-        burn(0.02)
+        spin(0.02)
         profiler.stop()
         assert profiler.samples >= count
 
     def test_clear_drops_samples_but_keeps_running(self):
         profiler = SamplingProfiler(interval=0.001, track_spans=False).start()
         try:
-            burn(0.02)
+            spin(0.02)
             profiler.clear()
             assert profiler.samples == 0
         finally:
@@ -62,7 +75,7 @@ class TestSampling:
 
     def test_own_sampler_thread_is_never_sampled(self):
         with SamplingProfiler(interval=0.001, track_spans=False) as profiler:
-            burn(0.05)
+            burn(profiler)
         assert not any(
             "obs-profiler" in stack or "_sample_loop" in stack
             for stack in profiler.collapsed()
@@ -75,7 +88,7 @@ class TestSpanKeying:
         try:
             with SamplingProfiler(interval=0.001) as profiler:
                 with tracing.span("work.burn", trace_id="q_prof") as span:
-                    burn(0.05)
+                    burn(profiler)
             by_span = profiler.collapsed_by_span()
             key = f"q_prof/{span.span_id}:work.burn"
             assert key in by_span
@@ -87,7 +100,7 @@ class TestSpanKeying:
 
     def test_samples_outside_spans_are_unattributed(self):
         with SamplingProfiler(interval=0.001) as profiler:
-            burn(0.05)
+            burn(profiler)
         by_span = profiler.collapsed_by_span()
         assert set(by_span) == {""}
 
@@ -96,7 +109,7 @@ class TestSpanKeying:
         try:
             with SamplingProfiler(interval=0.001) as profiler:
                 with tracing.span("work.burn", trace_id="q_prof"):
-                    burn(0.05)
+                    burn(profiler)
             text = profiler.render_collapsed(by_span=True)
         finally:
             tracing.uninstall()
@@ -109,7 +122,7 @@ class TestSpanKeying:
 
     def test_write_produces_flamegraph_input(self, tmp_path):
         with SamplingProfiler(interval=0.001, track_spans=False) as profiler:
-            burn(0.03)
+            burn(profiler)
         target = profiler.write(tmp_path / "profile.txt")
         content = target.read_text()
         assert content
@@ -127,7 +140,7 @@ class TestSpanKeying:
                 with tracing.span("worker.task", trace_id="q_thread"):
                     found = tracing.span_for_thread(threading.get_ident())
                     seen["name"] = None if found is None else found.name
-                    burn(0.01)
+                    spin(0.01)
 
             thread = threading.Thread(target=work)
             thread.start()

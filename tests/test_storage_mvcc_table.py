@@ -132,6 +132,60 @@ class TestCrud:
             rows = list(db.table("info").lookup(txn, "by_field", ("vorticity",)))
         assert [r["ordinal"] for r in rows] == [1, 3]
 
+    def test_aborted_update_leaves_the_row_indexed(self, db):
+        # The update re-entered the row's unchanged index key and hooked
+        # its removal on abort: `get` found the row, `lookup` did not.
+        info = db.table("info")
+        with db.transaction() as txn:
+            info.insert(txn, {"ordinal": 1, "field": "vorticity"})
+        txn = db.begin()
+        info.update(txn, (1,), {"threshold": 2.0})
+        txn.abort()
+        with db.transaction() as txn:
+            assert info.get(txn, (1,)) is not None
+            rows = list(info.lookup(txn, "by_field", ("vorticity",)))
+        assert [r["ordinal"] for r in rows] == [1]
+
+    def test_aborted_round_trip_of_an_indexed_column(self, db):
+        info = db.table("info")
+        with db.transaction() as txn:
+            info.insert(txn, {"ordinal": 1, "field": "q"})
+        txn = db.begin()
+        info.update(txn, (1,), {"field": "r"})
+        info.update(txn, (1,), {"field": "q"})
+        txn.abort()
+        with db.transaction() as txn:
+            assert len(list(info.lookup(txn, "by_field", ("q",)))) == 1
+            assert list(info.lookup(txn, "by_field", ("r",))) == []
+
+    def test_aborted_reinsert_keeps_an_old_snapshots_row_indexed(self, db):
+        info = db.table("info")
+        with db.transaction() as txn:
+            info.insert(txn, {"ordinal": 1, "field": "q"})
+        old = db.begin()
+        with db.transaction() as txn:
+            info.delete(txn, (1,))
+        txn = db.begin()
+        info.insert(txn, {"ordinal": 1, "field": "q"})
+        txn.abort()
+        assert len(list(info.lookup(old, "by_field", ("q",)))) == 1
+        old.commit()
+
+    def test_lookup_drops_a_row_that_moved_to_another_key(self, db):
+        info = db.table("info")
+        with db.transaction() as txn:
+            info.insert(txn, {"ordinal": 1, "field": "q"})
+        with db.transaction() as txn:
+            info.update(txn, (1,), {"field": "r"})
+        with db.transaction() as txn:
+            assert list(info.lookup(txn, "by_field", ("q",))) == []
+            assert len(list(info.lookup(txn, "by_field", ("r",)))) == 1
+
+    def test_begin_on_a_closed_database_is_a_transaction_error(self, db):
+        db.close()
+        with pytest.raises(TransactionError):
+            db.begin()
+
     def test_unknown_index(self, db):
         from repro.storage.errors import StorageError
 
