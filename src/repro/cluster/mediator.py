@@ -11,9 +11,8 @@ the per-node results, charges the mediator<->node (LAN) and
 mediator<->user (WAN, XML-inflated) transfers, and enforces the global
 result limit.
 
-Over TCP, the scatter's whole per-node fan-out rides one or two
-pipelined connections per node (many requests in flight on a shared
-socket), and oversized per-node results arrive as streamed PARTIAL
+Over TCP, each part owns one pooled connection to its node for the
+round trip, and oversized per-node results arrive as streamed PARTIAL
 chunks that the transport merges incrementally with
 :func:`merge_sorted_runs` while later chunks are still on the wire —
 the final gather here sees exactly the same Morton-sorted columns

@@ -434,9 +434,8 @@ class NodeExecutor:
         """Boundary atoms from peer nodes, one RPC and one run per peer.
 
         When several peers are involved their calls run concurrently on
-        short-lived threads — the peers' pipelined connection pools
-        multiplex them, so the wall time is one round trip rather than
-        one per peer.  Every concurrent fetch charges a scratch
+        short-lived threads, a pooled connection each, so the wall time
+        is one round trip rather than one per peer.  Every concurrent fetch charges a scratch
         :class:`CostLedger` that is folded back in deterministic order,
         so the *simulated* time is identical to a serial exchange
         regardless of the real-world overlap.  No ``ledger``, no charge.

@@ -124,10 +124,8 @@ def catch_up(server: "NodeServer") -> CatchUpReport:
         pool = pools.get(node_id)
         if pool is None:
             host, port = parse_address(addresses[node_id])
-            # Serial mode: catch-up is a sequential fetch loop, one
-            # request in flight — the pipelined reader thread buys
-            # nothing here.
-            pool = ConnectionPool(host, port, max_connections=1, pipeline=False)
+            # Catch-up is a sequential fetch loop: one request in flight.
+            pool = ConnectionPool(host, port, max_connections=1)
             pools[node_id] = pool
         return pool
 

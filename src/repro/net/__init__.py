@@ -16,17 +16,12 @@ kinds is one table, :mod:`repro.net.kinds`.
 The data plane is built for throughput: frames are assembled as lists
 of buffers and sent with vectored I/O (no full-payload concatenation),
 the handshake negotiates per-frame compression
-(:mod:`repro.net.compress`), pooled connections pipeline many in-flight
-requests over shared sockets, and oversized responses stream back as
+(:mod:`repro.net.compress`), each call owns one pooled connection for
+its request and response, and oversized responses stream back as
 PARTIAL chunk frames merged incrementally (:mod:`repro.net.stream`).
 """
 
-from repro.net.client import (
-    CallResult,
-    NodeClient,
-    PipelinedConnection,
-    RetryPolicy,
-)
+from repro.net.client import CallResult, NodeClient, RetryPolicy
 from repro.net.compress import (
     CompressionConfig,
     DEFAULT_COMPRESSION,
@@ -71,7 +66,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "PartialFailureError",
     "PartialSink",
-    "PipelinedConnection",
     "PointStreamSink",
     "ProtocolError",
     "RemoteCallError",

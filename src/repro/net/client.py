@@ -1,18 +1,11 @@
-"""Client connections to a node server, plus the retry policy.
+"""The client connection to a node server, plus the retry policy.
 
-Two connection flavours share one wire dialect:
-
-* :class:`NodeClient` — the serial connection: handshake on connect
-  (HELLO/HELLO_ACK with protocol version, node id and codec
-  negotiation), then one REQUEST at a time, reading PARTIAL frames and
-  the final RESPONSE inline.
-* :class:`PipelinedConnection` — the multiplexed connection the pool
-  uses by default: a background reader loop dispatches incoming frames
-  by ``request_id`` to per-request queues, so many calls are in flight
-  on one socket and the Mediator's scatter no longer serializes
-  send→recv per call.  If the socket dies, *every* outstanding request
-  fails with :class:`ConnectionLostError` and the connection reports
-  itself unusable.
+:class:`NodeClient` is the one connection type: handshake on connect
+(HELLO/HELLO_ACK with protocol version, node id and codec negotiation),
+then one REQUEST at a time, reading PARTIAL frames and the final
+RESPONSE inline on the caller's thread.  Concurrent calls to one node
+take one connection each from the node's
+:class:`~repro.net.pool.ConnectionPool`.
 
 Every public operation takes an explicit deadline — there is no "no
 timeout" mode anywhere in this tier (lint rule NET01 enforces the
@@ -26,11 +19,9 @@ swap the broken connection a retry needs.
 
 from __future__ import annotations
 
-import queue
 import random
 import socket
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.fields.derived import UnknownFieldError
@@ -39,8 +30,6 @@ from repro.net import codec, compress
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION, FrameCodec
 from repro.net.errors import (
     ConnectionLostError,
-    DeadlineExceededError,
-    NetError,
     NodeUnavailableError,
     ProtocolError,
     RemoteCallError,
@@ -48,10 +37,9 @@ from repro.net.errors import (
 from repro.net.frame import (
     Buffer,
     Deadline,
-    Frame,
     FrameType,
     PROTOCOL_VERSION,
-    poll_frame,
+    idle_socket_is_stale,
     recv_frame,
     send_frame,
 )
@@ -68,15 +56,6 @@ _REMOTE_TYPES: Mapping[str, type[Exception]] = {
     "KeyError": KeyError,
     "TypeError": TypeError,
 }
-
-#: How long the pipelined reader blocks per poll before re-checking
-#: for shutdown; short enough that close() feels immediate.
-READ_POLL_SECONDS = 0.25
-#: Budget for completing a frame once its first byte has arrived.  This
-#: is a liveness backstop, not a request deadline (those are enforced
-#: per call on the waiter queue) — it only has to distinguish "a large
-#: frame is flowing" from "the peer wedged mid-frame".
-READER_FRAME_TIMEOUT = 600.0
 
 
 @dataclass(frozen=True)
@@ -334,8 +313,12 @@ class NodeClient:
                         )
                     sink.feed(response_header, response_blobs)
                 finally:
-                    if frame.release is not None:
-                        frame.release()
+                    # No view of a ring slot may outlive its hand-back —
+                    # nor, if the next read fails, the ring's own close.
+                    release = frame.release
+                    del frame, response_blobs
+                    if release is not None:
+                        release()
                 partials += 1
                 continue
             if frame.frame_type == FrameType.ERROR:
@@ -379,6 +362,15 @@ class NodeClient:
         """Whether the server attached to this connection's ring."""
         return self._ring is not None
 
+    def stale(self) -> bool:
+        """Whether the peer hung up (or spoke) while no call was open.
+
+        Between calls nothing is owed on a request/response connection,
+        so a readable socket means EOF, a reset or stray bytes: the pool
+        closes such a connection instead of spending a call on it.
+        """
+        return idle_socket_is_stale(self._sock)
+
     def close(self) -> None:
         """Close the socket and the payload ring (idempotent)."""
         if not self._closed:
@@ -392,366 +384,6 @@ class NodeClient:
                 self._ring = None
 
     def __enter__(self) -> "NodeClient":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-@dataclass
-class _Waiter:
-    """Per-request mailbox the reader loop posts frames into."""
-
-    frames: "queue.SimpleQueue[tuple]" = field(default_factory=queue.SimpleQueue)
-
-
-def _drain_releases(waiter: _Waiter) -> None:
-    """Ack ring slots of frames a finished/abandoned caller never took."""
-    while True:
-        try:
-            entry = waiter.frames.get_nowait()
-        except queue.Empty:
-            return
-        if entry[0] in ("partial", "final") and callable(entry[-1]):
-            entry[-1]()
-
-
-class PipelinedConnection:
-    """One multiplexed framed connection with many in-flight requests.
-
-    A daemon reader thread owns a duplicate of the socket's file
-    descriptor (``sock.dup()``), so receive timeouts never race the
-    sender's ``settimeout`` calls.  Sends are serialized by a lock;
-    responses are matched to callers by the ``request_id`` the frame
-    header already carries.  Any transport failure — EOF, reset, a
-    malformed frame — fails *all* outstanding requests with
-    :class:`ConnectionLostError` and permanently marks the connection
-    unusable; the pool then discards it.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        connect_deadline: Deadline,
-        *,
-        compression: CompressionConfig | None = None,
-        on_ratio: Callable[[float], None] | None = None,
-        shm: bool = False,
-    ) -> None:
-        self.address = f"{host}:{port}"
-        config = compression if compression is not None else DEFAULT_COMPRESSION
-        self._sock = _connect(host, port, self.address, connect_deadline)
-        self._send_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._waiters: dict[int, _Waiter] = {}
-        self._next_request_id = 1
-        self._dead: Exception | None = None
-        self._closed = False
-        self.node_id: int | None = None
-        self._ring = _make_ring(shm)
-        try:
-            self.node_id, self._codec, granted = perform_handshake(
-                self._sock, self.address, connect_deadline, config, on_ratio,
-                ring=self._ring,
-            )
-            if not granted and self._ring is not None:
-                self._ring.close()
-                self._ring = None
-            self._rsock = self._sock.dup()
-        except Exception:
-            self._sock.close()
-            if self._ring is not None:
-                self._ring.close()
-                self._ring = None
-            raise
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"net-mux-{self.address}",
-            daemon=True,
-        )
-        self._reader.start()
-
-    # -- state -----------------------------------------------------------------
-
-    @property
-    def usable(self) -> bool:
-        """Whether new calls may be issued on this connection."""
-        with self._state_lock:
-            return not self._closed and self._dead is None
-
-    @property
-    def in_flight(self) -> int:
-        """Outstanding requests (the pool's load-balancing signal)."""
-        with self._state_lock:
-            return len(self._waiters)
-
-    @property
-    def shm_active(self) -> bool:
-        """Whether the server attached to this connection's ring."""
-        return self._ring is not None
-
-    # -- calls -----------------------------------------------------------------
-
-    def call(
-        self,
-        method: str,
-        header: dict,
-        blobs: Sequence[Buffer],
-        deadline: Deadline,
-        *,
-        sink: PartialSink | None = None,
-    ) -> CallResult:
-        """One multiplexed RPC; safe to invoke from many threads at once.
-
-        Raises the same family of errors as :meth:`NodeClient.call`; in
-        addition, a request that times out merely abandons its mailbox
-        (the connection stays healthy and a late response is dropped).
-        """
-        request_id, waiter = self._register()
-        parts = codec.encode_message_parts({"method": method, **header}, blobs)
-        sent = self._send(FrameType.REQUEST, request_id, parts, deadline)
-        return self._await_response(
-            request_id, waiter, deadline, sent, sink=sink
-        )
-
-    def ping(self, deadline: Deadline) -> float:
-        """Health check; returns the round-trip wall seconds."""
-        request_id, waiter = self._register()
-        start = clock.now()
-        self._send(FrameType.PING, request_id, b"", deadline)
-        result = self._await_response(request_id, waiter, deadline, 0,
-                                      sink=None, expect=FrameType.PONG)
-        del result
-        return clock.now() - start
-
-    def _register(self) -> tuple[int, _Waiter]:
-        with self._state_lock:
-            if self._closed:
-                raise ConnectionLostError(
-                    f"client to {self.address} is closed"
-                )
-            if self._dead is not None:
-                raise ConnectionLostError(
-                    f"connection to {self.address} is dead: {self._dead}"
-                )
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            waiter = _Waiter()
-            self._waiters[request_id] = waiter
-            return request_id, waiter
-
-    def _unregister(self, request_id: int) -> None:
-        with self._state_lock:
-            self._waiters.pop(request_id, None)
-
-    def _send(
-        self,
-        frame_type: FrameType,
-        request_id: int,
-        payload: Buffer | Sequence[Buffer],
-        deadline: Deadline,
-    ) -> int:
-        try:
-            # Holding _send_lock across the write is the point: frames
-            # from concurrent callers must not interleave on the wire,
-            # and the send is bounded by the request deadline.
-            with self._send_lock:
-                return send_frame(  # turblint: disable=LOCK02
-                    self._sock, frame_type, request_id, payload, deadline,
-                    codec=self._codec,
-                )
-        except (DeadlineExceededError, ConnectionLostError, OSError) as error:
-            # A partially-written frame desyncs the stream for everyone:
-            # poison the connection, not just this call.
-            self._unregister(request_id)
-            self._fail_all(
-                ConnectionLostError(
-                    f"send to {self.address} failed mid-frame: {error}"
-                )
-            )
-            raise
-        except BaseException:
-            self._unregister(request_id)
-            raise
-
-    def _await_response(
-        self,
-        request_id: int,
-        waiter: _Waiter,
-        deadline: Deadline,
-        sent: int,
-        *,
-        sink: PartialSink | None,
-        expect: FrameType = FrameType.RESPONSE,
-    ) -> CallResult:
-        received = 0
-        partials = 0
-        via_shm = 0
-        try:
-            while True:
-                try:
-                    entry = waiter.frames.get(timeout=deadline.remaining())
-                except queue.Empty:
-                    raise DeadlineExceededError(
-                        f"no response from {self.address} within the deadline"
-                    ) from None
-                kind = entry[0]
-                if kind == "partial":
-                    _, part_header, part_blobs, wire, shm_span, release = entry
-                    received += wire
-                    via_shm += shm_span
-                    partials += 1
-                    try:
-                        if sink is None:
-                            raise ProtocolError(
-                                f"{self.address} streamed PARTIAL frames for "
-                                f"a call without a sink"
-                            )
-                        sink.feed(part_header, part_blobs)
-                    finally:
-                        if release is not None:
-                            del part_blobs
-                            release()
-                    continue
-                if kind == "failed":
-                    raise entry[1]
-                _, frame_type, resp_header, resp_blobs, wire, shm_span, _rel = (
-                    entry
-                )
-                received += wire
-                via_shm += shm_span
-                if frame_type == FrameType.ERROR:
-                    raise remote_error(resp_header)
-                if frame_type != expect:
-                    raise ProtocolError(
-                        f"expected {expect.name}, got {frame_type.name} "
-                        f"from {self.address}"
-                    )
-                return CallResult(
-                    resp_header, resp_blobs, sent, received, partials, via_shm
-                )
-        finally:
-            self._unregister(request_id)
-            _drain_releases(waiter)
-
-    # -- reader loop -----------------------------------------------------------
-
-    def _read_loop(self) -> None:
-        while True:
-            with self._state_lock:
-                if self._closed or self._dead is not None:
-                    return
-            try:
-                frame = poll_frame(
-                    self._rsock,
-                    poll=READ_POLL_SECONDS,
-                    frame_timeout=READER_FRAME_TIMEOUT,
-                    codec=self._codec,
-                    shm=self._ring,
-                )
-            except (NetError, OSError) as error:
-                self._fail_all(
-                    ConnectionLostError(
-                        f"connection to {self.address} lost: {error}"
-                    )
-                )
-                return
-            if frame is None:
-                continue
-            try:
-                self._dispatch(frame)
-            except NetError as error:
-                self._fail_all(
-                    ConnectionLostError(
-                        f"undecodable frame from {self.address}: {error}"
-                    )
-                )
-                return
-
-    def _dispatch(self, frame: Frame) -> None:
-        frame_type = frame.frame_type
-        if frame_type == FrameType.PARTIAL:
-            header, blobs = codec.decode_message(frame.payload)
-            with self._state_lock:
-                waiter = self._waiters.get(frame.request_id)
-            if waiter is None:
-                # The caller already timed out: nobody will consume this
-                # chunk, so hand its ring slot straight back.
-                if frame.release is not None:
-                    frame.release()
-                return
-            waiter.frames.put(
-                (
-                    "partial", header, blobs, frame.wire_bytes,
-                    frame.shm_bytes, frame.release,
-                )
-            )
-            return
-        if frame_type in (FrameType.RESPONSE, FrameType.ERROR, FrameType.PONG):
-            if frame_type == FrameType.PONG:
-                header, blobs = {}, []
-            else:
-                header, blobs = codec.decode_message(frame.payload)
-            with self._state_lock:
-                waiter = self._waiters.pop(frame.request_id, None)
-            # A missing waiter is a caller that already timed out; the
-            # late response is dropped and the connection stays healthy.
-            if waiter is None:
-                if frame.release is not None:
-                    frame.release()
-                return
-            waiter.frames.put(
-                (
-                    "final", frame_type, header, blobs, frame.wire_bytes,
-                    frame.shm_bytes, frame.release,
-                )
-            )
-            return
-        raise ProtocolError(
-            f"unexpected {frame_type.name} frame on a pipelined connection"
-        )
-
-    def _fail_all(self, error: ConnectionLostError) -> None:
-        with self._state_lock:
-            if self._dead is None and not self._closed:
-                self._dead = error
-            waiters = list(self._waiters.values())
-            self._waiters.clear()
-        for waiter in waiters:
-            waiter.frames.put(("failed", error))
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        with self._state_lock:
-            return self._closed
-
-    def close(self) -> None:
-        """Close both socket handles and fail any outstanding requests."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._fail_all(
-            ConnectionLostError(f"client to {self.address} was closed")
-        )
-        for sock in (self._sock, self._rsock):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close never owes us anything
-                pass
-        self._reader.join(timeout=2.0)
-        if self._ring is not None:
-            self._ring.close()
-            self._ring = None
-
-    def __enter__(self) -> "PipelinedConnection":
         return self
 
     def __exit__(self, *exc: object) -> None:

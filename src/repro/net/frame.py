@@ -24,10 +24,11 @@ receivers preallocate one ``bytearray`` per frame and fill it with
 once on each side.
 
 Every read and write on a socket goes through :func:`send_frame` /
-:func:`recv_frame` / :func:`poll_frame`, which re-arm the socket
-timeout around each OS call — the NET01 lint rule pins all raw socket
-usage to this module and checks the timeout discipline statically,
-and NET02 keeps payload concatenation off this hot path.
+:func:`recv_frame`, which re-arm the socket timeout around each OS
+call (:func:`idle_socket_is_stale` is the one non-blocking peek) — the
+NET01 lint rule pins all raw socket usage to this module and checks the
+timeout discipline statically, and NET02 keeps payload concatenation
+off this hot path.
 """
 
 from __future__ import annotations
@@ -319,43 +320,22 @@ def recv_frame(
     return _finish_frame(sock, header, deadline, codec, shm)
 
 
-def poll_frame(
-    sock: socket.socket,
-    *,
-    poll: float,
-    frame_timeout: float,
-    codec: "FrameCodec | None" = None,
-    shm: "ShmRing | None" = None,
-) -> Frame | None:
-    """Wait up to ``poll`` seconds for the start of a frame.
+def idle_socket_is_stale(sock: socket.socket) -> bool:
+    """Whether a socket with no exchange open has anything to read.
 
-    The reader loop of a pipelined connection calls this in a tight
-    cycle: ``None`` means nothing arrived (go check for shutdown), and a
-    returned frame was collected under a fresh ``frame_timeout`` budget
-    that only starts once the first header byte lands — so a short poll
-    interval never truncates a large frame that is merely slow.
-
-    Raises:
-        ConnectionLostError: EOF or reset at any point.
-        FrameError: malformed or truncated frame.
-        DeadlineExceededError: a started frame stalled past
-            ``frame_timeout``.
+    A non-blocking one-byte peek: nothing there means the peer is
+    connected and quiet; EOF, a reset or unsolicited bytes all mean the
+    connection can carry no further request.  The next frame call
+    re-arms the socket's timeout from its own deadline.
     """
-    header = bytearray(HEADER.size)
-    view = memoryview(header)
-    sock.settimeout(poll)
     try:
-        first = sock.recv_into(view)
-    except socket.timeout:
-        return None
-    except OSError as error:
-        raise ConnectionLostError(f"recv failed: {error}") from error
-    if first == 0:
-        raise ConnectionLostError("connection closed by peer")
-    deadline = Deadline.after(frame_timeout)
-    if first < HEADER.size:
-        _recv_exact(sock, view[first:], deadline, eof_ok=False)
-    return _finish_frame(sock, header, deadline, codec, shm)
+        sock.settimeout(0.0)
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+    return True
 
 
 def _finish_frame(

@@ -1,19 +1,13 @@
 """Per-host connection pooling with retries for idempotent reads.
 
-A :class:`ConnectionPool` fronts one node server in one of two modes:
-
-* **Pipelined (the default).**  The pool keeps one or two
-  :class:`~repro.net.client.PipelinedConnection` objects and lets many
-  requests share each socket concurrently — the scatter's per-node
-  fan-out rides a couple of connections with deep in-flight queues
-  instead of a connection per outstanding call.  New connections are
-  only dialled when every live one is busy and the ceiling allows; a
-  connection whose socket dies fails all of its outstanding requests
-  and is discarded here.
-* **Serial (``pipeline=False``).**  The original checkout model: a
-  :class:`~repro.net.client.NodeClient` is exclusively owned for the
-  duration of a call, with idle connections health-checked by ping
-  before reuse.
+A :class:`ConnectionPool` fronts one node server.  A call checks a
+:class:`~repro.net.client.NodeClient` out, owns it for one request and
+its response, and hands it back; concurrent callers get a connection
+each, dialled lazily up to the ceiling, and further callers wait inside
+their deadline for a checkout.  An idle connection is examined at
+checkout: one whose socket is readable — EOF from a node that restarted
+or dropped it, or bytes nobody asked for — is closed and skipped, so a
+pile of dead connections never costs a call (or a retry) each.
 
 Retries: connection-level failures (:class:`NodeUnavailableError`,
 :class:`ConnectionLostError`) are retried with the pool's
@@ -28,21 +22,16 @@ mid-flight failure are never double-counted.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
-from repro.net.client import (
-    CallResult,
-    NodeClient,
-    PipelinedConnection,
-    RetryPolicy,
-)
+from repro.net.client import CallResult, NodeClient, RetryPolicy
 from repro.net.codec import TRACE_HEADER_KEY, trace_context_to_wire
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION
 from repro.net.errors import (
     ConnectionLostError,
     NetError,
     NodeUnavailableError,
-    ProtocolError,
 )
 from repro.net.frame import Buffer, Deadline
 from repro.net.stream import PartialSink
@@ -52,25 +41,11 @@ from repro.obs import clock, tracing
 #: capped by the request deadline).
 CONNECT_TIMEOUT_S = 2.0
 
-#: Idle seconds after which a serial pooled connection is pinged before
-#: reuse (pipelined connections detect death via their reader loop).
-HEALTH_CHECK_IDLE_SECONDS = 30.0
-
 #: Consecutive :meth:`ConnectionPool.ping` failures after which every
 #: pooled connection is evicted — a node that stops answering health
 #: probes gets a clean slate of dials rather than a pile of half-dead
 #: sockets.
 MAX_PROBE_FAILURES = 3
-
-
-class _PooledConnection:
-    """A serial client plus the bookkeeping the pool needs."""
-
-    __slots__ = ("client", "last_used")
-
-    def __init__(self, client: NodeClient) -> None:
-        self.client = client
-        self.last_used = clock.now()
 
 
 class ConnectionPool:
@@ -79,14 +54,11 @@ class ConnectionPool:
     Args:
         host: node server host.
         port: node server port.
-        max_connections: connection ceiling.  Pipelined mode dials a new
-            connection only when all live ones have requests in flight;
-            serial mode makes further callers wait (within their
-            deadline) for a checkout.
+        max_connections: connection ceiling; callers beyond it wait
+            (within their deadline) for a checkout.
         retry: backoff policy for idempotent calls.
         on_retry: called once per retry, for the transport's metrics.
-        pipeline: multiplex requests over shared connections (default)
-            or check connections out serially.
+        pipeline: accepted and ignored (there is one connection mode).
         compression: codecs to advertise on new connections; defaults
             to the stock zlib configuration.
         on_ratio: callback fed each frame's achieved compression ratio.
@@ -103,6 +75,8 @@ class ConnectionPool:
         max_connections: int = 4,
         retry: RetryPolicy | None = None,
         on_retry: Callable[[], None] | None = None,
+        # Held by the frozen benchmarks/e2e/probes.py (`_halo_probe`
+        # passes pipeline=False); selects nothing.
         pipeline: bool = True,
         compression: CompressionConfig | None = None,
         on_ratio: Callable[[float], None] | None = None,
@@ -115,7 +89,6 @@ class ConnectionPool:
         self.address = f"{host}:{port}"
         self.max_connections = max_connections
         self.retry = retry or RetryPolicy()
-        self.pipeline = pipeline
         self.compression = (
             compression if compression is not None else DEFAULT_COMPRESSION
         )
@@ -125,8 +98,7 @@ class ConnectionPool:
         self._on_retry = on_retry
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
-        self._idle: list[_PooledConnection] = []
-        self._pipes: list[PipelinedConnection] = []
+        self._idle: list[NodeClient] = []
         self._checked_out = 0
         self._closed = False
         self.connections_created = 0
@@ -225,21 +197,8 @@ class ConnectionPool:
 
     def _ping_once(self, timeout: float) -> float:
         deadline = Deadline.after(timeout)
-        if self.pipeline:
-            pipe = self._pipe(deadline)
-            try:
-                return pipe.ping(deadline)
-            except (ConnectionLostError, ProtocolError):
-                self._discard_pipe(pipe)
-                raise
-        conn = self._acquire(deadline)
-        try:
-            rtt = conn.client.ping(deadline)
-        except BaseException:
-            self._discard(conn)
-            raise
-        self._release(conn)
-        return rtt
+        with self._checkout(deadline) as client:
+            return client.ping(deadline)
 
     def _record_probe_failure(self) -> None:
         """Count one failed probe; evict everything at the threshold."""
@@ -249,18 +208,13 @@ class ConnectionPool:
                 return
             self.probe_failures = 0
             idle, self._idle = self._idle, []
-            pipes, self._pipes = self._pipes, []
-        for conn in idle:
-            conn.client.close()
-        for pipe in pipes:
-            pipe.close()
+        for client in idle:
+            client.close()
 
     @property
     def open_connections(self) -> int:
-        """Live connections the pool would hand out right now."""
+        """Connections the pool holds: idle, in a call or being dialled."""
         with self._lock:
-            if self.pipeline:
-                return sum(1 for pipe in self._pipes if pipe.usable)
             return len(self._idle) + self._checked_out
 
     def close(self) -> None:
@@ -268,12 +222,9 @@ class ConnectionPool:
         with self._available:
             self._closed = True
             idle, self._idle = self._idle, []
-            pipes, self._pipes = self._pipes, []
             self._available.notify_all()
-        for conn in idle:
-            conn.client.close()
-        for pipe in pipes:
-            pipe.close()
+        for client in idle:
+            client.close()
 
     def __enter__(self) -> "ConnectionPool":
         return self
@@ -295,99 +246,24 @@ class ConnectionPool:
             # Fresh attempt, fresh sink: chunks streamed before a
             # mid-flight failure must not survive into the retry.
             sink.reset()
-        if self.pipeline:
-            pipe = self._pipe(deadline)
-            try:
-                return pipe.call(method, header, blobs, deadline, sink=sink)
-            except (ConnectionLostError, ProtocolError):
-                # Dead socket or desynced framing: nothing else may use
-                # this connection again.
-                self._discard_pipe(pipe)
-                raise
-        conn = self._acquire(deadline)
+        with self._checkout(deadline) as client:
+            return client.call(method, header, blobs, deadline, sink=sink)
+
+    @contextmanager
+    def _checkout(self, deadline: Deadline) -> Iterator[NodeClient]:
+        """A connection owned for one exchange, then handed back."""
+        client = self._acquire(deadline)
         try:
-            result = conn.client.call(
-                method, header, blobs, deadline, sink=sink
-            )
+            yield client
         except BaseException:
             # Any in-flight failure leaves request/response framing in an
             # unknown state; the connection is poisoned either way.
-            self._discard(conn)
+            self._discard(client)
             raise
-        self._release(conn)
-        return result
+        self._release(client)
 
-    # -- pipelined mode --------------------------------------------------------
-
-    def _pipe(self, deadline: Deadline) -> PipelinedConnection:
-        """The least-loaded live connection, growing up to the ceiling.
-
-        A new connection is dialled only when every live one already has
-        requests in flight — the scatter's whole fan-out to one node
-        typically rides one or two sockets.
-        """
-        with self._lock:
-            if self._closed:
-                raise ConnectionLostError(f"pool for {self.address} is closed")
-            dead = [pipe for pipe in self._pipes if not pipe.usable]
-            self._pipes = [pipe for pipe in self._pipes if pipe not in dead]
-            best = min(
-                self._pipes, key=lambda pipe: pipe.in_flight, default=None
-            )
-            if (
-                best is not None
-                and best.in_flight
-                and len(self._pipes) < self.max_connections
-            ):
-                best = None
-            budget = min(CONNECT_TIMEOUT_S, deadline.remaining())
-        # A connection whose node died while it sat idle is found here and
-        # nowhere else (no call was in flight to discard it): close it, with
-        # the pool unlocked, or its sockets and shm ring outlive the node.
-        for pipe in dead:
-            pipe.close()
-        if best is not None:
-            return best
-        # Dial with the pool unlocked: the TCP connect plus handshake can
-        # take the whole connect budget, and holding the lock meanwhile
-        # would stall every other caller fanning out to this node.
-        pipe = PipelinedConnection(
-            self.host,
-            self.port,
-            Deadline(clock.now() + budget),
-            compression=self.compression,
-            on_ratio=self._on_ratio,
-            shm=self.shm,
-        )
-        stale: PipelinedConnection | None = None
-        with self._lock:
-            if self._closed:
-                stale = pipe
-            elif len(self._pipes) >= self.max_connections:
-                # Another caller grew the pool while we dialled; keep the
-                # ceiling and ride an existing connection instead.
-                stale = pipe
-                pipe = min(self._pipes, key=lambda p: p.in_flight)
-            else:
-                self._pipes.append(pipe)
-                self.connections_created += 1
-        if stale is not None:
-            stale.close()
-            if self._closed:
-                raise ConnectionLostError(
-                    f"pool for {self.address} is closed"
-                )
-        return pipe
-
-    def _discard_pipe(self, pipe: PipelinedConnection) -> None:
-        with self._lock:
-            if pipe in self._pipes:
-                self._pipes.remove(pipe)
-        pipe.close()
-
-    # -- serial mode -----------------------------------------------------------
-
-    def _acquire(self, deadline: Deadline) -> _PooledConnection:
+    def _acquire(self, deadline: Deadline) -> NodeClient:
+        """Check a connection out: an idle one, or a fresh dial."""
         while True:
             with self._available:
                 if self._closed:
@@ -395,32 +271,29 @@ class ConnectionPool:
                         f"pool for {self.address} is closed"
                     )
                 if self._idle:
-                    conn = self._idle.pop()
+                    client = self._idle.pop()
                     self._checked_out += 1
                 elif self._checked_out < self.max_connections:
                     self._checked_out += 1
-                    conn = None
+                    client = None
                 else:
                     self._available.wait(timeout=deadline.remaining())
                     continue
-            if conn is None:
+            # Dial (and peek) with the pool unlocked: a connect plus
+            # handshake can take the whole connect budget, and holding
+            # the lock meanwhile would stall every other caller.
+            if client is None:
                 try:
-                    conn = _PooledConnection(self._connect(deadline))
+                    client = self._connect(deadline)
                 except BaseException:
                     self._return_slot()
                     raise
                 with self._lock:
                     self.connections_created += 1
-                return conn
-            try:
-                if self._healthy(conn, deadline):
-                    return conn
-            except BaseException:
-                # A health ping that ran out of budget (or failed in any
-                # way `_healthy` does not judge) must not keep the slot.
-                self._discard(conn)
-                raise
-            self._return_slot()
+                return client
+            if not client.stale():
+                return client
+            self._discard(client)
 
     def _connect(self, deadline: Deadline) -> NodeClient:
         budget = min(CONNECT_TIMEOUT_S, deadline.remaining())
@@ -434,30 +307,17 @@ class ConnectionPool:
             shm=self.shm,
         )
 
-    def _healthy(self, conn: _PooledConnection, deadline: Deadline) -> bool:
-        """Ping a connection that sat idle too long; close it if stale."""
-        if clock.now() - conn.last_used < HEALTH_CHECK_IDLE_SECONDS:
-            return True
-        try:
-            conn.client.ping(deadline)
-        except (ConnectionLostError, NodeUnavailableError, OSError):
-            conn.client.close()
-            return False
-        conn.last_used = clock.now()
-        return True
-
-    def _release(self, conn: _PooledConnection) -> None:
-        conn.last_used = clock.now()
+    def _release(self, client: NodeClient) -> None:
         with self._available:
             self._checked_out -= 1
-            if self._closed or conn.client.closed:
-                conn.client.close()
+            if self._closed or client.closed:
+                client.close()
             else:
-                self._idle.append(conn)
+                self._idle.append(client)
             self._available.notify()
 
-    def _discard(self, conn: _PooledConnection) -> None:
-        conn.client.close()
+    def _discard(self, client: NodeClient) -> None:
+        client.close()
         self._return_slot()
 
     def _return_slot(self) -> None:

@@ -16,13 +16,13 @@ reads with no ledger bound, and the *requesting* side charges the
 interconnect transfer to the query's ledger — identical accounting to
 the in-process cluster.
 
-Each connection negotiates a frame codec in its HELLO exchange and then
-runs a small worker pool: the reader thread only parses frames, REQUEST
-frames are answered concurrently (pipelined clients keep several in
-flight), and responses — including the PARTIAL chunk streams of large
-threshold/batch results — are written through a per-connection send
-lock on a duplicated socket handle, so a slow response never blocks the
-reader and frames never interleave mid-frame.
+Each connection gets one thread.  It negotiates a frame codec in the
+HELLO exchange and then answers one REQUEST at a time, in place: the
+frame is read, the query runs and the response — including the PARTIAL
+chunk stream of a large threshold/batch result — is written on that
+thread before the next frame is read.  A client with several calls in
+flight holds several connections, so requests run concurrently across
+connection threads and no frame can interleave with another.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
@@ -95,21 +94,11 @@ from repro.storage.errors import StorageError
 CONFIG_FILENAME = "cluster.json"
 
 #: Seconds a connection may sit idle between frames before the server
-#: drops it (pooled clients ping well inside this).
+#: drops it (a pooled client finds the EOF at its next checkout).
 IDLE_TIMEOUT = 300.0
 
 #: Budget for writing one response back to a (possibly slow) client.
 RESPONSE_TIMEOUT = 60.0
-
-#: Concurrent REQUEST handlers per connection; matches the useful
-#: depth of a pipelined client's in-flight queue per socket.
-REQUEST_WORKERS = 4
-
-#: Methods answered inline on the connection's reader thread.  These
-#: are sub-millisecond memory reads; under compute load every executor
-#: handoff costs a GIL wait (up to the 5 ms switch interval), which for
-#: halo exchange dominates the RPC itself.
-INLINE_METHODS = frozenset({"halo", "describe"})
 
 #: Methods whose RESPONSE ships raw whatever HELLO negotiated.  The
 #: probe lets shuffle-zlib at halo atoms for a 1.14x smaller frame that
@@ -171,20 +160,17 @@ Response = Union[tuple[dict, Sequence[Buffer]], StreamedResponse]
 
 
 class _ConnectionState:
-    """One client connection's write side.
+    """One client connection: its socket and what HELLO negotiated.
 
-    The reader thread owns the original socket; responses are written
-    through a duplicated handle under a lock, so worker threads never
-    race the reader's ``settimeout`` calls and concurrently-answered
-    requests never interleave mid-frame.  ``codec`` is ``None`` until
-    the HELLO exchange negotiates one.
+    ``codec`` is ``None`` until the HELLO exchange negotiates one;
+    ``shm`` is the client's payload ring once a grant was accepted.
+    Only the connection's own thread reads or writes the socket.
     """
 
-    __slots__ = ("wsock", "lock", "codec", "shm")
+    __slots__ = ("conn", "codec", "shm")
 
     def __init__(self, conn: socket.socket) -> None:
-        self.wsock = conn.dup()
-        self.lock = threading.Lock()
+        self.conn = conn
         self.codec: FrameCodec | None = None
         self.shm: ShmWriter | None = None
 
@@ -195,19 +181,15 @@ class _ConnectionState:
         payload: "Buffer | Sequence[Buffer]",
         raw: bool = False,
     ) -> None:
-        # Holding the per-connection lock across the write is the point:
-        # responses from the worker pool must not interleave on the
-        # wire, and the send is bounded by the response deadline.
-        with self.lock:
-            send_frame(  # turblint: disable=LOCK02
-                self.wsock,
-                frame_type,
-                request_id,
-                payload,
-                Deadline.after(RESPONSE_TIMEOUT),
-                # Codec flags 0 (raw) is legal on every connection.
-                codec=None if raw else self.codec,
-            )
+        send_frame(
+            self.conn,
+            frame_type,
+            request_id,
+            payload,
+            Deadline.after(RESPONSE_TIMEOUT),
+            # Codec flags 0 (raw) is legal on every connection.
+            codec=None if raw else self.codec,
+        )
 
     def send_partial(
         self, request_id: int, payload: "Buffer | Sequence[Buffer]"
@@ -220,22 +202,21 @@ class _ConnectionState:
         never depends on the ring.
         """
         if self.shm is not None:
-            with self.lock:
-                shipped = send_shm_frame(  # turblint: disable=LOCK02
-                    self.wsock,
-                    FrameType.PARTIAL,
-                    request_id,
-                    payload,
-                    Deadline.after(RESPONSE_TIMEOUT),
-                    writer=self.shm,
-                )
+            shipped = send_shm_frame(
+                self.conn,
+                FrameType.PARTIAL,
+                request_id,
+                payload,
+                Deadline.after(RESPONSE_TIMEOUT),
+                writer=self.shm,
+            )
             if shipped is not None:
                 return
         self.send(FrameType.PARTIAL, request_id, payload)
 
     def close(self) -> None:
         try:
-            self.wsock.close()
+            self.conn.close()
         except OSError:  # pragma: no cover - close owes us nothing
             pass
         if self.shm is not None:
@@ -535,14 +516,7 @@ class NodeServer:
             pool = self._peer_pools[peer_id]
             if pool is None:
                 peer_host, peer_port = parse_address(peer_addresses[peer_id])
-                # Halo exchange is a synchronous call-and-wait pattern
-                # from a compute thread: a serial connection answers it
-                # with one thread wake-up fewer than the multiplexed
-                # mode, which matters when the interpreter is busy
-                # running kernels.
-                pool = ConnectionPool(
-                    peer_host, peer_port, max_connections=2, pipeline=False
-                )
+                pool = ConnectionPool(peer_host, peer_port, max_connections=2)
                 self._peer_pools[peer_id] = pool
             return pool
 
@@ -628,7 +602,7 @@ class NodeServer:
         """Stop accepting, close peer pools and the node (idempotent).
 
         Live connections are shut down at the socket level so their
-        reader threads wake immediately instead of riding out the idle
+        threads wake immediately instead of riding out the idle
         timeout; every per-connection thread is then joined and the
         thread list emptied (:meth:`_accept_loop` already reaps
         finished threads as connections come and go).
@@ -691,17 +665,13 @@ class NodeServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         """One client connection: frames in, frames out, until EOF.
 
-        This thread only reads and parses frames; REQUEST frames are
-        answered by a small per-connection worker pool so a pipelined
-        client's in-flight requests are served concurrently.  Responses
-        go through the connection state's locked write handle.
+        Every frame is answered on this thread before the next is read:
+        a hand-off to another thread would cost a GIL wait (up to the
+        5 ms switch interval) per request, more than a halo read or a
+        cache hit itself.
         """
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         state = _ConnectionState(conn)
-        workers = ThreadPoolExecutor(
-            max_workers=REQUEST_WORKERS,
-            thread_name_prefix=f"node{self.node_id}-rpc",
-        )
         with self._lock:
             self._open_conns.add(conn)
         try:
@@ -719,8 +689,8 @@ class NodeServer:
                 elif frame.frame_type == FrameType.PING:
                     state.send(FrameType.PONG, frame.request_id, b"")
                 elif frame.frame_type == FrameType.REQUEST:
-                    self._route_request(
-                        state, workers, frame.request_id, frame.payload
+                    self._answer_request(
+                        state, frame.request_id, frame.payload
                     )
                 else:
                     raise ProtocolError(
@@ -733,14 +703,7 @@ class NodeServer:
         finally:
             with self._lock:
                 self._open_conns.discard(conn)
-            # Let in-flight answers finish (their sends fail fast if the
-            # client is gone) before the write handle goes away.
-            workers.shutdown(wait=True)
             state.close()
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close owes us nothing
-                pass
 
     def _answer_hello(
         self, state: _ConnectionState, request_id: int, payload: Buffer
@@ -795,34 +758,6 @@ class NodeServer:
         except (OSError, KeyError, ValueError, TypeError):
             return None
 
-    def _route_request(
-        self,
-        state: _ConnectionState,
-        workers: ThreadPoolExecutor,
-        request_id: int,
-        payload: Buffer,
-    ) -> None:
-        """Decode one REQUEST and pick its execution lane.
-
-        Messages are decoded here on the reader thread (a JSON header
-        parse plus zero-copy blob slices — cheap next to the socket
-        read).  :data:`INLINE_METHODS` are then answered in place;
-        everything else goes to the per-connection worker pool so a
-        pipelined client's queries still run concurrently.
-        """
-        try:
-            header, blobs = codec.decode_message(payload)
-            method = str(header.get("method", ""))
-        except _REQUEST_ERRORS as error:
-            self._send_error(state, request_id, error)
-            return
-        if method in INLINE_METHODS:
-            self._answer_request(state, request_id, method, header, blobs)
-        else:
-            workers.submit(
-                self._answer_request, state, request_id, method, header, blobs
-            )
-
     @staticmethod
     def _send_error(
         state: _ConnectionState, request_id: int, error: Exception
@@ -843,57 +778,57 @@ class NodeServer:
         )
 
     def _answer_request(
-        self,
-        state: _ConnectionState,
-        request_id: int,
-        method: str,
-        header: dict,
-        blobs: "list[Buffer]",
+        self, state: _ConnectionState, request_id: int, payload: Buffer
     ) -> None:
-        # A traced request installs the caller's span context *on this
-        # thread* (the worker pool does not propagate contextvars from
-        # the reader thread, so the install must happen here): every
+        """Decode one REQUEST, run it and write its answer.
+
+        A failure of the request is answered with an ERROR frame; a
+        failure to write (the client went away mid-answer) propagates
+        and retires the connection.
+        """
+        received = clock.now()
+        try:
+            header, blobs = codec.decode_message(payload)
+            method = str(header.get("method", ""))
+        except _REQUEST_ERRORS as error:
+            self._send_error(state, request_id, error)
+            return
+        # A traced request runs under the caller's span context: every
         # span the dispatch opens — executor, cache, storage, halo —
         # parents under the remote caller's span and lands in the
         # capture buffer instead of any local collector.
         context = codec.trace_context_from_wire(header)
-        received = clock.now()
-        try:
-            with tracing.remote_request(context) as capture:
-                try:
-                    response = self._dispatch(method, header, blobs)
-                except _REQUEST_ERRORS as error:
-                    self._send_error(state, request_id, error)
-                    return
-                if isinstance(response, StreamedResponse):
-                    for part_header, part_blobs in response.partials:
-                        state.send_partial(
-                            request_id,
-                            codec.encode_message_parts(part_header, part_blobs),
-                        )
-                    final_header, final_blobs = response.header, response.blobs
-                else:
-                    final_header, final_blobs = response
-            if capture is not None:
-                # Piggyback the captured spans (with this server's own
-                # recv/send clock stamps for the caller's skew estimate)
-                # on the final RESPONSE header — no extra round trip.
-                final_header = {
-                    **final_header,
-                    codec.TRACE_HEADER_KEY: codec.trace_payload_to_wire(
-                        self.node_id, received, clock.now(), capture.to_wire()
-                    ),
-                }
-            state.send(
-                FrameType.RESPONSE,
-                request_id,
-                codec.encode_message_parts(final_header, final_blobs),
-                raw=method in RAW_REPLY_METHODS,
-            )
-        except (NetError, OSError):
-            # The client went away mid-answer; the reader loop notices
-            # the broken socket and retires the connection.
-            pass
+        with tracing.remote_request(context) as capture:
+            try:
+                response = self._dispatch(method, header, blobs)
+            except _REQUEST_ERRORS as error:
+                self._send_error(state, request_id, error)
+                return
+            if isinstance(response, StreamedResponse):
+                for part_header, part_blobs in response.partials:
+                    state.send_partial(
+                        request_id,
+                        codec.encode_message_parts(part_header, part_blobs),
+                    )
+                final_header, final_blobs = response.header, response.blobs
+            else:
+                final_header, final_blobs = response
+        if capture is not None:
+            # Piggyback the captured spans (with this server's own
+            # recv/send clock stamps for the caller's skew estimate)
+            # on the final RESPONSE header — no extra round trip.
+            final_header = {
+                **final_header,
+                codec.TRACE_HEADER_KEY: codec.trace_payload_to_wire(
+                    self.node_id, received, clock.now(), capture.to_wire()
+                ),
+            }
+        state.send(
+            FrameType.RESPONSE,
+            request_id,
+            codec.encode_message_parts(final_header, final_blobs),
+            raw=method in RAW_REPLY_METHODS,
+        )
 
     # -- request dispatch --------------------------------------------------------
 

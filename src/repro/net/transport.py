@@ -15,11 +15,12 @@ With compression negotiated (the default), those wire bytes are the
 *compressed* footprint — what truly crossed the LAN — and the
 ``net_compression_ratio`` histogram records how far each frame shrank.
 
-The data plane defaults to the fast path end to end: pooled
-connections pipeline many in-flight requests over one or two sockets
-per node, and large threshold/batch responses arrive as PARTIAL chunk
-streams that are merged incrementally via ``merge_sorted_runs`` while
-the remaining chunks are still in flight.
+Each RPC owns one pooled connection for its request and response (the
+mediator sends one part per node per query, so a node sees as many
+concurrent RPCs as there are concurrent queries), and large
+threshold/batch responses arrive as PARTIAL chunk streams that are
+merged incrementally via ``merge_sorted_runs`` while the remaining
+chunks are still in flight.
 
 Every transport implements the part path once — :meth:`Transport.part`,
 driven by the :class:`~repro.net.kinds.QueryKind` table — and the four
@@ -375,9 +376,10 @@ class TcpTransport(Transport):
             ConnectionPool(
                 host,
                 port,
-                # Each socket multiplexes many in-flight requests, so
-                # the whole scatter to one node rides two connections.
-                max_connections=2,
+                # One connection per in-flight part, dialled lazily; a
+                # node is asked for one part per query, so this bounds
+                # the concurrent queries one node serves for us.
+                max_connections=8,
                 retry=retry,
                 on_retry=self._observe_retry,
                 compression=compression,

@@ -14,9 +14,9 @@ source files:
   raise :class:`LockOrderError` the moment two sites are witnessed in
   both orders — a real inversion, caught even when the interleaving
   never actually deadlocks;
-* record every wire primitive (``send_frame`` / ``recv_frame`` /
-  ``poll_frame``) entered while any lock is held, so deliberate
-  held-across-I/O suppressions stay auditable.
+* record every wire primitive (``send_frame`` / ``recv_frame``)
+  entered while any lock is held, so deliberate held-across-I/O
+  suppressions stay auditable.
 
 :func:`export_witness` serialises the witnessed edges with their
 ``Class.attr`` labels (resolved from the creation site's AST), in the
@@ -52,7 +52,7 @@ _real_condition = threading.Condition
 
 #: Wire primitives wrapped to record held-across-blocking events:
 #: module path -> function names rebound there.
-_BLOCKING_FUNCTIONS = ("send_frame", "recv_frame", "poll_frame")
+_BLOCKING_FUNCTIONS = ("send_frame", "recv_frame")
 _BLOCKING_REBIND_MODULES = (
     "repro.net.frame",
     "repro.net.client",

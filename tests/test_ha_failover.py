@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import socket
 import threading
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.ha import HaTcpTransport, PlacementMap
 from repro.net.errors import NoLiveReplicaError, PartialFailureError
 from repro.net.server import ClusterConfig, NodeServer
 from repro.simulation.datasets import mhd_dataset
+from tests.net_doubles import shm_segments
 
 SIDE = 16
 TIMESTEPS = 1
@@ -233,6 +233,7 @@ def test_kill_mid_shm_grant(reference):
     # unlink the ring and fail over cleanly.
     servers, addresses = start_cluster(shm=True)
     victim = 0
+    rings_before = shm_segments()
     try:
         with make_ha_mediator(addresses, shm=True) as mediator:
             prefer(mediator, victim)
@@ -240,8 +241,13 @@ def test_kill_mid_shm_grant(reference):
             result = mediator.threshold(QUERY, use_cache=False)
             assert_identical(result, reference)
             assert servers[victim].killed
-            # No pipe (and no ring) survives to the dead node.
-            assert mediator.transport.pools[victim]._pipes == []
+            # No connection survives to the dead node, and no ring but
+            # the survivor's connections' own.
+            pools = mediator.transport.pools
+            assert pools[victim].open_connections == 0
+            assert len(shm_segments() - rings_before) == (
+                pools[1 - victim].open_connections
+            )
     finally:
         for server in servers:
             server.shutdown()
@@ -249,7 +255,7 @@ def test_kill_mid_shm_grant(reference):
 
 def test_kill_mid_shm_stream_unlinks_ring(reference):
     # A streamed response is flowing through the victim's ring when it
-    # dies: the client must discard the pipelined connection, unlink
+    # dies: the client must discard that connection, unlink
     # the ring segment, and the retried part must land on the survivor
     # over plain TCP with an identical answer.
     servers, addresses = start_cluster(shm=True)
@@ -257,21 +263,17 @@ def test_kill_mid_shm_stream_unlinks_ring(reference):
     try:
         with make_ha_mediator(addresses, shm=True) as mediator:
             prefer(mediator, victim)
+            rings_before = shm_segments()
             mediator.transport.ping(victim)  # dial + handshake the ring
             pool = mediator.transport.pools[victim]
-            assert pool._pipes, "expected a live pipelined connection"
-            pipe = pool._pipes[0]
-            ring = pipe._ring
-            assert ring is not None, "server should have accepted the grant"
-            ring_name = ring.name
+            assert pool.open_connections == 1
+            (ring_path,) = shm_segments() - rings_before
             servers[victim].die_after_partials = 2
             result = mediator.threshold(QUERY, use_cache=False)
             assert_identical(result, reference)
-            # The dead peer's pipe was evicted and its ring unlinked.
-            assert pipe not in pool._pipes
-            assert pipe._ring is None
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=ring_name)
+            # The dead peer's connection was discarded, its ring unlinked.
+            assert pool.open_connections == 0
+            assert ring_path not in shm_segments()
     finally:
         for server in servers:
             server.shutdown()

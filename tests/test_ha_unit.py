@@ -3,7 +3,7 @@
 The chaos proof (``test_ha_failover.py``) exercises the integrated
 system; this file pins the individual contracts — placement spreading,
 router ordering and health transitions, the failover predicate, pool
-hygiene (idle TTL, probe-failure eviction), replicated halo reads, and
+hygiene (probe-failure eviction), replicated halo reads, and
 digest anti-entropy.
 """
 
@@ -27,8 +27,10 @@ from repro.net.errors import (
     ProtocolError,
     RemoteCallError,
 )
+from repro.net.client import NodeClient
 from repro.net.pool import MAX_PROBE_FAILURES, ConnectionPool
 from repro.net.server import ClusterConfig, NodeServer, ReplicatedHaloPeer
+from tests.net_doubles import GatedNodeServer, fill_pool
 
 
 # -- placement -----------------------------------------------------------------
@@ -213,34 +215,39 @@ def test_partial_failure_error_carries_blast_radius():
 # -- pool hygiene --------------------------------------------------------------
 
 
-class _StubPipe:
-    """Just enough of PipelinedConnection for eviction bookkeeping."""
-
-    def __init__(self) -> None:
-        self.usable = True
-        self.closed = False
-
-    def close(self) -> None:
-        self.closed = True
-        self.usable = False
-
-
 def test_pool_validates_hygiene_options():
     with pytest.raises(ValueError):
         ConnectionPool("127.0.0.1", 1, max_connections=0)
 
 
-def test_pool_probe_failures_evict_everything():
-    pool = ConnectionPool("127.0.0.1", 1)
-    pipe = _StubPipe()
-    pool._pipes = [pipe]
-    for failures in range(1, MAX_PROBE_FAILURES):
-        pool._record_probe_failure()
-        assert not pipe.closed and pool.probe_failures == failures
-    pool._record_probe_failure()
-    assert pipe.closed
-    assert pool._pipes == []
-    assert pool.probe_failures == 0  # clean slate after the purge
+def test_pool_probe_failures_evict_everything(monkeypatch):
+    """Each failed probe costs the connection it rode; the one that
+    reaches the threshold takes every idle connection with it."""
+    config = ClusterConfig(
+        dataset="mhd", side=16, timesteps=1, seed=23, nodes=1
+    )
+    server = GatedNodeServer(0, config)
+    server.start()
+    pool = ConnectionPool("127.0.0.1", server.port, max_connections=5)
+
+    def timed_out(self, deadline):
+        raise DeadlineExceededError("health ping timed out")
+
+    try:
+        fill_pool(pool, server, 5)
+        monkeypatch.setattr(NodeClient, "ping", timed_out)
+        for failures in range(1, MAX_PROBE_FAILURES):
+            with pytest.raises(DeadlineExceededError):
+                pool.ping(1.0)
+            assert pool.open_connections == 5 - failures
+            assert pool.probe_failures == failures
+        with pytest.raises(DeadlineExceededError):
+            pool.ping(1.0)
+        assert pool.open_connections == 0
+        assert pool.probe_failures == 0  # clean slate after the purge
+    finally:
+        pool.close()
+        server.shutdown()
 
 
 def test_pool_ping_success_resets_probe_failures():

@@ -1,21 +1,21 @@
-"""Data-plane tests: codec negotiation edges, pipelining faults, streaming.
+"""Data-plane tests: codec negotiation edges, pooled-connection faults, streaming.
 
 Covers the contract the fast path rests on:
 
 * a peer that advertises no codecs gets raw frames (and vice versa);
 * corrupted compressed payloads surface as typed :class:`FrameError`,
   never a bare ``zlib.error``;
-* a pipelined connection that loses its socket mid-flight fails *all*
-  outstanding requests with :class:`ConnectionLostError`, and the pool
-  discards the carcass;
+* concurrent calls ride a connection each up to the pool's ceiling, a
+  socket lost mid-call fails that call with
+  :class:`ConnectionLostError` and the pool discards that connection
+  only, and connections that died idle are closed at checkout without
+  costing a retry;
 * responses larger than the server's chunk size arrive as two or more
   ``PARTIAL`` frames whose merged columns are byte-identical to the
   monolithic path.
 """
 
-import pathlib
 import socket
-import threading
 import time
 
 import numpy as np
@@ -24,8 +24,7 @@ import pytest
 from repro.cluster.mediator import Mediator
 from repro.cluster.partition import MortonPartitioner
 from repro.core import ThresholdQuery
-from repro.net import codec
-from repro.net.client import NodeClient, PipelinedConnection, RetryPolicy
+from repro.net.client import NodeClient, RetryPolicy
 from repro.net.compress import (
     CompressionConfig,
     DEFAULT_COMPRESSION,
@@ -46,11 +45,18 @@ from repro.net.frame import (
     MAGIC,
     PROTOCOL_VERSION,
     recv_frame,
-    send_frame,
 )
-from repro.net.pool import ConnectionPool, HEALTH_CHECK_IDLE_SECONDS
+from repro.net.pool import ConnectionPool
 from repro.net.server import ClusterConfig, NodeServer
 from repro.net.transport import TcpTransport
+from tests.net_doubles import (
+    GatedNodeServer,
+    HeldCalls,
+    fill_pool,
+    live_sockets_to,
+    payload,
+    shm_segments,
+)
 
 SIDE = 16
 CONFIG = ClusterConfig(
@@ -187,223 +193,141 @@ def test_compression_config_validation():
         CompressionConfig(min_payload_bytes=-1)
 
 
-# -- pipelined connections -------------------------------------------------------
+# -- one connection, one request -------------------------------------------------
 
 
-class _HandshakeThenDropServer:
-    """Speaks a valid handshake, then kills the socket after N requests.
-
-    The drop happens from the *server* side while client requests are
-    still outstanding — the exact mid-flight failure the pipelined
-    connection must translate into ConnectionLostError for everyone.
-    """
-
-    def __init__(self, drop_after: int = 1):
-        self.drop_after = drop_after
-        self._listener = socket.socket()
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(4)
-        self._listener.settimeout(0.2)
-        self.port = self._listener.getsockname()[1]
-        self._running = True
-        self.requests_seen = 0
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
-    def _loop(self):
-        while self._running:
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                self._serve(conn)
-            except Exception:
-                pass
-            finally:
-                conn.close()
-
-    def _serve(self, conn):
-        conn.settimeout(5.0)
-        hello = recv_frame(conn, Deadline.after(10), eof_ok=True)
-        if hello is None:
-            return
-        send_frame(
-            conn,
-            FrameType.HELLO_ACK,
-            hello.request_id,
-            codec.encode_message(
-                {
-                    "protocol": PROTOCOL_VERSION,
-                    "node_id": 0,
-                    "codecs": [],
-                    "codec": "none",
-                }
-            ),
-            Deadline.after(10),
-        )
-        seen = 0
-        while self._running and seen < self.drop_after:
-            frame = recv_frame(conn, Deadline.after(30), eof_ok=True)
-            if frame is None:
-                return
-            seen += 1
-            self.requests_seen += 1
-        # Abrupt close with requests still unanswered.
-
-    def close(self):
-        self._running = False
-        self._listener.close()
-        self._thread.join(timeout=5)
+def start_gated(**kwargs):
+    """A node server with a gate; ``echo`` needs no dataset loaded."""
+    server = GatedNodeServer(0, CONFIG, **kwargs)
+    server.start()
+    return server
 
 
-def test_midflight_socket_loss_fails_all_outstanding_requests():
-    server = _HandshakeThenDropServer(drop_after=3)
-    pipe = None
+def test_concurrent_calls_get_a_connection_each_up_to_the_ceiling():
+    """N callers at once ride N connections; the N+1st waits its turn
+    inside its own deadline, and answers come back un-crossed."""
+    server = start_gated()
+    pool = ConnectionPool("127.0.0.1", server.port, max_connections=3)
     try:
-        pipe = PipelinedConnection(
-            "127.0.0.1", server.port, Deadline.after(5)
-        )
-        errors: list[Exception] = []
-        barrier = threading.Barrier(3)
-
-        def call():
-            barrier.wait(timeout=5)
-            try:
-                pipe.call("threshold", {"x": 1}, (), Deadline.after(30))
-            except Exception as error:
-                errors.append(error)
-
-        threads = [threading.Thread(target=call) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        # Every outstanding request failed, with the typed error.
-        assert len(errors) == 3
-        assert all(isinstance(e, ConnectionLostError) for e in errors)
-        assert not pipe.usable
-        assert pipe.in_flight == 0
-        # New calls are refused immediately.
-        with pytest.raises(ConnectionLostError):
-            pipe.call("threshold", {}, (), Deadline.after(5))
+        held = HeldCalls(pool, server, 3)
+        assert pool.open_connections == 3
+        assert pool.connections_created == 3
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            pool.call("echo", {}, [b"late"], timeout=0.3, idempotent=True)
+        assert 0.3 <= time.monotonic() - started < 5.0
+        assert pool.connections_created == 3  # it waited; it never dialled
+        assert held.release() == {i: payload(i) for i in range(3)}
+        result = pool.call("echo", {}, [b"next"], timeout=5.0, idempotent=True)
+        assert bytes(result.blobs[0]) == b"next"
+        assert pool.connections_created == 3 and pool.open_connections == 3
     finally:
-        if pipe is not None:
-            pipe.close()
-        server.close()
+        pool.close()
+        server.shutdown()
 
 
-def test_pool_discards_a_dead_pipelined_connection():
-    server = _HandshakeThenDropServer(drop_after=1)
+def test_midflight_socket_loss_fails_that_call_and_that_connection_only():
+    server = start_gated()
     pool = ConnectionPool(
-        "127.0.0.1",
-        server.port,
+        "127.0.0.1", server.port, max_connections=2,
         retry=RetryPolicy(attempts=1, base_delay=0.01),
     )
     try:
-        with pytest.raises(NodeUnavailableError):
-            pool.call("threshold", {}, (), timeout=15.0, idempotent=True)
-        assert pool.connections_created >= 1
-        assert pool.open_connections == 0  # the carcass was discarded
+        fill_pool(pool, server, 2)
+        with pytest.raises(NodeUnavailableError) as lost:
+            pool.call("echo", {"drop": True}, (), timeout=15.0, idempotent=True)
+        assert isinstance(lost.value.__cause__, ConnectionLostError)
+        assert lost.value.attempts == 1
+        assert pool.open_connections == 1  # the carcass, and only it, went
+        result = pool.call("echo", {}, [b"x"], timeout=5.0, idempotent=True)
+        assert bytes(result.blobs[0]) == b"x"
+        assert pool.connections_created == 2  # served by the survivor
     finally:
         pool.close()
-        server.close()
+        server.shutdown()
+
+
+@pytest.mark.parametrize("idempotent", [True, False], ids=["read", "write"])
+def test_a_restarted_node_costs_no_retry(idempotent):
+    """Every idle connection of a restarted node is dead.  They are
+    found readable at checkout, closed and skipped — not tried one per
+    attempt until the retry budget (3, or 1 for a write) is gone."""
+    server = start_gated()
+    pool = ConnectionPool("127.0.0.1", server.port, max_connections=4)
+    try:
+        fill_pool(pool, server, 4)
+        server.shutdown()
+        server = start_gated(port=server.port)
+        if idempotent:
+            result = pool.call("echo", {}, [b"x"], timeout=5.0, idempotent=True)
+            assert bytes(result.blobs[0]) == b"x"
+        else:
+            result = pool.call(
+                "register_field",
+                {"name": "abs_pressure", "text": "abs(pressure)"},
+                (), timeout=5.0, idempotent=False,
+            )
+            assert result.header["field"]["name"] == "abs_pressure"
+        assert pool.retries == 0
+        assert pool.connections_created == 5
+        assert pool.open_connections == 1  # four corpses out, four slots back
+    finally:
+        pool.close()
+        server.shutdown()
 
 
 @pytest.mark.parametrize("shm", [False, True], ids=["tcp", "shm"])
 def test_pool_closes_a_connection_that_died_idle(shm):
-    """A node that dies with no call in flight: nothing runs
-    ``_discard_pipe``, so the next caller's sweep must close the carcass
-    (both socket handles and, over shm, the ring in ``/dev/shm``)."""
+    """A node that dies with no call in flight: no call fails on the
+    connection, so the next checkout must close the carcass — the socket
+    (both ends gone from the kernel's table) and, over shm, the ring in
+    ``/dev/shm``."""
+    rings_before = shm_segments()
     server = start_node()
     pool = ConnectionPool(
         "127.0.0.1", server.port, retry=FAST_RETRY, shm=shm
     )
     try:
         pool.ping(5.0)
-        (pipe,) = pool._pipes
-        assert pipe.shm_active is shm
-        backing = (
-            pathlib.Path("/dev/shm") / pipe._ring.name.lstrip("/")
-            if shm else None
-        )
+        assert pool.open_connections == 1
+        assert len(shm_segments() - rings_before) == (1 if shm else 0)
+        assert live_sockets_to(server.port) == 3  # listener + both ends
         server.shutdown()
-        give_up = time.monotonic() + 5.0
-        while pipe.usable and time.monotonic() < give_up:
-            time.sleep(0.01)
-        assert not pipe.usable and not pipe.closed  # dead, still open
         with pytest.raises(NodeUnavailableError):
             pool.call("echo", {}, (), timeout=5.0, idempotent=True)
-        assert pool._pipes == []
-        assert pipe.closed
-        assert backing is None or not backing.exists()
+        assert pool.open_connections == 0
+        assert shm_segments() == rings_before
+        give_up = time.monotonic() + 5.0
+        while live_sockets_to(server.port) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert live_sockets_to(server.port) == 0
     finally:
         pool.close()
         server.shutdown()
 
 
 def test_a_timed_out_health_ping_gives_its_slot_back(monkeypatch):
-    """Serial mode: a stale connection whose health ping runs out of
-    budget is closed, and its checkout slot returns to the pool."""
+    """A health ping that runs out of budget closes the connection it
+    was on and returns its checkout slot to the pool."""
     server = start_node()
-    pool = ConnectionPool(
-        "127.0.0.1", server.port, max_connections=2, pipeline=False
-    )
+    pool = ConnectionPool("127.0.0.1", server.port, max_connections=2)
 
-    def timed_out(deadline):
+    def timed_out(self, deadline):
         raise DeadlineExceededError("health ping timed out")
 
     try:
-        for _ in range(2):
-            pool.ping(5.0)
-            (conn,) = pool._idle
-            conn.last_used -= 2 * HEALTH_CHECK_IDLE_SECONDS
-            monkeypatch.setattr(conn.client, "ping", timed_out)
-            with pytest.raises(DeadlineExceededError):
-                pool.call("echo", {}, (), timeout=5.0, idempotent=True)
-            assert conn.client.closed
-            assert pool._checked_out == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(NodeClient, "ping", timed_out)
+            for failures in (1, 2):
+                with pytest.raises(DeadlineExceededError):
+                    pool.ping(5.0)
+                assert pool.open_connections == 0
+                assert pool.probe_failures == failures
         result = pool.call("echo", {}, [b"x"], timeout=1.0, idempotent=True)
         assert bytes(result.blobs[0]) == b"x"
-        assert pool._checked_out == 0
+        assert pool.open_connections == 1
     finally:
         pool.close()
-        server.shutdown()
-
-
-def test_concurrent_calls_multiplex_on_one_socket():
-    """Many threads share one pipelined connection, answers un-crossed."""
-    server = start_node()
-    pipe = None
-    try:
-        pipe = PipelinedConnection(
-            "127.0.0.1", server.port, Deadline.after(5)
-        )
-        results: dict[int, bytes] = {}
-        lock = threading.Lock()
-
-        def call(i: int):
-            blob = bytes([i]) * (1000 + i)
-            result = pipe.call("echo", {}, [blob], Deadline.after(30))
-            with lock:
-                results[i] = bytes(result.blobs[0])
-
-        threads = [
-            threading.Thread(target=call, args=(i,)) for i in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert len(results) == 8
-        for i in range(8):
-            assert results[i] == bytes([i]) * (1000 + i)
-        assert pipe.usable and pipe.in_flight == 0
-    finally:
-        if pipe is not None:
-            pipe.close()
         server.shutdown()
 
 

@@ -1,10 +1,12 @@
 """Cross-process trace stitching: contexts, grafting, skew, orphans.
 
-These tests exercise the wire-level trace plumbing without sockets: a
-"remote" process is simulated by :func:`tracing.remote_request` (which
-is exactly what the node server installs per request), its captured
-spans travel as the same JSON records the response header carries, and
-the "mediator" side grafts them back with :func:`tracing.absorb_remote`.
+Most of these tests exercise the wire-level trace plumbing without
+sockets: a "remote" process is simulated by
+:func:`tracing.remote_request` (which is exactly what the node server
+installs per request), its captured spans travel as the same JSON
+records the response header carries, and the "mediator" side grafts
+them back with :func:`tracing.absorb_remote`.  The last one runs the
+whole path over TCP and counts what arrived.
 """
 
 import contextvars
@@ -13,9 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.mediator import Mediator
+from repro.cluster.partition import MortonPartitioner
+from repro.core import ThresholdQuery
 from repro.costmodel import Category, CostLedger
+from repro.net.transport import TcpTransport
 from repro.obs import tracing
 from repro.obs.tracing import Span, SpanContext, TraceCollector
+
+from tests.test_query_kinds import NODES, SIDE, start_servers
 
 
 @pytest.fixture()
@@ -292,3 +300,43 @@ class TestOrphanedSubtrees:
         back = Span.from_json(span.to_json())
         assert back.attributes["orphaned"] is True
         assert back.attributes["orphan_reason"] == "DeadlineExceededError"
+
+
+class TestStitchingOverTcp:
+    def test_every_rpc_of_100_cold_queries_carries_its_remote_child(
+        self, collector
+    ):
+        """ROADMAP item 4(a): a trace is whole.  Each query below misses
+        the cache (thresholds descend, so no stored answer contains the
+        next), scatters one ``net.rpc`` per node from the mediator's
+        pool threads, and every one of those spans must come back with
+        the ``server.request`` subtree its node captured."""
+        servers, addresses = start_servers()
+        mediator = Mediator(
+            nodes=[],
+            partitioner=MortonPartitioner(SIDE, NODES),
+            transport=TcpTransport(addresses, timeout=60.0),
+        )
+        rpcs = childless = 0
+        try:
+            for i in range(100):
+                result = mediator.threshold(
+                    ThresholdQuery("mhd", "vorticity", 0, 4.0 - 0.03 * i)
+                )
+                assert result.cache_hits == 0
+                spans = collector.trace(result.query_id)
+                answered = {
+                    s.parent_id for s in spans if s.name == "server.request"
+                }
+                for span in spans:
+                    if span.name == "net.rpc":
+                        rpcs += 1
+                        childless += span.span_id not in answered
+        finally:
+            mediator.close()
+            for server in servers:
+                server.shutdown()
+        assert rpcs >= 100 * NODES
+        assert childless == 0, (
+            f"{childless} of {rpcs} net.rpc spans lack a server.request child"
+        )
