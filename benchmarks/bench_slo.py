@@ -11,8 +11,7 @@ section (``slo.default`` / ``slo.scale``) of ``benchmarks/targets.json``:
     of completions, so queueing shows up in the tail instead of being
     hidden by back-pressure) mixing threshold, top-k and PDF traffic;
     **p50/p99 wall latency per query class** plus the overall error
-    rate; the **span-category breakdown** of the traced load; and the
-    **continuous-profiling overhead**, bounded below 5%.
+    rate; and the **span-category breakdown** of the traced load.
 
 ``scale``
     The front-door check.  Puts :class:`repro.net.aio.AsyncHttpFrontend`
@@ -32,8 +31,7 @@ Run as a script::
     python benchmarks/gate.py slo.scale BENCH_slo_scale.json
 
 The default profile also writes the stitched traces to
-``slo_trace.jsonl`` and the span-keyed collapsed-stack profile to
-``slo_profile.txt``.
+``slo_trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from repro.core import PdfQuery, ThresholdQuery, TopKQuery
 from repro.net.aio import AsyncHttpFrontend
 from repro.obs import clock, tracing
 from repro.obs.clock import Stopwatch, unix_now
-from repro.obs.profile import SamplingProfiler
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_net import SIDE, make_mediator, start_cluster  # noqa: E402
@@ -64,13 +61,13 @@ OUT_PATHS = {
     "scale": REPO_ROOT / "BENCH_slo_scale.json",
 }
 TRACE_PATH = REPO_ROOT / "slo_trace.jsonl"
-PROFILE_PATH = REPO_ROOT / "slo_profile.txt"
 
 #: Version of the report's key set; bump when keys are added,
 #: renamed or removed so downstream dashboards can detect layout
 #: changes.  v4: one report per profile; the target sheet is
 #: ``benchmarks/targets.json``, no longer embedded in the report.
-SCHEMA_VERSION = 4
+#: v5: the profiler-overhead keys are gone.
+SCHEMA_VERSION = 5
 
 #: Open-loop arrival rate (requests per second) and request count of
 #: the default (mediator-level) profile.
@@ -94,10 +91,6 @@ SCALE_MIX = ("light",) * 9 + ("query",)
 
 #: Per-class shed/response codes a flooded client may legitimately see.
 SHED_CODES = {"quota_exceeded", "queue_full", "queue_timeout", "overloaded"}
-
-#: Serial threshold queries per leg of the profiler-overhead check.
-OVERHEAD_QUERIES = 10
-OVERHEAD_REPS = 6
 
 THRESHOLD_QUERY = ThresholdQuery(
     dataset="mhd", field="vorticity", timestep=0, threshold=0.5
@@ -212,43 +205,8 @@ def bench_open_loop(
     return out
 
 
-def bench_profiler_overhead(mediator: Mediator) -> dict[str, float]:
-    """The same serial workload with and without the sampling profiler.
-
-    Bare and profiled legs are interleaved so slow drift (CPU frequency,
-    cache state, co-tenants) hits both sides alike; the gated ratio is
-    the median of adjacent-pair ratios, which cancels that drift instead
-    of letting one lucky bare leg inflate the estimate.
-    """
-
-    def leg() -> float:
-        with Stopwatch() as watch:
-            for _ in range(OVERHEAD_QUERIES):
-                mediator.threshold(THRESHOLD_QUERY, use_cache=False)
-        return watch.elapsed
-
-    leg()  # warm both caches and the connection pool
-    profiler = SamplingProfiler(interval=0.005)
-    bare_legs: list[float] = []
-    profiled_legs: list[float] = []
-    for _ in range(OVERHEAD_REPS):
-        bare_legs.append(leg())
-        with profiler:  # samples accumulate across restarts
-            profiled_legs.append(leg())
-    profiler.write(PROFILE_PATH, by_span=True)
-    ratio = statistics.median(
-        profiled / bare for bare, profiled in zip(bare_legs, profiled_legs)
-    )
-    return {
-        "profiler_bare_s": min(bare_legs),
-        "profiler_profiled_s": min(profiled_legs),
-        "profiler_samples": float(profiler.samples),
-        "profiler_overhead_ratio": ratio,
-    }
-
-
 def run(arrival_rate: float, requests: int) -> dict[str, object]:
-    """The default profile: mediator-level open loop + profiler gate."""
+    """The default profile: the mediator-level open loop."""
     servers, addresses = start_cluster()
     mediator = make_mediator(addresses)
     collector = tracing.install(tracing.TraceCollector(max_traces=1024))
@@ -257,7 +215,6 @@ def run(arrival_rate: float, requests: int) -> dict[str, object]:
         report.update(
             bench_open_loop(mediator, collector, arrival_rate, requests)
         )
-        report.update(bench_profiler_overhead(mediator))
         TRACE_PATH.write_text(collector.to_jsonl())
         return report
     finally:
@@ -475,9 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sys.stderr.write(f"bench_slo[{profile}] -> {OUT_PATHS[profile]}\n")
     if profile == "default":
-        sys.stderr.write(
-            f"bench_slo: traces -> {TRACE_PATH}, profile -> {PROFILE_PATH}\n"
-        )
+        sys.stderr.write(f"bench_slo: traces -> {TRACE_PATH}\n")
     return 0
 
 

@@ -41,8 +41,6 @@ from repro.cluster import DatabaseNode, Mediator, MortonPartitioner, build_clust
 from repro.core import (
     MAX_RESULT_POINTS,
     BatchThresholdResult,
-    Landmark,
-    LandmarkDatabase,
     PdfCache,
     PdfQuery,
     PdfResult,
@@ -75,8 +73,6 @@ __all__ = [
     "CostLedger",
     "DatabaseNode",
     "EventTrack",
-    "Landmark",
-    "LandmarkDatabase",
     "MAX_RESULT_POINTS",
     "PdfCache",
     "Mediator",

@@ -242,13 +242,12 @@ class Mediator:
         storage_keys = (
             "bufferpool_hits", "bufferpool_misses", "btree_splits",
             "txn_begun", "txn_committed", "txn_aborted", "txn_conflicts",
-            "wal_appends", "wal_flushes", "wal_flushed_bytes",
         )
         for key in storage_keys:
             self.metrics.gauge_callback(
                 f"storage_{key}",
                 lambda key=key: sum(
-                    node.db.storage_stats().get(key, 0.0)
+                    node.db.storage_stats()[key]
                     for node in self.nodes
                 ),
                 f"Cluster-wide {key.replace('_', ' ')} (sampled at export)",
@@ -807,11 +806,11 @@ class Mediator:
         """Tear the whole service down (idempotent).
 
         Shuts down the scatter pool, closes the transport (for TCP, every
-        pooled connection), and closes each in-process node's database —
-        flushing write-ahead logs and releasing buffer-pool frames.  The
-        scatter pool alone restarts lazily, but a query after ``close``
-        on an in-process cluster fails in the storage layer because the
-        node databases refuse new transactions.
+        pooled connection), and closes each in-process node's database,
+        releasing its buffer-pool frames.  The scatter pool alone restarts
+        lazily, but a query after ``close`` on an in-process cluster fails
+        in the storage layer because the node databases refuse new
+        transactions.
         """
         with self._pool_lock:
             pool, self._scatter_pool = self._scatter_pool, None

@@ -6,6 +6,9 @@ application-aware cache tables managed by :mod:`repro.core.cache`
 (paper Fig. 5).  Nodes answer two kinds of internal requests: clustered
 range scans of their atom tables, and small boundary (halo) reads on
 behalf of neighbouring nodes.
+
+A node keeps no write-ahead log.  Its atoms are regenerated from their
+source, and its cache holds derived results that a miss recomputes.
 """
 
 from __future__ import annotations
@@ -51,24 +54,12 @@ class DatabaseNode:
         node_id: int,
         spec: ClusterSpec,
         buffer_pages: int = 2048,
-        durable: bool = False,
     ) -> None:
-        wal = None
-        if durable:
-            from repro.storage.wal import WriteAheadLog
-
-            # The log shares the SSD (its appends are sequential).
-            log_device = StorageDevice(
-                "wal", spec.ssd, Category.CACHE_LOOKUP
-            )
-            wal = WriteAheadLog(log_device)
         self.node_id = node_id
         self.spec = spec
-        self.db = Database(f"node{node_id}", buffer_pages=buffer_pages, wal=wal)
+        self.db = Database(f"node{node_id}", buffer_pages=buffer_pages)
         self.db.add_device(StorageDevice("hdd", spec.hdd, Category.IO))
         self.db.add_device(StorageDevice("ssd", spec.ssd, Category.CACHE_LOOKUP))
-        if wal is not None:
-            self.db.add_device(wal._device)
         self._datasets: dict[str, DatasetSpec] = {}
 
     # -- schema -----------------------------------------------------------------
@@ -88,15 +79,12 @@ class DatabaseNode:
                         Column("blob", ColumnType.BLOB),
                     ),
                     primary_key=("timestep", "zindex"),
-                    # Bulk-loaded simulation output is reproducible from
-                    # its source; keep it out of the write-ahead log.
-                    logged=False,
                 ),
                 device="hdd",
             )
 
     def close(self) -> None:
-        """Close the node's database (flush WAL, release buffer pools)."""
+        """Close the node's database (release its buffer pools)."""
         self.db.close()
 
     def dataset(self, name: str) -> DatasetSpec:

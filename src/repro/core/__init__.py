@@ -23,14 +23,11 @@ from repro.core.limits import MAX_RESULT_POINTS, ThresholdTooLowError
 from repro.core.cache import CacheLookup, SemanticCache
 from repro.core.threshold import NodeThresholdResult, get_threshold_on_node
 from repro.core.batch import BatchThresholdResult
-from repro.core.landmarks import Landmark, LandmarkDatabase
 from repro.core.pdfcache import PdfCache
 
 __all__ = [
     "BatchThresholdResult",
     "CacheLookup",
-    "Landmark",
-    "LandmarkDatabase",
     "PdfCache",
     "MAX_RESULT_POINTS",
     "NodeThresholdResult",

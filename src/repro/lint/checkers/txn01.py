@@ -89,7 +89,6 @@ class TxnDiscipline(Checker):
             "repro.storage.",
             "repro.core.cache",
             "repro.core.pdfcache",
-            "repro.core.landmarks",
             "repro.core.threshold",
             "repro.core.batch",
             "repro.core.pdf",

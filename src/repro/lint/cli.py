@@ -27,7 +27,7 @@ EXIT_USAGE = 2
 def module_name_for(path: Path) -> str:
     """Dotted module name for a file, anchored at ``src`` or ``repro``.
 
-    ``src/repro/storage/wal.py`` -> ``repro.storage.wal``;
+    ``src/repro/storage/mvcc.py`` -> ``repro.storage.mvcc``;
     ``.../repro/lint/__init__.py`` -> ``repro.lint``.  Files outside any
     recognised root fall back to their stem, which keeps them out of the
     scoped checkers.

@@ -76,7 +76,7 @@ class SourceFile:
     Args:
         path: filesystem path (used in diagnostics).
         module: dotted module name used for checker scoping (e.g.
-            ``repro.storage.wal``).  Tests pass synthetic names to run a
+            ``repro.storage.mvcc``).  Tests pass synthetic names to run a
             fixture under a specific checker's scope.
         text: source text; read from ``path`` when omitted.
     """

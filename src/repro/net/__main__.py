@@ -66,14 +66,6 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
         port=args.port,
         peer_addresses=peers,
     )
-    profiler = None
-    if args.profile:
-        from repro.obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler(interval=args.profile_interval).start()
-        report(f"node {args.node_id}: continuous profiler on "
-               f"({args.profile_interval * 1000.0:.1f} ms sampling) "
-               f"-> {args.profile}")
     shards = server.placement.shards_of(args.node_id)
     report(f"node {args.node_id}/{config.nodes}: loading "
            f"{config.dataset} shard(s) {list(shards)} (side={config.side}, "
@@ -99,11 +91,6 @@ def _cmd_serve_node(args: argparse.Namespace) -> int:
         report(f"node {args.node_id}: shutting down")
     finally:
         server.shutdown()
-        if profiler is not None:
-            profiler.stop()
-            path = profiler.write(args.profile, by_span=True)
-            report(f"node {args.node_id}: {profiler.samples} profile "
-                   f"samples -> {path}")
     return 0
 
 
@@ -205,15 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--peers",
         help="comma-separated host:port of ALL nodes in node-id order "
              "(required when the cluster has more than one node)",
-    )
-    serve_node.add_argument(
-        "--profile",
-        help="continuously profile this node and write collapsed stacks "
-             "(span-keyed) to this path on shutdown",
-    )
-    serve_node.add_argument(
-        "--profile-interval", type=float, default=0.005,
-        help="profiler sampling period in seconds (default 5 ms)",
     )
     serve_node.add_argument(
         "--catch-up", action="store_true",

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     timed,
 )
-from repro.obs.profile import SamplingProfiler
 from repro.obs.report import ConsoleSink, get_stream, report, set_stream
 from repro.obs.tracing import (
     TRACER,
@@ -74,7 +73,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "timed",
-    "SamplingProfiler",
     "ConsoleSink",
     "get_stream",
     "report",

@@ -60,11 +60,6 @@ _SPAN_SINK: contextvars.ContextVar["SpanBuffer | None"] = contextvars.ContextVar
     "repro_obs_span_sink", default=None
 )
 
-#: thread ident -> innermost open span; ``None`` unless a sampling
-#: profiler asked for span attribution (see enable_thread_spans).  Kept
-#: a plain module global so the off state costs one load + is-check.
-_THREAD_SPANS: "dict[int, Span] | None" = None
-
 
 class Span:
     """One timed phase of a query, linked into a trace tree.
@@ -135,8 +130,6 @@ class Span:
         self.start = clock.now()
         self.thread = threading.current_thread().name
         self._token = _CURRENT_SPAN.set(self)
-        if _THREAD_SPANS is not None:
-            _THREAD_SPANS[threading.get_ident()] = self
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -144,14 +137,6 @@ class Span:
         if self._token is not None:
             _CURRENT_SPAN.reset(self._token)
             self._token = None
-        table = _THREAD_SPANS
-        if table is not None:
-            outer = _CURRENT_SPAN.get()
-            ident = threading.get_ident()
-            if outer is None:
-                table.pop(ident, None)
-            else:
-                table[ident] = outer
         sink = _SPAN_SINK.get()
         if sink is not None:
             sink.record(self)
@@ -649,34 +634,6 @@ def mark_orphaned(span_: "Span | _NoopSpan", reason: str) -> None:
     span_.set("orphan_reason", reason)
 
 
-# -- profiler support ---------------------------------------------------------
-
-
-def enable_thread_spans() -> None:
-    """Start maintaining the thread-ident → open-span table.
-
-    Costs one dict write per span enter/exit while on; the sampling
-    profiler uses the table to key collapsed stacks to span ids.
-    """
-    global _THREAD_SPANS
-    if _THREAD_SPANS is None:
-        _THREAD_SPANS = {}
-
-
-def disable_thread_spans() -> None:
-    """Stop maintaining the thread→span table and drop it."""
-    global _THREAD_SPANS
-    _THREAD_SPANS = None
-
-
-def span_for_thread(ident: int) -> Span | None:
-    """The innermost open span of thread ``ident``, if tracked."""
-    table = _THREAD_SPANS
-    if table is None:
-        return None
-    return table.get(ident)
-
-
 # -- trace analysis -----------------------------------------------------------
 
 
@@ -721,17 +678,17 @@ def render_tree(spans: Iterable[Span]) -> str:
 
     lines: list[str] = []
 
-    def _walk(span_: Span, prefix: str, is_last: bool, is_root: bool) -> None:
+    def _draw(span_: Span, prefix: str, is_last: bool, is_root: bool) -> None:
         connector = "" if is_root else ("└─ " if is_last else "├─ ")
         lines.append(prefix + connector + _describe(span_))
         child_prefix = prefix if is_root else prefix + ("   " if is_last else "│  ")
         kids = children.get(span_.span_id, [])
         for i, kid in enumerate(kids):
-            _walk(kid, child_prefix, i == len(kids) - 1, False)
+            _draw(kid, child_prefix, i == len(kids) - 1, False)
 
     roots = children.get(None, [])
     for i, root in enumerate(roots):
-        _walk(root, "", i == len(roots) - 1, True)
+        _draw(root, "", i == len(roots) - 1, True)
     return "\n".join(lines)
 
 

@@ -22,7 +22,10 @@ that substrate from scratch:
 There is no SQL text layer: the paper's ``SELECT`` / ``DELETE``
 statements on ``cacheInfo`` / ``cacheData`` are written as the
 :class:`~repro.storage.table.Table` calls they resolve to (index lookup,
-charged scan, delete by key) — DESIGN.md §4 has the table.
+charged scan, delete by key) — DESIGN.md §4 has the table.  Nor is
+there a write-ahead log: the cache needs snapshot isolation, not redo,
+and what a node stores is regenerated from its source or recomputed on
+a miss.
 """
 
 from repro.storage.errors import (
@@ -38,7 +41,6 @@ from repro.storage.types import ColumnType
 from repro.storage.schema import Column, ForeignKey, TableSchema
 from repro.storage.database import Database, StorageDevice
 from repro.storage.mvcc import Transaction
-from repro.storage.wal import WalKind, WalRecord, WriteAheadLog, recover
 
 __all__ = [
     "Column",
@@ -55,8 +57,4 @@ __all__ = [
     "TableSchema",
     "Transaction",
     "TransactionError",
-    "WalKind",
-    "WalRecord",
-    "WriteAheadLog",
-    "recover",
 ]

@@ -10,7 +10,7 @@ cost ledger under the device's cost category.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.costmodel import Category, CostLedger
 from repro.costmodel.devices import HddArraySpec, SsdSpec
@@ -24,9 +24,6 @@ from repro.storage.errors import SchemaError, TableNotFoundError, TransactionErr
 from repro.storage.mvcc import Transaction, TransactionManager
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.wal import WriteAheadLog
 
 
 class StorageDevice:
@@ -98,12 +95,7 @@ class Database:
         buffer_pages: buffer-pool frames *per table*.
     """
 
-    def __init__(
-        self,
-        name: str = "db",
-        buffer_pages: int = 4096,
-        wal: "WriteAheadLog | None" = None,
-    ) -> None:
+    def __init__(self, name: str = "db", buffer_pages: int = 4096) -> None:
         self.name = name
         self._buffer_pages = buffer_pages
         self._tables: dict[str, Table] = {}
@@ -117,7 +109,6 @@ class Database:
         self._manager = TransactionManager(latch=self._latch)
         self._next_file_id = 0
         self._closed = False
-        self.wal = wal  # optional WriteAheadLog (see repro.storage.wal)
 
     # -- devices ---------------------------------------------------------------
 
@@ -209,7 +200,7 @@ class Database:
         if bind:
             for device in self._devices.values():
                 device.bind_ledger(ledger)
-        return self._manager.begin(ledger, wal=self.wal)
+        return self._manager.begin(ledger)
 
     def transaction(self, ledger: CostLedger | None = None) -> Transaction:
         """Alias of :meth:`begin`, reads nicely in ``with`` statements."""
@@ -225,19 +216,16 @@ class Database:
             table._pool.clear()
 
     def close(self) -> None:
-        """Flush durable state and refuse further transactions.
+        """Release the buffer pools and refuse further transactions.
 
-        Flushes the write-ahead log (if any), releases every table's
-        buffer-pool frames and marks the database closed — a later
-        :meth:`begin` raises :class:`TransactionError`.  Idempotent;
-        catalog and row data stay readable for post-mortem inspection
-        through already-open transactions.
+        Releases every table's buffer-pool frames and marks the database
+        closed — a later :meth:`begin` raises :class:`TransactionError`.
+        Idempotent; catalog and row data stay readable for post-mortem
+        inspection through already-open transactions.
         """
         if self._closed:
             return
         self._closed = True
-        if self.wal is not None:
-            self.wal.flush()
         for table in self._tables.values():
             table._pool.clear()
 
@@ -262,7 +250,7 @@ class Database:
             splits += sum(tree.splits for tree in table._indexes.values())
             bulk_rows += table.bulk_insert_rows
         accesses = pool_hits + pool_misses
-        stats: dict[str, float] = {
+        return {
             "bufferpool_hits": float(pool_hits),
             "bufferpool_misses": float(pool_misses),
             "bufferpool_hit_rate": pool_hits / accesses if accesses else 0.0,
@@ -273,8 +261,3 @@ class Database:
             "txn_aborted": float(self._manager.aborted),
             "txn_conflicts": float(self._manager.conflicts),
         }
-        if self.wal is not None:
-            stats["wal_appends"] = float(self.wal.appends)
-            stats["wal_flushes"] = float(self.wal.flushes)
-            stats["wal_flushed_bytes"] = float(self.wal.flushed_bytes)
-        return stats

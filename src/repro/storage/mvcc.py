@@ -13,14 +13,11 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.costmodel import CostLedger
 from repro.storage.errors import SerializationConflictError, TransactionError
 from repro.storage.heap import RowId
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.wal import WalKind, WriteAheadLog
 
 
 class TxStatus(enum.Enum):
@@ -139,26 +136,18 @@ class Transaction:
 
     def __init__(
         self, txn_id: int, snapshot_ts: int, manager: "TransactionManager",
-        ledger: CostLedger | None = None, wal: "WriteAheadLog | None" = None,
+        ledger: CostLedger | None = None,
     ) -> None:
         self.txn_id = txn_id
         self.snapshot_ts = snapshot_ts
         self.ledger = ledger
         self._manager = manager
         self._latch = manager.latch
-        self._wal = wal
-        self._wal_dirty = False
         self._status = TxStatus.ACTIVE
         self._created: list[tuple[VersionChain, Version]] = []
         self._deleted: list[tuple[VersionChain, Version]] = []
         self._undo_hooks: list[Callable[[], None]] = []
         self._commit_hooks: list[Callable[[], None]] = []
-
-    def log(self, kind: "WalKind", table: str, payload: object) -> None:
-        """Append a redo record for this transaction (no-op without WAL)."""
-        if self._wal is not None:
-            self._wal.append(self.txn_id, kind, table, payload)
-            self._wal_dirty = True
 
     @property
     def status(self) -> TxStatus:
@@ -194,17 +183,8 @@ class Transaction:
     # -- lifecycle -----------------------------------------------------------
 
     def commit(self) -> None:
-        """Make all writes durable and visible at a fresh commit timestamp.
-
-        With a WAL attached, the COMMIT record is appended and the log
-        forced *before* the writes become visible (write-ahead rule).
-        """
+        """Make all writes visible at a fresh commit timestamp."""
         self.require_active()
-        if self._wal is not None and self._wal_dirty:
-            from repro.storage.wal import WalKind
-
-            self._wal.append(self.txn_id, WalKind.COMMIT)
-            self._wal.flush()
         # Publishing happens under the shared database latch so readers
         # never observe a half-committed write set.
         self._manager.record_commit()
@@ -223,10 +203,6 @@ class Transaction:
     def abort(self) -> None:
         """Discard all writes."""
         self.require_active()
-        if self._wal is not None and self._wal_dirty:
-            from repro.storage.wal import WalKind
-
-            self._wal.append(self.txn_id, WalKind.ABORT)
         self._manager.record_abort()
         with self._latch:
             for chain, version in self._created:
@@ -296,12 +272,10 @@ class TransactionManager:
             self._clock += 1
             return self._clock
 
-    def begin(
-        self, ledger: CostLedger | None = None, wal: "WriteAheadLog | None" = None
-    ) -> Transaction:
+    def begin(self, ledger: CostLedger | None = None) -> Transaction:
         """Start a transaction with a snapshot of the current clock."""
         with self._lock:
             txn_id = next(self._ids)
             snapshot = self._clock
             self.begun += 1
-        return Transaction(txn_id, snapshot, self, ledger, wal=wal)
+        return Transaction(txn_id, snapshot, self, ledger)

@@ -45,10 +45,6 @@ class TableSchema:
         primary_key: column names of the clustered primary key.
         indexes: secondary index definitions, name -> indexed columns.
         foreign_keys: referential constraints on this (child) table.
-        logged: whether writes go to the write-ahead log.  Bulk-loadable
-            data (the simulation atoms, reproducible from their source)
-            is typically unlogged, like an UNLOGGED/minimally-logged
-            table in a production DBMS.
     """
 
     name: str
@@ -56,7 +52,6 @@ class TableSchema:
     primary_key: tuple[str, ...]
     indexes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     foreign_keys: tuple[ForeignKey, ...] = ()
-    logged: bool = True
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():

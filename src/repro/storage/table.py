@@ -240,7 +240,6 @@ class Table:
             version = Version(row, rowid, creator=txn)
             chain.push(version)
             txn.record_create(chain, version)
-            self._log(txn, "insert", row)
             self._index_row(txn, row, key)
 
     def insert_many(self, txn: Transaction, rows: list[dict[str, object]]) -> int:
@@ -306,7 +305,6 @@ class Table:
                 txn.record_create(chain, version)
                 self._index_row(txn, row, key)
             txn.on_commit(lambda: self._pool.flush(self._device))
-            self._log(txn, "insert_many", [dict(row) for row in validated])
             self.bulk_insert_rows += len(validated)
         return len(validated)
 
@@ -330,7 +328,6 @@ class Table:
             txn.record_delete(chain, version)
             self._pool.access(self._device, self._file_id, version.rowid.page, dirty=True)
             txn.on_commit(lambda: self._pool.flush(self._device))
-            self._log(txn, "delete", key)
             return True
 
     def update(
@@ -363,7 +360,6 @@ class Table:
             chain.push(new_version)
             txn.record_create(chain, new_version)
             self._index_row(txn, new_row, key)
-            self._log(txn, "update", (key, dict(changes)))
             return True
 
     # -- maintenance -----------------------------------------------------------
@@ -404,13 +400,6 @@ class Table:
         return self._heap.page_count
 
     # -- internals ---------------------------------------------------------------
-
-    def _log(self, txn: Transaction, kind_name: str, payload: object) -> None:
-        if txn._wal is None or not self.schema.logged:
-            return
-        from repro.storage.wal import WalKind
-
-        txn.log(WalKind(kind_name), self.schema.name, payload)
 
     def _index(self, name: str) -> BPlusTree:
         try:

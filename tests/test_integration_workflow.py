@@ -2,16 +2,14 @@
 
 Mirrors how a scientist actually uses the service (paper §3): examine
 the value distribution, threshold at an interesting level, cluster the
-events, record them as landmarks, register a custom field, and batch
-follow-up queries — all against one live cluster, verifying state and
-results at every step.
+events, register a custom field, and batch follow-up queries — all
+against one live cluster, verifying state and results at every step.
 """
 
 import numpy as np
 import pytest
 
 from repro import (
-    LandmarkDatabase,
     PdfQuery,
     ThresholdQuery,
     TopKQuery,
@@ -70,39 +68,26 @@ def test_full_scientific_workflow(workflow):
     )
     assert clusters
 
-    # 4. Record landmarks and query them back (paper §7).
-    landmarks = LandmarkDatabase(mediator.nodes[0].db)
-    for timestep, result in enumerate(per_step):
-        landmarks.record_threshold_result(
-            ThresholdQuery("mhd", "vorticity", timestep, threshold),
-            result, side, min_size=2,
-        )
-    best = landmarks.most_intense("mhd", "vorticity", k=1)
-    if best:
-        x, y, z = best[0].peak_location
-        norm = ground_truth_norm(dataset, "vorticity", best[0].timestep)
-        assert norm[x, y, z] == pytest.approx(best[0].peak_value, abs=1e-5)
-
-    # 5. Re-issuing a query is a cache hit with no raw I/O.
+    # 4. Re-issuing a query is a cache hit with no raw I/O.
     mediator.drop_page_caches()
     warm = client.get_threshold("mhd", "vorticity", 0, threshold)
     assert warm.cache_hits == len(mediator.nodes)
     assert warm.ledger[Category.IO] == 0.0
 
-    # 6. A higher-threshold follow-up is dominated by the cache too.
+    # 5. A higher-threshold follow-up is dominated by the cache too.
     tighter = client.get_threshold("mhd", "vorticity", 0, threshold * 1.3)
     assert tighter.cache_hits == len(mediator.nodes)
     norm0 = ground_truth_norm(dataset, "vorticity", 0)
     assert len(tighter) == (norm0 >= threshold * 1.3).sum()
 
-    # 7. The custom expression field works end-to-end, including top-k.
+    # 6. The custom expression field works end-to-end, including top-k.
     current_top = client.get_topk("mhd", "current", 0, k=10)
     current_norm = ground_truth_norm(dataset, "electric_current", 0)
     assert current_top.values[0] == pytest.approx(
         current_norm.max(), abs=1e-4
     )
 
-    # 8. Batch two velocity-derived queries over one shared scan.
+    # 7. Batch two velocity-derived queries over one shared scan.
     q_norm = ground_truth_norm(dataset, "q_criterion", 0)
     batch = mediator.batch_threshold(
         [
@@ -114,7 +99,7 @@ def test_full_scientific_workflow(workflow):
     )
     assert len(batch.results[0]) == (norm0 >= threshold).sum()
 
-    # 9. The PDF is now cached as well.
+    # 8. The PDF is now cached as well.
     mediator.drop_page_caches()
     pdf_again = client.get_pdf(
         "mhd", "vorticity", 0, tuple(np.linspace(0, 40, 11))

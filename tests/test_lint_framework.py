@@ -69,8 +69,8 @@ def test_syntax_error_raises_lint_error():
 
 
 def test_module_name_anchors_at_src(tmp_path):
-    path = tmp_path / "src" / "repro" / "storage" / "wal.py"
-    assert module_name_for(path) == "repro.storage.wal"
+    path = tmp_path / "src" / "repro" / "storage" / "mvcc.py"
+    assert module_name_for(path) == "repro.storage.mvcc"
     init = tmp_path / "src" / "repro" / "lint" / "__init__.py"
     assert module_name_for(init) == "repro.lint"
 

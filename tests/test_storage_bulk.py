@@ -1,7 +1,7 @@
 """Tests for the bulk table operations behind the columnar fast path.
 
-Covers :meth:`Table.insert_many` (all-or-nothing validation, single
-WAL record, crash recovery, abort rollback),
+Covers :meth:`Table.insert_many` (all-or-nothing validation, read-back
+of a committed batch, abort rollback),
 :meth:`Table.scan_column_batches` and :meth:`Table.scan_columns`
 (equivalence with :meth:`Table.scan`, charging), and
 :meth:`BPlusTree.insert_sorted_run`.
@@ -27,7 +27,6 @@ from repro.storage import (
     TableSchema,
 )
 from repro.storage.btree import BPlusTree
-from repro.storage.wal import WalKind, WriteAheadLog, recover
 
 
 def schemas():
@@ -53,8 +52,8 @@ def schemas():
     return [(parent, "ssd"), (child, "ssd")]
 
 
-def make_db(wal=None):
-    db = Database("bulk", wal=wal)
+def make_db():
+    db = Database("bulk")
     db.add_device(StorageDevice("ssd", SsdSpec(), Category.CACHE_LOOKUP))
     for schema, device in schemas():
         db.create_table(schema, device=device)
@@ -86,30 +85,13 @@ class TestInsertMany:
         with db.transaction() as txn:
             assert db.table("data").insert_many(txn, []) == 0
 
-    def test_single_wal_record(self):
-        wal = WriteAheadLog()
-        db = make_db(wal)
-        with db.transaction() as txn:
-            db.table("info").insert(txn, {"id": 1, "label": "a"})
-            db.table("data").insert_many(txn, data_rows(100))
-        kinds = [r.kind for r in wal.records()]
-        assert kinds.count(WalKind.INSERT_MANY) == 1
-        assert WalKind.INSERT not in [
-            r.kind for r in wal.records() if r.table == "data"
-        ]
-
-    def test_recovery_replays_batch(self):
-        wal = WriteAheadLog()
-        db = make_db(wal)
+    def test_committed_batch_reads_back(self):
+        db = make_db()
         with db.transaction() as txn:
             db.table("info").insert(txn, {"id": 1, "label": "a"})
             db.table("data").insert_many(txn, data_rows(25))
-        replica = recover(
-            wal, schemas(),
-            [StorageDevice("ssd", SsdSpec(), Category.CACHE_LOOKUP)],
-        )
-        with replica.transaction() as txn:
-            rows = list(replica.table("data").scan(txn))
+        with db.transaction() as txn:
+            rows = list(db.table("data").scan(txn))
         assert len(rows) == 25
         assert rows[0]["payload"] == b"\x00"
 
