@@ -1,4 +1,4 @@
-"""Find and track intense vortices across time (paper Figs. 3-4).
+"""Find intense vortices across time (paper Figs. 3-4).
 
 Thresholds every timestep of an isotropic-turbulence dataset at a
 multiple of the RMS vorticity, clusters the returned points with a 4-D
@@ -63,24 +63,6 @@ def main() -> None:
           f"{most_intense.size} points spanning timesteps "
           f"{most_intense.timesteps} -- the 4-D structure the paper's "
           "Fig. 3 visualises.")
-
-    # Track each event through time: drift, growth, peak history.
-    from repro import track_events
-
-    tracks = track_events(
-        np.concatenate(all_t),
-        np.concatenate(all_xyz),
-        np.concatenate(all_val),
-        side=dataset.spec.side,
-        linking_length=2,
-        min_size=2,
-    )
-    print("\nevent tracks (most intense first):")
-    for track in tracks[:3]:
-        sizes = " -> ".join(str(s.size) for s in track.snapshots)
-        print(f"  t={track.birth}..{track.death}  sizes {sizes}  "
-              f"peak {track.peak_value:.1f} at t={track.peak_timestep}  "
-              f"drift {track.drift(dataset.spec.side):.1f} cells/step")
 
 
 if __name__ == "__main__":

@@ -56,16 +56,6 @@ def main() -> None:
         "timestep": 0, "threshold": threshold,
     })
 
-    # Register a new derived field declaratively and query it at once.
-    call(service, {
-        "method": "RegisterField", "name": "current",
-        "expression": "norm(curl(magnetic))",
-    })
-    call(service, {
-        "method": "GetThreshold", "dataset": "mhd", "field": "current",
-        "timestep": 0, "threshold": threshold,
-    })
-
     # Batch two velocity-derived queries over one shared scan.
     call(service, {
         "method": "GetBatchThreshold",

@@ -28,13 +28,11 @@ paper-figure reproductions.
 
 from repro.analysis import (
     Cluster,
-    EventTrack,
     friends_of_friends,
     friends_of_friends_4d,
     norm_rms,
     threshold_at_rms_multiple,
     threshold_for_fraction,
-    track_events,
 )
 from repro.client import TurbulenceClient, local_threshold_evaluation
 from repro.cluster import DatabaseNode, Mediator, MortonPartitioner, build_cluster
@@ -72,7 +70,6 @@ __all__ = [
     "ClusterSpec",
     "CostLedger",
     "DatabaseNode",
-    "EventTrack",
     "MAX_RESULT_POINTS",
     "PdfCache",
     "Mediator",
@@ -100,5 +97,4 @@ __all__ = [
     "save_dataset",
     "threshold_at_rms_multiple",
     "threshold_for_fraction",
-    "track_events",
 ]

@@ -13,13 +13,9 @@ from repro.analysis.stats import (
     threshold_for_fraction,
     threshold_at_rms_multiple,
 )
-from repro.analysis.tracking import EventSnapshot, EventTrack, track_events
 
 __all__ = [
     "Cluster",
-    "EventSnapshot",
-    "EventTrack",
-    "track_events",
     "friends_of_friends",
     "friends_of_friends_4d",
     "norm_rms",

@@ -642,18 +642,6 @@ class Mediator:
         """Sorted names of every dataset hosted by the cluster."""
         return self.transport.dataset_names(timeout=timeout)
 
-    def register_expression(
-        self, name: str, text: str, timeout: float | None = None
-    ) -> dict:
-        """Register a derived-field expression wherever queries evaluate.
-
-        In-process this lands in :attr:`registry`; over TCP it is
-        broadcast to every node server (never retried — registration is
-        not idempotent).  Returns the field's description (``name``,
-        ``source``, ``halo_depth``, ``units_per_point``).
-        """
-        return self.transport.register_expression(name, text, timeout=timeout)
-
     def _require_local(self, operation: str) -> None:
         """Refuse an operation that touches node storage directly.
 

@@ -119,7 +119,6 @@ class WebService:
             "ListDatasets": self._list_datasets,
             "GetStatistics": self._get_statistics,
             "GetBatchThreshold": self._get_batch_threshold,
-            "RegisterField": self._register_field,
             "GetStats": self._get_stats,
             "GetTrace": self._get_trace,
         }
@@ -355,20 +354,6 @@ class WebService:
             ],
             "elapsed_seconds": batch.ledger.total,
         }
-
-    def _register_field(self, request: dict) -> dict:
-        """Register a declarative derived field (paper §7)."""
-        from repro.fields.expressions import ExpressionError
-
-        name = self._require(request, "name", str)
-        expression = self._require(request, "expression", str)
-        try:
-            description = self._mediator.register_expression(name, expression)
-        except ExpressionError as error:
-            raise WebServiceError("bad_expression", str(error)) from None
-        except ValueError as error:
-            raise WebServiceError("duplicate_field", str(error)) from None
-        return {"status": "ok", **description}
 
     def _get_statistics(self, request: dict) -> dict:
         stats = self._mediator.statistics

@@ -9,7 +9,8 @@ compute its thresholdable norm on a halo-padded block.
 The production stored procedure "must have an implementation for each
 derived field of interest" (paper §7); the registry is this
 reproduction's equivalent, and :meth:`FieldRegistry.register` is how new
-fields are added.
+fields are added: as a Python kernel.  The declarative interface the
+paper names as future work is not reproduced.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class DerivedField:
             :class:`repro.costmodel.devices.CpuSpec`).
         norm: function ``(block, spacing, order) -> norm array`` mapping
             a halo-padded source block to the interior's scalar norm.
-        halo_depth: how many differential operators nest (compiled
-            expressions like ``curl(curl(v))`` need a proportionally
-            wider halo).
     """
 
     name: str
@@ -61,13 +59,10 @@ class DerivedField:
     differential: bool
     units_per_point: float
     norm: Callable[[Block, float, int], np.ndarray]
-    halo_depth: int = 1
 
     def halo(self, order: int) -> int:
         """Halo points needed per face at the given FD order."""
-        if not self.differential:
-            return 0
-        return self.halo_depth * kernel_half_width(order)
+        return kernel_half_width(order) if self.differential else 0
 
 
 def derivatives_of(block: Block, spacing: float, order: int) -> Derivatives:
@@ -75,15 +70,10 @@ def derivatives_of(block: Block, spacing: float, order: int) -> Derivatives:
     return block if isinstance(block, Derivatives) else Derivatives(block, spacing, order)
 
 
-def trim_halo(array: np.ndarray, trim: int) -> np.ndarray:
-    """``array`` less ``trim`` points on every face of its first three axes."""
-    return array[(slice(trim, -trim or None),) * 3]
-
-
-def source_array(block: Block, margin: int) -> np.ndarray:
-    """The array a kernel was handed, cut to ``margin`` points of halo."""
+def source_array(block: Block) -> np.ndarray:
+    """The array a kernel was handed, cut to the interior (no halo)."""
     if isinstance(block, Derivatives):
-        return trim_halo(block.block, block.margin - margin)
+        return block.block[(slice(block.margin, -block.margin or None),) * 3]
     return block
 
 
@@ -101,11 +91,11 @@ def _r_norm(block: Block, spacing: float, order: int) -> np.ndarray:
 
 
 def _raw_vector_norm(block: Block, spacing: float, order: int) -> np.ndarray:
-    return vector_norm(np.moveaxis(source_array(block, 0), 3, 0))
+    return vector_norm(np.moveaxis(source_array(block), 3, 0))
 
 
 def _raw_scalar_norm(block: Block, spacing: float, order: int) -> np.ndarray:
-    return np.abs(source_array(block, 0)[..., 0].astype(np.float64))
+    return np.abs(source_array(block)[..., 0].astype(np.float64))
 
 
 class FieldRegistry:
@@ -124,28 +114,6 @@ class FieldRegistry:
             raise ValueError(f"field {field.name!r} already registered")
         self._fields[field.name] = field
         return field
-
-    def register_expression(
-        self, name: str, text: str, raw_fields: dict[str, int] | None = None
-    ) -> DerivedField:
-        """Compile a declarative expression and register it under ``name``.
-
-        This is the paper's §7 capability — combining existing building
-        blocks without writing a new stored procedure::
-
-            registry.register_expression("enstrophy_like",
-                                         "norm(curl(velocity)) * 0.5")
-
-        See :mod:`repro.fields.expressions` for the grammar.
-
-        Raises:
-            ExpressionError: on a malformed or ill-typed expression.
-            ValueError: if the name is already taken.
-        """
-        from repro.fields.expressions import compile_expression
-
-        expression = compile_expression(text, raw_fields)
-        return self.register(expression.as_derived_field(name))
 
     def get(self, name: str) -> DerivedField:
         """Look up a field.  Raises :class:`UnknownFieldError`."""

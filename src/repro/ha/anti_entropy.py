@@ -198,7 +198,6 @@ def _sync_range(
         },
         (),
         timeout=DEFAULT_RPC_TIMEOUT,
-        idempotent=True,
     )
     remote = {
         int(zindex): str(digest)
@@ -221,7 +220,6 @@ def _sync_range(
         },
         (),
         timeout=DEFAULT_RPC_TIMEOUT,
-        idempotent=True,
     )
     atoms = codec.halo_atoms_from_wire(fetch.header, fetch.blobs)
     nbytes = sum(len(blob) for blob in atoms.values())

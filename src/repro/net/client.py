@@ -12,9 +12,10 @@ timeout" mode anywhere in this tier (lint rule NET01 enforces the
 discipline statically).
 
 :class:`RetryPolicy` describes exponential backoff with jitter for
-*idempotent reads*; the decision of what is idempotent and the retry
-loop itself live in :class:`~repro.net.pool.ConnectionPool`, which can
-swap the broken connection a retry needs.
+connection-level failures; every node RPC is a read, so any of them may
+be replayed.  The retry loop itself lives in
+:class:`~repro.net.pool.ConnectionPool`, which can swap the broken
+connection a retry needs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.fields.derived import UnknownFieldError
-from repro.fields.expressions import ExpressionError
 from repro.net import codec, compress
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION, FrameCodec
 from repro.net.errors import (
@@ -51,7 +51,6 @@ from repro.obs import clock
 #: service's error mapping behaves identically on both transports.
 _REMOTE_TYPES: Mapping[str, type[Exception]] = {
     "UnknownFieldError": UnknownFieldError,
-    "ExpressionError": ExpressionError,
     "ValueError": ValueError,
     "KeyError": KeyError,
     "TypeError": TypeError,
@@ -60,7 +59,7 @@ _REMOTE_TYPES: Mapping[str, type[Exception]] = {
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with jitter for idempotent reads.
+    """Exponential backoff with jitter for connection-level failures.
 
     ``delay(attempt)`` for attempt 0, 1, 2... is ``base * 2^attempt``
     capped at ``max_delay``, widened by a uniform jitter of ±25 % so a

@@ -9,8 +9,8 @@ three questions a caller asks about an RPC failure:
 * *is the request known not to have executed?* —
   :class:`NodeUnavailableError` (the connection never opened) and
   :class:`ConnectionLostError` before the request was written are safe
-  to retry; the client stack retries them automatically for idempotent
-  reads;
+  to retry; the client stack retries them automatically (every node
+  RPC is a read);
 * *did we run out of time?* — :class:`DeadlineExceededError` is never
   retried (the budget is spent by definition);
 * *did the peer speak garbage?* — :class:`FrameError` /

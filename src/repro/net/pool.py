@@ -1,4 +1,4 @@
-"""Per-host connection pooling with retries for idempotent reads.
+"""Per-host connection pooling with retries.
 
 A :class:`ConnectionPool` fronts one node server.  A call checks a
 :class:`~repro.net.client.NodeClient` out, owns it for one request and
@@ -11,12 +11,11 @@ pile of dead connections never costs a call (or a retry) each.
 
 Retries: connection-level failures (:class:`NodeUnavailableError`,
 :class:`ConnectionLostError`) are retried with the pool's
-:class:`~repro.net.client.RetryPolicy` **only when the caller marks the
-call idempotent** — all query reads are; field registration is not.
-Every attempt draws from the one per-request deadline, so retrying can
-never extend a request past its budget.  A streamed call's sink is
-reset at the start of every attempt, so chunks delivered before a
-mid-flight failure are never double-counted.
+:class:`~repro.net.client.RetryPolicy`: every node RPC is a read, so a
+replay changes nothing.  Every attempt draws from the one per-request
+deadline, so retrying can never extend a request past its budget.  A
+streamed call's sink is reset at the start of every attempt, so chunks
+delivered before a mid-flight failure are never double-counted.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class ConnectionPool:
         port: node server port.
         max_connections: connection ceiling; callers beyond it wait
             (within their deadline) for a checkout.
-        retry: backoff policy for idempotent calls.
+        retry: backoff policy for connection-level failures.
         on_retry: called once per retry, for the transport's metrics.
         pipeline: accepted and ignored (there is one connection mode).
         compression: codecs to advertise on new connections; defaults
@@ -113,16 +112,14 @@ class ConnectionPool:
         blobs: Sequence[Buffer],
         *,
         timeout: float,
-        idempotent: bool,
         sink: PartialSink | None = None,
     ) -> CallResult:
-        """One RPC with pooling, deadline and (if idempotent) retries.
+        """One RPC with pooling, deadline and retries.
 
         Raises:
             DeadlineExceededError: the budget ran out (never retried).
-            NodeUnavailableError: connection-level failure; for
-                idempotent calls, only after the retry policy's attempts
-                are exhausted.
+            NodeUnavailableError: connection-level failure, once the
+                retry policy's attempts are exhausted.
             RemoteCallError: typed failure reported by the server.
         """
         deadline = Deadline.after(timeout)
@@ -134,7 +131,6 @@ class ConnectionPool:
         context = tracing.current_context()
         if context is not None:
             header = {**header, TRACE_HEADER_KEY: trace_context_to_wire(context)}
-        attempts_allowed = self.retry.attempts if idempotent else 1
         attempt = 0
         while True:
             attempt_started = clock.now()
@@ -142,7 +138,7 @@ class ConnectionPool:
                 result = self._call_once(method, header, blobs, deadline, sink)
             except (NodeUnavailableError, ConnectionLostError) as error:
                 attempt += 1
-                if attempt >= attempts_allowed:
+                if attempt >= self.retry.attempts:
                     raise NodeUnavailableError(
                         self.address,
                         attempts=attempt,

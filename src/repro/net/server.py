@@ -75,11 +75,7 @@ from repro.net.kinds import KINDS, NodeContext, QueryKind, TaggedRun
 from repro.net.pool import ConnectionPool
 from repro.net.shm import ShmWriter, host_token
 from repro.net.stream import STREAM_CHUNK_POINTS, iter_point_chunks
-from repro.net.transport import (
-    DEFAULT_RPC_TIMEOUT,
-    field_description,
-    parse_address,
-)
+from repro.net.transport import DEFAULT_RPC_TIMEOUT, parse_address
 from repro.obs import clock, tracing
 from repro.simulation.datasets import (
     SyntheticDataset,
@@ -340,7 +336,6 @@ class RemoteHaloPeer:
             },
             (),
             timeout=self._timeout,
-            idempotent=True,
         )
         atoms = codec.halo_atoms_from_wire(call.header, call.blobs)
         if ledger is not None:
@@ -489,7 +484,6 @@ class NodeServer:
             "halo": self._serve_halo,
             "digest": self._serve_digest,
             "describe": self._serve_describe,
-            "register_field": self._serve_register_field,
             "echo": self._serve_echo,
         }
 
@@ -953,12 +947,6 @@ class NodeServer:
             },
             [],
         )
-
-    def _serve_register_field(self, header: dict, blobs: list[Buffer]) -> Response:
-        derived = self.registry.register_expression(
-            str(header["name"]), str(header["text"])
-        )
-        return {"field": field_description(derived)}, []
 
     def _serve_echo(self, header: dict, blobs: list[Buffer]) -> Response:
         """Diagnostic transfer RPC for benchmarks and wire tests.

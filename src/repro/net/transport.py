@@ -204,16 +204,6 @@ class Transport(abc.ABC):
     def dataset_names(self, *, timeout: float | None = None) -> list[str]:
         """Sorted names of every dataset hosted behind this transport."""
 
-    @abc.abstractmethod
-    def register_expression(
-        self, name: str, text: str, *, timeout: float | None = None
-    ) -> dict:
-        """Register a derived-field expression wherever parts evaluate.
-
-        Returns the field's wire description (``name``, ``source``,
-        ``halo_depth``, ``units_per_point``).
-        """
-
     def attach(self, metrics: MetricsRegistry, spec: ClusterSpec) -> None:
         """Hook the mediator's metrics registry and hardware spec in."""
 
@@ -270,22 +260,6 @@ class InProcessTransport(Transport):
             }
         )
 
-    def register_expression(
-        self, name: str, text: str, *, timeout: float | None = None
-    ) -> dict:
-        derived = self._mediator.registry.register_expression(name, text)
-        return field_description(derived)
-
-
-def field_description(derived) -> dict:
-    """A derived field's wire-level description (shared with the server)."""
-    return {
-        "name": derived.name,
-        "source": derived.source,
-        "halo_depth": derived.halo_depth if derived.differential else 0,
-        "units_per_point": derived.units_per_point,
-    }
-
 
 def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
     """Normalise ``"host:port"`` (or a pre-split pair) to ``(host, port)``."""
@@ -316,8 +290,7 @@ class TcpTransport(Transport):
       ``merge_sorted_runs``, so the final answer is byte-identical no
       matter which replica served which part.
 
-    Failover applies to idempotent reads only; non-idempotent calls
-    (field registration) keep their fail-fast semantics.  A shard with
+    Every node RPC is a read, so every one may fail over.  A shard with
     one replica has nowhere to fail over to, so its node's own error
     propagates; otherwise exhausting the replicas raises
     :class:`~repro.net.errors.NoLiveReplicaError` carrying the shard and
@@ -337,8 +310,8 @@ class TcpTransport(Transport):
             themselves.  An unreplicated placement never probes: its
             shards have no other replica to prefer.
         timeout: per-RPC deadline in wall seconds.  Retries of a failed
-            idempotent call share this one budget.
-        retry: backoff policy for idempotent reads.
+            call share this one budget.
+        retry: backoff policy for connection-level failures.
         compression: codecs advertised during the handshake; defaults
             to the stock zlib configuration.  Pass
             :data:`~repro.net.compress.NO_COMPRESSION` to force raw
@@ -481,7 +454,6 @@ class TcpTransport(Transport):
         header: dict,
         blobs: Sequence[Buffer] = (),
         *,
-        idempotent: bool = True,
         timeout: float | None = None,
         sink: PartialSink | None = None,
     ) -> CallResult:
@@ -502,7 +474,6 @@ class TcpTransport(Transport):
                     header,
                     blobs,
                     timeout=timeout if timeout is not None else self.timeout,
-                    idempotent=idempotent,
                     sink=sink,
                 )
             except Exception as error:
@@ -546,7 +517,6 @@ class TcpTransport(Transport):
         header: dict,
         blobs: Sequence[Buffer] = (),
         *,
-        idempotent: bool = True,
         timeout: float | None = None,
         sink: PartialSink | None = None,
     ) -> CallResult:
@@ -555,19 +525,16 @@ class TcpTransport(Transport):
         Each attempt gets a fresh sink state (the pool resets it), so a
         partially-streamed part restarts clean on the next replica.
         """
-        def attempt(replica: int) -> CallResult:
-            return self._node_call(
-                replica, method, header, blobs,
-                idempotent=idempotent, timeout=timeout, sink=sink,
-            )
-
         candidates = self.router.route(shard)
         attempted: list[int] = []
         last_error: NetError | None = None
         for replica in candidates:
             try:
                 if not attempted:
-                    return attempt(replica)
+                    return self._node_call(
+                        replica, method, header, blobs,
+                        timeout=timeout, sink=sink,
+                    )
                 # A failover retry: the previous replica died mid-part.
                 # The span brackets the replacement attempt, so its
                 # duration is the part's failover-added latency.
@@ -578,14 +545,15 @@ class TcpTransport(Transport):
                     retry=replica, method=method,
                 ) as span:
                     try:
-                        return attempt(replica)
+                        return self._node_call(
+                            replica, method, header, blobs,
+                            timeout=timeout, sink=sink,
+                        )
                     except NetError as error:
                         span.set("error", type(error).__name__)
                         raise
             except NetError as error:
-                if len(candidates) == 1 or not (
-                    idempotent and failover_worthy(error)
-                ):
+                if len(candidates) == 1 or not failover_worthy(error):
                     raise
                 attempted.append(replica)
                 last_error = error
@@ -643,8 +611,8 @@ class TcpTransport(Transport):
                 return self._datasets
         # Fetch with the lock released: the RPC can take the full call
         # timeout and must not serialize unrelated catalogue lookups.
-        # Describe is idempotent, so concurrent first callers may fetch
-        # twice; the first answer to land wins.
+        # Concurrent first callers may fetch twice; the first answer to
+        # land wins.
         call = self._call(0, "describe", {}, timeout=timeout)
         datasets = call.header.get("datasets")
         if not isinstance(datasets, list):
@@ -664,25 +632,6 @@ class TcpTransport(Transport):
         return sorted(
             str(record["name"]) for record in self._describe(timeout)
         )
-
-    def register_expression(
-        self, name: str, text: str, *, timeout: float | None = None
-    ) -> dict:
-        # Registration mutates node state: never retried (a replayed
-        # request would see "already registered" from its own first
-        # try), and it must reach every *node* — any replica may serve
-        # any of its shards later — so it bypasses the shard routing.
-        description: dict = {}
-        for node_id in range(len(self.pools)):
-            call = self._node_call(
-                node_id,
-                "register_field",
-                {"name": name, "text": text},
-                idempotent=False,
-                timeout=timeout,
-            )
-            description = dict(call.header.get("field", {}))
-        return description
 
     def ping(self, node_id: int, timeout: float | None = None) -> float:
         """Health-check one node; returns round-trip wall seconds."""

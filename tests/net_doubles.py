@@ -67,7 +67,7 @@ class HeldCalls:
         try:
             result = pool.call(
                 "echo", {"hold": True}, [payload(i)],
-                timeout=30.0, idempotent=True,
+                timeout=30.0,
             )
             self.answers[i] = bytes(result.blobs[0])
         except Exception as error:  # re-raised, in effect, by release()

@@ -19,7 +19,6 @@ from repro.fields import (
     kernel_half_width,
 )
 from repro.fields.derived import default_registry
-from repro.fields.expressions import compile_expression
 from repro.fields.operators import (
     q_criterion_from_gradient,
     r_invariant_from_gradient,
@@ -275,12 +274,12 @@ def seed_q(gradient):
 
 
 @st.composite
-def halo_blocks(draw, depth=1):
+def halo_blocks(draw):
     """``(block, spacing, order, margin)``: a vector block as the executor
     hands it over — a trimmed, non-contiguous view as often as not —
     cubic or lopsided, down to one interior point an axis."""
     order = draw(st.sampled_from(SUPPORTED_ORDERS))
-    margin = depth * kernel_half_width(order) + draw(st.integers(0, 2))
+    margin = kernel_half_width(order) + draw(st.integers(0, 2))
     interior = draw(st.tuples(*[st.integers(1, 7)] * 3))
     trim = draw(st.integers(0, 2))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
@@ -338,53 +337,6 @@ class TestOnePrimitiveIsBitIdenticalToTheSeed:
         assert np.array_equal(
             raw(interior if handed is block else handed, spacing, order),
             seed_vector_norm(interior),
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(halo_blocks(depth=2))
-    def test_compiled_expressions(self, drawn):
-        block, spacing, order, margin = drawn
-        half = kernel_half_width(order)
-        shared = Derivatives(block, spacing, order, margin)
-
-        def compiled(text, depth):
-            """The norm from an array with exactly the halo the expression
-            asks for and from the wider block a batch shares (one answer),
-            and that array."""
-            field = compile_expression(text).as_derived_field("compiled")
-            assert field.halo(order) == depth * half
-            trim = margin - depth * half
-            array = block[(slice(trim, -trim or None),) * 3]
-            norm = field.norm(array, spacing, order)
-            assert np.array_equal(field.norm(shared, spacing, order), norm)
-            return norm, array
-
-        def seed_divergence(array):
-            return sum(
-                seed_derivative(array[..., c], c, spacing, order, half)
-                for c in range(3)
-            )
-
-        norm, array = compiled("norm(curl(curl(velocity)))", 2)
-        inner = seed_curl(array, spacing, order, half)
-        assert np.array_equal(
-            norm, seed_vector_norm(seed_curl(inner, spacing, order, half))
-        )
-        norm, array = compiled("abs(div(velocity))", 1)
-        assert np.array_equal(norm, np.abs(seed_divergence(array)))
-        norm, array = compiled("norm(grad(div(velocity)))", 2)
-        divergence = seed_divergence(array)
-        gradient = np.stack(
-            [
-                seed_derivative(divergence, axis, spacing, order, half)
-                for axis in range(3)
-            ],
-            axis=-1,
-        )
-        assert np.array_equal(norm, seed_vector_norm(gradient))
-        norm, array = compiled("abs(q(velocity))", 1)
-        assert np.array_equal(
-            norm, np.abs(seed_q(seed_gradient(array, spacing, order, half)))
         )
 
     def test_a_point_has_one_r_whatever_box_holds_it(self):

@@ -2,8 +2,8 @@
 
 Mirrors how a scientist actually uses the service (paper §3): examine
 the value distribution, threshold at an interesting level, cluster the
-events, register a custom field, and batch follow-up queries — all
-against one live cluster, verifying state and results at every step.
+events, and batch follow-up queries — all against one live cluster,
+verifying state and results at every step.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro import (
     TopKQuery,
     TurbulenceClient,
     build_cluster,
-    default_registry,
     friends_of_friends_4d,
     mhd_dataset,
 )
@@ -26,9 +25,7 @@ from repro.harness.common import ground_truth_norm
 @pytest.fixture(scope="module")
 def workflow():
     dataset = mhd_dataset(side=32, timesteps=3, seed=42)
-    registry = default_registry()
-    registry.register_expression("current", "norm(curl(magnetic))")
-    mediator = build_cluster(dataset, nodes=4, registry=registry)
+    mediator = build_cluster(dataset, nodes=4)
     return dataset, mediator
 
 
@@ -80,14 +77,7 @@ def test_full_scientific_workflow(workflow):
     norm0 = ground_truth_norm(dataset, "vorticity", 0)
     assert len(tighter) == (norm0 >= threshold * 1.3).sum()
 
-    # 6. The custom expression field works end-to-end, including top-k.
-    current_top = client.get_topk("mhd", "current", 0, k=10)
-    current_norm = ground_truth_norm(dataset, "electric_current", 0)
-    assert current_top.values[0] == pytest.approx(
-        current_norm.max(), abs=1e-4
-    )
-
-    # 7. Batch two velocity-derived queries over one shared scan.
+    # 6. Batch two velocity-derived queries over one shared scan.
     q_norm = ground_truth_norm(dataset, "q_criterion", 0)
     batch = mediator.batch_threshold(
         [
@@ -99,7 +89,7 @@ def test_full_scientific_workflow(workflow):
     )
     assert len(batch.results[0]) == (norm0 >= threshold).sum()
 
-    # 8. The PDF is now cached as well.
+    # 7. The PDF is now cached as well.
     mediator.drop_page_caches()
     pdf_again = client.get_pdf(
         "mhd", "vorticity", 0, tuple(np.linspace(0, 40, 11))

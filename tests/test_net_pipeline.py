@@ -214,11 +214,11 @@ def test_concurrent_calls_get_a_connection_each_up_to_the_ceiling():
         assert pool.connections_created == 3
         started = time.monotonic()
         with pytest.raises(DeadlineExceededError):
-            pool.call("echo", {}, [b"late"], timeout=0.3, idempotent=True)
+            pool.call("echo", {}, [b"late"], timeout=0.3)
         assert 0.3 <= time.monotonic() - started < 5.0
         assert pool.connections_created == 3  # it waited; it never dialled
         assert held.release() == {i: payload(i) for i in range(3)}
-        result = pool.call("echo", {}, [b"next"], timeout=5.0, idempotent=True)
+        result = pool.call("echo", {}, [b"next"], timeout=5.0)
         assert bytes(result.blobs[0]) == b"next"
         assert pool.connections_created == 3 and pool.open_connections == 3
     finally:
@@ -235,11 +235,11 @@ def test_midflight_socket_loss_fails_that_call_and_that_connection_only():
     try:
         fill_pool(pool, server, 2)
         with pytest.raises(NodeUnavailableError) as lost:
-            pool.call("echo", {"drop": True}, (), timeout=15.0, idempotent=True)
+            pool.call("echo", {"drop": True}, (), timeout=15.0)
         assert isinstance(lost.value.__cause__, ConnectionLostError)
         assert lost.value.attempts == 1
         assert pool.open_connections == 1  # the carcass, and only it, went
-        result = pool.call("echo", {}, [b"x"], timeout=5.0, idempotent=True)
+        result = pool.call("echo", {}, [b"x"], timeout=5.0)
         assert bytes(result.blobs[0]) == b"x"
         assert pool.connections_created == 2  # served by the survivor
     finally:
@@ -247,30 +247,44 @@ def test_midflight_socket_loss_fails_that_call_and_that_connection_only():
         server.shutdown()
 
 
-@pytest.mark.parametrize("idempotent", [True, False], ids=["read", "write"])
-def test_a_restarted_node_costs_no_retry(idempotent):
+def test_a_restarted_node_costs_no_retry():
     """Every idle connection of a restarted node is dead.  They are
     found readable at checkout, closed and skipped — not tried one per
-    attempt until the retry budget (3, or 1 for a write) is gone."""
+    attempt until the retry budget (3) is gone."""
     server = start_gated()
     pool = ConnectionPool("127.0.0.1", server.port, max_connections=4)
     try:
         fill_pool(pool, server, 4)
         server.shutdown()
         server = start_gated(port=server.port)
-        if idempotent:
-            result = pool.call("echo", {}, [b"x"], timeout=5.0, idempotent=True)
-            assert bytes(result.blobs[0]) == b"x"
-        else:
-            result = pool.call(
-                "register_field",
-                {"name": "abs_pressure", "text": "abs(pressure)"},
-                (), timeout=5.0, idempotent=False,
-            )
-            assert result.header["field"]["name"] == "abs_pressure"
+        result = pool.call("echo", {}, [b"x"], timeout=5.0)
+        assert bytes(result.blobs[0]) == b"x"
         assert pool.retries == 0
         assert pool.connections_created == 5
         assert pool.open_connections == 1  # four corpses out, four slots back
+    finally:
+        pool.close()
+        server.shutdown()
+
+
+def test_the_old_field_registration_is_an_unknown_method():
+    """Every node RPC is a read.  A caller still sending the removed
+    ``register_field`` write gets the node's typed unknown-method error
+    inside its deadline, and the pool it used keeps serving."""
+    server = start_node()
+    pool = ConnectionPool("127.0.0.1", server.port, max_connections=1)
+    try:
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="unknown RPC method 'register_field'"):
+            pool.call(
+                "register_field",
+                {"name": "abs_pressure", "text": "abs(pressure)"},
+                (), timeout=5.0,
+            )
+        assert time.monotonic() - started < 5.0
+        result = pool.call("echo", {}, [b"x"], timeout=5.0)
+        assert bytes(result.blobs[0]) == b"x"
+        assert pool.retries == 0
     finally:
         pool.close()
         server.shutdown()
@@ -294,7 +308,7 @@ def test_pool_closes_a_connection_that_died_idle(shm):
         assert live_sockets_to(server.port) == 3  # listener + both ends
         server.shutdown()
         with pytest.raises(NodeUnavailableError):
-            pool.call("echo", {}, (), timeout=5.0, idempotent=True)
+            pool.call("echo", {}, (), timeout=5.0)
         assert pool.open_connections == 0
         assert shm_segments() == rings_before
         give_up = time.monotonic() + 5.0
@@ -323,7 +337,7 @@ def test_a_timed_out_health_ping_gives_its_slot_back(monkeypatch):
                     pool.ping(5.0)
                 assert pool.open_connections == 0
                 assert pool.probe_failures == failures
-        result = pool.call("echo", {}, [b"x"], timeout=1.0, idempotent=True)
+        result = pool.call("echo", {}, [b"x"], timeout=1.0)
         assert bytes(result.blobs[0]) == b"x"
         assert pool.open_connections == 1
     finally:

@@ -16,7 +16,6 @@ from repro.cluster.mediator import Mediator
 from repro.cluster.partition import MortonPartitioner
 from repro.cluster.webservice import WebService
 from repro.core import ThresholdQuery
-from repro.fields.expressions import ExpressionError
 from repro.net import codec
 from repro.net.client import RetryPolicy
 from repro.net.errors import (
@@ -117,19 +116,6 @@ def test_remote_queries_fail_typed_on_unknown_field(tcp_cluster):
         tcp_cluster.threshold(query)
 
 
-def test_register_expression_broadcasts_and_stays_typed(tcp_cluster):
-    description = tcp_cluster.register_expression(
-        "transport_test_field", "pressure * 2"
-    )
-    assert description["name"] == "transport_test_field"
-    with pytest.raises(ValueError):
-        tcp_cluster.register_expression(
-            "transport_test_field", "pressure * 2"
-        )
-    with pytest.raises(ExpressionError):
-        tcp_cluster.register_expression("another_field", "import os")
-
-
 def test_local_only_operations_are_refused(tcp_cluster):
     with pytest.raises(UnsupportedRemoteOperationError):
         tcp_cluster.load_dataset(
@@ -196,32 +182,10 @@ def test_dead_port_exhausts_retries_quickly():
     )
     start = time.monotonic()
     with pytest.raises(NodeUnavailableError) as info:
-        pool.call("describe", {}, (), timeout=10.0, idempotent=True)
+        pool.call("describe", {}, (), timeout=10.0)
     assert info.value.attempts == 3
     assert len(retried) == 2
     assert time.monotonic() - start < 5.0
-    pool.close()
-
-
-def test_non_idempotent_calls_are_never_retried():
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    dead_port = probe.getsockname()[1]
-    probe.close()
-
-    pool = ConnectionPool(
-        "127.0.0.1", dead_port, retry=RetryPolicy(attempts=5, base_delay=0.01)
-    )
-    with pytest.raises(NodeUnavailableError) as info:
-        pool.call(
-            "register_field",
-            {"name": "x", "text": "pressure"},
-            (),
-            timeout=5.0,
-            idempotent=False,
-        )
-    assert info.value.attempts == 1
-    assert pool.retries == 0
     pool.close()
 
 

@@ -248,46 +248,6 @@ class TestBatchAndRegistration:
         )
         assert response["code"] == "bad_request"
 
-    def test_register_field_then_query(self, small_mhd, mhd_cluster):
-        service = WebService(mhd_cluster)
-        registered = service.handle(
-            {
-                "method": "RegisterField",
-                "name": "ws_current",
-                "expression": "norm(curl(magnetic))",
-            }
-        )
-        assert registered["status"] == "ok"
-        assert registered["source"] == "magnetic"
-        result = service.handle(
-            {
-                "method": "GetThreshold", "dataset": "mhd",
-                "field": "ws_current", "timestep": 0, "threshold": 10.0,
-            }
-        )
-        assert result["status"] == "ok"
-
-    def test_register_bad_expression(self, service):
-        response = service.handle(
-            {
-                "method": "RegisterField",
-                "name": "bad",
-                "expression": "curl(velocity",
-            }
-        )
-        assert response["code"] == "bad_expression"
-
-    def test_register_duplicate(self, service):
-        response = service.handle(
-            {
-                "method": "RegisterField",
-                "name": "vorticity",
-                "expression": "norm(curl(velocity))",
-            }
-        )
-        assert response["code"] == "duplicate_field"
-
-
 class TestIntrospection:
     @pytest.fixture()
     def traced(self):
@@ -462,8 +422,6 @@ class TestHandleJson:
                 {"method": "GetStatistics"},
                 {"method": "GetTrace", "query_id": traced},
                 {"method": "GetTrace", "query_id": "q999999"},
-                {"method": "RegisterField", "name": "vorticity",
-                 "expression": "norm(curl(velocity))"},  # duplicate_field
                 {"method": "GetStats", "format": "xml"},
                 {"method": "NoSuchMethod"},
                 {"method": "GetThreshold", "dataset": "mhd"},
@@ -482,8 +440,6 @@ class TestHandleJson:
             for request in (
                 {"method": "GetStats"},
                 {"method": "GetStats", "format": "prometheus"},
-                {"method": "RegisterField", "name": "ws_json",
-                 "expression": "norm(curl(magnetic))"},
             ):
                 head, body = service.handle_json(request)
                 assert head["status"] == "ok", head
