@@ -94,7 +94,7 @@ def _echo_once(transport: TcpTransport, points: int, raw_bytes: int) -> float:
     """One timed echo transfer; verifies every raw byte arrived."""
     sink = ByteStreamSink()
     with Stopwatch() as watch:
-        call = transport._call(
+        call = transport.call(
             0, "echo", {"points": points}, sink=sink, timeout=300.0
         )
     received = sink.raw_bytes + sum(len(blob) for blob in call.blobs)

@@ -428,7 +428,7 @@ class Mediator:
         """
         check_batchable(queries, self.registry)
         return self._run(
-            KINDS["batch_threshold"], queries, self.transport.batch_part,
+            KINDS["batch_threshold"], queries,
             max_points=max_points, timeout=timeout,
             use_cache=use_cache, processes=processes,
         )
@@ -442,7 +442,7 @@ class Mediator:
     ) -> PdfResult:
         """Histogram a field's norm over an entire timestep (Fig. 2)."""
         return self._run(
-            KINDS["pdf"], query, self.transport.pdf_part, timeout=timeout,
+            KINDS["pdf"], query, timeout=timeout,
             use_cache=use_cache, processes=processes,
         )
 
@@ -460,7 +460,7 @@ class Mediator:
         :func:`repro.core.topk.get_topk_on_node`).
         """
         return self._run(
-            KINDS["topk"], query, self.transport.topk_part, timeout=timeout,
+            KINDS["topk"], query, timeout=timeout,
             use_cache=use_cache, processes=processes,
         )
 
@@ -477,11 +477,12 @@ class Mediator:
         """Run one query of any kind: scatter its parts, assemble them.
 
         The one path behind the four public query methods.  ``part`` is
-        the transport's part method to call per node — the public
-        wrappers pass their kind's typed ``*_part`` name; ``None`` uses
-        the generic :meth:`~repro.net.transport.Transport.part`, which
-        is all a kind outside the stock table needs.  ``options`` are
-        the kind's per-part options.
+        the transport's part method to call per node; ``None`` uses the
+        generic :meth:`~repro.net.transport.Transport.part`.  Only
+        :meth:`threshold` passes one, the typed
+        :meth:`~repro.net.transport.Transport.threshold_part` that the
+        benchmark probe times by name.  ``options`` are the kind's
+        per-part options.
         """
         if part is None:
             part = functools.partial(self.transport.part, kind)

@@ -29,11 +29,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.grid.atoms import ATOM_VOLUME
 from repro.morton import MortonRange
 from repro.net import codec
-from repro.net.pool import ConnectionPool
-from repro.net.transport import DEFAULT_RPC_TIMEOUT, parse_address
+from repro.net.transport import DEFAULT_RPC_TIMEOUT
 from repro.obs import tracing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.pool import ConnectionPool
     from repro.net.server import NodeServer
 
 #: Bytes per chunk digest; 8 (64-bit) matches the collision budget of
@@ -104,67 +104,45 @@ def catch_up(server: "NodeServer") -> CatchUpReport:
     For each owned shard with at least one other replica, the digest
     map of the shard's full Morton range is compared per (dataset,
     field, timestep) against that peer, and only the divergent atoms
-    are fetched and upserted.
+    are fetched and upserted.  The RPCs ride the server's own
+    transport's pool to that peer.
 
     Returns a :class:`CatchUpReport`; raises
     :class:`~repro.net.errors.NetError` if a chosen peer cannot answer.
     """
     placement = server.placement
-    addresses = server.peer_addresses
-    if addresses is None:
+    transport = server.transport
+    if transport is None:
         raise ValueError(
-            f"node {server.node_id} has no peer addresses; catch-up needs "
+            f"node {server.node_id} has no peers; catch-up needs "
             "connect_peers() with the cluster's address list"
         )
     ranges_checked = atoms_checked = chunks_fetched = bytes_fetched = 0
     shards: list[int] = []
-    pools: dict[int, ConnectionPool] = {}
-
-    def pool_for(node_id: int) -> ConnectionPool:
-        pool = pools.get(node_id)
-        if pool is None:
-            host, port = parse_address(addresses[node_id])
-            # Catch-up is a sequential fetch loop: one request in flight.
-            pool = ConnectionPool(host, port, max_connections=1)
-            pools[node_id] = pool
-        return pool
-
     with tracing.span("ha.catchup", node=server.node_id) as span:
-        try:
-            for shard in placement.shards_of(server.node_id):
-                peers = [
-                    node
-                    for node in placement.replicas_of(shard)
-                    if node != server.node_id
-                ]
-                if not peers:
-                    continue  # replication factor 1: nothing to compare
-                shards.append(shard)
-                pool = pool_for(peers[0])
-                shard_range = server.partitioner.node_ranges(shard)
-                for dataset in server.node.dataset_names:
-                    spec = server.node.dataset(dataset)
-                    for field in sorted(spec.fields):
-                        for timestep in range(spec.timesteps):
-                            (
-                                checked,
-                                fetched,
-                                nbytes,
-                            ) = _sync_range(
-                                server,
-                                pool,
-                                dataset,
-                                field,
-                                timestep,
-                                shard_range,
-                            )
-                            ranges_checked += 1
-                            atoms_checked += checked
-                            chunks_fetched += fetched
-                            bytes_fetched += nbytes
-        finally:
-            for pool in pools.values():
-                pool.close()
+        for shard in placement.shards_of(server.node_id):
+            peers = [
+                node
+                for node in placement.replicas_of(shard)
+                if node != server.node_id
+            ]
+            if not peers:
+                continue  # replication factor 1: nothing to compare
+            shards.append(shard)
+            pool = transport.pools[peers[0]]
+            shard_range = server.partitioner.node_ranges(shard)
+            for dataset in server.node.dataset_names:
+                spec = server.node.dataset(dataset)
+                for field in sorted(spec.fields):
+                    for timestep in range(spec.timesteps):
+                        checked, fetched, nbytes = _sync_range(
+                            server, pool, dataset, field, timestep,
+                            shard_range,
+                        )
+                        ranges_checked += 1
+                        atoms_checked += checked
+                        chunks_fetched += fetched
+                        bytes_fetched += nbytes
         span.set("shards", len(shards))
         span.set("chunks_fetched", chunks_fetched)
         span.set("bytes_fetched", bytes_fetched)

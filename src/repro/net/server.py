@@ -14,7 +14,10 @@ the same signature and cost-charging contract as
 :meth:`~repro.cluster.node.DatabaseNode.serve_halo`: the *server* side
 reads with no ledger bound, and the *requesting* side charges the
 interconnect transfer to the query's ledger — identical accounting to
-the in-process cluster.
+the in-process cluster.  Each proxy calls one peer shard through the
+server's :class:`~repro.net.transport.TcpTransport`, so a halo read
+picks and fails over between a shard's replicas exactly like the
+mediator's query parts do.
 
 Each connection gets one thread.  It negotiates a frame codec in the
 HELLO exchange and then answers one REQUEST at a time, in place: the
@@ -55,10 +58,12 @@ from repro.net.compress import (
     shared_codecs,
 )
 from repro.ha.placement import PlacementMap
+from repro.net.client import CallResult
 from repro.net.errors import (
     ConnectionLostError,
     DeadlineExceededError,
     NetError,
+    NoLiveReplicaError,
     NodeUnavailableError,
     ProtocolError,
 )
@@ -75,7 +80,7 @@ from repro.net.kinds import KINDS, NodeContext, QueryKind, TaggedRun
 from repro.net.pool import ConnectionPool
 from repro.net.shm import ShmWriter, host_token
 from repro.net.stream import STREAM_CHUNK_POINTS, iter_point_chunks
-from repro.net.transport import DEFAULT_RPC_TIMEOUT, parse_address
+from repro.net.transport import DEFAULT_RPC_TIMEOUT, TcpTransport
 from repro.obs import clock, tracing
 from repro.simulation.datasets import (
     SyntheticDataset,
@@ -120,8 +125,8 @@ def _column_view(chunk: np.ndarray, dtype: str) -> memoryview:
 #: Failures a request may raise that are answered with an ERROR frame
 #: instead of killing the connection (the ERR01 taxonomy boundary).
 #: The connection-level types cover a node's *outgoing* halo RPCs: when
-#: a peer replica dies mid-query, the requesting node must answer its
-#: client with a typed ERROR (which the HA transport treats as
+#: a peer shard's replicas die mid-query, the requesting node must answer
+#: its client with a typed ERROR (which the transport treats as
 #: failover-worthy) instead of going silent until the client's deadline.
 _REQUEST_ERRORS = (
     ProtocolError,
@@ -133,6 +138,7 @@ _REQUEST_ERRORS = (
     NodeUnavailableError,
     ConnectionLostError,
     DeadlineExceededError,
+    NoLiveReplicaError,
 )
 
 
@@ -297,6 +303,32 @@ class ClusterConfig:
         )
 
 
+@dataclass(frozen=True)
+class _ShardLink:
+    """One peer shard's calls, through the transport's failover loop.
+
+    Shaped like :meth:`ConnectionPool.call`, so :class:`RemoteHaloPeer`
+    takes either: the benchmark probe builds its peer on a bare pool.
+    Once that probe reaches the halo through the transport (ROADMAP
+    item 3), the peer can call the transport itself and this goes.
+    """
+
+    transport: TcpTransport
+    shard: int
+
+    def call(
+        self,
+        method: str,
+        header: dict,
+        blobs: Sequence[Buffer],
+        *,
+        timeout: float,
+    ) -> CallResult:
+        return self.transport.call(
+            self.shard, method, header, blobs, timeout=timeout
+        )
+
+
 class RemoteHaloPeer:
     """RPC proxy for a peer node's boundary reads.
 
@@ -309,7 +341,7 @@ class RemoteHaloPeer:
 
     def __init__(
         self,
-        pool: ConnectionPool,
+        pool: "ConnectionPool | _ShardLink",
         dataset_spec_source: ClusterSpec,
         timeout: float,
     ) -> None:
@@ -345,51 +377,6 @@ class RemoteHaloPeer:
             ledger.count(METER_HALO_SECONDS, seconds)
             ledger.count(METER_HALO_BYTES, nbytes)
         return atoms
-
-
-class ReplicatedHaloPeer:
-    """Halo reads for a shard held by several replicas, with failover.
-
-    Tries each replica's :class:`RemoteHaloPeer` in placement order and
-    falls through to the next on connection-level failures, so a node's
-    boundary reads survive the death of one peer exactly like the
-    mediator's shard parts do.  A non-transport failure (bad request,
-    storage error) propagates immediately — every replica would answer
-    it the same way.
-    """
-
-    def __init__(self, peers: "Sequence[RemoteHaloPeer]") -> None:
-        if not peers:
-            raise ValueError("a replicated halo peer needs at least one replica")
-        self._peers = list(peers)
-
-    def serve_halo(
-        self,
-        dataset: str,
-        field: str,
-        timestep: int,
-        ranges: list[MortonRange],
-        ledger: CostLedger | None,
-    ) -> AtomRun:
-        """Fetch boundary atoms from the first replica that answers."""
-        last_error: NetError | None = None
-        for peer in self._peers:
-            try:
-                return peer.serve_halo(dataset, field, timestep, ranges, ledger)
-            except (
-                NodeUnavailableError,
-                ConnectionLostError,
-                DeadlineExceededError,
-            ) as error:
-                last_error = error
-        raise NodeUnavailableError(
-            "replica-set",
-            attempts=len(self._peers),
-            message=(
-                f"halo read failed on all {len(self._peers)} replicas: "
-                f"{last_error}"
-            ),
-        ) from last_error
 
 
 class NodeServer:
@@ -451,8 +438,9 @@ class NodeServer:
         self.node = DatabaseNode(
             node_id, self.spec, buffer_pages=config.buffer_pages
         )
-        self.peer_addresses: "list[str | tuple[str, int]] | None" = None
-        self._peer_pools: list[ConnectionPool | None] = [None] * config.nodes
+        #: Calls to the peer nodes; ``None`` until :meth:`connect_peers`
+        #: (and for good on a single-node cluster).
+        self.transport: TcpTransport | None = None
         self.executor: NodeExecutor | None = None
         if config.nodes == 1:
             self.connect_peers([])
@@ -493,9 +481,11 @@ class NodeServer:
         """Wire up the peer halo proxies and build the node's executor.
 
         ``peer_addresses`` lists every node's ``host:port`` in node-id
-        order (a single-node cluster passes an empty list; this node's
-        own entry is ignored).  Must run before the server answers
-        queries; pools connect lazily, so peers need not be up yet.
+        order (a single-node cluster passes an empty list).  They become
+        the server's :attr:`transport`, routed over this node's own
+        placement with no heartbeat: a halo read finds a dead replica by
+        calling it.  Must run before the server answers queries; pools
+        connect lazily, so peers need not be up yet.
         """
         if self.executor is not None:
             raise ValueError(f"node {self.node_id} already has peers")
@@ -504,16 +494,12 @@ class NodeServer:
                 f"{len(peer_addresses)} peer addresses for "
                 f"{self.config.nodes} nodes"
             )
-        self.peer_addresses = list(peer_addresses) if peer_addresses else None
-
-        def pool_for(peer_id: int) -> ConnectionPool:
-            pool = self._peer_pools[peer_id]
-            if pool is None:
-                peer_host, peer_port = parse_address(peer_addresses[peer_id])
-                pool = ConnectionPool(peer_host, peer_port, max_connections=2)
-                self._peer_pools[peer_id] = pool
-            return pool
-
+        if peer_addresses:
+            # This node's own pool is never dialled: a shard it holds is
+            # read from local storage, so no route leads back here.
+            self.transport = TcpTransport(
+                peer_addresses, placement=self.placement
+            )
         peers: list[HaloPeer] = []
         for shard in range(self.config.nodes):
             if self.placement.owns(self.node_id, shard):
@@ -523,16 +509,12 @@ class NodeServer:
                 # its boundary reads when that peer dies.
                 peers.append(self.node)
                 continue
-            replicas = [
-                RemoteHaloPeer(pool_for(peer_id), self.spec, DEFAULT_RPC_TIMEOUT)
-                for peer_id in self.placement.replicas_of(shard)
-            ]
-            # One replica (the unreplicated layout) keeps the seed's
-            # direct proxy; more get placement-order failover.
             peers.append(
-                replicas[0]
-                if len(replicas) == 1
-                else ReplicatedHaloPeer(replicas)
+                RemoteHaloPeer(
+                    _ShardLink(self.transport, shard),
+                    self.spec,
+                    DEFAULT_RPC_TIMEOUT,
+                )
             )
         self.executor = NodeExecutor(self.node, peers, self.partitioner)
 
@@ -593,7 +575,7 @@ class NodeServer:
         self._accept_loop()
 
     def shutdown(self) -> None:
-        """Stop accepting, close peer pools and the node (idempotent).
+        """Stop accepting, close the peer transport and node (idempotent).
 
         Live connections are shut down at the socket level so their
         threads wake immediately instead of riding out the idle
@@ -620,9 +602,8 @@ class NodeServer:
             threads, self._conn_threads = self._conn_threads, []
         for thread in threads:
             thread.join(timeout=5.0)
-        for pool in self._peer_pools:
-            if pool is not None:
-                pool.close()
+        if self.transport is not None:
+            self.transport.close()
         self.node.close()
 
     def __enter__(self) -> "NodeServer":

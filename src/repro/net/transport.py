@@ -23,8 +23,9 @@ merged incrementally via ``merge_sorted_runs`` while the remaining
 chunks are still in flight.
 
 Every transport implements the part path once — :meth:`Transport.part`,
-driven by the :class:`~repro.net.kinds.QueryKind` table — and the four
-public ``*_part`` names are typed one-liners over it.
+driven by the :class:`~repro.net.kinds.QueryKind` table.  The mediator
+calls it for every kind but threshold, which keeps the typed
+:meth:`Transport.threshold_part` name the benchmark probe times.
 
 Replication is data, not a second transport: ``TcpTransport`` routes
 each *shard* call over the shard's replicas in a
@@ -32,7 +33,9 @@ each *shard* call over the shard's replicas in a
 and mid-query failover.  With no placement given it builds the
 replication-factor-1 map, which sends shard *i* to node *i* — the
 unreplicated layout, answer for answer and error for error.
-:data:`repro.ha.HaTcpTransport` is this same class.
+:data:`repro.ha.HaTcpTransport` is this same class, and node servers
+reach their peers' halo bands through one too: :meth:`TcpTransport.call`
+is the cluster's only loop that picks a replica and fails over.
 """
 
 from __future__ import annotations
@@ -41,10 +44,8 @@ import abc
 import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.pdf import NodePdfResult
-from repro.core.query import PdfQuery, ThresholdQuery, TopKQuery
+from repro.core.query import ThresholdQuery
 from repro.core.threshold import NodeThresholdResult
-from repro.core.topk import NodeTopKResult
 from repro.costmodel import ClusterSpec
 from repro.costmodel.ledger import METER_WIRE_BYTES
 from repro.grid import Box
@@ -76,11 +77,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: than the session.
 DEFAULT_RPC_TIMEOUT = 60.0
 
-#: Error names (local types and remote halo failures surfaced as typed
+#: Remote error names (a node's failed halo reads, surfaced as typed
 #: ERROR frames) that mean "this replica cannot answer right now" —
-#: the only failures worth retrying on a different replica.
+#: with the local connection failures, the only failures worth retrying
+#: on a different replica.  ``NoLiveReplicaError`` is a node whose own
+#: halo call ran out of replicas of a peer shard.
 _FAILOVER_TYPES = frozenset(
-    {"ConnectionLostError", "DeadlineExceededError", "NodeUnavailableError"}
+    {
+        "ConnectionLostError",
+        "DeadlineExceededError",
+        "NodeUnavailableError",
+        "NoLiveReplicaError",
+    }
 )
 
 
@@ -146,54 +154,6 @@ class Transport(abc.ABC):
         return self.part(
             KINDS["threshold"], node_id, query, boxes, timeout=timeout,
             use_cache=use_cache, processes=processes, io_only=io_only,
-        )
-
-    def batch_part(
-        self,
-        node_id: int,
-        queries: list[ThresholdQuery],
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> list[NodeThresholdResult]:
-        """One node's share of a batched threshold query."""
-        return self.part(
-            KINDS["batch_threshold"], node_id, queries, boxes,
-            timeout=timeout, use_cache=use_cache, processes=processes,
-        )
-
-    def pdf_part(
-        self,
-        node_id: int,
-        query: PdfQuery,
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> NodePdfResult:
-        """One node's share of a PDF query."""
-        return self.part(
-            KINDS["pdf"], node_id, query, boxes, timeout=timeout,
-            use_cache=use_cache, processes=processes,
-        )
-
-    def topk_part(
-        self,
-        node_id: int,
-        query: TopKQuery,
-        boxes: list[Box],
-        *,
-        use_cache: bool,
-        processes: int,
-        timeout: float | None = None,
-    ) -> NodeTopKResult:
-        """One node's share of a top-k query."""
-        return self.part(
-            KINDS["topk"], node_id, query, boxes, timeout=timeout,
-            use_cache=use_cache, processes=processes,
         )
 
     @abc.abstractmethod
@@ -275,8 +235,9 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
 class TcpTransport(Transport):
     """Parts run as RPCs to ``serve-node`` processes, routed over replicas.
 
-    The mediator keeps addressing *shards* (its scatter is one part per
-    Morton shard); this transport maps each shard call to the best live
+    Callers address *shards* — the mediator's scatter is one part per
+    Morton shard, a node server's halo read one call per peer shard —
+    and this transport maps each shard call to the best live
     replica via a :class:`~repro.ha.router.ReplicaRouter` and, when the
     call dies with a connection-level failure, retries the *same part*
     against the next surviving replica:
@@ -305,10 +266,10 @@ class TcpTransport(Transport):
         router: replica router; built from the placement when omitted.
         heartbeat_interval: when set on a replicated placement, starts
             the router's background health probe at this period
-            (seconds), so a dead replica is demoted between queries;
-            ``None`` (default) leaves health tracking to the calls
-            themselves.  An unreplicated placement never probes: its
-            shards have no other replica to prefer.
+            (seconds, positive), so a dead replica is demoted between
+            queries; ``None`` (default) leaves health tracking to the
+            calls themselves.  An unreplicated placement never probes:
+            its shards have no other replica to prefer.
         timeout: per-RPC deadline in wall seconds.  Retries of a failed
             call share this one budget.
         retry: backoff policy for connection-level failures.
@@ -336,7 +297,7 @@ class TcpTransport(Transport):
     ) -> None:
         # Imported here, not at module top: repro.ha's package import
         # reaches back into this module (anti-entropy uses
-        # parse_address, and repro.ha.HaTcpTransport is this class).
+        # DEFAULT_RPC_TIMEOUT, and repro.ha.HaTcpTransport is this class).
         from repro.ha.placement import PlacementMap
         from repro.ha.router import ReplicaRouter
 
@@ -344,6 +305,8 @@ class TcpTransport(Transport):
             raise ValueError("a TCP transport needs at least one node address")
         if timeout <= 0:
             raise ValueError("the RPC timeout must be positive")
+        if heartbeat_interval is not None and heartbeat_interval <= 0:
+            raise ValueError("the heartbeat interval must be positive")
         self.timeout = timeout
         self.pools = [
             ConnectionPool(
@@ -372,7 +335,9 @@ class TcpTransport(Transport):
         self.router = router or ReplicaRouter(
             placement,
             probe=self._probe,
-            heartbeat_interval=heartbeat_interval or 5.0,
+            heartbeat_interval=(
+                5.0 if heartbeat_interval is None else heartbeat_interval
+            ),
         )
         self._describe_lock = threading.Lock()
         self._datasets: list[dict] | None = None
@@ -510,7 +475,7 @@ class TcpTransport(Transport):
             self._m_shm.inc(result.shm_bytes)
         return result
 
-    def _call(
+    def call(
         self,
         shard: int,
         method: str,
@@ -522,8 +487,11 @@ class TcpTransport(Transport):
     ) -> CallResult:
         """One *shard* call, failing over across the shard's replicas.
 
-        Each attempt gets a fresh sink state (the pool resets it), so a
-        partially-streamed part restarts clean on the next replica.
+        The cluster's one failover loop: the mediator's query parts and
+        a node server's halo reads of a peer shard both run here.  Each
+        attempt gets its own deadline and a fresh sink state (the pool
+        resets it), so a partially-streamed part restarts clean on the
+        next replica.
         """
         candidates = self.router.route(shard)
         attempted: list[int] = []
@@ -581,7 +549,7 @@ class TcpTransport(Transport):
         **options: Any,
     ) -> Any:
         sink = PointStreamSink() if kind.stream is not None else None
-        call = self._call(
+        call = self.call(
             node_id,
             kind.name,
             kind.request_header(request, boxes, options),
@@ -613,7 +581,7 @@ class TcpTransport(Transport):
         # timeout and must not serialize unrelated catalogue lookups.
         # Concurrent first callers may fetch twice; the first answer to
         # land wins.
-        call = self._call(0, "describe", {}, timeout=timeout)
+        call = self.call(0, "describe", {}, timeout=timeout)
         datasets = call.header.get("datasets")
         if not isinstance(datasets, list):
             raise ProtocolError("describe response has no datasets")

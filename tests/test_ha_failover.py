@@ -3,7 +3,9 @@
 A two-node cluster with replication factor 2 (each node holds both
 Morton shards) is queried through :class:`~repro.ha.HaTcpTransport`
 while one node is killed at the nastiest possible moments — before
-answering, mid-PARTIAL-stream, and mid-shm-grant.  Every leg asserts
+answering, mid-PARTIAL-stream, and mid-shm-grant.  A four-node cluster
+at the same factor loses a node between queries, which moves node
+servers' halo reads onto surviving replicas too.  Every leg asserts
 point-for-point equality with the in-process reference cluster: the
 failed shard parts restart clean on the survivor and the gather's
 merge produces the same Morton-sorted columns.
@@ -107,14 +109,16 @@ class DyingNodeServer(NodeServer):
         super()._answer_hello(state, request_id, payload)
 
 
-def start_cluster(shm: bool = False) -> tuple[list[DyingNodeServer], list[str]]:
-    """Two replicated in-thread node servers over loopback, loaded."""
+def start_cluster(
+    shm: bool = False, nodes: int = NODES
+) -> tuple[list[DyingNodeServer], list[str]]:
+    """Replicated (R = 2) in-thread node servers over loopback, loaded."""
     config = ClusterConfig(
         dataset="mhd",
         side=SIDE,
         timesteps=TIMESTEPS,
         seed=11,
-        nodes=NODES,
+        nodes=nodes,
         cache_capacity_bytes=None,
         replication_factor=2,
     )
@@ -122,7 +126,7 @@ def start_cluster(shm: bool = False) -> tuple[list[DyingNodeServer], list[str]]:
         DyingNodeServer(
             i, config, stream_chunk_points=CHUNK_POINTS, shm=shm
         )
-        for i in range(NODES)
+        for i in range(nodes)
     ]
     addresses = [f"127.0.0.1:{s.port}" for s in servers]
     for server in servers:
@@ -133,15 +137,16 @@ def start_cluster(shm: bool = False) -> tuple[list[DyingNodeServer], list[str]]:
 
 
 def make_ha_mediator(addresses: list[str], **transport_kwargs) -> Mediator:
+    nodes = len(addresses)
     transport = HaTcpTransport(
         addresses,
-        placement=PlacementMap(NODES, NODES, 2),
+        placement=PlacementMap(nodes, nodes, 2),
         timeout=30.0,
         **transport_kwargs,
     )
     return Mediator(
         nodes=[],
-        partitioner=MortonPartitioner(SIDE, NODES),
+        partitioner=MortonPartitioner(SIDE, nodes),
         transport=transport,
         cache_capacity_bytes=None,
         scatter_timeout=120.0,
@@ -274,6 +279,26 @@ def test_kill_mid_shm_stream_unlinks_ring(reference):
             # The dead peer's connection was discarded, its ring unlinked.
             assert pool.open_connections == 0
             assert ring_path not in shm_segments()
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
+def test_kill_between_queries_on_four_nodes(reference):
+    # Node 0 holds shards 0 and 3 and reads shards 1 and 2's halo bands
+    # from their replicas; with node 1 dead, both its shard part and
+    # the halo reads of shard 1 land on node 2.
+    servers, addresses = start_cluster(nodes=4)
+    try:
+        assert servers[0].placement.shards_of(0) == (0, 3)
+        with make_ha_mediator(addresses) as mediator:
+            assert_identical(
+                mediator.threshold(QUERY, use_cache=False), reference
+            )
+            servers[1].kill()
+            assert_identical(
+                mediator.threshold(QUERY, use_cache=False), reference
+            )
     finally:
         for server in servers:
             server.shutdown()

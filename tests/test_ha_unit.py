@@ -3,8 +3,7 @@
 The chaos proof (``test_ha_failover.py``) exercises the integrated
 system; this file pins the individual contracts — placement spreading,
 router ordering and health transitions, the failover predicate, pool
-hygiene (probe-failure eviction), replicated halo reads, and
-digest anti-entropy.
+hygiene (probe-failure eviction), and digest anti-entropy.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core import ThresholdQuery
 from repro.grid.atoms import ATOM_VOLUME
 from repro.ha import PlacementMap, ReplicaRouter, chunk_digests
 from repro.ha.anti_entropy import catch_up, coalesce_atoms, diverging_atoms
-from repro.ha.failover import failover_worthy
 from repro.morton import MortonRange
 from repro.net.errors import (
     ConnectionLostError,
@@ -29,7 +27,8 @@ from repro.net.errors import (
 )
 from repro.net.client import NodeClient
 from repro.net.pool import MAX_PROBE_FAILURES, ConnectionPool
-from repro.net.server import ClusterConfig, NodeServer, ReplicatedHaloPeer
+from repro.net.server import ClusterConfig, NodeServer
+from repro.net.transport import TcpTransport, failover_worthy
 from tests.net_doubles import GatedNodeServer, fill_pool
 
 
@@ -166,6 +165,18 @@ def test_router_requires_probe_for_heartbeat():
         router.start_heartbeat()
 
 
+@pytest.mark.parametrize("interval", [0, 0.0, -1.0])
+def test_transport_rejects_a_nonpositive_heartbeat_interval(interval):
+    # Zero once meant a 5 s heartbeat, silently; the same check covers
+    # ``serve-http --heartbeat-interval 0``.
+    with pytest.raises(ValueError, match="heartbeat"):
+        TcpTransport(
+            ["127.0.0.1:1", "127.0.0.1:2"],
+            placement=PlacementMap(2, 2, 2),
+            heartbeat_interval=interval,
+        )
+
+
 # -- failover predicate --------------------------------------------------------
 
 
@@ -185,6 +196,14 @@ def test_failover_worthy_remote_connection_failures():
     )
     assert not failover_worthy(
         RemoteCallError("ValueError", "bad_request", "bad box")
+    )
+
+
+def test_failover_worthy_remote_replica_exhaustion():
+    # A node whose halo call ran out of replicas of a peer shard: another
+    # replica of the part, with its own halo peers, may still answer.
+    assert failover_worthy(
+        RemoteCallError("NoLiveReplicaError", "remote_error", "shard 1")
     )
 
 
@@ -256,50 +275,6 @@ def test_pool_ping_success_resets_probe_failures():
     pool.probe_failures = 2
     assert pool.ping(1.0) == 0.001
     assert pool.probe_failures == 0
-
-
-# -- replicated halo reads -----------------------------------------------------
-
-
-class _StubHaloPeer:
-    def __init__(self, error=None, atoms=None):
-        self.error = error
-        self.atoms = atoms or {}
-        self.calls = 0
-
-    def serve_halo(self, dataset, field, timestep, ranges, ledger):
-        self.calls += 1
-        if self.error is not None:
-            raise self.error
-        return self.atoms
-
-
-def test_replicated_halo_peer_fails_over():
-    dead = _StubHaloPeer(error=ConnectionLostError("gone"))
-    live = _StubHaloPeer(atoms={0: b"x"})
-    peer = ReplicatedHaloPeer([dead, live])
-    assert peer.serve_halo("mhd", "f", 0, [], None) == {0: b"x"}
-    assert dead.calls == 1 and live.calls == 1
-
-
-def test_replicated_halo_peer_propagates_logic_errors():
-    bad = _StubHaloPeer(error=ValueError("bad request"))
-    live = _StubHaloPeer(atoms={0: b"x"})
-    peer = ReplicatedHaloPeer([bad, live])
-    with pytest.raises(ValueError):
-        peer.serve_halo("mhd", "f", 0, [], None)
-    assert live.calls == 0
-
-
-def test_replicated_halo_peer_exhaustion():
-    peers = [
-        _StubHaloPeer(error=NodeUnavailableError("a", attempts=1, message="x")),
-        _StubHaloPeer(error=ConnectionLostError("y")),
-    ]
-    with pytest.raises(NodeUnavailableError):
-        ReplicatedHaloPeer(peers).serve_halo("mhd", "f", 0, [], None)
-    with pytest.raises(ValueError):
-        ReplicatedHaloPeer([])
 
 
 # -- anti-entropy primitives ---------------------------------------------------

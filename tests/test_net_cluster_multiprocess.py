@@ -319,13 +319,22 @@ def test_distributed_trace_attributes_node_side_work(tcp_mediator):
     assert root.name == "query.threshold"
 
     # The scatter structure: node.part under the root, one net.rpc per
-    # node under its part.
+    # node under its part; a node's own halo RPCs sit under its halo
+    # fetch.
     parts = [span for span in spans if span.name == "node.part"]
     assert {part.attributes.get("node") for part in parts} == {0, 1}
     assert all(part.parent_id == root.span_id for part in parts)
-    rpcs = [span for span in spans if span.name == "net.rpc"]
+    rpcs, halo_rpcs = [], []
+    for span in spans:
+        if span.name == "net.rpc":
+            is_halo = span.attributes.get("method") == "halo"
+            (halo_rpcs if is_halo else rpcs).append(span)
     assert rpcs
     assert all(by_id[rpc.parent_id].name == "node.part" for rpc in rpcs)
+    assert halo_rpcs
+    assert all(
+        by_id[rpc.parent_id].name == "node.halo_fetch" for rpc in halo_rpcs
+    )
 
     # Every rpc carries its node's true server-side processing window
     # (the server's own recv->send stamps, skew-independent)...

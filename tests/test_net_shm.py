@@ -181,10 +181,10 @@ def test_streamed_echo_is_byte_identical_across_transports(cluster):
     shm = _transport(cluster, compression=NO_COMPRESSION, shm=True)
     try:
         tcp_sink, shm_sink = _CollectSink(), _CollectSink()
-        tcp_call = tcp._call(
+        tcp_call = tcp.call(
             0, "echo", {"points": points}, sink=tcp_sink, timeout=60.0
         )
-        shm_call = shm._call(
+        shm_call = shm.call(
             0, "echo", {"points": points}, sink=shm_sink, timeout=60.0
         )
         assert b"".join(tcp_sink.chunks) == b"".join(shm_sink.chunks)
@@ -214,7 +214,7 @@ def test_shm_grant_declined_by_a_server_without_shm():
     try:
         points = 1 << 20
         sink = _CollectSink()
-        call = transport._call(
+        call = transport.call(
             0, "echo", {"points": points}, sink=sink, timeout=60.0
         )
         assert call.shm_bytes == 0
@@ -273,7 +273,7 @@ def test_shm_transport_closes_its_rings(cluster):
     """The leak gate's direct check: no ring segment survives transport close."""
     transport = _transport(cluster, compression=NO_COMPRESSION, shm=True)
     sink = _CollectSink()
-    transport._call(0, "echo", {"points": 1 << 20}, sink=sink, timeout=60.0)
+    transport.call(0, "echo", {"points": 1 << 20}, sink=sink, timeout=60.0)
     owned_before = set(_OWNED_NAMES)
     assert owned_before  # the connection ring is registered
     transport.close()

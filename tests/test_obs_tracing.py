@@ -212,7 +212,10 @@ class TestTracedQuery:
                 ancestor = by_id.get(ancestor.parent_id)
             assert "node.halo_fetch" in lineage
             if servers:
-                assert lineage[:2] == ["server.request", "node.halo_fetch"]
+                # The peer's subtree hangs under the node's own halo RPC.
+                assert lineage[:3] == [
+                    "server.request", "net.rpc", "node.halo_fetch",
+                ]
         assert tracing.category_totals(spans) == result.ledger.breakdown()
 
 

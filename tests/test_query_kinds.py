@@ -3,12 +3,13 @@
 Every entry of :data:`repro.net.kinds.KINDS` runs through every
 execution path the cluster ships — in-process, TCP with monolithic
 responses, TCP with streamed PARTIAL responses, TCP over a replicated
-placement — and must return the in-process answer array for array with
-equal ``CostLedger`` category totals.  The same table drives the wire
-round-trip checks, and a kind that exists only in this module proves
-the table is the whole seam: it is answered in-process and over TCP
-without an edit to the mediator, the transports, the node server or
-the stream sink.
+placement of two nodes and of four — and must return the in-process
+answer array for array, with equal ``CostLedger`` category totals
+unless a replica stands in for a primary (see :data:`PATHS`).  The
+same table drives the wire round-trip checks, and a kind that exists
+only in this module proves the table is the whole seam: it is answered
+in-process and over TCP without an edit to the mediator, the
+transports, the node server or the stream sink.
 """
 
 import dataclasses
@@ -57,17 +58,25 @@ REQUESTS = {
     "topk": TopKQuery("mhd", "velocity", 0, 25),
 }
 
-#: The shipped execution paths.  The last one is a replicated cluster
-#: after a failover: one node answers for both shards.  Its arrays must
-#: still match, but not its ledgers — the cost model charges a shard
-#: read off a non-primary replica as an interconnect transfer.
+#: The shipped execution paths.  ``tcp_one_replica`` is a replicated
+#: cluster after a failover: one node answers for both shards.
+#: ``tcp_replicated_4_nodes`` is four nodes at R = 2: node 0 holds
+#: shards 0 and 3 and reads shards 1 and 2's halo bands from their
+#: replicas over the wire.  The arrays of both must still match, but not
+#: their ledgers — the cost model charges a shard read off a non-primary
+#: replica as an interconnect transfer (ROADMAP item 5(a)).
 PATHS = (
     "in_process",
     "tcp_monolithic",
     "tcp_streamed",
     "tcp_replicated",
     "tcp_one_replica",
+    "tcp_replicated_4_nodes",
 )
+
+#: The paths answered by four nodes, compared with a four-node
+#: in-process cluster (result counts such as ``nodes`` follow the size).
+FOUR_NODE_PATHS = ("tcp_replicated_4_nodes",)
 
 
 class FixedRouter(ReplicaRouter):
@@ -147,6 +156,8 @@ def answers():
     results, partial_frames = {}, {}
     with in_process_mediator() as mediator:
         results["in_process"] = run_all(mediator)
+    with in_process_mediator(nodes=4) as mediator:
+        results["in_process_4_nodes"] = run_all(mediator)
     legs = {
         "tcp_monolithic": ({}, {}),
         "tcp_streamed": ({"stream_chunk_points": CHUNK_POINTS}, {}),
@@ -155,6 +166,9 @@ def answers():
         ),
         "tcp_one_replica": (
             {"replication_factor": 2}, {"replication_factor": 2, "prefer": 0},
+        ),
+        "tcp_replicated_4_nodes": (
+            {"replication_factor": 2, "nodes": 4}, {"replication_factor": 2},
         ),
     }
     for path, (server_kwargs, mediator_kwargs) in legs.items():
@@ -202,11 +216,12 @@ def assert_same(ours, reference, where="result", ledgers=True) -> None:
 @pytest.mark.parametrize("path", PATHS[1:])
 def test_every_path_returns_the_in_process_answer(answers, path, kind):
     results, _ = answers
+    four_nodes = path in FOUR_NODE_PATHS
     assert_same(
         results[path][kind],
-        results["in_process"][kind],
+        results["in_process_4_nodes" if four_nodes else "in_process"][kind],
         kind,
-        ledgers=path != "tcp_one_replica",
+        ledgers=path != "tcp_one_replica" and not four_nodes,
     )
 
 

@@ -340,3 +340,37 @@ class TestStitchingOverTcp:
         assert childless == 0, (
             f"{childless} of {rpcs} net.rpc spans lack a server.request child"
         )
+
+    def test_a_halo_read_is_an_rpc_with_its_remote_child(self, collector):
+        """A node's halo read of its peer is a ``net.rpc`` like a
+        mediator's part: under each node's ``node.halo_fetch`` span, with
+        the bytes it carried and the peer's ``server.request`` subtree."""
+        servers, addresses = start_servers()
+        mediator = Mediator(
+            nodes=[],
+            partitioner=MortonPartitioner(SIDE, NODES),
+            transport=TcpTransport(addresses, timeout=60.0),
+        )
+        try:
+            result = mediator.threshold(
+                ThresholdQuery("mhd", "vorticity", 0, 2.0)
+            )
+        finally:
+            mediator.close()
+            for server in servers:
+                server.shutdown()
+        assert result.cache_hits == 0
+        spans = collector.trace(result.query_id)
+        fetches = [s for s in spans if s.name == "node.halo_fetch"]
+        assert len(fetches) == NODES
+        for fetch in fetches:
+            (rpc,) = [
+                s for s in spans
+                if s.name == "net.rpc" and s.parent_id == fetch.span_id
+            ]
+            assert rpc.attributes["method"] == "halo"
+            assert rpc.attributes["bytes_received"] > 0
+            assert [
+                s.attributes["method"] for s in spans
+                if s.name == "server.request" and s.parent_id == rpc.span_id
+            ] == ["halo"]
