@@ -12,11 +12,10 @@ mediator<->user (WAN, XML-inflated) transfers, and enforces the global
 result limit.
 
 Over TCP, each part owns one pooled connection to its node for the
-round trip, and oversized per-node results arrive as streamed PARTIAL
-chunks that the transport merges incrementally with
-:func:`merge_sorted_runs` while later chunks are still on the wire —
-the final gather here sees exactly the same Morton-sorted columns
-either way.
+round trip, and a node's whole share of the answer comes back in that
+call's one RESPONSE frame — at most the 10^6-point result limit, 16 MB
+of columns — so the gather here sees exactly the Morton-sorted columns
+the in-process cluster produces.
 """
 
 from __future__ import annotations

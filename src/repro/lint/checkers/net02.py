@@ -16,9 +16,9 @@ Three habits reintroduce the copy:
 * ``payload = header + body`` / ``payload += chunk`` on wire-facing
   names — bytes ``+`` always copies both operands;
 * ``bytes(payload)`` / ``payload.tobytes()`` on a wire-facing name —
-  the transport hands out zero-copy views (of the receive buffer or of
-  a shared-memory ring slot), and materialising one copies the whole
-  payload right where the view was supposed to save it.  Consumers
+  the transport hands out zero-copy views of the receive buffer, and
+  materialising one copies the whole payload right where the view was
+  supposed to save it.  Consumers
   that must outlive the view copy only what they keep, under a
   non-wire name.
 
@@ -91,9 +91,9 @@ class NetZeroCopy(Checker):
                             node,
                             f"materialising {name} with bytes()/"
                             ".tobytes() copies the whole payload out of "
-                            "its zero-copy view (receive buffer or shm "
-                            "ring slot) — keep the view, or copy only "
-                            "what outlives it under a non-wire name",
+                            "its zero-copy view of the receive buffer — "
+                            "keep the view, or copy only what outlives "
+                            "it under a non-wire name",
                         )
                     )
             elif isinstance(node, ast.AugAssign) and isinstance(

@@ -16,9 +16,8 @@ kinds is one table, :mod:`repro.net.kinds`.
 The data plane is built for throughput: frames are assembled as lists
 of buffers and sent with vectored I/O (no full-payload concatenation),
 the handshake negotiates per-frame compression
-(:mod:`repro.net.compress`), each call owns one pooled connection for
-its request and response, and oversized responses stream back as
-PARTIAL chunk frames merged incrementally (:mod:`repro.net.stream`).
+(:mod:`repro.net.compress`), and each call owns one pooled connection
+for its request and its one response frame.
 """
 
 from repro.net.client import CallResult, NodeClient, RetryPolicy
@@ -42,11 +41,9 @@ from repro.net.errors import (
 )
 from repro.net.frame import Deadline, Frame, FrameType, PROTOCOL_VERSION
 from repro.net.pool import ConnectionPool
-from repro.net.stream import ByteStreamSink, PartialSink, PointStreamSink
 from repro.net.transport import InProcessTransport, TcpTransport, Transport
 
 __all__ = [
-    "ByteStreamSink",
     "CallResult",
     "CompressionConfig",
     "ConnectionLostError",
@@ -65,8 +62,6 @@ __all__ = [
     "NodeUnavailableError",
     "PROTOCOL_VERSION",
     "PartialFailureError",
-    "PartialSink",
-    "PointStreamSink",
     "ProtocolError",
     "RemoteCallError",
     "RetryPolicy",

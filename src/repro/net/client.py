@@ -2,10 +2,9 @@
 
 :class:`NodeClient` is the one connection type: handshake on connect
 (HELLO/HELLO_ACK with protocol version, node id and codec negotiation),
-then one REQUEST at a time, reading PARTIAL frames and the final
-RESPONSE inline on the caller's thread.  Concurrent calls to one node
-take one connection each from the node's
-:class:`~repro.net.pool.ConnectionPool`.
+then one REQUEST at a time, reading its one RESPONSE inline on the
+caller's thread.  Concurrent calls to one node take one connection each
+from the node's :class:`~repro.net.pool.ConnectionPool`.
 
 Every public operation takes an explicit deadline — there is no "no
 timeout" mode anywhere in this tier (lint rule NET01 enforces the
@@ -43,8 +42,6 @@ from repro.net.frame import (
     recv_frame,
     send_frame,
 )
-from repro.net.shm import ShmRing
-from repro.net.stream import PartialSink
 from repro.obs import clock
 
 #: Remote exception types rebuilt as their local classes, so the web
@@ -88,18 +85,13 @@ class CallResult:
 
     ``bytes_sent``/``bytes_received`` count what actually crossed the
     wire (headers included, compression applied), which is what the
-    ledger's ``wire_bytes`` meter charges.  ``partial_frames`` is how
-    many PARTIAL chunks preceded the final response.
+    ledger's ``wire_bytes`` meter charges.
     """
 
     header: dict
     blobs: list[Buffer]
     bytes_sent: int
     bytes_received: int
-    partial_frames: int = 0
-    #: Payload bytes that travelled via the shared-memory ring instead
-    #: of the socket (their locators are already in ``bytes_received``).
-    shm_bytes: int = 0
 
 
 def remote_error(header: dict) -> Exception:
@@ -132,42 +124,27 @@ def _connect(host: str, port: int, address: str, deadline: Deadline) -> socket.s
     return sock
 
 
-def _make_ring(shm: bool) -> ShmRing | None:
-    """A fresh payload ring, or ``None`` when shm is off or unusable."""
-    if not shm:
-        return None
-    try:
-        return ShmRing()
-    except (OSError, ValueError):  # pragma: no cover - no usable /dev/shm
-        return None
-
-
 def perform_handshake(
     sock: socket.socket,
     address: str,
     deadline: Deadline,
     config: CompressionConfig,
     on_ratio: Callable[[float], None] | None = None,
-    ring: ShmRing | None = None,
-) -> tuple[int | None, FrameCodec, bool]:
-    """HELLO/HELLO_ACK: agree on protocol version, codecs and shm.
+) -> tuple[int | None, FrameCodec]:
+    """HELLO/HELLO_ACK: agree on protocol version and codecs.
 
-    The client advertises the codec names it supports (and, with a
-    ``ring``, its shared-memory grant: host token + segment geometry);
-    the server picks a primary codec (or ``"none"``), echoes its own
-    codec list so both sides know the shared set the per-frame probe
-    may use, and accepts or declines the ring.  Returns the server's
-    node id, the negotiated :class:`FrameCodec`, and whether the server
-    attached to the ring.
+    The client advertises the codec names it supports; the server picks
+    a primary codec (or ``"none"``) and echoes its own codec list so
+    both sides know the shared set the per-frame probe may use.
+    Returns the server's node id and the negotiated :class:`FrameCodec`.
 
     Raises:
         ProtocolError: version mismatch, or the server chose a codec
             this client never advertised.
     """
-    hello: dict = {"protocol": PROTOCOL_VERSION, "codecs": list(config.codecs)}
-    if ring is not None:
-        hello["shm"] = ring.grant()
-    payload = codec.encode_message(hello)
+    payload = codec.encode_message(
+        {"protocol": PROTOCOL_VERSION, "codecs": list(config.codecs)}
+    )
     send_frame(sock, FrameType.HELLO, 0, payload, deadline)
     frame = recv_frame(sock, deadline)
     assert frame is not None
@@ -197,11 +174,8 @@ def perform_handshake(
     if chosen != "none" and chosen not in allowed:
         allowed = (chosen, *allowed)
     node_id = int(header["node_id"]) if "node_id" in header else None
-    shm_granted = ring is not None and bool(header.get("shm"))
-    return (
-        node_id,
-        FrameCodec(config, chosen, on_ratio=on_ratio, allowed=allowed),
-        shm_granted,
+    return node_id, FrameCodec(
+        config, chosen, on_ratio=on_ratio, allowed=allowed
     )
 
 
@@ -215,9 +189,6 @@ class NodeClient:
         compression: codecs to advertise (defaults to the stock zlib
             configuration; pass ``NO_COMPRESSION`` to force raw frames).
         on_ratio: callback fed each frame's achieved compression ratio.
-        shm: offer the server a shared-memory payload ring (used only
-            when both ends share a host; declined grants fall back to
-            plain TCP transparently).
 
     Raises:
         NodeUnavailableError: the TCP connection could not be opened.
@@ -232,7 +203,6 @@ class NodeClient:
         *,
         compression: CompressionConfig | None = None,
         on_ratio: Callable[[float], None] | None = None,
-        shm: bool = False,
     ) -> None:
         self.address = f"{host}:{port}"
         config = compression if compression is not None else DEFAULT_COMPRESSION
@@ -240,15 +210,10 @@ class NodeClient:
         self._next_request_id = 1
         self._closed = False
         self.node_id: int | None = None
-        self._ring = _make_ring(shm)
         try:
-            self.node_id, self._codec, granted = perform_handshake(
-                self._sock, self.address, connect_deadline, config, on_ratio,
-                ring=self._ring,
+            self.node_id, self._codec = perform_handshake(
+                self._sock, self.address, connect_deadline, config, on_ratio
             )
-            if not granted and self._ring is not None:
-                self._ring.close()
-                self._ring = None
         except Exception:
             self.close()
             raise
@@ -261,14 +226,8 @@ class NodeClient:
         header: dict,
         blobs: Sequence[Buffer],
         deadline: Deadline,
-        *,
-        sink: PartialSink | None = None,
     ) -> CallResult:
-        """One RPC round trip.
-
-        A streamed response (PARTIAL frames before the final RESPONSE)
-        is fed chunk-by-chunk into ``sink``; a server that streams at a
-        caller that supplied no sink is a protocol violation.
+        """One RPC round trip: one REQUEST frame, one RESPONSE frame.
 
         Raises:
             DeadlineExceededError: budget spent before the response landed.
@@ -287,50 +246,24 @@ class NodeClient:
             self._sock, FrameType.REQUEST, request_id, parts, deadline,
             codec=self._codec,
         )
-        received = 0
-        partials = 0
-        via_shm = 0
-        while True:
-            frame = recv_frame(
-                self._sock, deadline, codec=self._codec, shm=self._ring
+        frame = recv_frame(self._sock, deadline, codec=self._codec)
+        assert frame is not None
+        if frame.request_id != request_id:
+            raise ProtocolError(
+                f"response id {frame.request_id} does not match "
+                f"request {request_id}"
             )
-            assert frame is not None
-            if frame.request_id != request_id:
-                raise ProtocolError(
-                    f"response id {frame.request_id} does not match "
-                    f"request {request_id}"
-                )
-            received += frame.wire_bytes
-            via_shm += frame.shm_bytes
-            response_header, response_blobs = codec.decode_message(frame.payload)
-            if frame.frame_type == FrameType.PARTIAL:
-                try:
-                    if sink is None:
-                        raise ProtocolError(
-                            f"{self.address} streamed PARTIAL frames for a "
-                            f"call without a sink"
-                        )
-                    sink.feed(response_header, response_blobs)
-                finally:
-                    # No view of a ring slot may outlive its hand-back —
-                    # nor, if the next read fails, the ring's own close.
-                    release = frame.release
-                    del frame, response_blobs
-                    if release is not None:
-                        release()
-                partials += 1
-                continue
-            if frame.frame_type == FrameType.ERROR:
-                raise remote_error(response_header)
-            if frame.frame_type != FrameType.RESPONSE:
-                raise ProtocolError(
-                    f"expected RESPONSE, got {frame.frame_type.name} "
-                    f"from {self.address}"
-                )
-            return CallResult(
-                response_header, response_blobs, sent, received, partials,
-                via_shm,
+        response_header, response_blobs = codec.decode_message(frame.payload)
+        if frame.frame_type == FrameType.ERROR:
+            raise remote_error(response_header)
+        if frame.frame_type != FrameType.RESPONSE:
+            raise ProtocolError(
+                f"expected RESPONSE, got {frame.frame_type.name} "
+                f"from {self.address}"
             )
+        return CallResult(
+            response_header, response_blobs, sent, frame.wire_bytes
+        )
 
     def ping(self, deadline: Deadline) -> float:
         """Health check; returns the round-trip wall seconds.
@@ -356,11 +289,6 @@ class NodeClient:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def shm_active(self) -> bool:
-        """Whether the server attached to this connection's ring."""
-        return self._ring is not None
-
     def stale(self) -> bool:
         """Whether the peer hung up (or spoke) while no call was open.
 
@@ -371,16 +299,13 @@ class NodeClient:
         return idle_socket_is_stale(self._sock)
 
     def close(self) -> None:
-        """Close the socket and the payload ring (idempotent)."""
+        """Close the socket (idempotent)."""
         if not self._closed:
             self._closed = True
             try:
                 self._sock.close()
             except OSError:  # pragma: no cover - close never owes us anything
                 pass
-            if self._ring is not None:
-                self._ring.close()
-                self._ring = None
 
     def __enter__(self) -> "NodeClient":
         return self

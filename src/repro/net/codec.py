@@ -59,11 +59,6 @@ TRACE_HEADER_KEY = "trace"
 #: Ceiling on blobs per message (a batch of 64 queries ships 128).
 MAX_BLOBS = 4096
 
-#: Point columns a stream sink accumulated from PARTIAL frames, keyed by
-#: the frames' ``"query"`` index (0 when absent).
-Runs = Mapping[int, tuple[np.ndarray, np.ndarray]]
-
-
 # -- message layer ----------------------------------------------------------
 
 
@@ -262,36 +257,24 @@ def ranges_from_wire(records: Sequence[Sequence[int]]) -> list[MortonRange]:
 # -- node-part results ------------------------------------------------------
 
 
-def threshold_result_header(result: NodeThresholdResult) -> dict:
-    """The control header of a threshold contribution (no columns)."""
-    return {
+def threshold_result_to_wire(
+    result: NodeThresholdResult,
+) -> tuple[dict, list[bytes]]:
+    """One node's threshold contribution as ``(header, blobs)``."""
+    header = {
         "ledger": ledger_to_wire(result.ledger),
         "cache_hit": result.cache_hit,
         "boxes_evaluated": result.boxes_evaluated,
         "cache_stored": result.cache_stored,
     }
-
-
-def threshold_result_to_wire(
-    result: NodeThresholdResult,
-) -> tuple[dict, list[bytes]]:
-    """One node's threshold contribution as ``(header, blobs)``."""
-    header = threshold_result_header(result)
     return header, [pack_u64(result.zindexes), pack_f64(result.values)]
 
 
 def threshold_result_from_wire(
-    header: dict,
-    blobs: Sequence[Buffer],
-    runs: Runs | None = None,
+    header: dict, blobs: Sequence[Buffer]
 ) -> NodeThresholdResult:
-    """Rebuild one node's threshold contribution from the wire.
-
-    ``runs`` carries the accumulated point columns of a response that
-    streamed as PARTIAL frames (run 0); the final frame then ships the
-    header only.
-    """
-    zindexes, values = _result_columns(blobs, runs, 0)
+    """Rebuild one node's threshold contribution from the wire."""
+    zindexes, values = _point_columns(blobs, 0)
     return NodeThresholdResult(
         zindexes,
         values,
@@ -302,11 +285,13 @@ def threshold_result_from_wire(
     )
 
 
-def batch_results_header(results: Sequence[NodeThresholdResult]) -> dict:
-    """The control header of a batch contribution (no columns)."""
+def batch_results_to_wire(
+    results: Sequence[NodeThresholdResult],
+) -> tuple[dict, list[bytes]]:
+    """A node's per-query batch contributions (shared ledger, 2 blobs each)."""
     if not results:
         raise ProtocolError("a batch response needs at least one item")
-    return {
+    header = {
         "ledger": ledger_to_wire(results[0].ledger),
         "items": [
             {
@@ -317,13 +302,6 @@ def batch_results_header(results: Sequence[NodeThresholdResult]) -> dict:
             for item in results
         ],
     }
-
-
-def batch_results_to_wire(
-    results: Sequence[NodeThresholdResult],
-) -> tuple[dict, list[bytes]]:
-    """A node's per-query batch contributions (shared ledger, 2 blobs each)."""
-    header = batch_results_header(results)
     blobs: list[bytes] = []
     for item in results:
         blobs.append(pack_u64(item.zindexes))
@@ -332,18 +310,11 @@ def batch_results_to_wire(
 
 
 def batch_results_from_wire(
-    header: dict,
-    blobs: Sequence[Buffer],
-    runs: Runs | None = None,
+    header: dict, blobs: Sequence[Buffer]
 ) -> list[NodeThresholdResult]:
-    """Rebuild a node's batch contributions (one shared ledger).
-
-    ``runs`` carries the point columns of a response that streamed as
-    PARTIAL frames, keyed by query index; queries that streamed no
-    points get empty columns.
-    """
+    """Rebuild a node's batch contributions (one shared ledger)."""
     items = header["items"]
-    if runs is None and len(blobs) != 2 * len(items):
+    if len(blobs) != 2 * len(items):
         raise ProtocolError(
             f"batch response carries {len(blobs)} blobs for {len(items)} items"
         )
@@ -353,7 +324,7 @@ def batch_results_from_wire(
     ledger = ledger_from_wire(header["ledger"])
     results = []
     for i, item in enumerate(items):
-        zindexes, values = _result_columns(blobs, runs, i)
+        zindexes, values = _point_columns(blobs, 2 * i)
         results.append(
             NodeThresholdResult(
                 zindexes,
@@ -436,19 +407,6 @@ def halo_atoms_from_wire(header: dict, blobs: Sequence[Buffer]) -> AtomRun:
             "halo response zindexes are not strictly increasing atom corners"
         )
     return AtomRun(zindexes, body.reshape(count, atom_bytes))
-
-
-def _result_columns(
-    blobs: Sequence[Buffer],
-    runs: Runs | None,
-    index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Result ``index``'s columns: its streamed run, else its blob pair."""
-    if runs is None:
-        return _point_columns(blobs, 2 * index)
-    return runs.get(
-        index, (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
-    )
 
 
 def _point_columns(

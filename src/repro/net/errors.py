@@ -15,7 +15,9 @@ three questions a caller asks about an RPC failure:
   retried (the budget is spent by definition);
 * *did the peer speak garbage?* — :class:`FrameError` /
   :class:`ProtocolError` poison the connection, which is discarded
-  rather than returned to the pool.
+  rather than returned to the pool.  A frame cut off by the peer's
+  close (:class:`TruncatedFrameError`) is both: garbage on this
+  connection, and a lost connection to retry and fail over on.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ class DeadlineExceededError(NetError):
 
 class ConnectionLostError(NetError):
     """An established connection broke while a call was in flight."""
+
+
+class TruncatedFrameError(FrameError, ConnectionLostError):
+    """The peer closed the connection partway through a frame.
+
+    A node that dies while writing its RESPONSE leaves exactly this
+    behind, so the pool retries it and the transport fails over on it
+    like any other lost connection.
+    """
 
 
 class NodeUnavailableError(NetError):

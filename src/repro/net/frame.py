@@ -3,16 +3,16 @@
 One frame is a fixed 20-byte header followed by an opaque payload::
 
     magic    4s   b"RNET"
-    version  B    protocol version (2)
+    version  B    protocol version (3)
     type     B    frame type (FrameType)
     flags    H    low byte: payload codec id (0 raw, 1 zlib); high byte 0
     request  Q    request id, echoed by the matching response
     length   I    payload byte count *as sent* (post-compression)
 
-The payload of :data:`FrameType.REQUEST` / ``RESPONSE`` / ``PARTIAL``
-frames is a :mod:`repro.net.codec` message whose column blobs are the
-PR-3 pointset blobs *verbatim* — query results cross the wire without
-re-encoding.
+The payload of :data:`FrameType.REQUEST` / ``RESPONSE`` frames is a
+:mod:`repro.net.codec` message whose column blobs are the pointset
+blobs *verbatim* — query results cross the wire without re-encoding.
+Every request is answered by exactly one RESPONSE (or ERROR) frame.
 
 The data plane is zero-copy in both directions.  Senders hand
 :func:`send_frame` a *list* of buffers (header dict bytes, per-blob
@@ -37,18 +37,18 @@ import enum
 import socket
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from repro.net.errors import (
     ConnectionLostError,
     DeadlineExceededError,
     FrameError,
+    TruncatedFrameError,
 )
 from repro.obs import clock
 
 if TYPE_CHECKING:
     from repro.net.compress import FrameCodec
-    from repro.net.shm import ShmRing, ShmWriter
 
 #: Anything the wire layer accepts as payload bytes without copying.
 Buffer = Union[bytes, bytearray, memoryview]
@@ -56,22 +56,21 @@ Buffer = Union[bytes, bytearray, memoryview]
 #: First bytes of every frame.
 MAGIC = b"RNET"
 #: Wire protocol version; bumped on incompatible frame/codec changes.
-#: Version 2: flags carry the per-frame codec id, PARTIAL frames stream
-#: large results, and the handshake negotiates compression codecs.
-PROTOCOL_VERSION = 2
+#: Version 2: flags carry the per-frame codec id and the handshake
+#: negotiates compression codecs.  Version 3: one RESPONSE per request —
+#: frame type 8 (a streamed chunk) and flag 0x100 (a shared-memory
+#: locator) are no longer legal.
+PROTOCOL_VERSION = 3
 #: Frame header layout (little-endian, 20 bytes).
 HEADER = struct.Struct("<4sBBHQI")
-#: Ceiling on a single frame's payload (a full 1024^3 timestep's result
-#: ships as many frames well below this; anything bigger is garbage).
+#: Ceiling on a single frame's payload.  A node's whole share of an
+#: answer travels in one frame, and the largest answer the service
+#: allows (10^6 points at 16 bytes each) is 16 MB; a node refuses a
+#: bigger reply with a typed ERROR, and a peer announcing one is garbage.
 MAX_PAYLOAD = 256 * 1024 * 1024
-#: Mask of the flags bits that carry the codec id.
+#: Mask of the flags bits that carry the codec id; every other bit is
+#: illegal.
 CODEC_FLAG_MASK = 0x00FF
-#: Flag: the TCP payload is a shared-memory locator, not the payload
-#: itself — the real bytes sit in a slot of the connection's granted
-#: ring (:mod:`repro.net.shm`).  Never combined with a codec id.
-FLAG_SHM = 0x0100
-#: Every flags bit this build understands.
-_KNOWN_FLAGS = CODEC_FLAG_MASK | FLAG_SHM
 #: Buffers per sendmsg call — comfortably under every platform's IOV_MAX.
 _IOV_BATCH = 64
 
@@ -88,9 +87,8 @@ class FrameType(enum.IntEnum):
     PING = 3  #: client -> server: health check
     PONG = 4  #: server -> client: health response
     REQUEST = 5  #: client -> server: one RPC call
-    RESPONSE = 6  #: server -> client: successful (or final) RPC result
+    RESPONSE = 6  #: server -> client: successful RPC result
     ERROR = 7  #: server -> client: typed RPC failure
-    PARTIAL = 8  #: server -> client: one chunk of a streamed result
 
 
 class Frame(NamedTuple):
@@ -107,12 +105,6 @@ class Frame(NamedTuple):
     request_id: int
     payload: Buffer
     wire_bytes: int
-    #: For shm-located frames: hand the ring slot back to the writer.
-    #: Call it exactly once, after the payload (and every view derived
-    #: from it) is fully consumed; ``None`` for inline TCP frames.
-    release: Callable[[], None] | None = None
-    #: Payload bytes that travelled via shared memory (0 for TCP).
-    shm_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -199,65 +191,6 @@ def send_frame(
     return HEADER.size + total
 
 
-def send_shm_frame(
-    sock: socket.socket,
-    frame_type: FrameType,
-    request_id: int,
-    payload: Buffer | Sequence[Buffer],
-    deadline: Deadline,
-    *,
-    writer: "ShmWriter",
-) -> "tuple[int, int] | None":
-    """Ship a frame's payload through the shared-memory ring, if it fits.
-
-    The payload parts are copied into a free ring slot and only a
-    :data:`~repro.net.shm.LOCATOR` crosses TCP, with :data:`FLAG_SHM`
-    set.  Returns ``(wire_bytes, shm_bytes)`` on success — ``wire_bytes``
-    is the locator frame's TCP footprint, which is what the ledger's
-    wire meter should charge — or ``None`` when no slot is free or the
-    payload exceeds the slot size, in which case the caller sends the
-    same payload inline with :func:`send_frame`.  Shm frames never
-    compress: the point is to skip the codec pass entirely.
-
-    Raises:
-        DeadlineExceededError / ConnectionLostError: as ``send_frame``.
-    """
-    from repro.net.shm import LOCATOR
-
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        parts: Sequence[Buffer] = (payload,)
-    else:
-        parts = payload
-    total = 0
-    for part in parts:
-        total += len(part)
-    claimed = writer.claim(total)
-    if claimed is None:
-        return None
-    slot, gen, target = claimed
-    offset = 0
-    for part in parts:
-        span = len(part)
-        if not span:
-            continue
-        source = memoryview(part)
-        if source.itemsize != 1:
-            source = source.cast("B")
-        target[offset : offset + span] = source
-        offset += span
-    locator = LOCATOR.pack(slot, gen, total)
-    header = HEADER.pack(
-        MAGIC,
-        PROTOCOL_VERSION,
-        int(frame_type),
-        FLAG_SHM,
-        request_id,
-        LOCATOR.size,
-    )
-    _send_all(sock, [header, locator], deadline)
-    return HEADER.size + LOCATOR.size, total
-
-
 def _send_all(
     sock: socket.socket, buffers: list[Buffer], deadline: Deadline
 ) -> None:
@@ -299,14 +232,14 @@ def recv_frame(
     *,
     eof_ok: bool = False,
     codec: "FrameCodec | None" = None,
-    shm: "ShmRing | None" = None,
 ) -> Frame | None:
     """Read one frame; returns a :class:`Frame` (or ``None`` at EOF).
 
     A clean end-of-stream *before any header byte* returns ``None`` when
     ``eof_ok`` is set (a client hanging up between requests) and raises
     :class:`ConnectionLostError` otherwise; EOF anywhere inside a frame
-    is always a truncation (:class:`FrameError`).
+    is always a truncation (:class:`TruncatedFrameError`, a
+    :class:`FrameError` that is also a :class:`ConnectionLostError`).
 
     Raises:
         FrameError: bad magic/version/flags, oversized, truncated or
@@ -317,7 +250,7 @@ def recv_frame(
     header = bytearray(HEADER.size)
     if not _recv_exact(sock, memoryview(header), deadline, eof_ok=eof_ok):
         return None
-    return _finish_frame(sock, header, deadline, codec, shm)
+    return _finish_frame(sock, header, deadline, codec)
 
 
 def idle_socket_is_stale(sock: socket.socket) -> bool:
@@ -343,7 +276,6 @@ def _finish_frame(
     header: bytearray,
     deadline: Deadline,
     codec: "FrameCodec | None",
-    shm: "ShmRing | None" = None,
 ) -> Frame:
     """Validate a complete header and collect the payload."""
     magic, version, type_code, flags, request_id, length = HEADER.unpack(header)
@@ -354,7 +286,7 @@ def _finish_frame(
             f"peer speaks protocol {version}, this build speaks "
             f"{PROTOCOL_VERSION}"
         )
-    if flags & ~_KNOWN_FLAGS:
+    if flags & ~CODEC_FLAG_MASK:
         raise FrameError(f"unsupported frame flags {flags:#x}")
     try:
         frame_type = FrameType(type_code)
@@ -369,10 +301,6 @@ def _finish_frame(
     if length:
         _recv_exact(sock, memoryview(buffer), deadline, eof_ok=False)
     codec_id = flags & CODEC_FLAG_MASK
-    if flags & FLAG_SHM:
-        return _locate_shm_payload(
-            frame_type, request_id, buffer, codec_id, shm
-        )
     payload: Buffer = memoryview(buffer)
     if codec_id:
         if codec is None:
@@ -382,49 +310,6 @@ def _finish_frame(
             )
         payload = codec.decode(codec_id, payload)
     return Frame(frame_type, request_id, payload, HEADER.size + length)
-
-
-def _locate_shm_payload(
-    frame_type: FrameType,
-    request_id: int,
-    locator_bytes: bytearray,
-    codec_id: int,
-    shm: "ShmRing | None",
-) -> Frame:
-    """Resolve an shm-located frame's locator to a ring-slot view."""
-    from repro.net.shm import LOCATOR
-
-    if codec_id:
-        raise FrameError(
-            "shm-located frame carries a codec id; shm payloads are "
-            "never compressed"
-        )
-    if shm is None:
-        raise FrameError(
-            "peer sent an shm-located frame but this connection granted "
-            "no shared-memory ring"
-        )
-    if len(locator_bytes) != LOCATOR.size:
-        raise FrameError(
-            f"shm locator must be {LOCATOR.size} bytes, "
-            f"got {len(locator_bytes)}"
-        )
-    slot, gen, span = LOCATOR.unpack(locator_bytes)
-    slot_view = shm.view(slot, gen, span)
-
-    def _release(
-        ring: "ShmRing" = shm, slot: int = slot, gen: int = gen
-    ) -> None:
-        ring.release(slot, gen)
-
-    return Frame(
-        frame_type,
-        request_id,
-        slot_view,
-        HEADER.size + len(locator_bytes),
-        _release,
-        span,
-    )
 
 
 def _recv_exact(
@@ -456,7 +341,7 @@ def _recv_exact(
                 return False
             if got == 0:
                 raise ConnectionLostError("connection closed by peer")
-            raise FrameError(
+            raise TruncatedFrameError(
                 f"truncated frame: peer closed after {got} of {total} bytes"
             )
         got += count

@@ -8,8 +8,8 @@ here once, as a :class:`QueryKind`: how the request and the per-node
 result cross the wire, which node function evaluates a part, which
 region the query scatters over, which ledger a part reports, and how
 the mediator assembles the parts into the public result.  The mediator,
-both transports, the node server and the stream sink each run one
-generic path over :data:`KINDS`.
+both transports and the node server each run one generic path over
+:data:`KINDS`.
 
 Adding a kind is one entry in that dict (see DESIGN.md, "Adding a
 query kind"); no other module of the scatter path names a kind.
@@ -64,11 +64,6 @@ OPTION_DEFAULTS: Mapping[str, "bool | int"] = {
     "processes": 1,
     "io_only": False,
 }
-
-#: One keyed point run of a streamed result: the PARTIAL header tag
-#: (``{}`` or ``{"query": index}``) and the Morton-sorted columns.
-TaggedRun = tuple[dict, np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class NodeContext:
@@ -135,19 +130,6 @@ class Assembled:
 
 
 @dataclass(frozen=True)
-class PointStream:
-    """How a kind's oversized results travel as PARTIAL chunk frames.
-
-    ``header`` is the result's control header without its columns (it
-    becomes the terminating RESPONSE); ``runs`` lists the result's keyed
-    point runs in the order they are streamed.
-    """
-
-    header: Callable[[Any], dict]
-    runs: Callable[[Any], list[TaggedRun]]
-
-
-@dataclass(frozen=True)
 class QueryKind:
     """Everything that differs between query kinds, and nothing else.
 
@@ -161,16 +143,13 @@ class QueryKind:
         run: the node function, normalised to ``run(context, request,
             boxes, **options)`` -> part (``use_cache=False`` hides the
             context's caches from it).
-        result_to_wire: part -> monolithic ``(header, blobs)``.
-        result_from_wire: ``(header, blobs, runs)`` -> part; ``runs``
-            is ``None`` for a monolithic response, else the streamed
-            point runs that replace the column blobs.
+        result_to_wire: part -> the RESPONSE's ``(header, blobs)``.
+        result_from_wire: ``(header, blobs)`` -> part.
         region: request -> ``(dataset, box)`` the kind scatters over
             (``None`` = the whole domain).
         part_ledger: part -> the ledger that part reports.
         span_attributes: request -> attributes of the root span.
         assemble: ``(gather, request, parts)`` -> :class:`Assembled`.
-        stream: the chunked form, for kinds whose results can be large.
     """
 
     name: str
@@ -178,14 +157,13 @@ class QueryKind:
     request_from_wire: Callable[[Any], Any]
     run: Callable[..., Any]
     result_to_wire: Callable[[Any], tuple[dict, list[bytes]]]
-    result_from_wire: Callable[[dict, Sequence[Buffer], codec.Runs | None], Any]
+    result_from_wire: Callable[[dict, Sequence[Buffer]], Any]
     region: Callable[[Any], tuple[str, Box | None]]
     span_attributes: Callable[[Any], dict]
     assemble: Callable[[Gather, Any, list], Assembled]
     request_key: str = "query"
     options: tuple[str, ...] = ("use_cache", "processes")
     part_ledger: Callable[[Any], CostLedger] = attrgetter("ledger")
-    stream: PointStream | None = None
 
     def request_header(
         self, request: Any, boxes: Sequence[Box], options: Mapping[str, Any]
@@ -331,10 +309,6 @@ KINDS: dict[str, QueryKind] = {
                 "timestep": query.timestep, "threshold": query.threshold,
             },
             assemble=_assemble_threshold,
-            stream=PointStream(
-                header=codec.threshold_result_header,
-                runs=lambda part: [({}, part.zindexes, part.values)],
-            ),
         ),
         QueryKind(
             name="batch_threshold",
@@ -360,13 +334,6 @@ KINDS: dict[str, QueryKind] = {
                 "dataset": queries[0].dataset, "queries": len(queries),
             },
             assemble=_assemble_batch,
-            stream=PointStream(
-                header=codec.batch_results_header,
-                runs=lambda parts: [
-                    ({"query": index}, item.zindexes, item.values)
-                    for index, item in enumerate(parts)
-                ],
-            ),
         ),
         QueryKind(
             name="pdf",
@@ -379,9 +346,7 @@ KINDS: dict[str, QueryKind] = {
                 )
             ),
             result_to_wire=codec.pdf_result_to_wire,
-            result_from_wire=lambda header, blobs, runs: (
-                codec.pdf_result_from_wire(header, blobs)
-            ),
+            result_from_wire=codec.pdf_result_from_wire,
             region=lambda query: (query.dataset, None),
             span_attributes=lambda query: {
                 "dataset": query.dataset, "field": query.field,
@@ -400,9 +365,7 @@ KINDS: dict[str, QueryKind] = {
                 )
             ),
             result_to_wire=codec.topk_result_to_wire,
-            result_from_wire=lambda header, blobs, runs: (
-                codec.topk_result_from_wire(header, blobs)
-            ),
+            result_from_wire=codec.topk_result_from_wire,
             region=lambda query: (query.dataset, None),
             span_attributes=lambda query: {
                 "dataset": query.dataset, "field": query.field,

@@ -13,9 +13,9 @@ Retries: connection-level failures (:class:`NodeUnavailableError`,
 :class:`ConnectionLostError`) are retried with the pool's
 :class:`~repro.net.client.RetryPolicy`: every node RPC is a read, so a
 replay changes nothing.  Every attempt draws from the one per-request
-deadline, so retrying can never extend a request past its budget.  A
-streamed call's sink is reset at the start of every attempt, so chunks
-delivered before a mid-flight failure are never double-counted.
+deadline, so retrying can never extend a request past its budget.  An
+attempt's answer is one RESPONSE frame, so a failed attempt leaves
+nothing behind for the retry to discard.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.net.errors import (
     NodeUnavailableError,
 )
 from repro.net.frame import Buffer, Deadline
-from repro.net.stream import PartialSink
 from repro.obs import clock, tracing
 
 #: Per-attempt budget for TCP connect + handshake (always additionally
@@ -61,9 +60,6 @@ class ConnectionPool:
         compression: codecs to advertise on new connections; defaults
             to the stock zlib configuration.
         on_ratio: callback fed each frame's achieved compression ratio.
-        shm: offer servers a shared-memory payload ring on each new
-            connection (same-host fast path; declined grants fall back
-            to TCP transparently).
     """
 
     def __init__(
@@ -79,7 +75,6 @@ class ConnectionPool:
         pipeline: bool = True,
         compression: CompressionConfig | None = None,
         on_ratio: Callable[[float], None] | None = None,
-        shm: bool = False,
     ) -> None:
         if max_connections < 1:
             raise ValueError("a pool needs at least one connection")
@@ -92,7 +87,6 @@ class ConnectionPool:
             compression if compression is not None else DEFAULT_COMPRESSION
         )
         self._on_ratio = on_ratio
-        self.shm = shm
         self.probe_failures = 0
         self._on_retry = on_retry
         self._lock = threading.Lock()
@@ -112,7 +106,6 @@ class ConnectionPool:
         blobs: Sequence[Buffer],
         *,
         timeout: float,
-        sink: PartialSink | None = None,
     ) -> CallResult:
         """One RPC with pooling, deadline and retries.
 
@@ -135,7 +128,7 @@ class ConnectionPool:
         while True:
             attempt_started = clock.now()
             try:
-                result = self._call_once(method, header, blobs, deadline, sink)
+                result = self._call_once(method, header, blobs, deadline)
             except (NodeUnavailableError, ConnectionLostError) as error:
                 attempt += 1
                 if attempt >= self.retry.attempts:
@@ -160,7 +153,7 @@ class ConnectionPool:
                     clock.sleep(pause)
             else:
                 # The server piggybacks its captured spans (plus its own
-                # clock stamps) on the final response header; graft them
+                # clock stamps) on the response header; graft them
                 # under the current span using this attempt's send/recv
                 # stamps for the midpoint skew estimate.  Per-attempt
                 # stamps matter: a retried call's first attempt never
@@ -236,14 +229,9 @@ class ConnectionPool:
         header: dict,
         blobs: Sequence[Buffer],
         deadline: Deadline,
-        sink: PartialSink | None,
     ) -> CallResult:
-        if sink is not None:
-            # Fresh attempt, fresh sink: chunks streamed before a
-            # mid-flight failure must not survive into the retry.
-            sink.reset()
         with self._checkout(deadline) as client:
-            return client.call(method, header, blobs, deadline, sink=sink)
+            return client.call(method, header, blobs, deadline)
 
     @contextmanager
     def _checkout(self, deadline: Deadline) -> Iterator[NodeClient]:
@@ -300,7 +288,6 @@ class ConnectionPool:
             connect_deadline,
             compression=self.compression,
             on_ratio=self._on_ratio,
-            shm=self.shm,
         )
 
     def _release(self, client: NodeClient) -> None:

@@ -21,11 +21,11 @@ mediator's query parts do.
 
 Each connection gets one thread.  It negotiates a frame codec in the
 HELLO exchange and then answers one REQUEST at a time, in place: the
-frame is read, the query runs and the response — including the PARTIAL
-chunk stream of a large threshold/batch result — is written on that
-thread before the next frame is read.  A client with several calls in
-flight holds several connections, so requests run concurrently across
-connection threads and no frame can interleave with another.
+frame is read, the query runs and its one RESPONSE frame — a node's
+whole share of the answer — is written on that thread before the next
+frame is read.  A client with several calls in flight holds several
+connections, so requests run concurrently across connection threads
+and no frame can interleave with another.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
-
-import numpy as np
+from typing import Callable, Sequence
 
 from repro.cluster.node import DatabaseNode
 from repro.cluster.partition import MortonPartitioner
 from repro.core.cache import SemanticCache
 from repro.core.executor import HaloPeer, NodeExecutor
 from repro.core.pdfcache import PdfCache
-from repro.core.pointset import pack_f64, pack_u64
 from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_HALO_BYTES, METER_HALO_SECONDS
 from repro.fields.derived import FieldRegistry, UnknownFieldError, default_registry
@@ -62,6 +59,7 @@ from repro.net.client import CallResult
 from repro.net.errors import (
     ConnectionLostError,
     DeadlineExceededError,
+    FrameError,
     NetError,
     NoLiveReplicaError,
     NodeUnavailableError,
@@ -74,12 +72,9 @@ from repro.net.frame import (
     PROTOCOL_VERSION,
     recv_frame,
     send_frame,
-    send_shm_frame,
 )
-from repro.net.kinds import KINDS, NodeContext, QueryKind, TaggedRun
+from repro.net.kinds import KINDS, NodeContext, QueryKind
 from repro.net.pool import ConnectionPool
-from repro.net.shm import ShmWriter, host_token
-from repro.net.stream import STREAM_CHUNK_POINTS, iter_point_chunks
 from repro.net.transport import DEFAULT_RPC_TIMEOUT, TcpTransport
 from repro.obs import clock, tracing
 from repro.simulation.datasets import (
@@ -112,16 +107,6 @@ _DATASET_FACTORIES = {
     "channel": channel_dataset,
 }
 
-def _column_view(chunk: np.ndarray, dtype: str) -> memoryview:
-    """A byte view of a column chunk, copy-free when already native.
-
-    Chunk slices of contiguous little-endian columns (the only kind the
-    stream producers make) need no conversion, so the view aliases the
-    result array directly; anything else is converted first.
-    """
-    return memoryview(np.ascontiguousarray(chunk, dtype=dtype)).cast("B")
-
-
 #: Failures a request may raise that are answered with an ERROR frame
 #: instead of killing the connection (the ERR01 taxonomy boundary).
 #: The connection-level types cover a node's *outgoing* halo RPCs: when
@@ -142,39 +127,22 @@ _REQUEST_ERRORS = (
 )
 
 
-@dataclass
-class StreamedResponse:
-    """A response delivered as PARTIAL chunk frames plus a final frame.
-
-    ``partials`` yields ``(header, blobs)`` messages, each becoming one
-    PARTIAL frame; ``header``/``blobs`` form the terminating RESPONSE
-    (which carries the ledger and flags, is marked ``"streamed": true``
-    and ships no blobs).
-    """
-
-    partials: Iterable[tuple[dict, list[Buffer]]]
-    header: dict
-    blobs: list[Buffer]
-
-
-#: What a request handler returns: one message, or a chunk stream.
-Response = Union[tuple[dict, Sequence[Buffer]], StreamedResponse]
+#: What a request handler returns: one RESPONSE message.
+Response = tuple[dict, Sequence[Buffer]]
 
 
 class _ConnectionState:
     """One client connection: its socket and what HELLO negotiated.
 
-    ``codec`` is ``None`` until the HELLO exchange negotiates one;
-    ``shm`` is the client's payload ring once a grant was accepted.
+    ``codec`` is ``None`` until the HELLO exchange negotiates one.
     Only the connection's own thread reads or writes the socket.
     """
 
-    __slots__ = ("conn", "codec", "shm")
+    __slots__ = ("conn", "codec")
 
     def __init__(self, conn: socket.socket) -> None:
         self.conn = conn
         self.codec: FrameCodec | None = None
-        self.shm: ShmWriter | None = None
 
     def send(
         self,
@@ -193,37 +161,11 @@ class _ConnectionState:
             codec=None if raw else self.codec,
         )
 
-    def send_partial(
-        self, request_id: int, payload: "Buffer | Sequence[Buffer]"
-    ) -> None:
-        """One PARTIAL chunk, via the shared-memory ring when possible.
-
-        A granted ring carries the chunk as a slot copy plus a locator
-        frame; no free slot (the client is still consuming) or an
-        oversized chunk falls back to the inline TCP frame, so progress
-        never depends on the ring.
-        """
-        if self.shm is not None:
-            shipped = send_shm_frame(
-                self.conn,
-                FrameType.PARTIAL,
-                request_id,
-                payload,
-                Deadline.after(RESPONSE_TIMEOUT),
-                writer=self.shm,
-            )
-            if shipped is not None:
-                return
-        self.send(FrameType.PARTIAL, request_id, payload)
-
     def close(self) -> None:
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - close owes us nothing
             pass
-        if self.shm is not None:
-            self.shm.close()
-            self.shm = None
 
 
 @dataclass(frozen=True)
@@ -395,12 +337,6 @@ class NodeServer:
         registry: derived-field registry (defaults to the stock one).
         compression: frame codecs this server offers during HELLO
             negotiation (defaults to the stock zlib configuration).
-        stream_chunk_points: threshold/batch responses with more points
-            than this are streamed as PARTIAL chunk frames of at most
-            this many points each.
-        shm: accept clients' shared-memory ring grants (same-host fast
-            path).  Grants from another host, or rings this process
-            cannot attach, are declined per connection regardless.
     """
 
     def __init__(
@@ -413,15 +349,11 @@ class NodeServer:
         spec: ClusterSpec | None = None,
         registry: FieldRegistry | None = None,
         compression: CompressionConfig | None = None,
-        stream_chunk_points: int = STREAM_CHUNK_POINTS,
-        shm: bool = True,
     ) -> None:
         if not 0 <= node_id < config.nodes:
             raise ValueError(
                 f"node id {node_id} outside cluster of {config.nodes}"
             )
-        if stream_chunk_points < 1:
-            raise ValueError("stream_chunk_points must be positive")
         self.node_id = node_id
         self.config = config
         self.spec = spec or paper_cluster()
@@ -429,8 +361,6 @@ class NodeServer:
         self.compression = (
             compression if compression is not None else DEFAULT_COMPRESSION
         )
-        self.stream_chunk_points = stream_chunk_points
-        self.shm = shm
         self.partitioner = MortonPartitioner(config.side, config.nodes)
         self.placement = PlacementMap.from_partitioner(
             self.partitioner, config.replication_factor
@@ -466,7 +396,6 @@ class NodeServer:
         self._conn_threads: list[threading.Thread] = []
         self._open_conns: set[socket.socket] = set()
         self._lock = threading.Lock()
-        self._echo_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: The non-query RPCs, by wire method name.
         self._control: dict[str, Callable[[dict, list[Buffer]], Response]] = {
             "halo": self._serve_halo,
@@ -691,14 +620,12 @@ class NodeServer:
             )
         advertised = [str(name) for name in header.get("codecs", [])]
         chosen = negotiate(self.compression.codecs, advertised)
-        writer = self._attach_ring(header.get("shm"))
         body = codec.encode_message(
             {
                 "protocol": PROTOCOL_VERSION,
                 "node_id": self.node_id,
                 "codecs": list(self.compression.codecs),
                 "codec": chosen,
-                "shm": writer is not None,
             }
         )
         # The ack itself is always raw; the negotiated codec applies
@@ -709,29 +636,6 @@ class NodeServer:
             chosen,
             allowed=shared_codecs(self.compression.codecs, advertised),
         )
-        state.shm = writer
-
-    def _attach_ring(self, grant: object) -> ShmWriter | None:
-        """Attach the client's advertised payload ring, or decline.
-
-        Declines (returns ``None``) when shm is disabled on this server,
-        the grant is absent/malformed, the client's host token differs
-        from ours, or the segment cannot be attached (which is how a
-        lying host token actually surfaces) — the client then simply
-        stays on TCP.
-        """
-        if not self.shm or not isinstance(grant, dict):
-            return None
-        try:
-            if str(grant.get("host")) != host_token():
-                return None
-            return ShmWriter(
-                str(grant["name"]),
-                int(grant["slots"]),
-                int(grant["slot_bytes"]),
-            )
-        except (OSError, KeyError, ValueError, TypeError):
-            return None
 
     @staticmethod
     def _send_error(
@@ -755,11 +659,15 @@ class NodeServer:
     def _answer_request(
         self, state: _ConnectionState, request_id: int, payload: Buffer
     ) -> None:
-        """Decode one REQUEST, run it and write its answer.
+        """Decode one REQUEST, run it and write its one RESPONSE.
 
-        A failure of the request is answered with an ERROR frame; a
-        failure to write (the client went away mid-answer) propagates
-        and retires the connection.
+        A failure of the request is answered with an ERROR frame, and so
+        is an answer too large for one frame (:data:`MAX_PAYLOAD`):
+        ``send_frame`` refuses it before writing a byte, and a typed
+        error the caller will not fail over on beats a dropped
+        connection that every replica would recompute.  A failure to
+        write (the client went away mid-answer) propagates and retires
+        the connection.
         """
         received = clock.now()
         try:
@@ -775,40 +683,36 @@ class NodeServer:
         context = codec.trace_context_from_wire(header)
         with tracing.remote_request(context) as capture:
             try:
-                response = self._dispatch(method, header, blobs)
+                response_header, response_blobs = self._dispatch(
+                    method, header, blobs
+                )
             except _REQUEST_ERRORS as error:
                 self._send_error(state, request_id, error)
                 return
-            if isinstance(response, StreamedResponse):
-                for part_header, part_blobs in response.partials:
-                    state.send_partial(
-                        request_id,
-                        codec.encode_message_parts(part_header, part_blobs),
-                    )
-                final_header, final_blobs = response.header, response.blobs
-            else:
-                final_header, final_blobs = response
         if capture is not None:
             # Piggyback the captured spans (with this server's own
             # recv/send clock stamps for the caller's skew estimate)
-            # on the final RESPONSE header — no extra round trip.
-            final_header = {
-                **final_header,
+            # on the RESPONSE header — no extra round trip.
+            response_header = {
+                **response_header,
                 codec.TRACE_HEADER_KEY: codec.trace_payload_to_wire(
                     self.node_id, received, clock.now(), capture.to_wire()
                 ),
             }
-        state.send(
-            FrameType.RESPONSE,
-            request_id,
-            codec.encode_message_parts(final_header, final_blobs),
-            raw=method in RAW_REPLY_METHODS,
-        )
+        try:
+            state.send(
+                FrameType.RESPONSE,
+                request_id,
+                codec.encode_message_parts(response_header, response_blobs),
+                raw=method in RAW_REPLY_METHODS,
+            )
+        except FrameError as error:
+            self._send_error(state, request_id, error)
 
     # -- request dispatch --------------------------------------------------------
 
     def _dispatch(self, method: str, header: dict, blobs: list[Buffer]) -> Response:
-        """Run one RPC; returns ``(header, blobs)`` or a chunk stream.
+        """Run one RPC; returns its ``(header, blobs)``.
 
         Query methods are the :data:`~repro.net.kinds.KINDS` table's
         names; everything else is a control handler.
@@ -822,32 +726,8 @@ class NodeServer:
                 raise ValueError(f"unknown RPC method {method!r}")
             return control(header, blobs)
 
-    def _point_stream(
-        self, items: Sequence[TaggedRun]
-    ) -> Iterable[tuple[dict, list[Buffer]]]:
-        """PARTIAL messages for column pairs, chunked and tagged.
-
-        Columns travel as zero-copy views of the (little-endian,
-        contiguous) chunk slices — the only copies left between the
-        result arrays and the socket or shared-memory slot are the ones
-        the transport itself must make.
-        """
-        for tag, zindexes, values in items:
-            for seq, z_chunk, v_chunk in iter_point_chunks(
-                zindexes, values, self.stream_chunk_points
-            ):
-                yield (
-                    {**tag, "seq": seq},
-                    [_column_view(z_chunk, "<u8"), _column_view(v_chunk, "<f8")],
-                )
-
     def _serve_query(self, kind: QueryKind, header: dict) -> Response:
-        """One node part of any query kind: decode, evaluate, encode.
-
-        A kind that streams ships a result of more than
-        :attr:`stream_chunk_points` points as PARTIAL chunks plus a
-        column-less final header; everything else is one frame.
-        """
+        """One node part of any query kind: decode, evaluate, encode."""
         request, boxes, options = kind.parse_request(header)
         context = NodeContext(
             self.node,
@@ -857,14 +737,6 @@ class NodeServer:
             self.registry,
         )
         result = kind.run(context, request, boxes, **options)
-        if kind.stream is not None:
-            runs = kind.stream.runs(result)
-            if sum(len(z) for _tag, z, _v in runs) > self.stream_chunk_points:
-                return StreamedResponse(
-                    self._point_stream(runs),
-                    {**kind.stream.header(result), "streamed": True},
-                    [],
-                )
         return kind.result_to_wire(result)
 
     def _serve_halo(self, header: dict, blobs: list[Buffer]) -> Response:
@@ -930,48 +802,5 @@ class NodeServer:
         )
 
     def _serve_echo(self, header: dict, blobs: list[Buffer]) -> Response:
-        """Diagnostic transfer RPC for benchmarks and wire tests.
-
-        With ``{"points": n}`` the server synthesizes a deterministic
-        n-point column pair and returns it exactly like a threshold
-        result would travel — streamed as PARTIAL chunks when large —
-        so transfer benchmarks measure the real data plane without a
-        query attached.  The columns mimic a real result: sorted Morton
-        keys with varying gaps and smooth field values with full
-        float64 mantissa entropy (a constant-period ramp would hand the
-        plain-zlib leg LZ77 matches no turbulence field exhibits).
-        They are memoized per point count (repeated transfers of one
-        size time the transport, not numpy).  Otherwise the request
-        blobs are echoed back.
-        """
-        if header.get("points") is not None:
-            points = int(header["points"])
-            if points < 0:
-                raise ValueError("points must be non-negative")
-            cached = self._echo_columns.get(points)
-            if cached is None:
-                ramp = np.arange(points, dtype=np.float64)
-                gaps = (
-                    1.0 + 7.0 * (0.5 + 0.5 * np.sin(ramp * 0.003))
-                ).astype(np.uint64)
-                zindexes = np.cumsum(gaps, dtype=np.uint64)
-                values = (
-                    np.sin(ramp * 0.0021) * 2.0
-                    + np.sin(ramp * 0.093) * 0.25
-                )
-                if len(self._echo_columns) >= 8:
-                    self._echo_columns.clear()
-                self._echo_columns[points] = (zindexes, values)
-            else:
-                zindexes, values = cached
-            if points > self.stream_chunk_points:
-                return StreamedResponse(
-                    self._point_stream([({}, zindexes, values)]),
-                    {"points": points, "streamed": True},
-                    [],
-                )
-            return (
-                {"points": points},
-                [pack_u64(zindexes), pack_f64(values)],
-            )
+        """Diagnostic RPC for wire tests: the request blobs, echoed."""
         return {"count": len(blobs)}, list(blobs)

@@ -17,10 +17,8 @@ With compression negotiated (the default), those wire bytes are the
 
 Each RPC owns one pooled connection for its request and response (the
 mediator sends one part per node per query, so a node sees as many
-concurrent RPCs as there are concurrent queries), and large
-threshold/batch responses arrive as PARTIAL chunk streams that are
-merged incrementally via ``merge_sorted_runs`` while the remaining
-chunks are still in flight.
+concurrent RPCs as there are concurrent queries), and a node's whole
+share of an answer arrives in that call's one RESPONSE frame.
 
 Every transport implements the part path once — :meth:`Transport.part`,
 driven by the :class:`~repro.net.kinds.QueryKind` table.  The mediator
@@ -63,7 +61,6 @@ from repro.net.errors import (
 from repro.net.frame import Buffer
 from repro.net.kinds import KINDS, NodeContext, QueryKind
 from repro.net.pool import ConnectionPool
-from repro.net.stream import PartialSink, PointStreamSink
 from repro.obs import clock, tracing
 from repro.obs.metrics import MetricsRegistry
 
@@ -244,9 +241,8 @@ class TcpTransport(Transport):
 
     * only the lost shard's sub-ranges are re-scattered — the other
       parts of the query never notice;
-    * a streamed part's sink is reset at the start of every attempt (the
-      pool guarantees this), so PARTIAL chunks received from the dead
-      node are discarded and the part restarts clean;
+    * a part's answer is one RESPONSE frame, so a reply cut off by the
+      dead node leaves nothing behind and the part restarts clean;
     * parts are gathered in shard order and merged with
       ``merge_sorted_runs``, so the final answer is byte-identical no
       matter which replica served which part.
@@ -277,10 +273,6 @@ class TcpTransport(Transport):
             to the stock zlib configuration.  Pass
             :data:`~repro.net.compress.NO_COMPRESSION` to force raw
             frames.
-        shm: offer node servers a shared-memory payload ring per
-            connection (same-host fast path; servers on another host —
-            or with shm disabled — decline and the connection stays on
-            plain TCP).
     """
 
     def __init__(
@@ -293,7 +285,6 @@ class TcpTransport(Transport):
         timeout: float = DEFAULT_RPC_TIMEOUT,
         retry: RetryPolicy | None = None,
         compression: CompressionConfig | None = None,
-        shm: bool = False,
     ) -> None:
         # Imported here, not at module top: repro.ha's package import
         # reaches back into this module (anti-entropy uses
@@ -320,7 +311,6 @@ class TcpTransport(Transport):
                 on_retry=self._observe_retry,
                 compression=compression,
                 on_ratio=self._observe_ratio,
-                shm=shm,
             )
             for host, port in map(parse_address, addresses)
         ]
@@ -347,8 +337,6 @@ class TcpTransport(Transport):
         self._m_sent = None
         self._m_received = None
         self._m_ratio = None
-        self._m_partials = None
-        self._m_shm = None
         self._m_failovers = None
         if heartbeat_interval is not None and placement.replication_factor > 1:
             self.router.start_heartbeat()
@@ -384,14 +372,6 @@ class TcpTransport(Transport):
             "Raw/compressed size ratio per compressed frame",
             buckets=[1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0],
         )
-        self._m_partials = metrics.counter(
-            "rpc_partial_frames_total",
-            "PARTIAL frames received in streamed responses",
-        )
-        self._m_shm = metrics.counter(
-            "rpc_shm_bytes_total",
-            "Payload bytes passed via shared memory instead of TCP",
-        )
         self._m_failovers = metrics.counter(
             "ha_failovers_total",
             "Shard parts retried on another replica after a node failure",
@@ -420,7 +400,6 @@ class TcpTransport(Transport):
         blobs: Sequence[Buffer] = (),
         *,
         timeout: float | None = None,
-        sink: PartialSink | None = None,
     ) -> CallResult:
         """One instrumented RPC to a specific *node*.
 
@@ -439,7 +418,6 @@ class TcpTransport(Transport):
                     header,
                     blobs,
                     timeout=timeout if timeout is not None else self.timeout,
-                    sink=sink,
                 )
             except Exception as error:
                 status = type(error).__name__
@@ -464,15 +442,9 @@ class TcpTransport(Transport):
             self.router.record_success(node_id, elapsed)
             span.set("bytes_sent", result.bytes_sent)
             span.set("bytes_received", result.bytes_received)
-            if result.shm_bytes:
-                span.set("shm_bytes", result.shm_bytes)
         if self._m_sent is not None:
             self._m_sent.inc(result.bytes_sent)
             self._m_received.inc(result.bytes_received)
-        if self._m_partials is not None and result.partial_frames:
-            self._m_partials.inc(result.partial_frames)
-        if self._m_shm is not None and result.shm_bytes:
-            self._m_shm.inc(result.shm_bytes)
         return result
 
     def call(
@@ -483,15 +455,12 @@ class TcpTransport(Transport):
         blobs: Sequence[Buffer] = (),
         *,
         timeout: float | None = None,
-        sink: PartialSink | None = None,
     ) -> CallResult:
         """One *shard* call, failing over across the shard's replicas.
 
         The cluster's one failover loop: the mediator's query parts and
         a node server's halo reads of a peer shard both run here.  Each
-        attempt gets its own deadline and a fresh sink state (the pool
-        resets it), so a partially-streamed part restarts clean on the
-        next replica.
+        attempt gets its own deadline.
         """
         candidates = self.router.route(shard)
         attempted: list[int] = []
@@ -500,8 +469,7 @@ class TcpTransport(Transport):
             try:
                 if not attempted:
                     return self._node_call(
-                        replica, method, header, blobs,
-                        timeout=timeout, sink=sink,
+                        replica, method, header, blobs, timeout=timeout
                     )
                 # A failover retry: the previous replica died mid-part.
                 # The span brackets the replacement attempt, so its
@@ -514,8 +482,7 @@ class TcpTransport(Transport):
                 ) as span:
                     try:
                         return self._node_call(
-                            replica, method, header, blobs,
-                            timeout=timeout, sink=sink,
+                            replica, method, header, blobs, timeout=timeout
                         )
                     except NetError as error:
                         span.set("error", type(error).__name__)
@@ -548,20 +515,13 @@ class TcpTransport(Transport):
         timeout: float | None = None,
         **options: Any,
     ) -> Any:
-        sink = PointStreamSink() if kind.stream is not None else None
         call = self.call(
             node_id,
             kind.name,
             kind.request_header(request, boxes, options),
             timeout=timeout,
-            sink=sink,
         )
-        runs = None
-        if sink is not None and call.header.get("streamed"):
-            # Large result: the point columns arrived as PARTIAL chunks
-            # and were merged incrementally while still in flight.
-            runs = sink.runs()
-        result = kind.result_from_wire(call.header, call.blobs, runs)
+        result = kind.result_from_wire(call.header, call.blobs)
         # The mediator separately *models* the mediator<->node transfer
         # (``Category.MEDIATOR_DB``, from the spec's LAN); this meter is
         # the measured footprint the model is reconciled against.

@@ -1,15 +1,14 @@
 """Test doubles and probes for the connection pool's tests.
 
 The pool is tested through what it shows the outside — the counters
-``open_connections`` / ``connections_created`` / ``retries``, the
-``/dev/shm`` listing and the kernel's socket table — so these helpers
+``open_connections`` / ``connections_created`` / ``retries`` and the
+kernel's socket table — so these helpers
 put a pool into a state (N calls in flight, N idle connections) by
 driving real calls at a real node server rather than by reaching in.
 """
 
 from __future__ import annotations
 
-import glob
 import threading
 
 from repro.net.pool import ConnectionPool
@@ -93,11 +92,6 @@ def fill_pool(pool: ConnectionPool, server: GatedNodeServer, count: int) -> None
     HeldCalls(pool, server, count).release()
     server.gate.clear()
     assert pool.open_connections == count
-
-
-def shm_segments() -> set[str]:
-    """The payload rings (and any other ``psm_*``) in ``/dev/shm``."""
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def live_sockets_to(port: int) -> int:

@@ -96,7 +96,7 @@ def test_cli_exit_codes(sheet, tmp_path, capsys):
 
 def test_sections_of_the_sheet():
     assert set(TARGETS) == {f"e2e.{name}" for name in WORKLOADS} | {
-        "layers", "net_shm", "slo.default", "slo.scale", "ha", "size",
+        "layers", "slo.default", "slo.scale", "ha", "size",
     }
     per_layer = {row["name"] for row in CATALOGUE["per_layer"]}
     assert set(TARGETS["layers"]) <= per_layer

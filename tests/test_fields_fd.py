@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fields import (
@@ -273,20 +273,31 @@ def seed_q(gradient):
     return -0.5 * np.einsum("...ij,...ji->...", gradient, gradient)
 
 
+def halo_block(
+    seed, order, interior, *, extra=0, trim=0, dtype=np.float64, spacing=1.0
+):
+    """``(block, spacing, order, margin)`` of one draw of :func:`halo_blocks`."""
+    margin = kernel_half_width(order) + extra
+    rng = np.random.default_rng(seed)
+    full = rng.normal(size=tuple(n + 2 * (margin + trim) for n in interior) + (3,))
+    block = full.astype(dtype)[(slice(trim, -trim or None),) * 3]
+    return block, spacing, order, margin
+
+
 @st.composite
 def halo_blocks(draw):
     """``(block, spacing, order, margin)``: a vector block as the executor
     hands it over — a trimmed, non-contiguous view as often as not —
     cubic or lopsided, down to one interior point an axis."""
-    order = draw(st.sampled_from(SUPPORTED_ORDERS))
-    margin = kernel_half_width(order) + draw(st.integers(0, 2))
-    interior = draw(st.tuples(*[st.integers(1, 7)] * 3))
-    trim = draw(st.integers(0, 2))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    full = rng.normal(size=tuple(n + 2 * (margin + trim) for n in interior) + (3,))
-    block = full.astype(dtype)[(slice(trim, -trim or None),) * 3]
-    return block, draw(st.sampled_from([1.0, 0.1, 2 * np.pi / 64])), order, margin
+    return halo_block(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(SUPPORTED_ORDERS)),
+        draw(st.tuples(*[st.integers(1, 7)] * 3)),
+        extra=draw(st.integers(0, 2)),
+        trim=draw(st.integers(0, 2)),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        spacing=draw(st.sampled_from([1.0, 0.1, 2 * np.pi / 64])),
+    )
 
 
 class TestOnePrimitiveIsBitIdenticalToTheSeed:
@@ -310,6 +321,9 @@ class TestOnePrimitiveIsBitIdenticalToTheSeed:
 
     @settings(max_examples=60, deadline=None)
     @given(halo_blocks())
+    # One point whose |R| is 3.5e-4: a bound relative to max|R| (1e-14
+    # of it) was below the 1.5e-17 two determinant algorithms differ by.
+    @example(halo_block(1312, 4, (1, 1, 1)))
     def test_registry_norms(self, drawn):
         block, spacing, order, margin = drawn
         registry = default_registry()
@@ -328,9 +342,14 @@ class TestOnePrimitiveIsBitIdenticalToTheSeed:
         q = registry.get("q_criterion").norm(handed, spacing, order)
         assert np.array_equal(q, np.abs(seed_q(gradient)))
         # R is the one value that moved: cofactors, not a pivoted LU.
+        # Either way a 3x3 determinant loses a few eps times the product
+        # of its row norms (Hadamard's bound on |det|), per point,
+        # however small |R| itself is; 32 eps covers both algorithms.
         r = registry.get("r_invariant").norm(handed, spacing, order)
         expected = np.abs(np.linalg.det(gradient))
-        assert np.max(np.abs(r - expected)) <= 1e-14 * np.max(expected)
+        rows = np.prod(np.linalg.norm(gradient, axis=-1), axis=-1)
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(r - expected) <= 32 * eps * rows)
         # A raw field has no halo: its array is the interior itself.
         interior = block[(slice(margin, -margin),) * 3]
         raw = registry.get("velocity").norm

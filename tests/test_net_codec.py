@@ -118,6 +118,11 @@ def test_truncated_header_is_a_frame_error():
         (HEADER.pack(MAGIC, 99, 6, 0, 1, 0), "protocol 99"),
         (HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 7, 1, 0), "flags"),
         (HEADER.pack(MAGIC, PROTOCOL_VERSION, 250, 0, 1, 0), "frame type"),
+        # Protocol 3 answers every request with one RESPONSE: the
+        # streamed-chunk type and the shared-memory flag of protocol 2
+        # are gone.
+        (HEADER.pack(MAGIC, PROTOCOL_VERSION, 8, 0, 1, 0), "frame type 8"),
+        (HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 0x100, 1, 0), "flags 0x100"),
         (
             HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 0, 1, 2**31),
             "ceiling",

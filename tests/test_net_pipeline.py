@@ -1,4 +1,4 @@
-"""Data-plane tests: codec negotiation edges, pooled-connection faults, streaming.
+"""Data-plane tests: codec negotiation edges, pooled-connection faults, big parts.
 
 Covers the contract the fast path rests on:
 
@@ -10,18 +10,16 @@ Covers the contract the fast path rests on:
   :class:`ConnectionLostError` and the pool discards that connection
   only, and connections that died idle are closed at checkout without
   costing a retry;
-* responses larger than the server's chunk size arrive as two or more
-  ``PARTIAL`` frames whose merged columns are byte-identical to the
-  monolithic path.
+* a node part of more than 64^3 points arrives in its one RESPONSE
+  frame, equal to the in-process answer.
 """
 
 import socket
 import time
 
-import numpy as np
 import pytest
 
-from repro.cluster.mediator import Mediator
+from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
 from repro.core import ThresholdQuery
 from repro.net.client import NodeClient, RetryPolicy
@@ -55,7 +53,6 @@ from tests.net_doubles import (
     fill_pool,
     live_sockets_to,
     payload,
-    shm_segments,
 )
 
 SIDE = 16
@@ -290,27 +287,20 @@ def test_the_old_field_registration_is_an_unknown_method():
         server.shutdown()
 
 
-@pytest.mark.parametrize("shm", [False, True], ids=["tcp", "shm"])
-def test_pool_closes_a_connection_that_died_idle(shm):
+def test_pool_closes_a_connection_that_died_idle():
     """A node that dies with no call in flight: no call fails on the
-    connection, so the next checkout must close the carcass — the socket
-    (both ends gone from the kernel's table) and, over shm, the ring in
-    ``/dev/shm``."""
-    rings_before = shm_segments()
+    connection, so the next checkout must close the carcass — the socket,
+    both ends gone from the kernel's table."""
     server = start_node()
-    pool = ConnectionPool(
-        "127.0.0.1", server.port, retry=FAST_RETRY, shm=shm
-    )
+    pool = ConnectionPool("127.0.0.1", server.port, retry=FAST_RETRY)
     try:
         pool.ping(5.0)
         assert pool.open_connections == 1
-        assert len(shm_segments() - rings_before) == (1 if shm else 0)
         assert live_sockets_to(server.port) == 3  # listener + both ends
         server.shutdown()
         with pytest.raises(NodeUnavailableError):
             pool.call("echo", {}, (), timeout=5.0)
         assert pool.open_connections == 0
-        assert shm_segments() == rings_before
         give_up = time.monotonic() + 5.0
         while live_sockets_to(server.port) and time.monotonic() < give_up:
             time.sleep(0.01)
@@ -345,74 +335,51 @@ def test_a_timed_out_health_ping_gives_its_slot_back(monkeypatch):
         server.shutdown()
 
 
-# -- streamed partial results ----------------------------------------------------
+# -- one RESPONSE per part --------------------------------------------------------
 
 
-def _tcp_mediator(server, **transport_kwargs):
-    transport = TcpTransport(
-        [f"127.0.0.1:{server.port}"],
-        timeout=60.0,
-        retry=FAST_RETRY,
-        **transport_kwargs,
-    )
-    return Mediator(
-        nodes=[],
-        partitioner=MortonPartitioner(SIDE, 1),
-        transport=transport,
-        scatter_timeout=120.0,
-    )
-
-
-def test_streamed_threshold_is_byte_identical_to_monolithic():
-    """A >chunk response ships as >=2 PARTIALs, merged bit-for-bit."""
-    query = ThresholdQuery(
-        dataset="mhd", field="pressure", timestep=0, threshold=0.0
-    )  # matches nearly every point: ~16^3 points, far past the chunk
-    streaming = start_node(stream_chunk_points=512)
-    monolithic = start_node()  # default chunk (256Ki) => single frame
-    try:
-        med_stream = _tcp_mediator(streaming)
-        med_mono = _tcp_mediator(monolithic)
-        try:
-            streamed = med_stream.threshold(query, use_cache=False)
-            plain = med_mono.threshold(query, use_cache=False)
-            assert len(streamed) > 2 * 512  # spans several chunks
-            assert np.array_equal(streamed.zindexes, plain.zindexes)
-            assert streamed.values.tobytes() == plain.values.tobytes()
-            assert streamed.zindexes.tobytes() == plain.zindexes.tobytes()
-            partials = med_stream.metrics.to_dict()[
-                "rpc_partial_frames_total"
-            ]["samples"][0]["value"]
-            assert partials >= 2  # 4096 points / 512-point chunks = 8
-        finally:
-            med_stream.close()
-            med_mono.close()
-    finally:
-        streaming.shutdown()
-        monolithic.shutdown()
-
-
-def test_streamed_batch_matches_monolithic_per_query():
+def test_a_part_of_more_than_64_cubed_points_is_one_response():
+    """A 64^3 node's vorticity + Q batch at threshold 0 holds more than
+    262,144 points (every point's vorticity, and Q where it is not
+    negative); the node ships it as one RESPONSE, equal to the
+    in-process answer array for array."""
+    side = 64
     queries = [
-        ThresholdQuery(
-            dataset="mhd", field="pressure", timestep=0, threshold=t
-        )
-        for t in (0.0, 0.5)
+        ThresholdQuery(dataset="mhd", field=field, timestep=0, threshold=0.0)
+        for field in ("vorticity", "q_criterion")
     ]
-    streaming = start_node(stream_chunk_points=512)
-    monolithic = start_node()
+    config = ClusterConfig(
+        dataset="mhd", side=side, timesteps=1, seed=23, nodes=1,
+        cache_capacity_bytes=None,
+    )
+    server = NodeServer(0, config)
+    server.load()
+    server.start()
     try:
-        med_stream = _tcp_mediator(streaming)
-        med_mono = _tcp_mediator(monolithic)
-        try:
-            batch_s = med_stream.batch_threshold(queries, use_cache=False)
-            batch_m = med_mono.batch_threshold(queries, use_cache=False)
-            for qs, qm in zip(batch_s.results, batch_m.results):
-                assert qs.zindexes.tobytes() == qm.zindexes.tobytes()
-                assert qs.values.tobytes() == qm.values.tobytes()
-        finally:
-            med_stream.close()
-            med_mono.close()
+        mediator = Mediator(
+            nodes=[],
+            partitioner=MortonPartitioner(side, 1),
+            transport=TcpTransport(
+                [f"127.0.0.1:{server.port}"], timeout=60.0, retry=FAST_RETRY
+            ),
+            cache_capacity_bytes=None,
+            scatter_timeout=120.0,
+        )
+        with mediator:
+            remote = mediator.batch_threshold(queries, use_cache=False)
+            requests = mediator.metrics.to_dict()["rpc_requests_total"]
     finally:
-        streaming.shutdown()
-        monolithic.shutdown()
+        server.shutdown()
+    with build_cluster(
+        config.build_dataset(), nodes=1, cache_capacity_bytes=None
+    ) as local_mediator:
+        local = local_mediator.batch_threshold(queries, use_cache=False)
+    assert sum(len(result) for result in remote.results) > side**3
+    assert [
+        (sample["labels"], sample["value"])
+        for sample in requests["samples"]
+        if sample["labels"]["method"] == "batch_threshold"
+    ] == [({"method": "batch_threshold", "status": "ok"}, 1)]
+    for got, want in zip(remote.results, local.results):
+        assert got.zindexes.tobytes() == want.zindexes.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
