@@ -4,8 +4,8 @@ Two profiles, selected with ``--profile``, each bounded by its own
 section (``slo.default`` / ``slo.scale``) of ``benchmarks/targets.json``:
 
 ``default``
-    The original mediator-level check.  Stands up the same two-node
-    loopback TCP cluster as ``bench_net`` and drives it the way a
+    The original mediator-level check.  Stands up a two-node loopback
+    TCP cluster (in-thread node servers) and drives it the way a
     service-level objective is actually checked: an **open-loop load
     generator** (requests depart on a fixed arrival schedule regardless
     of completions, so queueing shows up in the tail instead of being
@@ -46,14 +46,14 @@ from pathlib import Path
 
 from repro.cluster.admission import AdmissionController
 from repro.cluster.mediator import Mediator
+from repro.cluster.partition import MortonPartitioner
 from repro.cluster.webservice import WebService
 from repro.core import PdfQuery, ThresholdQuery, TopKQuery
 from repro.net.aio import AsyncHttpFrontend
+from repro.net.server import ClusterConfig, NodeServer
+from repro.net.transport import TcpTransport
 from repro.obs import clock, tracing
 from repro.obs.clock import Stopwatch, unix_now
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_net import SIDE, make_mediator, start_cluster  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATHS = {
@@ -68,6 +68,12 @@ TRACE_PATH = REPO_ROOT / "slo_trace.jsonl"
 #: ``benchmarks/targets.json``, no longer embedded in the report.
 #: v5: the profiler-overhead keys are gone.
 SCHEMA_VERSION = 5
+
+#: The loopback cluster both profiles drive: an MHD cube of ``SIDE``
+#: points per axis and ``TIMESTEPS`` timesteps over ``NODES`` nodes.
+SIDE = 16
+TIMESTEPS = 2
+NODES = 2
 
 #: Open-loop arrival rate (requests per second) and request count of
 #: the default (mediator-level) profile.
@@ -118,6 +124,30 @@ SCALE_REQUESTS = {
         "threshold": 0.5,
     },
 }
+
+
+def start_cluster() -> tuple[list[NodeServer], list[str]]:
+    """Two in-thread node servers over loopback, data loaded."""
+    config = ClusterConfig(
+        dataset="mhd", side=SIDE, timesteps=TIMESTEPS, seed=11, nodes=NODES
+    )
+    servers = [NodeServer(i, config) for i in range(NODES)]
+    addresses = [f"127.0.0.1:{s.port}" for s in servers]
+    for server in servers:
+        server.connect_peers(addresses)
+        server.load()
+        server.start()
+    return servers, addresses
+
+
+def make_mediator(addresses: list[str]) -> Mediator:
+    """A TCP mediator over the running servers."""
+    return Mediator(
+        nodes=[],
+        partitioner=MortonPartitioner(SIDE, NODES),
+        transport=TcpTransport(addresses, timeout=300.0),
+        scatter_timeout=600.0,
+    )
 
 
 def issue(mediator: Mediator, kind: str) -> object:
