@@ -6,16 +6,18 @@ request is broken down into multiple parts based on the spatial layout
 of the data.  Each part is asynchronously submitted for evaluation to
 the database which stores the data needed" (paper §2).
 
-The mediator here does exactly that with a thread pool, then assembles
-the per-node results, charges the mediator<->node (LAN) and
-mediator<->user (WAN, XML-inflated) transfers, and enforces the global
-result limit.
+The mediator here does exactly that, then assembles the per-node
+results, charges the mediator<->node (LAN) and mediator<->user (WAN,
+XML-inflated) transfers, and enforces the global result limit.
 
-Over TCP, each part owns one pooled connection to its node for the
-round trip, and a node's whole share of the answer comes back in that
-call's one RESPONSE frame — at most the 10^6-point result limit, 16 MB
-of columns — so the gather here sees exactly the Morton-sorted columns
-the in-process cluster produces.
+Over TCP the submission is literal and needs no thread: on the calling
+thread, each part writes its request on its own pooled connection, and
+one ``selectors`` wait gathers every reply
+(:func:`repro.net.client.run_all`).  A node's whole share of the answer
+comes back in its call's one RESPONSE frame — at most the 10^6-point
+result limit, 16 MB of columns — so the gather here sees exactly the
+Morton-sorted columns the in-process cluster produces.  In-process
+parts are compute, and run on a thread pool.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_IO_BYTES
 from repro.fields import gradient_tensor_interior, kernel_half_width
 from repro.fields.derived import DerivedField, FieldRegistry, default_registry
+from repro.net.client import Exchange, run_all, run_inline
 from repro.net.errors import (
     DeadlineExceededError,
     NetError,
@@ -56,7 +59,7 @@ from repro.net.errors import (
 )
 from repro.net.frame import Deadline
 from repro.net.kinds import KINDS, Assembled, Gather, QueryKind
-from repro.net.transport import InProcessTransport, Transport
+from repro.net.transport import InProcessTransport, TcpTransport, Transport
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.grid import Box
@@ -480,11 +483,22 @@ class Mediator:
         generic :meth:`~repro.net.transport.Transport.part`.  Only
         :meth:`threshold` passes one, the typed
         :meth:`~repro.net.transport.Transport.threshold_part` that the
-        benchmark probe times by name.  ``options`` are the kind's
+        benchmark probe times by name.  Over a
+        :class:`~repro.net.transport.TcpTransport` every kind's parts run
+        as :meth:`~repro.net.transport.TcpTransport.part_exchange`
+        instead (see :meth:`_scatter`).  ``options`` are the kind's
         per-part options.
         """
-        if part is None:
-            part = functools.partial(self.transport.part, kind)
+        # Chosen by type, not by attribute: a wrapper that only forwards
+        # attributes (the benchmark probe's timer) keeps the plain part
+        # calls it is there to time.
+        remote = isinstance(self.transport, TcpTransport)
+        if remote:
+            exchange = functools.partial(self.transport.part_exchange, kind)
+        else:
+            exchange = _computed(
+                part or functools.partial(self.transport.part, kind)
+            )
         query_id = tracing.new_trace_id()
         with tracing.span(
             f"query.{kind.name}", trace_id=query_id,
@@ -492,7 +506,7 @@ class Mediator:
         ) as root:
             box = self._query_box(*kind.region(request))
             parts = self._scatter(
-                lambda node_id: part(
+                lambda node_id: exchange(
                     node_id,
                     request,
                     self.partitioner.query_boxes(node_id, box),
@@ -500,6 +514,7 @@ class Mediator:
                     **options,
                 ),
                 kind.part_ledger,
+                remote,
             )
             ledger = CostLedger.parallel([kind.part_ledger(p) for p in parts])
             done = kind.assemble(
@@ -669,12 +684,22 @@ class Mediator:
 
     def _scatter(
         self,
-        task: Callable[[int], T],
+        exchange_of: Callable[[int], "Exchange[T]"],
         ledger_of: Callable[[T], CostLedger],
+        remote: bool,
     ) -> list[T]:
-        """Submit a per-node task asynchronously and gather the results.
+        """Submit a per-node part asynchronously and gather the results.
 
-        With ``sequential_scatter`` the node tasks run one after another
+        ``exchange_of(node_id)`` is the node's part as an exchange (see
+        :mod:`repro.net.client`).  When the parts are ``remote`` RPCs
+        they all run on this thread: every request is written, then one
+        wait on every socket gathers the replies under
+        :attr:`scatter_timeout` and each part's own deadline, and a
+        part's retry backoff or failover holds up no other part.  Parts
+        that are compute (the in-process transport) run on the shared
+        scatter pool, one worker each, under :meth:`_gather`.
+
+        With ``sequential_scatter`` the parts run one after another
         instead: simulated times are identical by construction (parallel
         composition happens in the ledgers, not the threads), but buffer-
         pool races between concurrent halo reads disappear, making the
@@ -683,11 +708,10 @@ class Mediator:
         the paper's mediator.
 
         Each node part runs under its own trace span carrying the
-        part's ledger (``ledger_of`` extracts it from a result).  Pool
-        workers do not inherit the submitting thread's contextvars, so
-        every submit ships a copy of the current context — that is what
-        parents the part spans under the query's root span across
-        threads.
+        part's ledger (``ledger_of`` extracts it from a result), in its
+        own copy of the current context — that is what parents the part
+        spans under the query's root span, whether the parts interleave
+        on this thread or run on pool workers.
 
         Raises:
             DeadlineExceededError: the gather outlived its budget, or a
@@ -695,10 +719,10 @@ class Mediator:
             PartialFailureError: a part failed with any other transport
                 error after its retries were exhausted (a dead node).
         """
-        def run(node_id: int) -> T:
+        def run(node_id: int) -> "Exchange[T]":
             with tracing.span("node.part", node=node_id) as part:
                 try:
-                    result = task(node_id)
+                    result = yield from exchange_of(node_id)
                 except Exception as error:
                     # This node's subtree ends here — the trace shows an
                     # explicitly-marked orphan instead of silent loss.
@@ -712,10 +736,15 @@ class Mediator:
                 return result
 
         if self.sequential_scatter:
-            return [run(node_id) for node_id in range(self.node_count)]
+            return [run_inline(run(node_id)) for node_id in range(self.node_count)]
+        if remote:
+            return run_all(
+                [run(node_id) for node_id in range(self.node_count)],
+                Deadline.after(self.scatter_timeout),
+            )
         pool = self._ensure_pool()
         futures = [
-            pool.submit(contextvars.copy_context().run, run, node_id)
+            pool.submit(contextvars.copy_context().run, run_inline, run(node_id))
             for node_id in range(self.node_count)
         ]
         return self._gather(futures)
@@ -813,6 +842,15 @@ class Mediator:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _computed(part: Callable[..., T]) -> Callable[..., "Exchange[T]"]:
+    """A part that is compute, as an exchange that never waits."""
+    def exchange(*args: Any, **kwargs: Any) -> "Exchange[T]":
+        return part(*args, **kwargs)
+        yield  # unreachable: it makes this function a generator
+
+    return exchange
 
 
 def build_cluster(

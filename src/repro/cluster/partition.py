@@ -44,6 +44,9 @@ class MortonPartitioner:
         self._ranges = split_curve(domain_side, nodes)
         # Range starts, for binary-searching a code to its owning node.
         self._starts = [rng.start for rng in self._ranges]
+        # Every query splits by these, so they are built once.
+        self._octants = [self._octant_boxes(node) for node in range(nodes)]
+        self._domain = Box.cube(domain_side)
 
     def node_ranges(self, node_id: int) -> MortonRange:
         """The contiguous Morton-code range (grid-point codes) of a node."""
@@ -102,6 +105,9 @@ class MortonPartitioner:
         """
         if not 0 <= node_id < self.nodes:
             raise ValueError(f"node id {node_id} outside [0, {self.nodes})")
+        return list(self._octants[node_id])
+
+    def _octant_boxes(self, node_id: int) -> list[Box]:
         if self.nodes == 1:
             return [Box.cube(self.domain_side)]
         half = self.domain_side // 2
@@ -118,8 +124,10 @@ class MortonPartitioner:
 
     def query_boxes(self, node_id: int, query: Box) -> list[Box]:
         """The node's rectangular pieces of ``query`` (may be empty)."""
+        if query == self._domain:  # most queries: the node's whole share
+            return list(self._octants[node_id])
         pieces = []
-        for owned in self.node_boxes(node_id):
+        for owned in self._octants[node_id]:
             overlap = owned.intersection(query)
             if overlap is not None:
                 pieces.append(overlap)

@@ -25,9 +25,10 @@ body, byte for byte ``json.dumps`` of the dict reference
   loop thread never serialises a query answer.
 
 The split keeps each tier doing what it is good at: the event loop
-multiplexes sockets and sheds load; the mediator's scatter pool and the
-TCP transport below it remain threaded, deadline-bounded code that is
-already proven correct.
+multiplexes client sockets and sheds load; below the bridge, blocking
+deadline-bounded code runs each query on its bridge thread, which
+writes every node part's request and then waits on all the node
+sockets at once (:func:`repro.net.client.run_all`) — no thread per part.
 """
 
 from __future__ import annotations

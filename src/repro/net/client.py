@@ -6,6 +6,16 @@ then one REQUEST at a time, reading its one RESPONSE inline on the
 caller's thread.  Concurrent calls to one node take one connection each
 from the node's :class:`~repro.net.pool.ConnectionPool`.
 
+A call is written once, as an *exchange*: a generator that writes its
+request, yields a :class:`Wait` for the reply and returns the
+:class:`CallResult`.  The pool's retry loop and the transport's failover
+loop ``yield from`` it, so each layer's body exists once.
+:func:`run_inline` drives an exchange on the calling thread (a blocking
+read, a plain sleep); :func:`run_all` drives several at once — every
+request written first, then one ``selectors`` wait over all their
+sockets — which is how the mediator scatters a query to its nodes
+without a thread per part.
+
 Every public operation takes an explicit deadline — there is no "no
 timeout" mode anywhere in this tier (lint rule NET01 enforces the
 discipline statically).
@@ -19,16 +29,19 @@ connection a retry needs.
 
 from __future__ import annotations
 
+import contextvars
 import random
+import selectors
 import socket
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence, TypeVar
 
 from repro.fields.derived import UnknownFieldError
 from repro.net import codec, compress
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION, FrameCodec
 from repro.net.errors import (
     ConnectionLostError,
+    DeadlineExceededError,
     NodeUnavailableError,
     ProtocolError,
     RemoteCallError,
@@ -85,13 +98,113 @@ class CallResult:
 
     ``bytes_sent``/``bytes_received`` count what actually crossed the
     wire (headers included, compression applied), which is what the
-    ledger's ``wire_bytes`` meter charges.
+    ledger's ``wire_bytes`` meter charges.  ``received_at`` is when the
+    reply was there to read: the instant :func:`run_all`'s wait saw the
+    socket readable, or the end of the read when the caller blocked in
+    it — so a reply read second is not charged the first one's decode.
     """
 
     header: dict
     blobs: list[Buffer]
     bytes_sent: int
     bytes_received: int
+    received_at: float
+
+
+class Wait(NamedTuple):
+    """What an exchange waits for when it yields.
+
+    ``client`` set: its reply (the driver sends back the instant the
+    socket was seen readable, or ``None`` once ``until`` — the call's
+    deadline — has passed, and the read then raises
+    :class:`DeadlineExceededError`).  ``client`` unset: a pause, a
+    retry's backoff, over at ``until``.
+    """
+
+    client: "NodeClient | None"
+    until: float
+
+
+T = TypeVar("T")
+#: A call written as a generator: yields :class:`Wait`, returns the answer.
+Exchange = Generator[Wait, "float | None", T]
+
+
+def run_inline(exchange: "Exchange[T]") -> T:
+    """Drive one exchange on this thread: block in its read, sleep its pauses."""
+    try:
+        wait = next(exchange)
+        while True:
+            if wait.client is None:
+                clock.sleep(max(0.0, wait.until - clock.now()))
+            wait = exchange.send(None)
+    except StopIteration as done:
+        return done.value
+
+
+def run_all(exchanges: "Sequence[Exchange[Any]]", deadline: Deadline) -> list[Any]:
+    """Drive several exchanges at once on this thread; answers in order.
+
+    Each exchange runs in its own copy of the caller's context, so the
+    spans it opens nest per exchange although all of them interleave
+    here.  Every exchange first runs until it has written its request;
+    one ``selectors`` wait then serves every reply and every backoff,
+    so nothing one exchange waits for holds up another.  An exchange is
+    resumed when its socket turns readable, its backoff ends or its own
+    deadline passes.
+
+    On the first failure — or when ``deadline`` passes — every other
+    exchange is closed: its open connection is discarded and nothing is
+    left running or checked out.
+
+    Raises:
+        DeadlineExceededError: ``deadline`` passed with exchanges open.
+        Exception: the first exception an exchange raised.
+    """
+    contexts = [contextvars.copy_context() for _ in exchanges]
+    answers: list[Any] = [None] * len(exchanges)
+    waiting: dict[int, Wait] = {}
+    selector = selectors.DefaultSelector()
+
+    def advance(index: int, ready_at: float | None) -> None:
+        try:
+            wait = contexts[index].run(exchanges[index].send, ready_at)
+        except StopIteration as done:
+            answers[index] = done.value
+            return
+        waiting[index] = wait
+        if wait.client is not None:
+            selector.register(wait.client, selectors.EVENT_READ, index)
+
+    try:
+        for index in range(len(exchanges)):
+            advance(index, None)
+        while waiting:
+            now = clock.now()
+            if now >= deadline.expires_at:
+                raise DeadlineExceededError(
+                    f"gather exceeded its deadline waiting on part(s) "
+                    f"{sorted(waiting)}"
+                )
+            due = min(wait.until for wait in waiting.values())
+            events = selector.select(
+                max(0.0, min(due, deadline.expires_at) - now)
+            )
+            now = clock.now()
+            ready = {key.data for key, _ in events}
+            for index, wait in sorted(waiting.items()):
+                if index in ready or wait.until <= now:
+                    del waiting[index]
+                    if wait.client is not None:
+                        selector.unregister(wait.client)
+                    advance(index, now if index in ready else None)
+    except BaseException:
+        for context, exchange in zip(contexts, exchanges):
+            context.run(exchange.close)
+        raise
+    finally:
+        selector.close()
+    return answers
 
 
 def remote_error(header: dict) -> Exception:
@@ -229,6 +342,19 @@ class NodeClient:
     ) -> CallResult:
         """One RPC round trip: one REQUEST frame, one RESPONSE frame.
 
+        Raises the errors of :meth:`exchange`.
+        """
+        return run_inline(self.exchange(method, header, blobs, deadline))
+
+    def exchange(
+        self,
+        method: str,
+        header: dict,
+        blobs: Sequence[Buffer],
+        deadline: Deadline,
+    ) -> "Exchange[CallResult]":
+        """:meth:`call` as an exchange: yields once, after the request is written.
+
         Raises:
             DeadlineExceededError: budget spent before the response landed.
             ConnectionLostError: the socket broke mid-call.
@@ -246,8 +372,10 @@ class NodeClient:
             self._sock, FrameType.REQUEST, request_id, parts, deadline,
             codec=self._codec,
         )
+        ready_at = yield Wait(self, deadline.expires_at)
         frame = recv_frame(self._sock, deadline, codec=self._codec)
         assert frame is not None
+        received_at = clock.now() if ready_at is None else ready_at
         if frame.request_id != request_id:
             raise ProtocolError(
                 f"response id {frame.request_id} does not match "
@@ -262,7 +390,8 @@ class NodeClient:
                 f"from {self.address}"
             )
         return CallResult(
-            response_header, response_blobs, sent, frame.wire_bytes
+            response_header, response_blobs, sent, frame.wire_bytes,
+            received_at,
         )
 
     def ping(self, deadline: Deadline) -> float:
@@ -288,6 +417,10 @@ class NodeClient:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def fileno(self) -> int:
+        """The socket's descriptor, for :func:`run_all`'s wait."""
+        return self._sock.fileno()
 
     def stale(self) -> bool:
         """Whether the peer hung up (or spoke) while no call was open.

@@ -15,7 +15,10 @@ Retries: connection-level failures (:class:`NodeUnavailableError`,
 replay changes nothing.  Every attempt draws from the one per-request
 deadline, so retrying can never extend a request past its budget.  An
 attempt's answer is one RESPONSE frame, so a failed attempt leaves
-nothing behind for the retry to discard.
+nothing behind for the retry to discard.  The loop is an exchange
+(:mod:`repro.net.client`): its backoff is a yielded pause, which
+:meth:`ConnectionPool.call` sleeps and a multi-part driver overlaps
+with the other parts' replies.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
-from repro.net.client import CallResult, NodeClient, RetryPolicy
+from repro.net.client import (
+    CallResult,
+    Exchange,
+    NodeClient,
+    RetryPolicy,
+    Wait,
+    run_inline,
+)
 from repro.net.codec import TRACE_HEADER_KEY, trace_context_to_wire
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION
 from repro.net.errors import (
@@ -109,6 +119,23 @@ class ConnectionPool:
     ) -> CallResult:
         """One RPC with pooling, deadline and retries.
 
+        Raises the errors of :meth:`exchange`.
+        """
+        return run_inline(self.exchange(method, header, blobs, timeout=timeout))
+
+    def exchange(
+        self,
+        method: str,
+        header: dict,
+        blobs: Sequence[Buffer],
+        *,
+        timeout: float,
+    ) -> "Exchange[CallResult]":
+        """:meth:`call` as an exchange (see :mod:`repro.net.client`).
+
+        A retry's backoff is yielded as a pause, so a driver serving
+        several exchanges keeps the others moving meanwhile.
+
         Raises:
             DeadlineExceededError: the budget ran out (never retried).
             NodeUnavailableError: connection-level failure, once the
@@ -128,7 +155,10 @@ class ConnectionPool:
         while True:
             attempt_started = clock.now()
             try:
-                result = self._call_once(method, header, blobs, deadline)
+                with self._checkout(deadline) as client:
+                    result = yield from client.exchange(
+                        method, header, blobs, deadline
+                    )
             except (NodeUnavailableError, ConnectionLostError) as error:
                 attempt += 1
                 if attempt >= self.retry.attempts:
@@ -143,14 +173,14 @@ class ConnectionPool:
                 self.retries += 1
                 if self._on_retry is not None:
                     self._on_retry()
-                # Back off inside the request budget; if the sleep eats
+                # Back off inside the request budget; if the pause eats
                 # the rest of it the next attempt raises DeadlineExceeded.
                 pause = min(
                     self.retry.delay(attempt - 1),
                     deadline.remaining(),
                 )
                 if pause > 0:
-                    clock.sleep(pause)
+                    yield Wait(None, clock.now() + pause)
             else:
                 # The server piggybacks its captured spans (plus its own
                 # clock stamps) on the response header; graft them
@@ -164,7 +194,7 @@ class ConnectionPool:
                     tracing.absorb_remote(
                         shipped,
                         client_send=attempt_started,
-                        client_recv=clock.now(),
+                        client_recv=result.received_at,
                     )
                 return result
 
@@ -222,16 +252,6 @@ class ConnectionPool:
         self.close()
 
     # -- internals -------------------------------------------------------------
-
-    def _call_once(
-        self,
-        method: str,
-        header: dict,
-        blobs: Sequence[Buffer],
-        deadline: Deadline,
-    ) -> CallResult:
-        with self._checkout(deadline) as client:
-            return client.call(method, header, blobs, deadline)
 
     @contextmanager
     def _checkout(self, deadline: Deadline) -> Iterator[NodeClient]:

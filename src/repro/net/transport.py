@@ -18,7 +18,13 @@ With compression negotiated (the default), those wire bytes are the
 Each RPC owns one pooled connection for its request and response (the
 mediator sends one part per node per query, so a node sees as many
 concurrent RPCs as there are concurrent queries), and a node's whole
-share of an answer arrives in that call's one RESPONSE frame.
+share of an answer arrives in that call's one RESPONSE frame.  Every
+call is written once, as an exchange (:mod:`repro.net.client`):
+:meth:`TcpTransport.part_exchange` is what the mediator's scatter
+drives — all parts' requests written, then one wait on all their
+sockets on the mediator's own thread — and :meth:`TcpTransport.part`,
+:meth:`~TcpTransport.threshold_part` and :meth:`TcpTransport.call`
+drive the same exchange inline.
 
 Every transport implements the part path once — :meth:`Transport.part`,
 driven by the :class:`~repro.net.kinds.QueryKind` table.  The mediator
@@ -47,7 +53,7 @@ from repro.core.threshold import NodeThresholdResult
 from repro.costmodel import ClusterSpec
 from repro.costmodel.ledger import METER_WIRE_BYTES
 from repro.grid import Box
-from repro.net.client import CallResult, RetryPolicy
+from repro.net.client import CallResult, Exchange, RetryPolicy, run_inline
 from repro.net.compress import CompressionConfig
 from repro.net.errors import (
     ConnectionLostError,
@@ -392,34 +398,39 @@ class TcpTransport(Transport):
 
     # -- calls -----------------------------------------------------------------
 
-    def _node_call(
+    def _node_exchange(
         self,
         node_id: int,
         method: str,
         header: dict,
-        blobs: Sequence[Buffer] = (),
-        *,
-        timeout: float | None = None,
-    ) -> CallResult:
-        """One instrumented RPC to a specific *node*.
+        blobs: Sequence[Buffer],
+        timeout: float | None,
+    ) -> "Exchange[CallResult]":
+        """One instrumented RPC to a specific *node*, as an exchange.
 
         Feeds the ``rpc_*`` metrics, the ``net.rpc`` span and the
-        router's health/EWMA record for that node.
+        router's health/EWMA record for that node.  A successful call's
+        latency ends when its reply was there to read
+        (:attr:`CallResult.received_at`).
         """
         pool = self.pools[node_id]
         start = clock.now()
         status = "ok"
+        received_at: float | None = None
         with tracing.span(
             "net.rpc", node=node_id, method=method, address=pool.address
         ) as span:
             try:
-                result = pool.call(
+                result = yield from pool.exchange(
                     method,
                     header,
                     blobs,
                     timeout=timeout if timeout is not None else self.timeout,
                 )
-            except Exception as error:
+                received_at = result.received_at
+            except BaseException as error:
+                # GeneratorExit included: a scatter that failed elsewhere
+                # closed this call before its reply came.
                 status = type(error).__name__
                 span.set("error", status)
                 # The remote side of this call is unaccounted for: its
@@ -430,7 +441,9 @@ class TcpTransport(Transport):
                     self.router.record_failure(node_id)
                 raise
             finally:
-                elapsed = clock.now() - start
+                elapsed = (
+                    clock.now() if received_at is None else received_at
+                ) - start
                 if self._m_requests is not None:
                     self._m_requests.labels(method=method, status=status).inc()
                 if self._m_latency is not None:
@@ -458,6 +471,24 @@ class TcpTransport(Transport):
     ) -> CallResult:
         """One *shard* call, failing over across the shard's replicas.
 
+        Halo reads, ``describe`` and catch-up call here; this drives
+        :meth:`exchange` on the calling thread.
+        """
+        return run_inline(
+            self.exchange(shard, method, header, blobs, timeout=timeout)
+        )
+
+    def exchange(
+        self,
+        shard: int,
+        method: str,
+        header: dict,
+        blobs: Sequence[Buffer] = (),
+        *,
+        timeout: float | None = None,
+    ) -> "Exchange[CallResult]":
+        """:meth:`call` as an exchange (see :mod:`repro.net.client`).
+
         The cluster's one failover loop: the mediator's query parts and
         a node server's halo reads of a peer shard both run here.  Each
         attempt gets its own deadline.
@@ -468,8 +499,10 @@ class TcpTransport(Transport):
         for replica in candidates:
             try:
                 if not attempted:
-                    return self._node_call(
-                        replica, method, header, blobs, timeout=timeout
+                    return (
+                        yield from self._node_exchange(
+                            replica, method, header, blobs, timeout
+                        )
                     )
                 # A failover retry: the previous replica died mid-part.
                 # The span brackets the replacement attempt, so its
@@ -481,8 +514,10 @@ class TcpTransport(Transport):
                     retry=replica, method=method,
                 ) as span:
                     try:
-                        return self._node_call(
-                            replica, method, header, blobs, timeout=timeout
+                        return (
+                            yield from self._node_exchange(
+                                replica, method, header, blobs, timeout
+                            )
                         )
                     except NetError as error:
                         span.set("error", type(error).__name__)
@@ -515,7 +550,24 @@ class TcpTransport(Transport):
         timeout: float | None = None,
         **options: Any,
     ) -> Any:
-        call = self.call(
+        return run_inline(
+            self.part_exchange(
+                kind, node_id, request, boxes, timeout=timeout, **options
+            )
+        )
+
+    def part_exchange(
+        self,
+        kind: QueryKind,
+        node_id: int,
+        request: Any,
+        boxes: list[Box],
+        *,
+        timeout: float | None = None,
+        **options: Any,
+    ) -> "Exchange[Any]":
+        """:meth:`part` as an exchange, for the mediator's scatter loop."""
+        call = yield from self.exchange(
             node_id,
             kind.name,
             kind.request_header(request, boxes, options),

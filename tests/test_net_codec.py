@@ -114,18 +114,39 @@ def test_truncated_header_is_a_frame_error():
 @pytest.mark.parametrize(
     "header_bytes, match",
     [
-        (HEADER.pack(b"HTTP", PROTOCOL_VERSION, 6, 0, 1, 0), "magic"),
-        (HEADER.pack(MAGIC, 99, 6, 0, 1, 0), "protocol 99"),
-        (HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 7, 1, 0), "flags"),
-        (HEADER.pack(MAGIC, PROTOCOL_VERSION, 250, 0, 1, 0), "frame type"),
+        # Explicit ids: generated ones would spell out the packed bytes,
+        # PROTOCOL_VERSION among them, and change with every version.
+        pytest.param(
+            HEADER.pack(b"HTTP", PROTOCOL_VERSION, 6, 0, 1, 0), "magic",
+            id="magic",
+        ),
+        pytest.param(
+            HEADER.pack(MAGIC, 99, 6, 0, 1, 0), "protocol 99",
+            id="version_99",
+        ),
+        pytest.param(
+            HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 7, 1, 0), "flags",
+            id="flags_7",
+        ),
+        pytest.param(
+            HEADER.pack(MAGIC, PROTOCOL_VERSION, 250, 0, 1, 0), "frame type",
+            id="frame_type_250",
+        ),
         # Protocol 3 answers every request with one RESPONSE: the
         # streamed-chunk type and the shared-memory flag of protocol 2
         # are gone.
-        (HEADER.pack(MAGIC, PROTOCOL_VERSION, 8, 0, 1, 0), "frame type 8"),
-        (HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 0x100, 1, 0), "flags 0x100"),
-        (
-            HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 0, 1, 2**31),
-            "ceiling",
+        pytest.param(
+            HEADER.pack(MAGIC, PROTOCOL_VERSION, 8, 0, 1, 0), "frame type 8",
+            id="frame_type_8",
+        ),
+        pytest.param(
+            HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 0x100, 1, 0),
+            "flags 0x100",
+            id="flags_0x100",
+        ),
+        pytest.param(
+            HEADER.pack(MAGIC, PROTOCOL_VERSION, 6, 0, 1, 2**31), "ceiling",
+            id="over_the_ceiling",
         ),
     ],
 )

@@ -34,6 +34,7 @@ from repro.net.frame import (
 from repro.net.pool import ConnectionPool
 from repro.net.server import ClusterConfig, NodeServer
 from repro.net.transport import TcpTransport, parse_address
+from repro.obs import tracing
 from repro.simulation.datasets import mhd_dataset
 
 SIDE = 16
@@ -321,3 +322,99 @@ def test_parse_address():
     assert parse_address(("h", 7)) == ("h", 7)
     with pytest.raises(ValueError):
         parse_address("no-port")
+
+
+# -- the scatter loop: every request written, one wait on every socket ------------
+
+
+PRESSURE = ThresholdQuery(
+    dataset="mhd", field="pressure", timestep=0, threshold=0.5
+)
+
+
+def _scatter_threads() -> set[threading.Thread]:
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("scatter")
+    }
+
+
+def test_a_tcp_query_scatters_on_the_calling_thread(tcp_cluster):
+    # Other tests' in-process clusters may still be winding theirs down.
+    before = _scatter_threads()
+    assert len(tcp_cluster.threshold(PRESSURE, use_cache=False)) > 0
+    assert tcp_cluster._scatter_pool is None
+    assert not _scatter_threads() - before
+
+
+@pytest.mark.parametrize("budget", ["part", "scatter"])
+def test_a_stalled_node_ends_the_scatter_in_its_budget(budget):
+    """Node 0 answers, node 1 swallows its request; whichever deadline
+    runs out first — the part's or the scatter's — ends the query, the
+    answered connection goes back idle and the stalled one is closed."""
+    slow = _SlowServer()
+    server = NodeServer(0, CONFIG)
+    addresses = [f"127.0.0.1:{server.port}", f"127.0.0.1:{slow.port}"]
+    server.connect_peers(addresses)
+    server.load()
+    server.start()
+    transport = TcpTransport(
+        addresses, timeout=0.5 if budget == "part" else 30.0, retry=FAST_RETRY
+    )
+    mediator = Mediator(
+        nodes=[],
+        partitioner=MortonPartitioner(SIDE, NODES),
+        transport=transport,
+        scatter_timeout=30.0 if budget == "part" else 0.5,
+    )
+    try:
+        mediator.transport.dataset_side("mhd")  # describe: node 0 only
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            mediator.threshold(PRESSURE, use_cache=False)
+        assert time.monotonic() - start < 5.0
+        assert transport.pools[0].open_connections == 1
+        assert transport.pools[1].open_connections == 0
+    finally:
+        mediator.close()
+        server.shutdown()
+        slow.close()
+
+
+def test_a_retry_backoff_holds_up_no_other_part():
+    """Node 0 refuses connections under a backoff of at least 0.3 s; the
+    live node's RPC is on the wire before that first backoff ends."""
+    servers, addresses = start_tcp_cluster()
+    transport = TcpTransport(
+        addresses,
+        timeout=10.0,
+        retry=RetryPolicy(attempts=2, base_delay=0.4, max_delay=0.4),
+    )
+    mediator = Mediator(
+        nodes=[],
+        partitioner=MortonPartitioner(SIDE, NODES),
+        transport=transport,
+        scatter_timeout=30.0,
+    )
+    collector = None
+    try:
+        assert len(mediator.threshold(PRESSURE)) > 0  # describe, warm
+        servers[0].shutdown()
+        collector = tracing.install(tracing.TraceCollector())
+        with pytest.raises(PartialFailureError) as info:
+            mediator.threshold(PRESSURE, use_cache=False)
+        assert info.value.node_id == 0
+        (trace_id,) = collector.trace_ids()
+        rpcs = {
+            span.attributes["node"]: span
+            for span in collector.trace(trace_id)
+            if span.name == "net.rpc"
+        }
+        assert rpcs[1].start < rpcs[0].start + 0.3
+        assert "error" not in rpcs[1].attributes
+    finally:
+        if collector is not None:
+            tracing.uninstall()
+        mediator.close()
+        for server in servers:
+            server.shutdown()
