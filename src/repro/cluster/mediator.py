@@ -119,8 +119,9 @@ class Mediator:
             ``nodes`` is empty and the transport's node count must match
             the partitioner.
         scatter_timeout: wall-second budget for gathering one query's
-            node parts; on expiry outstanding parts are cancelled or
-            drained and :class:`DeadlineExceededError` is raised.
+            node parts; on expiry outstanding parts are closed (TCP) or
+            cancelled and drained (in-process) and
+            :class:`DeadlineExceededError` is raised.
     """
 
     def __init__(
@@ -153,9 +154,10 @@ class Mediator:
         self.scatter_timeout = scatter_timeout
         self.statistics = ServiceStatistics()
         # One long-lived scatter pool per mediator, created lazily on
-        # first use: building a ThreadPoolExecutor per query costs thread
-        # spawns on the latency-critical path and briefly doubles the
-        # thread count under concurrent clients.
+        # first in-process scatter (TCP parts need no thread): building
+        # a ThreadPoolExecutor per query costs thread spawns on the
+        # latency-critical path and briefly doubles the thread count
+        # under concurrent clients.
         self._scatter_pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self.registry = registry or default_registry()
