@@ -114,7 +114,7 @@ class CallResult:
 class Wait(NamedTuple):
     """What an exchange waits for when it yields.
 
-    ``client`` set: its reply (the driver sends back the instant the
+    ``client`` set: its reply (:func:`run_all` sends back the instant the
     socket was seen readable, or ``None`` once ``until`` — the call's
     deadline — has passed, and the read then raises
     :class:`DeadlineExceededError`).  ``client`` unset: a pause, a

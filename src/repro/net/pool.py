@@ -17,8 +17,8 @@ deadline, so retrying can never extend a request past its budget.  An
 attempt's answer is one RESPONSE frame, so a failed attempt leaves
 nothing behind for the retry to discard.  The loop is an exchange
 (:mod:`repro.net.client`): its backoff is a yielded pause, which
-:meth:`ConnectionPool.call` sleeps and a multi-part driver overlaps
-with the other parts' replies.
+:meth:`ConnectionPool.call` sleeps and :func:`~repro.net.client.run_all`
+overlaps with the other parts' replies.
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ class ConnectionPool:
     ) -> "Exchange[CallResult]":
         """:meth:`call` as an exchange (see :mod:`repro.net.client`).
 
-        A retry's backoff is yielded as a pause, so a driver serving
-        several exchanges keeps the others moving meanwhile.
+        A retry's backoff is yielded as a pause, so
+        :func:`~repro.net.client.run_all` keeps the other exchanges
+        moving meanwhile.
 
         Raises:
             DeadlineExceededError: the budget ran out (never retried).
