@@ -309,7 +309,7 @@ class TestStitchingOverTcp:
         """ROADMAP item 4(a): a trace is whole.  Each query below misses
         the cache (thresholds descend, so no stored answer contains the
         next), scatters one ``net.rpc`` per node from the mediator's
-        pool threads, and every one of those spans must come back with
+        thread, and every one of those spans must come back with
         the ``server.request`` subtree its node captured."""
         servers, addresses = start_servers()
         mediator = Mediator(
