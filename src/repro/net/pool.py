@@ -4,7 +4,10 @@ A :class:`ConnectionPool` fronts one node server.  A call checks a
 :class:`~repro.net.client.NodeClient` out, owns it for one request and
 its response, and hands it back; concurrent callers get a connection
 each, dialled lazily up to the ceiling, and further callers wait inside
-their deadline for a checkout.  An idle connection is examined at
+their deadline for a checkout, in short pauses rather than on a lock: a
+driver running several calls on one thread
+(:func:`~repro.net.client.run_all`) then goes on reading the replies
+that hand connections back.  An idle connection is examined at
 checkout: one whose socket is readable — EOF from a node that restarted
 or dropped it, or bytes nobody asked for — is closed and skipped, so a
 pile of dead connections never costs a call (or a retry) each.
@@ -55,6 +58,10 @@ CONNECT_TIMEOUT_S = 2.0
 #: sockets.
 MAX_PROBE_FAILURES = 3
 
+#: How long a call at the connection ceiling pauses before it looks for
+#: a free connection again.
+SLOT_RETRY_S = 0.001
+
 
 class ConnectionPool:
     """A bounded pool of connections to one ``host:port``.
@@ -100,7 +107,6 @@ class ConnectionPool:
         self.probe_failures = 0
         self._on_retry = on_retry
         self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
         self._idle: list[NodeClient] = []
         self._checked_out = 0
         self._closed = False
@@ -156,7 +162,8 @@ class ConnectionPool:
         while True:
             attempt_started = clock.now()
             try:
-                with self._checkout(deadline) as client:
+                client = yield from self._acquire(deadline)
+                with self._owned(client):
                     result = yield from client.exchange(
                         method, header, blobs, deadline
                     )
@@ -217,12 +224,12 @@ class ConnectionPool:
 
     def _ping_once(self, timeout: float) -> float:
         deadline = Deadline.after(timeout)
-        with self._checkout(deadline) as client:
+        with self._owned(run_inline(self._acquire(deadline))) as client:
             return client.ping(deadline)
 
     def _record_probe_failure(self) -> None:
         """Count one failed probe; evict everything at the threshold."""
-        with self._available:
+        with self._lock:
             self.probe_failures += 1
             if self.probe_failures < MAX_PROBE_FAILURES:
                 return
@@ -239,10 +246,9 @@ class ConnectionPool:
 
     def close(self) -> None:
         """Close every connection and refuse new calls."""
-        with self._available:
+        with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
-            self._available.notify_all()
         for client in idle:
             client.close()
 
@@ -255,9 +261,8 @@ class ConnectionPool:
     # -- internals -------------------------------------------------------------
 
     @contextmanager
-    def _checkout(self, deadline: Deadline) -> Iterator[NodeClient]:
-        """A connection owned for one exchange, then handed back."""
-        client = self._acquire(deadline)
+    def _owned(self, client: NodeClient) -> Iterator[NodeClient]:
+        """Own a checked-out connection for one exchange, then hand it back."""
         try:
             yield client
         except BaseException:
@@ -267,23 +272,33 @@ class ConnectionPool:
             raise
         self._release(client)
 
-    def _acquire(self, deadline: Deadline) -> NodeClient:
-        """Check a connection out: an idle one, or a fresh dial."""
+    def _acquire(self, deadline: Deadline) -> "Exchange[NodeClient]":
+        """Check a connection out: an idle one, or a fresh dial.
+
+        At the ceiling this pauses (a yielded :class:`Wait`) and looks
+        again, rather than waiting on a lock: the parts
+        :func:`~repro.net.client.run_all` drives share a thread and may
+        hold this pool's other connections, whose replies that thread
+        must go on reading to hand them back.
+        """
         while True:
-            with self._available:
+            with self._lock:
                 if self._closed:
                     raise ConnectionLostError(
                         f"pool for {self.address} is closed"
                     )
-                if self._idle:
-                    client = self._idle.pop()
+                full = not self._idle and (
+                    self._checked_out >= self.max_connections
+                )
+                if not full:
                     self._checked_out += 1
-                elif self._checked_out < self.max_connections:
-                    self._checked_out += 1
-                    client = None
-                else:
-                    self._available.wait(timeout=deadline.remaining())
-                    continue
+                    client = self._idle.pop() if self._idle else None
+            if full:
+                deadline.remaining()  # raises once the budget is spent
+                yield Wait(
+                    None, min(clock.now() + SLOT_RETRY_S, deadline.expires_at)
+                )
+                continue
             # Dial (and peek) with the pool unlocked: a connect plus
             # handshake can take the whole connect budget, and holding
             # the lock meanwhile would stall every other caller.
@@ -312,19 +327,17 @@ class ConnectionPool:
         )
 
     def _release(self, client: NodeClient) -> None:
-        with self._available:
+        with self._lock:
             self._checked_out -= 1
             if self._closed or client.closed:
                 client.close()
             else:
                 self._idle.append(client)
-            self._available.notify()
 
     def _discard(self, client: NodeClient) -> None:
         client.close()
         self._return_slot()
 
     def _return_slot(self) -> None:
-        with self._available:
+        with self._lock:
             self._checked_out -= 1
-            self._available.notify()

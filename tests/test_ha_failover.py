@@ -7,7 +7,9 @@ HELLO handshake, before answering, and halfway through writing its
 RESPONSE frame.  A node part too large for one frame is refused once,
 with a typed error no replica is asked to repeat.  A four-node cluster
 at the same factor loses a node between queries, which moves node
-servers' halo reads onto surviving replicas too.  Every leg asserts
+servers' halo reads onto surviving replicas too.  Concurrent queries
+whose parts all go to one node's pool finish at its connection
+ceiling.  Every leg asserts
 point-for-point equality with the in-process reference cluster: the
 failed shard parts restart clean on the survivor and the gather's
 merge produces the same Morton-sorted columns.
@@ -312,6 +314,56 @@ def test_kill_between_queries_on_four_nodes(reference):
             assert_identical(
                 mediator.threshold(QUERY, use_cache=False), reference
             )
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
+@pytest.mark.parametrize("ceiling", [1, 2, 8])
+def test_concurrent_queries_on_one_replica_all_finish(reference, ceiling):
+    """Both shards route to node 0, so each query's two parts share its
+    pool, at a ceiling of one or two connections or of the default
+    eight.  Eight queries at once: a part waiting for a connection never
+    holds up the reply that would free one, and every query answers well
+    inside its 10 s part budget."""
+    servers, addresses = start_cluster()
+    transport = HaTcpTransport(
+        addresses, placement=PlacementMap(NODES, NODES, 2), timeout=10.0
+    )
+    for pool in transport.pools:
+        pool.max_connections = ceiling
+    answers, errors = [], []
+
+    def query() -> None:
+        try:
+            answers.append(mediator.threshold(QUERY, use_cache=False))
+        except Exception as error:
+            errors.append(error)
+
+    try:
+        with Mediator(
+            nodes=[],
+            partitioner=MortonPartitioner(SIDE, NODES),
+            transport=transport,
+            cache_capacity_bytes=None,
+            scatter_timeout=120.0,
+        ) as mediator:
+            prefer(mediator, 0)
+            threads = [threading.Thread(target=query) for _ in range(8)]
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            elapsed = time.monotonic() - started
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(answers) == 8
+            for answer in answers:
+                assert_identical(answer, reference)
+            assert elapsed < 5.0
+            assert servers[1].requests == 0
+            assert transport.pools[0].open_connections <= ceiling
     finally:
         for server in servers:
             server.shutdown()
