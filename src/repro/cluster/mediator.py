@@ -697,7 +697,7 @@ class Mediator:
         they all run on this thread: every request is written, then one
         wait on every socket gathers the replies under
         :attr:`scatter_timeout` and each part's own deadline, and a
-        part's retry backoff or failover holds up no other part.  Parts
+        part's retry backoff holds up no other part.  Parts
         that are compute (the in-process transport) run on the shared
         scatter pool, one worker each, under :meth:`_gather`.
 

@@ -148,10 +148,12 @@ def run_all(exchanges: "Sequence[Exchange[Any]]", deadline: Deadline) -> list[An
     Each exchange runs in its own copy of the caller's context, so the
     spans it opens nest per exchange although all of them interleave
     here.  Every exchange first runs until it has written its request;
-    one ``selectors`` wait then serves every reply and every backoff,
-    so nothing one exchange waits for holds up another.  An exchange is
-    resumed when its socket turns readable, its backoff ends or its own
-    deadline passes.
+    one ``selectors`` wait then serves every reply and every pause, so
+    no reply, backoff or full pool one exchange waits for holds up
+    another.  An exchange is resumed when its socket turns readable, its
+    pause ends or its own deadline passes.  What does block the thread
+    is a dial, and a reply's read once its first bytes are there; both
+    are bounded by the exchange's own deadline, not by ``deadline``.
 
     On the first failure — or when ``deadline`` passes — every other
     exchange is closed: its open connection is discarded and nothing is
