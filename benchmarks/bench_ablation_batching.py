@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import ThresholdQuery
 from repro.costmodel import Category
-from repro.costmodel.ledger import METER_IO_BYTES
 from repro.harness.common import ExperimentReport, threshold_levels
 
 
@@ -41,16 +40,16 @@ def report(config, save_report):
     )
 
     rows = [
-        ["three sequential queries", f"{sequential_total:.1f}",
-         f"{sequential_io:.1f}"],
-        ["one batched query (shared scan)", f"{batch.ledger.total:.1f}",
-         f"{batch.ledger[Category.IO]:.1f}"],
+        ["three sequential queries", sequential_total, sequential_io],
+        ["one batched query (shared scan)", batch.ledger.total,
+         batch.ledger[Category.IO]],
         ["saving", f"{1 - batch.ledger.total / sequential_total:.0%}", ""],
     ]
     out = ExperimentReport(
         title="Ablation -- batched vs sequential same-source queries "
         "(vorticity + Q + R, cold cache, simulated seconds)",
-        headers=["strategy", "total", "I/O"],
+        columns=[("strategy", str), ("total", "{:.1f}".format),
+                 ("I/O", "{:.1f}".format)],
         rows=rows,
         notes=["the batch reads the velocity atoms once instead of thrice"],
     )
@@ -59,30 +58,10 @@ def report(config, save_report):
 
 
 def test_batch_does_one_third_of_the_io(report):
-    sequential_io = float(report.rows[0][2])
-    batch_io = float(report.rows[1][2])
+    sequential_io, batch_io = report.column("I/O")[:2]
     assert batch_io < 0.45 * sequential_io
 
 
 def test_batch_saves_at_least_a_quarter(report):
-    sequential = float(report.rows[0][1])
-    batched = float(report.rows[1][1])
+    sequential, batched = report.column("total")[:2]
     assert batched < 0.75 * sequential
-
-
-def test_benchmark_batched_queries(report, benchmark, config, shared_cluster):
-    dataset, mediator = shared_cluster
-    queries = [
-        ThresholdQuery("mhd", field, 1,
-                       threshold_levels(dataset, field, 1)["medium"])
-        for field in ("vorticity", "q_criterion")
-    ]
-
-    def run():
-        mediator.drop_page_caches()
-        return mediator.batch_threshold(
-            queries, processes=config.processes, use_cache=False
-        )
-
-    result = benchmark(run)
-    assert len(result) == 2

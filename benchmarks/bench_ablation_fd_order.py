@@ -37,9 +37,9 @@ def report(config, save_report):
             [
                 f"vorticity, order {order}",
                 order // 2,
-                f"{result.ledger.meter(METER_HALO_BYTES) / 2**20:.2f}",
-                f"{result.ledger[Category.IO]:.1f}",
-                f"{result.elapsed:.1f}",
+                result.ledger.meter(METER_HALO_BYTES) / 2**20,
+                result.ledger[Category.IO],
+                result.elapsed,
             ]
         )
 
@@ -53,16 +53,18 @@ def report(config, save_report):
         [
             "magnetic (raw, single-point kernel)",
             0,
-            f"{raw.ledger.meter(METER_HALO_BYTES) / 2**20:.2f}",
-            f"{raw.ledger[Category.IO]:.1f}",
-            f"{raw.elapsed:.1f}",
+            raw.ledger.meter(METER_HALO_BYTES) / 2**20,
+            raw.ledger[Category.IO],
+            raw.elapsed,
         ]
     )
 
     out = ExperimentReport(
         title="Ablation -- kernel halo vs atom granularity "
         "(medium threshold, cold cache)",
-        headers=["kernel", "half-width", "halo MiB", "I/O s", "total s"],
+        columns=[("kernel", str), ("half-width", str),
+                 ("halo MiB", "{:.2f}".format), ("I/O s", "{:.1f}".format),
+                 ("total s", "{:.1f}".format)],
         rows=rows,
         notes=[
             "half-widths 1-4 all round up to one 8-point atom layer, so "
@@ -76,13 +78,13 @@ def report(config, save_report):
 
 def test_halo_identical_across_orders(report):
     """Atom granularity: orders 2-8 fetch the same boundary atoms."""
-    halo = [float(row[2]) for row in report.rows[:-1]]
+    halo = report.column("halo MiB")[:-1]
     assert max(halo) == min(halo)
     assert halo[0] > 0
 
 
 def test_raw_field_needs_no_halo(report):
-    assert float(report.rows[-1][2]) == 0.0
+    assert report.column("halo MiB")[-1] == 0.0
 
 
 @pytest.mark.xfail(
@@ -94,19 +96,5 @@ def test_raw_field_needs_no_halo(report):
     "(I/O 102.464 s against 102.438 s)",
 )
 def test_raw_field_io_not_higher(report):
-    derived_io = float(report.rows[0][3])
-    raw_io = float(report.rows[-1][3])
-    assert raw_io <= derived_io
-
-
-def test_benchmark_eighth_order_query(report, benchmark, config, shared_cluster):
-    dataset, mediator = shared_cluster
-    threshold = threshold_levels(dataset, "vorticity", 0)["medium"]
-    query = ThresholdQuery("mhd", "vorticity", 0, threshold, fd_order=8)
-
-    def run():
-        mediator.drop_page_caches()
-        return mediator.threshold(query, processes=4, use_cache=False)
-
-    result = benchmark(run)
-    assert len(result) > 0
+    io = report.column("I/O s")
+    assert io[-1] <= io[0]

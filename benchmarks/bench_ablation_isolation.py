@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core import ThresholdQuery
-from repro.core.cache import SemanticCache
 from repro.grid import Box
 from repro.harness.common import ExperimentReport, threshold_levels
 from repro.morton import encode_array
@@ -58,15 +57,15 @@ def report(config, save_report):
 
     lock_based_estimate = miss.elapsed + uncontended.elapsed
     rows = [
-        ["cache hit, no concurrent writer", f"{uncontended.elapsed:.2f}"],
+        ["cache hit, no concurrent writer", uncontended.elapsed],
         ["cache hit during a concurrent refresh (snapshot isolation)",
-         f"{contended.elapsed:.2f}"],
+         contended.elapsed],
         ["same, under table locking (reader waits out the refresh)",
-         f"{lock_based_estimate:.2f}"],
+         lock_based_estimate],
     ]
     out = ExperimentReport(
         title="Ablation -- cache-table isolation (simulated seconds)",
-        headers=["scenario", "reader latency"],
+        columns=[("scenario", str), ("reader latency", "{:.2f}".format)],
         rows=rows,
         notes=[
             "under locking the reader blocks for the refresh's full "
@@ -79,41 +78,13 @@ def report(config, save_report):
 
 
 def test_snapshot_isolation_reader_never_blocks(report):
-    uncontended = float(report.rows[0][1])
-    contended = float(report.rows[1][1])
+    uncontended, contended, _ = report.column("reader latency")
     assert contended <= uncontended * 1.1
 
 
 def test_locking_would_be_orders_slower(report):
-    contended = float(report.rows[1][1])
-    locked = float(report.rows[2][1])
+    _, contended, locked = report.column("reader latency")
     assert locked / contended > 10
-
-
-def test_benchmark_contended_hit(report, benchmark, config, shared_cluster):
-    """Time a cache hit while a refresh of the same entry is in flight."""
-    dataset, mediator = shared_cluster
-    levels = threshold_levels(dataset, "vorticity", 1)
-    query = ThresholdQuery("mhd", "vorticity", 1, levels["medium"])
-    mediator.threshold(query, processes=config.processes)  # warm
-
-    node = mediator.nodes[0]
-    cache = mediator.caches[0]
-    box = mediator.partitioner.query_boxes(0, Box.cube(dataset.spec.side))[0]
-    writer = node.db.begin()
-    probe = cache.lookup(writer, "mhd", "vorticity", 1, box, levels["low"])
-    z = encode_array(
-        np.array([box.lo[0]]), np.array([box.lo[1]]), np.array([box.lo[2]])
-    )
-    cache.store(
-        writer, "mhd", "vorticity", 1, box, levels["low"],
-        z, np.array([99.0]), replace_ordinal=probe.stale_ordinal,
-    )
-    try:
-        result = benchmark(mediator.threshold, query, config.processes)
-        assert result.cache_hits == len(mediator.nodes)
-    finally:
-        writer.abort()
 
 
 def test_conflicting_refreshes_fail_fast_not_deadlock(config):

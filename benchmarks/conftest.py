@@ -1,51 +1,25 @@
-"""Shared benchmark fixtures: experiment config, cluster, report sink.
+"""Shared benchmark fixtures: the experiment config and the report sink.
 
-Every ``bench_*`` module reproduces one table or figure of the paper:
-the module-scoped fixture runs the experiment harness, writes the
-resulting table to ``benchmarks/results/<name>.txt`` (and echoes it to
-the terminal), and the pytest-benchmark functions time the underlying
-queries of that experiment.
-
-At session end, each benchmarked module additionally gets a machine-
-readable ``BENCH_<module>.json`` at the repo root: the wall-clock
-timing statistics of its benchmark functions plus the key engine
-metrics of the run (semantic-cache hit rate, simulated I/O bytes),
-sampled from the shared cluster's metrics registry.  CI uploads these
-as artifacts so perf history survives the run.
+``bench_paper.py`` reproduces the paper's tables and figures from the
+one table in ``repro.harness``; each ``bench_ablation_*`` module runs
+one design ablation.  Every experiment builds its own cluster, writes
+its table to ``benchmarks/results/<name>.txt`` (and echoes it to the
+terminal), and checks its claims as pytest tests.
 """
 
-import json
 import pathlib
 
 import pytest
 
 from repro.harness.common import ExperimentConfig
 from repro.obs import report
-from repro.obs.clock import unix_now
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-#: Version of the per-module report layout; bump when keys are added,
-#: renamed or removed so dashboards can detect schema changes instead
-#: of silently mis-parsing.
-SCHEMA_VERSION = 2
-
-#: Mediators whose metrics are sampled into the BENCH_*.json files.
-_OBSERVED_MEDIATORS = []
 
 
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
     return ExperimentConfig()
-
-
-@pytest.fixture(scope="session")
-def shared_cluster(config):
-    """One default cluster shared by experiments that can reuse it."""
-    dataset, mediator = config.make_cluster()
-    _OBSERVED_MEDIATORS.append(mediator)
-    return dataset, mediator
 
 
 @pytest.fixture(scope="session")
@@ -59,59 +33,3 @@ def save_report():
         report(f"\n{text}\n")
 
     return _save
-
-
-def _engine_metrics() -> dict:
-    """Key engine counters summed over the session's observed clusters."""
-    hits = misses = io_bytes = sim_seconds = 0.0
-    for mediator in _OBSERVED_MEDIATORS:
-        metrics = mediator.metrics
-        hits += metrics.get("semantic_cache_hits_total").value
-        misses += metrics.get("semantic_cache_misses_total").value
-        io_bytes += metrics.get("io_bytes_total").value
-        family = metrics.get("simulated_seconds_total")
-        for _, series in family.series():
-            sim_seconds += series.value
-    probes = hits + misses
-    return {
-        "semantic_cache_hits": hits,
-        "semantic_cache_misses": misses,
-        "semantic_cache_hit_rate": hits / probes if probes else 0.0,
-        "io_bytes": io_bytes,
-        "simulated_seconds": sim_seconds,
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write ``BENCH_<module>.json`` for every benchmarked module."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    by_module: dict[str, list[dict]] = {}
-    for bench in bench_session.benchmarks:
-        module = pathlib.Path(bench.fullname.split("::")[0]).stem
-        stats = bench.stats
-        by_module.setdefault(module, []).append(
-            {
-                "test": bench.name,
-                "rounds": stats.rounds,
-                "mean_seconds": stats.mean,
-                "min_seconds": stats.min,
-                "max_seconds": stats.max,
-                "stddev_seconds": stats.stddev,
-            }
-        )
-    metrics = _engine_metrics() if _OBSERVED_MEDIATORS else {}
-    for module, timings in sorted(by_module.items()):
-        payload = {
-            "module": module,
-            "schema_version": SCHEMA_VERSION,
-            "written_at_unix": unix_now(),
-            "timings": timings,
-            "metrics": metrics,
-        }
-        path = REPO_ROOT / f"BENCH_{module}.json"
-        # sort_keys keeps re-runs byte-stable apart from real changes,
-        # so BENCH_*.json diffs in review show only moved numbers.
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        report(f"wrote {path}")

@@ -1,22 +1,22 @@
-"""Experiment harness: one module per table/figure of the paper.
+"""Experiment harness: the paper's evaluation as one table of experiments.
 
-Every experiment follows the same pattern: build (or reuse) a cluster
-sized by :class:`~repro.harness.common.ExperimentConfig`, run the
-paper's query protocol, and return an
-:class:`~repro.harness.common.ExperimentReport` whose rows mirror the
-paper's table/figure series.  Reports print as plain-text tables and are
-written to ``benchmarks/results/`` by the benchmark suite.
+Each table or figure of the paper's §5 is one
+:class:`~repro.harness.experiments.Experiment` in
+:data:`~repro.harness.experiments.EXPERIMENTS`: its results-file name,
+title and formatted columns, a protocol that builds its own cluster
+sized by :class:`~repro.harness.common.ExperimentConfig` and returns
+rows of values, the paper's numbers, and the paper's shape claims as
+named predicates over those values.  An
+:class:`~repro.harness.common.ExperimentReport` renders the rows as a
+plain-text table; ``benchmarks/bench_paper.py`` writes each one to
+``benchmarks/results/<name>.txt`` and checks every claim, and
+``python -m repro.harness`` prints them.
 
-Experiments (paper reference in parentheses):
-
-* :mod:`~repro.harness.fig2_pdf` — vorticity-norm PDF (Fig. 2)
-* :mod:`~repro.harness.fig3_fig4` — intense points + 4-D FoF clusters
-  (Fig. 3, Fig. 4)
-* :mod:`~repro.harness.table1_fig6` — cache effectiveness (Table 1, Fig. 6)
-* :mod:`~repro.harness.fig7` — scale-up and scale-out (Fig. 7a, 7b)
-* :mod:`~repro.harness.fig8` — total vs I/O-only time (Fig. 8)
-* :mod:`~repro.harness.fig9` — execution-time breakdowns (Fig. 9a-f)
-* :mod:`~repro.harness.local_vs_integrated` — §5.3's 20-hour story
+Rows (paper reference in parentheses): ``fig2_pdf`` (Fig. 2),
+``fig3_fig4_clusters`` (Figs. 3-4), ``table1_fig6_cache`` (Table 1,
+Fig. 6), ``fig7a_scaleup`` and ``fig7b_scaleout`` (Fig. 7), ``fig8_io``
+(Fig. 8), ``fig9_breakdown`` (Fig. 9a-f) and ``local_vs_integrated``
+(§5.3's 20-hour story).
 """
 
 from repro.harness.common import (
@@ -26,8 +26,11 @@ from repro.harness.common import (
     ExperimentReport,
     threshold_levels,
 )
+from repro.harness.experiments import EXPERIMENTS, Experiment
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentConfig",
     "ExperimentReport",
     "PAPER_FRACTIONS",

@@ -2,29 +2,17 @@
 
 Usage::
 
-    python -m repro.harness                 # default 64^3 configuration
-    REPRO_BENCH_SIDE=128 python -m repro.harness
-    python -m repro.harness fig8 table1     # a subset by name
+    python -m repro.harness                            # every row of the table
+    python -m repro.harness fig8_io table1_fig6_cache  # a subset by name
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.harness import fig2_pdf, fig3_fig4, fig7, fig8, fig9, local_vs_integrated, table1_fig6
 from repro.harness.common import ExperimentConfig
+from repro.harness.experiments import EXPERIMENTS
 from repro.obs import Stopwatch, report
-
-EXPERIMENTS = {
-    "fig2": lambda config: fig2_pdf.run(config),
-    "fig3_fig4": lambda config: fig3_fig4.run(config),
-    "table1": lambda config: table1_fig6.run(config),
-    "fig7a": lambda config: fig7.run_scaleup(config),
-    "fig7b": lambda config: fig7.run_scaleout(config),
-    "fig8": lambda config: fig8.run(config),
-    "fig9": lambda config: fig9.run(config),
-    "local_vs_integrated": lambda config: local_vs_integrated.run(config),
-}
 
 
 def main(argv: list[str]) -> int:
@@ -41,7 +29,7 @@ def main(argv: list[str]) -> int:
     )
     for name in wanted:
         with Stopwatch() as watch:
-            rendered = EXPERIMENTS[name](config)
+            rendered = EXPERIMENTS[name].run(config)
         report(rendered)
         report(f"[{name} regenerated in {watch.elapsed:.1f} s wall]\n")
     return 0

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.cluster import Mediator, build_cluster
-from repro.costmodel import ClusterSpec, paper_cluster, paper_scale_spec
+from repro.costmodel import ClusterSpec, paper_scale_spec
 from repro.fields import curl_periodic, gradient_tensor_periodic
 from repro.fields.operators import (
     q_criterion_from_gradient,
@@ -28,25 +29,16 @@ PAPER_FRACTIONS = {
 #: The paper's matching absolute counts, for side-by-side reporting.
 PAPER_POINT_COUNTS = {"high": 4247, "medium": 86580, "low": 909274}
 
-#: Table 1 of the paper: average running times in seconds.
-PAPER_TABLE1 = {
-    "high": {"no_cache": 97.1, "miss": 100.2, "hit": 0.5},
-    "medium": {"no_cache": 113.7, "miss": 115.9, "hit": 1.2},
-    "low": {"no_cache": 111.6, "miss": 115.0, "hit": 9.1},
-}
-
 
 @dataclass
 class ExperimentConfig:
     """Knobs shared by every experiment.
 
-    The default 64^3 grid keeps each experiment to seconds of wall time;
-    set the ``REPRO_BENCH_SIDE`` environment variable (e.g. 128) for a
-    closer-to-production run.
+    The default 64^3 grid keeps each experiment to seconds of wall time.
     """
 
-    side: int = int(os.environ.get("REPRO_BENCH_SIDE", "64"))
-    timesteps: int = int(os.environ.get("REPRO_BENCH_TIMESTEPS", "4"))
+    side: int = 64
+    timesteps: int = 4
     nodes: int = 4
     processes: int = 4
     seed: int = 11
@@ -80,34 +72,50 @@ class ExperimentConfig:
         return (1024 / self.side) ** 3
 
 
+#: A column of a report: its header and how a value cell renders.
+Column = tuple[str, Callable[[Any], str]]
+
+
 @dataclass
 class ExperimentReport:
-    """A reproduced table/figure: headers, rows and commentary."""
+    """A reproduced table/figure: columns, rows of values and commentary.
+
+    Cells stay values (numbers, tuples) for the claims to read; each
+    column's format renders them, and a ``str`` cell is a label that
+    renders as it is.
+    """
 
     title: str
-    headers: list[str]
-    rows: list[list[object]]
+    columns: Sequence[Column]
+    rows: list[list[Any]]
     notes: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
+        headers = [header for header, _ in self.columns]
+        cells = [
+            [cell if isinstance(cell, str) else render(cell)
+             for cell, (_, render) in zip(row, self.columns)]
+            for row in self.rows
+        ]
         widths = [
-            max(len(str(cell)) for cell in [header] + [row[i] for row in self.rows])
-            for i, header in enumerate(self.headers)
+            max(len(text) for text in [header] + [row[i] for row in cells])
+            for i, header in enumerate(headers)
         ]
         lines = [self.title, "=" * len(self.title)]
-        lines.append(
-            "  ".join(str(h).ljust(w) for h, w in zip(self.headers, widths))
-        )
+        lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
         lines.append("  ".join("-" * w for w in widths))
-        for row in self.rows:
-            lines.append(
-                "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
-            )
+        for row in cells:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def row_dict(self, key_column: int = 0) -> dict:
+    def column(self, header: str) -> list[Any]:
+        """Every row's value in the column of that header."""
+        index = [name for name, _ in self.columns].index(header)
+        return [row[index] for row in self.rows]
+
+    def row_dict(self, key_column: int = 0) -> dict[Any, list[Any]]:
         """Rows keyed by the given column, for programmatic checks."""
         return {row[key_column]: row for row in self.rows}
 
