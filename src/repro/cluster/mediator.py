@@ -16,8 +16,8 @@ one ``selectors`` wait gathers every reply
 (:func:`repro.net.client.run_all`).  A node's whole share of the answer
 comes back in its call's one RESPONSE frame — at most the 10^6-point
 result limit, 16 MB of columns — so the gather here sees exactly the
-Morton-sorted columns the in-process cluster produces.  In-process
-parts are compute, and run on a thread pool.
+Morton-sorted columns the in-process cluster produces (or each node's
+JSON of them).  In-process parts are compute, and run on a thread pool.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.core.limits import MAX_RESULT_POINTS
 from repro.core.query import (
     PdfQuery,
     PdfResult,
+    RenderedThresholdResult,
     ThresholdQuery,
     ThresholdResult,
     TopKQuery,
@@ -387,7 +388,8 @@ class Mediator:
         io_only: bool = False,
         max_points: int = MAX_RESULT_POINTS,
         timeout: float | None = None,
-    ) -> ThresholdResult:
+        render: bool = False,
+    ) -> "ThresholdResult | RenderedThresholdResult":
         """Evaluate a threshold query across the cluster.
 
         Args:
@@ -395,9 +397,11 @@ class Mediator:
             use_cache: probe/maintain the semantic cache (the "no cache"
                 baseline sets this false).
             io_only: only perform the raw reads (Fig. 8).
-            max_points: global result limit.
+            max_points: global result limit, and each node part's.
             timeout: per-node-part budget in wall seconds on networked
                 transports (``None`` uses the transport's default).
+            render: the node parts write their points as JSON, in
+                parallel, for a :class:`RenderedThresholdResult`.
 
         Raises:
             ThresholdTooLowError: when more than ``max_points`` match.
@@ -406,6 +410,7 @@ class Mediator:
             KINDS["threshold"], query, self.transport.threshold_part,
             max_points=max_points, timeout=timeout,
             use_cache=use_cache, processes=processes, io_only=io_only,
+            render=render,
         )
 
     def batch_threshold(
@@ -495,6 +500,8 @@ class Mediator:
         # attributes (the benchmark probe's timer) keeps the plain part
         # calls it is there to time.
         remote = isinstance(self.transport, TcpTransport)
+        if "max_points" in kind.options:  # the part holds its own share to it
+            options["max_points"] = max_points
         if remote:
             exchange = functools.partial(self.transport.part_exchange, kind)
         else:

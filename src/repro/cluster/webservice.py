@@ -12,10 +12,9 @@ low" (§4).
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Callable, TypeVar
-
-import numpy as np
 
 from repro.cluster.mediator import Mediator
 from repro.core import (
@@ -25,6 +24,8 @@ from repro.core import (
     TopKQuery,
 )
 from repro.core.limits import MAX_PROCESSES
+from repro.core.pointset import point_dicts, points_json
+from repro.core.query import RenderedThresholdResult
 from repro.fields.derived import UnknownFieldError
 from repro.grid import Box
 from repro.net.errors import DeadlineExceededError, NetError
@@ -36,54 +37,41 @@ _R = TypeVar("_R")
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4"
 
-#: One point as ``json.dumps`` writes its dict; ``_BLOCK`` of them per ``%``.
-_POINT_JSON = '{"x": %d, "y": %d, "z": %d, "value": %r}'
-_BLOCK = 4096
-
-
-class _Points:
-    """A point answer as columns: ``(n, 3)`` coordinates beside values."""
-
-    def __init__(self, coordinates: np.ndarray, values: np.ndarray) -> None:
-        self._columns = [*coordinates.T.tolist(), values.tolist()]
-        self._finite = bool(np.isfinite(values).all())
-
-    def dicts(self) -> list[dict]:
-        """The response's ``points`` list: one dict per point."""
-        return [
-            {"x": x, "y": y, "z": z, "value": v}
-            for x, y, z, v in zip(*self._columns)
-        ]
-
-    def json(self) -> str:
-        """``json.dumps(self.dicts())`` with no per-point object."""
-        if not self._finite:  # json spells these Infinity / NaN, repr does not
-            return json.dumps(self.dicts())
-        flat: list = [None] * (4 * len(self._columns[3]))
-        for offset, column in enumerate(self._columns):
-            flat[offset::4] = column
-        blocks = []
-        for start in range(0, len(flat), 4 * _BLOCK):
-            block = tuple(flat[start:start + 4 * _BLOCK])
-            blocks.append(", ".join([_POINT_JSON] * (len(block) // 4)) % block)
-        return f"[{', '.join(blocks)}]"
+# A point answer's ``points`` hold its result until one of these two
+# writes the response: as dicts (the reference) or as JSON (a door).
 
 
 def _with_point_dicts(response: dict) -> dict:
-    if isinstance(response.get("points"), _Points):  # the dict reference
-        response["points"] = response["points"].dicts()
+    points = response.get("points")
+    if points is not None:  # columns: handle() never asks for a render
+        response["points"] = point_dicts(points.zindexes, points.values)
     return response
 
 
 def _encoded(response: dict) -> tuple[dict, bytes]:
-    """``(response minus points, json.dumps(response) as bytes)``."""
+    """``(response minus points, json.dumps(response) as bytes)``, the
+    points spliced in as the JSON fragments the nodes wrote (or, from
+    columns, the one written here)."""
     points = response.get("points")
-    if not isinstance(points, _Points):
+    if points is None:
         return response, json.dumps(response).encode("utf-8")
+    if isinstance(points, RenderedThresholdResult):
+        fragments = points.fragments
+    else:
+        fragments = [points_json(points.zindexes, points.values)]
     # An empty list holds the key's place; no JSON string value can spell it.
     head, _, tail = json.dumps({**response, "points": []}).partition('"points": []')
     del response["points"]
-    return response, f'{head}"points": {points.json()}{tail}'.encode("utf-8")
+    with tracing.span(
+        "webservice.splice", trace_id=response.get("query_id"),
+        fragments=len(fragments),
+    ) as span:
+        # Separators between the fragments: each is copied once, into the body.
+        joined = [b", "] * max(0, 2 * len(fragments) - 1)
+        joined[::2] = fragments
+        body = b"".join([head.encode(), b'"points": [', *joined, b"]", tail.encode()])
+        span.set("bytes", len(body))
+    return response, body
 
 
 class WebServiceError(Exception):
@@ -122,6 +110,11 @@ class WebService:
             "GetStats": self._get_stats,
             "GetTrace": self._get_trace,
         }
+        # What handle_json dispatches: a threshold answer its nodes render.
+        self._json_methods = {
+            **self._methods,
+            "GetThreshold": functools.partial(self._get_threshold, render=True),
+        }
         self._latency = mediator.metrics.histogram(
             "webservice_request_seconds",
             "Request handling wall seconds, by method",
@@ -158,17 +151,19 @@ class WebService:
         ``{"status": "ok", ...}`` or ``{"status": "error", "code",
         "message"}``.
         """
-        return self._handle(request, _with_point_dicts)
+        return self._handle(request, self._methods, _with_point_dicts)
 
     def handle_json(self, request: dict) -> tuple[dict, bytes]:
         """:meth:`handle` for a door: ``(head, body)``, serialised once.
 
         ``body`` is ``json.dumps(self.handle(request)).encode("utf-8")`` byte
-        for byte, straight from the result columns; ``head`` lacks ``points``.
+        for byte, spliced from the JSON each node wrote of its share of a
+        threshold answer (other point answers render from their columns
+        here); ``head`` lacks ``points``.
         """
-        return self._handle(request, _encoded)
+        return self._handle(request, self._json_methods, _encoded)
 
-    def _handle(self, request: dict, render: Callable[[dict], _R]) -> _R:
+    def _handle(self, request: dict, methods: dict, render: Callable[[dict], _R]) -> _R:
         method_name = request.get("method")
         # Unknown method names share one label value so a client spraying
         # garbage cannot blow the latency family's cardinality cap.
@@ -181,7 +176,7 @@ class WebService:
         started = clock.now()
         response: dict | None = None
         try:
-            response = self._dispatch(request)
+            response = self._dispatch(request, methods)
             return render(response)
         finally:
             # Timed by hand rather than via ``timed``: a successful
@@ -197,12 +192,12 @@ class WebService:
             )
             self._in_flight.dec()
 
-    def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request: dict, methods: dict) -> dict:
         try:
             method_name = request.get("method")
             if not isinstance(method_name, str):
                 raise WebServiceError("bad_request", "missing method name")
-            method = self._methods.get(method_name)
+            method = methods.get(method_name)
             if method is None:
                 raise WebServiceError(
                     "unknown_method",
@@ -256,7 +251,7 @@ class WebService:
 
     # -- methods -----------------------------------------------------------------
 
-    def _get_threshold(self, request: dict) -> dict:
+    def _get_threshold(self, request: dict, render: bool = False) -> dict:
         query = ThresholdQuery(
             dataset=self._require(request, "dataset", str),
             field=self._require(request, "field", str),
@@ -269,13 +264,14 @@ class WebService:
             query,
             processes=self._processes(request),
             max_points=self._max_points,
+            render=render,
         )
         return {
             "status": "ok",
-            "points": _Points(result.coordinates(), result.values),
+            "points": result,
             "count": len(result),
             "cache_hits": result.cache_hits,
-            "elapsed_seconds": result.elapsed,
+            "elapsed_seconds": result.ledger.total,
             "query_id": result.query_id,
         }
 
@@ -308,7 +304,7 @@ class WebService:
         result = self._mediator.topk(query)
         return {
             "status": "ok",
-            "points": _Points(result.coordinates(), result.values),
+            "points": result,
             "elapsed_seconds": result.ledger.total,
             "query_id": result.query_id,
         }

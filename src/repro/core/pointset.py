@@ -18,11 +18,13 @@ Chunk rows are what :class:`~repro.core.cache.SemanticCache` persists in
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.morton.codec import decode_array
 from repro.morton.ranges import MortonRange
 
 #: Points per packed chunk.  8^3 atoms hold 512 cells, a 16^3 subcube
@@ -194,3 +196,40 @@ def merge_sorted_runs(
         return z, v
     order = np.argsort(z, kind="stable")
     return z[order], v[order]
+
+
+# -- the JSON answer --------------------------------------------------------
+
+#: One point as ``json.dumps`` writes its dict (``%a`` of a float is its
+#: ``repr``); :data:`_BLOCK` of them per ``%``.
+_POINT_JSON = b'{"x": %d, "y": %d, "z": %d, "value": %a}'
+_BLOCK = 4096
+
+
+def point_dicts(zindexes: np.ndarray, values: np.ndarray) -> list[dict]:
+    """A point set as the web service's ``points`` list: one dict each."""
+    x, y, z = (axis.tolist() for axis in decode_array(zindexes))
+    return [
+        {"x": x, "y": y, "z": z, "value": v}
+        for x, y, z, v in zip(x, y, z, values.tolist())
+    ]
+
+
+def points_json(zindexes: np.ndarray, values: np.ndarray) -> bytes:
+    """``json.dumps(point_dicts(...))`` without its brackets, as UTF-8,
+    written with no per-point object.
+
+    Fragments of point sets on disjoint, ascending curve spans joined
+    with ``b", "`` are the fragment of their union.
+    """
+    if not np.isfinite(values).all():  # json spells these Infinity / NaN
+        return json.dumps(point_dicts(zindexes, values))[1:-1].encode()
+    flat: list = [None] * (4 * len(values))
+    for offset, axis in enumerate(decode_array(zindexes)):
+        flat[offset::4] = axis.tolist()
+    flat[3::4] = values.tolist()
+    blocks = []
+    for start in range(0, len(flat), 4 * _BLOCK):
+        block = tuple(flat[start:start + 4 * _BLOCK])
+        blocks.append(b", ".join([_POINT_JSON] * (len(block) // 4)) % block)
+    return b", ".join(blocks)

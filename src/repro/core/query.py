@@ -77,6 +77,25 @@ class ThresholdResult:
         return self.ledger.total
 
 
+@dataclass
+class RenderedThresholdResult:
+    """A threshold answer whose nodes rendered its points as JSON.
+
+    ``fragments`` are the non-empty node parts'
+    :func:`~repro.core.pointset.points_json`, in curve order: joined
+    with ``b", "`` and bracketed, they are the answer's point list.
+    """
+
+    count: int
+    fragments: "list[bytes | memoryview]"
+    ledger: CostLedger
+    cache_hits: int
+    query_id: str
+
+    def __len__(self) -> int:
+        return self.count
+
+
 @dataclass(frozen=True)
 class PdfQuery:
     """Histogram of a field's norm over an entire timestep (paper Fig. 2)."""

@@ -53,6 +53,24 @@ class NodeThresholdResult:
         return len(self.zindexes)
 
 
+@dataclass
+class RenderedPart:
+    """One node's contribution to a threshold query as its point count
+    and the answer's JSON: :func:`~repro.core.pointset.points_json` of
+    its points (nothing when the count is over the query's limit), and
+    the other fields of :class:`NodeThresholdResult`."""
+
+    count: int
+    fragment: "bytes | memoryview"
+    ledger: CostLedger
+    cache_hit: bool
+    boxes_evaluated: int
+    cache_stored: bool
+
+    def __len__(self) -> int:
+        return self.count
+
+
 def get_batch_on_node(
     node: "DatabaseNode",
     executor: NodeExecutor,

@@ -11,8 +11,8 @@ through a kernel is charged deterministic simulated seconds to a
 (see :mod:`repro.costmodel.calibration`).
 
 Wall-clock performance of the actual Python pipeline is measured
-separately by pytest-benchmark; the ledger is what reproduces the
-figures' shapes.
+separately, end to end, by ``benchmarks/e2e``; the ledger is what
+reproduces the figures' shapes.
 """
 
 from repro.costmodel.ledger import Category, CostLedger

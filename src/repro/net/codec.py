@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.pdf import NodePdfResult
 from repro.core.query import PdfQuery, ThresholdQuery, TopKQuery
-from repro.core.threshold import NodeThresholdResult
+from repro.core.threshold import NodeThresholdResult, RenderedPart
 from repro.core.topk import NodeTopKResult
 from repro.core.pointset import pack_f64, pack_i64, pack_u64, unpack_f64, unpack_i64, unpack_u64
 from repro.costmodel import Category, CostLedger
@@ -257,32 +257,43 @@ def ranges_from_wire(records: Sequence[Sequence[int]]) -> list[MortonRange]:
 # -- node-part results ------------------------------------------------------
 
 
-def threshold_result_to_wire(
-    result: NodeThresholdResult,
-) -> tuple[dict, list[bytes]]:
-    """One node's threshold contribution as ``(header, blobs)``."""
-    header = {
-        "ledger": ledger_to_wire(result.ledger),
-        "cache_hit": result.cache_hit,
-        "boxes_evaluated": result.boxes_evaluated,
-        "cache_stored": result.cache_stored,
+def _flags_to_wire(part: "NodeThresholdResult | RenderedPart") -> dict:
+    return {
+        "cache_hit": part.cache_hit,
+        "boxes_evaluated": part.boxes_evaluated,
+        "cache_stored": part.cache_stored,
     }
+
+
+def _flags_from_wire(record: dict) -> tuple[bool, int, bool]:
+    return (
+        bool(record["cache_hit"]),
+        int(record["boxes_evaluated"]),
+        bool(record["cache_stored"]),
+    )
+
+
+def threshold_result_to_wire(
+    result: "NodeThresholdResult | RenderedPart",
+) -> tuple[dict, list[Buffer]]:
+    """One node's threshold contribution as ``(header, blobs)``: its
+    columns, or the point count and the JSON fragment it rendered."""
+    header = {"ledger": ledger_to_wire(result.ledger), **_flags_to_wire(result)}
+    if isinstance(result, RenderedPart):
+        return {**header, "count": result.count}, [result.fragment]
     return header, [pack_u64(result.zindexes), pack_f64(result.values)]
 
 
 def threshold_result_from_wire(
     header: dict, blobs: Sequence[Buffer]
-) -> NodeThresholdResult:
+) -> "NodeThresholdResult | RenderedPart":
     """Rebuild one node's threshold contribution from the wire."""
-    zindexes, values = _point_columns(blobs, 0)
-    return NodeThresholdResult(
-        zindexes,
-        values,
-        ledger_from_wire(header["ledger"]),
-        cache_hit=bool(header["cache_hit"]),
-        boxes_evaluated=int(header["boxes_evaluated"]),
-        cache_stored=bool(header["cache_stored"]),
-    )
+    ledger, flags = ledger_from_wire(header["ledger"]), _flags_from_wire(header)
+    if "count" in header:
+        if len(blobs) != 1:
+            raise ProtocolError("a rendered part carries one JSON fragment")
+        return RenderedPart(int(header["count"]), blobs[0], ledger, *flags)
+    return NodeThresholdResult(*_point_columns(blobs, 0), ledger, *flags)
 
 
 def batch_results_to_wire(
@@ -293,20 +304,12 @@ def batch_results_to_wire(
         raise ProtocolError("a batch response needs at least one item")
     header = {
         "ledger": ledger_to_wire(results[0].ledger),
-        "items": [
-            {
-                "cache_hit": item.cache_hit,
-                "boxes_evaluated": item.boxes_evaluated,
-                "cache_stored": item.cache_stored,
-            }
-            for item in results
-        ],
+        "items": [_flags_to_wire(item) for item in results],
     }
-    blobs: list[bytes] = []
-    for item in results:
-        blobs.append(pack_u64(item.zindexes))
-        blobs.append(pack_f64(item.values))
-    return header, blobs
+    return header, [
+        blob for item in results
+        for blob in (pack_u64(item.zindexes), pack_f64(item.values))
+    ]
 
 
 def batch_results_from_wire(
@@ -322,20 +325,12 @@ def batch_results_from_wire(
     # repro.core.threshold.get_batch_on_node (the queries were answered
     # by one pass; costs are not separable).
     ledger = ledger_from_wire(header["ledger"])
-    results = []
-    for i, item in enumerate(items):
-        zindexes, values = _point_columns(blobs, 2 * i)
-        results.append(
-            NodeThresholdResult(
-                zindexes,
-                values,
-                ledger,
-                cache_hit=bool(item["cache_hit"]),
-                boxes_evaluated=int(item["boxes_evaluated"]),
-                cache_stored=bool(item["cache_stored"]),
-            )
+    return [
+        NodeThresholdResult(
+            *_point_columns(blobs, 2 * i), ledger, *_flags_from_wire(item)
         )
-    return results
+        for i, item in enumerate(items)
+    ]
 
 
 def pdf_result_to_wire(result: NodePdfResult) -> tuple[dict, list[bytes]]:

@@ -29,12 +29,13 @@ import numpy as np
 from repro.core.batch import BatchThresholdResult
 from repro.core.cache import SemanticCache
 from repro.core.executor import NodeExecutor
-from repro.core.limits import ThresholdTooLowError
+from repro.core.limits import MAX_RESULT_POINTS, ThresholdTooLowError
 from repro.core.pdf import NodePdfResult, get_pdf_on_node
-from repro.core.pointset import merge_sorted_runs
+from repro.core.pointset import merge_sorted_runs, points_json
 from repro.core.query import (
     PdfQuery,
     PdfResult,
+    RenderedThresholdResult,
     ThresholdQuery,
     ThresholdResult,
     TopKQuery,
@@ -42,6 +43,7 @@ from repro.core.query import (
 )
 from repro.core.threshold import (
     NodeThresholdResult,
+    RenderedPart,
     get_batch_on_node,
     get_threshold_on_node,
 )
@@ -52,6 +54,7 @@ from repro.fields.derived import FieldRegistry
 from repro.grid import Box
 from repro.net import codec
 from repro.net.frame import Buffer
+from repro.obs import tracing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import DatabaseNode
@@ -63,6 +66,8 @@ OPTION_DEFAULTS: Mapping[str, "bool | int"] = {
     "use_cache": True,
     "processes": 1,
     "io_only": False,
+    "render": False,
+    "max_points": MAX_RESULT_POINTS,
 }
 
 @dataclass(frozen=True)
@@ -202,20 +207,25 @@ def _participating(parts: Sequence[NodeThresholdResult]) -> int:
 
 
 def _merge_threshold(
-    gather: Gather, parts: Sequence[NodeThresholdResult]
-) -> ThresholdResult:
+    gather: Gather, parts: "Sequence[NodeThresholdResult | RenderedPart]"
+) -> "ThresholdResult | RenderedThresholdResult":
     """One threshold answer from its per-node shares, limit enforced."""
     total = sum(len(part) for part in parts)
     if total > gather.max_points:
         raise ThresholdTooLowError(total, gather.max_points)
+    hits = sum(1 for part in parts if part.cache_hit)
     # Nodes own disjoint curve spans gathered in node order, so this is
-    # a plain concatenation on the fast path.
+    # a plain concatenation on the fast path, of columns or of JSON.
+    if isinstance(parts[0], RenderedPart):
+        fragments = [part.fragment for part in parts if len(part)]
+        return RenderedThresholdResult(
+            total, fragments, gather.ledger, hits, gather.query_id
+        )
     zindexes, values = merge_sorted_runs(
         [(part.zindexes, part.values) for part in parts]
     )
     return ThresholdResult(
-        zindexes, values, gather.ledger,
-        cache_hits=sum(1 for part in parts if part.cache_hit),
+        zindexes, values, gather.ledger, cache_hits=hits,
         nodes=gather.node_count, query_id=gather.query_id,
     )
 
@@ -285,6 +295,33 @@ def _assemble_topk(
     return Assembled(result, len(values), fanout=len(parts))
 
 
+def _threshold_part(
+    ctx: NodeContext, query: ThresholdQuery, boxes: list[Box], *,
+    use_cache: bool, render: bool, max_points: int, **options: Any,
+) -> "NodeThresholdResult | RenderedPart":
+    """Algorithm 1 over the node's boxes; with ``render``, the share's JSON.
+
+    A share over the query's limit ships its count alone, with nothing
+    rendered or encoded: the mediator refuses the answer on the counts.
+    """
+    part = get_threshold_on_node(
+        ctx.node, ctx.executor, ctx.cache if use_cache else None,
+        ctx.registry, query, boxes, **options,
+    )
+    if len(part) > max_points:
+        fragment = b""
+    elif render:
+        with tracing.span("node.render", points=len(part)) as span:
+            fragment = points_json(part.zindexes, part.values)
+            span.set("bytes", len(fragment))
+    else:
+        return part
+    return RenderedPart(
+        len(part), fragment, part.ledger,
+        part.cache_hit, part.boxes_evaluated, part.cache_stored,
+    )
+
+
 # -- the table ----------------------------------------------------------------
 
 KINDS: dict[str, QueryKind] = {
@@ -292,15 +329,12 @@ KINDS: dict[str, QueryKind] = {
     for kind in (
         QueryKind(
             name="threshold",
-            options=("use_cache", "processes", "io_only"),
+            options=(
+                "use_cache", "processes", "io_only", "render", "max_points",
+            ),
             request_to_wire=codec.threshold_query_to_wire,
             request_from_wire=codec.threshold_query_from_wire,
-            run=lambda ctx, query, boxes, *, use_cache, **options: (
-                get_threshold_on_node(
-                    ctx.node, ctx.executor, ctx.cache if use_cache else None,
-                    ctx.registry, query, boxes, **options,
-                )
-            ),
+            run=_threshold_part,
             result_to_wire=codec.threshold_result_to_wire,
             result_from_wire=codec.threshold_result_from_wire,
             region=lambda query: (query.dataset, query.box),

@@ -48,8 +48,9 @@ import abc
 import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.core.limits import MAX_RESULT_POINTS
 from repro.core.query import ThresholdQuery
-from repro.core.threshold import NodeThresholdResult
+from repro.core.threshold import NodeThresholdResult, RenderedPart
 from repro.costmodel import ClusterSpec
 from repro.costmodel.ledger import METER_WIRE_BYTES
 from repro.grid import Box
@@ -152,11 +153,15 @@ class Transport(abc.ABC):
         processes: int,
         io_only: bool,
         timeout: float | None = None,
-    ) -> NodeThresholdResult:
-        """One node's share of a threshold query."""
+        render: bool = False,
+        max_points: int = MAX_RESULT_POINTS,
+    ) -> "NodeThresholdResult | RenderedPart":
+        """One node's share of a threshold query: its columns, or with
+        ``render`` (or over ``max_points``) a :class:`~repro.core.threshold.RenderedPart`."""
         return self.part(
             KINDS["threshold"], node_id, query, boxes, timeout=timeout,
             use_cache=use_cache, processes=processes, io_only=io_only,
+            render=render, max_points=max_points,
         )
 
     @abc.abstractmethod

@@ -18,7 +18,9 @@ import pytest
 
 from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
-from repro.core import PdfQuery, ThresholdQuery, TopKQuery
+from repro.core import MAX_RESULT_POINTS, PdfQuery, ThresholdQuery, TopKQuery
+from repro.core.pointset import points_json
+from repro.core.threshold import RenderedPart
 from repro.core.threshold import get_threshold_on_node
 from repro.costmodel import CostLedger
 from repro.costmodel.ledger import METER_WIRE_BYTES
@@ -295,7 +297,10 @@ def test_a_node_refuses_processes_outside_the_limit_with_a_typed_error(processes
 
 
 def _options(kind: QueryKind) -> dict:
-    chosen = {"use_cache": False, "processes": 2, "io_only": False}
+    chosen = {
+        "use_cache": False, "processes": 2, "io_only": False,
+        "render": False, "max_points": 5_000,
+    }
     return {name: chosen[name] for name in kind.options}
 
 
@@ -315,7 +320,10 @@ def test_request_round_trips_over_the_wire(kind):
     assert descriptor.parse_request(header) == (REQUESTS[kind], boxes, options)
     # A caller that sent no options gets the documented defaults.
     bare = {key: header[key] for key in (descriptor.request_key, "boxes")}
-    defaults = {"use_cache": True, "processes": 1, "io_only": False}
+    defaults = {
+        "use_cache": True, "processes": 1, "io_only": False,
+        "render": False, "max_points": MAX_RESULT_POINTS,
+    }
     assert descriptor.parse_request(bare)[2] == {
         name: defaults[name] for name in descriptor.options
     }
@@ -332,6 +340,25 @@ def test_result_round_trips_over_the_wire(kind):
         )
     header, blobs = _over_the_wire(*descriptor.result_to_wire(part))
     assert_same(descriptor.result_from_wire(header, blobs), part, kind)
+
+
+def test_a_rendered_part_round_trips_over_the_wire():
+    descriptor = KINDS["threshold"]
+    options = {**_options(descriptor), "render": True, "processes": 1}
+    with in_process_mediator() as mediator:
+        boxes = mediator.partitioner.query_boxes(0, Box.cube(SIDE))
+        header, _ = _over_the_wire(
+            descriptor.request_header(VORTICITY, boxes, options), []
+        )
+        assert descriptor.parse_request(header)[2] == options
+        columns = mediator.transport.part(
+            descriptor, 0, VORTICITY, boxes, **{**options, "render": False}
+        )
+        part = mediator.transport.part(descriptor, 0, VORTICITY, boxes, **options)
+    assert isinstance(part, RenderedPart) and len(part) == len(columns) > 256
+    assert part.fragment == points_json(columns.zindexes, columns.values)
+    header, blobs = _over_the_wire(*descriptor.result_to_wire(part))
+    assert_same(descriptor.result_from_wire(header, blobs), part, "rendered")
 
 
 # -- a kind that exists only here ------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the web-service request/response tier."""
 
+import dataclasses
 import gc
 import json
 
@@ -8,11 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import build_cluster, webservice
+from repro.cluster import build_cluster
+from repro.cluster.mediator import Mediator
+from repro.cluster.partition import MortonPartitioner
 from repro.cluster.webservice import WebService
-from repro.core import ThresholdResult
+from repro.core import ThresholdQuery, ThresholdResult, pointset
+from repro.core.query import RenderedThresholdResult
 from repro.costmodel import CostLedger
+from repro.grid import Box
+from repro.ha import PlacementMap
+from repro.morton import encode_array
+from repro.net import frame, kinds
+from repro.net.transport import TcpTransport
+from repro.obs import tracing
 from tests.test_core_threshold import ground_truth_norm
+from tests.test_query_kinds import SIDE, FixedRouter, start_servers
 
 
 @pytest.fixture()
@@ -372,17 +383,48 @@ def point_dicts(coordinates, values):
     ]
 
 
+#: A threshold answer of 4,066 of the 4,096 points the 16^3 servers hold.
+TCP_QUERY = {"method": "GetThreshold", "dataset": "mhd",
+             "field": "vorticity", "timestep": 0, "threshold": 0.5}
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["R1", "R2"])
+def tcp_service(request):
+    """A service over two in-thread node servers, at R = 1 or R = 2, that
+    routes every shard to its primary (a warm answer then stays warm)."""
+    replication = request.param
+    servers, addresses = start_servers(replication_factor=replication)
+    placement = PlacementMap(2, 2, replication)
+    mediator = Mediator(
+        nodes=[],
+        partitioner=MortonPartitioner(SIDE, 2),
+        transport=TcpTransport(
+            addresses, placement=placement,
+            router=FixedRouter(placement), timeout=60.0,
+        ),
+    )
+    try:
+        yield WebService(mediator)
+    finally:
+        mediator.close()
+        for server in servers:
+            server.shutdown()
+
+
 def canned_threshold(monkeypatch, service, values, query_id="q000042"):
-    """Make the service's mediator answer every GetThreshold with ``values``."""
-    result = ThresholdResult(
-        zindexes=np.arange(len(values), dtype=np.uint64),
-        values=values,
-        ledger=CostLedger(),
-        query_id=query_id,
-    )
-    monkeypatch.setattr(
-        service._mediator, "threshold", lambda query, **options: result
-    )
+    """Make the service's mediator answer every GetThreshold with ``values``
+    (rendered when asked, by the renderer the nodes run)."""
+    zindexes = np.arange(len(values), dtype=np.uint64)
+
+    def threshold(query, render=False, **options):
+        if render:
+            return RenderedThresholdResult(
+                len(values), [pointset.points_json(zindexes, values)],
+                CostLedger(), cache_hits=0, query_id=query_id,
+            )
+        return ThresholdResult(zindexes, values, CostLedger(), query_id=query_id)
+
+    monkeypatch.setattr(service._mediator, "threshold", threshold)
 
 
 class TestHandleJson:
@@ -489,6 +531,129 @@ class TestHandleJson:
         assert collections(service.handle_json) < 10
         assert collections(service.handle) > 50  # the counter does count
 
+    # -- the shipped path: two node servers over loopback, R = 1 and R = 2 --
+
+    def test_every_tcp_body_is_the_reference(self, tcp_service, monkeypatch):
+        monkeypatch.setattr(tracing, "new_trace_id", lambda: "q424242")
+        mediator = tcp_service._mediator
+        on_one_node = {**TCP_QUERY, "box": [0, 0, 0, 8, 8, 8]}
+        assert mediator.partitioner.query_boxes(1, Box((0, 0, 0), (8, 8, 8))) == []
+        requests = [
+            TCP_QUERY,
+            on_one_node,
+            {**TCP_QUERY, "threshold": 1e9},  # zero points
+            {"method": "GetTopK", "dataset": "mhd", "field": "vorticity",
+             "timestep": 0, "k": 7},
+        ]
+        for request in requests:
+            tcp_service.handle(dict(request))  # cold and warm differ in cost
+        counts = [
+            len(self.assert_body_is_the_reference(tcp_service, request)["points"])
+            for request in requests
+        ]
+        assert counts[0] > counts[1] > 0 and counts[2:] == [0, 7]
+
+    def test_non_finite_values_over_tcp(self, tcp_service, monkeypatch):
+        real = kinds.get_threshold_on_node
+
+        def poisoned(*args, **kwargs):
+            part = real(*args, **kwargs)
+            values = np.array(part.values)
+            values[:3] = [np.inf, -np.inf, np.nan][: len(values)]
+            return dataclasses.replace(part, values=values)
+
+        monkeypatch.setattr(kinds, "get_threshold_on_node", poisoned)
+        monkeypatch.setattr(tracing, "new_trace_id", lambda: "q424242")
+        tcp_service.handle(dict(TCP_QUERY))
+        self.assert_body_is_the_reference(tcp_service, TCP_QUERY)
+        _, body = tcp_service.handle_json(dict(TCP_QUERY))
+        # Each node's part spells its own non-finite values.
+        assert body.count(b"-Infinity") == 2 and body.count(b"NaN") == 2
+
+    def test_rendered_parts_ship_raw_and_column_parts_compress(
+        self, tcp_service, monkeypatch
+    ):
+        flags = []
+        send_all = frame._send_all
+
+        def watched(sock, buffers, deadline):
+            _, _, frame_type, codec_id, _, _ = frame.HEADER.unpack(buffers[0])
+            if frame_type == frame.FrameType.RESPONSE:
+                flags.append(codec_id)
+            return send_all(sock, buffers, deadline)
+
+        mediator = tcp_service._mediator
+        tcp_service.handle(dict(TCP_QUERY))  # warm: no halo reads below
+        monkeypatch.setattr(frame, "_send_all", watched)
+        head, _ = tcp_service.handle_json(dict(TCP_QUERY))
+        assert head["count"] > 256
+        assert flags == [0] * mediator.node_count
+        flags.clear()
+        query = ThresholdQuery("mhd", "vorticity", 0, TCP_QUERY["threshold"])
+        boxes = mediator.partitioner.query_boxes(0, Box.cube(SIDE))
+        mediator.transport.threshold_part(
+            0, query, boxes, use_cache=True, processes=1, io_only=False
+        )
+        assert len(flags) == 1 and flags[0] != 0
+
+    def test_a_node_part_over_the_limit_is_refused_before_it_renders(
+        self, tcp_service, monkeypatch
+    ):
+        mediator = tcp_service._mediator
+        full, _ = tcp_service.handle_json(dict(TCP_QUERY))
+        rendered, sizes = [], []
+        monkeypatch.setattr(
+            kinds, "points_json", lambda *columns: rendered.append(columns)
+        )
+        send_all = frame._send_all
+
+        def watched(sock, buffers, deadline):
+            if frame.HEADER.unpack(buffers[0])[2] == frame.FrameType.RESPONSE:
+                sizes.append(sum(len(buffer) for buffer in buffers))
+            return send_all(sock, buffers, deadline)
+
+        monkeypatch.setattr(frame, "_send_all", watched)
+        # Below what either node holds: each ships its count alone, and
+        # both paths refuse the whole answer with the same total.
+        limited = WebService(mediator, max_points=full["count"] // 4)
+        reference = self.assert_body_is_the_reference(limited, TCP_QUERY)
+        assert reference["code"] == "threshold_too_low", reference
+        assert f"at least {full['count']} points" in reference["message"]
+        assert rendered == []
+        assert len(sizes) == 2 * mediator.node_count and max(sizes) < 1024
+        collector = tracing.install()
+        try:
+            limited.handle_json(dict(TCP_QUERY))
+            names = {
+                span.name
+                for trace_id in collector.trace_ids()
+                for span in collector.trace(trace_id)
+            }
+        finally:
+            tracing.uninstall()
+        assert "server.request" in names and "node.render" not in names
+        failovers = mediator.metrics.to_dict()["ha_failovers_total"]
+        assert failovers["samples"][0]["value"] == 0
+
+    def test_a_traced_answer_has_one_render_span_per_node(self, tcp_service):
+        collector = tracing.install()
+        try:
+            head, _ = tcp_service.handle_json(dict(TCP_QUERY))
+            status, _, body = tcp_service.handle_http(
+                "GET", f"/trace/{head['query_id']}"
+            )
+        finally:
+            tracing.uninstall()
+        assert collector is not None and status == 200
+        spans = json.loads(body)["spans"]
+        renders = [span for span in spans if span["name"] == "node.render"]
+        assert len(renders) == tcp_service._mediator.node_count
+        assert sum(span["attributes"]["points"] for span in renders) == head["count"]
+        assert all(span["attributes"]["bytes"] > 0 for span in renders)
+        splice, = [span for span in spans if span["name"] == "webservice.splice"]
+        assert splice["attributes"]["fragments"] == len(renders)
+
+
 
 SPECIALS = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.999e-5, 1e-4,
@@ -503,7 +668,7 @@ class TestPointWriter:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from(
-            [0, 1, webservice._BLOCK - 1, webservice._BLOCK, webservice._BLOCK + 1]
+            [0, 1, pointset._BLOCK - 1, pointset._BLOCK, pointset._BLOCK + 1]
         ),
         dtype=st.sampled_from([np.float32, np.float64]),
         palette=st.lists(
@@ -515,9 +680,9 @@ class TestPointWriter:
         finite=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=webservice._BLOCK + 1, dtype=np.float32, palette=SPECIALS,
+    @example(n=pointset._BLOCK + 1, dtype=np.float32, palette=SPECIALS,
              finite=True, seed=0)
-    @example(n=webservice._BLOCK + 1, dtype=np.float64, palette=SPECIALS,
+    @example(n=pointset._BLOCK + 1, dtype=np.float64, palette=SPECIALS,
              finite=False, seed=1)
     def test_writer_equals_json_dumps_and_round_trips(
         self, n, dtype, palette, finite, seed
@@ -529,11 +694,11 @@ class TestPointWriter:
             palette = np.where(np.isfinite(palette), palette, dtype(1e-7))
         values = rng.choice(palette, size=n)
         coordinates = rng.integers(0, 2**21, size=(n, 3), dtype=np.int64)
+        zindexes = encode_array(*coordinates.T)
         reference = point_dicts(coordinates, values)
-        points = webservice._Points(coordinates, values)
-        text = points.json()
-        assert text == json.dumps(reference)
-        assert json.dumps(points.dicts()) == text
+        text = b"[" + pointset.points_json(zindexes, values) + b"]"
+        assert text == json.dumps(reference).encode()
+        assert json.dumps(pointset.point_dicts(zindexes, values)).encode() == text
         parsed = json.loads(text)
         assert [[p["x"], p["y"], p["z"]] for p in parsed] == coordinates.tolist()
         assert np.array_equal(
