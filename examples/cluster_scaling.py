@@ -29,8 +29,7 @@ def main() -> None:
     query = ThresholdQuery("mhd", "vorticity", 0, threshold)
 
     print("scale-up: processes per node (4-node cluster)")
-    mediator = build_cluster(dataset, nodes=4, spec=spec,
-                             sequential_scatter=True)
+    mediator = build_cluster(dataset, nodes=4, spec=spec)
     base = None
     for processes in (1, 2, 4, 8):
         result = cold_query(mediator, query, processes)
@@ -43,8 +42,7 @@ def main() -> None:
     print("\nscale-out: cluster size (1 process per node)")
     base = None
     for nodes in (1, 2, 4, 8):
-        mediator = build_cluster(dataset, nodes=nodes, spec=spec,
-                                 sequential_scatter=True)
+        mediator = build_cluster(dataset, nodes=nodes, spec=spec)
         result = cold_query(mediator, query, 1)
         server = result.elapsed - result.ledger[Category.MEDIATOR_USER]
         base = base or server

@@ -10,23 +10,23 @@ The mediator here does exactly that, then assembles the per-node
 results, charges the mediator<->node (LAN) and mediator<->user (WAN,
 XML-inflated) transfers, and enforces the global result limit.
 
-Over TCP the submission is literal and needs no thread: on the calling
-thread, each part writes its request on its own pooled connection, and
-one ``selectors`` wait gathers every reply
-(:func:`repro.net.client.run_all`).  A node's whole share of the answer
-comes back in its call's one RESPONSE frame — at most the 10^6-point
-result limit, 16 MB of columns — so the gather here sees exactly the
-Morton-sorted columns the in-process cluster produces (or each node's
-JSON of them).  In-process parts are compute, and run on a thread pool.
+One driver, :func:`repro.net.client.run_all`, runs every query's node
+parts on the calling thread, whatever the transport.  Over TCP the
+submission is literal and needs no thread: each part writes its request
+on its own pooled connection, and one ``selectors`` wait gathers every
+reply.  A node's whole share of the answer comes back in its call's one
+RESPONSE frame — at most the 10^6-point result limit, 16 MB of columns —
+so the gather here sees exactly the Morton-sorted columns the in-process
+cluster produces (or each node's JSON of them).  In-process parts are
+compute: each runs to completion in node order, so their simulated
+seconds are deterministic; the paper's parallelism is composed in the
+ledgers (:meth:`~repro.costmodel.CostLedger.parallel`), not in threads.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
@@ -51,7 +51,7 @@ from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_IO_BYTES
 from repro.fields import gradient_tensor_interior, kernel_half_width
 from repro.fields.derived import DerivedField, FieldRegistry, default_registry
-from repro.net.client import Exchange, run_all, run_inline
+from repro.net.client import Exchange, run_all
 from repro.net.errors import (
     DeadlineExceededError,
     NetError,
@@ -120,9 +120,10 @@ class Mediator:
             ``nodes`` is empty and the transport's node count must match
             the partitioner.
         scatter_timeout: wall-second budget for gathering one query's
-            node parts; on expiry outstanding parts are closed (TCP) or
-            cancelled and drained (in-process) and
-            :class:`DeadlineExceededError` is raised.
+            remote node parts; on expiry the outstanding parts are
+            closed and :class:`DeadlineExceededError` is raised.  An
+            in-process part is compute and runs to completion on the
+            caller's thread; the budget does not bound it.
     """
 
     def __init__(
@@ -132,7 +133,6 @@ class Mediator:
         registry: FieldRegistry | None = None,
         spec: ClusterSpec | None = None,
         cache_capacity_bytes: int | None = 256 * 1024 * 1024,
-        sequential_scatter: bool = False,
         transport: Transport | None = None,
         scatter_timeout: float = 600.0,
     ) -> None:
@@ -151,16 +151,8 @@ class Mediator:
             raise ValueError("scatter_timeout must be positive")
         self.nodes = list(nodes)
         self.partitioner = partitioner
-        self.sequential_scatter = sequential_scatter
         self.scatter_timeout = scatter_timeout
         self.statistics = ServiceStatistics()
-        # One long-lived scatter pool per mediator, created lazily on
-        # first in-process scatter (TCP parts need no thread): building
-        # a ThreadPoolExecutor per query costs thread spawns on the
-        # latency-critical path and briefly doubles the thread count
-        # under concurrent clients.
-        self._scatter_pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         self.registry = registry or default_registry()
         self.spec = spec or paper_cluster()
         self.executors = [
@@ -496,13 +488,12 @@ class Mediator:
         instead (see :meth:`_scatter`).  ``options`` are the kind's
         per-part options.
         """
+        if "max_points" in kind.options:  # the part holds its own share to it
+            options["max_points"] = max_points
         # Chosen by type, not by attribute: a wrapper that only forwards
         # attributes (the benchmark probe's timer) keeps the plain part
         # calls it is there to time.
-        remote = isinstance(self.transport, TcpTransport)
-        if "max_points" in kind.options:  # the part holds its own share to it
-            options["max_points"] = max_points
-        if remote:
+        if isinstance(self.transport, TcpTransport):
             exchange = functools.partial(self.transport.part_exchange, kind)
         else:
             exchange = _computed(
@@ -523,7 +514,6 @@ class Mediator:
                     **options,
                 ),
                 kind.part_ledger,
-                remote,
             )
             ledger = CostLedger.parallel([kind.part_ledger(p) for p in parts])
             done = kind.assemble(
@@ -695,32 +685,26 @@ class Mediator:
         self,
         exchange_of: Callable[[int], "Exchange[T]"],
         ledger_of: Callable[[T], CostLedger],
-        remote: bool,
     ) -> list[T]:
         """Submit a per-node part asynchronously and gather the results.
 
         ``exchange_of(node_id)`` is the node's part as an exchange (see
-        :mod:`repro.net.client`).  When the parts are ``remote`` RPCs
-        they all run on this thread: every request is written, then one
-        wait on every socket gathers the replies under
+        :mod:`repro.net.client`), and :func:`run_all` drives them all on
+        this thread.  Remote RPC parts interleave: every request is
+        written, then one wait on every socket gathers the replies under
         :attr:`scatter_timeout` and each part's own deadline, and a
-        part's retry backoff holds up no other part.  Parts
-        that are compute (the in-process transport) run on the shared
-        scatter pool, one worker each, under :meth:`_gather`.
-
-        With ``sequential_scatter`` the parts run one after another
-        instead: simulated times are identical by construction (parallel
-        composition happens in the ledgers, not the threads), but buffer-
-        pool races between concurrent halo reads disappear, making the
-        simulated-second output bit-for-bit reproducible.  Experiments
-        use this; interactive use keeps the asynchronous scheduling of
-        the paper's mediator.
+        part's retry backoff holds up no other part.  A part that is
+        compute (the in-process transport) never waits, so it runs to
+        completion when it is started, in node order; the budget does
+        not bound it.  The paper's parallel node time is composed in the
+        ledgers, so simulated seconds are the same either way, and bit
+        for bit reproducible in-process.  On the first failure the parts
+        not yet started are closed unstarted.
 
         Each node part runs under its own trace span carrying the
         part's ledger (``ledger_of`` extracts it from a result), in its
         own copy of the current context — that is what parents the part
-        spans under the query's root span, whether the parts interleave
-        on this thread or run on pool workers.
+        spans under the query's root span although they all run here.
 
         Raises:
             DeadlineExceededError: the gather outlived its budget, or a
@@ -744,19 +728,10 @@ class Mediator:
                 part.attach_ledger(ledger_of(result))
                 return result
 
-        if self.sequential_scatter:
-            return [run_inline(run(node_id)) for node_id in range(self.node_count)]
-        if remote:
-            return run_all(
-                [run(node_id) for node_id in range(self.node_count)],
-                Deadline.after(self.scatter_timeout),
-            )
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(contextvars.copy_context().run, run_inline, run(node_id))
-            for node_id in range(self.node_count)
-        ]
-        return self._gather(futures)
+        return run_all(
+            [run(node_id) for node_id in range(self.node_count)],
+            Deadline.after(self.scatter_timeout),
+        )
 
     def _part_failure(self, node_id: int, error: NetError) -> PartialFailureError:
         """A machine-readable part failure: which nodes, which curve spans.
@@ -775,73 +750,14 @@ class Mediator:
             ranges=(self.partitioner.node_ranges(node_id),),
         )
 
-    def _gather(self, futures: "list[Future[T]]") -> list[T]:
-        """Collect part futures under the scatter deadline.
-
-        On the first failure — or when :attr:`scatter_timeout` expires —
-        the remaining parts are cancelled where still queued and drained
-        where already running (every part is bounded: in-process parts
-        terminate on their own, RPC parts carry per-request deadlines),
-        and their exceptions consumed so none leaks to the pool.
-
-        Raises:
-            DeadlineExceededError: the gather outlived its budget.
-        """
-        deadline = Deadline.after(self.scatter_timeout)
-        results: list[T] = []
-        try:
-            for node_id, future in enumerate(futures):
-                try:
-                    results.append(future.result(timeout=deadline.remaining()))
-                except FuturesTimeoutError:
-                    raise DeadlineExceededError(
-                        f"scatter gather exceeded its {self.scatter_timeout}s "
-                        f"budget waiting on node {node_id}"
-                    ) from None
-        except BaseException:
-            self._drain(futures)
-            raise
-        return results
-
-    def _drain(self, futures: "list[Future[T]]") -> None:
-        """Cancel queued parts, wait out running ones, eat their errors."""
-        for future in futures:
-            future.cancel()
-        wait(futures, timeout=self.scatter_timeout)
-        for future in futures:
-            if future.done() and not future.cancelled():
-                future.exception()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The shared scatter pool, created on first asynchronous query.
-
-        Sized at nodes x a small oversubscription factor so that several
-        concurrent client queries scatter without queueing behind each
-        other (the paper's mediator keeps every data node busy per
-        request; concurrent requests interleave at the node level).
-        """
-        with self._pool_lock:
-            if self._scatter_pool is None:
-                self._scatter_pool = ThreadPoolExecutor(
-                    max_workers=max(8, 4 * len(self.nodes)),
-                    thread_name_prefix="scatter",
-                )
-            return self._scatter_pool
-
     def close(self) -> None:
         """Tear the whole service down (idempotent).
 
-        Shuts down the scatter pool, closes the transport (for TCP, every
-        pooled connection), and closes each in-process node's database,
-        releasing its buffer-pool frames.  The scatter pool alone restarts
-        lazily, but a query after ``close`` on an in-process cluster fails
-        in the storage layer because the node databases refuse new
-        transactions.
+        Closes the transport (for TCP, every pooled connection) and each
+        in-process node's database, releasing its buffer-pool frames.  A
+        query after ``close`` on an in-process cluster fails in the
+        storage layer because the node databases refuse new transactions.
         """
-        with self._pool_lock:
-            pool, self._scatter_pool = self._scatter_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         self.transport.close()
         for node in self.nodes:
             node.close()
@@ -870,7 +786,6 @@ def build_cluster(
     cache_capacity_bytes: int | None = 256 * 1024 * 1024,
     buffer_pages: int = 256,
     load: bool = True,
-    sequential_scatter: bool = False,
 ) -> Mediator:
     """Stand up a cluster and (optionally) ingest a dataset into it.
 
@@ -896,7 +811,6 @@ def build_cluster(
         registry=registry,
         spec=spec,
         cache_capacity_bytes=cache_capacity_bytes,
-        sequential_scatter=sequential_scatter,
     )
     for node in cluster_nodes:
         node.register_dataset(dataset.spec)

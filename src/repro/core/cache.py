@@ -88,8 +88,8 @@ class CacheLookup:
 class CacheStats:
     """Thread-safe workload counters for a cache instance.
 
-    Updated on the query path (plain increments under a lock — the
-    scatter pool probes one node's cache from several threads) and
+    Updated on the query path (plain increments under a lock —
+    concurrent clients probe one node's cache from several threads) and
     sampled by the observability layer at export time.
     """
 

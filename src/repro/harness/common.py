@@ -61,7 +61,6 @@ class ExperimentConfig:
     ) -> tuple[SyntheticDataset, Mediator]:
         """Build and load a cluster for this configuration."""
         dataset = self.make_dataset()
-        kwargs.setdefault("sequential_scatter", True)  # deterministic sims
         kwargs.setdefault("spec", self.spec)
         mediator = build_cluster(dataset, nodes=nodes or self.nodes, **kwargs)
         return dataset, mediator

@@ -21,7 +21,7 @@ Two checks, both over the turbscan call graph:
 
 Both checks resolve virtual calls (``self.transport`` dispatches to the
 TCP transport even when the in-process one is the annotated type) and
-follow spawn edges, so work handed to the scatter pool is still on the
+follow spawn edges, so work handed to a thread pool is still on the
 path.
 """
 

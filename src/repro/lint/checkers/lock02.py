@@ -1,9 +1,9 @@
 """LOCK02 — whole-program lock discipline.
 
-The mediator scatters one task per data node across a thread pool
-(paper §5: queries are "executed in parallel on the data nodes"), and
-real deadlock cycles in this codebase cross layers (pool -> client,
-server -> storage, mediator -> pool).  LOCK02 analyses lock use on the
+Concurrent clients, node servers and the door's bridge threads share
+pools, caches and storage (paper §5: queries are "executed in parallel
+on the data nodes"), and real deadlock cycles in this codebase cross
+layers (pool -> client, server -> storage).  LOCK02 analyses lock use on the
 turbscan :class:`~repro.lint.program.Program`:
 
 * every ``with self.lock`` / ``with obj.lock`` block is resolved to a

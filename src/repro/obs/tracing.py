@@ -11,8 +11,8 @@ part, a cache probe, a slab's raw I/O...).  Spans carry *two* clocks:
   mediator-db / mediator-user).
 
 Spans nest through a :mod:`contextvars` variable, so concurrently
-executing queries (and the mediator's scatter-pool threads, which run
-each node part under a copied context) build separate trees.  With no
+executing queries (and the mediator's node parts, each run under a
+copied context) build separate trees.  With no
 collector installed the module-level :data:`TRACER` hands out a shared
 no-op span: instrumentation costs one attribute check per call site.
 

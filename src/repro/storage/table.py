@@ -45,7 +45,7 @@ class Table:
         self._pool = buffer_pool
         # Shared with every sibling table and the transaction manager of
         # the owning Database: the B+-trees and version chains are not
-        # thread-safe, and the mediator scatters queries across threads.
+        # thread-safe, and concurrent clients query one database at once.
         self._latch = latch if latch is not None else threading.RLock()
         self._heap = HeapFile()
         self._clustered = BPlusTree()

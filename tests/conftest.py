@@ -13,7 +13,6 @@ segment that was not there at the start.  File descriptors are not
 counted — an unclosed one is what ``ResourceWarning`` already reports.
 """
 
-import gc
 import glob
 import os
 import threading
@@ -45,9 +44,6 @@ def _shm_segments() -> set:
 def _leaks(shm_at_start: set) -> list:
     """What the session left behind, one line per thread or segment."""
     found = []
-    # A scatter pool nobody closed winds its workers down when it is
-    # collected; what is left after that is pinned by a thread of its own.
-    gc.collect()
     give_up = time.monotonic() + THREAD_GRACE_S
     for thread in threading.enumerate():
         if thread is threading.main_thread():

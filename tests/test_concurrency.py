@@ -3,35 +3,30 @@
 The production service handles many users at once; snapshot isolation on
 the cache tables is what keeps concurrent threshold queries from
 corrupting or blocking each other (paper §4).  These tests run real
-threads against a shared cluster.
+client threads against a shared cluster (``mhd_cluster``).  The
+concurrency under test is between clients: each query runs its own node
+parts one after another on its client's thread, so two clients' parts
+interleave on the nodes.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
-from repro.cluster import build_cluster
 from repro.core import ThresholdQuery
 from tests.test_core_threshold import ground_truth_norm
 
 
-@pytest.fixture()
-def async_cluster(small_mhd):
-    """A cluster with the mediator's asynchronous scatter enabled."""
-    return build_cluster(small_mhd, nodes=4, sequential_scatter=False)
-
-
 class TestConcurrentQueries:
-    def test_parallel_identical_queries_agree(self, small_mhd, async_cluster):
+    def test_parallel_identical_queries_agree(self, small_mhd, mhd_cluster):
         norm = ground_truth_norm(small_mhd, "vorticity", 0)
         threshold = float(np.quantile(norm, 0.99))
         query = ThresholdQuery("mhd", "vorticity", 0, threshold)
         expected = int((norm >= threshold).sum())
 
         def run(_):
-            return async_cluster.threshold(query)
+            return mhd_cluster.threshold(query)
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(run, range(6)))
@@ -41,7 +36,7 @@ class TestConcurrentQueries:
         for result in results[1:]:
             assert np.array_equal(result.zindexes, reference.zindexes)
 
-    def test_parallel_distinct_queries(self, small_mhd, async_cluster):
+    def test_parallel_distinct_queries(self, small_mhd, mhd_cluster):
         levels = {
             t: float(
                 np.quantile(ground_truth_norm(small_mhd, "vorticity", t), 0.99)
@@ -55,7 +50,7 @@ class TestConcurrentQueries:
         ]
 
         def run(query):
-            return query, async_cluster.threshold(query)
+            return query, mhd_cluster.threshold(query)
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             outcomes = list(pool.map(run, queries))
@@ -63,7 +58,7 @@ class TestConcurrentQueries:
             norm = ground_truth_norm(small_mhd, "vorticity", query.timestep)
             assert len(result) == int((norm >= query.threshold).sum())
 
-    def test_concurrent_mixed_fields_and_caches(self, small_mhd, async_cluster):
+    def test_concurrent_mixed_fields_and_caches(self, small_mhd, mhd_cluster):
         """Readers and refreshers race; every result stays correct."""
         vort = ground_truth_norm(small_mhd, "vorticity", 0)
         magnetic = ground_truth_norm(small_mhd, "magnetic", 0)
@@ -84,7 +79,7 @@ class TestConcurrentQueries:
 
         def run(query):
             try:
-                result = async_cluster.threshold(query)
+                result = mhd_cluster.threshold(query)
                 norm = vort if query.field == "vorticity" else magnetic
                 assert len(result) == int((norm >= query.threshold).sum())
             except Exception as error:  # pragma: no cover - diagnostic
@@ -97,18 +92,18 @@ class TestConcurrentQueries:
             thread.join()
         assert not errors
 
-    def test_ledgers_do_not_cross_contaminate(self, small_mhd, async_cluster):
+    def test_ledgers_do_not_cross_contaminate(self, small_mhd, mhd_cluster):
         """Two concurrent queries each account a plausible, full cost."""
         query0 = ThresholdQuery("mhd", "vorticity", 0, 3.0)
         query1 = ThresholdQuery("mhd", "vorticity", 1, 3.0)
-        async_cluster.drop_page_caches()
+        mhd_cluster.drop_page_caches()
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             f0 = pool.submit(
-                async_cluster.threshold, query0, 1, False
+                mhd_cluster.threshold, query0, 1, False
             )
             f1 = pool.submit(
-                async_cluster.threshold, query1, 1, False
+                mhd_cluster.threshold, query1, 1, False
             )
             r0, r1 = f0.result(), f1.result()
         from repro.costmodel.ledger import METER_IO_BYTES

@@ -70,11 +70,11 @@ def model_answers(dataset, nodes: int, processes: int) -> dict:
     charged, by name.  Order matters: the cache and the buffer pools
     carry state from one query to the next, as on a live node."""
     pinned = {}
-    # Sequential scatter and a pool far smaller than a node's share:
-    # pages are evicted and re-read, so every seek count depends on the
-    # order of the reads and is reproducible to the last bit.
+    # Parts run in node order and a pool is far smaller than a node's
+    # share: pages are evicted and re-read, so every seek count depends
+    # on the order of the reads and is reproducible to the last bit.
     with build_cluster(
-        dataset, nodes=nodes, buffer_pages=POOL_PAGES, sequential_scatter=True
+        dataset, nodes=nodes, buffer_pages=POOL_PAGES
     ) as mediator:
 
         def threshold(name, query, **options):
@@ -196,7 +196,7 @@ def test_one_halo_read_per_peer_per_node_query(small_mhd, nodes, processes):
     # Every chain is *charged* its own boundary; the parent also fetched
     # each one: 16 reads a node at processes=4 on two nodes.
     others = [[p for p in range(nodes) if p != n] for n in range(nodes)]
-    with build_cluster(small_mhd, nodes=nodes, sequential_scatter=True) as mediator:
+    with build_cluster(small_mhd, nodes=nodes) as mediator:
         asked = count_halo_reads(mediator)
         requests = [
             lambda: mediator.batch_threshold(BATCH, processes=processes),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import PdfQuery, ThresholdQuery
 from repro.costmodel import paper_scale_spec
 from repro.harness import EXPERIMENTS
 from repro.harness.common import (
@@ -35,9 +36,26 @@ class TestExperimentConfig:
     def test_paper_scale_factor(self, tiny_config):
         assert tiny_config.paper_scale_factor == (1024 / 32) ** 3
 
-    def test_make_cluster_is_sequential(self, tiny_config):
-        _, mediator = tiny_config.make_cluster()
-        assert mediator.sequential_scatter
+    def test_fresh_clusters_charge_bit_identical_ledgers(self, tiny_config):
+        # A query's node parts run one after another in node order, so a
+        # cold sequence reads the same pages in the same order every time.
+        def breakdowns():
+            dataset, mediator = tiny_config.make_cluster()
+            level = threshold_levels(dataset, "vorticity", 0)["medium"]
+            with mediator:
+                return [
+                    mediator.threshold(
+                        ThresholdQuery("mhd", "vorticity", 0, level)
+                    ).ledger.breakdown(),
+                    mediator.threshold(
+                        ThresholdQuery("mhd", "q_criterion", 1, level)
+                    ).ledger.breakdown(),
+                    mediator.pdf(
+                        PdfQuery("mhd", "vorticity", 1, tuple(range(11)))
+                    ).ledger.breakdown(),
+                ]
+
+        assert breakdowns() == breakdowns()
 
     def test_explicit_spec_respected(self):
         from repro.costmodel import paper_cluster

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.cluster.mediator import Mediator
+from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
 from repro.cluster.webservice import WebService
 from repro.core import ThresholdQuery
@@ -332,19 +332,58 @@ PRESSURE = ThresholdQuery(
 )
 
 
-def _scatter_threads() -> set[threading.Thread]:
-    return {
+@pytest.fixture()
+def in_process_cluster():
+    with build_cluster(
+        mhd_dataset(side=SIDE, timesteps=TIMESTEPS, seed=11), nodes=NODES
+    ) as mediator:
+        yield mediator
+
+
+@pytest.mark.parametrize("cluster", ["in_process_cluster", "tcp_cluster"])
+def test_a_query_scatters_on_the_calling_thread(cluster, request):
+    mediator = request.getfixturevalue(cluster)
+    collector = tracing.install(tracing.TraceCollector())
+    try:
+        result = mediator.threshold(PRESSURE, use_cache=False)
+    finally:
+        tracing.uninstall()
+    assert len(result) > 0
+    parts = [
+        span for span in collector.trace(result.query_id)
+        if span.name == "node.part"
+    ]
+    assert len(parts) == NODES
+    assert {span.thread for span in parts} == {threading.current_thread().name}
+    assert not [
         thread for thread in threading.enumerate()
         if thread.name.startswith("scatter")
-    }
+    ]
 
 
-def test_a_tcp_query_scatters_on_the_calling_thread(tcp_cluster):
-    # Other tests' in-process clusters may still be winding theirs down.
-    before = _scatter_threads()
-    assert len(tcp_cluster.threshold(PRESSURE, use_cache=False)) > 0
-    assert tcp_cluster._scatter_pool is None
-    assert not _scatter_threads() - before
+def test_an_inline_part_that_raises_ends_the_query_where_it_failed(
+    in_process_cluster, monkeypatch
+):
+    """Node 0's part raises: the query raises that error, node 1's part
+    is closed before it starts, and no thread is left behind."""
+    mediator = in_process_cluster
+    started = []
+    threshold_part = mediator.transport.threshold_part
+
+    def recorded(node_id, *args, **kwargs):
+        started.append(node_id)
+        return threshold_part(node_id, *args, **kwargs)
+
+    def evaluate_batch(*args, **kwargs):
+        raise RuntimeError("node 0 cannot evaluate")
+
+    monkeypatch.setattr(mediator.transport, "threshold_part", recorded)
+    monkeypatch.setattr(mediator.executors[0], "evaluate_batch", evaluate_batch)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="node 0 cannot evaluate"):
+        mediator.threshold(PRESSURE, use_cache=False)
+    assert started == [0]
+    assert not set(threading.enumerate()) - before
 
 
 @pytest.mark.parametrize("budget", ["part", "scatter"])
