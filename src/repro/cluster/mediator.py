@@ -286,8 +286,8 @@ class Mediator:
         )
 
         cache_keys = (
-            "hits", "misses", "dominance_rejections", "evictions",
-            "stored_points", "stored_bytes", "chunks_pruned",
+            "hits", "misses", "dominance_rejections", "evictions", "stored_points",
+            "stored_bytes", "chunks_pruned", "text_bytes", "text_built_points",
         )
         for key in cache_keys:
             self.metrics.gauge_callback(

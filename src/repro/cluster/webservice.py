@@ -24,7 +24,7 @@ from repro.core import (
     TopKQuery,
 )
 from repro.core.limits import MAX_PROCESSES
-from repro.core.pointset import point_dicts, points_json
+from repro.core.pointset import point_dicts, points_json, value_text
 from repro.core.query import RenderedThresholdResult
 from repro.fields.derived import UnknownFieldError
 from repro.grid import Box
@@ -58,7 +58,7 @@ def _encoded(response: dict) -> tuple[dict, bytes]:
     if isinstance(points, RenderedThresholdResult):
         fragments = points.fragments
     else:
-        fragments = [points_json(points.zindexes, points.values)]
+        fragments = [points_json(points.zindexes, value_text(points.values))]
     # An empty list holds the key's place; no JSON string value can spell it.
     head, _, tail = json.dumps({**response, "points": []}).partition('"points": []')
     del response["points"]

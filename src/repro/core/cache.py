@@ -26,6 +26,9 @@ so ``store`` issues O(points/4096) inserts through
 whole chunks against the query box and threshold before decoding any
 point.  Hit/miss/eviction semantics and byte accounting
 (``point_count * point_record_bytes``) are unchanged — see DESIGN.md.
+
+A lookup may also ask for its points' JSON value text: built once per chunk,
+held in memory (outside the cost model) until the entry's delete commits.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ def _covering_side(box: Box) -> int:
 class CacheLookup:
     """Outcome of a cache probe.
 
-    ``hit`` carries the points answering the query.  On a miss,
+    ``hit`` carries the points answering the query (and their value text
+    when asked for; ``held_text`` of them were held already).  On a miss,
     ``stale_ordinal`` identifies an existing entry for the same
     (dataset, field, timestep, region) whose threshold was too high to
     answer from — the update path replaces it.
@@ -81,6 +85,8 @@ class CacheLookup:
     hit: bool
     zindexes: np.ndarray | None = None
     values: np.ndarray | None = None
+    text: np.ndarray | None = None
+    held_text: int = 0
     stale_ordinal: int | None = None
     stale_box: Box | None = None
 
@@ -96,6 +102,7 @@ class CacheStats:
     __slots__ = (
         "_lock", "hits", "misses", "dominance_rejections",
         "evictions", "stored_points", "stored_bytes", "chunks_pruned",
+        "text_bytes", "text_built_points",
     )
 
     def __init__(self) -> None:
@@ -107,6 +114,8 @@ class CacheStats:
         self.stored_points = 0
         self.stored_bytes = 0
         self.chunks_pruned = 0
+        self.text_bytes = 0
+        self.text_built_points = 0
 
     def record_hit(self) -> None:
         """Count one probe answered from the cache."""
@@ -141,6 +150,12 @@ class CacheStats:
         with self._lock:
             self.chunks_pruned += chunks
 
+    def record_text(self, built_points: int, held_bytes: int) -> None:
+        """Count value text built for ``built_points``; ``held_bytes`` more held."""
+        with self._lock:
+            self.text_built_points += built_points
+            self.text_bytes += held_bytes
+
     def snapshot(self) -> dict[str, int]:
         """A consistent copy of all counters."""
         with self._lock:
@@ -152,6 +167,8 @@ class CacheStats:
                 "stored_points": self.stored_points,
                 "stored_bytes": self.stored_bytes,
                 "chunks_pruned": self.chunks_pruned,
+                "text_bytes": self.text_bytes,
+                "text_built_points": self.text_built_points,
             }
 
 
@@ -187,6 +204,10 @@ class SemanticCache:
         self._ordinals = itertools.count(1)
         self._recency = itertools.count(1)
         self.stats = CacheStats()
+        # ordinal -> chunkSeq -> value text (see _hold and _delete).
+        self._text: dict[int, dict[int, np.ndarray]] = {}
+        self._text_lock = threading.Lock()
+        self._text_dropped_at = 0
         self._create_tables()
 
     def _create_tables(self) -> None:
@@ -249,12 +270,14 @@ class SemanticCache:
         timestep: int,
         box: Box,
         threshold: float,
+        text: bool = False,
     ) -> CacheLookup:
         """Probe the cache for a query (Algorithm 1, lines 4-28).
 
         Returns a hit when some entry's region contains ``box`` and its
         stored threshold is at or below ``threshold``; the returned
-        points are filtered to ``box`` and ``threshold``.
+        points (with their value text when ``text``) are filtered to
+        ``box`` and ``threshold``.
         """
         entries = self._db.table("cacheInfo").lookup(
             txn, "by_query", (dataset, field, timestep)
@@ -272,12 +295,12 @@ class SemanticCache:
                 stale_ordinal = entry["ordinal"]
                 stale_box = cached_box
                 continue
-            zindexes, values = self._read_points(
-                txn, entry["ordinal"], box, cached_box, threshold
+            points = self._read_points(
+                txn, entry["ordinal"], box, cached_box, threshold, text
             )
             self._touch(txn, entry["ordinal"])
             self.stats.record_hit()
-            return CacheLookup(hit=True, zindexes=zindexes, values=values)
+            return CacheLookup(True, *points)
         self.stats.record_miss(dominance_rejected=stale_ordinal is not None)
         return CacheLookup(
             hit=False, stale_ordinal=stale_ordinal, stale_box=stale_box
@@ -290,8 +313,10 @@ class SemanticCache:
         box: Box,
         cached_box: Box,
         threshold: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode an entry's points filtered to ``box`` and ``threshold``.
+        text: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+        """Decode an entry's points filtered to ``box`` and ``threshold``,
+        with their value text and how much of it was held, when ``text``.
 
         Chunk metadata is consulted first: chunks whose ``valueMax``
         falls below the threshold, or whose Morton interval misses the
@@ -304,8 +329,6 @@ class SemanticCache:
         rows = list(
             self._db.table("cacheData").lookup(txn, "by_info", (ordinal,))
         )
-        if not rows:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
         keep = np.array([r["valueMax"] >= threshold for r in rows], dtype=bool)
         if box != cached_box:
             keep &= pointset.chunks_overlapping_ranges(
@@ -315,8 +338,6 @@ class SemanticCache:
             )
         self.stats.record_pruned(len(rows) - int(keep.sum()))
         survivors = [row for row, live in zip(rows, keep.tolist()) if live]
-        if not survivors:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
         # Chunks are stored in global Morton order, so joining the
         # surviving blobs decodes straight into sorted columns — one
         # frombuffer per column and one mask pass over all points,
@@ -330,9 +351,55 @@ class SemanticCache:
             x, y, z = decode_array(zindexes)
             for axis, coords in enumerate((x, y, z)):
                 mask &= (coords >= box.lo[axis]) & (coords < box.hi[axis])
+        columns, held = [zindexes, values], 0
+        if text:
+            value_text, held = self._value_text(txn, ordinal, survivors, values, mask)
+            columns.append(value_text)
         if not mask.all():
-            zindexes, values = zindexes[mask], values[mask]
-        return pointset.merge_sorted_runs([(zindexes, values)])
+            columns = [column[mask] for column in columns]
+        zindexes, values, *value_text = pointset.merge_sorted_runs([columns])
+        return zindexes, values, value_text[0] if text else None, held
+
+    def _value_text(
+        self, txn: Transaction, ordinal: int, rows: list, values: np.ndarray, mask: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """The value text of the ``rows``' points (decoded as ``values``),
+        each chunk's built once and then held, and how many points under
+        ``mask`` had theirs held already."""
+        chunks = self._text.get(ordinal, {})
+        pieces, held, start = [pointset.value_text(values[:0])], 0, 0
+        for row in rows:
+            seq, stop = row["chunkSeq"], start + row["pointCount"]
+            piece = chunks.get(seq)
+            if piece is not None:
+                held += int(np.count_nonzero(mask[start:stop]))
+            else:
+                piece = pointset.value_text(values[start:stop])
+                self.stats.record_text(len(piece), self._hold(txn, ordinal, seq, piece))
+            pieces.append(piece)
+            start = stop
+        return np.concatenate(pieces), held
+
+    def _hold(self, txn: Transaction, ordinal: int, seq: int, piece: np.ndarray) -> int:
+        """Hold one chunk's text; returns the bytes newly held.  A snapshot
+        older than the last text drop may see a dead entry: it holds none."""
+        with self._text_lock:
+            if txn.snapshot_ts < self._text_dropped_at:
+                return 0
+            held = self._text.setdefault(ordinal, {}).setdefault(seq, piece)
+            return piece.nbytes if held is piece else 0
+
+    def _drop_text(self, ordinal: int, at: int = 0) -> None:
+        """Forget an entry's value text, as of commit timestamp ``at``."""
+        with self._text_lock:
+            self._text_dropped_at = max(self._text_dropped_at, at)
+            chunks = self._text.pop(ordinal, {})
+        self.stats.record_text(0, -sum(piece.nbytes for piece in chunks.values()))
+
+    def _delete(self, txn: Transaction, ordinal: int) -> bool:
+        """Delete one entry; its value text goes when the delete commits."""
+        txn.on_commit(lambda: self._drop_text(ordinal, txn.commit_ts or 0))
+        return self._db.table("cacheInfo").delete(txn, (ordinal,))
 
     def _touch(self, txn: Transaction, ordinal: int) -> None:
         """Bump an entry's recency; lost races are harmless.
@@ -387,10 +454,11 @@ class SemanticCache:
                 f"{self.capacity_bytes}"
             )
         if replace_ordinal is not None:
-            self._db.table("cacheInfo").delete(txn, (replace_ordinal,))
+            self._delete(txn, replace_ordinal)
         self._evict_until_fits(txn, new_bytes)
 
         ordinal = next(self._ordinals)
+        txn.on_abort(lambda: self._drop_text(ordinal))
         info = self._db.table("cacheInfo")
         info.insert(
             txn,
@@ -433,7 +501,7 @@ class SemanticCache:
         info = self._db.table("cacheInfo")
         while self.used_bytes(txn) + new_bytes > self.capacity_bytes:
             victim = min(info.scan(txn), key=lambda r: r[victim_order])
-            info.delete(txn, (victim["ordinal"],))
+            self._delete(txn, victim["ordinal"])
             self.stats.record_eviction()
 
     # -- introspection ----------------------------------------------------------
@@ -470,10 +538,10 @@ class SemanticCache:
         info = self._db.table("cacheInfo")
         with self._db.transaction() as txn:
             entries = info.lookup(txn, "by_query", (dataset, field, timestep))
-            return sum(info.delete(txn, (e["ordinal"],)) for e in entries)
+            return sum(self._delete(txn, e["ordinal"]) for e in entries)
 
     def clear(self) -> int:
         """Drop every entry; returns how many were removed."""
         info = self._db.table("cacheInfo")
         with self._db.transaction() as txn:
-            return sum(info.delete(txn, (e["ordinal"],)) for e in info.scan(txn))
+            return sum(self._delete(txn, e["ordinal"]) for e in info.scan(txn))

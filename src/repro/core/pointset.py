@@ -14,6 +14,10 @@ decoding a single point.
 
 Chunk rows are what :class:`~repro.core.cache.SemanticCache` persists in
 ``cacheData`` and what the mediator/executor merge paths operate on.
+
+A point set's JSON is rendered in two steps: :func:`value_text` spells
+each value once (the cache keeps a hit's spellings beside its entry),
+and :func:`points_json` assembles the fragment from them with numpy.
 """
 
 from __future__ import annotations
@@ -166,43 +170,40 @@ def chunks_overlapping_ranges(
 
 
 def merge_sorted_runs(
-    runs: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ``(zindexes, values)`` runs into one zindex-sorted pair.
+    runs: Sequence[tuple[np.ndarray, ...]],
+) -> tuple[np.ndarray, ...]:
+    """Merge ``(zindexes, values, *extra)`` runs into one zindex-sorted
+    tuple of the same columns.
 
     The gather paths (executor slabs, mediator nodes, per-box cache
     results) each produce runs already sorted by Morton code; when the
     run boundaries are non-decreasing — always true for disjoint curve
     spans concatenated in curve order — the merge is a plain
     concatenation.  Interleaved runs fall back to one stable argsort,
-    matching the seed's ordering exactly.
+    matching the seed's ordering exactly; an extra column (a run's
+    :func:`value_text`) is permuted by the same order.
     """
-    live = [
-        (np.asarray(z, dtype=np.uint64), np.asarray(v, dtype=np.float64))
-        for z, v in runs
-        if len(z)
+    typed = [
+        (np.asarray(z, dtype=np.uint64), np.asarray(v, dtype=np.float64), *extra)
+        for z, v, *extra in runs
     ]
+    live = [run for run in typed if len(run[0])] or typed[:1]
     if not live:
         return np.empty(0, np.uint64), np.empty(0, np.float64)
-    if len(live) == 1:
-        z, v = live[0]
-    else:
-        z = np.concatenate([pair[0] for pair in live])
-        v = np.concatenate([pair[1] for pair in live])
+    columns = live[0] if len(live) == 1 else tuple(map(np.concatenate, zip(*live)))
+    z = columns[0]
     # A single run may still be internally unsorted (a raw scan emits
     # points in coordinate order, not curve order), so the check runs
     # unconditionally.
     if bool(np.all(z[1:] >= z[:-1])):
-        return z, v
+        return columns
     order = np.argsort(z, kind="stable")
-    return z[order], v[order]
+    return tuple(column[order] for column in columns)
 
 
 # -- the JSON answer --------------------------------------------------------
 
-#: One point as ``json.dumps`` writes its dict (``%a`` of a float is its
-#: ``repr``); :data:`_BLOCK` of them per ``%``.
-_POINT_JSON = b'{"x": %d, "y": %d, "z": %d, "value": %a}'
+#: Points per block of :func:`points_json`'s byte matrix.
 _BLOCK = 4096
 
 
@@ -215,21 +216,48 @@ def point_dicts(zindexes: np.ndarray, values: np.ndarray) -> list[dict]:
     ]
 
 
-def points_json(zindexes: np.ndarray, values: np.ndarray) -> bytes:
-    """``json.dumps(point_dicts(...))`` without its brackets, as UTF-8,
-    written with no per-point object.
+def value_text(values: np.ndarray) -> np.ndarray:
+    """Each value as ``json.dumps`` spells it (``repr`` when finite,
+    ``NaN`` / ``Infinity`` / ``-Infinity`` otherwise), in an ``S`` array
+    as wide as the longest: the one place a value meets ``repr``."""
+    if not len(values):
+        return np.empty(0, "S1")
+    return np.array(json.dumps(values.tolist())[1:-1].encode().split(b", "), "S")
 
-    Fragments of point sets on disjoint, ascending curve spans joined
-    with ``b", "`` are the fragment of their union.
+
+def points_json(zindexes: np.ndarray, text: np.ndarray) -> bytes:
+    """``json.dumps(point_dicts(...))`` without its brackets, as UTF-8,
+    from the points' :func:`value_text`, with no per-point Python work.
+
+    Each block of points is a byte matrix, one row per point: the
+    constant pieces, each coordinate's decimal digits (leading zeros as
+    NUL) and its value text (NUL-padded), then one boolean compress
+    drops every NUL.  Fragments of point sets on disjoint, ascending
+    curve spans joined with ``b", "`` are the fragment of their union.
     """
-    if not np.isfinite(values).all():  # json spells these Infinity / NaN
-        return json.dumps(point_dicts(zindexes, values))[1:-1].encode()
-    flat: list = [None] * (4 * len(values))
-    for offset, axis in enumerate(decode_array(zindexes)):
-        flat[offset::4] = axis.tolist()
-    flat[3::4] = values.tolist()
+    if text.dtype.kind != "S":
+        raise TypeError("points_json takes value_text(values), not values")
+    if not len(text):
+        return b""
+    width = text.dtype.itemsize
     blocks = []
-    for start in range(0, len(flat), 4 * _BLOCK):
-        block = tuple(flat[start:start + 4 * _BLOCK])
-        blocks.append(b", ".join([_POINT_JSON] * (len(block) // 4)) % block)
-    return b", ".join(blocks)
+    for start in range(0, len(text), _BLOCK):
+        rest = np.stack(decode_array(zindexes[start:start + _BLOCK]), axis=1).astype(np.uint32)
+        digits = len(str(rest.max()))
+        row = b'{"x": %s, "y": %s, "z": %s, "value": %s}, ' % (*[b"\0" * digits] * 3, b"\0" * width)
+        *at, value_at = [row.index(b'"%s": ' % key) + len(key) + 4 for key in (b"x", b"y", b"z", b"value")]
+        matrix = np.empty((len(rest), len(row)), np.uint8)
+        matrix[:] = np.frombuffer(row, np.uint8)
+        for digit in reversed(range(digits)):
+            tens = rest // 10
+            chars = (rest - tens * 10 + ord("0")).astype(np.uint8)
+            if digit < digits - 1:
+                chars[rest == 0] = 0  # a leading zero
+            matrix[:, [column + digit for column in at]] = chars
+            rest = tens
+        block = np.ascontiguousarray(text[start:start + _BLOCK])
+        matrix[:, value_at:value_at + width] = block.view(np.uint8).reshape(len(matrix), width)
+        flat = matrix.ravel()
+        blocks.append(flat[flat != 0].tobytes())
+    blocks[-1] = blocks[-1][:-2]  # the last point's ", "
+    return b"".join(blocks)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.costmodel import CostLedger
 from repro.core.cache import SemanticCache
 from repro.core.executor import NodeExecutor, Prefetched
-from repro.core.pointset import merge_sorted_runs
+from repro.core.pointset import merge_sorted_runs, value_text
 from repro.core.query import ThresholdQuery
 from repro.fields.derived import FieldRegistry
 from repro.grid import Box
@@ -40,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class NodeThresholdResult:
-    """One node's contribution to a threshold query."""
+    """One node's contribution to a threshold query (with its points'
+    value text when rendering, ``held_text`` of them held by the cache)."""
 
     zindexes: np.ndarray
     values: np.ndarray
@@ -48,6 +49,8 @@ class NodeThresholdResult:
     cache_hit: bool
     boxes_evaluated: int
     cache_stored: bool
+    text: np.ndarray | None = None
+    held_text: int = 0
 
     def __len__(self) -> int:
         return len(self.zindexes)
@@ -80,6 +83,7 @@ def get_batch_on_node(
     boxes: list[Box],
     processes: int = 1,
     io_only: bool = False,
+    render: bool = False,
 ) -> list[NodeThresholdResult]:
     """Run Algorithm 1 for this node's ``boxes`` of a batch's region.
 
@@ -97,6 +101,8 @@ def get_batch_on_node(
             re-evaluate only the missing pieces.
         io_only: perform only the raw-data reads (Fig. 8's I/O-only mode;
             implies no caching and returns no points).
+        render: carry each point's :func:`~repro.core.pointset.value_text`
+            beside its value: a hit's from the cache, a miss's built here.
 
     Returns one result per query, in order, all carrying the *same*
     ledger (the queries were answered by one pass).
@@ -108,6 +114,7 @@ def get_batch_on_node(
             NodeThresholdResult(
                 np.empty(0, np.uint64), np.empty(0, np.float64),
                 ledger, cache_hit=False, boxes_evaluated=0, cache_stored=False,
+                text=value_text(np.empty(0)) if render else None,
             )
             for _ in queries
         ]
@@ -116,8 +123,9 @@ def get_batch_on_node(
     dataset_spec = node.dataset(first.dataset)
     deriveds = [registry.get(query.field) for query in queries]
 
-    runs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in queries]
+    runs: list[list[tuple[np.ndarray, ...]]] = [[] for _ in queries]
     hits = [0] * len(queries)
+    held = [0] * len(queries)
     evaluated = [0] * len(queries)
     stored = True
 
@@ -140,12 +148,14 @@ def get_batch_on_node(
                 with tracing.span("cache.lookup", category="cache_lookup") as probe:
                     lookup = cache.lookup(
                         txn, query.dataset, query.field, query.timestep,
-                        box, query.threshold,
+                        box, query.threshold, text=render,
                     )
                     probe.set("hit", lookup.hit)
                 if lookup.hit:
                     hits[i] += 1
-                    runs[i].append((lookup.zindexes, lookup.values))
+                    held[i] += lookup.held_text
+                    run = (lookup.zindexes, lookup.values, lookup.text)
+                    runs[i].append(run if render else run[:2])
                 else:
                     missed[i] = lookup.stale_ordinal
             if not missed:
@@ -170,7 +180,8 @@ def get_batch_on_node(
             for (i, stale_ordinal), evaluation in zip(missed.items(), evaluations):
                 query = queries[i]
                 evaluated[i] += 1
-                runs[i].append((evaluation.zindexes, evaluation.values))
+                run = (evaluation.zindexes, evaluation.values)
+                runs[i].append((*run, value_text(run[1])) if render else run)
                 if cache is None:
                     continue
                 try:
@@ -201,14 +212,16 @@ def get_batch_on_node(
     # Per-box runs interleave on the curve; merge them so every node
     # hands the mediator one Morton-sorted run per query (gather is then
     # a concatenation across the nodes' disjoint spans).
+    merged = [merge_sorted_runs(query_runs) for query_runs in runs]
     return [
         NodeThresholdResult(
-            *merge_sorted_runs(runs[i]), ledger,
+            *columns[:2], ledger,
             cache_hit=hits[i] == len(boxes),
             boxes_evaluated=evaluated[i],
             cache_stored=stored and evaluated[i] > 0,
+            text=columns[2] if render else None, held_text=held[i],
         )
-        for i in range(len(queries))
+        for i, columns in enumerate(merged)
     ]
 
 
@@ -221,9 +234,11 @@ def get_threshold_on_node(
     boxes: list[Box],
     processes: int = 1,
     io_only: bool = False,
+    render: bool = False,
 ) -> NodeThresholdResult:
     """Algorithm 1 for one query: a batch of one (see
     :func:`get_batch_on_node` for the arguments)."""
     return get_batch_on_node(
-        node, executor, cache, registry, [query], boxes, processes, io_only
+        node, executor, cache, registry, [query], boxes, processes, io_only,
+        render,
     )[0]

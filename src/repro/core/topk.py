@@ -74,7 +74,7 @@ def get_topk_on_node(
                 # probe instead for any entry covering the box and take
                 # its points when there are at least k of them.
                 if not lookup.hit and lookup.stale_ordinal is not None:
-                    zindexes, values = cache._read_points(
+                    zindexes, values, *_ = cache._read_points(
                         txn, lookup.stale_ordinal, box, lookup.stale_box,
                         threshold=0.0,
                     )

@@ -306,13 +306,15 @@ def _threshold_part(
     """
     part = get_threshold_on_node(
         ctx.node, ctx.executor, ctx.cache if use_cache else None,
-        ctx.registry, query, boxes, **options,
+        ctx.registry, query, boxes, render=render, **options,
     )
     if len(part) > max_points:
         fragment = b""
     elif render:
-        with tracing.span("node.render", points=len(part)) as span:
-            fragment = points_json(part.zindexes, part.values)
+        with tracing.span(
+            "node.render", points=len(part), cached_points=part.held_text
+        ) as span:
+            fragment = points_json(part.zindexes, part.text)
             span.set("bytes", len(fragment))
     else:
         return part

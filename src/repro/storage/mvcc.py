@@ -140,6 +140,8 @@ class Transaction:
     ) -> None:
         self.txn_id = txn_id
         self.snapshot_ts = snapshot_ts
+        #: When the transaction's writes became visible, once committed.
+        self.commit_ts: int | None = None
         self.ledger = ledger
         self._manager = manager
         self._latch = manager.latch
@@ -189,7 +191,7 @@ class Transaction:
         # never observe a half-committed write set.
         self._manager.record_commit()
         with self._latch:
-            commit_ts = self._manager.advance()
+            self.commit_ts = commit_ts = self._manager.advance()
             for _, version in self._created:
                 version.begin_ts = commit_ts
                 version.creator = None

@@ -1,15 +1,22 @@
 """Tests for the semantic cache's containment, dominance, LRU and FKs."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.cluster import build_cluster
+from repro.cluster.webservice import WebService
+from repro.core import ThresholdQuery, pointset
 from repro.core.cache import CacheLookup, SemanticCache
 from repro.core.pdfcache import PdfCache
 from repro.costmodel import Category, CostLedger, paper_cluster
 from repro.costmodel.devices import HddArraySpec, SsdSpec
 from repro.grid import Box
 from repro.morton import decode_array, encode_array
-from repro.storage import Database, StorageDevice
+from repro.core.threshold import get_threshold_on_node
+from repro.storage import Database, SerializationConflictError, StorageDevice
 
 
 def make_cache(capacity_bytes=1 << 20, point_record_bytes=20):
@@ -441,14 +448,18 @@ _EXPECTED_LRU = ([('store A', 1, {'cache_lookup': 0.0006812500000000002},
    'evictions': 1,
    'stored_points': 36000,
    'stored_bytes': 720000,
-   'chunks_pruned': 2},
+   'chunks_pruned': 2,
+   'text_bytes': 0,
+   'text_built_points': 0},
   {'hits': 2,
    'misses': 1,
    'dominance_rejections': 0,
    'evictions': 1,
    'stored_points': 6,
    'stored_bytes': 48,
-   'chunks_pruned': 0}))
+   'chunks_pruned': 0,
+   'text_bytes': 0,
+   'text_built_points': 0}))
 
 _EXPECTED_FIFO = ([('store A', 1, {'cache_lookup': 0.0006812500000000002},
    {'cache_bytes': 65536.0}, (0, 4)),
@@ -468,9 +479,246 @@ _EXPECTED_FIFO = ([('store A', 1, {'cache_lookup': 0.0006812500000000002},
   'evictions': 1,
   'stored_points': 27000,
   'stored_bytes': 540000,
-  'chunks_pruned': 0})
+  'chunks_pruned': 0,
+  'text_bytes': 0,
+  'text_built_points': 0})
 
 
 def test_cache_operations_charge_what_they_did():
     assert _run_threshold_script("lru", full=True) == _EXPECTED_LRU
     assert _run_threshold_script("fifo", full=False) == _EXPECTED_FIFO
+
+
+# -- value text: what a rendered hit keeps beside the entry ------------------
+
+_ARGS = ("mhd", "vorticity")
+
+
+def _held(cache):
+    """The chunks whose value text the cache holds, by entry ordinal."""
+    return {ordinal: sorted(chunks) for ordinal, chunks in cache._text.items()}
+
+
+def _store_a(db, cache, timestep=0, threshold=5.0, replace=None):
+    with db.transaction() as txn:
+        return cache.store(
+            txn, *_ARGS, timestep, _A, threshold, *_three_chunk_points(_A),
+            replace_ordinal=replace,
+        )
+
+
+def _text_lookup(db, cache, box=_A, threshold=5.0, timestep=0, text=True):
+    ledger = CostLedger()
+    with db.transaction(ledger) as txn:
+        lookup = cache.lookup(txn, *_ARGS, timestep, box, threshold, text=text)
+    return lookup, ledger
+
+
+class TestValueText:
+    def test_a_rendered_hit_fills_the_text_of_exactly_the_chunks_it_read(self):
+        db, cache = make_cache()
+        ordinal = _store_a(db, cache)
+        # Values rise along the curve: at 10.0 chunk 0 (5.0-9.1) is pruned.
+        lookup, _ = _text_lookup(db, cache, threshold=10.0)
+        assert lookup.hit and lookup.held_text == 0
+        assert _held(cache) == {ordinal: [1, 2]}
+        stats = cache.stats.snapshot()
+        assert stats["text_built_points"] == 4096 + 808
+        assert stats["text_bytes"] == sum(
+            text.nbytes for text in cache._text[ordinal].values()
+        )
+        assert lookup.text.tolist() == pointset.value_text(lookup.values).tolist()
+        assert len(lookup.text) == len(lookup.zindexes) == 4000
+        # A wider hit builds chunk 0 alone, and reuses the rest.
+        lookup, _ = _text_lookup(db, cache, threshold=9.0)
+        assert _held(cache) == {ordinal: [0, 1, 2]}
+        assert cache.stats.snapshot()["text_built_points"] == 9000
+        assert lookup.held_text == 4904 and len(lookup.values) == 5000
+        assert lookup.text.tolist() == pointset.value_text(lookup.values).tolist()
+
+    def test_a_contained_hit_masks_the_text_with_its_points(self):
+        db, cache = make_cache()
+        _store_a(db, cache)
+        _text_lookup(db, cache)  # every chunk's text is held
+        inner = Box((1, 2, 3), (13, 11, 9))
+        lookup, _ = _text_lookup(db, cache, box=inner, threshold=5.5)
+        plain, _ = _text_lookup(db, cache, box=inner, threshold=5.5, text=False)
+        assert 0 < len(lookup.values) == lookup.held_text < 9000
+        assert np.array_equal(lookup.zindexes, plain.zindexes)
+        assert lookup.text.tolist() == pointset.value_text(plain.values).tolist()
+        assert plain.text is None and plain.held_text == 0
+
+    def test_the_text_is_outside_the_ledger(self):
+        db, cache = make_cache()
+        _store_a(db, cache)
+        _text_lookup(db, cache, text=False)  # warm the buffer pool
+        _, plain = _text_lookup(db, cache, text=False)
+        _, built = _text_lookup(db, cache)
+        _, held = _text_lookup(db, cache)
+        assert plain.breakdown() == built.breakdown() == held.breakdown()
+        assert plain.meters() == built.meters() == held.meters()
+
+    @pytest.mark.parametrize(
+        "kill", ["replace", "evict", "drop_timestep", "clear"]
+    )
+    def test_a_dead_entry_leaves_no_text(self, kill):
+        # Room for one 9,000-point entry: a second store evicts the first.
+        db, cache = make_cache(capacity_bytes=200_000)
+        ordinal = _store_a(db, cache)
+        _text_lookup(db, cache)
+        assert _held(cache) == {ordinal: [0, 1, 2]}
+        if kill == "replace":
+            _store_a(db, cache, threshold=4.0, replace=ordinal)
+        elif kill == "evict":
+            _store_a(db, cache, timestep=1)
+        elif kill == "drop_timestep":
+            assert cache.drop_timestep(*_ARGS, 0) == 1
+        else:
+            assert cache.clear() == 1
+        assert ordinal not in cache._text
+        assert cache.stats.snapshot()["text_bytes"] == 0
+
+    def test_an_aborted_delete_keeps_the_text(self):
+        db, cache = make_cache()
+        ordinal = _store_a(db, cache)
+        _text_lookup(db, cache)
+        txn = db.begin()
+        cache._delete(txn, ordinal)
+        txn.abort()
+        assert _held(cache) == {ordinal: [0, 1, 2]}
+        lookup, _ = _text_lookup(db, cache)
+        assert lookup.held_text == 9000
+
+    def test_an_older_snapshot_does_not_bring_a_dead_entry_back(self):
+        db, cache = make_cache()
+        ordinal = _store_a(db, cache)
+        old = db.begin()
+        assert cache.drop_timestep(*_ARGS, 0) == 1
+        # The old snapshot still sees the entry and gets its text, but
+        # the cache keeps none of it for the dead ordinal.
+        lookup = cache.lookup(old, *_ARGS, 0, _A, 5.0, text=True)
+        old.commit()
+        assert lookup.hit and len(lookup.text) == 9000
+        assert ordinal not in cache._text
+        assert cache.stats.snapshot()["text_bytes"] == 0
+
+    def test_an_aborted_store_leaves_no_text(self):
+        db, cache = make_cache()
+        txn = db.begin()
+        ordinal = cache.store(txn, *_ARGS, 0, _A, 5.0, *_three_chunk_points(_A))
+        lookup = cache.lookup(txn, *_ARGS, 0, _A, 5.0, text=True)
+        assert lookup.hit and ordinal in cache._text
+        txn.abort()
+        assert ordinal not in cache._text
+        assert cache.stats.snapshot()["text_bytes"] == 0
+
+
+def test_algorithm_1_carries_the_text_through_interleaved_boxes(small_mhd):
+    # Two boxes split along x interleave on the curve, so the node's
+    # merge takes the argsort path.
+    mediator = build_cluster(small_mhd, nodes=1)
+    node, executor, cache = mediator.nodes[0], mediator.executors[0], mediator.caches[0]
+    query = ThresholdQuery("mhd", "vorticity", 0, 1.0)
+    boxes = [Box((0, 0, 0), (4, 8, 8)), Box((4, 0, 0), (8, 8, 8))]
+    # Miss (text from the evaluation), first hit (built from the chunks),
+    # second hit (held).
+    for cached, held in ((False, False), (True, False), (True, True)):
+        part = get_threshold_on_node(
+            node, executor, cache, mediator.registry, query, boxes, render=True
+        )
+        assert part.cache_hit is cached and len(part) > 0
+        assert np.all(part.zindexes[1:] > part.zindexes[:-1])
+        assert part.text.tolist() == pointset.value_text(part.values).tolist()
+        assert part.held_text == (len(part) if held else 0)
+    plain = get_threshold_on_node(
+        node, executor, cache, mediator.registry, query, boxes
+    )
+    assert plain.text is None and np.array_equal(plain.zindexes, part.zindexes)
+
+
+def test_a_library_hit_and_a_column_part_build_no_text(small_mhd):
+    # Only a part that renders asks for text: the library handle path and
+    # a column threshold part read the same chunks and hold nothing.
+    mediator = build_cluster(small_mhd, nodes=2)
+    service = WebService(mediator)
+    request = {"method": "GetThreshold", "dataset": "mhd",
+               "field": "vorticity", "timestep": 0, "threshold": 1.0}
+    for _ in range(2):
+        assert service.handle(dict(request))["status"] == "ok"
+    query = ThresholdQuery("mhd", "vorticity", 0, 1.0)
+    boxes = mediator.partitioner.query_boxes(0, Box.cube(small_mhd.spec.side))
+    part = mediator.transport.threshold_part(
+        0, query, boxes, use_cache=True, processes=1, io_only=False
+    )
+    assert part.cache_hit and len(part) > 0 and part.text is None
+    for cache in mediator.caches:
+        stats = cache.stats.snapshot()
+        assert stats["hits"] > 0
+        assert stats["text_bytes"] == stats["text_built_points"] == 0
+        assert cache._text == {}
+    # The door asks for it: the same hits now build and hold text.
+    head, _ = service.handle_json(dict(request))
+    assert head["cache_hits"] == mediator.node_count
+    assert sum(c.stats.snapshot()["text_built_points"] for c in mediator.caches) > 0
+    status, _, stats = service.handle_http("GET", "/stats")
+    assert status == 200
+    held = sum(c.stats.snapshot()["text_bytes"] for c in mediator.caches)
+    assert f"semantic_cache_probe_text_bytes {float(held)}" in stats
+    assert "semantic_cache_probe_text_built_points" in stats
+
+
+def test_concurrent_hits_and_deletes_hold_text_only_for_live_entries():
+    # Readers build text while writers replace and drop entries under
+    # them; a reader whose snapshot still sees a dropped entry must not
+    # hold its text again, and the byte count must match what is held.
+    db, cache = make_cache(capacity_bytes=10_000_000)
+    boxes = [Box((0, 0, 0), (32, 32, 32)), Box((32, 0, 0), (64, 32, 32))]
+    for box in boxes:
+        with db.transaction() as txn:
+            cache.store(txn, *_ARGS, 0, box, 5.0, *_three_chunk_points(box))
+    stop = threading.Event()
+    errors = []
+
+    def reader(box):
+        while not stop.is_set():
+            with db.transaction() as txn:
+                lookup = cache.lookup(txn, *_ARGS, 0, box, 5.0, text=True)
+            if lookup.hit and len(lookup.text) != len(lookup.values):
+                errors.append("misaligned text")
+
+    def writer(box):
+        for step in range(40):
+            try:
+                if step % 10 == 9:
+                    cache.drop_timestep(*_ARGS, 0)
+                    continue
+                with db.transaction() as txn:
+                    stale = cache.lookup(txn, *_ARGS, 0, box, 4.0)
+                    cache.store(
+                        txn, *_ARGS, 0, box, 4.0 if step % 2 else 5.0,
+                        *_three_chunk_points(box), replace_ordinal=stale.stale_ordinal,
+                    )
+            except SerializationConflictError:
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(box,)) for box in boxes * 2]
+        threads += [threading.Thread(target=writer, args=(box,)) for box in boxes]
+        for thread in threads:
+            thread.start()
+        for thread in threads[4:]:
+            thread.join(timeout=60)
+        stop.set()
+        for thread in threads[:4]:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    with db.transaction() as txn:
+        live = {row["ordinal"] for row in db.table("cacheInfo").scan(txn)}
+    assert set(cache._text) <= live
+    assert cache.stats.snapshot()["text_bytes"] == sum(
+        text.nbytes for chunks in cache._text.values() for text in chunks.values()
+    )

@@ -289,9 +289,17 @@ def test_an_answer_over_the_frame_ceiling_fails_once(reference, monkeypatch):
             assert isinstance(cause, RemoteCallError)
             assert cause.remote_type == "FrameError"
             assert "ceiling" in str(cause)
-            # One request per shard part, each answered once.
-            assert sum(server.requests for server in servers) == NODES
+            # One request written per shard part and none resent.  What
+            # the client wrote is counted, not what the servers read: the
+            # first ERROR makes run_all close the other part's exchange,
+            # and that node may not have read its request yet.
             metrics = mediator.metrics.to_dict()
+            written = [
+                sample for sample in metrics["rpc_requests_total"]["samples"]
+                if sample["labels"]["method"] == "threshold"
+            ]
+            assert sum(sample["value"] for sample in written) == NODES
+            assert sum(server.requests for server in servers) <= NODES
             assert metrics["ha_failovers_total"]["samples"][0]["value"] == 0
             assert metrics["rpc_retries_total"]["samples"][0]["value"] == 0
     finally:

@@ -19,7 +19,7 @@ import pytest
 from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
 from repro.core import MAX_RESULT_POINTS, PdfQuery, ThresholdQuery, TopKQuery
-from repro.core.pointset import points_json
+from repro.core.pointset import points_json, value_text
 from repro.core.threshold import RenderedPart
 from repro.core.threshold import get_threshold_on_node
 from repro.costmodel import CostLedger
@@ -354,7 +354,9 @@ def test_a_rendered_part_round_trips_over_the_wire():
         )
         part = mediator.transport.part(descriptor, 0, VORTICITY, boxes, **options)
     assert isinstance(part, RenderedPart) and len(part) == len(columns) > 256
-    assert part.fragment == points_json(columns.zindexes, columns.values)
+    assert part.fragment == points_json(
+        columns.zindexes, value_text(columns.values)
+    )
     header, blobs = _over_the_wire(*descriptor.result_to_wire(part))
     assert_same(descriptor.result_from_wire(header, blobs), part, "rendered")
 

@@ -1,5 +1,6 @@
 """Tests for the web-service request/response tier."""
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -388,11 +389,10 @@ TCP_QUERY = {"method": "GetThreshold", "dataset": "mhd",
              "field": "vorticity", "timestep": 0, "threshold": 0.5}
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["R1", "R2"])
-def tcp_service(request):
+@contextlib.contextmanager
+def serving(replication):
     """A service over two in-thread node servers, at R = 1 or R = 2, that
     routes every shard to its primary (a warm answer then stays warm)."""
-    replication = request.param
     servers, addresses = start_servers(replication_factor=replication)
     placement = PlacementMap(2, 2, replication)
     mediator = Mediator(
@@ -411,6 +411,13 @@ def tcp_service(request):
             server.shutdown()
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids=["R1", "R2"])
+def tcp_service(request):
+    """:func:`serving`, shared by the module's tests."""
+    with serving(request.param) as service:
+        yield service
+
+
 def canned_threshold(monkeypatch, service, values, query_id="q000042"):
     """Make the service's mediator answer every GetThreshold with ``values``
     (rendered when asked, by the renderer the nodes run)."""
@@ -419,7 +426,8 @@ def canned_threshold(monkeypatch, service, values, query_id="q000042"):
     def threshold(query, render=False, **options):
         if render:
             return RenderedThresholdResult(
-                len(values), [pointset.points_json(zindexes, values)],
+                len(values),
+                [pointset.points_json(zindexes, pointset.value_text(values))],
                 CostLedger(), cache_hits=0, query_id=query_id,
             )
         return ThresholdResult(zindexes, values, CostLedger(), query_id=query_id)
@@ -560,7 +568,9 @@ class TestHandleJson:
             part = real(*args, **kwargs)
             values = np.array(part.values)
             values[:3] = [np.inf, -np.inf, np.nan][: len(values)]
-            return dataclasses.replace(part, values=values)
+            # A rendering part carries its values' text: poison both.
+            text = None if part.text is None else pointset.value_text(values)
+            return dataclasses.replace(part, values=values, text=text)
 
         monkeypatch.setattr(kinds, "get_threshold_on_node", poisoned)
         monkeypatch.setattr(tracing, "new_trace_id", lambda: "q424242")
@@ -635,6 +645,38 @@ class TestHandleJson:
         failovers = mediator.metrics.to_dict()["ha_failovers_total"]
         assert failovers["samples"][0]["value"] == 0
 
+    @pytest.mark.parametrize("replication", [1, 2], ids=["R1", "R2"])
+    def test_zoomed_and_dominated_hits_render_from_held_text(
+        self, replication, monkeypatch
+    ):
+        # The nodes keep each chunk's value text once a rendered hit has
+        # read it; a later hit on a box inside the entry, or at a higher
+        # threshold, masks that text like its points and must still send
+        # json.dumps(handle(...)) byte for byte.  Fresh servers: a hit's
+        # simulated seconds drift with a node's history (each hit's
+        # recency update leaves a dead cacheInfo version behind), and the
+        # module's shared servers have a long one.
+        monkeypatch.setattr(tracing, "new_trace_id", lambda: "q424242")
+        zoomed = {**TCP_QUERY, "box": [1, 2, 3, 13, 11, 9]}
+        dominated = {**TCP_QUERY, "threshold": 1.7}
+        with serving(replication) as service:
+            service.handle(dict(TCP_QUERY))  # every entry stored
+            service.handle_json(dict(TCP_QUERY))  # every chunk's text built
+            for request in (zoomed, dominated):
+                reference = self.assert_body_is_the_reference(service, request)
+                assert 0 < len(reference["points"]) < 4066
+                collector = tracing.install()
+                try:
+                    head, _ = service.handle_json(dict(request))
+                    spans = collector.trace(head["query_id"])
+                finally:
+                    tracing.uninstall()
+                renders = [span for span in spans if span.name == "node.render"]
+                assert head["cache_hits"] == len(renders) > 0
+                for span in renders:
+                    assert span.attributes["cached_points"] == span.attributes["points"]
+                assert sum(span.attributes["points"] for span in renders) == head["count"]
+
     def test_a_traced_answer_has_one_render_span_per_node(self, tcp_service):
         collector = tracing.install()
         try:
@@ -650,6 +692,7 @@ class TestHandleJson:
         assert len(renders) == tcp_service._mediator.node_count
         assert sum(span["attributes"]["points"] for span in renders) == head["count"]
         assert all(span["attributes"]["bytes"] > 0 for span in renders)
+        assert all("cached_points" in span["attributes"] for span in renders)
         splice, = [span for span in spans if span["name"] == "webservice.splice"]
         assert splice["attributes"]["fragments"] == len(renders)
 
@@ -663,7 +706,8 @@ SPECIALS = [
 
 
 class TestPointWriter:
-    """The column writer alone, against ``json.dumps`` of the dict form."""
+    """The renderer alone — ``points_json`` of ``value_text`` — against
+    ``json.dumps`` of the dict form."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -690,13 +734,15 @@ class TestPointWriter:
         rng = np.random.default_rng(seed)
         with np.errstate(over="ignore"):
             palette = np.array(palette, dtype=np.float64).astype(dtype)
-        if finite:  # the fast path; otherwise (usually) the slow one
+        if finite:  # otherwise (usually) NaN / Infinity / -Infinity too
             palette = np.where(np.isfinite(palette), palette, dtype(1e-7))
         values = rng.choice(palette, size=n)
         coordinates = rng.integers(0, 2**21, size=(n, 3), dtype=np.int64)
         zindexes = encode_array(*coordinates.T)
         reference = point_dicts(coordinates, values)
-        text = b"[" + pointset.points_json(zindexes, values) + b"]"
+        value_text = pointset.value_text(values)
+        assert value_text.dtype.kind == "S" and len(value_text) == n
+        text = b"[" + pointset.points_json(zindexes, value_text) + b"]"
         assert text == json.dumps(reference).encode()
         assert json.dumps(pointset.point_dicts(zindexes, values)).encode() == text
         parsed = json.loads(text)
@@ -707,3 +753,29 @@ class TestPointWriter:
             equal_nan=True,
         )
         assert all(list(point) == ["x", "y", "z", "value"] for point in parsed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=[pointset._BLOCK + 1, 0, pointset._BLOCK - 1], seed=0)
+    def test_interleaved_runs_carry_their_text_through_the_merge(
+        self, sizes, seed
+    ):
+        # Per-box runs of one node interleave on the curve; the text
+        # column must follow its points through the merge's argsort.
+        rng = np.random.default_rng(seed)
+        cells = rng.permutation(2**15)[: sum(sizes)].astype(np.uint64)
+        runs, start = [], 0
+        for size in sizes:
+            zindexes = np.sort(cells[start:start + size])
+            start += size
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+            runs.append((zindexes, values, pointset.value_text(values)))
+        zindexes, values, text = pointset.merge_sorted_runs(runs)
+        assert np.all(zindexes[1:] > zindexes[:-1])
+        assert pointset.points_json(zindexes, text) == pointset.points_json(
+            zindexes, pointset.value_text(values)
+        )
+        assert text.tolist() == pointset.value_text(values).tolist()
