@@ -3,11 +3,12 @@
 "Access to the data is provided by means of Web-services ... executed
 through Web-service calls" (paper §2, Fig. 1).  This module is that
 front door in testable form: requests arrive as plain dictionaries (the
-parsed body of a SOAP/JSON call), are validated against the service's
-contract, dispatched to the mediator, and answered with serializable
-dictionaries — including the error responses the paper specifies, such
-as notifying users "if their request has a threshold that is set too
-low" (§4).
+parsed body of a SOAP/JSON call), are read by the parser a node reads
+its records with (:func:`repro.core.query.parse`), dispatched to the
+mediator, and answered with serializable dictionaries — including the
+error responses the paper specifies, such as notifying users "if their
+request has a threshold that is set too low" (§4).  Only ``processes``,
+``max_points`` and each method's response envelope are the door's own.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ from repro.core import (
 )
 from repro.core.limits import MAX_PROCESSES
 from repro.core.pointset import point_dicts, points_json, value_text
-from repro.core.query import RenderedThresholdResult
+from repro.core.query import (
+    BadRequestError,
+    RenderedThresholdResult,
+    parse,
+    read_field,
+)
 from repro.fields.derived import UnknownFieldError
-from repro.grid import Box
 from repro.net.errors import DeadlineExceededError, NetError
 from repro.obs import clock, tracing
 from repro.obs.metrics import MetricsRegistry
@@ -196,7 +201,7 @@ class WebService:
         try:
             method_name = request.get("method")
             if not isinstance(method_name, str):
-                raise WebServiceError("bad_request", "missing method name")
+                raise BadRequestError("missing method name")
             method = methods.get(method_name)
             if method is None:
                 raise WebServiceError(
@@ -215,7 +220,7 @@ class WebService:
             return WebServiceError("deadline_exceeded", str(error)).to_response()
         except NetError as error:
             return WebServiceError("node_unavailable", str(error)).to_response()
-        except (KeyError, ValueError, TypeError) as error:
+        except (BadRequestError, KeyError, ValueError, TypeError) as error:
             return WebServiceError("bad_request", str(error)).to_response()
 
     def handle_http(self, method: str, path: str) -> tuple[int, str, str]:
@@ -252,16 +257,8 @@ class WebService:
     # -- methods -----------------------------------------------------------------
 
     def _get_threshold(self, request: dict, render: bool = False) -> dict:
-        query = ThresholdQuery(
-            dataset=self._require(request, "dataset", str),
-            field=self._require(request, "field", str),
-            timestep=self._require(request, "timestep", int),
-            threshold=float(self._require(request, "threshold", (int, float))),
-            box=self._optional_box(request),
-            fd_order=int(request.get("fd_order", 4)),
-        )
         result = self._mediator.threshold(
-            query,
+            parse(ThresholdQuery, request),
             processes=self._processes(request),
             max_points=self._max_points,
             render=render,
@@ -276,15 +273,7 @@ class WebService:
         }
 
     def _get_pdf(self, request: dict) -> dict:
-        edges = self._require(request, "bin_edges", (list, tuple))
-        query = PdfQuery(
-            dataset=self._require(request, "dataset", str),
-            field=self._require(request, "field", str),
-            timestep=self._require(request, "timestep", int),
-            bin_edges=tuple(float(e) for e in edges),
-            fd_order=int(request.get("fd_order", 4)),
-        )
-        result = self._mediator.pdf(query)
+        result = self._mediator.pdf(parse(PdfQuery, request))
         return {
             "status": "ok",
             "bin_edges": list(result.bin_edges),
@@ -294,14 +283,7 @@ class WebService:
         }
 
     def _get_topk(self, request: dict) -> dict:
-        query = TopKQuery(
-            dataset=self._require(request, "dataset", str),
-            field=self._require(request, "field", str),
-            timestep=self._require(request, "timestep", int),
-            k=self._require(request, "k", int),
-            fd_order=int(request.get("fd_order", 4)),
-        )
-        result = self._mediator.topk(query)
+        result = self._mediator.topk(parse(TopKQuery, request))
         return {
             "status": "ok",
             "points": result,
@@ -314,25 +296,11 @@ class WebService:
 
     def _get_batch_threshold(self, request: dict) -> dict:
         """Several same-source queries over one shared scan."""
-        specs = self._require(request, "queries", list)
-        queries = []
-        for spec in specs:
-            if not isinstance(spec, dict):
-                raise WebServiceError("bad_request", "queries must be objects")
-            queries.append(
-                ThresholdQuery(
-                    dataset=self._require(spec, "dataset", str),
-                    field=self._require(spec, "field", str),
-                    timestep=self._require(spec, "timestep", int),
-                    threshold=float(
-                        self._require(spec, "threshold", (int, float))
-                    ),
-                    box=self._optional_box(spec),
-                    fd_order=int(spec.get("fd_order", 4)),
-                )
-            )
+        specs = read_field(request, "queries", "list")
+        if not all(isinstance(spec, dict) for spec in specs):
+            raise BadRequestError("queries must be objects")
         batch = self._mediator.batch_threshold(
-            queries,
+            [parse(ThresholdQuery, spec) for spec in specs],
             processes=self._processes(request),
             max_points=self._max_points,
         )
@@ -373,9 +341,7 @@ class WebService:
                 "body": self._mediator.metrics.render_prometheus(),
             }
         if fmt != "json":
-            raise WebServiceError(
-                "bad_request", "format must be 'json' or 'prometheus'"
-            )
+            raise BadRequestError("format must be 'json' or 'prometheus'")
         statistics = self._get_statistics(request)
         del statistics["status"]
         return {
@@ -386,7 +352,7 @@ class WebService:
 
     def _get_trace(self, request: dict) -> dict:
         """One query's recorded span tree, by query id."""
-        query_id = self._require(request, "query_id", str)
+        query_id = read_field(request, "query_id", "str")
         collector = tracing.collector()
         if collector is None:
             raise WebServiceError(
@@ -424,35 +390,8 @@ class WebService:
     # -- validation ---------------------------------------------------------------
 
     @staticmethod
-    def _require(request: dict, key: str, types) -> object:
-        value = request.get(key)
-        if value is None:
-            raise WebServiceError("bad_request", f"missing parameter {key!r}")
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise WebServiceError(
-                "bad_request", f"parameter {key!r} has the wrong type"
-            )
-        return value
-
-    @staticmethod
     def _processes(request: dict) -> int:
         value = request.get("processes", 4)
         if type(value) is not int or not 1 <= value <= MAX_PROCESSES:
-            raise WebServiceError(
-                "bad_request", f"processes must be an integer in 1..{MAX_PROCESSES}"
-            )
+            raise BadRequestError(f"processes must be an integer in 1..{MAX_PROCESSES}")
         return value
-
-    @staticmethod
-    def _optional_box(request: dict) -> Box | None:
-        corners = request.get("box")
-        if corners is None:
-            return None
-        if not isinstance(corners, (list, tuple)) or len(corners) != 6:
-            raise WebServiceError(
-                "bad_request", "box must be [xl, yl, zl, xu, yu, zu]"
-            )
-        try:
-            return Box.from_corners([int(c) for c in corners])
-        except ValueError as error:
-            raise WebServiceError("bad_request", str(error)) from None

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.core.limits import MAX_PROCESSES
 from repro.core.pointset import merge_sorted_runs
+from repro.core.query import BadRequestError
 from repro.costmodel import Category, CostLedger
 from repro.costmodel.ledger import (
     METER_COMPUTE_UNITS,
@@ -265,7 +266,9 @@ class NodeExecutor:
         Returns one merged run per field.
         """
         if not 1 <= processes <= MAX_PROCESSES:
-            raise ValueError(f"processes must be in 1..{MAX_PROCESSES}")
+            raise BadRequestError(f"processes must be in 1..{MAX_PROCESSES}")
+        if not 0 <= timestep < dataset_spec.timesteps:
+            raise BadRequestError(f"no timestep {timestep} in {dataset_spec.name!r}")
         widest = max(deriveds, key=lambda d: d.halo(fd_order))
         halo = widest.halo(fd_order)
         name, source, side = dataset_spec.name, widest.source, dataset_spec.side

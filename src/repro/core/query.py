@@ -1,15 +1,110 @@
-"""Query and result types of the threshold engine."""
+"""Query and result types of the threshold engine, and their records.
+
+A query crosses the door and the wire as a *record*, one JSON key per
+dataclass field: the dataclass is its schema.  :func:`to_record` writes
+it and :func:`parse` reads it back, checking each value by its field's
+annotation (:data:`READERS`), so a bad record fails alike everywhere:
+with one :class:`BadRequestError` naming what is wrong.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import MISSING, dataclass, field as dataclass_field, fields
+from typing import Any, Callable, Mapping, TypeVar
 
 import numpy as np
 
 from repro.costmodel import CostLedger
 from repro.fields.finite_difference import fd_coefficients
 from repro.grid import Box
-from repro.morton import decode_array
+from repro.morton import MortonRange, decode_array
+
+_Q = TypeVar("_Q")
+
+
+class BadRequestError(ValueError):
+    """A request record the engine refuses.  The door answers it
+    ``bad_request``; a node sends it back as a typed ERROR."""
+
+
+def _checked(value: Any, *types: type) -> Any:
+    """``value`` if its type is one of ``types`` (so ``True`` is no int)."""
+    if type(value) in types:
+        return value
+    raise TypeError
+
+
+def _box(corners: Any) -> Box:
+    if len(_checked(corners, list, tuple)) != 6:
+        raise ValueError("box must be [xl, yl, zl, xu, yu, zu]")
+    return Box.from_corners([_checked(corner, int) for corner in corners])
+
+
+def _range(pair: Any) -> MortonRange:
+    start, stop = _checked(pair, list)
+    return MortonRange(_checked(start, int), _checked(stop, int))
+
+
+def _number(value: Any) -> float:
+    return float(_checked(value, int, float))  # OverflowError past a double
+
+
+#: How a record value is read, by the annotation of the field it fills.
+READERS: Mapping[str, Callable[[Any], Any]] = {
+    "str": lambda value: _checked(value, str),
+    "int": lambda value: _checked(value, int),
+    "int | None": lambda value: None if value is None else _checked(value, int),
+    "bool": lambda value: _checked(value, bool),
+    "float": _number,
+    "list": lambda value: _checked(value, list),
+    "tuple[float, ...]": lambda value: tuple(map(_number, _checked(value, list, tuple))),
+    "Box | None": lambda value: None if value is None else _box(value),
+    "list[Box]": lambda value: [_box(corners) for corners in _checked(value, list)],
+    "list[MortonRange]": lambda value: [_range(pair) for pair in _checked(value, list)],
+}
+
+
+def read_field(
+    record: Mapping[str, Any], name: str, annotation: str, default: Any = MISSING
+) -> Any:
+    """``record[name]`` read as ``annotation``, ``default`` if absent."""
+    if name not in record:
+        if default is MISSING:
+            raise BadRequestError(f"missing parameter {name!r}")
+        return default
+    try:
+        return READERS[annotation](record[name])
+    except TypeError:
+        raise BadRequestError(f"parameter {name!r} has the wrong type") from None
+    except (ValueError, OverflowError) as error:
+        raise BadRequestError(f"parameter {name!r}: {error}") from None
+
+
+def parse(cls: type[_Q], record: Any) -> _Q:
+    """The ``cls`` a record describes (other keys are ignored); what
+    the dataclass refuses is a :class:`BadRequestError` too."""
+    if not isinstance(record, dict):
+        raise BadRequestError(f"a {cls.__name__} record must be an object")
+    schema: Any = cls
+    values = {
+        spec.name: read_field(record, spec.name, str(spec.type), spec.default)
+        for spec in fields(schema)
+    }
+    try:
+        return schema(**values)
+    except ValueError as error:
+        raise BadRequestError(str(error)) from None
+
+
+def to_record(query: Any) -> dict[str, Any]:
+    """A query dataclass as the JSON-able record :func:`parse` reads."""
+    return {spec.name: _plain(getattr(query, spec.name)) for spec in fields(query)}
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, Box):
+        return list(value.as_corners())
+    return list(value) if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.core.query import parse
 from repro.net.server import ClusterConfig, NodeServer
 from repro.obs.report import report
 
@@ -39,16 +40,7 @@ def _split_addresses(raw: str) -> list[str]:
 
 def _cmd_init(args: argparse.Namespace) -> int:
     """Write ``cluster.json`` describing a new cluster."""
-    config = ClusterConfig(
-        dataset=args.dataset,
-        side=args.side,
-        timesteps=args.timesteps,
-        seed=args.seed,
-        nodes=args.nodes,
-        buffer_pages=args.buffer_pages,
-        replication_factor=args.replication_factor,
-    )
-    path = config.save(args.db)
+    path = parse(ClusterConfig, vars(args)).save(args.db)
     report(f"wrote {path}: {args.dataset} side={args.side} "
            f"timesteps={args.timesteps} over {args.nodes} node(s), "
            f"replication factor {args.replication_factor}")

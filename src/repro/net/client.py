@@ -36,6 +36,7 @@ import socket
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence, TypeVar
 
+from repro.core.query import BadRequestError
 from repro.fields.derived import UnknownFieldError
 from repro.net import codec, compress
 from repro.net.compress import CompressionConfig, DEFAULT_COMPRESSION, FrameCodec
@@ -58,12 +59,12 @@ from repro.net.frame import (
 from repro.obs import clock
 
 #: Remote exception types rebuilt as their local classes, so the web
-#: service's error mapping behaves identically on both transports.
+#: service's error mapping behaves identically on both transports.  Any
+#: other type (a kernel's ``KeyError`` among them) is a
+#: :class:`RemoteCallError`: a fault of the node, never a bad request.
 _REMOTE_TYPES: Mapping[str, type[Exception]] = {
     "UnknownFieldError": UnknownFieldError,
-    "ValueError": ValueError,
-    "KeyError": KeyError,
-    "TypeError": TypeError,
+    "BadRequestError": BadRequestError,
 }
 
 

@@ -14,10 +14,12 @@ carried *verbatim*: a node packs its result columns once and the
 mediator unpacks them straight into the gather's ``merge_sorted_runs``
 — no per-point re-encoding anywhere on the wire path.
 
-The domain helpers below translate the query/result dataclasses the
+The domain helpers below translate the result dataclasses the
 in-process engine already uses to and from wire messages, so
 ``TcpTransport`` and the node server share one vocabulary and the
 in-process and TCP clusters return point-for-point identical results.
+A query crosses as its own record (:func:`repro.core.query.to_record`,
+read back by :func:`repro.core.query.parse`), not through this module.
 
 Encoding is zero-copy on the hot path: :func:`encode_message_parts`
 returns the message as a *list* of buffers (length prefixes, header
@@ -36,7 +38,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.pdf import NodePdfResult
-from repro.core.query import PdfQuery, ThresholdQuery, TopKQuery
 from repro.core.threshold import NodeThresholdResult, RenderedPart
 from repro.core.topk import NodeTopKResult
 from repro.core.pointset import pack_f64, pack_i64, pack_u64, unpack_f64, unpack_i64, unpack_u64
@@ -153,105 +154,19 @@ def ledger_from_wire(record: dict) -> CostLedger:
     return ledger
 
 
-# -- geometry and queries ---------------------------------------------------
-
-
-def box_to_wire(box: Box) -> list[int]:
-    """A box as its six corner coordinates."""
-    return list(box.as_corners())
-
-
-def box_from_wire(corners: Sequence[int]) -> Box:
-    """Rebuild a :class:`Box` from :func:`box_to_wire` output."""
-    return Box.from_corners([int(c) for c in corners])
-
-
-def threshold_query_to_wire(query: ThresholdQuery) -> dict:
-    """A threshold query as a JSON-able record."""
-    return {
-        "dataset": query.dataset,
-        "field": query.field,
-        "timestep": query.timestep,
-        "threshold": query.threshold,
-        "box": None if query.box is None else box_to_wire(query.box),
-        "fd_order": query.fd_order,
-    }
-
-
-def threshold_query_from_wire(record: dict) -> ThresholdQuery:
-    """Rebuild a :class:`ThresholdQuery` from its wire record."""
-    return ThresholdQuery(
-        dataset=str(record["dataset"]),
-        field=str(record["field"]),
-        timestep=int(record["timestep"]),
-        threshold=float(record["threshold"]),
-        box=None if record.get("box") is None else box_from_wire(record["box"]),
-        fd_order=int(record.get("fd_order", 4)),
-    )
-
-
-def pdf_query_to_wire(query: PdfQuery) -> dict:
-    """A PDF query as a JSON-able record."""
-    return {
-        "dataset": query.dataset,
-        "field": query.field,
-        "timestep": query.timestep,
-        "bin_edges": list(query.bin_edges),
-        "fd_order": query.fd_order,
-    }
-
-
-def pdf_query_from_wire(record: dict) -> PdfQuery:
-    """Rebuild a :class:`PdfQuery` from its wire record."""
-    return PdfQuery(
-        dataset=str(record["dataset"]),
-        field=str(record["field"]),
-        timestep=int(record["timestep"]),
-        bin_edges=tuple(float(e) for e in record["bin_edges"]),
-        fd_order=int(record.get("fd_order", 4)),
-    )
-
-
-def topk_query_to_wire(query: TopKQuery) -> dict:
-    """A top-k query as a JSON-able record."""
-    return {
-        "dataset": query.dataset,
-        "field": query.field,
-        "timestep": query.timestep,
-        "k": query.k,
-        "fd_order": query.fd_order,
-    }
-
-
-def topk_query_from_wire(record: dict) -> TopKQuery:
-    """Rebuild a :class:`TopKQuery` from its wire record."""
-    return TopKQuery(
-        dataset=str(record["dataset"]),
-        field=str(record["field"]),
-        timestep=int(record["timestep"]),
-        k=int(record["k"]),
-        fd_order=int(record.get("fd_order", 4)),
-    )
+# -- geometry ----------------------------------------------------------------
+# A node reads these back with repro.core.query.read_field ("list[Box]",
+# "list[MortonRange]"), the checks it reads query records with.
 
 
 def boxes_to_wire(boxes: Sequence[Box]) -> list[list[int]]:
     """A node's query pieces as corner-coordinate lists."""
-    return [box_to_wire(box) for box in boxes]
-
-
-def boxes_from_wire(records: Sequence[Sequence[int]]) -> list[Box]:
-    """Rebuild the query pieces from :func:`boxes_to_wire` output."""
-    return [box_from_wire(corners) for corners in records]
+    return [list(box.as_corners()) for box in boxes]
 
 
 def ranges_to_wire(ranges: Sequence[MortonRange]) -> list[list[int]]:
     """Half-open Morton ranges as ``[start, stop]`` pairs."""
     return [[rng.start, rng.stop] for rng in ranges]
-
-
-def ranges_from_wire(records: Sequence[Sequence[int]]) -> list[MortonRange]:
-    """Rebuild :class:`MortonRange` objects from their wire pairs."""
-    return [MortonRange(int(start), int(stop)) for start, stop in records]
 
 
 # -- node-part results ------------------------------------------------------

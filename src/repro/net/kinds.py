@@ -4,12 +4,13 @@ The mediator does the same thing for every request — split by spatial
 layout, submit each part to the node holding the data, assemble (paper
 §2) — and so does every layer under it.  What differs between a
 threshold, a batched threshold, a PDF and a top-k query is captured
-here once, as a :class:`QueryKind`: how the request and the per-node
-result cross the wire, which node function evaluates a part, which
-region the query scatters over, which ledger a part reports, and how
-the mediator assembles the parts into the public result.  The mediator,
-both transports and the node server each run one generic path over
-:data:`KINDS`.
+here once, as a :class:`QueryKind`: the query dataclass whose record
+is the request (:func:`repro.core.query.parse` reads it, at the door
+and at the node alike), how the per-node result crosses the wire,
+which node function evaluates a part, which region the query scatters
+over, which ledger a part reports, and how the mediator assembles the
+parts into the public result.  The mediator, both transports and the
+node server each run one generic path over :data:`KINDS`.
 
 Adding a kind is one entry in that dict (see DESIGN.md, "Adding a
 query kind"); no other module of the scatter path names a kind.
@@ -40,6 +41,9 @@ from repro.core.query import (
     ThresholdResult,
     TopKQuery,
     TopKResult,
+    parse,
+    read_field,
+    to_record,
 )
 from repro.core.threshold import (
     NodeThresholdResult,
@@ -141,10 +145,11 @@ class QueryKind:
     Attributes:
         name: the wire method name; also the ``queries_total{kind}``
             label and the ``query.<name>`` span suffix.
+        request: the query dataclass, the schema of the request's record.
+        many: the request is a list of such records, not one.
         request_key: header key the request travels under.
         options: which of :data:`OPTION_DEFAULTS` a part takes, in
             header order.
-        request_to_wire / request_from_wire: request <-> JSON value.
         run: the node function, normalised to ``run(context, request,
             boxes, **options)`` -> part (``use_cache=False`` hides the
             context's caches from it).
@@ -158,14 +163,14 @@ class QueryKind:
     """
 
     name: str
-    request_to_wire: Callable[[Any], Any]
-    request_from_wire: Callable[[Any], Any]
+    request: type
     run: Callable[..., Any]
     result_to_wire: Callable[[Any], tuple[dict, list[bytes]]]
     result_from_wire: Callable[[dict, Sequence[Buffer]], Any]
     region: Callable[[Any], tuple[str, Box | None]]
     span_attributes: Callable[[Any], dict]
     assemble: Callable[[Gather, Any, list], Assembled]
+    many: bool = False
     request_key: str = "query"
     options: tuple[str, ...] = ("use_cache", "processes")
     part_ledger: Callable[[Any], CostLedger] = attrgetter("ledger")
@@ -175,24 +180,26 @@ class QueryKind:
     ) -> dict:
         """The REQUEST header of one node part."""
         return {
-            self.request_key: self.request_to_wire(request),
+            self.request_key: (
+                [to_record(q) for q in request] if self.many else to_record(request)
+            ),
             "boxes": codec.boxes_to_wire(boxes),
             **{name: options[name] for name in self.options},
         }
 
     def parse_request(self, header: dict) -> tuple[Any, list[Box], dict]:
-        """``(request, boxes, options)`` from a REQUEST header."""
-        options = {
-            name: type(OPTION_DEFAULTS[name])(
-                header.get(name, OPTION_DEFAULTS[name])
-            )
-            for name in self.options
-        }
-        return (
-            self.request_from_wire(header[self.request_key]),
-            codec.boxes_from_wire(header["boxes"]),
-            options,
+        """``(request, boxes, options)`` from a REQUEST header; a
+        malformed one is a :class:`~repro.core.query.BadRequestError`."""
+        key = self.request_key
+        request = (
+            [parse(self.request, record) for record in read_field(header, key, "list")]
+            if self.many else parse(self.request, header.get(key))
         )
+        options = {
+            name: read_field(header, name, type(default).__name__, default)
+            for name, default in OPTION_DEFAULTS.items() if name in self.options
+        }
+        return request, read_field(header, "boxes", "list[Box]"), options
 
 
 # -- mediator-side assembly ---------------------------------------------------
@@ -334,8 +341,7 @@ KINDS: dict[str, QueryKind] = {
             options=(
                 "use_cache", "processes", "io_only", "render", "max_points",
             ),
-            request_to_wire=codec.threshold_query_to_wire,
-            request_from_wire=codec.threshold_query_from_wire,
+            request=ThresholdQuery,
             run=_threshold_part,
             result_to_wire=codec.threshold_result_to_wire,
             result_from_wire=codec.threshold_result_from_wire,
@@ -348,13 +354,9 @@ KINDS: dict[str, QueryKind] = {
         ),
         QueryKind(
             name="batch_threshold",
+            request=ThresholdQuery,
+            many=True,
             request_key="queries",
-            request_to_wire=lambda queries: [
-                codec.threshold_query_to_wire(query) for query in queries
-            ],
-            request_from_wire=lambda records: [
-                codec.threshold_query_from_wire(record) for record in records
-            ],
             run=lambda ctx, queries, boxes, *, use_cache, **options: (
                 get_batch_on_node(
                     ctx.node, ctx.executor, ctx.cache if use_cache else None,
@@ -373,8 +375,7 @@ KINDS: dict[str, QueryKind] = {
         ),
         QueryKind(
             name="pdf",
-            request_to_wire=codec.pdf_query_to_wire,
-            request_from_wire=codec.pdf_query_from_wire,
+            request=PdfQuery,
             run=lambda ctx, query, boxes, *, use_cache, **options: (
                 get_pdf_on_node(
                     ctx.node, ctx.executor, ctx.registry, query, boxes,
@@ -392,8 +393,7 @@ KINDS: dict[str, QueryKind] = {
         ),
         QueryKind(
             name="topk",
-            request_to_wire=codec.topk_query_to_wire,
-            request_from_wire=codec.topk_query_from_wire,
+            request=TopKQuery,
             run=lambda ctx, query, boxes, *, use_cache, **options: (
                 get_topk_on_node(
                     ctx.node, ctx.executor, ctx.registry, query, boxes,

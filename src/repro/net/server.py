@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -42,6 +43,7 @@ from repro.cluster.partition import MortonPartitioner
 from repro.core.cache import SemanticCache
 from repro.core.executor import HaloPeer, NodeExecutor
 from repro.core.pdfcache import PdfCache
+from repro.core.query import BadRequestError, parse, to_record
 from repro.costmodel import Category, ClusterSpec, CostLedger, paper_cluster
 from repro.costmodel.ledger import METER_HALO_BYTES, METER_HALO_SECONDS
 from repro.fields.derived import FieldRegistry, UnknownFieldError, default_registry
@@ -109,19 +111,19 @@ _DATASET_FACTORIES = {
     "channel": channel_dataset,
 }
 
-#: Failures a request may raise that are answered with an ERROR frame
-#: instead of killing the connection (the ERR01 taxonomy boundary).
-#: The connection-level types cover a node's *outgoing* halo RPCs: when
-#: a peer shard's replicas die mid-query, the requesting node must answer
-#: its client with a typed ERROR (which the transport treats as
-#: failover-worthy) instead of going silent until the client's deadline.
+#: The typed failures of a request (the ERR01 taxonomy boundary),
+#: answered with a ``remote_error`` ERROR frame.  The connection-level
+#: types cover a node's *outgoing* halo RPCs: when a peer shard's
+#: replicas die mid-query, the requesting node must answer its client
+#: with a typed ERROR (which the transport treats as failover-worthy)
+#: instead of going silent until the client's deadline.  Anything else
+#: a request raises is this node's fault, not the request's: it is
+#: answered too, as an ``internal_error`` naming its type.
 _REQUEST_ERRORS = (
     ProtocolError,
+    BadRequestError,
     UnknownFieldError,
     StorageError,
-    ValueError,
-    KeyError,
-    TypeError,
     NodeUnavailableError,
     ConnectionLostError,
     DeadlineExceededError,
@@ -131,6 +133,16 @@ _REQUEST_ERRORS = (
 
 #: What a request handler returns: one RESPONSE message.
 Response = tuple[dict, Sequence[Buffer]]
+
+
+@dataclass(frozen=True)
+class _AtomRead:
+    """The header of a ``halo`` or ``digest`` request: whose atoms."""
+
+    dataset: str
+    field: str
+    timestep: int
+    ranges: list[MortonRange]
 
 
 class _ConnectionState:
@@ -213,38 +225,13 @@ class ClusterConfig:
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
         target = path / CONFIG_FILENAME
-        record = {
-            "dataset": self.dataset,
-            "side": self.side,
-            "timesteps": self.timesteps,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "buffer_pages": self.buffer_pages,
-            "cache_capacity_bytes": self.cache_capacity_bytes,
-            "replication_factor": self.replication_factor,
-        }
-        target.write_text(json.dumps(record, indent=2) + "\n")
+        target.write_text(json.dumps(to_record(self), indent=2) + "\n")
         return target
 
     @classmethod
     def load(cls, directory: "Path | str") -> "ClusterConfig":
         """Read ``cluster.json`` from a ``--db`` directory."""
-        target = Path(directory) / CONFIG_FILENAME
-        record = json.loads(target.read_text())
-        return cls(
-            dataset=str(record["dataset"]),
-            side=int(record["side"]),
-            timesteps=int(record["timesteps"]),
-            seed=int(record["seed"]),
-            nodes=int(record["nodes"]),
-            buffer_pages=int(record.get("buffer_pages", 256)),
-            cache_capacity_bytes=(
-                None
-                if record.get("cache_capacity_bytes") is None
-                else int(record["cache_capacity_bytes"])
-            ),
-            replication_factor=int(record.get("replication_factor", 1)),
-        )
+        return parse(cls, json.loads((Path(directory) / CONFIG_FILENAME).read_text()))
 
 
 @dataclass(frozen=True)
@@ -641,7 +628,7 @@ class NodeServer:
 
     @staticmethod
     def _send_error(
-        state: _ConnectionState, request_id: int, error: Exception
+        state: _ConnectionState, request_id: int, error: Exception, code: str = "remote_error"
     ) -> None:
         """Answer a failed request with a typed ERROR frame."""
         state.send(
@@ -651,7 +638,7 @@ class NodeServer:
                 {
                     "error": {
                         "type": type(error).__name__,
-                        "code": "remote_error",
+                        "code": code,
                         "message": str(error),
                     }
                 }
@@ -691,6 +678,15 @@ class NodeServer:
             except _REQUEST_ERRORS as error:
                 self._send_error(state, request_id, error)
                 return
+            except OSError:
+                raise  # the connection broke: _serve_connection retires it
+            except Exception as error:  # turblint: disable=ERR01 - answered, by type
+                # A kernel's KeyError is not a bad request: the caller
+                # gets its type, this node's stderr where it came from,
+                # and this connection serves the next request.
+                traceback.print_exc()
+                self._send_error(state, request_id, error, "internal_error")
+                return
         if capture is not None:
             # Piggyback the captured spans (with this server's own
             # recv/send clock stamps for the caller's skew estimate)
@@ -725,7 +721,7 @@ class NodeServer:
                 return self._serve_query(kind, header)
             control = self._control.get(method)
             if control is None:
-                raise ValueError(f"unknown RPC method {method!r}")
+                raise BadRequestError(f"unknown RPC method {method!r}")
             return control(header, blobs)
 
     def _serve_query(self, kind: QueryKind, header: dict) -> Response:
@@ -744,12 +740,9 @@ class NodeServer:
     def _serve_halo(self, header: dict, blobs: list[Buffer]) -> Response:
         # ledger=None: the requesting side charges the transfer (see
         # RemoteHaloPeer), mirroring the in-process charging split.
+        read = parse(_AtomRead, header)
         atoms = self.node.serve_halo(
-            str(header["dataset"]),
-            str(header["field"]),
-            int(header["timestep"]),
-            codec.ranges_from_wire(header["ranges"]),
-            None,
+            read.dataset, read.field, read.timestep, read.ranges, None
         )
         return codec.halo_atoms_to_wire(atoms)
 
@@ -763,13 +756,10 @@ class NodeServer:
         """
         from repro.ha.anti_entropy import chunk_digests
 
+        read = parse(_AtomRead, header)
         with self.node.db.transaction(None) as txn:
             atoms = self.node.read_atoms(
-                txn,
-                str(header["dataset"]),
-                str(header["field"]),
-                int(header["timestep"]),
-                codec.ranges_from_wire(header["ranges"]),
+                txn, read.dataset, read.field, read.timestep, read.ranges,
                 charge=False,
             )
         return (

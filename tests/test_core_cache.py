@@ -279,7 +279,7 @@ class TestMaintenance:
     strict=True,
     reason="nothing on the serving path calls Database.vacuum(), so every "
     "recency touch and stale-entry replacement leaves a dead MVCC version "
-    "(ROADMAP 'the fat answer' (c)): 800 cold queries on two nodes held "
+    "(ROADMAP item 2): 800 cold queries on two nodes held "
     "6,400 cacheInfo versions for 64 live rows and ran 97.5 ms against "
     "56.6 ms at the start; a safe policy needs Database to track the "
     "oldest open snapshot",

@@ -55,12 +55,17 @@ def open_async_door(service, **admission_kwargs) -> AsyncHttpFrontend:
     return door
 
 
-def post(conn: http.client.HTTPConnection, payload: dict, tenant=None):
-    """One ``POST /`` exchange; returns ``(status, body bytes, headers)``."""
+def post(conn: http.client.HTTPConnection, payload: "dict | str", tenant=None):
+    """One ``POST /`` exchange; returns ``(status, body bytes, headers)``.
+
+    A ``str`` payload is sent as it is: JSON text ``json.dumps`` would
+    not write.
+    """
     headers = {"Content-Type": "application/json"}
     if tenant is not None:
         headers["X-Tenant"] = tenant
-    conn.request("POST", "/", body=json.dumps(payload), headers=headers)
+    body = payload if isinstance(payload, str) else json.dumps(payload)
+    conn.request("POST", "/", body=body, headers=headers)
     response = conn.getresponse()
     return response.status, response.read(), dict(response.getheaders())
 
@@ -264,6 +269,41 @@ class TestOverload:
             status, _, _ = post(conn, {"method": "ListFields"}, tenant="b")
             assert status == 200
             conn.close()
+
+
+class TestUnrepresentableNumbers:
+    """Numbers JSON can spell but no query can hold are bad requests.
+
+    Each used to raise ``OverflowError`` out of ``handle_json`` and take
+    the bridge worker that ran it along: after ``max_inflight`` of them
+    the door answered nothing, not even ``ListDatasets``.
+    """
+
+    QUERY = '"dataset": "mhd", "field": "vorticity", "timestep": 0'
+    HUGE = "1" + "0" * 400
+    BODIES = [
+        '{"method": "GetThreshold", %s, "threshold": %s}' % (QUERY, HUGE),
+        '{"method": "GetThreshold", %s, "threshold": 15.0, "fd_order": 1e400}' % QUERY,
+        '{"method": "GetPdf", %s, "bin_edges": [0.0, %s]}' % (QUERY, HUGE),
+    ]
+
+    def test_each_is_answered_and_the_door_keeps_serving(self, service):
+        max_inflight = 8  # the door's default bridge (and worker) count
+        bodies = [self.BODIES[0]] * (2 * max_inflight) + self.BODIES[1:]
+        with open_async_door(service) as door:
+            conn = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
+            for body in bodies:
+                status, answer, _ = post(conn, body)
+                assert status == 400, body[-60:]
+                assert json.loads(answer)["code"] == "bad_request"
+            status, answer, _ = post(conn, {"method": "ListDatasets"})
+            assert status == 200 and json.loads(answer)["datasets"] == ["mhd"]
+            conn.close()
+        gauges = service.metrics.to_dict()
+        for name in ("aio_queue_depth", "webservice_in_flight"):
+            assert gauges[name]["samples"][0]["value"] == 0, name
+        for body in self.BODIES:
+            assert service.handle(json.loads(body))["code"] == "bad_request"
 
 
 class TestProtocolAbuse:

@@ -18,8 +18,10 @@ import pytest
 
 from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
+from repro.cluster.webservice import WebService
 from repro.core import MAX_RESULT_POINTS, PdfQuery, ThresholdQuery, TopKQuery
 from repro.core.pointset import points_json, value_text
+from repro.core.query import BadRequestError
 from repro.core.threshold import RenderedPart
 from repro.core.threshold import get_threshold_on_node
 from repro.costmodel import CostLedger
@@ -27,6 +29,9 @@ from repro.costmodel.ledger import METER_WIRE_BYTES
 from repro.grid import Box
 from repro.ha import PlacementMap, ReplicaRouter
 from repro.net import codec
+from repro.net.client import NodeClient
+from repro.net.errors import PartialFailureError, RemoteCallError
+from repro.net.frame import Deadline
 from repro.net.kinds import KINDS, Assembled, QueryKind
 from repro.net.server import ClusterConfig, NodeServer
 from repro.net.transport import TcpTransport
@@ -361,6 +366,88 @@ def test_a_rendered_part_round_trips_over_the_wire():
     assert_same(descriptor.result_from_wire(header, blobs), part, "rendered")
 
 
+# -- the node boundary: a bad record is a typed error, a bug is not one ----------
+
+
+#: A record edit that drops the field.
+_GONE = object()
+
+
+def _threshold_header(**changes) -> dict:
+    """A node-0 threshold part's REQUEST header, its record edited."""
+    descriptor = KINDS["threshold"]
+    boxes = MortonPartitioner(SIDE, NODES).query_boxes(0, Box.cube(SIDE))
+    header = descriptor.request_header(VORTICITY, boxes, _options(descriptor))
+    header["query"].update(changes)
+    header["query"] = {k: v for k, v in header["query"].items() if v is not _GONE}
+    return header
+
+
+#: Malformed REQUESTs, each with what its typed error must say.
+MALFORMED = [
+    ("threshold", _threshold_header(field=_GONE), "missing parameter 'field'"),
+    ("threshold", _threshold_header(timestep="0"), "'timestep' has the wrong type"),
+    ("threshold", _threshold_header(threshold=10**400), "'threshold': int too large"),
+    ("threshold", _threshold_header(fd_order=4.0), "'fd_order' has the wrong type"),
+    ("threshold", {**_threshold_header(), "boxes": [[0, 0, 0]]}, "'boxes'"),
+    ("threshold", {**_threshold_header(), "processes": True}, "'processes'"),
+    ("threshold", {**_threshold_header(), "query": [1]}, "must be an object"),
+    ("halo", {"dataset": "mhd", "field": "velocity", "timestep": 0,
+              "ranges": [[0, "64"]]}, "'ranges' has the wrong type"),
+    ("digest", {"dataset": "mhd", "field": "velocity"}, "missing parameter 'timestep'"),
+]
+
+
+def test_a_malformed_request_is_a_typed_error_and_the_connection_serves_on():
+    servers, _ = start_servers()
+    try:
+        with NodeClient("127.0.0.1", servers[0].port, Deadline.after(10.0)) as client:
+            for method, header, message in MALFORMED:
+                with pytest.raises(BadRequestError, match=message):
+                    client.call(method, header, (), Deadline.after(10.0))
+            good = client.call(
+                "threshold", _threshold_header(), (), Deadline.after(10.0)
+            )
+        part = KINDS["threshold"].result_from_wire(good.header, good.blobs)
+        assert len(part) > 0
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
+def test_a_kernel_key_error_is_a_remote_fault_not_a_bad_request(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("a kernel bug")
+
+    # Node servers resolve wire methods against the live table.
+    monkeypatch.setitem(
+        KINDS, "threshold", dataclasses.replace(KINDS["threshold"], run=broken)
+    )
+    servers, addresses = start_servers(replication_factor=2)
+    try:
+        with tcp_mediator(addresses, replication_factor=2) as mediator:
+            with pytest.raises(PartialFailureError) as failed:
+                mediator.threshold(VORTICITY, use_cache=False)
+            cause = failed.value.__cause__
+            assert isinstance(cause, RemoteCallError)
+            assert (cause.remote_type, cause.code) == ("KeyError", "internal_error")
+            assert not isinstance(cause, (KeyError, ValueError, TypeError))
+            response = WebService(mediator).handle(
+                {"method": "GetThreshold", "dataset": "mhd",
+                 "field": "vorticity", "timestep": 0, "threshold": 0.5}
+            )
+            assert response["status"] == "error"
+            assert response["code"] == "node_unavailable"
+            failovers = mediator.metrics.to_dict()["ha_failovers_total"]
+            assert failovers["samples"][0]["value"] == 0
+            # The node answered and kept its connections: a kind that
+            # works is served at once.
+            assert len(mediator.pdf(REQUESTS["pdf"]).counts) > 0
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
 # -- a kind that exists only here ------------------------------------------------
 
 
@@ -402,10 +489,8 @@ def _assemble_count(gather, query, parts):
 
 COUNT_ABOVE = QueryKind(
     name="count_above",
-    request_key="query",
+    request=ThresholdQuery,
     options=("use_cache", "processes"),
-    request_to_wire=codec.threshold_query_to_wire,
-    request_from_wire=codec.threshold_query_from_wire,
     run=_run_count,
     result_to_wire=lambda part: (
         {"count": part.count, "ledger": codec.ledger_to_wire(part.ledger)},

@@ -126,6 +126,39 @@ class TestGetThreshold:
         assert response["code"] == "bad_request"
         assert "processes" in response["message"]
 
+    @pytest.mark.parametrize(
+        "method, change",
+        [
+            ("GetThreshold", {"fd_order": "4"}),
+            ("GetThreshold", {"fd_order": 4.9}),
+            ("GetThreshold", {"fd_order": True}),
+            ("GetThreshold", {"box": [0, 0, 0, 8.7, 8, 8]}),
+            ("GetBatchThreshold", {"fd_order": 4.9}),
+            ("GetPdf", {"bin_edges": [0.0, "1.5"]}),
+            ("GetPdf", {"bin_edges": [0.0, True]}),
+            ("GetTopK", {"k": True}),
+        ],
+    )
+    def test_a_value_it_used_to_coerce_is_a_bad_request(
+        self, small_mhd, mhd_cluster, monkeypatch, method, change
+    ):
+        # "4" and 4.9 ran as fd_order 4, 8.7 as a box corner of 8.
+        def scattered(*args, **kwargs):
+            raise AssertionError("scattered before validating")
+
+        monkeypatch.setattr(mhd_cluster, "_scatter", scattered)
+        request = threshold_request(small_mhd)
+        del request["method"]
+        request = {
+            "GetThreshold": {"method": method, **request},
+            "GetBatchThreshold": {"method": method, "queries": [{**request, **change}]},
+            "GetPdf": {"method": method, **request, "bin_edges": [0.0, 1.0]},
+            "GetTopK": {"method": method, **request, "k": 5},
+        }[method]
+        response = WebService(mhd_cluster).handle({**request, **change})
+        assert response["code"] == "bad_request"
+        assert next(iter(change)) in response["message"]
+
     def test_the_largest_processes_is_served(self, small_mhd, service):
         response = service.handle(threshold_request(small_mhd, processes=64))
         assert response["status"] == "ok" and response["count"] > 0
