@@ -37,6 +37,7 @@ from repro.core.cache import SemanticCache
 from repro.core.executor import NodeExecutor
 from repro.core.limits import MAX_RESULT_POINTS
 from repro.core.query import (
+    BadRequestError,
     PdfQuery,
     PdfResult,
     RenderedThresholdResult,
@@ -239,6 +240,7 @@ class Mediator:
         storage_keys = (
             "bufferpool_hits", "bufferpool_misses", "btree_splits",
             "txn_begun", "txn_committed", "txn_aborted", "txn_conflicts",
+            "versions_reclaimed", "reclaim_pending",
         )
         for key in storage_keys:
             self.metrics.gauge_callback(
@@ -678,7 +680,7 @@ class Mediator:
             return Box.cube(side)
         domain = Box.cube(side)
         if not domain.contains_box(box):
-            raise ValueError(f"query box {box} outside domain of side {side}")
+            raise BadRequestError(f"query box {box} outside domain of side {side}")
         return box
 
     def _scatter(

@@ -33,7 +33,12 @@ from repro.core.query import (
     read_field,
 )
 from repro.fields.derived import UnknownFieldError
-from repro.net.errors import DeadlineExceededError, NetError
+from repro.net.errors import (
+    DeadlineExceededError,
+    NetError,
+    PartialFailureError,
+    RemoteCallError,
+)
 from repro.obs import clock, tracing
 from repro.obs.metrics import MetricsRegistry
 
@@ -218,10 +223,20 @@ class WebService:
             return WebServiceError("unknown_field", str(error)).to_response()
         except DeadlineExceededError as error:
             return WebServiceError("deadline_exceeded", str(error)).to_response()
-        except NetError as error:
-            return WebServiceError("node_unavailable", str(error)).to_response()
-        except (BadRequestError, KeyError, ValueError, TypeError) as error:
+        except BadRequestError as error:
             return WebServiceError("bad_request", str(error)).to_response()
+        except NetError as error:
+            # A node that answered with its own fault is not unavailable.
+            fault = error.__cause__ if isinstance(error, PartialFailureError) else error
+            internal = isinstance(fault, RemoteCallError) and fault.code == "internal_error"
+            code = "internal_error" if internal else "node_unavailable"
+            return WebServiceError(code, str(error)).to_response()
+        except Exception as error:  # turblint: disable=ERR01 - answered, by type
+            # Anything else a query raises is the engine's fault, not the
+            # request's: the same code a node's own fault gets over TCP.
+            return WebServiceError(
+                "internal_error", f"{type(error).__name__}: {error}"
+            ).to_response()
 
     def handle_http(self, method: str, path: str) -> tuple[int, str, str]:
         """Route an HTTP-style introspection request.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.query import ThresholdQuery, ThresholdResult
+from repro.core.query import BadRequestError, ThresholdQuery, ThresholdResult
 from repro.costmodel import CostLedger
 from repro.fields.derived import FieldRegistry
 
@@ -47,11 +47,11 @@ def check_batchable(queries: list[ThresholdQuery], registry: FieldRegistry) -> s
     """Validate that the queries can share one scan; returns the source.
 
     Raises:
-        ValueError: on an empty batch or mismatched dataset / timestep /
-            region / FD order / source field.
+        BadRequestError: on an empty batch or mismatched dataset /
+            timestep / region / FD order / source field.
     """
     if not queries:
-        raise ValueError("empty batch")
+        raise BadRequestError("empty batch")
     first = queries[0]
     source = registry.get(first.field).source
     for query in queries[1:]:
@@ -61,12 +61,12 @@ def check_batchable(queries: list[ThresholdQuery], registry: FieldRegistry) -> s
             or query.box != first.box
             or query.fd_order != first.fd_order
         ):
-            raise ValueError(
+            raise BadRequestError(
                 "batched queries must share dataset, timestep, region and "
                 "FD order"
             )
         if registry.get(query.field).source != source:
-            raise ValueError(
+            raise BadRequestError(
                 "batched queries must derive from the same raw field "
                 f"({registry.get(query.field).source} != {source})"
             )

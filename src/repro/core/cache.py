@@ -28,7 +28,8 @@ point.  Hit/miss/eviction semantics and byte accounting
 (``point_count * point_record_bytes``) are unchanged — see DESIGN.md.
 
 A lookup may also ask for its points' JSON value text: built once per chunk,
-held in memory (outside the cost model) until the entry's delete commits.
+held in memory (outside the cost model) until the entry's deleted
+``cacheInfo`` version is reclaimed, when no open snapshot can see it.
 """
 
 from __future__ import annotations
@@ -207,7 +208,6 @@ class SemanticCache:
         # ordinal -> chunkSeq -> value text (see _hold and _delete).
         self._text: dict[int, dict[int, np.ndarray]] = {}
         self._text_lock = threading.Lock()
-        self._text_dropped_at = 0
         self._create_tables()
 
     def _create_tables(self) -> None:
@@ -353,7 +353,7 @@ class SemanticCache:
                 mask &= (coords >= box.lo[axis]) & (coords < box.hi[axis])
         columns, held = [zindexes, values], 0
         if text:
-            value_text, held = self._value_text(txn, ordinal, survivors, values, mask)
+            value_text, held = self._value_text(ordinal, survivors, values, mask)
             columns.append(value_text)
         if not mask.all():
             columns = [column[mask] for column in columns]
@@ -361,7 +361,7 @@ class SemanticCache:
         return zindexes, values, value_text[0] if text else None, held
 
     def _value_text(
-        self, txn: Transaction, ordinal: int, rows: list, values: np.ndarray, mask: np.ndarray
+        self, ordinal: int, rows: list, values: np.ndarray, mask: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """The value text of the ``rows``' points (decoded as ``values``),
         each chunk's built once and then held, and how many points under
@@ -375,30 +375,27 @@ class SemanticCache:
                 held += int(np.count_nonzero(mask[start:stop]))
             else:
                 piece = pointset.value_text(values[start:stop])
-                self.stats.record_text(len(piece), self._hold(txn, ordinal, seq, piece))
+                self.stats.record_text(len(piece), self._hold(ordinal, seq, piece))
             pieces.append(piece)
             start = stop
         return np.concatenate(pieces), held
 
-    def _hold(self, txn: Transaction, ordinal: int, seq: int, piece: np.ndarray) -> int:
-        """Hold one chunk's text; returns the bytes newly held.  A snapshot
-        older than the last text drop may see a dead entry: it holds none."""
+    def _hold(self, ordinal: int, seq: int, piece: np.ndarray) -> int:
+        """Hold one chunk's text; returns the bytes newly held."""
         with self._text_lock:
-            if txn.snapshot_ts < self._text_dropped_at:
-                return 0
             held = self._text.setdefault(ordinal, {}).setdefault(seq, piece)
             return piece.nbytes if held is piece else 0
 
-    def _drop_text(self, ordinal: int, at: int = 0) -> None:
-        """Forget an entry's value text, as of commit timestamp ``at``."""
+    def _drop_text(self, ordinal: int) -> None:
+        """Forget an entry's value text."""
         with self._text_lock:
-            self._text_dropped_at = max(self._text_dropped_at, at)
             chunks = self._text.pop(ordinal, {})
         self.stats.record_text(0, -sum(piece.nbytes for piece in chunks.values()))
 
     def _delete(self, txn: Transaction, ordinal: int) -> bool:
-        """Delete one entry; its value text goes when the delete commits."""
-        txn.on_commit(lambda: self._drop_text(ordinal, txn.commit_ts or 0))
+        """Delete one entry.  Its value text goes when the deleted version
+        is reclaimed: no snapshot can then see the entry and hold it again."""
+        txn.on_reclaim(lambda: self._drop_text(ordinal))
         return self._db.table("cacheInfo").delete(txn, (ordinal,))
 
     def _touch(self, txn: Transaction, ordinal: int) -> None:

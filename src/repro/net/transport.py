@@ -49,7 +49,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.limits import MAX_RESULT_POINTS
-from repro.core.query import ThresholdQuery
+from repro.core.query import BadRequestError, ThresholdQuery
 from repro.core.threshold import NodeThresholdResult, RenderedPart
 from repro.costmodel import ClusterSpec
 from repro.costmodel.ledger import METER_WIRE_BYTES
@@ -166,7 +166,8 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def dataset_side(self, dataset: str) -> int:
-        """Grid side of a hosted dataset (raises :class:`KeyError`)."""
+        """Grid side of a hosted dataset (raises
+        :class:`~repro.core.query.BadRequestError`)."""
 
     @abc.abstractmethod
     def dataset_names(self, *, timeout: float | None = None) -> list[str]:
@@ -217,7 +218,10 @@ class InProcessTransport(Transport):
         return kind.run(context, request, boxes, **options)
 
     def dataset_side(self, dataset: str) -> int:
-        return self._mediator.nodes[0].dataset(dataset).side
+        try:
+            return self._mediator.nodes[0].dataset(dataset).side
+        except KeyError as error:
+            raise BadRequestError(error.args[0]) from None
 
     def dataset_names(self, *, timeout: float | None = None) -> list[str]:
         return sorted(
@@ -611,7 +615,7 @@ class TcpTransport(Transport):
         for record in self._describe():
             if record.get("name") == dataset:
                 return int(record["side"])
-        raise KeyError(f"cluster hosts no dataset {dataset!r}")
+        raise BadRequestError(f"cluster hosts no dataset {dataset!r}")
 
     def dataset_names(self, *, timeout: float | None = None) -> list[str]:
         return sorted(

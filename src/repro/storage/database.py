@@ -206,10 +206,6 @@ class Database:
         """Alias of :meth:`begin`, reads nicely in ``with`` statements."""
         return self.begin(ledger)
 
-    def vacuum(self) -> int:
-        """Vacuum every table; returns total versions reclaimed."""
-        return sum(table.vacuum() for table in self._tables.values())
-
     def drop_page_cache(self) -> None:
         """Empty every table's buffer pool (cold-cache experiment reset)."""
         for table in self._tables.values():
@@ -260,4 +256,6 @@ class Database:
             "txn_committed": float(self._manager.committed),
             "txn_aborted": float(self._manager.aborted),
             "txn_conflicts": float(self._manager.conflicts),
+            "versions_reclaimed": float(self._manager.reclaimed),
+            "reclaim_pending": float(self._manager.reclaim_pending),
         }

@@ -120,12 +120,11 @@ class HeapFile:
         return record
 
     def delete(self, rowid: RowId) -> None:
-        """Free a record's slot (space is not compacted)."""
+        """Drop a record.  Its bytes stay counted against the page, so
+        deletes never move where later records are placed."""
         if self._lookup(rowid) is None:
             raise StorageError(f"record {rowid} already deleted")
-        page = self._pages[rowid.page]
-        page.free_bytes += len(page.records[rowid.slot])
-        page.records[rowid.slot] = None
+        self._pages[rowid.page].records[rowid.slot] = None
         self._live -= 1
 
     def _lookup(self, rowid: RowId) -> bytes | None:

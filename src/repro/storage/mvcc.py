@@ -10,6 +10,7 @@ first-updater-wins write-conflict detection matching SQL Server's
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import threading
@@ -94,7 +95,7 @@ class VersionChain:
         self.versions.insert(0, version)
 
     def remove(self, version: Version) -> None:
-        """Unlink an aborted version."""
+        """Unlink an aborted or reclaimed version."""
         self.versions.remove(version)
 
     def check_write_allowed(self, txn: "Transaction") -> None:
@@ -140,16 +141,15 @@ class Transaction:
     ) -> None:
         self.txn_id = txn_id
         self.snapshot_ts = snapshot_ts
-        #: When the transaction's writes became visible, once committed.
-        self.commit_ts: int | None = None
         self.ledger = ledger
         self._manager = manager
         self._latch = manager.latch
         self._status = TxStatus.ACTIVE
-        self._created: list[tuple[VersionChain, Version]] = []
-        self._deleted: list[tuple[VersionChain, Version]] = []
+        self._created: list[Version] = []
+        self._deleted: list[Version] = []
         self._undo_hooks: list[Callable[[], None]] = []
         self._commit_hooks: list[Callable[[], None]] = []
+        self._reclaim_hooks: list[Callable[[], None]] = []
 
     @property
     def status(self) -> TxStatus:
@@ -166,21 +166,26 @@ class Transaction:
 
     # -- write tracking (called by Table) -----------------------------------
 
-    def record_create(self, chain: VersionChain, version: Version) -> None:
-        """Track a version this transaction created (for commit/abort)."""
-        self._created.append((chain, version))
+    def record_create(self, version: Version) -> None:
+        """Track a version this transaction created (for commit)."""
+        self._created.append(version)
 
-    def record_delete(self, chain: VersionChain, version: Version) -> None:
+    def record_delete(self, version: Version) -> None:
         """Track a version this transaction deleted (for commit/abort)."""
-        self._deleted.append((chain, version))
+        self._deleted.append(version)
 
     def on_abort(self, hook: Callable[[], None]) -> None:
-        """Register an undo action (e.g. secondary-index rollback)."""
+        """Register an undo action (e.g. unlinking a created version)."""
         self._undo_hooks.append(hook)
 
     def on_commit(self, hook: Callable[[], None]) -> None:
         """Register a commit action (e.g. buffer-pool flush charge)."""
         self._commit_hooks.append(hook)
+
+    def on_reclaim(self, hook: Callable[[], None]) -> None:
+        """Register an action for when no snapshot can see what this
+        transaction's commit ended (e.g. unlinking a dead version)."""
+        self._reclaim_hooks.append(hook)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -189,31 +194,29 @@ class Transaction:
         self.require_active()
         # Publishing happens under the shared database latch so readers
         # never observe a half-committed write set.
-        self._manager.record_commit()
         with self._latch:
-            self.commit_ts = commit_ts = self._manager.advance()
-            for _, version in self._created:
+            commit_ts = self._manager.advance()
+            for version in self._created:
                 version.begin_ts = commit_ts
                 version.creator = None
-            for _, version in self._deleted:
+            for version in self._deleted:
                 version.end_ts = commit_ts
                 version.deleter = None
             self._status = TxStatus.COMMITTED
             for hook in self._commit_hooks:
                 hook()
+            self._manager.close(self, commit_ts)
 
     def abort(self) -> None:
         """Discard all writes."""
         self.require_active()
-        self._manager.record_abort()
         with self._latch:
-            for chain, version in self._created:
-                chain.remove(version)
-            for _, version in self._deleted:
+            for version in self._deleted:
                 version.deleter = None
             for hook in reversed(self._undo_hooks):
                 hook()
             self._status = TxStatus.ABORTED
+            self._manager.close(self)
 
     def __enter__(self) -> "Transaction":
         return self
@@ -228,13 +231,20 @@ class Transaction:
 
 
 class TransactionManager:
-    """Issues transaction ids, snapshots and commit timestamps.
+    """Issues transaction ids, snapshots and commit timestamps, and
+    reclaims what a commit ended once no open snapshot can see it.
+
+    The *horizon* is the oldest open snapshot, or the clock when none is
+    open: a version whose ``end_ts`` is at or below it is dead to every
+    current and future snapshot.  A commit's reclaim hooks run at that
+    commit when the horizon already covers it, or else wait here until
+    the commit or abort that moves the horizon past it.
 
     Args:
         latch: the owning database's re-entrant latch, shared with its
-            tables; commit/abort publish version timestamps under it.  A
-            private latch is created for standalone (single-database
-            unit-test) use.
+            tables; commit/abort publish version timestamps and reclaim
+            under it.  A private latch is created for standalone
+            (single-database unit-test) use.
     """
 
     def __init__(self, latch: "threading.RLock | None" = None) -> None:
@@ -242,26 +252,22 @@ class TransactionManager:
         self._clock = 0
         self._lock = threading.Lock()
         self.latch = latch if latch is not None else threading.RLock()
+        # txn id -> snapshot of every transaction not yet ended.
+        self._open: dict[int, int] = {}
+        # (commit ts, versions ended, reclaim hooks) in commit order.
+        self._dead: collections.deque = collections.deque()
         # Lifetime workload counters, sampled by the observability layer
         # at export time (see Database.storage_stats).
         self.begun = 0
         self.committed = 0
         self.aborted = 0
         self.conflicts = 0
+        self.reclaimed = 0
+        self.reclaim_pending = 0
 
     @property
     def now(self) -> int:
         return self._clock
-
-    def record_commit(self) -> None:
-        """Count one committed transaction."""
-        with self._lock:
-            self.committed += 1
-
-    def record_abort(self) -> None:
-        """Count one aborted transaction."""
-        with self._lock:
-            self.aborted += 1
 
     def record_conflict(self) -> None:
         """Count one first-updater-wins serialization conflict."""
@@ -278,6 +284,32 @@ class TransactionManager:
         """Start a transaction with a snapshot of the current clock."""
         with self._lock:
             txn_id = next(self._ids)
-            snapshot = self._clock
+            snapshot = self._open[txn_id] = self._clock
             self.begun += 1
         return Transaction(txn_id, snapshot, self, ledger)
+
+    def close(self, txn: Transaction, commit_ts: int | None = None) -> None:
+        """End ``txn``'s snapshot (an abort unless ``commit_ts``), queue
+        the reclaim hooks of what its commit ended, and run every queued
+        hook the horizon has now passed.  Called under the latch, so
+        commits queue in timestamp order."""
+        with self._lock:
+            del self._open[txn.txn_id]
+            if commit_ts is None:
+                self.aborted += 1
+            else:
+                self.committed += 1
+                if txn._reclaim_hooks:
+                    self._dead.append((commit_ts, len(txn._deleted), txn._reclaim_hooks))
+                    self.reclaim_pending += len(txn._deleted)
+            if not self._dead:
+                return
+            horizon = min(self._open.values()) if self._open else self._clock
+            ready = []
+            while self._dead and self._dead[0][0] <= horizon:
+                _, versions, hooks = self._dead.popleft()
+                self.reclaim_pending -= versions
+                self.reclaimed += versions
+                ready += hooks
+        for hook in ready:
+            hook()

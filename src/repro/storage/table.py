@@ -227,20 +227,14 @@ class Table:
             if chain is None:
                 chain = VersionChain()
                 self._clustered.insert(key, chain)
-                txn.on_abort(lambda: self._drop_chain_if_empty(key))
             else:
                 chain.check_write_allowed(txn)
                 if chain.visible(txn) is not None:
                     raise DuplicateKeyError(
                         f"{self.schema.name}: duplicate primary key {key}"
                     )
-            rowid = self._heap.append(encode_row(self.schema, row))
-            self._pool.access(self._device, self._file_id, rowid.page, dirty=True)
+            self._create(txn, key, chain, row)
             txn.on_commit(lambda: self._pool.flush(self._device))
-            version = Version(row, rowid, creator=txn)
-            chain.push(version)
-            txn.record_create(chain, version)
-            self._index_row(txn, row, key)
 
     def insert_many(self, txn: Transaction, rows: list[dict[str, object]]) -> int:
         """Insert a batch of rows under one latch acquisition.
@@ -293,17 +287,11 @@ class Table:
                 chain = VersionChain()
                 chains[i] = chain
                 new_pairs.append((keys[i], chain))
-                txn.on_abort(lambda k=keys[i]: self._drop_chain_if_empty(k))
             if new_pairs:
                 self._clustered.insert_sorted_run(new_pairs)
             for row, key, chain in zip(validated, keys, chains):
                 assert chain is not None
-                rowid = self._heap.append(encode_row(self.schema, row))
-                self._pool.access(self._device, self._file_id, rowid.page, dirty=True)
-                version = Version(row, rowid, creator=txn)
-                chain.push(version)
-                txn.record_create(chain, version)
-                self._index_row(txn, row, key)
+                self._create(txn, key, chain, row)
             txn.on_commit(lambda: self._pool.flush(self._device))
             self.bulk_insert_rows += len(validated)
         return len(validated)
@@ -324,8 +312,7 @@ class Table:
                 return False
             chain.check_write_allowed(txn)
             self._resolve_children(txn, key)
-            version.deleter = txn
-            txn.record_delete(chain, version)
+            self._end(txn, key, chain, version)
             self._pool.access(self._device, self._file_id, version.rowid.page, dirty=True)
             txn.on_commit(lambda: self._pool.flush(self._device))
             return True
@@ -351,49 +338,10 @@ class Table:
             chain.check_write_allowed(txn)
             new_row = self.schema.validate_row({**version.row, **changes})
             self._check_parents(txn, new_row)
-            version.deleter = txn
-            txn.record_delete(chain, version)
-            rowid = self._heap.append(encode_row(self.schema, new_row))
-            self._pool.access(self._device, self._file_id, rowid.page, dirty=True)
+            self._end(txn, key, chain, version)
+            self._create(txn, key, chain, new_row)
             txn.on_commit(lambda: self._pool.flush(self._device))
-            new_version = Version(new_row, rowid, creator=txn)
-            chain.push(new_version)
-            txn.record_create(chain, new_version)
-            self._index_row(txn, new_row, key)
             return True
-
-    # -- maintenance -----------------------------------------------------------
-
-    def vacuum(self) -> int:
-        """Drop versions dead to every current and future snapshot.
-
-        Returns the number of versions reclaimed.  Call between
-        transactions (the engine does not track open snapshots here).
-        """
-        reclaimed = 0
-        empty_keys = []
-        with self._latch:
-            for key, chain in list(self._clustered.items()):
-                keep = []
-                for version in chain.versions:
-                    dead = version.creator is None and version.end_ts is not None and version.deleter is None
-                    if dead:
-                        self._heap.delete(version.rowid)
-                        reclaimed += 1
-                    else:
-                        keep.append(version)
-                chain.versions = keep
-                if not chain.versions:
-                    empty_keys.append(key)
-            for key in empty_keys:
-                self._clustered.delete(key)
-                for name, tree in self._indexes.items():
-                    for index_key, pks in list(tree.items()):
-                        if key in pks:
-                            pks.discard(key)
-                            if not pks:
-                                tree.delete(index_key)
-        return reclaimed
 
     @property
     def heap_pages(self) -> int:
@@ -407,25 +355,25 @@ class Table:
         except KeyError:
             raise StorageError(f"{self.schema.name} has no index {name!r}") from None
 
-    def _index_row(self, txn: Transaction, row: dict[str, object], pk: tuple) -> None:
-        """Enter a new version of ``pk`` into every secondary index.
-
-        Only an entry this call creates is ``txn``'s to take back on
-        abort: one that was already there (an update that left the
-        indexed columns alone, a re-insert of a deleted key) belongs to a
-        version some snapshot may still see.
-        """
+    def _create(
+        self, txn: Transaction, key: tuple, chain: VersionChain, row: dict[str, object]
+    ) -> None:
+        """Write ``row`` as ``txn``'s new version of ``key``: its heap
+        record, its chain and every secondary index hold it, and an abort
+        reclaims it."""
+        rowid = self._heap.append(encode_row(self.schema, row))
+        self._pool.access(self._device, self._file_id, rowid.page, dirty=True)
+        version = Version(row, rowid, creator=txn)
+        chain.push(version)
+        txn.record_create(version)
+        txn.on_abort(lambda: self._reclaim(key, chain, version))
         for name, columns in self.schema.indexes.items():
             index_key = tuple(row[c] for c in columns)
-            tree = self._indexes[name]
-            pks = tree.get(index_key)
+            pks = self._indexes[name].get(index_key)
             if pks is None:
-                tree.insert(index_key, {pk})
-            elif pk not in pks:
-                pks.add(pk)
+                self._indexes[name].insert(index_key, {key})
             else:
-                continue
-            txn.on_abort(lambda n=name, ik=index_key: self._index_remove(n, ik, pk))
+                pks.add(key)
 
     def _index_remove(self, name: str, index_key: tuple, pk: tuple) -> None:
         tree = self._indexes[name]
@@ -435,9 +383,24 @@ class Table:
             if not pks:
                 tree.delete(index_key)
 
-    def _drop_chain_if_empty(self, key: tuple) -> None:
-        chain = self._clustered.get(key)
-        if chain is not None and not chain.versions:
+    def _end(self, txn: Transaction, key: tuple, chain: VersionChain, version: Version) -> None:
+        """Mark ``version`` deleted by ``txn``, to be reclaimed once its
+        end is older than every open snapshot."""
+        version.deleter = txn
+        txn.record_delete(version)
+        txn.on_reclaim(lambda: self._reclaim(key, chain, version))
+
+    def _reclaim(self, key: tuple, chain: VersionChain, version: Version) -> None:
+        """Drop a version no snapshot can see (dead, or aborted) from its
+        chain and the heap, and its key from each index entry no other
+        version of it holds; an emptied chain leaves the clustered tree."""
+        chain.remove(version)
+        self._heap.delete(version.rowid)
+        row = version.row
+        for name, columns in self.schema.indexes.items():
+            if all(any(v.row[c] != row[c] for c in columns) for v in chain.versions):
+                self._index_remove(name, tuple(row[c] for c in columns), key)
+        if not chain.versions:
             self._clustered.delete(key)
 
     def _check_parents(self, txn: Transaction, row: dict[str, object]) -> None:

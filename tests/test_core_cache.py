@@ -14,6 +14,7 @@ from repro.core.pdfcache import PdfCache
 from repro.costmodel import Category, CostLedger, paper_cluster
 from repro.costmodel.devices import HddArraySpec, SsdSpec
 from repro.grid import Box
+from repro.simulation import mhd_dataset
 from repro.morton import decode_array, encode_array
 from repro.core.threshold import get_threshold_on_node
 from repro.storage import Database, SerializationConflictError, StorageDevice
@@ -275,15 +276,6 @@ class TestMaintenance:
         assert info._device.category is Category.CACHE_LOOKUP
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="nothing on the serving path calls Database.vacuum(), so every "
-    "recency touch and stale-entry replacement leaves a dead MVCC version "
-    "(ROADMAP item 2): 800 cold queries on two nodes held "
-    "6,400 cacheInfo versions for 64 live rows and ran 97.5 ms against "
-    "56.6 ms at the start; a safe policy needs Database to track the "
-    "oldest open snapshot",
-)
 def test_replacing_queries_leave_no_dead_versions_behind():
     db, cache = make_cache()
     zindexes, values = points_in_box(BOX, 50)
@@ -302,6 +294,37 @@ def test_replacing_queries_leave_no_dead_versions_behind():
         live = sum(any(v.committed_live for v in c.versions) for c in chains)
         assert live >= 1
         assert sum(len(c.versions) for c in chains) <= 2 * live, name
+
+
+def test_a_cluster_keeps_no_dead_versions_after_thousands_of_requests():
+    # Counted in requests, not seconds: 2,000 stale-entry replacements and
+    # 2,000 hits (each a recency touch) on a 16^3 library cluster leave
+    # every cache chain holding its live row alone.
+    mediator = build_cluster(mhd_dataset(side=16, timesteps=1), nodes=1)
+    threshold = 5.0
+    for _ in range(2000):
+        threshold *= 0.999  # a hair lower: every stored entry is stale
+        query = ThresholdQuery("mhd", "vorticity", 0, threshold)
+        assert mediator.threshold(query).cache_hits == 0
+        assert mediator.threshold(query).cache_hits == 1
+    for node in mediator.nodes:
+        stats = node.db.storage_stats()
+        assert stats["reclaim_pending"] == 0
+        # A hit ends its touched cacheInfo version; each replacement after
+        # the first store ends one cacheInfo and at least one cacheData.
+        assert stats["versions_reclaimed"] >= 2000 + 2 * 1999
+        exported = mediator.metrics.to_dict()
+        for key in ("versions_reclaimed", "reclaim_pending"):
+            assert exported[f"storage_{key}"]["samples"][0]["value"] == stats[key]
+        with node.db.transaction() as txn:
+            for name, index in (("cacheInfo", "by_query"), ("cacheData", "by_info")):
+                table = node.db.table(name)
+                live = {table.schema.key_of(row) for row in table.scan(txn)}
+                chains = dict(table._clustered.items())
+                assert sum(len(c.versions) for c in chains.values()) == len(live)
+                assert set(chains) == live
+                indexed = {pk for _, pks in table._indexes[index].items() for pk in pks}
+                assert indexed == live, name
 
 
 # -- what each operation charges ---------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import DatabaseNode, build_cluster
 from repro.core import ThresholdQuery
+from repro.core.query import BadRequestError
 from repro.costmodel import paper_cluster
 from repro.simulation import mhd_dataset
 from repro.storage.errors import StorageError
@@ -41,7 +42,7 @@ class TestMissingData:
             )
 
     def test_unknown_dataset_fails(self, mhd_cluster):
-        with pytest.raises(KeyError):
+        with pytest.raises(BadRequestError):
             mhd_cluster.threshold(
                 ThresholdQuery("isotropic", "vorticity", 0, 1.0)
             )

@@ -12,7 +12,11 @@ snapshot-isolation semantics:
 * abort restores everything, the secondary indexes included: whatever a
   transaction sees through an index lookup is what it sees by scanning
   and filtering on that index's columns (``g`` never changes, so an
-  update leaves ``by_g`` alone; ``v`` changes on almost every update).
+  update leaves ``by_g`` alone; ``v`` changes on almost every update);
+* a commit reclaims what it ended only behind the oldest open snapshot:
+  long-lived readers open and close between the writes and keep seeing
+  their snapshot, and once no transaction is open every chain holds its
+  one live version and the indexes and the heap hold nothing else.
 """
 
 import pytest
@@ -82,6 +86,7 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
         self.open: list[_ModelTxn] = []
 
     txns = Bundle("txns")
+    readers = Bundle("readers")
 
     @rule(target=txns)
     def begin(self):
@@ -148,6 +153,18 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
                 del self.writer[key]
         self.open.remove(model)
 
+    @rule(target=readers)
+    def open_reader(self):
+        # Writes nothing; reads_match_model checks its view until it closes.
+        model = _ModelTxn(self.db.begin(), self.committed, self.clock)
+        self.open.append(model)
+        return model
+
+    @rule(model=consumes(readers))
+    def close_reader(self, model):
+        model.txn.commit()
+        self.open.remove(model)
+
     @rule(model=consumes(txns))
     def abort(self, model):
         model.txn.abort()
@@ -187,6 +204,28 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
                 )
 
     @invariant()
+    def nothing_dead_outlives_the_open_snapshots(self):
+        if self.open:
+            return
+        assert self.db._manager._open == {}
+        assert self.db.storage_stats()["reclaim_pending"] == 0
+        chains = dict(self.table._clustered.items())
+        assert {key for (key,) in chains} == set(self.committed)
+        for chain in chains.values():
+            assert len(chain.versions) == 1 and chain.versions[0].committed_live
+        for name, columns in self.table.schema.indexes.items():
+            held = {
+                (index_key, pk)
+                for index_key, pks in self.table._indexes[name].items()
+                for pk in pks
+            }
+            rows = [chain.versions[0].row for chain in chains.values()]
+            assert held == {
+                (tuple(row[c] for c in columns), (row["k"],)) for row in rows
+            }, name
+        assert self.table._heap.record_count == len(self.committed)
+
+    @invariant()
     def index_lookups_match_scans(self):
         for model in self.open:
             self._indexes_match_scan(model.txn)
@@ -194,6 +233,8 @@ class SnapshotIsolationMachine(RuleBasedStateMachine):
     def teardown(self):
         for model in list(self.open):
             model.txn.abort()
+        self.open.clear()
+        self.nothing_dead_outlives_the_open_snapshots()
 
 
 SnapshotIsolationMachine.TestCase.settings = settings(

@@ -16,6 +16,7 @@ from repro.cluster.mediator import Mediator, build_cluster
 from repro.cluster.partition import MortonPartitioner
 from repro.cluster.webservice import WebService
 from repro.core import ThresholdQuery
+from repro.core.query import BadRequestError
 from repro.net import codec
 from repro.net.client import RetryPolicy
 from repro.net.errors import (
@@ -81,7 +82,7 @@ def tcp_cluster():
 def test_catalogue_over_tcp(tcp_cluster):
     assert tcp_cluster.dataset_names() == ["mhd"]
     assert tcp_cluster.transport.dataset_side("mhd") == SIDE
-    with pytest.raises(KeyError):
+    with pytest.raises(BadRequestError):
         tcp_cluster.transport.dataset_side("nope")
 
 

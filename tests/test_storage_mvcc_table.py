@@ -380,19 +380,52 @@ class TestDatabaseCatalog:
     def test_table_names(self, db):
         assert db.table_names == ["data", "info"]
 
-    def test_vacuum_reclaims_dead_versions(self, db):
+    def test_commit_reclaims_dead_versions(self, db):
+        info = db.table("info")
         with db.transaction() as txn:
-            db.table("info").insert(txn, {"ordinal": 1, "field": "a"})
+            info.insert(txn, {"ordinal": 1, "field": "a"})
         with db.transaction() as txn:
-            db.table("info").update(txn, (1,), {"field": "b"})
-            db.table("info").insert(txn, {"ordinal": 2, "field": "c"})
+            info.update(txn, (1,), {"field": "b"})
+            info.insert(txn, {"ordinal": 2, "field": "c"})
         with db.transaction() as txn:
-            db.table("info").delete(txn, (2,))
-        reclaimed = db.vacuum()
-        assert reclaimed == 2  # the superseded 'a' and the deleted 'c'
+            info.delete(txn, (2,))
+        # The superseded 'a' and the deleted 'c' went at their commits.
+        assert db.storage_stats()["versions_reclaimed"] == 2
+        chains = dict(info._clustered.items())
+        assert [[v.row["field"] for v in c.versions] for c in chains.values()] == [["b"]]
+        assert dict(info._indexes["by_field"].items()) == {("b",): {(1,)}}
+        assert info._heap.record_count == 1
         with db.transaction() as reader:
-            assert db.table("info").get(reader, (1,))["field"] == "b"
-            assert db.table("info").get(reader, (2,)) is None
+            assert info.get(reader, (1,))["field"] == "b"
+            assert info.get(reader, (2,)) is None
+
+    def test_a_dead_version_waits_for_every_snapshot_that_sees_it(self, db):
+        info = db.table("info")
+
+        def reclaimed_and_pending():
+            stats = db.storage_stats()
+            return stats["versions_reclaimed"], stats["reclaim_pending"]
+
+        with db.transaction() as txn:
+            info.insert(txn, {"ordinal": 1, "field": "a"})
+        old = db.begin()
+        with db.transaction() as txn:
+            info.update(txn, (1,), {"field": "b"})
+        newer = db.begin()
+        with db.transaction() as txn:
+            info.delete(txn, (1,))
+        assert reclaimed_and_pending() == (0, 2)
+        assert info.get(old, (1,))["field"] == "a"
+        old.commit()  # the horizon moves to newer's snapshot: 'a' goes
+        assert reclaimed_and_pending() == (1, 1)
+        assert [row["field"] for row in info.lookup(newer, "by_field", ("b",))] == ["b"]
+        assert list(info.lookup(newer, "by_field", ("a",))) == []
+        newer.abort()  # an abort moves the horizon too: 'b' goes
+        assert reclaimed_and_pending() == (2, 0)
+        assert list(info._clustered.items()) == []
+        assert list(info._indexes["by_field"].items()) == []
+        assert info._heap.record_count == 0
+        assert db._manager._open == {}
 
 
 class TestLedgerCharging:
